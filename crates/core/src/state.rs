@@ -12,7 +12,6 @@ use dstage_model::time::SimTime;
 use dstage_path::{earliest_arrival_tree, repair_tree, ArrivalTree, Hop, ItemQuery};
 use dstage_resources::journal::{ChangeJournal, JournalMark};
 use dstage_resources::ledger::NetworkLedger;
-use dstage_resources::shard::{Footprint, ShardConfig, ShardMap};
 
 use crate::metrics::RunMetrics;
 use crate::schedule::{Delivery, Schedule, Transfer};
@@ -82,22 +81,9 @@ pub struct SchedulerState<'a> {
     /// Per item: the journal position when its cached tree was last known
     /// valid. Meaningless while the tree slot is `None`.
     marks: Vec<JournalMark>,
-    /// Shard × time-bucket partition of the ledger, for coarse overlap
-    /// tests between a cached tree and the journal tail.
-    shard_map: ShardMap,
-    /// Per item: the sharded footprint of the cached tree (its hop links'
-    /// busy windows plus receiving machines). A journal tail whose
-    /// footprint is disjoint cannot dirty the tree, so the exact
-    /// per-hop `uses_link`/`stores_on` scan is skipped. `None` whenever
-    /// the tree slot is `None`.
-    tree_footprints: Vec<Option<Footprint>>,
     transfers: Vec<Transfer>,
     metrics: RunMetrics,
     caching: bool,
-    /// Whether dirtied cached trees are incrementally repaired instead of
-    /// rebuilt. Resolved from `DSTAGE_TREE_REPAIR` once at construction so
-    /// parallel states never race the process-global gate.
-    repair: bool,
 }
 
 impl<'a> SchedulerState<'a> {
@@ -154,21 +140,10 @@ impl<'a> SchedulerState<'a> {
             trees: vec![None; scenario.item_count()],
             journal: ChangeJournal::default(),
             marks: vec![JournalMark::default(); scenario.item_count()],
-            shard_map: ShardMap::new(scenario.network().link_count(), ShardConfig::default()),
-            tree_footprints: vec![None; scenario.item_count()],
             transfers: Vec::new(),
             metrics: RunMetrics::default(),
             caching,
-            repair: dstage_path::repair::enabled(),
         }
-    }
-
-    /// Overrides the incremental-repair gate for this state only (the
-    /// process-global default comes from `DSTAGE_TREE_REPAIR`). Repair on
-    /// and off must produce byte-identical schedules; tests flip this
-    /// per-state to pin that without racing the global gate.
-    pub fn set_tree_repair(&mut self, on: bool) {
-        self.repair = on;
     }
 
     /// The scenario being scheduled.
@@ -245,7 +220,6 @@ impl<'a> SchedulerState<'a> {
                 self.depths[item.index()][machine.index()] = u32::MAX;
             }
             self.trees[item.index()] = None;
-            self.tree_footprints[item.index()] = None;
         }
         removed
     }
@@ -272,8 +246,8 @@ impl<'a> SchedulerState<'a> {
 
     /// Takes a link out of service from `from` onward (remaining window
     /// time is blanket-reserved). The block is pure consumption, so it is
-    /// journaled like a commit: affected cached trees are repaired or
-    /// rebuilt lazily at their next query.
+    /// journaled like a commit: affected cached trees are repaired lazily
+    /// at their next query.
     pub fn apply_link_outage(&mut self, link: VirtualLinkId, from: SimTime) {
         let end = self.scenario.network().link(link).end();
         self.ledger.block_link(link, from, end.max(from));
@@ -291,13 +265,10 @@ impl<'a> SchedulerState<'a> {
         self.drop_all_trees();
     }
 
-    /// Invalidates every cached tree (and its footprint).
+    /// Invalidates every cached tree.
     fn drop_all_trees(&mut self) {
         for tree in &mut self.trees {
             *tree = None;
-        }
-        for footprint in &mut self.tree_footprints {
-            *footprint = None;
         }
     }
 
@@ -307,98 +278,42 @@ impl<'a> SchedulerState<'a> {
     }
 
     /// The earliest-arrival tree of `item` against the current ledger,
-    /// recomputing only when consumed resources actually touch it —
-    /// and then by incremental repair where enabled.
+    /// recomputing only when consumed resources actually touch it — and
+    /// then by incremental repair of the cached tree.
     pub fn tree(&mut self, item: DataItemId) -> &ArrivalTree {
-        enum Action {
-            Hit,
-            Rebuild,
-            Repair,
-        }
         let idx = item.index();
-        // With caching disabled every query recomputes, mirroring the
-        // paper's unoptimized procedure (the result is identical since the
-        // ledger is unchanged between invalidations).
-        let action = if self.trees[idx].is_none() || !self.caching {
-            Action::Rebuild
+        let (dirty_links, dirty_machines) = self.journal.since(self.marks[idx]);
+        // With caching disabled every query recomputes from scratch,
+        // mirroring the paper's unoptimized procedure — the reference the
+        // repaired trees are tested against.
+        let cached = self.trees[idx].as_ref().filter(|_| self.caching);
+        let clean = cached.is_some_and(|tree| {
+            !dirty_links.iter().any(|&l| tree.uses_link(l))
+                && !dirty_machines.iter().any(|&m| tree.stores_on(m))
+        });
+        if clean {
+            self.metrics.cache_hits += 1;
         } else {
-            let tree = self.trees[idx].as_ref().expect("checked above");
-            // Coarse pre-filter: fold the journal tail into shard ×
-            // time-bucket masks and test against the tree's cached
-            // footprint. Disjoint masks prove no dirty link is used and
-            // no dirty machine is stored on (same link or machine always
-            // lands in the same shard word), so the exact O(tail ×
-            // tree-size) scan runs only on a mask overlap.
-            let tail = self.journal.footprint_since(self.marks[idx], &self.shard_map);
-            let overlaps = match &self.tree_footprints[idx] {
-                Some(footprint) => footprint.intersects(&tail),
-                None => true,
+            let query = ItemQuery {
+                network: self.scenario.network(),
+                ledger: &self.ledger,
+                size: self.scenario.item(item).size(),
+                sources: &self.copies[idx],
+                hold_until: &self.hold_until[idx],
+                horizon: self.scenario.horizon(),
             };
-            let touched = overlaps && {
-                let (dirty_links, dirty_machines) = self.journal.since(self.marks[idx]);
-                dirty_links.iter().any(|&l| tree.uses_link(l))
-                    || dirty_machines.iter().any(|&m| tree.stores_on(m))
+            // A repair replaces a scratch build one for one, so both count
+            // as a dijkstra run (repair volume is published through the
+            // obs tap instead).
+            let tree = match cached {
+                Some(old) => repair_tree(&query, old, dirty_links, dirty_machines),
+                None => earliest_arrival_tree(&query),
             };
-            if !touched {
-                Action::Hit
-            } else if self.repair {
-                Action::Repair
-            } else {
-                Action::Rebuild
-            }
-        };
-        match action {
-            Action::Hit => self.metrics.cache_hits += 1,
-            Action::Rebuild => {
-                let query = ItemQuery {
-                    network: self.scenario.network(),
-                    ledger: &self.ledger,
-                    size: self.scenario.item(item).size(),
-                    sources: &self.copies[idx],
-                    hold_until: &self.hold_until[idx],
-                    horizon: self.scenario.horizon(),
-                };
-                self.trees[idx] = Some(earliest_arrival_tree(&query));
-                self.tree_footprints[idx] = Some(self.footprint_of_tree(idx));
-                self.metrics.dijkstra_runs += 1;
-            }
-            Action::Repair => {
-                // Repair replaces a rebuild one for one, so it counts as a
-                // dijkstra run: reported metrics stay byte-identical with
-                // repair on or off (repair volume is published through the
-                // obs tap instead).
-                let old = self.trees[idx].take().expect("checked above");
-                let (dirty_links, dirty_machines) = self.journal.since(self.marks[idx]);
-                let query = ItemQuery {
-                    network: self.scenario.network(),
-                    ledger: &self.ledger,
-                    size: self.scenario.item(item).size(),
-                    sources: &self.copies[idx],
-                    hold_until: &self.hold_until[idx],
-                    horizon: self.scenario.horizon(),
-                };
-                let repaired = repair_tree(&query, &old, dirty_links, dirty_machines);
-                self.trees[idx] = Some(repaired);
-                self.tree_footprints[idx] = Some(self.footprint_of_tree(idx));
-                self.metrics.dijkstra_runs += 1;
-            }
+            self.trees[idx] = Some(tree);
+            self.metrics.dijkstra_runs += 1;
         }
         self.marks[idx] = self.journal.mark();
         self.trees[idx].as_ref().expect("just ensured")
-    }
-
-    /// The sharded footprint of the cached tree in slot `idx`: every hop's
-    /// link busy window plus its receiving machine — a superset of what
-    /// `uses_link`/`stores_on` can match, so a disjoint journal tail
-    /// proves the tree clean.
-    fn footprint_of_tree(&self, idx: usize) -> Footprint {
-        let tree = self.trees[idx].as_ref().expect("computed by the caller");
-        let mut footprint = Footprint::empty(&self.shard_map);
-        for hop in tree.hops() {
-            footprint.record_link(&self.shard_map, hop.link, hop.start, hop.arrival);
-            footprint.record_machine(&self.shard_map, hop.to);
-        }
-        footprint
     }
 
     /// Enumerates the candidate steps of `item`: the distinct first hops
@@ -736,8 +651,8 @@ impl<'a> SchedulerState<'a> {
     /// state), so a cached tree stays optimal unless it planned to use one
     /// of the touched links or to place a copy on one of the touched
     /// machines (see DESIGN.md §3). The consumption is journaled; other
-    /// items' trees are checked lazily — and repaired rather than rebuilt
-    /// where possible — at their next [`SchedulerState::tree`] query. The
+    /// items' trees are checked lazily — and repaired where touched — at
+    /// their next [`SchedulerState::tree`] query. The
     /// committing item's own tree is dropped eagerly: its copy set grew,
     /// which repair cannot express. With caching disabled, everything is
     /// invalidated.
@@ -754,7 +669,6 @@ impl<'a> SchedulerState<'a> {
             self.journal.record_machine(machine);
         }
         self.trees[item.index()] = None;
-        self.tree_footprints[item.index()] = None;
         if !self.caching {
             self.drop_all_trees();
         }

@@ -1,7 +1,7 @@
 //! Lockstep equivalence of the tree-cache modes (DESIGN.md §3).
 //!
-//! Three `SchedulerState`s — caching with incremental repair, caching
-//! with rebuild-on-dirty, and no caching at all — are driven through the
+//! Two `SchedulerState`s — caching with incremental repair, and no
+//! caching at all (the from-scratch reference) — are driven through the
 //! same randomized sequence of commits, evictions (copy losses), link
 //! outages, past-blocking, and stale re-admissions. At every step their
 //! candidate enumerations must agree, and the final schedules must be
@@ -19,7 +19,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn caching_repair_and_rebuild_modes_stay_in_lockstep(
+    fn cached_and_uncached_modes_stay_in_lockstep(
         seed in 0u64..8,
         ops in prop::collection::vec((0u8..8, 0usize..64, 0u64..900), 1..20),
     ) {
@@ -29,9 +29,6 @@ proptest! {
         let links = scenario.network().link_count();
 
         let mut repairing = SchedulerState::with_caching(&scenario, true);
-        repairing.set_tree_repair(true);
-        let mut rebuilding = SchedulerState::with_caching(&scenario, true);
-        rebuilding.set_tree_repair(false);
         let mut uncached = SchedulerState::with_caching(&scenario, false);
 
         let mut now = SimTime::ZERO;
@@ -43,14 +40,13 @@ proptest! {
                 // destinations (both commit surfaces journal).
                 0..=3 => {
                     let steps = repairing.all_candidate_steps();
-                    prop_assert_eq!(&steps, &rebuilding.all_candidate_steps());
                     prop_assert_eq!(&steps, &uncached.all_candidate_steps());
                     if steps.is_empty() {
                         continue;
                     }
                     let step = steps[pick % steps.len()].clone();
                     if op % 2 == 0 {
-                        for state in [&mut repairing, &mut rebuilding, &mut uncached] {
+                        for state in [&mut repairing, &mut uncached] {
                             state.commit_hop(step.item, step.hop);
                         }
                     } else {
@@ -60,7 +56,6 @@ proptest! {
                             .map(|d| scenario.request(d.request).destination())
                             .collect();
                         let n = repairing.commit_paths(step.item, &dests);
-                        prop_assert_eq!(n, rebuilding.commit_paths(step.item, &dests));
                         prop_assert_eq!(n, uncached.commit_paths(step.item, &dests));
                     }
                 }
@@ -70,20 +65,19 @@ proptest! {
                     let item = DataItemId::new((pick % items) as u32);
                     let machine = MachineId::new((time as usize % machines) as u32);
                     let removed = repairing.remove_copies(item, machine, now);
-                    prop_assert_eq!(removed, rebuilding.remove_copies(item, machine, now));
                     prop_assert_eq!(removed, uncached.remove_copies(item, machine, now));
                 }
                 // Link outage from the current instant.
                 5 => {
                     let link = VirtualLinkId::new((pick % links) as u32);
-                    for state in [&mut repairing, &mut rebuilding, &mut uncached] {
+                    for state in [&mut repairing, &mut uncached] {
                         state.apply_link_outage(link, now);
                     }
                 }
                 // Advance the clock and wall off the past (replanning).
                 6 => {
                     now = now.max(SimTime::from_secs(time));
-                    for state in [&mut repairing, &mut rebuilding, &mut uncached] {
+                    for state in [&mut repairing, &mut uncached] {
                         state.block_past(now);
                     }
                 }
@@ -91,31 +85,19 @@ proptest! {
                 // then try the commit — success must agree across modes.
                 _ => {
                     let steps = repairing.all_candidate_steps();
-                    prop_assert_eq!(&steps, &rebuilding.all_candidate_steps());
                     prop_assert_eq!(&steps, &uncached.all_candidate_steps());
                     if steps.is_empty() {
                         continue;
                     }
                     let step = steps[pick % steps.len()].clone();
                     let ok = repairing.try_commit_stale_hop(step.item, step.hop);
-                    prop_assert_eq!(ok, rebuilding.try_commit_stale_hop(step.item, step.hop));
                     prop_assert_eq!(ok, uncached.try_commit_stale_hop(step.item, step.hop));
                 }
             }
         }
 
-        // Repair and rebuild must agree on the *reported* effort too: a
-        // repair counts as one dijkstra run, so sweep metrics stay
-        // byte-identical with the gate on or off.
-        let repairing_metrics = repairing.metrics();
-        let rebuilding_metrics = rebuilding.metrics();
-        prop_assert_eq!(repairing_metrics.dijkstra_runs, rebuilding_metrics.dijkstra_runs);
-        prop_assert_eq!(repairing_metrics.cache_hits, rebuilding_metrics.cache_hits);
-
         let (repaired_schedule, _) = repairing.into_outcome();
-        let (rebuilt_schedule, _) = rebuilding.into_outcome();
         let (uncached_schedule, _) = uncached.into_outcome();
-        prop_assert_eq!(&repaired_schedule, &rebuilt_schedule);
         prop_assert_eq!(&repaired_schedule, &uncached_schedule);
     }
 }

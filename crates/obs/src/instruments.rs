@@ -197,6 +197,7 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_roundtrip() {
+        let _serial = crate::test_lock();
         crate::set_enabled(true);
         let c = Counter::new();
         c.inc();
@@ -216,6 +217,7 @@ mod tests {
     #[cfg(feature = "tap")]
     #[test]
     fn histogram_buckets_observations() {
+        let _serial = crate::test_lock();
         crate::set_enabled(true);
         static BOUNDS: [u64; 3] = [10, 100, 1_000];
         let h = Histogram::new(&BOUNDS);
@@ -235,6 +237,7 @@ mod tests {
     #[cfg(feature = "tap")]
     #[test]
     fn disabled_tap_records_nothing() {
+        let _serial = crate::test_lock();
         crate::set_enabled(false);
         let c = Counter::new();
         c.inc();

@@ -80,12 +80,23 @@ pub fn reset() {
     recorder::clear();
 }
 
+/// Serialises the unit tests that flip the process-global gate, clear the
+/// ring or read global instruments: `cargo test` runs them on parallel
+/// threads of one process.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed test poisons the lock; the others should still run.
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn enable_toggle_round_trips() {
+        let _serial = test_lock();
         set_enabled(true);
         assert!(enabled() == cfg!(feature = "tap"));
         set_enabled(false);

@@ -61,23 +61,11 @@ pub static SERVICE_BATCHES: Counter = Counter::new();
 /// Submissions per committed admission epoch.
 pub static SERVICE_BATCH_SIZE: Histogram = Histogram::new(&BATCH_SIZE_BOUNDS);
 /// Speculative decisions re-decided sequentially after a commit-time
-/// conflict (same-item, footprint, or horizon guard).
+/// conflict (same-item, machine, or horizon guard).
 pub static SERVICE_CONFLICT_RETRIES: Counter = Counter::new();
 /// Whole epochs demoted to the sequential path because an exclusive
 /// operation interleaved between snapshot and commit.
 pub static SERVICE_BATCH_FALLBACKS: Counter = Counter::new();
-/// Commit-time footprint collisions attributed to ledger shard stripes
-/// (shard index modulo the stripe count).
-pub static SERVICE_SHARD_CONTENTION: [Counter; 8] = [
-    Counter::new(),
-    Counter::new(),
-    Counter::new(),
-    Counter::new(),
-    Counter::new(),
-    Counter::new(),
-    Counter::new(),
-    Counter::new(),
-];
 /// Records appended to the write-ahead decision log.
 pub static SERVICE_WAL_APPENDS: Counter = Counter::new();
 /// Bytes appended to the write-ahead decision log (frame headers
@@ -142,11 +130,6 @@ pub static PATH_TREE_REPAIRS: Counter = Counter::new();
 /// Queue seeds fed into repair runs (frontier machines plus re-seeded
 /// sources).
 pub static PATH_REPAIR_SEEDS: Counter = Counter::new();
-/// Trees computed with the horizon-bucketed queue backend (the rest used
-/// the binary-heap fallback).
-pub static PATH_BUCKET_TREES: Counter = Counter::new();
-/// Empty buckets the bucket queue's cursor swept past.
-pub static PATH_BUCKET_ADVANCES: Counter = Counter::new();
 
 // --- sim layer (sweep executor) ---------------------------------------
 
@@ -345,62 +328,6 @@ pub fn registry() -> &'static [MetricDef] {
             kind: Counter(&SERVICE_BATCH_FALLBACKS),
         },
         MetricDef {
-            name: "dstage_service_shard_contention_total",
-            help: "Commit-time footprint collisions per ledger shard stripe",
-            layer: "service",
-            label: Some(("shard", "s0")),
-            kind: Counter(&SERVICE_SHARD_CONTENTION[0]),
-        },
-        MetricDef {
-            name: "dstage_service_shard_contention_total",
-            help: "Commit-time footprint collisions per ledger shard stripe",
-            layer: "service",
-            label: Some(("shard", "s1")),
-            kind: Counter(&SERVICE_SHARD_CONTENTION[1]),
-        },
-        MetricDef {
-            name: "dstage_service_shard_contention_total",
-            help: "Commit-time footprint collisions per ledger shard stripe",
-            layer: "service",
-            label: Some(("shard", "s2")),
-            kind: Counter(&SERVICE_SHARD_CONTENTION[2]),
-        },
-        MetricDef {
-            name: "dstage_service_shard_contention_total",
-            help: "Commit-time footprint collisions per ledger shard stripe",
-            layer: "service",
-            label: Some(("shard", "s3")),
-            kind: Counter(&SERVICE_SHARD_CONTENTION[3]),
-        },
-        MetricDef {
-            name: "dstage_service_shard_contention_total",
-            help: "Commit-time footprint collisions per ledger shard stripe",
-            layer: "service",
-            label: Some(("shard", "s4")),
-            kind: Counter(&SERVICE_SHARD_CONTENTION[4]),
-        },
-        MetricDef {
-            name: "dstage_service_shard_contention_total",
-            help: "Commit-time footprint collisions per ledger shard stripe",
-            layer: "service",
-            label: Some(("shard", "s5")),
-            kind: Counter(&SERVICE_SHARD_CONTENTION[5]),
-        },
-        MetricDef {
-            name: "dstage_service_shard_contention_total",
-            help: "Commit-time footprint collisions per ledger shard stripe",
-            layer: "service",
-            label: Some(("shard", "s6")),
-            kind: Counter(&SERVICE_SHARD_CONTENTION[6]),
-        },
-        MetricDef {
-            name: "dstage_service_shard_contention_total",
-            help: "Commit-time footprint collisions per ledger shard stripe",
-            layer: "service",
-            label: Some(("shard", "s7")),
-            kind: Counter(&SERVICE_SHARD_CONTENTION[7]),
-        },
-        MetricDef {
             name: "dstage_service_wal_appends_total",
             help: "Records appended to the write-ahead decision log",
             layer: "service",
@@ -548,20 +475,6 @@ pub fn registry() -> &'static [MetricDef] {
             kind: Counter(&PATH_REPAIR_SEEDS),
         },
         MetricDef {
-            name: "dstage_path_bucket_trees_total",
-            help: "Trees computed with the bucket-queue backend",
-            layer: "path",
-            label: None,
-            kind: Counter(&PATH_BUCKET_TREES),
-        },
-        MetricDef {
-            name: "dstage_path_bucket_advances_total",
-            help: "Empty buckets swept past by the bucket-queue cursor",
-            layer: "path",
-            label: None,
-            kind: Counter(&PATH_BUCKET_ADVANCES),
-        },
-        MetricDef {
             name: "dstage_sim_work_units_total",
             help: "Sweep work units executed",
             layer: "sim",
@@ -685,6 +598,7 @@ mod tests {
 
     #[test]
     fn prometheus_rendering_is_deterministic_and_well_formed() {
+        let _serial = crate::test_lock();
         let a = render_prometheus();
         let b = render_prometheus();
         assert_eq!(a, b);
@@ -701,6 +615,7 @@ mod tests {
     #[cfg(feature = "tap")]
     #[test]
     fn histogram_buckets_render_cumulatively() {
+        let _serial = crate::test_lock();
         crate::set_enabled(true);
         SIM_QUEUE_WAIT_US.reset();
         SIM_QUEUE_WAIT_US.record(10);

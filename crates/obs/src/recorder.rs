@@ -83,6 +83,7 @@ mod tests {
     #[cfg(feature = "tap")]
     #[test]
     fn ring_keeps_most_recent_and_sequences_logically() {
+        let _serial = crate::test_lock();
         crate::set_enabled(true);
         clear();
         for i in 0..(RING_CAPACITY as u64 + 8) {
@@ -103,6 +104,7 @@ mod tests {
 
     #[test]
     fn disabled_tap_records_no_events() {
+        let _serial = crate::test_lock();
         crate::set_enabled(false);
         clear();
         record("service", "verb.submit", 1, 10);

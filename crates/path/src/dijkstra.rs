@@ -10,11 +10,9 @@
 //! a probe), which gives the FIFO/non-overtaking property that makes
 //! label-setting Dijkstra exact for this setting.
 //!
-//! Three hot-path optimizations ride on that structure, none of which may
-//! change a single label (pinned by `tests/properties.rs`):
+//! Two hot-path optimizations ride on that structure, neither of which
+//! may change a single label (pinned by `tests/properties.rs`):
 //!
-//! - a monotone bucket queue ([`crate::queue`]) replaces the binary heap
-//!   whenever the caller bounds arrivals by a finite scenario horizon;
 //! - *lower-bound pruning*: the cheapest conceivable crossing of a link —
 //!   ignoring every reservation — is `max(ready, window start) + transfer
 //!   time`. When even that bound cannot beat the current label or fit the
@@ -22,14 +20,20 @@
 //! - incremental tree repair ([`crate::repair`]) reuses this crate's
 //!   search core seeded only from the frontier around dirtied resources.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use dstage_model::ids::MachineId;
 use dstage_model::network::Network;
 use dstage_model::time::{SimDuration, SimTime};
 use dstage_model::units::Bytes;
 use dstage_resources::ledger::NetworkLedger;
 
-use crate::queue::MonotoneQueue;
 use crate::tree::{ArrivalTree, Hop};
+
+/// The search frontier: a min-heap popping ascending `(arrival, machine
+/// id)`, with lazy deletion of superseded entries.
+pub(crate) type Frontier = BinaryHeap<Reverse<(SimTime, u32)>>;
 
 /// One search instance: everything needed to compute the earliest-arrival
 /// tree of a single data item against the current resource state.
@@ -48,10 +52,9 @@ pub struct ItemQuery<'a> {
     /// the item's GC time for intermediates, the horizon for requesting
     /// destinations (policy supplied by the scheduler). Indexed by machine.
     pub hold_until: &'a [SimTime],
-    /// An upper bound on interesting arrival times — the scenario horizon.
-    /// Purely an optimization hint: it selects the bucket-queue backend and
-    /// its quantization, never affects any label ([`SimTime::MAX`] = no
-    /// bound, binary-heap fallback).
+    /// Ignored: no search reads it. Kept only so the struct literals in
+    /// the system benchmark (`sysbench/`) keep compiling until a benchmark
+    /// change can drop them.
     pub horizon: SimTime,
 }
 
@@ -103,7 +106,7 @@ pub(crate) struct SearchStats {
 impl SearchStats {
     /// One batched `fetch_add` per series per tree — this is the system's
     /// innermost loop, so the tap must not cost per-relaxation traffic.
-    pub(crate) fn publish(&self, queue: &MonotoneQueue) {
+    pub(crate) fn publish(&self) {
         use dstage_obs::metrics as m;
         m::PATH_TREES.inc();
         m::PATH_EDGE_SCANS.add(self.edge_scans);
@@ -111,10 +114,6 @@ impl SearchStats {
         m::PATH_HEAP_PUSHES.add(self.heap_pushes);
         m::PATH_STALE_POPS.add(self.stale_pops);
         m::PATH_LB_PRUNES.add(self.lb_prunes);
-        if let Some(advances) = queue.bucket_advances() {
-            m::PATH_BUCKET_TREES.inc();
-            m::PATH_BUCKET_ADVANCES.add(advances);
-        }
     }
 }
 
@@ -132,11 +131,11 @@ pub(crate) fn run_search(
     bounds: &[LinkBound],
     arrivals: &mut [SimTime],
     hops: &mut [Option<Hop>],
-    queue: &mut MonotoneQueue,
+    queue: &mut Frontier,
     frozen: Option<&[bool]>,
     stats: &mut SearchStats,
 ) {
-    while let Some((ready, u_idx)) = queue.pop() {
+    while let Some(Reverse((ready, u_idx))) = queue.pop() {
         if ready > arrivals[u_idx as usize] {
             stats.stale_pops += 1;
             continue; // stale queue entry
@@ -175,7 +174,7 @@ pub(crate) fn run_search(
                     start: slot.start,
                     arrival: slot.arrival,
                 });
-                queue.push(slot.arrival, v as u32);
+                queue.push(Reverse((slot.arrival, v as u32)));
                 stats.heap_pushes += 1;
             }
         }
@@ -192,7 +191,7 @@ pub(crate) fn run_search(
 ///
 /// Determinism: ties between equal arrival times are broken by machine id,
 /// and outgoing links are scanned in id order, so equal-cost trees are
-/// always the same tree — with either queue backend.
+/// always the same tree.
 ///
 /// # Panics
 ///
@@ -206,7 +205,7 @@ pub fn earliest_arrival_tree(query: &ItemQuery<'_>) -> ArrivalTree {
     let bounds = link_bounds(query.network, query.size);
     let mut arrivals = vec![SimTime::MAX; n];
     let mut hops: Vec<Option<Hop>> = vec![None; n];
-    let mut queue = MonotoneQueue::new(query.horizon);
+    let mut queue = Frontier::new();
     let mut stats = SearchStats::default();
 
     for &(machine, available_at) in query.sources {
@@ -214,13 +213,13 @@ pub fn earliest_arrival_tree(query: &ItemQuery<'_>) -> ArrivalTree {
         if available_at < *slot {
             *slot = available_at;
             hops[machine.index()] = None;
-            queue.push(available_at, machine.index() as u32);
+            queue.push(Reverse((available_at, machine.index() as u32)));
             stats.heap_pushes += 1;
         }
     }
 
     run_search(query, &bounds, &mut arrivals, &mut hops, &mut queue, None, &mut stats);
-    stats.publish(&queue);
+    stats.publish();
 
     ArrivalTree::new(arrivals, hops)
 }
@@ -456,8 +455,7 @@ mod tests {
 
     #[test]
     fn deterministic_tie_break_prefers_lower_link_id() {
-        // Two identical links: the tree must always pick link 0, with
-        // either queue backend.
+        // Two identical links: the tree must always pick link 0.
         let mut b = NetworkBuilder::new();
         b.add_machine(Machine::new("a", Bytes::from_mib(1)));
         b.add_machine(Machine::new("b", Bytes::from_mib(1)));
@@ -467,21 +465,16 @@ mod tests {
         let net = b.build();
         let ledger = NetworkLedger::new(&net);
         let hold = max_hold(2);
-        for horizon in [t(300), SimTime::MAX] {
-            for _ in 0..5 {
-                let tree = earliest_arrival_tree(&ItemQuery {
-                    network: &net,
-                    ledger: &ledger,
-                    size: Bytes::new(100),
-                    sources: &[(m(0), t(0))],
-                    hold_until: &hold,
-                    horizon,
-                });
-                assert_eq!(
-                    tree.hop_into(m(1)).unwrap().link,
-                    dstage_model::ids::VirtualLinkId::new(0)
-                );
-            }
+        for _ in 0..5 {
+            let tree = earliest_arrival_tree(&ItemQuery {
+                network: &net,
+                ledger: &ledger,
+                size: Bytes::new(100),
+                sources: &[(m(0), t(0))],
+                hold_until: &hold,
+                horizon: t(300),
+            });
+            assert_eq!(tree.hop_into(m(1)).unwrap().link, dstage_model::ids::VirtualLinkId::new(0));
         }
     }
 
@@ -534,37 +527,6 @@ mod tests {
         for i in 0..3 {
             assert!(!tree.is_reachable(m(i)));
         }
-    }
-
-    #[test]
-    fn bucket_and_heap_backends_build_identical_trees() {
-        let net = line_net();
-        let mut ledger = NetworkLedger::new(&net);
-        ledger
-            .commit_transfer(
-                &net,
-                dstage_model::ids::VirtualLinkId::new(0),
-                t(2),
-                Bytes::new(30_000),
-                SimTime::MAX,
-            )
-            .unwrap();
-        let hold = max_hold(3);
-        let sources = [(m(0), t(1)), (m(1), t(90))];
-        let query = |horizon| ItemQuery {
-            network: &net,
-            ledger: &ledger,
-            size: Bytes::new(10_000),
-            sources: &sources,
-            hold_until: &hold,
-            horizon,
-        };
-        let heap_tree = earliest_arrival_tree(&query(SimTime::MAX));
-        let bucket_tree = earliest_arrival_tree(&query(SimTime::from_hours(2)));
-        // Tight horizons still only affect bucketing, never the labels.
-        let tight_tree = earliest_arrival_tree(&query(t(1)));
-        assert_eq!(heap_tree, bucket_tree);
-        assert_eq!(heap_tree, tight_tree);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! The search is exact for the current resource state because every
 //! constraint is monotone in the ready time (see
 //! [`dijkstra::earliest_arrival_tree`]). The same monotonicity powers the
-//! fast-admission machinery: a horizon-bucketed queue ([`queue`]),
-//! static lower-bound pruning of hopeless relaxations, and incremental
-//! repair of cached trees after resource consumption ([`repair`]).
+//! two optimizations kept on the hot path: static lower-bound pruning of
+//! hopeless relaxations, and incremental repair of cached trees after
+//! resource consumption ([`repair`]). The frontier is a plain binary
+//! heap.
 //!
 //! # Examples
 //!
@@ -45,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod dijkstra;
-pub(crate) mod queue;
 pub mod repair;
 pub mod tree;
 

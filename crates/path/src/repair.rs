@@ -15,52 +15,17 @@
 //! [`crate::earliest_arrival_tree`] would build — pops settle in the same
 //! `(arrival, machine id)` order, probes are pure reads, and the strict-<
 //! update rule picks the same hops — at a fraction of the probes. Pinned
-//! by the property tests in `tests/properties.rs` and the sweep
-//! byte-identity test in the workspace root.
-//!
-//! The runtime gate mirrors the obs tap: `DSTAGE_TREE_REPAIR` (default
-//! on), overridable in-process with [`set_enabled`]. Schedulers resolve
-//! the gate once at state construction so parallel runs never race it.
+//! by the property tests in `tests/properties.rs`, and end to end by the
+//! caching-on ≡ caching-off test in the workspace root
+//! (`tests/determinism.rs`).
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::cmp::Reverse;
 
 use dstage_model::ids::{MachineId, VirtualLinkId};
 use dstage_model::time::SimTime;
 
-use crate::dijkstra::{link_bounds, run_search, ItemQuery, SearchStats};
-use crate::queue::MonotoneQueue;
+use crate::dijkstra::{link_bounds, run_search, Frontier, ItemQuery, SearchStats};
 use crate::tree::{ArrivalTree, Hop};
-
-/// Tri-state runtime switch: 0 = not yet resolved from the environment,
-/// 1 = enabled, 2 = disabled.
-static STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether incremental repair is enabled.
-///
-/// First call resolves the `DSTAGE_TREE_REPAIR` environment variable
-/// (default: enabled); later calls are a single relaxed atomic load.
-#[must_use]
-pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = std::env::var("DSTAGE_TREE_REPAIR")
-                .map_or(true, |v| !matches!(v.trim(), "0" | "off" | "false" | "no"));
-            STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Turns incremental repair on or off at runtime, overriding
-/// `DSTAGE_TREE_REPAIR`.
-///
-/// Process-global: the byte-identity tests flip this around whole runs.
-/// Unit tests prefer `SchedulerState`'s per-state setter instead.
-pub fn set_enabled(on: bool) {
-    STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
 
 /// Repairs `tree` — built for `query`'s item against an *earlier* state
 /// of the same ledger — after the given links/stores were consumed.
@@ -119,7 +84,7 @@ pub fn repair_tree(
 
     let mut arrivals = old_arrivals.to_vec();
     let mut hops: Vec<Option<Hop>> = old_hops.to_vec();
-    let mut queue = MonotoneQueue::new(query.horizon);
+    let mut queue = Frontier::new();
     let mut stats = SearchStats::default();
 
     for idx in 0..n {
@@ -136,7 +101,7 @@ pub fn repair_tree(
         if affected[idx] && available_at < arrivals[idx] {
             arrivals[idx] = available_at;
             hops[idx] = None;
-            queue.push(available_at, idx as u32);
+            queue.push(Reverse((available_at, idx as u32)));
             stats.heap_pushes += 1;
         }
     }
@@ -153,7 +118,7 @@ pub fn repair_tree(
             .iter()
             .any(|&l| affected[bounds[l.index()].dst]);
         if feeds_affected {
-            queue.push(arrivals[idx], idx as u32);
+            queue.push(Reverse((arrivals[idx], idx as u32)));
             stats.heap_pushes += 1;
         }
     }
@@ -164,7 +129,7 @@ pub fn repair_tree(
     let frozen: Vec<bool> = affected.iter().map(|&a| !a).collect();
     run_search(query, &bounds, &mut arrivals, &mut hops, &mut queue, Some(&frozen), &mut stats);
 
-    stats.publish(&queue);
+    stats.publish();
     dstage_obs::metrics::PATH_TREE_REPAIRS.inc();
     dstage_obs::metrics::PATH_REPAIR_SEEDS.add(seeds);
 
@@ -291,15 +256,5 @@ mod tests {
         assert_eq!(repaired, scratch);
         assert!(!repaired.is_reachable(m(1)));
         assert_eq!(repaired.hop_into(m(3)).unwrap().from, m(2));
-    }
-
-    #[test]
-    fn gate_resolves_and_overrides() {
-        // Whatever the environment says, the override wins afterwards.
-        let initial = enabled();
-        set_enabled(!initial);
-        assert_eq!(enabled(), !initial);
-        set_enabled(initial);
-        assert_eq!(enabled(), initial);
     }
 }

@@ -7,11 +7,9 @@
 //!    argument for label-setting holds for our time-dependent edges.
 //! 2. **Commit consistency** — every hop the tree promises can actually be
 //!    committed to the ledger at exactly the promised times.
-//! 3. **Queue equivalence** — the horizon-bucketed queue builds trees
-//!    identical to the binary heap's, tie-breaks included.
-//! 4. **Repair exactness** — after arbitrary consumption sequences, an
+//! 3. **Repair exactness** — after arbitrary consumption sequences, an
 //!    incrementally repaired tree equals a from-scratch rebuild.
-//! 5. **First-hop memo** — the precomputed first hop equals a walk up the
+//! 4. **First-hop memo** — the precomputed first hop equals a walk up the
 //!    hop chain.
 
 use dstage_model::ids::{MachineId, VirtualLinkId};
@@ -76,9 +74,15 @@ fn query_of<'a>(
     size: u64,
     sources: &'a [(MachineId, SimTime)],
     hold: &'a [SimTime],
-    horizon: SimTime,
 ) -> ItemQuery<'a> {
-    ItemQuery { network, ledger, size: Bytes::new(size), sources, hold_until: hold, horizon }
+    ItemQuery {
+        network,
+        ledger,
+        size: Bytes::new(size),
+        sources,
+        hold_until: hold,
+        horizon: SimTime::MAX,
+    }
 }
 
 /// Relax every edge repeatedly until nothing changes — a slow but obviously
@@ -276,37 +280,6 @@ proptest! {
     }
 
     #[test]
-    fn bucket_queue_builds_the_same_tree_as_the_heap(
-        net in random_net_strategy(),
-        size in 1u64..40_000,
-        src in 0usize..7,
-        src_avail in 0u64..100,
-        horizon_s in 1u64..800,
-    ) {
-        let network = build(&net);
-        let src = MachineId::new((src % net.machines) as u32);
-        let ledger = NetworkLedger::new(&network);
-        let hold = vec![SimTime::MAX; net.machines];
-        let sources = [(src, SimTime::from_secs(src_avail))];
-        let query = |horizon| ItemQuery {
-            network: &network,
-            ledger: &ledger,
-            size: Bytes::new(size),
-            sources: &sources,
-            hold_until: &hold,
-            horizon,
-        };
-        // SimTime::MAX forces the binary-heap fallback; any finite horizon
-        // — including ones far smaller than actual arrivals — selects the
-        // bucket queue. The trees must be equal either way, which also
-        // pins the deterministic lower-link-id tie-break: any divergence
-        // in pop order would surface as a different winning hop.
-        let heap_tree = earliest_arrival_tree(&query(SimTime::MAX));
-        let bucket_tree = earliest_arrival_tree(&query(SimTime::from_secs(horizon_s)));
-        prop_assert_eq!(&heap_tree, &bucket_tree);
-    }
-
-    #[test]
     fn repaired_tree_equals_scratch_rebuild_after_commits(
         net in random_net_strategy(),
         size in 1u64..20_000,
@@ -322,16 +295,12 @@ proptest! {
         let hold = vec![SimTime::MAX; net.machines];
         let sources = [(src, SimTime::from_secs(src_avail))];
         let mut ledger = NetworkLedger::new(&network);
-        let before = earliest_arrival_tree(&query_of(
-            &network, &ledger, size, &sources, &hold, SimTime::from_hours(2),
-        ));
+        let before = earliest_arrival_tree(&query_of(&network, &ledger, size, &sources, &hold));
         let (dirty_links, dirty_machines) = consume_randomly(&network, &mut ledger, &commits);
-        for horizon in [SimTime::from_hours(2), SimTime::MAX] {
-            let query = query_of(&network, &ledger, size, &sources, &hold, horizon);
-            let repaired = repair_tree(&query, &before, &dirty_links, &dirty_machines);
-            let scratch = earliest_arrival_tree(&query);
-            prop_assert_eq!(&repaired, &scratch);
-        }
+        let query = query_of(&network, &ledger, size, &sources, &hold);
+        let repaired = repair_tree(&query, &before, &dirty_links, &dirty_machines);
+        let scratch = earliest_arrival_tree(&query);
+        prop_assert_eq!(&repaired, &scratch);
     }
 
     #[test]
@@ -354,13 +323,10 @@ proptest! {
         let hold = vec![SimTime::MAX; net.machines];
         let sources = [(src, SimTime::ZERO)];
         let mut ledger = NetworkLedger::new(&network);
-        let horizon = SimTime::from_hours(2);
-        let mut tree = earliest_arrival_tree(&query_of(
-            &network, &ledger, size, &sources, &hold, horizon,
-        ));
+        let mut tree = earliest_arrival_tree(&query_of(&network, &ledger, size, &sources, &hold));
         for commits in &rounds {
             let (dirty_links, dirty_machines) = consume_randomly(&network, &mut ledger, commits);
-            let query = query_of(&network, &ledger, size, &sources, &hold, horizon);
+            let query = query_of(&network, &ledger, size, &sources, &hold);
             tree = repair_tree(&query, &tree, &dirty_links, &dirty_machines);
             let scratch = earliest_arrival_tree(&query);
             prop_assert_eq!(&tree, &scratch);

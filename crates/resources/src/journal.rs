@@ -14,9 +14,6 @@
 //! unchanged byte for byte.
 
 use dstage_model::ids::{MachineId, VirtualLinkId};
-use dstage_model::time::SimTime;
-
-use crate::shard::{Footprint, ShardMap};
 
 /// A position in a [`ChangeJournal`]; taken when a tree is (re)built and
 /// compared against the tail later.
@@ -88,26 +85,6 @@ impl ChangeJournal {
     pub fn is_clean(&self, mark: JournalMark) -> bool {
         self.links.len() == mark.links && self.machines.len() == mark.machines
     }
-
-    /// The sharded footprint of everything consumed after `mark`. The
-    /// journal does not record busy windows, so links mark the full time
-    /// wheel — a conservative superset that only adds false conflicts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mark` was taken from a different (longer) journal.
-    #[must_use]
-    pub fn footprint_since(&self, mark: JournalMark, map: &ShardMap) -> Footprint {
-        let mut footprint = Footprint::empty(map);
-        let (links, machines) = self.since(mark);
-        for &link in links {
-            footprint.record_link(map, link, SimTime::ZERO, SimTime::MAX);
-        }
-        for &machine in machines {
-            footprint.record_machine(map, machine);
-        }
-        footprint
-    }
 }
 
 #[cfg(test)]
@@ -149,25 +126,6 @@ mod tests {
         assert_eq!(links, &[l(4)]);
         assert_eq!(machines, &[m(1)]);
         assert!(!j.is_clean(mark));
-    }
-
-    #[test]
-    fn footprints_cover_the_tail_conservatively() {
-        use crate::shard::{Footprint, ShardConfig, ShardMap};
-
-        let map = ShardMap::new(8, ShardConfig { shards: 4, bucket_ms: 1_000 });
-        let mut j = ChangeJournal::default();
-        let mark = j.mark();
-        j.record_link(l(1));
-        j.record_machine(m(0));
-        let tail = j.footprint_since(mark, &map);
-        // L1 (shard 1) is marked over the full wheel; M0 (shard (8+0)%4
-        // = 0) likewise. Anything touching those shards intersects.
-        let mut probe = Footprint::empty(&map);
-        probe.record_link(&map, l(5), SimTime::from_secs(9), SimTime::from_secs(9));
-        assert!(tail.intersects(&probe));
-        // A clean tail has an empty footprint.
-        assert!(j.footprint_since(j.mark(), &map).is_empty());
     }
 
     #[test]

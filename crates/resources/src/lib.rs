@@ -34,11 +34,9 @@
 pub mod interval;
 pub mod journal;
 pub mod ledger;
-pub mod shard;
 pub mod timeline;
 
 pub use interval::BusyIntervals;
 pub use journal::{ChangeJournal, JournalMark};
 pub use ledger::{CommitError, NetworkLedger, TransferSlot};
-pub use shard::{Footprint, ShardConfig, ShardMap};
 pub use timeline::CapacityTimeline;

@@ -1,4 +1,4 @@
-//! Epoch-batched admission over the sharded resource ledger.
+//! Epoch-batched admission past the single write lock.
 //!
 //! The single `RwLock<AdmissionEngine>` write lock serialized every
 //! `submit`; this module moves the expensive half of a decision — the
@@ -23,14 +23,15 @@
 //!
 //! * **same-item guard** — a member whose item was admitted earlier in
 //!   the epoch is re-decided;
-//! * **footprint guard** — members' [`Footprint`]s (route link busy
-//!   windows + staged/destination machines, folded into coarse shard ×
-//!   time-bucket masks) must not intersect the union of everything the
-//!   epoch committed so far; intersection sends the member to sequential
-//!   re-decision. Disjoint footprints leave the candidate's own route
-//!   timings untouched and can only *worsen* the alternatives the
-//!   earliest-arrival search rejected deterministically, so the
-//!   speculated route stays the argmin;
+//! * **machine guard** — the machines a member's route touches (both
+//!   ends of every transfer, plus the destination) must be disjoint from
+//!   the machines of everything the epoch committed so far; a shared
+//!   machine sends the member to sequential re-decision. Two routes that
+//!   share a link share its end machines, so the one test covers link
+//!   windows and storage alike. Disjoint machine sets leave the
+//!   candidate's own route timings untouched and can only *worsen* the
+//!   alternatives the earliest-arrival search rejected deterministically,
+//!   so the speculated route stays the argmin;
 //! * **horizon guard** — the member's
 //!   [`AdmissionEngine::effective_horizon`] fingerprint must match
 //!   between snapshot and live state.
@@ -53,7 +54,7 @@ use parking_lot::RwLock;
 use crate::durability::Durability;
 use crate::engine::{AdmissionEngine, Evaluation};
 use crate::protocol::{SubmitArgs, SubmitResponse};
-use dstage_resources::shard::Footprint;
+use dstage_model::ids::MachineId;
 
 /// Process-wide switch for paranoid re-verification of speculative
 /// commits (defaults to the `DSTAGE_BATCH_VERIFY` environment variable).
@@ -132,10 +133,9 @@ pub fn run_epoch_durable(
     // spawning nothing.
     let mut evaluations: Vec<Option<Evaluation>> = Vec::new();
     evaluations.resize_with(batch.len(), || None);
-    let (base_version, map, pre_horizons) = {
+    let (base_version, pre_horizons) = {
         let snapshot = engine.read();
         let base_version = snapshot.version();
-        let map = snapshot.shard_map();
         // Horizon fingerprints from before any of the epoch commits, so
         // the commit loop can detect a member whose planning horizon an
         // earlier commit moved.
@@ -160,7 +160,7 @@ pub fn run_epoch_durable(
             })
             .expect("speculation threads do not panic");
         }
-        (base_version, map, pre_horizons)
+        (base_version, pre_horizons)
     };
 
     let mut guard = engine.write();
@@ -178,42 +178,35 @@ pub fn run_epoch_durable(
         return results;
     }
 
-    // Sequential commit in arrival order. `epoch_footprint` is the union
-    // of everything committed so far this epoch; `epoch_items` the data
-    // items admitted so far. A member clashing with either (or whose
-    // horizon fingerprint moved) is re-decided against the live state —
-    // the "deterministic retry of losers": retries happen in the same
-    // arrival order and land in the same log positions on every run.
-    let mut epoch_footprint = Footprint::empty(&map);
+    // Sequential commit in arrival order. `epoch_machines` holds every
+    // machine a route committed so far this epoch touches; `epoch_items`
+    // the data items admitted so far. A member clashing with either (or
+    // whose horizon fingerprint moved) is re-decided against the live
+    // state — the "deterministic retry of losers": retries happen in the
+    // same arrival order and land in the same log positions on every run.
+    let mut epoch_machines: Vec<MachineId> = Vec::new();
     let mut epoch_items: Vec<u32> = Vec::new();
     let mut results = Vec::with_capacity(batch.len());
     for ((args, evaluation), pre_horizon) in batch.iter().zip(evaluations).zip(pre_horizons) {
         let evaluation = evaluation.expect("every member was speculated");
-        let footprint = AdmissionEngine::evaluation_footprint(&map, &evaluation);
         let item_clash = guard.item_id(&args.item).is_some_and(|item| epoch_items.contains(&item));
-        let footprint_clash = footprint.intersects(&epoch_footprint);
+        let machine_clash = AdmissionEngine::evaluation_machines(&evaluation)
+            .iter()
+            .any(|m| epoch_machines.contains(m));
         let horizon_moved = guard.effective_horizon(args.deadline_ms) != pre_horizon;
-        let result = if item_clash || footprint_clash || horizon_moved {
+        let result = if item_clash || machine_clash || horizon_moved {
             dstage_obs::metrics::SERVICE_CONFLICT_RETRIES.inc();
-            if footprint_clash {
-                for shard in footprint.contended_shards(&epoch_footprint) {
-                    dstage_obs::metrics::SERVICE_SHARD_CONTENTION
-                        [shard % dstage_obs::metrics::SERVICE_SHARD_CONTENTION.len()]
-                    .inc();
-                }
-            }
             guard.submit(args)
         } else {
             guard.submit_with(args, Some(evaluation))
         };
         // Whatever path decided the member, fold an admission's residue
         // into the guards so later members stay checkable. (A replayed
-        // idempotent admission re-merges a footprint the epoch may
-        // already hold — a harmless union.)
+        // idempotent admission re-adds machines the epoch may already
+        // hold — a harmless union.)
         if let Ok(response) = &result {
             if let Some(request) = response.request {
-                let committed = guard.request_footprint(&map, request as u32);
-                epoch_footprint.merge(&committed);
+                epoch_machines.extend(guard.request_machines(request as u32));
                 if let Some(item) = guard.item_id(&args.item) {
                     epoch_items.push(item);
                 }
@@ -268,6 +261,66 @@ mod tests {
             assert_eq!(
                 serde_json::to_string(&batched.clone().unwrap()).unwrap(),
                 serde_json::to_string(&expected.unwrap()).unwrap()
+            );
+        }
+        assert_eq!(
+            serde_json::to_string(&concurrent.read().snapshot()).unwrap(),
+            serde_json::to_string(&sequential.snapshot()).unwrap()
+        );
+    }
+
+    /// The same equivalence where speculation is what gets committed: on
+    /// a 10×10 grid, distinct items each requested one cell away from
+    /// their source have short routes that rarely share a machine, so
+    /// most members pass the machine guard and commit verbatim (re-checked
+    /// against the live state by `set_verify`).
+    #[test]
+    fn disjoint_grid_routes_commit_from_speculation() {
+        use dstage_workload::grid::{generate_grid, GridConfig};
+
+        set_verify(true);
+        let cols = 10;
+        let config = GridConfig { rows: 10, cols, items: 16, requests: 0, ..GridConfig::default() };
+        let scenario = generate_grid(&config, 11);
+        let fresh = || {
+            let best = HeuristicConfig::paper_best();
+            AdmissionEngine::new(&scenario, Heuristic::FullPathOneDestination, best)
+        };
+        let batch: Vec<SubmitArgs> = scenario
+            .items()
+            .map(|(_, item)| {
+                let source = item.sources()[0];
+                let cell = source.machine.index();
+                let neighbour = if cell % cols + 1 < cols { cell + 1 } else { cell - 1 };
+                SubmitArgs {
+                    item: item.name().to_string(),
+                    destination: neighbour as u32,
+                    deadline_ms: source.available_at.as_millis() + 3_600_000,
+                    priority: (cell % 3) as u8,
+                    idempotency_key: None,
+                }
+            })
+            .collect();
+
+        // The branch under test is really taken: most members' speculated
+        // routes are machine-disjoint from every earlier member's.
+        let mut sequential = fresh();
+        let mut seen: Vec<MachineId> = Vec::new();
+        let mut disjoint = 0;
+        for args in &batch {
+            let machines = AdmissionEngine::evaluation_machines(&sequential.evaluate(args));
+            assert!(!machines.is_empty(), "every member is admissible on an empty ledger");
+            disjoint += usize::from(!machines.iter().any(|m| seen.contains(m)));
+            seen.extend(machines);
+        }
+        assert!(disjoint >= 10, "only {disjoint} of {} members are disjoint", batch.len());
+
+        let concurrent = RwLock::new(fresh());
+        let batched = run_epoch(&concurrent, &batch);
+        for (args, batched) in batch.iter().zip(batched) {
+            assert_eq!(
+                serde_json::to_string(&batched.unwrap()).unwrap(),
+                serde_json::to_string(&sequential.submit(args).unwrap()).unwrap()
             );
         }
         assert_eq!(

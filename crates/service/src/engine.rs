@@ -36,7 +36,6 @@ use dstage_model::network::Network;
 use dstage_model::request::{Priority, Request};
 use dstage_model::scenario::Scenario;
 use dstage_model::time::{SimDuration, SimTime};
-use dstage_resources::shard::{Footprint, ShardConfig, ShardMap};
 use serde::Value;
 
 use crate::protocol::{
@@ -641,55 +640,37 @@ impl AdmissionEngine {
         self.horizon.max(latest + self.gc_delay)
     }
 
-    /// Shard layout for this engine's network (defaults from
-    /// [`dstage_resources::shard::ShardConfig`]).
-    #[must_use]
-    pub fn shard_map(&self) -> ShardMap {
-        ShardMap::new(self.network.link_count(), ShardConfig::default())
-    }
-
     /// Catalog id of `item`, if known.
     #[must_use]
     pub fn item_id(&self, item: &str) -> Option<u32> {
         self.item_ids.get(item).copied()
     }
 
-    /// The sharded resource footprint committing `evaluation` would
-    /// consume: its route's link busy windows, every machine the route
-    /// stages a copy on, and the destination (whose hold policy the
-    /// admission changes). Rejections commit nothing and have an empty
-    /// footprint.
+    /// Every machine committing `evaluation` would consume a resource on:
+    /// both ends of each route transfer (two routes sharing a link share
+    /// its end machines, so this covers link capacity too) and the
+    /// destination, whose hold policy the admission changes. Rejections
+    /// commit nothing and touch no machine.
     #[must_use]
-    pub fn evaluation_footprint(map: &ShardMap, evaluation: &Evaluation) -> Footprint {
-        let mut footprint = Footprint::empty(map);
-        if let Evaluation::Admitted { candidate, route, .. } = evaluation {
-            for t in route {
-                footprint.record_link(map, t.link, t.start, t.arrival);
-                footprint.record_machine(map, t.from);
-                footprint.record_machine(map, t.to);
+    pub fn evaluation_machines(evaluation: &Evaluation) -> Vec<MachineId> {
+        match evaluation {
+            Evaluation::Admitted { candidate, route, .. } => {
+                route_machines(route, candidate.destination())
             }
-            footprint.record_machine(map, candidate.destination());
+            Evaluation::Rejected { .. } => Vec::new(),
         }
-        footprint
     }
 
-    /// The footprint of an already-admitted request's current route —
+    /// The machines an already-admitted request's current route touches —
     /// how sequentially re-decided epoch members fold into the epoch's
-    /// conflict guards (see [`crate::batch`]).
+    /// conflict guard (see [`crate::batch`]).
     #[must_use]
-    pub fn request_footprint(&self, map: &ShardMap, request: u32) -> Footprint {
-        let mut footprint = Footprint::empty(map);
-        if let Some(info) = self.info.get(request as usize) {
-            for t in &info.route {
-                footprint.record_link(map, t.link, t.start, t.arrival);
-                footprint.record_machine(map, t.from);
-                footprint.record_machine(map, t.to);
-            }
+    pub fn request_machines(&self, request: u32) -> Vec<MachineId> {
+        let index = request as usize;
+        match (self.info.get(index), self.admitted.get(index)) {
+            (Some(info), Some(req)) => route_machines(&info.route, req.destination()),
+            _ => Vec::new(),
         }
-        if let Some(req) = self.admitted.get(request as usize) {
-            footprint.record_machine(map, req.destination());
-        }
-        footprint
     }
 
     fn build_scenario(&self, candidate: Option<Request>) -> Result<Scenario, String> {
@@ -1010,59 +991,23 @@ impl AdmissionEngine {
     ///
     /// # Errors
     ///
-    /// Returns a message for a record with a missing/unknown verb or
-    /// missing fields, and propagates `submit`/`inject` errors.
+    /// Returns [`record_from_value`]'s message for a malformed record, and
+    /// propagates `submit`/`inject` errors.
     pub fn replay_record(&mut self, entry: &Value) -> Result<(), String> {
-        let u64_field = |name: &str| {
-            entry.get(name).and_then(Value::as_u64).ok_or_else(|| format!("missing `{name}`"))
-        };
-        let str_field = |name: &str| {
-            entry
-                .get(name)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing `{name}`"))
-        };
-        match entry.get("verb").and_then(Value::as_str) {
-            Some("submit") => {
-                self.submit(&SubmitArgs {
-                    item: str_field("item")?,
-                    destination: u32::try_from(u64_field("destination")?)
-                        .map_err(|_| "`destination` out of range".to_string())?,
-                    deadline_ms: u64_field("deadline_ms")?,
-                    priority: u8::try_from(u64_field("priority")?)
-                        .map_err(|_| "`priority` out of range".to_string())?,
-                    idempotency_key: entry
-                        .get("idempotency_key")
-                        .and_then(Value::as_str)
-                        .map(str::to_string),
-                })?;
-                Ok(())
+        match record_from_value(entry)? {
+            LogRecord::Submission(record) => {
+                self.submit(&record.args)?;
             }
-            Some("inject") => {
-                let kind = match str_field("kind")?.as_str() {
-                    "link_outage" => InjectKind::LinkOutage {
-                        link: u32::try_from(u64_field("link")?)
-                            .map_err(|_| "`link` out of range".to_string())?,
-                    },
-                    "copy_loss" => InjectKind::CopyLoss {
-                        item: str_field("item")?,
-                        machine: u32::try_from(u64_field("machine")?)
-                            .map_err(|_| "`machine` out of range".to_string())?,
-                    },
-                    other => return Err(format!("unknown inject kind `{other}`")),
-                };
-                self.inject(&InjectArgs { kind, at_ms: u64_field("at_ms")? })?;
-                Ok(())
+            LogRecord::Injection(record) => {
+                self.inject(&record.args)?;
             }
-            Some("optimize") => {
-                // Re-executing the pass is deterministic, so the replayed
-                // engine rediscovers the recorded swaps.
-                self.optimize(u64_field("budget")?);
-                Ok(())
+            // Re-executing the pass is deterministic, so the replayed
+            // engine rediscovers the recorded swaps.
+            LogRecord::Optimization(record) => {
+                self.optimize(record.budget);
             }
-            other => Err(format!("unknown log verb {other:?}")),
         }
+        Ok(())
     }
 
     /// Status, route, and ETA of an admitted request.
@@ -1494,6 +1439,11 @@ impl AdmissionEngine {
     }
 }
 
+/// Both ends of every transfer in `route`, plus `destination`.
+fn route_machines(route: &[Transfer], destination: MachineId) -> Vec<MachineId> {
+    route.iter().flat_map(|t| [t.from, t.to]).chain([destination]).collect()
+}
+
 /// Version tag of [`AdmissionEngine::checkpoint_value`]'s layout.
 pub const CHECKPOINT_FORMAT: u64 = 1;
 
@@ -1785,6 +1735,32 @@ mod tests {
         assert!(unknown.reason.unwrap().contains("unknown data item"));
         assert_eq!(e.admitted_count(), 1);
         assert_eq!(e.submission_count(), 2);
+    }
+
+    /// The batch guard's link-subsumption argument rests on this: every
+    /// transfer's two ends and the destination are in the set, and a
+    /// rejection touches nothing.
+    #[test]
+    fn evaluation_machines_hold_both_ends_of_every_transfer_and_the_destination() {
+        let mut e = engine();
+        let two_hops = args("alpha", 2, 7_200_000);
+        let evaluation = e.evaluate(&two_hops);
+        let Evaluation::Admitted { candidate, route, .. } = &evaluation else {
+            panic!("alpha reaches m2 on an empty ledger");
+        };
+        assert_eq!(route.len(), 2);
+        let machines = AdmissionEngine::evaluation_machines(&evaluation);
+        for t in route {
+            assert!(machines.contains(&t.from) && machines.contains(&t.to));
+        }
+        assert!(machines.contains(&candidate.destination()));
+
+        let request = e.submit(&two_hops).unwrap().request.unwrap();
+        assert_eq!(e.request_machines(request as u32), machines);
+        assert!(e.request_machines(99).is_empty());
+
+        let rejected = e.evaluate(&args("no-such-item", 2, 7_200_000));
+        assert!(AdmissionEngine::evaluation_machines(&rejected).is_empty());
     }
 
     #[test]

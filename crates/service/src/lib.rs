@@ -12,7 +12,7 @@
 //!   reservations, injected disturbances, repair outcomes);
 //! * [`batch`] — epoch-batched admission: concurrent submissions
 //!   speculate in parallel against a snapshot and commit in arrival
-//!   order with sharded-footprint conflict detection;
+//!   order, re-deciding members whose routes share a machine;
 //! * [`protocol`] — the nine-verb NDJSON wire protocol (`submit`,
 //!   `query`, `inject`, `optimize`, `snapshot`, `metrics`, `trace`,
 //!   `checkpoint`, `shutdown`), with idempotent retries via
