@@ -56,16 +56,6 @@ pub static SERVICE_OPT_SWAPS_ACCEPTED: Counter = Counter::new();
 /// Deadline slack at admission (`deadline − ETA`), milliseconds. Wide
 /// buckets: scenarios span minutes to days.
 pub static SERVICE_ADMIT_SLACK_MS: Histogram = Histogram::new(&SLACK_BOUNDS_MS);
-/// Admission epochs committed by the batcher (singletons included).
-pub static SERVICE_BATCHES: Counter = Counter::new();
-/// Submissions per committed admission epoch.
-pub static SERVICE_BATCH_SIZE: Histogram = Histogram::new(&BATCH_SIZE_BOUNDS);
-/// Speculative decisions re-decided sequentially after a commit-time
-/// conflict (same-item, machine, or horizon guard).
-pub static SERVICE_CONFLICT_RETRIES: Counter = Counter::new();
-/// Whole epochs demoted to the sequential path because an exclusive
-/// operation interleaved between snapshot and commit.
-pub static SERVICE_BATCH_FALLBACKS: Counter = Counter::new();
 /// Records appended to the write-ahead decision log.
 pub static SERVICE_WAL_APPENDS: Counter = Counter::new();
 /// Bytes appended to the write-ahead decision log (frame headers
@@ -83,9 +73,6 @@ pub static SERVICE_RECOVERY_REPLAYED: Counter = Counter::new();
 pub static SERVICE_RECOVERY_TRUNCATED: Counter = Counter::new();
 /// Wall time of each recovery (checkpoint load + WAL replay).
 pub static SERVICE_RECOVERY_WALL_US: Histogram = Histogram::new(&LATENCY_BOUNDS_US);
-
-/// Upper bucket bounds for the epoch-size histogram.
-pub const BATCH_SIZE_BOUNDS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
 
 /// Upper bucket bounds for the admission-slack histogram, milliseconds
 /// (1 s up to 24 h).
@@ -298,34 +285,6 @@ pub fn registry() -> &'static [MetricDef] {
             layer: "service",
             label: None,
             kind: Histogram(&SERVICE_ADMIT_SLACK_MS),
-        },
-        MetricDef {
-            name: "dstage_service_batches_total",
-            help: "Admission epochs committed by the batcher",
-            layer: "service",
-            label: None,
-            kind: Counter(&SERVICE_BATCHES),
-        },
-        MetricDef {
-            name: "dstage_service_batch_size",
-            help: "Submissions per committed admission epoch",
-            layer: "service",
-            label: None,
-            kind: Histogram(&SERVICE_BATCH_SIZE),
-        },
-        MetricDef {
-            name: "dstage_service_conflict_retries_total",
-            help: "Speculative decisions re-decided after a commit-time conflict",
-            layer: "service",
-            label: None,
-            kind: Counter(&SERVICE_CONFLICT_RETRIES),
-        },
-        MetricDef {
-            name: "dstage_service_batch_fallbacks_total",
-            help: "Epochs demoted to sequential decision by an interleaved exclusive op",
-            layer: "service",
-            label: None,
-            kind: Counter(&SERVICE_BATCH_FALLBACKS),
         },
         MetricDef {
             name: "dstage_service_wal_appends_total",

@@ -22,17 +22,6 @@
 //!                    it to F (bypasses the chaos proxy)
 //!   --shutdown       after the run (and snapshot), ask the daemon to
 //!                    drain and exit
-//!
-//! BENCH MODE (no --addr; spawns its own daemons):
-//!   --bench          open-loop admission benchmark: spawn the sibling
-//!                    stage-serve at 1, 4, and 16 workers, offer
-//!                    submissions at a fixed rate, report latency from
-//!                    each request's *scheduled* send time, and verify
-//!                    each run's snapshot against a sequential replay
-//!   --bench-out F    where the JSON report goes
-//!                    (default results/BENCH_admission.json)
-//!   --rate R         offered load in requests/second (default 1500)
-//!   --senders N      open-loop sender threads (default 32)
 //! ```
 //!
 //! Replays the request stream of the generated dstage-workload scenario
@@ -75,10 +64,6 @@ struct Options {
     chaos: Option<u64>,
     snapshot_out: Option<String>,
     shutdown: bool,
-    bench: bool,
-    bench_out: String,
-    rate: f64,
-    senders: usize,
 }
 
 /// A fatal argument problem and the exit code it maps to. An unknown
@@ -113,10 +98,6 @@ fn parse_args() -> Result<Options, CliError> {
         chaos: None,
         snapshot_out: None,
         shutdown: false,
-        bench: false,
-        bench_out: "results/BENCH_admission.json".to_string(),
-        rate: 1_500.0,
-        senders: 32,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -180,36 +161,15 @@ fn parse_args() -> Result<Options, CliError> {
                 options.snapshot_out = Some(args.next().ok_or("--snapshot-out needs a path")?);
             }
             "--shutdown" => options.shutdown = true,
-            "--bench" => options.bench = true,
-            "--bench-out" => {
-                options.bench_out = args.next().ok_or("--bench-out needs a path")?;
-            }
-            "--rate" => {
-                options.rate = args
-                    .next()
-                    .ok_or("--rate needs requests/second")?
-                    .parse()
-                    .map_err(|e| format!("invalid rate: {e}"))?;
-                if !options.rate.is_finite() || options.rate <= 0.0 {
-                    return Err(CliError::from("--rate must be positive"));
-                }
-            }
-            "--senders" => {
-                options.senders = args
-                    .next()
-                    .ok_or("--senders needs a count")?
-                    .parse()
-                    .map_err(|e| format!("invalid sender count: {e}"))?;
-            }
             "--help" | "-h" => return Err(CliError::from(String::new())),
             other => return Err(CliError::from(format!("unknown option {other:?}"))),
         }
     }
-    if options.addr.is_empty() && !options.bench {
+    if options.addr.is_empty() {
         return Err(CliError::from("--addr is required"));
     }
-    if options.clients == 0 || options.requests == 0 || options.senders == 0 {
-        return Err(CliError::from("--clients, --requests, and --senders must be positive"));
+    if options.clients == 0 || options.requests == 0 {
+        return Err(CliError::from("--clients and --requests must be positive"));
     }
     Ok(options)
 }
@@ -480,308 +440,6 @@ fn one_shot(addr: &str, line: &str, timeout: Duration) -> io::Result<String> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Open-loop admission benchmark (--bench)
-// ---------------------------------------------------------------------
-
-/// One benchmarked server configuration.
-struct BenchRun {
-    workers: usize,
-    answered: usize,
-    admitted: u64,
-    rejected: u64,
-    errors: u64,
-    elapsed: Duration,
-    /// Response time minus the request's *scheduled* send instant, so
-    /// queueing delay from an overloaded server is charged to the server
-    /// (open-loop accounting), sorted ascending.
-    latencies: Vec<Duration>,
-    replay_identical: bool,
-}
-
-impl BenchRun {
-    fn throughput(&self) -> f64 {
-        self.answered as f64 / self.elapsed.as_secs_f64().max(f64::EPSILON)
-    }
-
-    fn admits_per_sec(&self) -> f64 {
-        self.admitted as f64 / self.elapsed.as_secs_f64().max(f64::EPSILON)
-    }
-}
-
-/// Spawns the sibling `stage-serve` binary on an ephemeral port with the
-/// default paper heuristic configuration and returns (child, addr).
-fn spawn_bench_server(
-    family: Family,
-    seed: u64,
-    workers: usize,
-) -> io::Result<(std::process::Child, String)> {
-    let exe = std::env::current_exe()?;
-    let dir = exe
-        .parent()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "current_exe has no directory"))?;
-    let server = dir.join(format!("stage-serve{}", std::env::consts::EXE_SUFFIX));
-    let mut child = std::process::Command::new(&server)
-        .args([
-            "--generate",
-            &seed.to_string(),
-            "--family",
-            family.name(),
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            &workers.to_string(),
-            "--heuristic",
-            "full-one",
-            "--criterion",
-            "C4",
-            "--ratio",
-            "2",
-            "--weights",
-            "1,10,100",
-        ])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()?;
-    let stdout = child.stdout.take().expect("stage-serve stdout is piped");
-    let mut line = String::new();
-    BufReader::new(stdout).read_line(&mut line)?;
-    match line.trim().strip_prefix("listening on ") {
-        Some(addr) => Ok((child, addr.to_string())),
-        None => {
-            let _ = child.kill();
-            Err(io::Error::new(io::ErrorKind::InvalidData, format!("unexpected banner {line:?}")))
-        }
-    }
-}
-
-/// Whether `snapshot` (as fetched from a live daemon) equals a fresh
-/// engine's sequential replay of its own decision log, byte for byte —
-/// the determinism invariant batched admission must preserve.
-fn replay_matches(family: Family, seed: u64, snapshot: &Value) -> bool {
-    use dstage_core::cost::{CostCriterion, EuWeights};
-    use dstage_core::heuristic::{Heuristic, HeuristicConfig};
-    use dstage_model::request::PriorityWeights;
-    use dstage_service::engine::AdmissionEngine;
-
-    let scenario = family.generate(seed);
-    let config = HeuristicConfig {
-        criterion: CostCriterion::C4,
-        eu: EuWeights::from_log10_ratio(2.0),
-        priority_weights: PriorityWeights::paper_1_10_100(),
-        caching: true,
-    };
-    let mut replay = AdmissionEngine::new(&scenario, Heuristic::FullPathOneDestination, config);
-    let Some(log) = snapshot.get("log").and_then(Value::as_array) else { return false };
-    for entry in log {
-        if replay.replay_record(entry).is_err() {
-            return false;
-        }
-    }
-    serde_json::to_string(snapshot).ok() == serde_json::to_string(&replay.snapshot()).ok()
-}
-
-/// Offers `lines` to `addr` open-loop: request `i` is *scheduled* at
-/// `i / rate` seconds after the start, `senders` threads send their
-/// residue classes in order (one short connection per request), and
-/// latency counts from the scheduled instant even when a backlogged
-/// sender transmits late.
-fn bench_offered_load(
-    addr: &str,
-    lines: &[String],
-    rate: f64,
-    senders: usize,
-    timeout: Duration,
-) -> (Vec<Duration>, u64, u64, u64, Duration) {
-    let start = Instant::now();
-    let mut handles = Vec::new();
-    for sender in 0..senders {
-        let mine: Vec<(usize, String)> = lines
-            .iter()
-            .enumerate()
-            .skip(sender)
-            .step_by(senders)
-            .map(|(i, line)| (i, line.clone()))
-            .collect();
-        let addr = addr.to_string();
-        handles.push(thread::spawn(move || {
-            let mut latencies = Vec::with_capacity(mine.len());
-            let (mut admitted, mut rejected, mut errors) = (0u64, 0u64, 0u64);
-            for (index, line) in mine {
-                let scheduled = start + Duration::from_secs_f64(index as f64 / rate);
-                let now = Instant::now();
-                if scheduled > now {
-                    thread::sleep(scheduled - now);
-                }
-                let exchange = one_shot(&addr, &line, timeout);
-                match exchange {
-                    Ok(response) => {
-                        latencies.push(scheduled.elapsed());
-                        match serde_json::from_str::<Value>(&response)
-                            .ok()
-                            .and_then(|v| {
-                                v.get("decision").and_then(|d| d.as_str().map(str::to_string))
-                            })
-                            .as_deref()
-                        {
-                            Some("admitted") => admitted += 1,
-                            Some("rejected") => rejected += 1,
-                            _ => errors += 1,
-                        }
-                    }
-                    Err(_) => errors += 1,
-                }
-            }
-            (latencies, admitted, rejected, errors)
-        }));
-    }
-    let mut latencies = Vec::with_capacity(lines.len());
-    let (mut admitted, mut rejected, mut errors) = (0u64, 0u64, 0u64);
-    for handle in handles {
-        let (l, a, r, e) = handle.join().unwrap_or((Vec::new(), 0, 0, 1));
-        latencies.extend(l);
-        admitted += a;
-        rejected += r;
-        errors += e;
-    }
-    let elapsed = start.elapsed();
-    latencies.sort_unstable();
-    (latencies, admitted, rejected, errors, elapsed)
-}
-
-/// Benchmarks one worker count end to end: spawn, offer, snapshot,
-/// drain, replay-check.
-fn bench_one(options: &Options, lines: &[String], workers: usize) -> io::Result<BenchRun> {
-    let timeout = options.timeout.max(Duration::from_secs(30));
-    let (mut child, addr) = spawn_bench_server(options.family, options.seed, workers)?;
-    let (latencies, admitted, rejected, errors, elapsed) =
-        bench_offered_load(&addr, lines, options.rate, options.senders, timeout);
-    let snapshot_line = one_shot(&addr, r#"{"verb":"snapshot"}"#, timeout)?;
-    let snapshot: Value = serde_json::from_str(&snapshot_line)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad snapshot: {e}")))?;
-    let _ = one_shot(&addr, r#"{"verb":"shutdown"}"#, timeout)?;
-    let status = child.wait()?;
-    if !status.success() {
-        return Err(io::Error::other(format!("stage-serve exited with {status:?}")));
-    }
-    let replay_identical = replay_matches(options.family, options.seed, &snapshot);
-    Ok(BenchRun {
-        workers,
-        answered: latencies.len(),
-        admitted,
-        rejected,
-        errors,
-        elapsed,
-        latencies,
-        replay_identical,
-    })
-}
-
-/// Runs the full benchmark matrix and writes the JSON report.
-fn run_bench(options: &Options) -> ExitCode {
-    const WORKER_COUNTS: [usize; 3] = [1, 4, 16];
-    let lines = submit_lines(options.family, options.seed, options.requests);
-    let mut runs = Vec::new();
-    for workers in WORKER_COUNTS {
-        match bench_one(options, &lines, workers) {
-            Ok(run) => {
-                println!(
-                    "workers {:>2}: {} answered in {:.3} s ({:.1} req/s, {:.1} admits/s), \
-                     p50 {} µs, p99 {} µs, replay_identical: {}",
-                    run.workers,
-                    run.answered,
-                    run.elapsed.as_secs_f64(),
-                    run.throughput(),
-                    run.admits_per_sec(),
-                    percentile(&run.latencies, 0.50).as_micros(),
-                    percentile(&run.latencies, 0.99).as_micros(),
-                    run.replay_identical
-                );
-                runs.push(run);
-            }
-            Err(e) => {
-                eprintln!("error: bench run at {workers} workers failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let speedup =
-        runs.last().map_or(0.0, |fast| fast.throughput() / runs[0].throughput().max(f64::EPSILON));
-    let run_values: Vec<Value> = runs
-        .iter()
-        .map(|run| {
-            Value::Object(vec![
-                ("workers".to_string(), Value::UInt(run.workers as u64)),
-                ("answered".to_string(), Value::UInt(run.answered as u64)),
-                ("admitted".to_string(), Value::UInt(run.admitted)),
-                ("rejected".to_string(), Value::UInt(run.rejected)),
-                ("errors".to_string(), Value::UInt(run.errors)),
-                ("elapsed_secs".to_string(), Value::Float(run.elapsed.as_secs_f64())),
-                ("throughput_per_sec".to_string(), Value::Float(run.throughput())),
-                ("admits_per_sec".to_string(), Value::Float(run.admits_per_sec())),
-                (
-                    "p50_us".to_string(),
-                    Value::UInt(percentile(&run.latencies, 0.50).as_micros() as u64),
-                ),
-                (
-                    "p90_us".to_string(),
-                    Value::UInt(percentile(&run.latencies, 0.90).as_micros() as u64),
-                ),
-                (
-                    "p99_us".to_string(),
-                    Value::UInt(percentile(&run.latencies, 0.99).as_micros() as u64),
-                ),
-                (
-                    "max_us".to_string(),
-                    Value::UInt(
-                        run.latencies.last().copied().unwrap_or(Duration::ZERO).as_micros() as u64,
-                    ),
-                ),
-                ("replay_identical".to_string(), Value::Bool(run.replay_identical)),
-            ])
-        })
-        .collect();
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let report = Value::Object(vec![
-        ("bench".to_string(), Value::String("admission".to_string())),
-        ("available_parallelism".to_string(), Value::UInt(cores as u64)),
-        ("seed".to_string(), Value::UInt(options.seed)),
-        ("requests".to_string(), Value::UInt(options.requests as u64)),
-        ("rate_per_sec".to_string(), Value::Float(options.rate)),
-        ("senders".to_string(), Value::UInt(options.senders as u64)),
-        ("runs".to_string(), Value::Array(run_values)),
-        ("speedup_16_vs_1".to_string(), Value::Float(speedup)),
-    ]);
-    let rendered = match serde_json::to_string(&report) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("error: cannot serialize report: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(dir) = std::path::Path::new(&options.bench_out).parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("error: cannot create {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Err(e) = std::fs::write(&options.bench_out, rendered + "\n") {
-        eprintln!("error: cannot write {}: {e}", options.bench_out);
-        return ExitCode::FAILURE;
-    }
-    println!("report: {} (speedup 16 vs 1 workers: {speedup:.2}x)", options.bench_out);
-    let clean = runs
-        .iter()
-        .all(|run| run.errors == 0 && run.answered == options.requests && run.replay_identical);
-    if clean {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn percentile(sorted: &[Duration], q: f64) -> Duration {
     if sorted.is_empty() {
         return Duration::ZERO;
@@ -800,16 +458,11 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: stage-loadgen --addr HOST:PORT [--clients N] [--requests M] [--seed S] \
                  [--family paper|satcom|wan|grid|line] \
-                 [--timeout-ms T] [--retries N] [--chaos S] [--snapshot-out F] [--shutdown]\n\
-                 \x20      stage-loadgen --bench [--bench-out F] [--rate R] [--senders N] \
-                 [--requests M] [--seed S] [--family F]"
+                 [--timeout-ms T] [--retries N] [--chaos S] [--snapshot-out F] [--shutdown]"
             );
             return if err.message.is_empty() { ExitCode::SUCCESS } else { err.exit };
         }
     };
-    if options.bench {
-        return run_bench(&options);
-    }
     let target = match options.chaos {
         Some(chaos_seed) => match spawn_chaos_proxy(options.addr.clone(), chaos_seed) {
             Ok(addr) => {

@@ -21,9 +21,10 @@
 //! [`Durability::stage`] must be called **while still holding the
 //! engine's write lock** after a mutating verb: the lock serializes
 //! decisions, so the WAL receives records in exactly the decision-log
-//! order even when multiple epoch leaders interleave. The cheap fsync
-//! decision ([`Durability::commit`]) happens after the lock is
-//! released — concurrent committers coalesce into one group fsync.
+//! order. The cheap fsync decision ([`Durability::commit`]) happens
+//! after the lock is released — concurrent committers coalesce into
+//! one group fsync. The daemon does both in one place,
+//! `server::write_verb`.
 //! A response is released to the client only after `commit` returns,
 //! so under `--durability always` an acknowledged decision has been
 //! fsynced.
@@ -676,5 +677,87 @@ mod tests {
         );
         assert!(refused.is_err_and(|e| e.contains("fingerprint mismatch")));
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Checkpoints a three-record history — an admission (log index 0),
+    /// a refusal (1), an optimization pass that kept no swap (2) —
+    /// rewrites the checkpoint file's text with `edit`, and recovers.
+    /// The edited checkpoint must be refused with a `checkpoint:` message
+    /// and discarded, never loaded into an engine whose `counters()`
+    /// would index or subtract out of range.
+    fn assert_edited_checkpoint_is_refused(name: &str, edit: impl Fn(&str) -> String) {
+        let dir = temp_dir(name);
+        let catalog = scenario();
+        let (durability, mut engine, _) = recover(&dir, &catalog);
+        let ask = |pick| SubmitArgs { idempotency_key: None, ..args(&engine, pick, 86_400_000) };
+        let feasible = (0..32)
+            .map(ask)
+            .find(|ask| engine.clone().submit(ask).is_ok_and(|r| r.decision == "admitted"))
+            .expect("some ask with a day of slack is admitted on an empty ledger");
+        engine.submit(&feasible).expect("no key, no conflict");
+        let refusal = SubmitArgs { item: "no-such-item".to_string(), ..args(&engine, 1, 1) };
+        assert_eq!(engine.submit(&refusal).expect("no conflict").decision, "rejected");
+        assert_eq!(engine.optimize(1).swapped, 0);
+        durability.stage(&engine);
+        durability.checkpoint(&engine).expect("checkpoint");
+        drop((durability, engine));
+
+        let (_, path) = list_numbered(&dir, "checkpoint-", ".ckpt").unwrap().pop().unwrap();
+        let text = fs::read_to_string(&path).unwrap();
+        let edited = edit(&text);
+        assert_ne!(edited, text, "the edit must apply");
+        fs::write(&path, &edited).unwrap();
+        let refused = load_checkpoint(
+            &path,
+            &catalog,
+            Heuristic::FullPathOneDestination,
+            HeuristicConfig::paper_best(),
+        )
+        .expect_err("the edited checkpoint must not restore");
+        assert!(refused.starts_with("checkpoint:"), "{refused}");
+
+        let (_, recovered, report) = recover(&dir, &catalog);
+        assert_eq!(report.checkpoint_records, 0);
+        assert!(!path.exists(), "the refused checkpoint is discarded");
+        assert_eq!(recovered.counters().submissions, recovered.submission_count() as u64);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    fn with_swaps(text: &str, swaps: &str) -> String {
+        text.replace(r#""swaps":[]"#, &format!(r#""swaps":[{swaps}]"#))
+    }
+
+    #[test]
+    fn checkpoint_swap_naming_an_out_of_range_submission_is_refused() {
+        assert_edited_checkpoint_is_refused("swap-range", |text| {
+            with_swaps(text, r#"{"submission":99,"evicted":0,"admitted":1}"#)
+        });
+    }
+
+    #[test]
+    fn checkpoint_swap_naming_an_admitted_submission_is_refused() {
+        assert_edited_checkpoint_is_refused("swap-admitted", |text| {
+            with_swaps(text, r#"{"submission":0,"evicted":0,"admitted":1}"#)
+        });
+    }
+
+    #[test]
+    fn checkpoint_swap_consuming_a_refusal_twice_is_refused() {
+        assert_edited_checkpoint_is_refused("swap-twice", |text| {
+            let swap = r#"{"submission":1,"evicted":0,"admitted":1}"#;
+            with_swaps(text, &format!("{swap},{swap}"))
+        });
+    }
+
+    #[test]
+    fn checkpoint_admitting_more_than_its_log_is_refused() {
+        let catalog = scenario();
+        let item = catalog.items().next().expect("the catalog has items").1.name();
+        assert_edited_checkpoint_is_refused("admitted-count", |text| {
+            let request =
+                format!(r#"{{"item":"{item}","destination":0,"deadline_ms":1,"priority":0}},"#);
+            text.replace(r#""admitted":["#, &format!(r#""admitted":[{request}"#))
+                .replace(r#""info":["#, r#""info":[{"status":"evicted","route":[]},"#)
+        });
     }
 }

@@ -173,30 +173,9 @@ struct AdmittedInfo {
     route: Vec<Transfer>,
 }
 
-/// The outcome of evaluating one submission against the engine state,
-/// before any mutation — the unit of speculation for batched admission
-/// (see [`crate::batch`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Evaluation {
-    /// The candidate cannot be admitted.
-    Rejected {
-        /// Human-readable refusal reason.
-        reason: String,
-    },
-    /// The candidate fits: committing reserves `route` and promises
-    /// `delivery`.
-    Admitted {
-        /// The validated request.
-        candidate: Request,
-        /// The promised delivery. Its request id is provisional — it is
-        /// reassigned from the live admitted count at commit time, so an
-        /// evaluation speculated against a snapshot stays valid when
-        /// other admissions commit first.
-        delivery: Delivery,
-        /// New link reservations the admission adds to the ledger.
-        route: Vec<Transfer>,
-    },
-}
+/// What admitting a candidate adds to the engine: the validated request,
+/// the delivery it is promised, and the new link reservations.
+type Admission = (Request, Delivery, Vec<Transfer>);
 
 /// Bounded idempotency-key index with FIFO (insertion-order) eviction.
 ///
@@ -268,11 +247,9 @@ pub struct AdmissionEngine {
     now: SimTime,
     idempotency: IdempotencyCache,
     log: Vec<LogRecord>,
-    /// Monotone operation counter: bumped once per logged operation
-    /// (submission, injection, optimization). The batch committer
-    /// compares it against its snapshot's version to detect interleaved
-    /// exclusive operations.
-    version: u64,
+    /// `LogRecord::Submission` entries in `log`, kept so
+    /// [`AdmissionEngine::submission_count`] need not rescan it.
+    submissions: usize,
 }
 
 impl AdmissionEngine {
@@ -301,14 +278,8 @@ impl AdmissionEngine {
             now: SimTime::ZERO,
             idempotency: IdempotencyCache::new(IDEMPOTENCY_CAPACITY),
             log: Vec::new(),
-            version: 0,
+            submissions: 0,
         }
-    }
-
-    /// The monotone state version (one tick per logged operation).
-    #[must_use]
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Overrides the idempotency window, trimming oldest keys if needed.
@@ -333,7 +304,11 @@ impl AdmissionEngine {
     /// are not counted.
     #[must_use]
     pub fn submission_count(&self) -> usize {
-        self.log.iter().filter(|r| matches!(r, LogRecord::Submission(_))).count()
+        debug_assert_eq!(
+            self.submissions,
+            self.log.iter().filter(|r| matches!(r, LogRecord::Submission(_))).count()
+        );
+        self.submissions
     }
 
     /// Number of admitted requests (including later-evicted ones).
@@ -362,7 +337,47 @@ impl AdmissionEngine {
     /// Returns a message when the `idempotency_key` was already used with
     /// *different* arguments; nothing is logged.
     pub fn submit(&mut self, args: &SubmitArgs) -> Result<SubmitResponse, String> {
-        self.submit_with(args, None)
+        if let Some(key) = &args.idempotency_key {
+            if let Some(index) = self.idempotency.get(key) {
+                let LogRecord::Submission(record) = &self.log[index] else {
+                    unreachable!("idempotency keys only index submissions");
+                };
+                if record.args == *args {
+                    return Ok(Self::response_for(index as u64, &record.decision));
+                }
+                return Err(format!(
+                    "idempotency key `{key}` was already used with different arguments"
+                ));
+            }
+        }
+        let submission = self.log.len() as u64;
+        dstage_obs::metrics::SERVICE_DECISIONS.inc();
+        let decision = match self.evaluate(args) {
+            Err(reason) => {
+                dstage_obs::metrics::SERVICE_REFUSED.inc();
+                Decision::Rejected { reason }
+            }
+            Ok((candidate, delivery, route)) => {
+                dstage_obs::metrics::SERVICE_ADMIT_SLACK_MS
+                    .record(args.deadline_ms.saturating_sub(delivery.at.as_millis()));
+                dstage_obs::metrics::SERVICE_ADMITTED.inc();
+                let new_transfers = route.len();
+                self.admit(candidate, delivery, route);
+                Decision::Admitted {
+                    request: delivery.request,
+                    eta: delivery.at,
+                    hops: delivery.hops,
+                    new_transfers,
+                }
+            }
+        };
+        let response = Self::response_for(submission, &decision);
+        if let Some(key) = &args.idempotency_key {
+            self.idempotency.insert(key.clone(), submission as usize);
+        }
+        self.log.push(LogRecord::Submission(SubmissionRecord { args: args.clone(), decision }));
+        self.submissions += 1;
+        Ok(response)
     }
 
     /// Decides admission for a point-to-multipoint group: one item, many
@@ -415,75 +430,6 @@ impl AdmissionEngine {
         })
     }
 
-    /// Like [`AdmissionEngine::submit`], but may commit an [`Evaluation`]
-    /// speculated against a clone of this engine instead of evaluating
-    /// live. The caller asserts the speculation is still valid — i.e. no
-    /// state change since the snapshot can alter this candidate's
-    /// evaluation; [`crate::batch`] establishes that with its conflict
-    /// guards. With batch verification enabled (`DSTAGE_BATCH_VERIFY`)
-    /// the claim is re-checked against the live state and a divergence
-    /// panics.
-    ///
-    /// An idempotent replay ignores `precomputed` — the recorded
-    /// decision wins, as in the sequential path.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the `idempotency_key` was already used with
-    /// *different* arguments; nothing is logged.
-    pub fn submit_with(
-        &mut self,
-        args: &SubmitArgs,
-        precomputed: Option<Evaluation>,
-    ) -> Result<SubmitResponse, String> {
-        if let Some(key) = &args.idempotency_key {
-            if let Some(index) = self.idempotency.get(key) {
-                let LogRecord::Submission(record) = &self.log[index] else {
-                    unreachable!("idempotency keys only index submissions");
-                };
-                if record.args == *args {
-                    return Ok(Self::response_for(index as u64, &record.decision));
-                }
-                return Err(format!(
-                    "idempotency key `{key}` was already used with different arguments"
-                ));
-            }
-        }
-        let submission = self.log.len() as u64;
-        let evaluation = match precomputed {
-            Some(evaluation) => {
-                if crate::batch::verify_enabled() {
-                    // The provisional delivery.request is position-
-                    // dependent (it shifts with every earlier admission)
-                    // and is reassigned at commit, so it is excluded
-                    // from the comparison.
-                    let mut live = self.evaluate(args);
-                    let mut speculated = evaluation.clone();
-                    for side in [&mut live, &mut speculated] {
-                        if let Evaluation::Admitted { delivery, .. } = side {
-                            delivery.request = RequestId::new(0);
-                        }
-                    }
-                    assert!(
-                        live == speculated,
-                        "speculative evaluation diverged from the live state\n  \
-                         speculated: {speculated:?}\n  live: {live:?}"
-                    );
-                }
-                evaluation
-            }
-            None => self.evaluate(args),
-        };
-        let decision = self.apply_evaluation(args, evaluation);
-        let response = Self::response_for(submission, &decision);
-        if let Some(key) = &args.idempotency_key {
-            self.idempotency.insert(key.clone(), submission as usize);
-        }
-        self.log.push(LogRecord::Submission(SubmissionRecord { args: args.clone(), decision }));
-        self.version += 1;
-        Ok(response)
-    }
-
     fn response_for(submission: u64, decision: &Decision) -> SubmitResponse {
         match decision {
             Decision::Admitted { request, eta, hops, new_transfers } => SubmitResponse {
@@ -510,21 +456,18 @@ impl AdmissionEngine {
     }
 
     /// Evaluates one submission against the current state without
-    /// mutating anything — the read half of a decision, safe to run
-    /// against a shared snapshot from many threads at once.
-    #[must_use]
-    pub fn evaluate(&self, args: &SubmitArgs) -> Evaluation {
+    /// mutating anything — the read half of a decision. `Err` carries the
+    /// refusal reason.
+    fn evaluate(&self, args: &SubmitArgs) -> Result<Admission, String> {
         let Some(&item) = self.item_ids.get(args.item.as_str()) else {
-            return Evaluation::Rejected { reason: format!("unknown data item `{}`", args.item) };
+            return Err(format!("unknown data item `{}`", args.item));
         };
         if args.priority >= self.config.priority_weights.levels() {
-            return Evaluation::Rejected {
-                reason: format!(
-                    "priority {} out of range (weighting has {} levels)",
-                    args.priority,
-                    self.config.priority_weights.levels()
-                ),
-            };
+            return Err(format!(
+                "priority {} out of range (weighting has {} levels)",
+                args.priority,
+                self.config.priority_weights.levels()
+            ));
         }
         let candidate = Request::new(
             DataItemId::new(item),
@@ -532,66 +475,38 @@ impl AdmissionEngine {
             SimTime::from_millis(args.deadline_ms),
             Priority::new(args.priority),
         );
-        let scenario = match self.build_scenario(Some(candidate)) {
-            Ok(s) => s,
-            Err(reason) => {
-                // Validation errors name the candidate by its positional
-                // id — `R{admitted count}` — which depends on *when* the
-                // evaluation runs: a speculated rejection would go stale
-                // the moment an earlier epoch member admits. Rewriting
-                // the positional token to a stable label makes the
-                // reason a pure function of the arguments and the
-                // (append-only) admitted set. Admitted requests always
-                // revalidate cleanly, so the token can only be the
-                // candidate's; ids of earlier requests are smaller and
-                // never contain it as a substring.
-                let positional = format!("R{}", self.admitted.len());
-                return Evaluation::Rejected {
-                    reason: reason.replace(&positional, "the candidate"),
-                };
-            }
-        };
         let candidate_id = RequestId::new(self.admitted.len() as u32);
-        match self.route_candidate(&scenario, candidate_id) {
-            Err(reason) => Evaluation::Rejected { reason },
-            Ok(None) => Evaluation::Rejected {
-                reason: format!(
+        // Validation errors name the candidate by its positional id,
+        // `R{admitted count}`; recorded logs and snapshots carry the
+        // reason with that token rewritten to a stable label, so the
+        // rewrite is part of the wire format. Admitted requests always
+        // revalidate cleanly, so the token can only be the candidate's;
+        // ids of earlier requests are smaller and never contain it as a
+        // substring.
+        let scenario = self.build_scenario(Some(candidate)).map_err(|reason| {
+            reason.replace(&format!("R{}", candidate_id.index()), "the candidate")
+        })?;
+        let (delivery, route) =
+            self.route_candidate(&scenario, candidate_id)?.ok_or_else(|| {
+                format!(
                     "deadline {} ms unreachable for `{}` to M{} under the current ledger",
                     args.deadline_ms, args.item, args.destination
-                ),
-            },
-            Ok(Some((delivery, route))) => Evaluation::Admitted { candidate, delivery, route },
-        }
+                )
+            })?;
+        Ok((candidate, delivery, route))
     }
 
-    /// Commits an evaluation: reserves the route, assigns the request id
-    /// from the *live* admitted count, and bumps the decision counters
-    /// exactly once per unique submission (replayed idempotent
-    /// submissions never reach here).
-    fn apply_evaluation(&mut self, args: &SubmitArgs, evaluation: Evaluation) -> Decision {
-        dstage_obs::metrics::SERVICE_DECISIONS.inc();
-        match evaluation {
-            Evaluation::Rejected { reason } => {
-                dstage_obs::metrics::SERVICE_REFUSED.inc();
-                Decision::Rejected { reason }
-            }
-            Evaluation::Admitted { candidate, mut delivery, route } => {
-                let request = RequestId::new(self.admitted.len() as u32);
-                delivery.request = request;
-                dstage_obs::metrics::SERVICE_ADMIT_SLACK_MS
-                    .record(args.deadline_ms.saturating_sub(delivery.at.as_millis()));
-                let new_transfers = route.len();
-                self.committed.extend(route.iter().copied());
-                self.info.push(AdmittedInfo {
-                    status: RequestStatus::Admitted,
-                    delivery: Some(delivery),
-                    route,
-                });
-                self.admitted.push(candidate);
-                dstage_obs::metrics::SERVICE_ADMITTED.inc();
-                Decision::Admitted { request, eta: delivery.at, hops: delivery.hops, new_transfers }
-            }
-        }
+    /// The write half of an admission: reserves the route and records
+    /// the request under the id its delivery was planned for.
+    fn admit(&mut self, candidate: Request, delivery: Delivery, route: Vec<Transfer>) {
+        debug_assert_eq!(delivery.request.index(), self.admitted.len());
+        self.committed.extend(route.iter().copied());
+        self.info.push(AdmittedInfo {
+            status: RequestStatus::Admitted,
+            delivery: Some(delivery),
+            route,
+        });
+        self.admitted.push(candidate);
     }
 
     /// Tries to route `target` on top of the committed ledger and the
@@ -620,57 +535,6 @@ impl AdmissionEngine {
                 plan.transfers().iter().filter(|t| !self.committed.contains(t)).copied().collect();
             (delivery, route)
         }))
-    }
-
-    /// The scenario horizon a candidate with `deadline_ms` would be
-    /// planned under right now — the horizon fingerprint of the batched
-    /// path. The admitted set only grows and deadlines only push the
-    /// horizon out, so an epoch member whose live fingerprint differs
-    /// from its speculated one has observably raced another admission
-    /// and must be re-decided.
-    #[must_use]
-    pub fn effective_horizon(&self, deadline_ms: u64) -> SimTime {
-        let latest = self
-            .admitted
-            .iter()
-            .map(Request::deadline)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-            .max(SimTime::from_millis(deadline_ms));
-        self.horizon.max(latest + self.gc_delay)
-    }
-
-    /// Catalog id of `item`, if known.
-    #[must_use]
-    pub fn item_id(&self, item: &str) -> Option<u32> {
-        self.item_ids.get(item).copied()
-    }
-
-    /// Every machine committing `evaluation` would consume a resource on:
-    /// both ends of each route transfer (two routes sharing a link share
-    /// its end machines, so this covers link capacity too) and the
-    /// destination, whose hold policy the admission changes. Rejections
-    /// commit nothing and touch no machine.
-    #[must_use]
-    pub fn evaluation_machines(evaluation: &Evaluation) -> Vec<MachineId> {
-        match evaluation {
-            Evaluation::Admitted { candidate, route, .. } => {
-                route_machines(route, candidate.destination())
-            }
-            Evaluation::Rejected { .. } => Vec::new(),
-        }
-    }
-
-    /// The machines an already-admitted request's current route touches —
-    /// how sequentially re-decided epoch members fold into the epoch's
-    /// conflict guard (see [`crate::batch`]).
-    #[must_use]
-    pub fn request_machines(&self, request: u32) -> Vec<MachineId> {
-        let index = request as usize;
-        match (self.info.get(index), self.admitted.get(index)) {
-            (Some(info), Some(req)) => route_machines(&info.route, req.destination()),
-            _ => Vec::new(),
-        }
     }
 
     fn build_scenario(&self, candidate: Option<Request>) -> Result<Scenario, String> {
@@ -752,7 +616,6 @@ impl AdmissionEngine {
             repaired,
             evicted,
         }));
-        self.version += 1;
         Ok(response)
     }
 
@@ -928,7 +791,6 @@ impl AdmissionEngine {
             weighted_sum: incumbent,
         };
         self.log.push(LogRecord::Optimization(OptimizationRecord { budget, attempted, swaps }));
-        self.version += 1;
         response
     }
 
@@ -963,23 +825,9 @@ impl AdmissionEngine {
                 None => return None,
             }
         }
-        let candidate = Request::new(
-            DataItemId::new(*trial.item_ids.get(args.item.as_str())?),
-            MachineId::new(args.destination),
-            SimTime::from_millis(args.deadline_ms),
-            Priority::new(args.priority),
-        );
-        let scenario = trial.build_scenario(Some(candidate)).ok()?;
-        let readmitted = RequestId::new(trial.admitted.len() as u32);
-        let (delivery, route) = trial.route_candidate(&scenario, readmitted).ok()??;
-        trial.committed.extend(route.iter().copied());
-        trial.info.push(AdmittedInfo {
-            status: RequestStatus::Admitted,
-            delivery: Some(delivery),
-            route,
-        });
-        trial.admitted.push(candidate);
-        Some((trial, readmitted.index() as u32))
+        let (candidate, delivery, route) = trial.evaluate(args).ok()?;
+        trial.admit(candidate, delivery, route);
+        Some((trial, delivery.request.index() as u32))
     }
 
     /// Replays one snapshot-log record (an entry of the snapshot's
@@ -1227,7 +1075,7 @@ impl AdmissionEngine {
 
     /// Serializes the complete dynamic state — admitted set, per-request
     /// bookkeeping, committed reservations, disturbances, decision log,
-    /// clock, version, and idempotency window — for a durability
+    /// clock, and idempotency window — for a durability
     /// checkpoint. [`AdmissionEngine::restore`] is the exact inverse.
     #[must_use]
     pub fn checkpoint_value(&self) -> Value {
@@ -1272,7 +1120,6 @@ impl AdmissionEngine {
         Value::Object(vec![
             ("format".to_string(), Value::UInt(CHECKPOINT_FORMAT)),
             ("fingerprint".to_string(), Value::String(self.catalog_fingerprint())),
-            ("version".to_string(), Value::UInt(self.version)),
             ("now_ms".to_string(), Value::UInt(self.now.as_millis())),
             ("idempotency_capacity".to_string(), Value::UInt(self.idempotency.capacity as u64)),
             ("admitted".to_string(), admitted),
@@ -1294,8 +1141,9 @@ impl AdmissionEngine {
     /// # Errors
     ///
     /// Returns a message for an unknown format, a fingerprint mismatch
-    /// (different catalog or configuration), or missing/ill-typed
-    /// fields.
+    /// (different catalog or configuration), missing/ill-typed fields,
+    /// or a log whose optimization swaps or admission count contradict
+    /// the rest of the checkpoint.
     pub fn restore(
         catalog: &Scenario,
         heuristic: Heuristic,
@@ -1330,7 +1178,6 @@ impl AdmissionEngine {
                  scheduler, or configuration)"
                 .to_string());
         }
-        engine.version = u64_field("version")?;
         engine.now = SimTime::from_millis(u64_field("now_ms")?);
         let capacity = usize::try_from(u64_field("idempotency_capacity")?)
             .map_err(|_| "checkpoint: `idempotency_capacity` out of range".to_string())?;
@@ -1418,30 +1265,65 @@ impl AdmissionEngine {
         for entry in array_field("log")? {
             log.push(record_from_value(entry)?);
         }
-        // The idempotency window is a pure function of the key-insertion
-        // sequence, which the log records: first use of a key inserts
-        // it, FIFO eviction forgets the oldest. (A key at two log
-        // indexes means the first aged out before the second was
-        // decided; the same eviction happens here.)
+        // One pass over the restored log rebuilds what is derived from it
+        // and checks what `counters()` relies on. The idempotency window
+        // is a pure function of the key-insertion sequence: first use of
+        // a key inserts it, FIFO eviction forgets the oldest. (A key at
+        // two log indexes means the first aged out before the second was
+        // decided; the same eviction happens here.) `counters()` indexes
+        // the log by `swaps[].submission` and moves that submission from
+        // the rejected to the admitted tally, so a swap must name an
+        // earlier rejected submission, once.
         let mut idempotency = IdempotencyCache::new(capacity);
+        let mut consumed: Vec<u64> = Vec::new();
+        let mut admitted_by_log = 0usize;
         for (index, record) in log.iter().enumerate() {
-            if let LogRecord::Submission(s) = record {
-                if let Some(key) = &s.args.idempotency_key {
-                    if idempotency.get(key).is_none() {
-                        idempotency.insert(key.clone(), index);
+            match record {
+                LogRecord::Submission(s) => {
+                    engine.submissions += 1;
+                    admitted_by_log += usize::from(matches!(s.decision, Decision::Admitted { .. }));
+                    if let Some(key) = &s.args.idempotency_key {
+                        if idempotency.get(key).is_none() {
+                            idempotency.insert(key.clone(), index);
+                        }
+                    }
+                }
+                LogRecord::Injection(_) => {}
+                LogRecord::Optimization(o) => {
+                    for swap in &o.swaps {
+                        let earlier_rejection = usize::try_from(swap.submission)
+                            .ok()
+                            .filter(|&submission| submission < index)
+                            .is_some_and(|submission| {
+                                matches!(
+                                    &log[submission],
+                                    LogRecord::Submission(s)
+                                        if matches!(s.decision, Decision::Rejected { .. })
+                                )
+                            });
+                        if !earlier_rejection || consumed.contains(&swap.submission) {
+                            return Err(format!(
+                                "checkpoint: log record {index} swaps in submission {}, which is \
+                                 not an earlier rejected submission still open for readmission",
+                                swap.submission
+                            ));
+                        }
+                        consumed.push(swap.submission);
+                        admitted_by_log += 1;
                     }
                 }
             }
+        }
+        if admitted_by_log != engine.admitted.len() {
+            return Err(format!(
+                "checkpoint: {} admitted requests but the log admits {admitted_by_log}",
+                engine.admitted.len()
+            ));
         }
         engine.idempotency = idempotency;
         engine.log = log;
         Ok(engine)
     }
-}
-
-/// Both ends of every transfer in `route`, plus `destination`.
-fn route_machines(route: &[Transfer], destination: MachineId) -> Vec<MachineId> {
-    route.iter().flat_map(|t| [t.from, t.to]).chain([destination]).collect()
 }
 
 /// Version tag of [`AdmissionEngine::checkpoint_value`]'s layout.
@@ -1735,32 +1617,6 @@ mod tests {
         assert!(unknown.reason.unwrap().contains("unknown data item"));
         assert_eq!(e.admitted_count(), 1);
         assert_eq!(e.submission_count(), 2);
-    }
-
-    /// The batch guard's link-subsumption argument rests on this: every
-    /// transfer's two ends and the destination are in the set, and a
-    /// rejection touches nothing.
-    #[test]
-    fn evaluation_machines_hold_both_ends_of_every_transfer_and_the_destination() {
-        let mut e = engine();
-        let two_hops = args("alpha", 2, 7_200_000);
-        let evaluation = e.evaluate(&two_hops);
-        let Evaluation::Admitted { candidate, route, .. } = &evaluation else {
-            panic!("alpha reaches m2 on an empty ledger");
-        };
-        assert_eq!(route.len(), 2);
-        let machines = AdmissionEngine::evaluation_machines(&evaluation);
-        for t in route {
-            assert!(machines.contains(&t.from) && machines.contains(&t.to));
-        }
-        assert!(machines.contains(&candidate.destination()));
-
-        let request = e.submit(&two_hops).unwrap().request.unwrap();
-        assert_eq!(e.request_machines(request as u32), machines);
-        assert!(e.request_machines(99).is_empty());
-
-        let rejected = e.evaluate(&args("no-such-item", 2, 7_200_000));
-        assert!(AdmissionEngine::evaluation_machines(&rejected).is_empty());
     }
 
     #[test]

@@ -10,16 +10,15 @@
 //! * [`engine::AdmissionEngine`] — deterministic admission +
 //!   fault-tolerance state (catalog, admitted requests, committed
 //!   reservations, injected disturbances, repair outcomes);
-//! * [`batch`] — epoch-batched admission: concurrent submissions
-//!   speculate in parallel against a snapshot and commit in arrival
-//!   order, re-deciding members whose routes share a machine;
 //! * [`protocol`] — the nine-verb NDJSON wire protocol (`submit`,
 //!   `query`, `inject`, `optimize`, `snapshot`, `metrics`, `trace`,
 //!   `checkpoint`, `shutdown`), with idempotent retries via
 //!   `idempotency_key` on `submit`;
 //! * [`server::Server`] — accept loop + crossbeam worker pool sharing
-//!   the engine behind a `parking_lot::RwLock`, with request lines
-//!   bounded at [`server::MAX_LINE_BYTES`];
+//!   the engine behind a `parking_lot::RwLock`; every mutating verb
+//!   takes a FIFO turn for the write lock, so decisions are made in
+//!   arrival order, one at a time, against live state; request lines
+//!   are bounded at [`server::MAX_LINE_BYTES`];
 //! * [`wal`] — the checksummed, length-prefixed write-ahead log with
 //!   configurable fsync policies and deterministic crash points;
 //! * [`durability::Durability`] — WAL staging + group commit,
@@ -71,7 +70,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod durability;
 pub mod engine;
 pub mod protocol;
@@ -81,10 +79,9 @@ pub mod wal;
 
 /// Convenience re-exports of the service vocabulary.
 pub mod prelude {
-    pub use crate::batch::{run_epoch, run_epoch_durable};
     pub use crate::durability::{CheckpointStats, Durability, RecoveryReport};
     pub use crate::engine::{
-        record_from_value, record_value, AdmissionCounters, AdmissionEngine, Decision, Evaluation,
+        record_from_value, record_value, AdmissionCounters, AdmissionEngine, Decision,
         InjectionRecord, LogRecord, RequestStatus, SubmissionRecord,
     };
     pub use crate::protocol::{

@@ -1,22 +1,19 @@
 //! The TCP daemon: accept loop, crossbeam worker pool, and the shared
 //! engine behind a `parking_lot::RwLock`.
 //!
-//! Concurrent submissions are admitted in **epoch batches** (see
-//! [`crate::batch`]): workers enqueue their submission, one of them
-//! becomes the epoch leader, speculates the whole batch in parallel
-//! against a read snapshot, and commits under a single write-lock
-//! acquisition. The commit order *is* the decision order, the snapshot
-//! records it, and a sequential replay of that order reproduces the
-//! state byte for byte. Injections and optimization passes still take
-//! the write lock directly (both are rare, exclusive operations);
-//! queries, snapshots, and metrics take the read lock and run
-//! concurrently with each other.
+//! Every mutating verb (`submit`, point-to-multipoint `submit`, `inject`,
+//! `optimize`) goes through one write path, [`write_verb`]: take a FIFO
+//! turn, take the write lock, decide against live state, stage the new
+//! log records into the WAL, release, then wait for the group-commit
+//! fsync. The order in which turns are served *is* the decision order,
+//! the snapshot records it, and a sequential replay of that order
+//! reproduces the state byte for byte. Queries, snapshots, and metrics
+//! take the read lock and run concurrently with each other.
 //!
 //! Request lines are bounded at [`MAX_LINE_BYTES`]: a client streaming an
 //! endless line gets one error response and is disconnected instead of
 //! growing a worker's buffer without limit.
 
-use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,14 +22,13 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 use serde::Value;
 
 use crate::durability::Durability;
 use crate::engine::{AdmissionEngine, DEFAULT_OPTIMIZE_BUDGET};
 use crate::protocol::{
-    response_line, CheckpointResponse, ClientRequest, ErrorResponse, MetricsFormat, SubmitArgs,
-    SubmitResponse,
+    response_line, CheckpointResponse, ClientRequest, ErrorResponse, MetricsFormat,
 };
 
 /// Longest accepted request line, in bytes (newline excluded). Anything
@@ -177,27 +173,57 @@ impl Default for ServerConfig {
 /// that goes silent cannot pin the drain forever.
 pub const SHUTDOWN_DRAIN_GRACE: Duration = Duration::from_secs(1);
 
-/// One submission waiting for its epoch, and the channel its decision
-/// comes back on.
-struct PendingSubmit {
-    args: SubmitArgs,
-    reply: channel::Sender<Result<SubmitResponse, String>>,
+/// FIFO hand-over of the engine's write lock: writers are served in the
+/// order they drew their tickets. The lock alone lets the thread that
+/// just released it take it again ahead of one already waiting, which
+/// starves the waiting connection and stretches the latency tail.
+#[derive(Default)]
+struct TurnQueue {
+    state: Mutex<TurnState>,
+    advanced: Condvar,
 }
 
-/// The epoch collector: submissions queue here, and whichever worker
-/// holds `leader` drains the queue and commits the batch (flat-combining
-/// style — followers just wait for their reply).
 #[derive(Default)]
-struct BatchQueue {
-    pending: Mutex<VecDeque<PendingSubmit>>,
-    leader: Mutex<()>,
+struct TurnState {
+    /// The next ticket to hand out.
+    next: u64,
+    /// The ticket whose holder may proceed.
+    serving: u64,
+}
+
+/// The right to proceed, held until dropped. Releasing in `Drop` passes
+/// the turn on even when the holder unwinds, so a panicking decision
+/// cannot wedge later writers.
+struct Turn<'a> {
+    queue: &'a TurnQueue,
+    ticket: u64,
+}
+
+impl TurnQueue {
+    /// Draws the next ticket and blocks until it is served.
+    fn wait(&self) -> Turn<'_> {
+        let mut state = self.state.lock();
+        let ticket = state.next;
+        state.next += 1;
+        while state.serving != ticket {
+            self.advanced.wait(&mut state);
+        }
+        Turn { queue: self, ticket }
+    }
+}
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        self.queue.state.lock().serving = self.ticket + 1;
+        self.queue.advanced.notify_all();
+    }
 }
 
 /// State shared by the accept loop and every worker.
 struct Shared {
     engine: RwLock<AdmissionEngine>,
     latency: Mutex<LatencyHistogram>,
-    batch: BatchQueue,
+    turns: TurnQueue,
     shutdown: AtomicBool,
     addr: SocketAddr,
     /// The WAL + checkpoint manager; absent when the daemon runs
@@ -244,7 +270,7 @@ impl Server {
             shared: Arc::new(Shared {
                 engine: RwLock::new(engine),
                 latency: Mutex::new(LatencyHistogram::new()),
-                batch: BatchQueue::default(),
+                turns: TurnQueue::default(),
                 shutdown: AtomicBool::new(false),
                 addr,
                 durability: OnceLock::new(),
@@ -474,97 +500,58 @@ fn dispatch(shared: &Shared, line: &str) -> String {
     response
 }
 
-/// Enqueues one submission and waits for its epoch to commit.
-///
-/// Flat-combining: the caller parks its request in the shared queue, then
-/// races for the leader lock. Whoever wins drains the queue — its own
-/// entry included — and runs [`crate::batch::run_epoch`] for the whole
-/// epoch; everyone else finds their reply waiting when the leader lock
-/// frees up. The loop terminates after at most two leader acquisitions:
-/// once we hold `leader`, our entry is either already answered (a
-/// previous leader drained it) or still queued and drained by us now.
-fn batched_submit(shared: &Shared, args: SubmitArgs) -> Result<SubmitResponse, String> {
-    let (reply, inbox) = channel::bounded(1);
-    shared.batch.pending.lock().push_back(PendingSubmit { args, reply });
-    loop {
-        if let Ok(result) = inbox.try_recv() {
-            return result;
-        }
-        let _leader = shared.batch.leader.lock();
-        if let Ok(result) = inbox.try_recv() {
-            return result;
-        }
-        let epoch: Vec<PendingSubmit> = shared.batch.pending.lock().drain(..).collect();
-        let batch: Vec<SubmitArgs> = epoch.iter().map(|pending| pending.args.clone()).collect();
-        let results = crate::batch::run_epoch_durable(
-            &shared.engine,
-            &batch,
-            shared.durability.get().map(Arc::as_ref),
-        );
-        for (pending, result) in epoch.into_iter().zip(results) {
-            // A follower that vanished (dead connection) just drops the
-            // receiver; its decision is already logged either way.
-            let _ = pending.reply.send(result);
-        }
+/// The one write path. Takes a FIFO turn, then the engine's write lock,
+/// and runs `verb` against live state; stages the log records it
+/// appended into the WAL *under the lock*, so WAL order is decision
+/// order; releases lock and turn; and only then waits for the fsync
+/// policy, so concurrent writers coalesce into one group commit. The
+/// caller replies after this returns — a response never overtakes the
+/// WAL.
+fn write_verb<T>(shared: &Shared, verb: impl FnOnce(&mut AdmissionEngine) -> T) -> T {
+    let turn = shared.turns.wait();
+    let mut engine = shared.engine.write();
+    let result = verb(&mut engine);
+    let staged = shared.durability.get().map(|d| (d, d.stage(&engine)));
+    drop(engine);
+    drop(turn);
+    if let Some((durability, seq)) = staged {
+        durability.commit(seq);
     }
+    result
+}
+
+/// A submit verb through the write path; an answered one lands in the
+/// service-latency histogram (turn and lock wait included).
+fn submit_line<R: serde::Serialize>(
+    shared: &Shared,
+    verb: impl FnOnce(&mut AdmissionEngine) -> Result<R, String>,
+) -> String {
+    let start = Instant::now();
+    let line = match write_verb(shared, verb) {
+        Ok(response) => {
+            let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+            shared.latency.lock().record(micros);
+            response_line(&response)
+        }
+        Err(message) => ErrorResponse::line(message),
+    };
+    maybe_checkpoint(shared);
+    line
 }
 
 fn dispatch_parsed(shared: &Shared, request: ClientRequest) -> String {
     match request {
-        ClientRequest::Submit(args) => {
-            let start = Instant::now();
-            let result = batched_submit(shared, args);
-            let line = match result {
-                Ok(response) => {
-                    let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    shared.latency.lock().record(micros);
-                    response_line(&response)
-                }
-                Err(message) => ErrorResponse::line(message),
-            };
-            maybe_checkpoint(shared);
-            line
-        }
-        ClientRequest::SubmitP2mp(args) => {
-            // Exclusive path: the group's members must be decided
-            // back-to-back so later destinations plan against the ledger
-            // the earlier ones committed (the shared-hop guarantee).
-            // Durability follows the inject contract: stage under the
-            // write lock, fsync after it, reply last.
-            let start = Instant::now();
-            let mut guard = shared.engine.write();
-            let result = guard.submit_p2mp(&args);
-            let staged = shared.durability.get().map(|d| d.stage(&guard));
-            drop(guard);
-            if let (Some(d), Some(seq)) = (shared.durability.get(), staged) {
-                d.commit(seq);
-            }
-            let line = match result {
-                Ok(response) => {
-                    let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    shared.latency.lock().record(micros);
-                    response_line(&response)
-                }
-                Err(message) => ErrorResponse::line(message),
-            };
-            maybe_checkpoint(shared);
-            line
-        }
+        ClientRequest::Submit(args) => submit_line(shared, |engine| engine.submit(&args)),
+        // The group's members are decided back-to-back inside one turn,
+        // so later destinations plan against the ledger the earlier
+        // ones committed (the shared-hop guarantee).
+        ClientRequest::SubmitP2mp(args) => submit_line(shared, |engine| engine.submit_p2mp(&args)),
         ClientRequest::Query { request } => match shared.engine.read().query(request) {
             Ok(response) => response_line(&response),
             Err(message) => ErrorResponse::line(message),
         },
         ClientRequest::Inject(args) => {
-            // Exclusive path, same durability contract as submissions:
-            // stage under the write lock, fsync after it, reply last.
-            let mut guard = shared.engine.write();
-            let result = guard.inject(&args);
-            let staged = shared.durability.get().map(|d| d.stage(&guard));
-            drop(guard);
-            if let (Some(d), Some(seq)) = (shared.durability.get(), staged) {
-                d.commit(seq);
-            }
-            let line = match result {
+            let line = match write_verb(shared, |engine| engine.inject(&args)) {
                 Ok(response) => response_line(&response),
                 Err(message) => ErrorResponse::line(message),
             };
@@ -572,14 +559,8 @@ fn dispatch_parsed(shared: &Shared, request: ClientRequest) -> String {
             line
         }
         ClientRequest::Optimize { budget } => {
-            let mut guard = shared.engine.write();
-            let response = guard.optimize(budget.unwrap_or(DEFAULT_OPTIMIZE_BUDGET));
-            let staged = shared.durability.get().map(|d| d.stage(&guard));
-            drop(guard);
-            if let (Some(d), Some(seq)) = (shared.durability.get(), staged) {
-                d.commit(seq);
-            }
-            let line = response_line(&response);
+            let budget = budget.unwrap_or(DEFAULT_OPTIMIZE_BUDGET);
+            let line = response_line(&write_verb(shared, |engine| engine.optimize(budget)));
             maybe_checkpoint(shared);
             line
         }
@@ -684,6 +665,55 @@ fn value_line(value: &Value) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn turns_are_served_in_ticket_order() {
+        const THREADS: usize = 8;
+        const TURNS: usize = 200;
+        let queue = TurnQueue::default();
+        let served = Mutex::new(Vec::with_capacity(THREADS * TURNS));
+        let start = std::sync::Barrier::new(THREADS);
+        thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..TURNS {
+                        let turn = queue.wait();
+                        served.lock().push(turn.ticket);
+                    }
+                });
+            }
+        });
+        let expected: Vec<u64> = (0..(THREADS * TURNS) as u64).collect();
+        assert_eq!(served.into_inner(), expected);
+    }
+
+    #[test]
+    fn a_panicking_holder_passes_the_turn_on() {
+        let queue = &TurnQueue::default();
+        let (holding, held) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        thread::scope(|scope| {
+            let holder = scope.spawn(move || {
+                let _turn = queue.wait();
+                holding.send(()).expect("the test is listening");
+                released.recv().expect("the test releases the holder");
+                panic!("a decision panicked while holding the turn");
+            });
+            held.recv().expect("the holder got the first turn");
+            let waiter = scope.spawn(|| queue.wait().ticket);
+            // The waiter has drawn its ticket once two are out; it cannot
+            // be served while the holder still has the turn.
+            while queue.state.lock().next < 2 {
+                thread::yield_now();
+            }
+            assert_eq!(queue.state.lock().serving, 0);
+            release.send(()).expect("the holder is waiting");
+            assert!(holder.join().is_err(), "the holder panicked");
+            assert_eq!(waiter.join().expect("the waiter was served"), 1);
+        });
+        assert_eq!(queue.state.lock().serving, 2);
+    }
 
     #[test]
     fn histogram_percentiles_come_from_bucket_bounds() {

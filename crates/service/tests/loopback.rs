@@ -17,7 +17,6 @@ use dstage_workload::{generate, GeneratorConfig};
 use serde::Value;
 
 const SEED: u64 = 11;
-const CLIENTS: usize = 4;
 
 fn catalog() -> Scenario {
     generate(&GeneratorConfig::small(), SEED)
@@ -86,20 +85,28 @@ fn connect(addr: &str) -> (BufReader<TcpStream>, TcpStream) {
 /// Byte-identity at 8 workers — the daemon's default-ish pool size.
 #[test]
 fn concurrent_decisions_match_sequential_replay_byte_for_byte() {
-    exercise_loopback(8);
+    exercise_loopback(8, 8);
 }
 
-/// Byte-identity at 4 workers: small epochs, frequent leader handoffs.
+/// Four connections on four workers: every worker is a writer queueing
+/// for its turn.
 #[test]
-fn four_worker_batches_match_sequential_replay() {
-    exercise_loopback(4);
+fn four_clients_on_four_workers_match_sequential_replay() {
+    exercise_loopback(4, 4);
 }
 
-/// Byte-identity at 16 workers: the largest epochs the client count can
-/// form, maximizing speculative commits and conflict retries.
+/// Sixteen connections on sixteen workers: the longest queue of writers
+/// the request stream can form.
 #[test]
-fn sixteen_worker_batches_match_sequential_replay() {
-    exercise_loopback(16);
+fn sixteen_clients_on_sixteen_workers_match_sequential_replay() {
+    exercise_loopback(16, 16);
+}
+
+/// Eight connections on sixteen workers: half the pool has no connection
+/// to serve while the other half takes turns.
+#[test]
+fn eight_clients_on_sixteen_workers_match_sequential_replay() {
+    exercise_loopback(16, 8);
 }
 
 /// A point-to-multipoint submit over the wire: the group response
@@ -155,10 +162,10 @@ fn p2mp_submit_round_trip_shares_hops_and_replays() {
     );
 }
 
-fn exercise_loopback(workers: usize) {
+fn exercise_loopback(workers: usize, clients: usize) {
     let scenario = catalog();
     let scenario_path = std::env::temp_dir()
-        .join(format!("dstage-loopback-{}-{SEED}-w{workers}.json", std::process::id()));
+        .join(format!("dstage-loopback-{}-{SEED}-w{workers}-c{clients}.json", std::process::id()));
     std::fs::write(&scenario_path, serde_json::to_string(&scenario).expect("serialize catalog"))
         .expect("write catalog file");
     let (mut child, addr) = spawn_server(&scenario_path, workers);
@@ -176,12 +183,9 @@ fn exercise_loopback(workers: usize) {
             )
         })
         .collect();
-    // One connection per worker (floored so every client still has a
-    // couple of lines), so the pool can actually fill epochs that wide.
-    let clients = workers.min(submissions.len() / 2).max(1);
     assert!(
-        submissions.len() >= CLIENTS * 2,
-        "need a few submissions per client, got {}",
+        submissions.len() >= clients * 2,
+        "need a couple of submissions per client, got {}",
         submissions.len()
     );
 
