@@ -35,9 +35,9 @@ pub(crate) fn drive(state: &mut SchedulerState<'_>, _config: &HeuristicConfig) {
             }
         }
         let Some((_, request)) = best else { break };
-        state.note_iteration();
         let machine = scenario.request(request).destination();
         let item = scenario.request(request).item();
+        state.note_iteration();
         state.commit_path(item, machine);
     }
 }

@@ -5,13 +5,24 @@
 //! the priority-first comparison scheme drive the same [`SchedulerState`]:
 //! they differ only in *which* candidate step they pick each iteration and
 //! *how much* of the chosen shortest path they commit.
+//!
+//! An offline run borrows its scenario and is thrown away with its plan.
+//! The admission daemon instead keeps one state for as long as it serves
+//! ([`SchedulerState::owning`]): each submission is appended to the
+//! state's own scenario ([`SchedulerState::add_request`]), routed by the
+//! ordinary heuristic loop, and — when it is refused — taken back again
+//! ([`SchedulerState::rollback`]).
 
+use std::borrow::Cow;
+
+use dstage_model::error::ScenarioError;
 use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
+use dstage_model::request::Request;
 use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
 use dstage_path::{earliest_arrival_tree, repair_tree, ArrivalTree, Hop, ItemQuery};
 use dstage_resources::journal::{ChangeJournal, JournalMark};
-use dstage_resources::ledger::NetworkLedger;
+use dstage_resources::ledger::{CommitError, NetworkLedger};
 
 use crate::metrics::RunMetrics;
 use crate::schedule::{Delivery, Schedule, Transfer};
@@ -51,22 +62,83 @@ impl CandidateStep {
     }
 }
 
+/// One booked arrival of an item.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Staged {
+    machine: MachineId,
+    arrival: SimTime,
+    /// Links traversed from an original source to this copy.
+    depth: u32,
+}
+
+/// A staged copy whose hold cannot be lengthened: `machine` has no room to
+/// keep `item` until `until`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HoldRefused {
+    /// The item whose copy would have to stay longer.
+    pub item: DataItemId,
+    /// The machine whose storage is exhausted.
+    pub machine: MachineId,
+    /// The hold deadline that does not fit.
+    pub until: SimTime,
+}
+
+/// Why [`SchedulerState::add_request`] refused a request.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AddRequestError {
+    /// The request breaks a scenario invariant.
+    Invalid(ScenarioError),
+    /// The request is valid, but the longer holds it imposes on copies
+    /// already staged do not fit.
+    Hold(HoldRefused),
+}
+
+impl core::fmt::Display for AddRequestError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            AddRequestError::Invalid(e) => e.fmt(f),
+            AddRequestError::Hold(HoldRefused { item, machine, until }) => {
+                write!(f, "machine {machine} cannot hold data item {item} until {until}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for AddRequestError {}
+
+/// What [`SchedulerState::rollback`] needs to take a decision about one
+/// item back.
+#[derive(Debug, Clone)]
+pub struct Savepoint {
+    item: DataItemId,
+    requests: usize,
+    horizon: SimTime,
+    transfers: usize,
+    copies: usize,
+    staged: usize,
+    delivered: Vec<Option<Delivery>>,
+}
+
 /// Mutable state of one scheduling run.
 #[derive(Debug, Clone)]
 pub struct SchedulerState<'a> {
-    scenario: &'a Scenario,
+    scenario: Cow<'a, Scenario>,
     ledger: NetworkLedger,
     /// Current copies per item: `(machine, available_at)`.
     copies: Vec<Vec<(MachineId, SimTime)>>,
     /// Hold policy per item per machine: horizon for that item's
-    /// destinations, GC time otherwise.
+    /// destinations, GC time otherwise — a function of the scenario alone
+    /// (see [`hold_row`]). Every booked transfer of the item into a
+    /// machine has that machine's storage reserved up to this time.
     hold_until: Vec<Vec<SimTime>>,
     /// Delivery time per request, once satisfied.
     delivered: Vec<Option<Delivery>>,
-    /// Hop depth of the earliest copy per item per machine (0 for initial
-    /// sources, `u32::MAX` where no copy exists); feeds the
-    /// links-traversed statistic.
-    depths: Vec<Vec<u32>>,
+    /// Per item, every booked transfer's arrival in commit order, copies
+    /// lost since included (their storage stays reserved). Gives the hop
+    /// depth of a copy for the links-traversed statistic, the number of
+    /// reservations a hold change must move, and the copy a late request
+    /// for an already-staged destination is served from.
+    staged: Vec<Vec<Staged>>,
     /// Whether each request may receive resources. All requests start
     /// active; the dynamic layer deactivates requests that have not been
     /// released yet. Inactive requests still *record* deliveries when a
@@ -81,9 +153,22 @@ pub struct SchedulerState<'a> {
     /// Per item: the journal position when its cached tree was last known
     /// valid. Meaningless while the tree slot is `None`.
     marks: Vec<JournalMark>,
+    /// Transfers booked since the state was built or last
+    /// [`SchedulerState::take_transfers`].
     transfers: Vec<Transfer>,
     metrics: RunMetrics,
     caching: bool,
+}
+
+/// The hold deadlines of `item`'s copies, per machine: the horizon on the
+/// destinations of its requests, its garbage-collection time elsewhere.
+fn hold_row(scenario: &Scenario, item: DataItemId) -> Vec<SimTime> {
+    let gc = scenario.gc_time(item).unwrap_or(scenario.horizon());
+    let mut holds = vec![gc; scenario.network().machine_count()];
+    for &req in scenario.requests_for(item) {
+        holds[scenario.request(req).destination().index()] = scenario.horizon();
+    }
+    holds
 }
 
 impl<'a> SchedulerState<'a> {
@@ -98,17 +183,25 @@ impl<'a> SchedulerState<'a> {
     /// (used by the caching ablation; results must be identical).
     #[must_use]
     pub fn with_caching(scenario: &'a Scenario, caching: bool) -> Self {
+        Self::init(Cow::Borrowed(scenario), caching)
+    }
+
+    /// Like [`SchedulerState::with_caching`] over a scenario the state
+    /// owns, so that it can outlive its maker and take requests one at a
+    /// time ([`SchedulerState::add_request`]).
+    #[must_use]
+    pub fn owning(scenario: Scenario, caching: bool) -> SchedulerState<'static> {
+        SchedulerState::init(Cow::Owned(scenario), caching)
+    }
+
+    fn init(scenario: Cow<'a, Scenario>, caching: bool) -> Self {
         let mut ledger = NetworkLedger::new(scenario.network());
-        let m = scenario.network().machine_count();
         let mut copies = Vec::with_capacity(scenario.item_count());
         let mut hold_until = Vec::with_capacity(scenario.item_count());
-        let mut depths = Vec::with_capacity(scenario.item_count());
         for (item_id, item) in scenario.items() {
-            let mut item_depths = vec![u32::MAX; m];
             let mut item_copies = Vec::with_capacity(item.sources().len());
             for src in item.sources() {
                 item_copies.push((src.machine, src.available_at));
-                item_depths[src.machine.index()] = 0;
                 // Sources hold their copies for the remainder of the
                 // simulation (§5.3); placement is exogenous, so it is
                 // forced even on over-small machines.
@@ -120,22 +213,14 @@ impl<'a> SchedulerState<'a> {
                 );
             }
             copies.push(item_copies);
-
-            let gc = scenario.gc_time(item_id).unwrap_or(scenario.horizon());
-            let mut holds = vec![gc; m];
-            for &req in scenario.requests_for(item_id) {
-                holds[scenario.request(req).destination().index()] = scenario.horizon();
-            }
-            hold_until.push(holds);
-            depths.push(item_depths);
+            hold_until.push(hold_row(&scenario, item_id));
         }
         SchedulerState {
-            scenario,
             ledger,
             copies,
             hold_until,
             delivered: vec![None; scenario.request_count()],
-            depths,
+            staged: vec![Vec::new(); scenario.item_count()],
             active: vec![true; scenario.request_count()],
             trees: vec![None; scenario.item_count()],
             journal: ChangeJournal::default(),
@@ -143,13 +228,14 @@ impl<'a> SchedulerState<'a> {
             transfers: Vec::new(),
             metrics: RunMetrics::default(),
             caching,
+            scenario,
         }
     }
 
     /// The scenario being scheduled.
     #[must_use]
-    pub fn scenario(&self) -> &'a Scenario {
-        self.scenario
+    pub fn scenario(&self) -> &Scenario {
+        &self.scenario
     }
 
     /// The resource ledger (current commitments).
@@ -194,6 +280,262 @@ impl<'a> SchedulerState<'a> {
         self.active[request.index()]
     }
 
+    /// Appends one request to the scenario (validated as
+    /// [`Scenario::push_request`] does) and brings the tables up to what a
+    /// fresh state over the grown scenario, with the same transfers
+    /// booked, would hold. The request starts active and undelivered,
+    /// except that a copy already staged on its destination in time
+    /// delivers it — the first such copy in commit order.
+    ///
+    /// Holds are retroactive: the request's deadline may push its item's
+    /// garbage-collection time out, and its destination now keeps its copy
+    /// to the horizon, so storage reserved for copies staged earlier is
+    /// lengthened to match.
+    ///
+    /// A state that borrows its scenario takes its own copy first.
+    ///
+    /// # Errors
+    ///
+    /// [`AddRequestError::Invalid`] for a request the scenario refuses,
+    /// [`AddRequestError::Hold`] when a lengthened hold does not fit; the
+    /// state is unchanged either way.
+    pub fn add_request(&mut self, request: Request) -> Result<RequestId, AddRequestError> {
+        let id = self.scenario.to_mut().push_request(request).map_err(AddRequestError::Invalid)?;
+        let item = request.item();
+        if let Err(refused) = self.rehold(item) {
+            self.scenario.to_mut().pop_request();
+            return Err(AddRequestError::Hold(refused));
+        }
+        let served = self.staged[item.index()]
+            .iter()
+            .find(|s| s.machine == request.destination() && s.arrival <= request.deadline())
+            .map(|s| Delivery { request: id, at: s.arrival, hops: s.depth });
+        self.delivered.push(served);
+        self.active.push(true);
+        Ok(id)
+    }
+
+    /// Moves the scenario's horizon. Sources and destinations keep their
+    /// copies to the horizon, so their storage is lengthened (or, moving
+    /// back, shortened) to match.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first staged copy whose lengthened hold does not fit;
+    /// the state is unchanged.
+    pub fn set_horizon(&mut self, horizon: SimTime) -> Result<(), HoldRefused> {
+        let old = self.scenario.horizon();
+        if horizon == old {
+            return Ok(());
+        }
+        self.move_source_holds(old, horizon);
+        for item in self.scenario.item_ids() {
+            if let Err(refused) = self.rehold(item) {
+                self.move_source_holds(horizon, old);
+                for done in self.scenario.item_ids().take(item.index()) {
+                    self.rehold(done).expect("shortening holds frees storage");
+                }
+                return Err(refused);
+            }
+        }
+        Ok(())
+    }
+
+    /// Sets the horizon and moves the end of every source's (forced)
+    /// storage reservation with it.
+    fn move_source_holds(&mut self, from: SimTime, to: SimTime) {
+        self.scenario.to_mut().set_horizon(to);
+        for (_, item) in self.scenario.items() {
+            for src in item.sources() {
+                let (lo, hi) = (from.min(to).max(src.available_at), from.max(to));
+                if to > from {
+                    self.ledger.force_storage(src.machine, item.size(), lo, hi);
+                } else {
+                    self.ledger.release_storage(src.machine, item.size(), lo, hi);
+                }
+            }
+        }
+    }
+
+    /// Recomputes `item`'s hold deadlines from the scenario and moves the
+    /// end of the storage reservation of each of its booked transfers to
+    /// match. On refusal nothing has moved.
+    fn rehold(&mut self, item: DataItemId) -> Result<(), HoldRefused> {
+        let new_row = hold_row(&self.scenario, item);
+        let old_row = &self.hold_until[item.index()];
+        if new_row == *old_row {
+            return Ok(());
+        }
+        let size = self.scenario.item(item).size();
+        let staged = &self.staged[item.index()];
+        for (done, s) in staged.iter().enumerate() {
+            let (old, new) = (old_row[s.machine.index()], new_row[s.machine.index()]);
+            if new < old {
+                self.ledger.release_storage(s.machine, size, new, old);
+            } else if self.ledger.reserve_storage(s.machine, size, old, new).is_err() {
+                // Put back what moved before this entry.
+                for s in &staged[..done] {
+                    let (old, new) = (old_row[s.machine.index()], new_row[s.machine.index()]);
+                    if new < old {
+                        self.ledger.force_storage(s.machine, size, new, old);
+                    } else {
+                        self.ledger.release_storage(s.machine, size, old, new);
+                    }
+                }
+                return Err(HoldRefused { item, machine: s.machine, until: new });
+            }
+        }
+        // Lengthened holds consume storage other items' trees may have
+        // planned on; shortened ones are only ever part of a rollback,
+        // which forgets every tree.
+        for s in staged {
+            self.journal.record_machine(s.machine);
+        }
+        self.hold_until[item.index()] = new_row;
+        self.trees[item.index()] = None;
+        if !self.caching {
+            self.drop_all_trees();
+        }
+        Ok(())
+    }
+
+    /// Marks the point a decision about `item` starts from: the requests
+    /// and the horizon as they stand, and everything of the item that
+    /// routing it may change.
+    #[must_use]
+    pub fn savepoint(&self, item: DataItemId) -> Savepoint {
+        Savepoint {
+            item,
+            requests: self.scenario.request_count(),
+            horizon: self.scenario.horizon(),
+            transfers: self.transfers.len(),
+            copies: self.copies[item.index()].len(),
+            staged: self.staged[item.index()].len(),
+            delivered: self
+                .scenario
+                .requests_for(item)
+                .iter()
+                .map(|r| self.delivered[r.index()])
+                .collect(),
+        }
+    }
+
+    /// Takes back everything since `savepoint`: the transfers booked (all
+    /// of the savepoint's item), the requests added, and a moved horizon —
+    /// leaving ledger, copies, holds and deliveries as they were. Cached
+    /// trees are forgotten, since released capacity is the one change the
+    /// journal cannot describe. Run counters keep counting.
+    ///
+    /// Between savepoint and rollback the caller may add requests, move
+    /// the horizon and drive a heuristic, but not lose copies or block
+    /// links.
+    pub fn rollback(&mut self, savepoint: Savepoint) {
+        let item = savepoint.item;
+        let size = self.scenario.item(item).size();
+        for t in self.transfers.drain(savepoint.transfers..).rev() {
+            debug_assert_eq!(t.item, item, "a decision books transfers of its own item only");
+            let hold = self.hold_until[item.index()][t.to.index()];
+            self.ledger.release_transfer(self.scenario.network(), t.link, t.start, size, hold);
+        }
+        self.copies[item.index()].truncate(savepoint.copies);
+        self.staged[item.index()].truncate(savepoint.staged);
+        while self.scenario.request_count() > savepoint.requests {
+            let withdrawn = self.scenario.to_mut().pop_request().expect("counted above").item();
+            self.rehold(withdrawn).expect("shortening holds frees storage");
+        }
+        self.delivered.truncate(savepoint.requests);
+        self.active.truncate(savepoint.requests);
+        for (r, was) in self.scenario.requests_for(item).iter().zip(savepoint.delivered) {
+            self.delivered[r.index()] = was;
+        }
+        self.set_horizon(savepoint.horizon).expect("shortening holds frees storage");
+        self.forget_trees();
+    }
+
+    /// Hands over the transfers booked since the last call (or since the
+    /// state was built), leaving the state's own list empty: a long-lived
+    /// state's owner keeps the committed list, the state only the ledger
+    /// they are booked in.
+    pub fn take_transfers(&mut self) -> Vec<Transfer> {
+        std::mem::take(&mut self.transfers)
+    }
+
+    /// Drops every cached tree and, with no reader left, the journal of
+    /// consumed resources. A long-lived state calls this when a decision
+    /// ends: the only tree a decision builds is its own item's, which its
+    /// own commit (or its rollback) invalidates anyway, so nothing worth
+    /// keeping is lost and the journal stays as short as one decision.
+    pub fn forget_trees(&mut self) {
+        self.drop_all_trees();
+        self.journal.clear();
+        self.marks.fill(JournalMark::default());
+    }
+
+    /// Records held by the journal of consumed resources.
+    #[must_use]
+    pub fn journal_len(&self) -> usize {
+        self.journal.len()
+    }
+
+    /// The first difference between the scheduling tables of `self` and
+    /// `other` — requests, horizon, ledger, copies, holds, deliveries,
+    /// staged arrivals with their depths, activity flags — or `None` when
+    /// they agree. Caches (trees, journal), the pending transfer list and
+    /// run counters are not compared: two states that agree here make the
+    /// same decisions.
+    #[must_use]
+    pub fn first_difference(&self, other: &SchedulerState<'_>) -> Option<String> {
+        fn differ<T: PartialEq + core::fmt::Debug>(what: String, a: &T, b: &T) -> Option<String> {
+            (a != b).then(|| format!("{what}: {a:?} vs {b:?}"))
+        }
+        let (a, b) = (self.scenario(), other.scenario());
+        if a.request_count() != b.request_count()
+            || a.requests().zip(b.requests()).any(|(x, y)| x != y)
+        {
+            return Some("the request tables differ".to_string());
+        }
+        let (mine, theirs) = (&self.ledger, &other.ledger);
+        differ("horizon".to_string(), &a.horizon(), &b.horizon())
+            .or_else(|| {
+                a.network().links().find_map(|(l, _)| {
+                    differ(format!("busy intervals of {l}"), mine.link_busy(l), theirs.link_busy(l))
+                })
+            })
+            .or_else(|| {
+                a.network().machine_ids().find_map(|m| {
+                    differ(format!("storage timeline of {m}"), mine.store(m), theirs.store(m))
+                })
+            })
+            .or_else(|| {
+                a.item_ids().find_map(|item| {
+                    let i = item.index();
+                    differ(format!("copies of {item}"), &self.copies[i], &other.copies[i])
+                        .or_else(|| {
+                            let (x, y) = (&self.hold_until[i], &other.hold_until[i]);
+                            differ(format!("holds of {item}"), x, y)
+                        })
+                        .or_else(|| {
+                            let (x, y) = (&self.staged[i], &other.staged[i]);
+                            differ(format!("staged arrivals of {item}"), x, y)
+                        })
+                })
+            })
+            .or_else(|| {
+                a.request_ids().find_map(|request| {
+                    let r = request.index();
+                    differ(
+                        format!("delivery of {request}"),
+                        &self.delivered[r],
+                        &other.delivered[r],
+                    )
+                    .or_else(|| {
+                        let (x, y) = (&self.active[r], &other.active[r]);
+                        differ(format!("activity of {request}"), x, y)
+                    })
+                })
+            })
+    }
+
     /// Removes the copies of `item` held at `machine` that exist at
     /// `lost_at` — i.e. whose availability is `<= lost_at` (dynamic copy
     /// loss: a crash or storage fault). Copies scheduled to arrive
@@ -216,9 +558,6 @@ impl<'a> SchedulerState<'a> {
         copies.retain(|&(m, at)| m != machine || at > lost_at);
         let removed = copies.len() != before;
         if removed {
-            if !copies.iter().any(|&(m, _)| m == machine) {
-                self.depths[item.index()][machine.index()] = u32::MAX;
-            }
             self.trees[item.index()] = None;
         }
         removed
@@ -281,6 +620,11 @@ impl<'a> SchedulerState<'a> {
     /// recomputing only when consumed resources actually touch it — and
     /// then by incremental repair of the cached tree.
     pub fn tree(&mut self, item: DataItemId) -> &ArrivalTree {
+        self.refresh_tree(item);
+        self.trees[item.index()].as_ref().expect("just refreshed")
+    }
+
+    fn refresh_tree(&mut self, item: DataItemId) {
         let idx = item.index();
         let (dirty_links, dirty_machines) = self.journal.since(self.marks[idx]);
         // With caching disabled every query recomputes from scratch,
@@ -313,7 +657,6 @@ impl<'a> SchedulerState<'a> {
             self.metrics.dijkstra_runs += 1;
         }
         self.marks[idx] = self.journal.mark();
-        self.trees[idx].as_ref().expect("just ensured")
     }
 
     /// Enumerates the candidate steps of `item`: the distinct first hops
@@ -327,11 +670,11 @@ impl<'a> SchedulerState<'a> {
         if pending.is_empty() {
             return Vec::new();
         }
-        let scenario = self.scenario;
-        let tree = self.tree(item);
+        self.refresh_tree(item);
+        let tree = self.trees[item.index()].as_ref().expect("just refreshed");
         let mut steps: Vec<CandidateStep> = Vec::new();
         for req_id in pending {
-            let req = scenario.request(req_id);
+            let req = self.scenario.request(req_id);
             let dest = req.destination();
             if !tree.is_reachable(dest) {
                 continue;
@@ -368,27 +711,18 @@ impl<'a> SchedulerState<'a> {
         all
     }
 
-    /// Commits a single hop (the partial path heuristic's move): reserves
-    /// the link and receiving storage, adds the new copy, marks satisfied
-    /// requests, and invalidates affected tree caches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the hop conflicts with existing reservations — callers
-    /// only pass hops from the *current* tree of `item`, which are
-    /// feasible by construction.
-    pub fn commit_hop(&mut self, item: DataItemId, hop: Hop) {
+    /// Books one transfer of `item`: reserves the link and the receiving
+    /// storage, adds the new copy with its hop depth, and marks the
+    /// request it satisfies. The caller journals the consumption.
+    fn book(&mut self, item: DataItemId, hop: Hop) -> Result<(), CommitError> {
         let hold = self.hold_until[item.index()][hop.to.index()];
-        let slot = self
-            .ledger
-            .commit_transfer(
-                self.scenario.network(),
-                hop.link,
-                hop.start,
-                self.scenario.item(item).size(),
-                hold,
-            )
-            .expect("hop from current tree must be feasible");
+        let slot = self.ledger.commit_transfer(
+            self.scenario.network(),
+            hop.link,
+            hop.start,
+            self.scenario.item(item).size(),
+            hold,
+        )?;
         debug_assert_eq!(slot.arrival, hop.arrival);
         self.transfers.push(Transfer {
             item,
@@ -400,9 +734,34 @@ impl<'a> SchedulerState<'a> {
         });
         self.metrics.transfers_committed += 1;
         self.copies[item.index()].push((hop.to, hop.arrival));
-        let depth = self.depths[item.index()][hop.from.index()].saturating_add(1);
-        self.depths[item.index()][hop.to.index()] = depth;
+        let depth = self.depth_at(item, hop.from).saturating_add(1);
+        self.staged[item.index()].push(Staged { machine: hop.to, arrival: hop.arrival, depth });
         self.mark_deliveries(item, hop.to, hop.arrival, depth);
+        Ok(())
+    }
+
+    /// Hop depth of the copy of `item` most recently booked into
+    /// `machine`; 0 where only an initial source put it there, `u32::MAX`
+    /// where it never was.
+    fn depth_at(&self, item: DataItemId, machine: MachineId) -> u32 {
+        match self.staged[item.index()].iter().rev().find(|s| s.machine == machine) {
+            Some(s) => s.depth,
+            None if self.scenario.item(item).has_source(machine) => 0,
+            None => u32::MAX,
+        }
+    }
+
+    /// Commits a single hop (the partial path heuristic's move): reserves
+    /// the link and receiving storage, adds the new copy, marks satisfied
+    /// requests, and invalidates affected tree caches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the hop conflicts with existing reservations — callers
+    /// only pass hops from the *current* tree of `item`, which are
+    /// feasible by construction.
+    pub fn commit_hop(&mut self, item: DataItemId, hop: Hop) {
+        self.book(item, hop).expect("hop from current tree must be feasible");
         self.record_consumption(item, &[hop.link], &[hop.to]);
     }
 
@@ -449,44 +808,19 @@ impl<'a> SchedulerState<'a> {
         edges.sort_by_key(|h| (h.arrival, h.start, h.link));
         let mut links = Vec::with_capacity(edges.len());
         let mut machines = Vec::with_capacity(edges.len());
-        let mut committed = 0u32;
         for hop in edges {
             // Skip hops into machines that already hold an equally early
             // copy (shared prefix with an earlier committed path).
             if self.copies[item.index()].iter().any(|&(m, at)| m == hop.to && at <= hop.arrival) {
                 continue;
             }
-            let hold = self.hold_until[item.index()][hop.to.index()];
-            let slot = self
-                .ledger
-                .commit_transfer(
-                    self.scenario.network(),
-                    hop.link,
-                    hop.start,
-                    self.scenario.item(item).size(),
-                    hold,
-                )
+            self.book(item, hop)
                 .expect("tree hop must be feasible against the ledger it was computed on");
-            debug_assert_eq!(slot.arrival, hop.arrival);
-            self.transfers.push(Transfer {
-                item,
-                from: hop.from,
-                to: hop.to,
-                link: hop.link,
-                start: hop.start,
-                arrival: hop.arrival,
-            });
-            self.metrics.transfers_committed += 1;
-            committed += 1;
-            self.copies[item.index()].push((hop.to, hop.arrival));
-            let depth = self.depths[item.index()][hop.from.index()].saturating_add(1);
-            self.depths[item.index()][hop.to.index()] = depth;
-            self.mark_deliveries(item, hop.to, hop.arrival, depth);
             links.push(hop.link);
             machines.push(hop.to);
         }
         self.record_consumption(item, &links, &machines);
-        committed
+        links.len() as u32
     }
 
     /// Commits the current shortest path of `item` to `destination` with
@@ -555,35 +889,13 @@ impl<'a> SchedulerState<'a> {
         // link and receiving store (path machines are distinct), so the
         // probed slots stay feasible as earlier hops commit.
         retimed.reverse();
-        let mut links = Vec::with_capacity(retimed.len());
-        let mut machines = Vec::with_capacity(retimed.len());
-        let mut committed = 0u32;
+        let links: Vec<VirtualLinkId> = retimed.iter().map(|h| h.link).collect();
+        let machines: Vec<MachineId> = retimed.iter().map(|h| h.to).collect();
         for hop in retimed {
-            let hold = self.hold_until[item.index()][hop.to.index()];
-            let slot = self
-                .ledger
-                .commit_transfer(self.scenario.network(), hop.link, hop.start, size, hold)
-                .expect("latest slot probed against the same ledger must commit");
-            debug_assert_eq!(slot.arrival, hop.arrival);
-            self.transfers.push(Transfer {
-                item,
-                from: hop.from,
-                to: hop.to,
-                link: hop.link,
-                start: hop.start,
-                arrival: hop.arrival,
-            });
-            self.metrics.transfers_committed += 1;
-            committed += 1;
-            self.copies[item.index()].push((hop.to, hop.arrival));
-            let depth = self.depths[item.index()][hop.from.index()].saturating_add(1);
-            self.depths[item.index()][hop.to.index()] = depth;
-            self.mark_deliveries(item, hop.to, hop.arrival, depth);
-            links.push(hop.link);
-            machines.push(hop.to);
+            self.book(item, hop).expect("latest slot probed against the same ledger must commit");
         }
         self.record_consumption(item, &links, &machines);
-        committed
+        links.len() as u32
     }
 
     /// Attempts to commit a *precomputed* hop against the current ledger
@@ -595,33 +907,11 @@ impl<'a> SchedulerState<'a> {
         if self.copies[item.index()].iter().any(|&(m, at)| m == hop.to && at <= hop.arrival) {
             return true;
         }
-        let hold = self.hold_until[item.index()][hop.to.index()];
-        match self.ledger.commit_transfer(
-            self.scenario.network(),
-            hop.link,
-            hop.start,
-            self.scenario.item(item).size(),
-            hold,
-        ) {
-            Ok(_) => {
-                self.transfers.push(Transfer {
-                    item,
-                    from: hop.from,
-                    to: hop.to,
-                    link: hop.link,
-                    start: hop.start,
-                    arrival: hop.arrival,
-                });
-                self.metrics.transfers_committed += 1;
-                self.copies[item.index()].push((hop.to, hop.arrival));
-                let depth = self.depths[item.index()][hop.from.index()].saturating_add(1);
-                self.depths[item.index()][hop.to.index()] = depth;
-                self.mark_deliveries(item, hop.to, hop.arrival, depth);
-                self.record_consumption(item, &[hop.link], &[hop.to]);
-                true
-            }
-            Err(_) => false,
+        let booked = self.book(item, hop).is_ok();
+        if booked {
+            self.record_consumption(item, &[hop.link], &[hop.to]);
         }
+        booked
     }
 
     /// Finalizes the run into a schedule plus metrics.
@@ -646,9 +936,9 @@ impl<'a> SchedulerState<'a> {
     /// Records resource consumption after committing transfers of `item`
     /// that used `links` and placed copies on `machines`.
     ///
-    /// Resources are only ever consumed within a run (the ledger has no
-    /// release APIs; eviction-style re-planning always starts from a fresh
-    /// state), so a cached tree stays optimal unless it planned to use one
+    /// Resources are only ever consumed while trees are cached (the one
+    /// release, [`SchedulerState::rollback`], forgets every tree), so a
+    /// cached tree stays optimal unless it planned to use one
     /// of the touched links or to place a copy on one of the touched
     /// machines (see DESIGN.md §3). The consumption is journaled; other
     /// items' trees are checked lazily — and repaired where touched — at
@@ -1067,5 +1357,138 @@ mod tests {
         assert!(!st.try_commit_stale_hop(item(1), hop_b), "stale slot must conflict");
         // State is unchanged by the failed commit: item 1 has no copy at m1.
         assert!(!st.is_delivered(RequestId::new(1)));
+    }
+
+    /// The line network with `relay_bytes` of storage on m1, item `d0` at
+    /// m0, γ = 60 s, and one request: m2 by 100 s.
+    fn growing(relay_bytes: u64) -> SchedulerState<'static> {
+        let mut b = NetworkBuilder::new();
+        for (i, bytes) in [1 << 20, relay_bytes, 1 << 20, 1 << 20].into_iter().enumerate() {
+            b.add_machine(Machine::new(format!("m{i}"), Bytes::new(bytes)));
+        }
+        for i in 0..3u32 {
+            b.add_link(VirtualLink::new(
+                m(i),
+                m(i + 1),
+                t(0),
+                SimTime::from_hours(2),
+                BitsPerSec::new(8_000),
+            ));
+        }
+        let d =
+            |name: &str| DataItem::new(name, Bytes::new(10_000), vec![DataSource::new(m(0), t(0))]);
+        let scenario = Scenario::builder(b.build())
+            .gc_delay(dstage_model::time::SimDuration::from_secs(60))
+            .add_item(d("d0"))
+            .add_item(d("d1"))
+            .add_request(Request::new(item(0), m(2), t(100), Priority::HIGH))
+            .build()
+            .unwrap();
+        SchedulerState::owning(scenario, true)
+    }
+
+    /// A fresh state over `state`'s scenario with `transfers` booked in
+    /// order: what `state` must equal, whatever order its requests came in.
+    fn rebuilt(state: &SchedulerState<'_>, transfers: &[Transfer]) -> SchedulerState<'static> {
+        let mut fresh = SchedulerState::owning(state.scenario().clone(), true);
+        for t in transfers {
+            let hop =
+                Hop { from: t.from, to: t.to, link: t.link, start: t.start, arrival: t.arrival };
+            assert!(fresh.try_commit_stale_hop(t.item, hop));
+        }
+        fresh
+    }
+
+    #[test]
+    fn add_request_lengthens_holds_as_a_fresh_state_would_have_made_them() {
+        let mut st = growing(1 << 20);
+        st.commit_path(item(0), m(2)); // m1 holds d0 until 100 + 60 s
+        let booked = st.take_transfers();
+        assert_eq!(st.ledger().store(m(1)).used_at(t(159)), Bytes::new(10_000));
+        assert_eq!(st.ledger().store(m(1)).used_at(t(160)), Bytes::ZERO);
+        // A later deadline for the item keeps the relay's copy longer; the
+        // new destination is on no route yet, so it stays pending.
+        let id = st.add_request(Request::new(item(0), m(3), t(500), Priority::LOW)).unwrap();
+        assert_eq!(st.ledger().store(m(1)).used_at(t(559)), Bytes::new(10_000));
+        assert!(!st.is_delivered(id) && st.is_request_active(id));
+        assert_eq!(st.first_difference(&rebuilt(&st, &booked)), None);
+        // A request for a machine that already holds a copy in time is
+        // delivered on the spot, with that copy's hop depth; m1 then keeps
+        // its copy to the horizon.
+        let id = st.add_request(Request::new(item(0), m(1), t(50), Priority::LOW)).unwrap();
+        assert_eq!(st.delivery_of(id), Some(Delivery { request: id, at: t(10), hops: 1 }));
+        assert_eq!(st.first_difference(&rebuilt(&st, &booked)), None);
+        // Too early for that copy: pending, not delivered late.
+        let mut early = growing(1 << 20);
+        early.commit_path(item(0), m(2));
+        let id = early.add_request(Request::new(item(0), m(1), t(5), Priority::LOW)).unwrap();
+        assert!(!early.is_delivered(id));
+    }
+
+    #[test]
+    fn a_hold_that_cannot_grow_refuses_the_request_and_changes_nothing() {
+        // The relay stores one item: d1 crosses it once d0 is collected.
+        let mut st = growing(10_000);
+        st.commit_path(item(0), m(2));
+        st.add_request(Request::new(item(1), m(3), t(400), Priority::LOW)).unwrap();
+        st.commit_path(item(1), m(3));
+        let before = st.clone();
+        let refused = st.add_request(Request::new(item(0), m(3), t(300), Priority::LOW));
+        assert_eq!(
+            refused,
+            Err(AddRequestError::Hold(HoldRefused { item: item(0), machine: m(1), until: t(360) }))
+        );
+        assert_eq!(st.first_difference(&before), None);
+        assert_eq!(st.scenario().request_count(), 2);
+        // An invalid request is refused by the scenario, just as untouched.
+        let duplicate = st.add_request(Request::new(item(0), m(2), t(900), Priority::LOW));
+        assert!(matches!(duplicate, Err(AddRequestError::Invalid(_))));
+        assert_eq!(st.first_difference(&before), None);
+    }
+
+    #[test]
+    fn rollback_takes_a_routed_request_and_a_moved_horizon_back() {
+        let mut st = growing(1 << 20);
+        st.commit_path(item(0), m(2));
+        st.take_transfers();
+        let before = st.clone();
+        let savepoint = st.savepoint(item(0));
+        let id = st.add_request(Request::new(item(0), m(3), t(9_000), Priority::LOW)).unwrap();
+        st.set_horizon(t(9_060)).unwrap();
+        assert_eq!(st.scenario().horizon(), t(9_060));
+        st.commit_path(item(0), m(3));
+        assert!(st.is_delivered(id));
+        assert!(st.journal_len() > 0);
+        assert!(st.first_difference(&before).is_some());
+        st.rollback(savepoint);
+        assert_eq!(st.first_difference(&before), None);
+        assert_eq!(st.scenario().horizon(), SimTime::from_hours(2));
+        assert_eq!(st.journal_len(), 0);
+        assert!(st.take_transfers().is_empty());
+        // The same decision, kept: equal to booking everything afresh.
+        st.add_request(Request::new(item(0), m(3), t(9_000), Priority::LOW)).unwrap();
+        st.set_horizon(t(9_060)).unwrap();
+        st.commit_path(item(0), m(3));
+        let mut all = vec![
+            Transfer {
+                item: item(0),
+                from: m(0),
+                to: m(1),
+                link: VirtualLinkId::new(0),
+                start: t(0),
+                arrival: t(10),
+            },
+            Transfer {
+                item: item(0),
+                from: m(1),
+                to: m(2),
+                link: VirtualLinkId::new(1),
+                start: t(10),
+                arrival: t(20),
+            },
+        ];
+        all.extend(st.take_transfers());
+        assert_eq!(all.len(), 3);
+        assert_eq!(st.first_difference(&rebuilt(&st, &all)), None);
     }
 }

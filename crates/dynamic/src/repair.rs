@@ -23,8 +23,9 @@
 use std::collections::HashMap;
 
 use dstage_core::schedule::{Delivery, Transfer};
-use dstage_core::state::SchedulerState;
-use dstage_model::ids::{DataItemId, MachineId, VirtualLinkId};
+use dstage_core::state::{AddRequestError, SchedulerState};
+use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
+use dstage_model::request::Request;
 use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
 use dstage_path::Hop;
@@ -129,22 +130,32 @@ pub fn filter_consistent(
 #[must_use]
 pub fn final_deliveries(scenario: &Scenario, kept: &[Transfer], losses: &[Loss]) -> Vec<Delivery> {
     let mut tracker = CopyTracker::new(scenario, losses);
-    let mut depth: HashMap<(DataItemId, MachineId, SimTime), u32> = HashMap::new();
+    // Per (item, machine): the arrivals there, each with its hop depth.
+    let mut depth: HashMap<(DataItemId, MachineId), Vec<(SimTime, u32)>> = HashMap::new();
     let mut sorted: Vec<&Transfer> = kept.iter().collect();
     sorted.sort_by_key(|t| (t.start, t.arrival, t.link));
     for t in sorted {
-        let from_depth = depth.iter().filter_map(|(&(i, m, at), &d)| {
-            (i == t.item && m == t.from && at <= t.start).then_some(d)
-        });
-        let d = from_depth.min().unwrap_or(0) + 1;
-        depth.insert((t.item, t.to, t.arrival), d);
+        let from_depth = depth
+            .get(&(t.item, t.from))
+            .and_then(|arrivals| {
+                arrivals.iter().filter(|&&(at, _)| at <= t.start).map(|&(_, d)| d).min()
+            })
+            .unwrap_or(0);
+        let arrivals = depth.entry((t.item, t.to)).or_default();
+        match arrivals.iter_mut().find(|(at, _)| *at == t.arrival) {
+            Some(entry) => entry.1 = from_depth + 1,
+            None => arrivals.push((t.arrival, from_depth + 1)),
+        }
         tracker.add(t.item, t.to, t.arrival);
     }
     let mut deliveries = Vec::new();
     for (req_id, req) in scenario.requests() {
         if let Some(at) = tracker.earliest_surviving(req.item(), req.destination(), req.deadline())
         {
-            let hops = depth.get(&(req.item(), req.destination(), at)).copied().unwrap_or(0);
+            let hops = depth
+                .get(&(req.item(), req.destination()))
+                .and_then(|arrivals| arrivals.iter().find(|&&(a, _)| a == at))
+                .map_or(0, |&(_, d)| d);
             deliveries.push(Delivery { request: req_id, at, hops });
         }
     }
@@ -192,22 +203,10 @@ pub fn replay_state(
             return Err(*t);
         }
     }
-    let scenario = state.scenario();
-    let tracker = CopyTracker::new(scenario, losses);
     for &(item, machine, tl) in losses {
         state.remove_copies(item, machine, tl);
-        // A request delivered by a now-lost copy becomes pending again
-        // when its deadline is still ahead (the copy did not survive
-        // long enough to be used).
-        for &req_id in scenario.requests_for(item) {
-            let req = scenario.request(req_id);
-            if req.destination() == machine
-                && tl <= req.deadline()
-                && state.delivery_of(req_id).is_some_and(|d| d.at <= tl)
-                && !tracker.present(item, machine, req.deadline())
-            {
-                state.revoke_delivery(req_id);
-            }
+        for req_id in state.scenario().requests_for(item).to_vec() {
+            revoke_if_lost(state, req_id, machine, tl);
         }
     }
     for &(link, tl) in outages {
@@ -217,11 +216,55 @@ pub fn replay_state(
     Ok(())
 }
 
+/// Revokes `request`'s delivery when the copy that made it was on
+/// `machine` at `lost_at`, before the deadline: the copy did not survive
+/// long enough to be used, so the request is pending again. (A destination
+/// is never an original source of its item, so nothing else on the
+/// machine could stand in for the lost copy.)
+fn revoke_if_lost(
+    state: &mut SchedulerState<'_>,
+    request: RequestId,
+    machine: MachineId,
+    lost_at: SimTime,
+) {
+    let req = state.scenario().request(request);
+    if req.destination() == machine
+        && lost_at <= req.deadline()
+        && state.delivery_of(request).is_some_and(|d| d.at <= lost_at)
+    {
+        state.revoke_delivery(request);
+    }
+}
+
+/// Adds one request to a state built by [`replay_state`], leaving it as a
+/// replay of the same transfers and disturbances over the grown scenario
+/// would: [`SchedulerState::add_request`] lengthens the holds and serves
+/// the request from a copy already staged on its destination, and the
+/// `losses` on that destination revoke the delivery as they would have in
+/// the replay.
+///
+/// # Errors
+///
+/// Passes on [`SchedulerState::add_request`]'s refusal; the state is
+/// unchanged.
+pub fn append_request(
+    state: &mut SchedulerState<'_>,
+    request: Request,
+    losses: &[Loss],
+) -> Result<RequestId, AddRequestError> {
+    let id = state.add_request(request)?;
+    for &(item, machine, tl) in losses {
+        if item == request.item() {
+            revoke_if_lost(state, id, machine, tl);
+        }
+    }
+    Ok(id)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dstage_core::heuristic::{drive_state, run, HeuristicConfig};
-    use dstage_model::ids::RequestId;
     use dstage_workload::small::{fan_out, two_hop_chain};
 
     #[test]
@@ -257,6 +300,37 @@ mod tests {
         let (plan, _) = state.into_outcome();
         assert_eq!(plan.transfers().len(), valid.len());
         assert_eq!(plan.deliveries().len(), outcome.schedule.deliveries().len());
+    }
+
+    #[test]
+    fn append_request_equals_a_replay_with_the_request_present() {
+        // Replay a plan into a state that lacks the last request, append
+        // it, and compare with the replay over the whole request set —
+        // with no disturbance (the request is served by its staged copy)
+        // and with that copy lost before the deadline (the delivery is
+        // revoked, as the replay revokes it).
+        let scenario = fan_out();
+        let policy = crate::OnlinePolicy::paper_best();
+        let outcome = run(&scenario, policy.heuristic, &policy.config);
+        let (kept, _) =
+            filter_consistent(&scenario, outcome.schedule.transfers().to_vec(), &[], &[]);
+        let mut fewer = scenario.clone();
+        let last = fewer.pop_request().expect("fan_out has requests");
+        let arrival = outcome
+            .schedule
+            .delivery_of(RequestId::new(fewer.request_count() as u32))
+            .expect("the last request is delivered")
+            .at;
+        let lost = (last.item(), last.destination(), arrival);
+        for losses in [vec![], vec![lost]] {
+            let mut whole = SchedulerState::owning(scenario.clone(), true);
+            replay_state(&mut whole, &kept, &[], &losses, SimTime::ZERO).unwrap();
+            let mut grown = SchedulerState::owning(fewer.clone(), true);
+            replay_state(&mut grown, &kept, &[], &losses, SimTime::ZERO).unwrap();
+            let id = append_request(&mut grown, last, &losses).unwrap();
+            assert_eq!(grown.first_difference(&whole), None, "{} losses", losses.len());
+            assert_eq!(grown.delivery_of(id).is_some(), losses.is_empty());
+        }
     }
 
     #[test]

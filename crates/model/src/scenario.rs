@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::data::DataItem;
 use crate::error::ScenarioError;
-use crate::ids::{DataItemId, MachineId, RequestId};
+use crate::ids::{DataItemId, RequestId};
 use crate::network::Network;
 use crate::request::{P2mpRequest, Request};
 use crate::time::{SimDuration, SimTime};
@@ -182,6 +182,64 @@ impl Scenario {
     pub fn gc_time(&self, item: DataItemId) -> Option<SimTime> {
         self.latest_deadline(item).map(|d| (d + self.gc_delay).min(self.horizon))
     }
+
+    /// Validates one more request against the paper's §3 invariants and
+    /// appends it, indexed under its item — the in-place counterpart of
+    /// [`ScenarioBuilder::add_request`] for a scenario that grows while it
+    /// is being served. Returns the id the request was given.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ScenarioError`] [`ScenarioBuilder::build`] reports
+    /// for the same request (unknown item or machine, an item without
+    /// sources, a source as destination, a duplicate pair); the scenario
+    /// is unchanged.
+    pub fn push_request(&mut self, request: Request) -> Result<RequestId, ScenarioError> {
+        let id = RequestId::new(self.requests.len() as u32);
+        let Some(item) = self.items.get(request.item().index()) else {
+            return Err(ScenarioError::UnknownItem { request: id, item: request.item() });
+        };
+        if request.destination().index() >= self.network.machine_count() {
+            return Err(ScenarioError::UnknownMachine {
+                machine: request.destination(),
+                context: "request destination",
+            });
+        }
+        if item.sources().is_empty() {
+            return Err(ScenarioError::RequestedItemWithoutSources { item: request.item() });
+        }
+        if item.has_source(request.destination()) {
+            return Err(ScenarioError::SourceIsDestination {
+                request: id,
+                machine: request.destination(),
+            });
+        }
+        let siblings = &mut self.requests_by_item[request.item().index()];
+        if let Some(&first) = siblings
+            .iter()
+            .find(|&&r| self.requests[r.index()].destination() == request.destination())
+        {
+            return Err(ScenarioError::DuplicateRequest { first, second: id });
+        }
+        siblings.push(id);
+        self.requests.push(request);
+        Ok(id)
+    }
+
+    /// Removes the most recently pushed request (the inverse of
+    /// [`Scenario::push_request`]); `None` when there is none.
+    pub fn pop_request(&mut self) -> Option<Request> {
+        let request = self.requests.pop()?;
+        self.requests_by_item[request.item().index()].pop();
+        Some(request)
+    }
+
+    /// Moves the end of the scheduling horizon. A served scenario
+    /// stretches it when a new deadline plus `γ` would pass it, and moves
+    /// it back when that request is withdrawn.
+    pub fn set_horizon(&mut self, horizon: SimTime) {
+        self.horizon = horizon;
+    }
 }
 
 /// Builder for [`Scenario`]; see [`Scenario::builder`].
@@ -281,51 +339,22 @@ impl ScenarioBuilder {
             }
         }
 
-        let mut requests_by_item = vec![Vec::new(); self.items.len()];
-        let mut seen_pairs: HashMap<(DataItemId, MachineId), RequestId> = HashMap::new();
-        for (i, req) in self.requests.iter().enumerate() {
-            let id = RequestId::new(i as u32);
-            if req.item().index() >= self.items.len() {
-                return Err(ScenarioError::UnknownItem { request: id, item: req.item() });
-            }
-            if req.destination().index() >= m {
-                return Err(ScenarioError::UnknownMachine {
-                    machine: req.destination(),
-                    context: "request destination",
-                });
-            }
-            let item = &self.items[req.item().index()];
-            if item.sources().is_empty() {
-                return Err(ScenarioError::RequestedItemWithoutSources { item: req.item() });
-            }
-            if item.has_source(req.destination()) {
-                return Err(ScenarioError::SourceIsDestination {
-                    request: id,
-                    machine: req.destination(),
-                });
-            }
-            if let Some(&first) = seen_pairs.get(&(req.item(), req.destination())) {
-                return Err(ScenarioError::DuplicateRequest { first, second: id });
-            }
-            seen_pairs.insert((req.item(), req.destination()), id);
-            requests_by_item[req.item().index()].push(id);
-        }
-
-        for (gi, group) in self.p2mp_groups.iter().enumerate() {
-            if group.is_empty() {
-                return Err(ScenarioError::EmptyP2mpGroup { group: gi });
-            }
-        }
-
-        Ok(Scenario {
+        let mut scenario = Scenario {
             network: self.network,
+            requests_by_item: vec![Vec::new(); self.items.len()],
             items: self.items,
-            requests: self.requests,
-            requests_by_item,
+            requests: Vec::with_capacity(self.requests.len()),
             p2mp_groups: if self.p2mp_groups.is_empty() { None } else { Some(self.p2mp_groups) },
             gc_delay: self.gc_delay,
             horizon: self.horizon,
-        })
+        };
+        for request in self.requests {
+            scenario.push_request(request)?;
+        }
+        if let Some(group) = scenario.p2mp_groups().iter().position(Vec::is_empty) {
+            return Err(ScenarioError::EmptyP2mpGroup { group });
+        }
+        Ok(scenario)
     }
 }
 
@@ -333,6 +362,7 @@ impl ScenarioBuilder {
 mod tests {
     use super::*;
     use crate::data::DataSource;
+    use crate::ids::MachineId;
     use crate::link::VirtualLink;
     use crate::machine::Machine;
     use crate::request::Priority;
@@ -631,6 +661,50 @@ mod tests {
         assert!(json.contains("p2mp_groups"));
         let back: Scenario = serde_json::from_str(&json).unwrap();
         assert_eq!(back.p2mp_groups(), s.p2mp_groups());
+    }
+
+    #[test]
+    fn push_request_validates_like_build_and_pop_undoes_it() {
+        let request = |item: u32, dest: u32| {
+            Request::new(
+                DataItemId::new(item),
+                MachineId::new(dest),
+                SimTime::from_mins(30),
+                Priority::LOW,
+            )
+        };
+        let mut s = Scenario::builder(net(3))
+            .add_item(item_at(0))
+            .add_item(DataItem::new("nowhere", Bytes::ZERO, vec![]))
+            .build()
+            .unwrap();
+        assert_eq!(s.push_request(request(0, 2)), Ok(RequestId::new(0)));
+        assert_eq!(s.requests_for(DataItemId::new(0)), &[RequestId::new(0)]);
+        // Every refusal names the id the request would have had and
+        // leaves the scenario as it was.
+        let second = RequestId::new(1);
+        assert_eq!(
+            s.push_request(request(9, 1)),
+            Err(ScenarioError::UnknownItem { request: second, item: DataItemId::new(9) })
+        );
+        assert!(matches!(s.push_request(request(0, 7)), Err(ScenarioError::UnknownMachine { .. })));
+        assert!(matches!(
+            s.push_request(request(1, 1)),
+            Err(ScenarioError::RequestedItemWithoutSources { .. })
+        ));
+        assert_eq!(
+            s.push_request(request(0, 0)),
+            Err(ScenarioError::SourceIsDestination { request: second, machine: MachineId::new(0) })
+        );
+        assert_eq!(
+            s.push_request(request(0, 2)),
+            Err(ScenarioError::DuplicateRequest { first: RequestId::new(0), second })
+        );
+        assert_eq!(s.request_count(), 1);
+        assert_eq!(s.push_request(request(0, 1)), Ok(second));
+        assert_eq!(s.pop_request(), Some(request(0, 1)));
+        assert_eq!(s.requests_for(DataItemId::new(0)), &[RequestId::new(0)]);
+        assert_eq!(s.push_request(request(0, 1)), Ok(second), "the pair is free again");
     }
 
     #[test]

@@ -131,6 +131,34 @@ impl BusyIntervals {
         Ok(())
     }
 
+    /// Frees `[start, end)` again — the exact inverse of the
+    /// [`BusyIntervals::reserve`] that booked it, splitting the merged
+    /// span it sits in where neighbours abut.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span is empty or not entirely busy: only a
+    /// reservation that was made can be taken back.
+    pub fn release(&mut self, start: SimTime, end: SimTime) {
+        assert!(start < end, "released span must be non-empty");
+        let idx = self.spans.partition_point(|&(_, e)| e <= start);
+        let (s, e) = match self.spans.get(idx) {
+            Some(&(s, e)) if s <= start && end <= e => (s, e),
+            _ => panic!("released span [{start}, {end}) is not reserved"),
+        };
+        match (s < start, end < e) {
+            (true, true) => {
+                self.spans[idx].1 = start;
+                self.spans.insert(idx + 1, (end, e));
+            }
+            (true, false) => self.spans[idx].1 = start,
+            (false, true) => self.spans[idx].0 = end,
+            (false, false) => {
+                self.spans.remove(idx);
+            }
+        }
+    }
+
     /// The earliest `start >= ready` such that `[start, start + duration)`
     /// is free and `start + duration <= limit`.
     ///
@@ -352,6 +380,34 @@ mod tests {
         b.reserve(t(30), t(40)).unwrap();
         assert_eq!(b.len(), 1);
         assert_eq!(b.iter().next(), Some((t(0), t(50))));
+    }
+
+    #[test]
+    fn release_is_the_exact_inverse_of_reserve() {
+        let mut b = BusyIntervals::new();
+        b.reserve(t(0), t(10)).unwrap();
+        b.reserve(t(20), t(30)).unwrap();
+        let before = b.clone();
+        // Abutting on both sides: the three spans merge, the release
+        // splits them again.
+        b.reserve(t(10), t(20)).unwrap();
+        assert_eq!(b.len(), 1);
+        b.release(t(10), t(20));
+        assert_eq!(b, before);
+        // Abutting on one side, and free-standing.
+        for (s, e) in [(30, 35), (5_000, 5_001)] {
+            b.reserve(t(s), t(e)).unwrap();
+            b.release(t(s), t(e));
+            assert_eq!(b, before);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not reserved")]
+    fn releasing_free_time_panics() {
+        let mut b = BusyIntervals::new();
+        b.reserve(t(0), t(10)).unwrap();
+        b.release(t(5), t(15));
     }
 
     #[test]

@@ -80,6 +80,26 @@ impl ChangeJournal {
         (&self.links[mark.links..], &self.machines[mark.machines..])
     }
 
+    /// Forgets everything recorded, returning to the empty journal. Every
+    /// [`JournalMark`] taken before is meaningless afterwards: the caller
+    /// must hold no tree that was marked against the dropped records.
+    pub fn clear(&mut self) {
+        self.links.clear();
+        self.machines.clear();
+    }
+
+    /// Number of records held, links and machines together.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.links.len() + self.machines.len()
+    }
+
+    /// Whether nothing is recorded.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// Whether nothing was consumed after `mark`.
     #[must_use]
     pub fn is_clean(&self, mark: JournalMark) -> bool {

@@ -107,7 +107,7 @@ impl std::error::Error for CommitError {}
 ///     .unwrap();
 /// assert_eq!(next.start, slot.arrival);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NetworkLedger {
     links: Vec<BusyIntervals>,
     stores: Vec<CapacityTimeline>,
@@ -286,6 +286,32 @@ impl NetworkLedger {
         Ok(TransferSlot { start, arrival })
     }
 
+    /// Takes a committed transfer back: frees the link over `[start,
+    /// arrival)` and the receiving machine's storage over `[start,
+    /// hold_until)` — the exact inverse of the
+    /// [`NetworkLedger::commit_transfer`] with the same arguments, for a
+    /// caller that withdraws a plan it has just made.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no such transfer is booked on the link.
+    pub fn release_transfer(
+        &mut self,
+        network: &Network,
+        link: VirtualLinkId,
+        start: SimTime,
+        size: Bytes,
+        hold_until: SimTime,
+    ) {
+        let vl: &VirtualLink = network.link(link);
+        let duration = vl.transfer_time(size);
+        let arrival = start + duration;
+        if !duration.is_zero() {
+            self.links[link.index()].release(start, arrival);
+        }
+        self.stores[vl.destination().index()].release(size, start, hold_until.max(arrival));
+    }
+
     /// Reserves storage on a machine without a transfer — used for initial
     /// source copies and for extending a destination's hold.
     ///
@@ -323,6 +349,19 @@ impl NetworkLedger {
         self.stores[machine.index()]
             .reserve(size, from, until)
             .map_err(|_| CommitError::StorageFull { machine })
+    }
+
+    /// Takes a storage reservation back — the inverse of
+    /// [`NetworkLedger::reserve_storage`] and
+    /// [`NetworkLedger::force_storage`] over the same span.
+    pub fn release_storage(
+        &mut self,
+        machine: MachineId,
+        size: Bytes,
+        from: SimTime,
+        until: SimTime,
+    ) {
+        self.stores[machine.index()].release(size, from, until);
     }
 
     /// Makes a link unusable over `[from, to)` regardless of its window —
@@ -503,6 +542,19 @@ mod tests {
         // A third one ready at t=5 starts at 20.
         let s3 = ledger.earliest_transfer(&net, l, t(5), size, SimTime::MAX).unwrap();
         assert_eq!(s3.start, t(20));
+    }
+
+    #[test]
+    fn release_transfer_undoes_a_commit() {
+        let (net, l) = simple_net();
+        let mut ledger = NetworkLedger::new(&net);
+        let size = Bytes::new(10_000);
+        ledger.commit_transfer(&net, l, t(0), size, t(90)).unwrap();
+        let before = ledger.clone();
+        let slot = ledger.commit_transfer(&net, l, t(10), size, t(60)).unwrap();
+        assert_ne!(ledger, before);
+        ledger.release_transfer(&net, l, slot.start, size, t(60));
+        assert_eq!(ledger, before);
     }
 
     #[test]

@@ -231,6 +231,20 @@ impl CapacityTimeline {
         self.apply_span(size, from, until);
     }
 
+    /// Takes `size` bytes over `[from, until)` back — the exact inverse of
+    /// the [`CapacityTimeline::reserve`] or
+    /// [`CapacityTimeline::force_reserve`] that booked them. Releasing
+    /// what was never reserved trips the non-negative usage invariant at
+    /// the next read.
+    pub fn release(&mut self, size: Bytes, from: SimTime, until: SimTime) {
+        if from >= until || size == Bytes::ZERO {
+            return;
+        }
+        // The same deltas with the ends swapped: `-size` at `from`, `+size`
+        // at `until`.
+        self.apply_span(size, until, from);
+    }
+
     /// Applies `+size` at `from` and `-size` at `until`, chunking sizes
     /// above `i64::MAX` into several balanced i64 deltas. This is where
     /// reservations beyond `i64::MAX` bytes used to panic through
@@ -305,6 +319,22 @@ mod tests {
         assert_eq!(tl.used_at(t(10)), kb(4));
         assert_eq!(tl.used_at(t(19)), kb(4));
         assert_eq!(tl.used_at(t(20)), Bytes::ZERO);
+    }
+
+    #[test]
+    fn release_is_the_exact_inverse_of_reserve() {
+        let mut tl = CapacityTimeline::new(kb(10));
+        tl.reserve(kb(4), t(0), t(100)).unwrap();
+        let before = tl.clone();
+        // Sharing an event instant with the standing reservation, and not.
+        for (from, until) in [(0, 50), (100, 200), (20, 30)] {
+            tl.reserve(kb(3), t(from), t(until)).unwrap();
+            tl.release(kb(3), t(from), t(until));
+            assert_eq!(tl, before);
+        }
+        tl.force_reserve(kb(50), t(10), t(20));
+        tl.release(kb(50), t(10), t(20));
+        assert_eq!(tl, before);
     }
 
     #[test]

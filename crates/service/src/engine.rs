@@ -1,13 +1,17 @@
 //! Incremental admission control on top of the offline heuristics.
 //!
-//! The [`AdmissionEngine`] owns the live catalog (network + data items),
-//! the set of admitted requests, and the committed link reservations.
-//! Each `submit` rebuilds a one-candidate [`Scenario`], replays the
-//! committed reservations into a fresh [`SchedulerState`] (the same
-//! replay machinery the dstage-dynamic rolling horizon uses), and lets
-//! the configured heuristic try to route the candidate. If the candidate
-//! can be delivered by its deadline it is admitted and its path becomes
-//! part of the ledger; otherwise it is rejected and leaves no residue.
+//! The [`AdmissionEngine`] owns one long-lived [`SchedulerState`] — the
+//! resource ledger, copy sets, holds and deliveries over a scenario that
+//! holds the catalog (network + data items) and every admitted request —
+//! beside the committed link reservations and the decision log. Each
+//! `submit` appends the candidate to that scenario and lets the configured
+//! heuristic try to route it on the live state: admitted, its path becomes
+//! part of the ledger; refused, what it touched is rolled back and it
+//! leaves no residue. A decision costs what its own route costs, however
+//! many were admitted before. The state is rebuilt — the committed
+//! reservations replayed into a fresh one by [`replay_state`], as the
+//! dstage-dynamic rolling horizon does — only where reservations are
+//! *removed*: on `restore`, per `inject`, and per optimizer trial.
 //!
 //! `inject` feeds a live disturbance (link outage / copy loss) into the
 //! engine: committed reservations the disturbance invalidates are
@@ -24,23 +28,23 @@
 //! order through a fresh engine must produce a byte-identical snapshot.
 
 use std::cmp::Reverse;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use dstage_core::heuristic::{drive_state, Heuristic, HeuristicConfig};
 use dstage_core::schedule::{Delivery, Schedule, Transfer};
-use dstage_core::state::SchedulerState;
-use dstage_dynamic::{filter_consistent, final_deliveries, replay_state, Loss, Outage};
-use dstage_model::data::DataItem;
+use dstage_core::state::{AddRequestError, HoldRefused, Savepoint, SchedulerState};
+use dstage_dynamic::{
+    append_request, filter_consistent, final_deliveries, replay_state, Loss, Outage,
+};
 use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
-use dstage_model::network::Network;
 use dstage_model::request::{Priority, Request};
 use dstage_model::scenario::Scenario;
-use dstage_model::time::{SimDuration, SimTime};
+use dstage_model::time::SimTime;
 use serde::Value;
 
 use crate::protocol::{
-    InjectArgs, InjectKind, InjectResponse, OptimizeResponse, P2mpSubmitArgs, P2mpSubmitResponse,
-    QueryResponse, RouteHop, SubmitArgs, SubmitResponse,
+    submit_args, ClientRequest, InjectArgs, InjectKind, InjectResponse, OptimizeResponse,
+    P2mpSubmitArgs, P2mpSubmitResponse, QueryResponse, RouteHop, SubmitArgs, SubmitResponse,
 };
 
 /// Swap budget used when an `optimize` request does not name one.
@@ -173,10 +177,6 @@ struct AdmittedInfo {
     route: Vec<Transfer>,
 }
 
-/// What admitting a candidate adds to the engine: the validated request,
-/// the delivery it is promised, and the new link reservations.
-type Admission = (Request, Delivery, Vec<Transfer>);
-
 /// Bounded idempotency-key index with FIFO (insertion-order) eviction.
 ///
 /// The unbounded map was a memory leak under sustained keyed traffic.
@@ -232,19 +232,25 @@ impl IdempotencyCache {
 /// no interior mutability — wrap it in a lock to share).
 #[derive(Debug, Clone)]
 pub struct AdmissionEngine {
-    network: Network,
-    items: Vec<DataItem>,
+    /// The live scheduling state. Its scenario is the catalog plus every
+    /// admitted request (evicted ones included), in admission order; all
+    /// of them are inactive between decisions.
+    state: SchedulerState<'static>,
     item_ids: HashMap<String, u32>,
-    gc_delay: SimDuration,
-    horizon: SimTime,
+    fingerprint: String,
     heuristic: Heuristic,
     config: HeuristicConfig,
-    admitted: Vec<Request>,
     info: Vec<AdmittedInfo>,
+    /// Every reservation in force, in the order `state` booked them; the
+    /// state itself keeps only the ledger they are booked in.
     committed: Vec<Transfer>,
     outages: Vec<Outage>,
     losses: Vec<Loss>,
     now: SimTime,
+    /// The refusal every decision gets while `committed` does not replay
+    /// (an internal inconsistency; `state` is then a partial replay). The
+    /// next rebuild that succeeds clears it.
+    wedged: Option<String>,
     idempotency: IdempotencyCache,
     log: Vec<LogRecord>,
     /// `LogRecord::Submission` entries in `log`, kept so
@@ -259,27 +265,45 @@ impl AdmissionEngine {
     /// state starts empty and grows one `submit` at a time.
     #[must_use]
     pub fn new(catalog: &Scenario, heuristic: Heuristic, config: HeuristicConfig) -> Self {
-        let items: Vec<DataItem> = catalog.items().map(|(_, item)| item.clone()).collect();
-        let item_ids =
-            items.iter().enumerate().map(|(i, item)| (item.name().to_string(), i as u32)).collect();
+        let mut builder = Scenario::builder(catalog.network().clone())
+            .gc_delay(catalog.gc_delay())
+            .horizon(catalog.horizon());
+        for (_, item) in catalog.items() {
+            builder = builder.add_item(item.clone());
+        }
+        let served = builder.build().expect("the catalog validated its network and items");
+        let names: Vec<&str> = catalog.items().map(|(_, item)| item.name()).collect();
+        let fingerprint = format!(
+            "v1|machines={}|links={}|gc_ms={}|horizon_ms={}|heuristic={}|config={:?}|items={}",
+            catalog.network().machine_count(),
+            catalog.network().link_count(),
+            catalog.gc_delay().as_millis(),
+            catalog.horizon().as_millis(),
+            heuristic.label(),
+            config,
+            names.join(",")
+        );
         AdmissionEngine {
-            network: catalog.network().clone(),
-            items,
-            item_ids,
-            gc_delay: catalog.gc_delay(),
-            horizon: catalog.horizon(),
+            item_ids: names.iter().enumerate().map(|(i, n)| (n.to_string(), i as u32)).collect(),
+            fingerprint,
+            state: SchedulerState::owning(served, config.caching),
             heuristic,
             config,
-            admitted: Vec::new(),
             info: Vec::new(),
             committed: Vec::new(),
             outages: Vec::new(),
             losses: Vec::new(),
             now: SimTime::ZERO,
+            wedged: None,
             idempotency: IdempotencyCache::new(IDEMPOTENCY_CAPACITY),
             log: Vec::new(),
             submissions: 0,
         }
+    }
+
+    /// The served scenario: the catalog plus every admitted request.
+    fn scenario(&self) -> &Scenario {
+        self.state.scenario()
     }
 
     /// Overrides the idempotency window, trimming oldest keys if needed.
@@ -291,13 +315,13 @@ impl AdmissionEngine {
 
     /// Names of the data items in the catalog, in id order.
     pub fn item_names(&self) -> impl Iterator<Item = &str> {
-        self.items.iter().map(DataItem::name)
+        self.scenario().items().map(|(_, item)| item.name())
     }
 
     /// Number of machines in the served network.
     #[must_use]
     pub fn machine_count(&self) -> usize {
-        self.network.machine_count()
+        self.scenario().network().machine_count()
     }
 
     /// Number of processed submissions (admitted + rejected); injections
@@ -314,7 +338,7 @@ impl AdmissionEngine {
     /// Number of admitted requests (including later-evicted ones).
     #[must_use]
     pub fn admitted_count(&self) -> usize {
-        self.admitted.len()
+        self.scenario().request_count()
     }
 
     /// The processed operations, in decision order.
@@ -352,17 +376,15 @@ impl AdmissionEngine {
         }
         let submission = self.log.len() as u64;
         dstage_obs::metrics::SERVICE_DECISIONS.inc();
-        let decision = match self.evaluate(args) {
+        let decision = match self.decide(args) {
             Err(reason) => {
                 dstage_obs::metrics::SERVICE_REFUSED.inc();
                 Decision::Rejected { reason }
             }
-            Ok((candidate, delivery, route)) => {
+            Ok((delivery, new_transfers)) => {
                 dstage_obs::metrics::SERVICE_ADMIT_SLACK_MS
                     .record(args.deadline_ms.saturating_sub(delivery.at.as_millis()));
                 dstage_obs::metrics::SERVICE_ADMITTED.inc();
-                let new_transfers = route.len();
-                self.admit(candidate, delivery, route);
                 Decision::Admitted {
                     request: delivery.request,
                     eta: delivery.at,
@@ -455,107 +477,163 @@ impl AdmissionEngine {
         }
     }
 
-    /// Evaluates one submission against the current state without
-    /// mutating anything — the read half of a decision. `Err` carries the
-    /// refusal reason.
-    fn evaluate(&self, args: &SubmitArgs) -> Result<Admission, String> {
-        let Some(&item) = self.item_ids.get(args.item.as_str()) else {
-            return Err(format!("unknown data item `{}`", args.item));
+    /// Decides one submission on the live state: appends the candidate,
+    /// lets the heuristic route it, and either keeps what was booked
+    /// (returning the delivery and the number of new reservations) or
+    /// rolls everything back. `Err` carries the refusal reason.
+    fn decide(&mut self, args: &SubmitArgs) -> Result<(Delivery, usize), String> {
+        let (candidate, collected) = self.candidate(args)?;
+        let savepoint = self.state.savepoint(candidate.item());
+        let id = match append_request(&mut self.state, candidate, &self.losses) {
+            Ok(id) => id,
+            // Validation errors name the candidate by its positional id,
+            // `R{admitted count}`; recorded logs and snapshots carry the
+            // reason with that token rewritten to a stable label, so the
+            // rewrite is part of the wire format. Ids of earlier requests
+            // are smaller and never contain it as a substring.
+            Err(AddRequestError::Invalid(e)) => {
+                let token = format!("R{}", self.admitted_count());
+                return Err(e.to_string().replace(&token, "the candidate"));
+            }
+            Err(AddRequestError::Hold(refused)) => return Err(self.hold_reason(refused)),
         };
-        if args.priority >= self.config.priority_weights.levels() {
-            return Err(format!(
-                "priority {} out of range (weighting has {} levels)",
-                args.priority,
-                self.config.priority_weights.levels()
-            ));
+        if collected > self.scenario().horizon() {
+            if let Err(refused) = self.state.set_horizon(collected) {
+                self.state.rollback(savepoint);
+                return Err(self.hold_reason(refused));
+            }
         }
-        let candidate = Request::new(
-            DataItemId::new(item),
-            MachineId::new(args.destination),
-            SimTime::from_millis(args.deadline_ms),
-            Priority::new(args.priority),
-        );
-        let candidate_id = RequestId::new(self.admitted.len() as u32);
-        // Validation errors name the candidate by its positional id,
-        // `R{admitted count}`; recorded logs and snapshots carry the
-        // reason with that token rewritten to a stable label, so the
-        // rewrite is part of the wire format. Admitted requests always
-        // revalidate cleanly, so the token can only be the candidate's;
-        // ids of earlier requests are smaller and never contain it as a
-        // substring.
-        let scenario = self.build_scenario(Some(candidate)).map_err(|reason| {
-            reason.replace(&format!("R{}", candidate_id.index()), "the candidate")
-        })?;
-        let (delivery, route) =
-            self.route_candidate(&scenario, candidate_id)?.ok_or_else(|| {
+        let Some((delivery, route)) = self.settle(id, savepoint) else {
+            return Err(self.wedged.clone().unwrap_or_else(|| {
                 format!(
                     "deadline {} ms unreachable for `{}` to M{} under the current ledger",
                     args.deadline_ms, args.item, args.destination
                 )
-            })?;
-        Ok((candidate, delivery, route))
-    }
-
-    /// The write half of an admission: reserves the route and records
-    /// the request under the id its delivery was planned for.
-    fn admit(&mut self, candidate: Request, delivery: Delivery, route: Vec<Transfer>) {
-        debug_assert_eq!(delivery.request.index(), self.admitted.len());
-        self.committed.extend(route.iter().copied());
+            }));
+        };
+        let new_transfers = route.len();
         self.info.push(AdmittedInfo {
             status: RequestStatus::Admitted,
             delivery: Some(delivery),
             route,
         });
-        self.admitted.push(candidate);
+        Ok((delivery, new_transfers))
     }
 
-    /// Tries to route `target` on top of the committed ledger and the
-    /// disturbances so far. Returns the delivery plus the *new* transfers
-    /// the plan adds (membership-filtered, not prefix-sliced: a replay
-    /// may satisfy a hop from an already-staged copy without pushing a
-    /// duplicate reservation).
-    fn route_candidate(
-        &self,
-        scenario: &Scenario,
-        target: RequestId,
-    ) -> Result<Option<(Delivery, Vec<Transfer>)>, String> {
-        let mut state = SchedulerState::with_caching(scenario, self.config.caching);
-        for r in scenario.request_ids() {
-            if r != target {
-                state.set_request_active(r, false);
-            }
+    /// Checks an ask against the catalog and the weighting. Returns the
+    /// request it makes and when its item's copies are collected: `γ`
+    /// after the deadline, which the horizon never ends before.
+    fn candidate(&self, args: &SubmitArgs) -> Result<(Request, SimTime), String> {
+        let Some(&item) = self.item_ids.get(args.item.as_str()) else {
+            return Err(format!("unknown data item `{}`", args.item));
+        };
+        let levels = self.config.priority_weights.levels();
+        if args.priority >= levels {
+            return Err(format!(
+                "priority {} out of range (weighting has {levels} levels)",
+                args.priority
+            ));
         }
-        replay_state(&mut state, &self.committed, &self.outages, &self.losses, self.now)
-            .map_err(|t| format!("internal: committed reservation failed to replay: {t:?}"))?;
-        drive_state(&mut state, self.heuristic, &self.config);
-        let (plan, _metrics) = state.into_outcome();
-        let deadline = scenario.request(target).deadline();
-        Ok(plan.delivery_of(target).filter(|d| d.at <= deadline).map(|delivery| {
-            let route: Vec<Transfer> =
-                plan.transfers().iter().filter(|t| !self.committed.contains(t)).copied().collect();
-            (delivery, route)
-        }))
+        let deadline = SimTime::from_millis(args.deadline_ms);
+        let Some(collected) = deadline.checked_add(self.scenario().gc_delay()) else {
+            return Err(format!("deadline {} ms is past the end of time", args.deadline_ms));
+        };
+        let request = Request::new(
+            DataItemId::new(item),
+            MachineId::new(args.destination),
+            deadline,
+            Priority::new(args.priority),
+        );
+        Ok((request, collected))
     }
 
-    fn build_scenario(&self, candidate: Option<Request>) -> Result<Scenario, String> {
-        let latest = self
-            .admitted
-            .iter()
-            .map(Request::deadline)
-            .chain(candidate.map(|c| c.deadline()))
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        let horizon = self.horizon.max(latest + self.gc_delay);
-        let mut builder =
-            Scenario::builder(self.network.clone()).gc_delay(self.gc_delay).horizon(horizon);
-        for item in &self.items {
-            builder = builder.add_item(item.clone());
+    /// The refusal reason for a hold that cannot be lengthened: a later
+    /// deadline (or a new destination) for an item keeps its staged copies
+    /// longer, and one of the machines holding them is full by then.
+    fn hold_reason(&self, refused: HoldRefused) -> String {
+        format!(
+            "storage on M{} cannot hold `{}` until {} ms",
+            refused.machine.index(),
+            self.scenario().item(refused.item).name(),
+            refused.until.as_millis()
+        )
+    }
+
+    /// Lets the heuristic route request `id`, the only active one, on the
+    /// live state. Delivered, what was booked joins the committed list and
+    /// is returned with the delivery; otherwise the state goes back to
+    /// `savepoint`. While `committed` does not replay nothing is routed.
+    fn settle(&mut self, id: RequestId, savepoint: Savepoint) -> Option<(Delivery, Vec<Transfer>)> {
+        if self.wedged.is_none() {
+            self.state.set_request_active(id, true);
+            drive_state(&mut self.state, self.heuristic, &self.config);
+            self.state.set_request_active(id, false);
         }
-        builder
-            .add_requests(self.admitted.iter().copied())
-            .add_requests(candidate)
-            .build()
-            .map_err(|e| e.to_string())
+        let Some(delivery) = self.state.delivery_of(id).filter(|_| self.wedged.is_none()) else {
+            self.state.rollback(savepoint);
+            return None;
+        };
+        self.state.forget_trees();
+        let mut route = self.state.take_transfers();
+        // `replay_state` skips a transfer into a machine that held an
+        // equally early copy of the item, a copy since lost included. Such
+        // a reservation is in `committed` but not in the replayed ledger:
+        // the live state may book the very same one again (no addition),
+        // and the next replay skips whatever it books there. So rebuild.
+        let shadowed = |t: &Transfer| {
+            self.losses.iter().any(|&(item, machine, _)| item == t.item && machine == t.to)
+        };
+        let rebuild = route.iter().any(shadowed);
+        if rebuild {
+            route.retain(|t| !self.committed.contains(t));
+        }
+        self.committed.extend_from_slice(&route);
+        if rebuild {
+            self.rebuild();
+        }
+        Some((delivery, route))
+    }
+
+    /// A fresh state with `committed` and the disturbances so far
+    /// replayed into it, every request inactive — and the refusal reason
+    /// when `committed` does not replay.
+    fn replayed_state(&self) -> (SchedulerState<'static>, Option<String>) {
+        let mut state = SchedulerState::owning(self.scenario().clone(), self.config.caching);
+        for id in state.scenario().request_ids() {
+            state.set_request_active(id, false);
+        }
+        let wedged =
+            replay_state(&mut state, &self.committed, &self.outages, &self.losses, self.now)
+                .err()
+                .map(|t| format!("internal: committed reservation failed to replay: {t:?}"));
+        state.take_transfers();
+        state.forget_trees();
+        (state, wedged)
+    }
+
+    /// Replaces the live state by the replayed one.
+    fn rebuild(&mut self) {
+        (self.state, self.wedged) = self.replayed_state();
+    }
+
+    /// Records in the live state's journal of consumed resources: what the
+    /// decision in progress booked, nothing between decisions.
+    #[must_use]
+    pub fn journal_len(&self) -> usize {
+        self.state.journal_len()
+    }
+
+    /// How the live state differs from the one [`replay_state`] builds
+    /// from the admitted requests, the committed reservations and the
+    /// disturbances so far — `None` when it does not, the invariant every
+    /// decision relies on. For tests and debug assertions: it replays it all.
+    #[must_use]
+    pub fn live_state_divergence(&self) -> Option<String> {
+        if self.wedged.is_some() {
+            return None;
+        }
+        let (replayed, wedged) = self.replayed_state();
+        wedged.or_else(|| self.state.first_difference(&replayed))
     }
 
     /// Injects a disturbance and repairs the schedule around it.
@@ -574,11 +652,9 @@ impl AdmissionEngine {
         let at = SimTime::from_millis(args.at_ms);
         match &args.kind {
             InjectKind::LinkOutage { link } => {
-                if *link as usize >= self.network.link_count() {
-                    return Err(format!(
-                        "unknown link id {link} (network has {} links)",
-                        self.network.link_count()
-                    ));
+                let links = self.scenario().network().link_count();
+                if *link as usize >= links {
+                    return Err(format!("unknown link id {link} (network has {links} links)"));
                 }
                 self.outages.push((VirtualLinkId::new(*link), at));
             }
@@ -586,10 +662,10 @@ impl AdmissionEngine {
                 let Some(&item_id) = self.item_ids.get(item.as_str()) else {
                     return Err(format!("unknown data item `{item}`"));
                 };
-                if *machine as usize >= self.network.machine_count() {
+                if *machine as usize >= self.machine_count() {
                     return Err(format!(
                         "unknown machine id {machine} (network has {} machines)",
-                        self.network.machine_count()
+                        self.machine_count()
                     ));
                 }
                 self.losses.push((DataItemId::new(item_id), MachineId::new(*machine), at));
@@ -620,40 +696,25 @@ impl AdmissionEngine {
     }
 
     /// Incremental repair after a disturbance: cancel invalidated
-    /// reservations, refresh surviving deliveries, then re-route the
-    /// displaced requests best-first. Returns `(cancelled, repaired,
-    /// evicted)`.
+    /// reservations, rebuild the live state from the survivors, refresh
+    /// surviving deliveries, then re-route the displaced requests
+    /// best-first. Returns `(cancelled, repaired, evicted)`.
     fn repair(&mut self) -> (usize, Vec<u32>, Vec<u32>) {
-        let scenario =
-            self.build_scenario(None).expect("the admitted set was validated one submit at a time");
-        let (valid, cancelled) = filter_consistent(
-            &scenario,
-            std::mem::take(&mut self.committed),
-            &self.outages,
-            &self.losses,
-        );
-        self.committed = valid;
-        let committed = &self.committed;
-        for info in &mut self.info {
-            info.route.retain(|t| committed.contains(t));
+        let cancelled = self.cancel_inconsistent();
+        if !cancelled.is_empty() {
+            for info in &mut self.info {
+                info.route.retain(|t| !cancelled.contains(t));
+            }
         }
+        self.rebuild();
 
         // The surviving ledger is the authority on who is still promised
         // a delivery (survival-to-deadline semantics, §4.4).
-        let surviving = final_deliveries(&scenario, &self.committed, &self.losses);
-        let mut displaced: Vec<u32> = Vec::new();
-        for (id, info) in self.info.iter_mut().enumerate() {
-            if info.status == RequestStatus::Evicted {
-                continue;
-            }
-            match surviving.iter().find(|d| d.request.index() == id) {
-                Some(d) => info.delivery = Some(*d),
-                None => displaced.push(id as u32),
-            }
-        }
+        let mut displaced = self.refresh_deliveries();
+        let weights = &self.config.priority_weights;
+        let scenario = self.state.scenario();
         displaced.sort_by_key(|&id| {
-            let weight = self.config.priority_weights.weight(self.admitted[id as usize].priority());
-            (Reverse(weight), id)
+            (Reverse(weights.weight(scenario.request(RequestId::new(id)).priority())), id)
         });
         dstage_obs::metrics::SERVICE_DISPLACED.add(displaced.len() as u64);
         dstage_obs::metrics::SERVICE_DISPLACED_DEPTH
@@ -662,12 +723,10 @@ impl AdmissionEngine {
         let mut repaired = Vec::new();
         let mut evicted = Vec::new();
         for id in displaced {
-            // An internal replay failure (`Err`) means the surviving
-            // ledger itself is inconsistent; degrade by evicting rather
-            // than wedging the daemon.
-            match self.route_candidate(&scenario, RequestId::new(id)).unwrap_or(None) {
+            let request = RequestId::new(id);
+            let savepoint = self.state.savepoint(self.scenario().request(request).item());
+            match self.settle(request, savepoint) {
                 Some((delivery, route)) => {
-                    self.committed.extend(route.iter().copied());
                     let info = &mut self.info[id as usize];
                     info.status = RequestStatus::Repaired;
                     info.delivery = Some(delivery);
@@ -682,7 +741,41 @@ impl AdmissionEngine {
                 }
             }
         }
+        debug_assert_eq!(self.live_state_divergence(), None);
         (cancelled.len(), repaired, evicted)
+    }
+
+    /// Drops from `committed` the reservations the disturbances so far
+    /// invalidate (cascading through staged copies) and returns them.
+    fn cancel_inconsistent(&mut self) -> Vec<Transfer> {
+        let (valid, cancelled) = filter_consistent(
+            self.state.scenario(),
+            std::mem::take(&mut self.committed),
+            &self.outages,
+            &self.losses,
+        );
+        self.committed = valid;
+        cancelled
+    }
+
+    /// Refreshes every non-evicted request's delivery from what survives
+    /// in `committed`, and returns the ids left without one.
+    fn refresh_deliveries(&mut self) -> Vec<u32> {
+        let mut surviving: Vec<Option<Delivery>> = vec![None; self.info.len()];
+        for d in final_deliveries(self.state.scenario(), &self.committed, &self.losses) {
+            surviving[d.request.index()] = Some(d);
+        }
+        let mut displaced = Vec::new();
+        for (id, (info, delivery)) in self.info.iter_mut().zip(surviving).enumerate() {
+            if info.status == RequestStatus::Evicted {
+                continue;
+            }
+            match delivery {
+                Some(d) => info.delivery = Some(d),
+                None => displaced.push(id as u32),
+            }
+        }
+        displaced
     }
 
     /// Anytime evict-and-readmit hill climb over the live schedule.
@@ -703,12 +796,15 @@ impl AdmissionEngine {
         let levels = self.config.priority_weights.levels();
         // Rejected submissions an earlier pass already readmitted are
         // spent: their refusal has been converted into an admission.
-        let mut consumed: Vec<u64> = Vec::new();
-        for record in &self.log {
-            if let LogRecord::Optimization(o) = record {
-                consumed.extend(o.swaps.iter().map(|s| s.submission));
-            }
-        }
+        let consumed: HashSet<u64> = self
+            .log
+            .iter()
+            .filter_map(|record| match record {
+                LogRecord::Optimization(o) => Some(o.swaps.iter().map(|s| s.submission)),
+                _ => None,
+            })
+            .flatten()
+            .collect();
         let mut candidates: Vec<(u64, u64, SubmitArgs)> = Vec::new();
         for (index, record) in self.log.iter().enumerate() {
             let LogRecord::Submission(s) = record else { continue };
@@ -723,7 +819,7 @@ impl AdmissionEngine {
             // never be admitted, whatever capacity frees up.
             if !self.item_ids.contains_key(s.args.item.as_str())
                 || s.args.priority >= levels
-                || s.args.destination as usize >= self.network.machine_count()
+                || s.args.destination as usize >= self.machine_count()
             {
                 continue;
             }
@@ -734,35 +830,36 @@ impl AdmissionEngine {
 
         let mut attempted = 0u64;
         let mut swaps: Vec<SwapRecord> = Vec::new();
-        let mut incumbent = self.counters().weighted_sum;
+        let mut readmitted: HashSet<u64> = HashSet::new();
+        let mut incumbent = self.weighted_sum();
         'climb: loop {
             let kept_before = swaps.len();
+            // Satisfied requests, lightest first; it changes only when a
+            // swap is kept, which restarts the sweep.
+            let mut satisfied: Vec<(u64, u32)> = self
+                .scenario()
+                .requests()
+                .zip(&self.info)
+                .filter(|(_, info)| info.status != RequestStatus::Evicted)
+                .map(|((id, req), _)| {
+                    (self.config.priority_weights.weight(req.priority()), id.index() as u32)
+                })
+                .collect();
+            satisfied.sort_unstable();
             for (weight, submission, args) in &candidates {
-                if swaps.iter().any(|s| s.submission == *submission) {
+                if readmitted.contains(submission) {
                     continue;
                 }
-                // Victims strictly lighter than the candidate, lightest
-                // first — evicting heavier work could only lose weight.
-                let mut victims: Vec<(u64, u32)> = self
-                    .admitted
-                    .iter()
-                    .zip(&self.info)
-                    .enumerate()
-                    .filter(|(_, (_, info))| info.status != RequestStatus::Evicted)
-                    .map(|(id, (req, _))| {
-                        (self.config.priority_weights.weight(req.priority()), id as u32)
-                    })
-                    .filter(|&(w, _)| w < *weight)
-                    .collect();
-                victims.sort_unstable();
-                for (_, victim) in victims {
+                // Victims strictly lighter than the candidate — evicting
+                // heavier work could only lose weight.
+                for &(_, victim) in satisfied.iter().take_while(|&&(w, _)| w < *weight) {
                     if attempted >= budget {
                         break 'climb;
                     }
                     attempted += 1;
                     dstage_obs::metrics::SERVICE_OPT_SWAP_ATTEMPTS.inc();
                     let Some((trial, admitted)) = self.try_swap(args, victim) else { continue };
-                    let improved = trial.counters().weighted_sum;
+                    let improved = trial.weighted_sum();
                     if improved > incumbent {
                         dstage_obs::metrics::SERVICE_OPT_SWAPS_ACCEPTED.inc();
                         swaps.push(SwapRecord {
@@ -770,8 +867,10 @@ impl AdmissionEngine {
                             evicted: victim,
                             admitted,
                         });
+                        readmitted.insert(*submission);
                         incumbent = improved;
                         *self = trial;
+                        debug_assert_eq!(self.live_state_divergence(), None);
                         // The victim set changed; re-derive everything.
                         continue 'climb;
                     }
@@ -804,30 +903,22 @@ impl AdmissionEngine {
         trial.committed.retain(|t| !route.contains(t));
         trial.info[victim as usize].status = RequestStatus::Evicted;
         trial.info[victim as usize].delivery = None;
-        let scenario = trial.build_scenario(None).ok()?;
-        let (valid, cancelled) = filter_consistent(
-            &scenario,
-            std::mem::take(&mut trial.committed),
-            &trial.outages,
-            &trial.losses,
-        );
-        if !cancelled.is_empty() {
+        if !trial.cancel_inconsistent().is_empty() || !trial.refresh_deliveries().is_empty() {
             return None;
         }
-        trial.committed = valid;
-        let surviving = final_deliveries(&scenario, &trial.committed, &trial.losses);
-        for (id, info) in trial.info.iter_mut().enumerate() {
-            if info.status == RequestStatus::Evicted {
-                continue;
-            }
-            match surviving.iter().find(|d| d.request.index() == id) {
-                Some(d) => info.delivery = Some(*d),
-                None => return None,
-            }
-        }
-        let (candidate, delivery, route) = trial.evaluate(args).ok()?;
-        trial.admit(candidate, delivery, route);
+        trial.rebuild();
+        let (delivery, _) = trial.decide(args).ok()?;
         Some((trial, delivery.request.index() as u32))
+    }
+
+    /// Σ weight(priority) over the requests still promised a delivery.
+    fn weighted_sum(&self) -> u64 {
+        self.scenario()
+            .requests()
+            .zip(&self.info)
+            .filter(|(_, info)| info.status != RequestStatus::Evicted)
+            .map(|((_, req), _)| self.config.priority_weights.weight(req.priority()))
+            .sum()
     }
 
     /// Replays one snapshot-log record (an entry of the snapshot's
@@ -864,16 +955,15 @@ impl AdmissionEngine {
     ///
     /// Returns a message when `request` names no admitted request.
     pub fn query(&self, request: u32) -> Result<QueryResponse, String> {
-        let index = request as usize;
-        let (req, info) = match (self.admitted.get(index), self.info.get(index)) {
-            (Some(r), Some(i)) => (r, i),
-            _ => return Err(format!("unknown request id {request}")),
+        let Some(info) = self.info.get(request as usize) else {
+            return Err(format!("unknown request id {request}"));
         };
+        let req = self.scenario().request(RequestId::new(request));
         Ok(QueryResponse {
             ok: true,
             request: u64::from(request),
             status: info.status.as_str().to_string(),
-            item: self.items[req.item().index()].name().to_string(),
+            item: self.scenario().item(req.item()).name().to_string(),
             destination: req.destination().index() as u64,
             deadline_ms: req.deadline().as_millis(),
             priority: u64::from(req.priority().level()),
@@ -933,34 +1023,26 @@ impl AdmissionEngine {
                 }
             }
         }
-        let mut repaired = 0u64;
-        let mut evicted = 0u64;
-        let mut weighted_sum = 0u64;
-        for (req, info) in self.admitted.iter().zip(&self.info) {
-            match info.status {
-                RequestStatus::Admitted => {}
-                RequestStatus::Repaired => repaired += 1,
-                RequestStatus::Evicted => evicted += 1,
-            }
-            if info.status != RequestStatus::Evicted {
-                weighted_sum += self.config.priority_weights.weight(req.priority());
-            }
-        }
+        let tally = |status: RequestStatus| {
+            self.info.iter().filter(|info| info.status == status).count() as u64
+        };
+        let admitted = self.admitted_count() as u64;
+        let evicted = tally(RequestStatus::Evicted);
         AdmissionCounters {
             submissions,
-            admitted: self.admitted.len() as u64,
+            admitted,
             // Each optimizer swap consumes one unique rejected
             // submission, so the difference stays the refusal count.
-            rejected: submissions - self.admitted.len() as u64,
+            rejected: submissions - admitted,
             injections,
             optimizations,
             swapped,
-            repaired,
+            repaired: tally(RequestStatus::Repaired),
             evicted,
-            satisfied: self.admitted.len() as u64 - evicted,
+            satisfied: admitted - evicted,
             admitted_by_priority,
             rejected_by_priority,
-            weighted_sum,
+            weighted_sum: self.weighted_sum(),
         }
     }
 
@@ -974,22 +1056,16 @@ impl AdmissionEngine {
         let schedule = Schedule::from_parts(self.committed.clone(), deliveries);
         let schedule_value = serde::to_value(&schedule).unwrap_or(Value::Null);
 
-        let mut busy: Vec<(u64, Vec<(u64, u64)>)> = Vec::new();
+        let mut busy: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
         for t in &self.committed {
-            let link = t.link.index() as u64;
-            let window = (t.start.as_millis(), t.arrival.as_millis());
-            match busy.iter_mut().find(|(l, _)| *l == link) {
-                Some((_, windows)) => windows.push(window),
-                None => busy.push((link, vec![window])),
-            }
-        }
-        busy.sort_by_key(|(link, _)| *link);
-        for (_, windows) in &mut busy {
-            windows.sort_unstable();
+            busy.entry(t.link.index() as u64)
+                .or_default()
+                .push((t.start.as_millis(), t.arrival.as_millis()));
         }
         let ledger = Value::Array(
             busy.into_iter()
-                .map(|(link, windows)| {
+                .map(|(link, mut windows)| {
+                    windows.sort_unstable();
                     Value::Object(vec![
                         ("link".to_string(), Value::UInt(link)),
                         (
@@ -1009,16 +1085,15 @@ impl AdmissionEngine {
         );
 
         let requests = Value::Array(
-            self.admitted
-                .iter()
+            self.scenario()
+                .requests()
                 .zip(&self.info)
-                .enumerate()
-                .map(|(id, (req, info))| {
+                .map(|((id, req), info)| {
                     let mut fields = vec![
-                        ("request".to_string(), Value::UInt(id as u64)),
+                        ("request".to_string(), Value::UInt(id.index() as u64)),
                         (
                             "item".to_string(),
-                            Value::String(self.items[req.item().index()].name().to_string()),
+                            Value::String(self.scenario().item(req.item()).name().to_string()),
                         ),
                         ("destination".to_string(), Value::UInt(req.destination().index() as u64)),
                         ("priority".to_string(), Value::UInt(u64::from(req.priority().level()))),
@@ -1060,17 +1135,7 @@ impl AdmissionEngine {
     /// which is only deterministic against identical static state.
     #[must_use]
     pub fn catalog_fingerprint(&self) -> String {
-        let items: Vec<&str> = self.items.iter().map(DataItem::name).collect();
-        format!(
-            "v1|machines={}|links={}|gc_ms={}|horizon_ms={}|heuristic={}|config={:?}|items={}",
-            self.network.machine_count(),
-            self.network.link_count(),
-            self.gc_delay.as_millis(),
-            self.horizon.as_millis(),
-            self.heuristic.label(),
-            self.config,
-            items.join(",")
-        )
+        self.fingerprint.clone()
     }
 
     /// Serializes the complete dynamic state — admitted set, per-request
@@ -1080,13 +1145,13 @@ impl AdmissionEngine {
     #[must_use]
     pub fn checkpoint_value(&self) -> Value {
         let admitted = Value::Array(
-            self.admitted
-                .iter()
-                .map(|req| {
+            self.scenario()
+                .requests()
+                .map(|(_, req)| {
                     Value::Object(vec![
                         (
                             "item".to_string(),
-                            Value::String(self.items[req.item().index()].name().to_string()),
+                            Value::String(self.scenario().item(req.item()).name().to_string()),
                         ),
                         ("destination".to_string(), Value::UInt(req.destination().index() as u64)),
                         ("deadline_ms".to_string(), Value::UInt(req.deadline().as_millis())),
@@ -1150,65 +1215,40 @@ impl AdmissionEngine {
         config: HeuristicConfig,
         checkpoint: &Value,
     ) -> Result<AdmissionEngine, String> {
-        let u64_field = |name: &str| {
-            checkpoint
-                .get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("checkpoint: missing `{name}`"))
-        };
         let array_field = |name: &str| {
             checkpoint
                 .get(name)
                 .and_then(Value::as_array)
                 .ok_or_else(|| format!("checkpoint: missing array `{name}`"))
         };
-        if u64_field("format")? != CHECKPOINT_FORMAT {
+        let format: u64 = typed_field(checkpoint, "format")?;
+        if format != CHECKPOINT_FORMAT {
             return Err(format!(
-                "checkpoint: unsupported format {} (this build reads {CHECKPOINT_FORMAT})",
-                u64_field("format")?
+                "checkpoint: unsupported format {format} (this build reads {CHECKPOINT_FORMAT})"
             ));
         }
         let mut engine = AdmissionEngine::new(catalog, heuristic, config);
-        let fingerprint = checkpoint
-            .get("fingerprint")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "checkpoint: missing `fingerprint`".to_string())?;
-        if fingerprint != engine.catalog_fingerprint() {
+        if typed_field::<String>(checkpoint, "fingerprint")? != engine.fingerprint {
             return Err("checkpoint: fingerprint mismatch (taken against a different catalog, \
                  scheduler, or configuration)"
                 .to_string());
         }
-        engine.now = SimTime::from_millis(u64_field("now_ms")?);
-        let capacity = usize::try_from(u64_field("idempotency_capacity")?)
-            .map_err(|_| "checkpoint: `idempotency_capacity` out of range".to_string())?;
+        engine.now = SimTime::from_millis(typed_field(checkpoint, "now_ms")?);
+        let capacity: usize = typed_field(checkpoint, "idempotency_capacity")?;
 
         for entry in array_field("admitted")? {
-            let field = |name: &str| {
-                entry
-                    .get(name)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("checkpoint admitted: missing `{name}`"))
-            };
-            let item = entry
-                .get("item")
-                .and_then(Value::as_str)
-                .ok_or_else(|| "checkpoint admitted: missing `item`".to_string())?;
-            let &item_id = engine
-                .item_ids
-                .get(item)
-                .ok_or_else(|| format!("checkpoint admitted: unknown item `{item}`"))?;
-            engine.admitted.push(Request::new(
-                DataItemId::new(item_id),
-                MachineId::new(
-                    u32::try_from(field("destination")?)
-                        .map_err(|_| "checkpoint admitted: `destination` out of range")?,
-                ),
-                SimTime::from_millis(field("deadline_ms")?),
-                Priority::new(
-                    u8::try_from(field("priority")?)
-                        .map_err(|_| "checkpoint admitted: `priority` out of range")?,
-                ),
-            ));
+            // Nothing is booked yet, so only validation can refuse here;
+            // the reservations are replayed once everything is loaded.
+            let (request, collected) = submit_args(entry)
+                .and_then(|args| engine.candidate(&args))
+                .map_err(|e| format!("checkpoint: bad admitted request: {e}"))?;
+            engine
+                .state
+                .add_request(request)
+                .map_err(|e| format!("checkpoint: bad admitted request: {e}"))?;
+            if collected > engine.scenario().horizon() {
+                engine.state.set_horizon(collected).expect("no copy is staged yet");
+            }
         }
         for entry in array_field("info")? {
             let status = entry
@@ -1216,50 +1256,21 @@ impl AdmissionEngine {
                 .and_then(Value::as_str)
                 .and_then(RequestStatus::from_wire)
                 .ok_or_else(|| "checkpoint info: missing or unknown `status`".to_string())?;
-            let delivery = match entry.get("delivery") {
-                None => None,
-                Some(v) => Some(
-                    serde::from_value::<Delivery>(v.clone())
-                        .map_err(|e| format!("checkpoint info: bad `delivery`: {e:?}"))?,
-                ),
-            };
-            let route = serde::from_value::<Vec<Transfer>>(
-                entry
-                    .get("route")
-                    .cloned()
-                    .ok_or_else(|| "checkpoint info: missing `route`".to_string())?,
-            )
-            .map_err(|e| format!("checkpoint info: bad `route`: {e:?}"))?;
+            let delivery =
+                entry.get("delivery").map(|_| typed_field(entry, "delivery")).transpose()?;
+            let route = typed_field(entry, "route")?;
             engine.info.push(AdmittedInfo { status, delivery, route });
         }
-        if engine.info.len() != engine.admitted.len() {
+        if engine.info.len() != engine.admitted_count() {
             return Err(format!(
                 "checkpoint: {} admitted requests but {} info entries",
-                engine.admitted.len(),
+                engine.admitted_count(),
                 engine.info.len()
             ));
         }
-        engine.committed = serde::from_value(
-            checkpoint
-                .get("committed")
-                .cloned()
-                .ok_or_else(|| "checkpoint: missing `committed`".to_string())?,
-        )
-        .map_err(|e| format!("checkpoint: bad `committed`: {e:?}"))?;
-        engine.outages = serde::from_value(
-            checkpoint
-                .get("outages")
-                .cloned()
-                .ok_or_else(|| "checkpoint: missing `outages`".to_string())?,
-        )
-        .map_err(|e| format!("checkpoint: bad `outages`: {e:?}"))?;
-        engine.losses = serde::from_value(
-            checkpoint
-                .get("losses")
-                .cloned()
-                .ok_or_else(|| "checkpoint: missing `losses`".to_string())?,
-        )
-        .map_err(|e| format!("checkpoint: bad `losses`: {e:?}"))?;
+        engine.committed = typed_field(checkpoint, "committed")?;
+        engine.outages = typed_field(checkpoint, "outages")?;
+        engine.losses = typed_field(checkpoint, "losses")?;
 
         let mut log = Vec::new();
         for entry in array_field("log")? {
@@ -1314,20 +1325,31 @@ impl AdmissionEngine {
                 }
             }
         }
-        if admitted_by_log != engine.admitted.len() {
+        if admitted_by_log != engine.admitted_count() {
             return Err(format!(
                 "checkpoint: {} admitted requests but the log admits {admitted_by_log}",
-                engine.admitted.len()
+                engine.admitted_count()
             ));
         }
         engine.idempotency = idempotency;
         engine.log = log;
+        engine.rebuild();
+        debug_assert_eq!(engine.live_state_divergence(), None);
         Ok(engine)
     }
 }
 
 /// Version tag of [`AdmissionEngine::checkpoint_value`]'s layout.
 pub const CHECKPOINT_FORMAT: u64 = 1;
+
+/// Deserializes the field `name` of a checkpoint (or of one of its entries).
+fn typed_field<T: for<'de> serde::Deserialize<'de>>(
+    object: &Value,
+    name: &str,
+) -> Result<T, String> {
+    let value = object.get(name).ok_or_else(|| format!("checkpoint: missing `{name}`"))?;
+    serde::from_value(value.clone()).map_err(|e| format!("checkpoint: bad `{name}`: {e:?}"))
+}
 
 /// Serializes one decision-log record as the JSON object the snapshot
 /// `log` array (and the write-ahead log) carries.
@@ -1449,20 +1471,10 @@ pub fn record_from_value(entry: &Value) -> Result<LogRecord, String> {
             })
             .collect()
     };
-    match entry.get("verb").and_then(Value::as_str) {
-        Some("submit") => {
-            let args = SubmitArgs {
-                item: str_field("item")?,
-                destination: u32::try_from(u64_field("destination")?)
-                    .map_err(|_| "log record: `destination` out of range".to_string())?,
-                deadline_ms: u64_field("deadline_ms")?,
-                priority: u8::try_from(u64_field("priority")?)
-                    .map_err(|_| "log record: `priority` out of range".to_string())?,
-                idempotency_key: entry
-                    .get("idempotency_key")
-                    .and_then(Value::as_str)
-                    .map(str::to_string),
-            };
+    // A record repeats the request it answers field for field, then adds
+    // the outcome.
+    match ClientRequest::from_value(entry).map_err(|e| format!("log record: {e}"))? {
+        ClientRequest::Submit(args) => {
             let decision = match str_field("decision")?.as_str() {
                 "admitted" => Decision::Admitted {
                     request: RequestId::new(
@@ -1480,28 +1492,14 @@ pub fn record_from_value(entry: &Value) -> Result<LogRecord, String> {
             };
             Ok(LogRecord::Submission(SubmissionRecord { args, decision }))
         }
-        Some("inject") => {
-            let kind = match str_field("kind")?.as_str() {
-                "link_outage" => InjectKind::LinkOutage {
-                    link: u32::try_from(u64_field("link")?)
-                        .map_err(|_| "log record: `link` out of range".to_string())?,
-                },
-                "copy_loss" => InjectKind::CopyLoss {
-                    item: str_field("item")?,
-                    machine: u32::try_from(u64_field("machine")?)
-                        .map_err(|_| "log record: `machine` out of range".to_string())?,
-                },
-                other => return Err(format!("log record: unknown inject kind `{other}`")),
-            };
-            Ok(LogRecord::Injection(InjectionRecord {
-                args: InjectArgs { kind, at_ms: u64_field("at_ms")? },
-                cancelled_transfers: usize::try_from(u64_field("cancelled_transfers")?)
-                    .map_err(|_| "log record: `cancelled_transfers` out of range".to_string())?,
-                repaired: u32_list("repaired")?,
-                evicted: u32_list("evicted")?,
-            }))
-        }
-        Some("optimize") => {
+        ClientRequest::Inject(args) => Ok(LogRecord::Injection(InjectionRecord {
+            args,
+            cancelled_transfers: usize::try_from(u64_field("cancelled_transfers")?)
+                .map_err(|_| "log record: `cancelled_transfers` out of range".to_string())?,
+            repaired: u32_list("repaired")?,
+            evicted: u32_list("evicted")?,
+        })),
+        ClientRequest::Optimize { budget: Some(budget) } => {
             let swaps = entry
                 .get("swaps")
                 .and_then(Value::as_array)
@@ -1523,12 +1521,12 @@ pub fn record_from_value(entry: &Value) -> Result<LogRecord, String> {
                 })
                 .collect::<Result<Vec<SwapRecord>, String>>()?;
             Ok(LogRecord::Optimization(OptimizationRecord {
-                budget: u64_field("budget")?,
+                budget,
                 attempted: u64_field("attempted")?,
                 swaps,
             }))
         }
-        other => Err(format!("log record: unknown verb {other:?}")),
+        _ => Err("log record: not a submit, an inject or an optimize with its budget".to_string()),
     }
 }
 

@@ -160,6 +160,17 @@ impl ClientRequest {
     pub fn parse(line: &str) -> Result<ClientRequest, String> {
         let value: Value =
             serde_json::from_str(line).map_err(|e| format!("malformed JSON: {e}"))?;
+        ClientRequest::from_value(&value)
+    }
+
+    /// Reads a request from an already-parsed JSON object — a request
+    /// line, or a decision-log record, which repeats the request it
+    /// answers field for field.
+    ///
+    /// # Errors
+    ///
+    /// As [`ClientRequest::parse`], malformed JSON aside.
+    pub fn from_value(value: &Value) -> Result<ClientRequest, String> {
         let verb = value
             .get("verb")
             .and_then(Value::as_str)
@@ -170,36 +181,28 @@ impl ClientRequest {
                     return Err("give either `destination` or `destinations`, not both".to_string());
                 }
                 Ok(ClientRequest::SubmitP2mp(P2mpSubmitArgs {
-                    item: require_str(&value, "item")?.to_string(),
-                    destinations: require_u32_array(&value, "destinations")?,
-                    deadline_ms: require_u64(&value, "deadline_ms")?,
-                    priority: u8::try_from(require_u64(&value, "priority")?)
+                    item: require_str(value, "item")?.to_string(),
+                    destinations: require_u32_array(value, "destinations")?,
+                    deadline_ms: require_u64(value, "deadline_ms")?,
+                    priority: u8::try_from(require_u64(value, "priority")?)
                         .map_err(|_| "field `priority` out of range".to_string())?,
-                    idempotency_key: optional_str(&value, "idempotency_key")?,
+                    idempotency_key: optional_str(value, "idempotency_key")?,
                 }))
             }
-            "submit" => Ok(ClientRequest::Submit(SubmitArgs {
-                item: require_str(&value, "item")?.to_string(),
-                destination: u32::try_from(require_u64(&value, "destination")?)
-                    .map_err(|_| "field `destination` out of range".to_string())?,
-                deadline_ms: require_u64(&value, "deadline_ms")?,
-                priority: u8::try_from(require_u64(&value, "priority")?)
-                    .map_err(|_| "field `priority` out of range".to_string())?,
-                idempotency_key: optional_str(&value, "idempotency_key")?,
-            })),
+            "submit" => Ok(ClientRequest::Submit(submit_args(value)?)),
             "query" => Ok(ClientRequest::Query {
-                request: u32::try_from(require_u64(&value, "request")?)
+                request: u32::try_from(require_u64(value, "request")?)
                     .map_err(|_| "field `request` out of range".to_string())?,
             }),
             "inject" => {
-                let kind = match require_str(&value, "kind")? {
+                let kind = match require_str(value, "kind")? {
                     "link_outage" => InjectKind::LinkOutage {
-                        link: u32::try_from(require_u64(&value, "link")?)
+                        link: u32::try_from(require_u64(value, "link")?)
                             .map_err(|_| "field `link` out of range".to_string())?,
                     },
                     "copy_loss" => InjectKind::CopyLoss {
-                        item: require_str(&value, "item")?.to_string(),
-                        machine: u32::try_from(require_u64(&value, "machine")?)
+                        item: require_str(value, "item")?.to_string(),
+                        machine: u32::try_from(require_u64(value, "machine")?)
                             .map_err(|_| "field `machine` out of range".to_string())?,
                     },
                     other => {
@@ -208,7 +211,7 @@ impl ClientRequest {
                         ))
                     }
                 };
-                Ok(ClientRequest::Inject(InjectArgs { kind, at_ms: require_u64(&value, "at_ms")? }))
+                Ok(ClientRequest::Inject(InjectArgs { kind, at_ms: require_u64(value, "at_ms")? }))
             }
             "optimize" => {
                 let budget =
@@ -222,7 +225,7 @@ impl ClientRequest {
             }
             "snapshot" => Ok(ClientRequest::Snapshot),
             "metrics" => {
-                let format = match optional_str(&value, "format")?.as_deref() {
+                let format = match optional_str(value, "format")?.as_deref() {
                     None | Some("json") => MetricsFormat::Json,
                     Some("prometheus") => MetricsFormat::Prometheus,
                     Some(other) => {
@@ -255,6 +258,20 @@ fn require_str<'a>(value: &'a Value, field: &str) -> Result<&'a str, String> {
         .get(field)
         .and_then(Value::as_str)
         .ok_or_else(|| format!("missing string field `{field}`"))
+}
+
+/// The arguments of a `submit`, as a request line, a decision-log record
+/// and a checkpoint's `admitted` entry all carry them.
+pub(crate) fn submit_args(value: &Value) -> Result<SubmitArgs, String> {
+    Ok(SubmitArgs {
+        item: require_str(value, "item")?.to_string(),
+        destination: u32::try_from(require_u64(value, "destination")?)
+            .map_err(|_| "field `destination` out of range".to_string())?,
+        deadline_ms: require_u64(value, "deadline_ms")?,
+        priority: u8::try_from(require_u64(value, "priority")?)
+            .map_err(|_| "field `priority` out of range".to_string())?,
+        idempotency_key: optional_str(value, "idempotency_key")?,
+    })
 }
 
 fn optional_str(value: &Value, field: &str) -> Result<Option<String>, String> {
