@@ -13,21 +13,22 @@
 use crate::heuristic::{best_choice, lowest_cost_destination, HeuristicConfig};
 use crate::state::SchedulerState;
 
-/// Drives the as-late-as-possible main loop to completion.
-pub(crate) fn drive(state: &mut SchedulerState<'_>, config: &HeuristicConfig) {
-    while let Some(choice) = best_choice(state, config) {
-        state.note_iteration();
-        let destination = choice
-            .destination
-            .or_else(|| lowest_cost_destination(state.scenario(), config, &choice.step));
-        let Some(request) = destination else {
-            // Unreachable: steps always contain a satisfiable destination.
-            debug_assert!(false, "winning step had no satisfiable destination");
-            break;
-        };
-        let req = state.scenario().request(request);
-        state.commit_path_latest(choice.step.item, req.destination(), req.deadline());
-    }
+/// One iteration of the as-late-as-possible main loop; `false` when no
+/// request can make progress.
+pub(crate) fn step(state: &mut SchedulerState<'_>, config: &HeuristicConfig) -> bool {
+    let Some(choice) = best_choice(state, config) else { return false };
+    state.note_iteration();
+    let destination = choice
+        .destination
+        .or_else(|| lowest_cost_destination(state.scenario(), config, &choice.step));
+    let Some(request) = destination else {
+        // Unreachable: steps always contain a satisfiable destination.
+        debug_assert!(false, "winning step had no satisfiable destination");
+        return false;
+    };
+    let req = state.scenario().request(request);
+    state.commit_path_latest(choice.step.item, req.destination(), req.deadline());
+    true
 }
 
 #[cfg(test)]

@@ -11,19 +11,20 @@
 use crate::heuristic::{best_choice, destination_costs, HeuristicConfig};
 use crate::state::SchedulerState;
 
-/// Drives the full path/all destinations main loop to completion.
-pub(crate) fn drive(state: &mut SchedulerState<'_>, config: &HeuristicConfig) {
-    while let Some(choice) = best_choice(state, config) {
-        state.note_iteration();
-        let scenario = state.scenario();
-        let machines: Vec<_> = destination_costs(scenario, &config.priority_weights, &choice.step)
-            .into_iter()
-            .filter(|(_, dc)| dc.satisfiable)
-            .map(|(req, _)| scenario.request(req).destination())
-            .collect();
-        debug_assert!(!machines.is_empty());
-        state.commit_paths(choice.step.item, &machines);
-    }
+/// One iteration of the full path/all destinations main loop; `false`
+/// when no request can make progress.
+pub(crate) fn step(state: &mut SchedulerState<'_>, config: &HeuristicConfig) -> bool {
+    let Some(choice) = best_choice(state, config) else { return false };
+    state.note_iteration();
+    let scenario = state.scenario();
+    let machines: Vec<_> = destination_costs(scenario, &config.priority_weights, &choice.step)
+        .into_iter()
+        .filter(|(_, dc)| dc.satisfiable)
+        .map(|(req, _)| scenario.request(req).destination())
+        .collect();
+    debug_assert!(!machines.is_empty());
+    state.commit_paths(choice.step.item, &machines);
+    true
 }
 
 #[cfg(test)]

@@ -14,21 +14,22 @@
 use crate::heuristic::{best_choice, lowest_cost_destination, HeuristicConfig};
 use crate::state::SchedulerState;
 
-/// Drives the full path/one destination main loop to completion.
-pub(crate) fn drive(state: &mut SchedulerState<'_>, config: &HeuristicConfig) {
-    while let Some(choice) = best_choice(state, config) {
-        state.note_iteration();
-        let destination = choice
-            .destination
-            .or_else(|| lowest_cost_destination(state.scenario(), config, &choice.step));
-        let Some(request) = destination else {
-            // Unreachable: steps always contain a satisfiable destination.
-            debug_assert!(false, "winning step had no satisfiable destination");
-            break;
-        };
-        let machine = state.scenario().request(request).destination();
-        state.commit_path(choice.step.item, machine);
-    }
+/// One iteration of the full path/one destination main loop; `false`
+/// when no request can make progress.
+pub(crate) fn step(state: &mut SchedulerState<'_>, config: &HeuristicConfig) -> bool {
+    let Some(choice) = best_choice(state, config) else { return false };
+    state.note_iteration();
+    let destination = choice
+        .destination
+        .or_else(|| lowest_cost_destination(state.scenario(), config, &choice.step));
+    let Some(request) = destination else {
+        // Unreachable: steps always contain a satisfiable destination.
+        debug_assert!(false, "winning step had no satisfiable destination");
+        return false;
+    };
+    let machine = state.scenario().request(request).destination();
+    state.commit_path(choice.step.item, machine);
+    true
 }
 
 #[cfg(test)]

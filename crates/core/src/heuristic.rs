@@ -183,12 +183,23 @@ pub fn drive_state(state: &mut SchedulerState<'_>, heuristic: Heuristic, config:
         !(heuristic == Heuristic::FullPathAllDestinations && config.criterion == CostCriterion::C1),
         "the full path/all destinations heuristic cannot use Cost1 (paper §6)"
     );
+    while step_state(state, heuristic, config) {}
+}
+
+/// One iteration of the chosen heuristic's main loop: pick the winning
+/// step and commit its share of the shortest path. `false`, with nothing
+/// committed, when no request can make progress.
+pub(crate) fn step_state(
+    state: &mut SchedulerState<'_>,
+    heuristic: Heuristic,
+    config: &HeuristicConfig,
+) -> bool {
     match heuristic {
-        Heuristic::PartialPath => crate::partial::drive(state, config),
-        Heuristic::FullPathOneDestination => crate::full_one::drive(state, config),
-        Heuristic::FullPathAllDestinations => crate::full_all::drive(state, config),
-        Heuristic::Alap => crate::alap::drive(state, config),
-        Heuristic::Rcd => crate::rcd::drive(state, config),
+        Heuristic::PartialPath => crate::partial::step(state, config),
+        Heuristic::FullPathOneDestination => crate::full_one::step(state, config),
+        Heuristic::FullPathAllDestinations => crate::full_all::step(state, config),
+        Heuristic::Alap => crate::alap::step(state, config),
+        Heuristic::Rcd => crate::rcd::step(state, config),
     }
 }
 

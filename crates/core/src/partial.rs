@@ -10,12 +10,13 @@
 use crate::heuristic::{best_choice, HeuristicConfig};
 use crate::state::SchedulerState;
 
-/// Drives the partial path main loop to completion.
-pub(crate) fn drive(state: &mut SchedulerState<'_>, config: &HeuristicConfig) {
-    while let Some(choice) = best_choice(state, config) {
-        state.note_iteration();
-        state.commit_hop(choice.step.item, choice.step.hop);
-    }
+/// One iteration of the partial path main loop; `false` when no request
+/// can make progress.
+pub(crate) fn step(state: &mut SchedulerState<'_>, config: &HeuristicConfig) -> bool {
+    let Some(choice) = best_choice(state, config) else { return false };
+    state.note_iteration();
+    state.commit_hop(choice.step.item, choice.step.hop);
+    true
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
 use dstage_model::request::Request;
 use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
-use dstage_path::{earliest_arrival_tree, repair_tree, ArrivalTree, Hop, ItemQuery};
+use dstage_path::{earliest_arrival_tree, paths_hold, repair_tree, ArrivalTree, Hop, ItemQuery};
 use dstage_resources::journal::{ChangeJournal, JournalMark};
 use dstage_resources::ledger::{CommitError, NetworkLedger};
 
@@ -145,14 +145,22 @@ pub struct SchedulerState<'a> {
     /// copy happens to land on their destination — the data is simply
     /// there — but never drive scheduling decisions.
     active: Vec<bool>,
-    /// Cached earliest-arrival tree per item.
+    /// Cached earliest-arrival tree per item. Between repairs only its
+    /// paths to `validated` are known to be current (DESIGN.md §3).
     trees: Vec<Option<ArrivalTree>>,
-    /// Append-only log of consumed links/stores; with `marks` it tells
-    /// each cached tree exactly what moved since it was built.
+    /// Append-only log of consumed links/stores; with the two marks it
+    /// tells each cached tree exactly what moved under it.
     journal: ChangeJournal,
-    /// Per item: the journal position when its cached tree was last known
-    /// valid. Meaningless while the tree slot is `None`.
-    marks: Vec<JournalMark>,
+    /// Per item: the journal position when its cached tree was built or
+    /// last repaired — what a repair must be seeded with, so a validation
+    /// never advances it. Meaningless while the tree slot is `None`.
+    built: Vec<JournalMark>,
+    /// Per item: the journal position up to which the tree's paths to
+    /// `validated` have been checked, so that each record is examined once.
+    checked: Vec<JournalMark>,
+    /// Per item: the destinations `checked` speaks for. A read of any
+    /// other machine must go back to `built`.
+    validated: Vec<Vec<MachineId>>,
     /// Transfers booked since the state was built or last
     /// [`SchedulerState::take_transfers`].
     transfers: Vec<Transfer>,
@@ -169,6 +177,24 @@ fn hold_row(scenario: &Scenario, item: DataItemId) -> Vec<SimTime> {
         holds[scenario.request(req).destination().index()] = scenario.horizon();
     }
     holds
+}
+
+/// The oracle a served tree is held to in debug builds and tests: every
+/// label `read` is about to take from `tree` — the arrival at and the path
+/// to each destination, or the whole tree for `None` — is the one a
+/// from-scratch search of `query` returns.
+fn reads_match_scratch(
+    query: &ItemQuery<'_>,
+    tree: &ArrivalTree,
+    read: Option<&[MachineId]>,
+) -> bool {
+    let scratch = earliest_arrival_tree(query);
+    match read {
+        Some(destinations) => destinations.iter().all(|&d| {
+            tree.arrival(d) == scratch.arrival(d) && tree.path_to(d) == scratch.path_to(d)
+        }),
+        None => *tree == scratch,
+    }
 }
 
 impl<'a> SchedulerState<'a> {
@@ -224,7 +250,9 @@ impl<'a> SchedulerState<'a> {
             active: vec![true; scenario.request_count()],
             trees: vec![None; scenario.item_count()],
             journal: ChangeJournal::default(),
-            marks: vec![JournalMark::default(); scenario.item_count()],
+            built: vec![JournalMark::default(); scenario.item_count()],
+            checked: vec![JournalMark::default(); scenario.item_count()],
+            validated: vec![Vec::new(); scenario.item_count()],
             transfers: Vec::new(),
             metrics: RunMetrics::default(),
             caching,
@@ -468,7 +496,8 @@ impl<'a> SchedulerState<'a> {
     pub fn forget_trees(&mut self) {
         self.drop_all_trees();
         self.journal.clear();
-        self.marks.fill(JournalMark::default());
+        self.built.fill(JournalMark::default());
+        self.checked.fill(JournalMark::default());
     }
 
     /// Records held by the journal of consumed resources.
@@ -617,46 +646,84 @@ impl<'a> SchedulerState<'a> {
     }
 
     /// The earliest-arrival tree of `item` against the current ledger,
-    /// recomputing only when consumed resources actually touch it — and
-    /// then by incremental repair of the cached tree.
+    /// every label of it current: recomputed when any of its hops uses a
+    /// resource consumed since it was built — and then by incremental
+    /// repair of the cached tree.
     pub fn tree(&mut self, item: DataItemId) -> &ArrivalTree {
-        self.refresh_tree(item);
+        self.refresh_tree(item, None);
+        self.refreshed(item)
+    }
+
+    fn refreshed(&self, item: DataItemId) -> &ArrivalTree {
         self.trees[item.index()].as_ref().expect("just refreshed")
     }
 
-    fn refresh_tree(&mut self, item: DataItemId) {
+    /// The search instance of `item` against the current ledger.
+    fn query(&self, item: DataItemId) -> ItemQuery<'_> {
+        ItemQuery {
+            network: self.scenario.network(),
+            ledger: &self.ledger,
+            size: self.scenario.item(item).size(),
+            sources: &self.copies[item.index()],
+            hold_until: &self.hold_until[item.index()],
+            horizon: self.scenario.horizon(),
+        }
+    }
+
+    /// Brings `item`'s cached tree up to date for a read of its paths to
+    /// `read` — or of every label, for `None`.
+    ///
+    /// A path read walks only those paths and probes again the hops whose
+    /// link or receiving store was consumed since they were last checked
+    /// ([`paths_hold`]); the tree is served as it is when every such hop
+    /// keeps its slot. The whole-tree read keeps the coarser test by
+    /// resource identity. Either failing, the tree is repaired with
+    /// everything consumed since it was built.
+    fn refresh_tree(&mut self, item: DataItemId, read: Option<&[MachineId]>) {
         let idx = item.index();
-        let (dirty_links, dirty_machines) = self.journal.since(self.marks[idx]);
+        let query = self.query(item);
+        let since_built = self.journal.since(self.built[idx]);
         // With caching disabled every query recomputes from scratch,
         // mirroring the paper's unoptimized procedure — the reference the
-        // repaired trees are tested against.
+        // validated and repaired trees are tested against.
         let cached = self.trees[idx].as_ref().filter(|_| self.caching);
-        let clean = cached.is_some_and(|tree| {
-            !dirty_links.iter().any(|&l| tree.uses_link(l))
-                && !dirty_machines.iter().any(|&m| tree.stores_on(m))
+        let clean = cached.is_some_and(|tree| match read {
+            Some(destinations) => {
+                // `checked` only speaks for the destinations validated
+                // with it: a read beyond them starts over from `built`.
+                let known = destinations.iter().all(|d| self.validated[idx].contains(d));
+                let (links, machines) =
+                    if known { self.journal.since(self.checked[idx]) } else { since_built };
+                paths_hold(&query, tree, destinations, links, machines)
+            }
+            None => {
+                let (links, machines) = since_built;
+                !links.iter().any(|&l| tree.uses_link(query.network, l))
+                    && !machines.iter().any(|&m| tree.stores_on(m))
+            }
         });
         if clean {
+            debug_assert!(reads_match_scratch(&query, cached.expect("clean"), read));
             self.metrics.cache_hits += 1;
         } else {
-            let query = ItemQuery {
-                network: self.scenario.network(),
-                ledger: &self.ledger,
-                size: self.scenario.item(item).size(),
-                sources: &self.copies[idx],
-                hold_until: &self.hold_until[idx],
-                horizon: self.scenario.horizon(),
-            };
             // A repair replaces a scratch build one for one, so both count
             // as a dijkstra run (repair volume is published through the
             // obs tap instead).
             let tree = match cached {
-                Some(old) => repair_tree(&query, old, dirty_links, dirty_machines),
+                Some(old) => repair_tree(&query, old, since_built.0, since_built.1),
                 None => earliest_arrival_tree(&query),
             };
             self.trees[idx] = Some(tree);
             self.metrics.dijkstra_runs += 1;
         }
-        self.marks[idx] = self.journal.mark();
+        // Every label is current after a build or a clean whole-tree
+        // read; a validated path read says nothing about the rest.
+        if !clean || read.is_none() {
+            self.built[idx] = self.journal.mark();
+        }
+        self.checked[idx] = self.journal.mark();
+        self.validated[idx].clear();
+        self.validated[idx].extend_from_slice(read.unwrap_or_default());
     }
 
     /// Enumerates the candidate steps of `item`: the distinct first hops
@@ -670,12 +737,13 @@ impl<'a> SchedulerState<'a> {
         if pending.is_empty() {
             return Vec::new();
         }
-        self.refresh_tree(item);
-        let tree = self.trees[item.index()].as_ref().expect("just refreshed");
+        let destinations: Vec<MachineId> =
+            pending.iter().map(|&r| self.scenario.request(r).destination()).collect();
+        self.refresh_tree(item, Some(&destinations));
+        let tree = self.refreshed(item);
         let mut steps: Vec<CandidateStep> = Vec::new();
-        for req_id in pending {
+        for (req_id, dest) in pending.into_iter().zip(destinations) {
             let req = self.scenario.request(req_id);
-            let dest = req.destination();
             if !tree.is_reachable(dest) {
                 continue;
             }
@@ -790,7 +858,8 @@ impl<'a> SchedulerState<'a> {
     ///
     /// Panics if any destination is unreachable in the current tree.
     pub fn commit_paths(&mut self, item: DataItemId, destinations: &[MachineId]) -> u32 {
-        let tree = self.tree(item).clone();
+        self.refresh_tree(item, Some(destinations));
+        let tree = self.refreshed(item);
         // Union of path edges, keyed by receiving machine (tree edges are
         // unique per receiving machine).
         let mut edges: Vec<Hop> = Vec::new();
@@ -849,8 +918,9 @@ impl<'a> SchedulerState<'a> {
         destination: MachineId,
         deadline: SimTime,
     ) -> u32 {
-        let tree = self.tree(item).clone();
-        let path = tree
+        self.refresh_tree(item, Some(&[destination]));
+        let path = self
+            .refreshed(item)
             .path_to(destination)
             .expect("chosen destination must be reachable in the current tree");
         let size = self.scenario.item(item).size();
@@ -938,11 +1008,11 @@ impl<'a> SchedulerState<'a> {
     ///
     /// Resources are only ever consumed while trees are cached (the one
     /// release, [`SchedulerState::rollback`], forgets every tree), so a
-    /// cached tree stays optimal unless it planned to use one
-    /// of the touched links or to place a copy on one of the touched
-    /// machines (see DESIGN.md §3). The consumption is journaled; other
-    /// items' trees are checked lazily — and repaired where touched — at
-    /// their next [`SchedulerState::tree`] query. The
+    /// path of a cached tree stays optimal while each of its hops over a
+    /// touched link or into a touched machine still finds its old slot
+    /// (see DESIGN.md §3). The consumption is journaled; other items'
+    /// trees are checked lazily — and repaired where a path they are read
+    /// for moved — at their next query. The
     /// committing item's own tree is dropped eagerly: its copy set grew,
     /// which repair cannot express. With caching disabled, everything is
     /// invalidated.
@@ -1357,6 +1427,191 @@ mod tests {
         assert!(!st.try_commit_stale_hop(item(1), hop_b), "stale slot must conflict");
         // State is unchanged by the failed commit: item 1 has no copy at m1.
         assert!(!st.is_delivered(RequestId::new(1)));
+    }
+
+    /// Fork 0 -> 1, 1 -> 2, 1 -> 3 with 1 byte/ms links; m2 stores 30 kB.
+    /// Item `a` (10 kB at m0) is wanted at m2 by the horizon, which pins
+    /// its hold row at the horizon everywhere; `b` and `c` (15 kB at m1)
+    /// are wanted at m3 and at m2.
+    fn fork() -> SchedulerState<'static> {
+        let mut b = NetworkBuilder::new();
+        for (i, bytes) in [1 << 20, 1 << 20, 30_000, 1 << 20].into_iter().enumerate() {
+            b.add_machine(Machine::new(format!("m{i}"), Bytes::new(bytes)));
+        }
+        let horizon = SimTime::from_hours(2);
+        for (from, to) in [(0, 1), (1, 2), (1, 3)] {
+            b.add_link(VirtualLink::new(m(from), m(to), t(0), horizon, BitsPerSec::new(8_000)));
+        }
+        let d = |name: &str, bytes, at| {
+            DataItem::new(name, Bytes::new(bytes), vec![DataSource::new(m(at), t(0))])
+        };
+        let scenario = Scenario::builder(b.build())
+            .horizon(horizon)
+            .add_item(d("a", 10_000, 0))
+            .add_item(d("b", 15_000, 1))
+            .add_item(d("c", 15_000, 1))
+            .add_request(Request::new(item(0), m(2), horizon, Priority::HIGH))
+            .add_request(Request::new(item(1), m(3), t(3_000), Priority::LOW))
+            .add_request(Request::new(item(2), m(2), t(3_000), Priority::LOW))
+            .build()
+            .unwrap();
+        SchedulerState::owning(scenario, true)
+    }
+
+    /// Books a transfer of `item` over `link` at `start`, whatever its
+    /// tree says: consumption by somebody else, at a chosen time.
+    fn book_at(st: &mut SchedulerState<'_>, item: DataItemId, link: u32, start: u64) {
+        let vl = st.scenario().network().link(VirtualLinkId::new(link)).clone();
+        let arrival = t(start) + vl.transfer_time(st.scenario().item(item).size());
+        let hop = Hop {
+            from: vl.source(),
+            to: vl.destination(),
+            link: VirtualLinkId::new(link),
+            start: t(start),
+            arrival,
+        };
+        assert!(st.try_commit_stale_hop(item, hop));
+    }
+
+    #[test]
+    fn an_on_path_link_consumed_at_another_time_leaves_the_tree_served() {
+        let mut st = fork();
+        let planned = st.candidate_steps(item(0));
+        assert_eq!(planned[0].destinations[0].arrival, t(20)); // 0 -> 1 -> 2
+        assert_eq!(st.metrics().dijkstra_runs, 1);
+        // Link 1 carries `a` over [10, 20): a transfer at 100 s touches
+        // the path by resource identity (the whole-tree test behind
+        // `tree()` would repair), but the hop still finds its slot.
+        book_at(&mut st, item(2), 1, 100);
+        assert_eq!(st.candidate_steps(item(0)), planned);
+        assert_eq!(st.metrics().dijkstra_runs, 1, "no search for a hop that keeps its slot");
+        assert_eq!(st.metrics().cache_hits, 1);
+    }
+
+    #[test]
+    fn an_on_path_link_consumed_at_the_planned_slot_repairs_the_tree() {
+        let mut st = fork();
+        let planned = st.candidate_steps(item(0));
+        book_at(&mut st, item(2), 1, 12); // link 1 over [12, 27): `a` wanted [10, 20)
+        let replanned = st.candidate_steps(item(0));
+        assert_eq!(st.metrics().dijkstra_runs, 2);
+        assert_eq!(replanned[0].hop, planned[0].hop);
+        assert_eq!(replanned[0].destinations[0].arrival, t(37));
+    }
+
+    #[test]
+    fn storage_consumed_on_an_on_path_machine_repairs_only_when_it_no_longer_fits() {
+        let mut st = fork();
+        let planned = st.candidate_steps(item(0));
+        // m2 keeps 30 kB: `c` (15 kB, held to the horizon) leaves room for
+        // `a`'s 10 kB through its hold ...
+        book_at(&mut st, item(2), 1, 100);
+        assert_eq!(st.candidate_steps(item(0)), planned);
+        assert_eq!(st.metrics().dijkstra_runs, 1);
+        // ... and `b` on top of it does not.
+        book_at(&mut st, item(1), 1, 200);
+        let waiting = st.candidate_steps(item(0));
+        assert!(waiting[0].destinations[0].arrival > t(3_000), "no room until `b` is collected");
+        assert_eq!(st.metrics().dijkstra_runs, 2);
+    }
+
+    /// `fork()` after `b` took link 2 over [0, 15) and `a`'s tree was read
+    /// for m2 once more: the tree still says m3 at 20 s over [10, 20), and
+    /// the journal records of `b`'s commit are behind the checked mark.
+    fn fork_with_a_stale_side_branch() -> SchedulerState<'static> {
+        let mut st = fork();
+        st.candidate_steps(item(0));
+        st.commit_path(item(1), m(3));
+        st.candidate_steps(item(0));
+        assert_eq!(st.metrics().dijkstra_runs, 2, "m2's path never crossed link 2");
+        st
+    }
+
+    #[test]
+    fn a_request_for_a_new_destination_is_validated_from_the_built_mark() {
+        let mut st = fork_with_a_stale_side_branch();
+        // The hold row is at the horizon already, so the tree survives.
+        let late = st.add_request(Request::new(item(0), m(3), t(3_000), Priority::LOW)).unwrap();
+        let steps = st.candidate_steps(item(0));
+        let outlook = steps[0].destinations.iter().find(|d| d.request == late).unwrap();
+        assert_eq!(outlook.arrival, t(25), "link 2 is busy until 15 s");
+        assert_eq!(st.metrics().dijkstra_runs, 3);
+    }
+
+    #[test]
+    fn a_commit_to_nobodys_destination_is_validated_from_the_built_mark() {
+        let mut st = fork_with_a_stale_side_branch();
+        assert_eq!(st.commit_path(item(0), m(3)), 2);
+        let booked = st.take_transfers();
+        assert_eq!(booked.last().map(|t| (t.link, t.start)), Some((VirtualLinkId::new(2), t(15))));
+    }
+
+    /// Every label a heuristic would read from `st` next — the arrival at
+    /// and the path to each pending destination of each item, off the
+    /// cached tree once validated — is a from-scratch search's. Read on a
+    /// clone, so that `st`'s marks move only as its heuristic moves them.
+    fn assert_reads_match_scratch(st: &SchedulerState<'_>) {
+        let mut probe = st.clone();
+        for item in st.scenario().item_ids() {
+            let pending: Vec<MachineId> =
+                st.pending_requests(item).map(|r| st.scenario().request(r).destination()).collect();
+            if !pending.is_empty() {
+                probe.refresh_tree(item, Some(&pending));
+                let served = probe.refreshed(item);
+                assert!(reads_match_scratch(&probe.query(item), served, Some(&pending)), "{item}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Validation on read is exact: after every commit, link outage
+        /// and late request (`rehold`), under all five heuristics.
+        #[test]
+        fn validated_paths_equal_a_scratch_search_under_every_heuristic(
+            family in 0usize..3,
+            seed in 0u64..64,
+            disturbances in proptest::collection::vec((0u8..4, 0usize..64, 0u64..7_000), 0..12),
+        ) {
+            use crate::heuristic::{step_state, Heuristic, HeuristicConfig};
+            use dstage_workload::Family;
+            let scenario = [Family::Paper, Family::Grid, Family::Line][family].generate_small(seed);
+            let (items, machines) = (scenario.item_count(), scenario.network().machine_count());
+            let links = scenario.network().link_count();
+            for heuristic in Heuristic::EXTENDED {
+                let criteria = heuristic.criteria();
+                let config = HeuristicConfig {
+                    criterion: criteria[seed as usize % criteria.len()],
+                    ..HeuristicConfig::paper_best()
+                };
+                let mut st = SchedulerState::owning(scenario.clone(), true);
+                let mut disturbances = disturbances.iter();
+                loop {
+                    let progressed = step_state(&mut st, heuristic, &config);
+                    assert_reads_match_scratch(&st);
+                    match disturbances.next() {
+                        Some(&(0, pick, time)) => {
+                            st.apply_link_outage(VirtualLinkId::new((pick % links) as u32), t(time));
+                        }
+                        Some(&(1, pick, time)) => {
+                            // Refused (a duplicate, a source, a hold that
+                            // does not fit) is as good as not sent.
+                            let _ = st.add_request(Request::new(
+                                item((pick % items) as u32),
+                                m((time as usize % machines) as u32),
+                                t(time),
+                                Priority::new(pick as u8 % 3),
+                            ));
+                        }
+                        Some(_) => {}
+                        None if progressed => {}
+                        None => break,
+                    }
+                    assert_reads_match_scratch(&st);
+                }
+            }
+        }
     }
 
     /// The line network with `relay_bytes` of storage on m1, item `d0` at

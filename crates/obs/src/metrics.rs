@@ -97,9 +97,15 @@ pub static RESOURCES_COMMITS: Counter = Counter::new();
 
 /// Earliest-arrival trees computed (from scratch or by repair).
 pub static PATH_TREES: Counter = Counter::new();
+/// Cached trees served without a search after their read paths were
+/// validated (`paths_hold` returned true).
+pub static PATH_TREES_VALIDATED: Counter = Counter::new();
+/// Hops of cached trees probed again by that validation (one
+/// `earliest_transfer` call each, outside any search).
+pub static PATH_HOPS_REPROBED: Counter = Counter::new();
 /// Edge relaxations issued as ledger probes (one `earliest_transfer` call
-/// each; always equals `dstage_resources_probes_total` for pure-path
-/// workloads).
+/// each; with `dstage_path_hops_reprobed_total` they add up to
+/// `dstage_resources_probes_total` for pure-path workloads).
 pub static PATH_RELAXATIONS: Counter = Counter::new();
 /// Outgoing edges considered by the search, including every edge the
 /// label or lower-bound prunes discarded before probing.
@@ -383,6 +389,20 @@ pub fn registry() -> &'static [MetricDef] {
             layer: "path",
             label: None,
             kind: Counter(&PATH_TREES),
+        },
+        MetricDef {
+            name: "dstage_path_trees_validated_total",
+            help: "Cached trees served after validating the paths read",
+            layer: "path",
+            label: None,
+            kind: Counter(&PATH_TREES_VALIDATED),
+        },
+        MetricDef {
+            name: "dstage_path_hops_reprobed_total",
+            help: "Cached-tree hops probed again by read-side validation",
+            layer: "path",
+            label: None,
+            kind: Counter(&PATH_HOPS_REPROBED),
         },
         MetricDef {
             name: "dstage_path_relaxations_total",

@@ -25,7 +25,7 @@ use std::collections::BinaryHeap;
 
 use dstage_model::ids::MachineId;
 use dstage_model::network::Network;
-use dstage_model::time::{SimDuration, SimTime};
+use dstage_model::time::SimTime;
 use dstage_model::units::Bytes;
 use dstage_resources::ledger::NetworkLedger;
 
@@ -56,35 +56,6 @@ pub struct ItemQuery<'a> {
     /// the system benchmark (`sysbench/`) keep compiling until a benchmark
     /// change can drop them.
     pub horizon: SimTime,
-}
-
-/// Static per-link pruning ingredients, computed once per search: the
-/// unloaded-network lower bound on crossing the link (`possible_satisfy`
-/// in `core::bounds` reasons from the same ingredients).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LinkBound {
-    /// Destination machine index.
-    pub(crate) dst: usize,
-    /// Window start `Lst`.
-    open: SimTime,
-    /// Window end `Let` — the latest permissible completion before the
-    /// hold deadline is taken into account.
-    close: SimTime,
-    /// Serialization + latency for this item.
-    duration: SimDuration,
-}
-
-/// Precomputes [`LinkBound`]s for every link, for an item of `size` bytes.
-pub(crate) fn link_bounds(network: &Network, size: Bytes) -> Vec<LinkBound> {
-    network
-        .links()
-        .map(|(_, link)| LinkBound {
-            dst: link.destination().index(),
-            open: link.start(),
-            close: link.end(),
-            duration: link.transfer_time(size),
-        })
-        .collect()
 }
 
 /// Per-search work tallies, published to the obs tap once per tree.
@@ -128,7 +99,6 @@ impl SearchStats {
 /// from-scratch run's.
 pub(crate) fn run_search(
     query: &ItemQuery<'_>,
-    bounds: &[LinkBound],
     arrivals: &mut [SimTime],
     hops: &mut [Option<Hop>],
     queue: &mut Frontier,
@@ -143,21 +113,26 @@ pub(crate) fn run_search(
         let u = MachineId::new(u_idx);
         for &link_id in query.network.outgoing(u) {
             stats.edge_scans += 1;
-            let bound = bounds[link_id.index()];
-            let v = bound.dst;
+            let link = query.network.link(link_id);
+            let v = link.destination().index();
             if frozen.is_some_and(|f| f[v]) {
                 continue;
             }
             // The unloaded-network bound: no slot can complete earlier
-            // than this, and none may complete after window end or the
-            // hold deadline. Overflow means unrepresentably late.
+            // than the earliest start plus the transfer time, and none may
+            // complete after window end or the hold deadline. Most edges
+            // fail it on the start alone, before the transfer time (a
+            // division) is known; overflow means unrepresentably late.
             let hold = query.hold_until[v];
-            match bound.open.max(ready).checked_add(bound.duration) {
-                Some(lb) if lb <= bound.close.min(hold) && lb < arrivals[v] => {}
-                _ => {
-                    stats.lb_prunes += 1;
-                    continue;
-                }
+            let (earliest, limit) = (link.start().max(ready), link.end().min(hold));
+            let may_improve = earliest <= limit
+                && earliest < arrivals[v]
+                && earliest
+                    .checked_add(link.transfer_time(query.size))
+                    .is_some_and(|lb| lb <= limit && lb < arrivals[v]);
+            if !may_improve {
+                stats.lb_prunes += 1;
+                continue;
             }
             stats.relaxations += 1;
             let Some(slot) =
@@ -202,7 +177,6 @@ pub fn earliest_arrival_tree(query: &ItemQuery<'_>) -> ArrivalTree {
     let n = query.network.machine_count();
     assert!(query.hold_until.len() >= n, "hold_until must cover every machine");
 
-    let bounds = link_bounds(query.network, query.size);
     let mut arrivals = vec![SimTime::MAX; n];
     let mut hops: Vec<Option<Hop>> = vec![None; n];
     let mut queue = Frontier::new();
@@ -218,7 +192,7 @@ pub fn earliest_arrival_tree(query: &ItemQuery<'_>) -> ArrivalTree {
         }
     }
 
-    run_search(query, &bounds, &mut arrivals, &mut hops, &mut queue, None, &mut stats);
+    run_search(query, &mut arrivals, &mut hops, &mut queue, None, &mut stats);
     stats.publish();
 
     ArrivalTree::new(arrivals, hops)

@@ -10,10 +10,11 @@
 //! The search is exact for the current resource state because every
 //! constraint is monotone in the ready time (see
 //! [`dijkstra::earliest_arrival_tree`]). The same monotonicity powers the
-//! two optimizations kept on the hot path: static lower-bound pruning of
-//! hopeless relaxations, and incremental repair of cached trees after
-//! resource consumption ([`repair`]). The frontier is a plain binary
-//! heap.
+//! optimizations kept on the hot path: static lower-bound pruning of
+//! hopeless relaxations, and — for cached trees after resource consumption
+//! — validation of just the paths about to be read, with incremental
+//! repair when one no longer holds ([`repair`]). The frontier is a plain
+//! binary heap.
 //!
 //! # Examples
 //!
@@ -50,5 +51,5 @@ pub mod repair;
 pub mod tree;
 
 pub use dijkstra::{earliest_arrival_tree, ItemQuery};
-pub use repair::repair_tree;
+pub use repair::{paths_hold, repair_tree};
 pub use tree::{ArrivalTree, Hop};

@@ -24,8 +24,62 @@ use std::cmp::Reverse;
 use dstage_model::ids::{MachineId, VirtualLinkId};
 use dstage_model::time::SimTime;
 
-use crate::dijkstra::{link_bounds, run_search, Frontier, ItemQuery, SearchStats};
+use crate::dijkstra::{run_search, Frontier, ItemQuery, SearchStats};
 use crate::tree::{ArrivalTree, Hop};
+
+/// Whether `tree`'s paths to `destinations` — and with them the labels
+/// and hops along those paths — are still what a from-scratch run on
+/// `query`'s ledger returns, although the given links/stores were consumed
+/// since the tree was last known to hold for those destinations.
+///
+/// Each hop on such a path whose link or receiving store was consumed is
+/// probed again exactly as the search probed it; the path holds when every
+/// probe answers with the hop's old slot. That is sufficient (DESIGN.md
+/// §3): consumption moves no label earlier; a path whose hops all keep
+/// their slots keeps its labels, by induction from the unchanged sources;
+/// and every rival predecessor's label and probe answer is the same or
+/// later, so the strict-`<` update still picks the same hop in the same
+/// `(arrival, machine id)` pop order. Nothing is claimed about the rest of
+/// the tree: when this returns `false`, and before any label elsewhere is
+/// read, the tree must go through [`repair_tree`] with everything consumed
+/// since it was *built*.
+#[must_use]
+pub fn paths_hold(
+    query: &ItemQuery<'_>,
+    tree: &ArrivalTree,
+    destinations: &[MachineId],
+    dirty_links: &[VirtualLinkId],
+    dirty_machines: &[MachineId],
+) -> bool {
+    let mut reprobed = 0;
+    let untouched = dirty_links.is_empty() && dirty_machines.is_empty();
+    let holds = untouched
+        || destinations.iter().all(|&destination| {
+            let mut cursor = destination;
+            while let Some(hop) = tree.hop_into(cursor) {
+                if dirty_links.contains(&hop.link) || dirty_machines.contains(&hop.to) {
+                    reprobed += 1;
+                    let slot = query.ledger.earliest_transfer(
+                        query.network,
+                        hop.link,
+                        tree.arrival(hop.from),
+                        query.size,
+                        query.hold_until[hop.to.index()],
+                    );
+                    if slot.map(|s| (s.start, s.arrival)) != Some((hop.start, hop.arrival)) {
+                        return false;
+                    }
+                }
+                cursor = hop.from;
+            }
+            true
+        });
+    dstage_obs::metrics::PATH_HOPS_REPROBED.add(reprobed);
+    if holds {
+        dstage_obs::metrics::PATH_TREES_VALIDATED.inc();
+    }
+    holds
+}
 
 /// Repairs `tree` — built for `query`'s item against an *earlier* state
 /// of the same ledger — after the given links/stores were consumed.
@@ -62,19 +116,31 @@ pub fn repair_tree(
 
     // Affected = machines whose inbound hop crossed a dirtied resource,
     // plus all their tree descendants (their labels chain through it).
+    // Children sit in one flat array, grouped by parent: machine `p`'s are
+    // `children[bounds[p]..bounds[p + 1]]`. Built by counting sort, with
+    // `bounds[p + 1]` serving as `p`'s fill cursor on the way.
+    let mut bounds = vec![0usize; n + 2];
+    for hop in old_hops.iter().flatten() {
+        bounds[hop.from.index() + 2] += 1;
+    }
+    for p in 2..n + 2 {
+        bounds[p] += bounds[p - 1];
+    }
+    let mut children = vec![0usize; bounds[n + 1]];
     let mut affected = vec![false; n];
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut stack: Vec<usize> = Vec::new();
     for (idx, hop) in old_hops.iter().enumerate() {
         let Some(hop) = hop else { continue };
-        children[hop.from.index()].push(idx);
+        let cursor = &mut bounds[hop.from.index() + 1];
+        children[*cursor] = idx;
+        *cursor += 1;
         if link_dirty[hop.link.index()] || machine_dirty[idx] {
             affected[idx] = true;
             stack.push(idx);
         }
     }
     while let Some(idx) = stack.pop() {
-        for &child in &children[idx] {
+        for &child in &children[bounds[idx]..bounds[idx + 1]] {
             if !affected[child] {
                 affected[child] = true;
                 stack.push(child);
@@ -107,7 +173,6 @@ pub fn repair_tree(
     }
     // The frontier: unaffected reachable machines with an edge into the
     // affected set relax back into it at their (final) labels.
-    let bounds = link_bounds(query.network, query.size);
     for idx in 0..n {
         if affected[idx] || arrivals[idx] == SimTime::MAX {
             continue;
@@ -116,7 +181,7 @@ pub fn repair_tree(
             .network
             .outgoing(MachineId::new(idx as u32))
             .iter()
-            .any(|&l| affected[bounds[l.index()].dst]);
+            .any(|&l| affected[query.network.link(l).destination().index()]);
         if feeds_affected {
             queue.push(Reverse((arrivals[idx], idx as u32)));
             stats.heap_pushes += 1;
@@ -127,7 +192,7 @@ pub fn repair_tree(
     // Frozen = the unaffected machines: their labels are final, so edges
     // into them are skipped (no probe could improve them).
     let frozen: Vec<bool> = affected.iter().map(|&a| !a).collect();
-    run_search(query, &bounds, &mut arrivals, &mut hops, &mut queue, Some(&frozen), &mut stats);
+    run_search(query, &mut arrivals, &mut hops, &mut queue, Some(&frozen), &mut stats);
 
     stats.publish();
     dstage_obs::metrics::PATH_TREE_REPAIRS.inc();

@@ -2,8 +2,9 @@
 //! of (configuration, seed).
 
 use data_staging::core::baselines::{priority_first, random_dijkstra, single_dijkstra_random};
-use data_staging::core::cost::EuWeights;
+use data_staging::core::cost::{CostCriterion, EuWeights};
 use data_staging::prelude::*;
+use data_staging::workload::grid::{generate_grid, GridConfig};
 use data_staging::workload::{generate, GeneratorConfig};
 
 #[test]
@@ -64,22 +65,30 @@ fn generated_scenarios_are_stable_across_calls() {
 
 #[test]
 fn caching_toggle_never_changes_results() {
-    // The dirty-item cache is an exact optimization (DESIGN.md §3); its
-    // ablation must be invisible in the output on every heuristic.
-    let scenario = generate(&GeneratorConfig::small(), 5);
-    for h in Heuristic::ALL {
-        for &c in h.criteria() {
-            let mut config = HeuristicConfig {
-                criterion: c,
-                eu: EuWeights::from_log10_ratio(0.0),
-                priority_weights: PriorityWeights::paper_1_10_100(),
-                caching: true,
-            };
-            let cached = run(&scenario, h, &config);
-            config.caching = false;
-            let uncached = run(&scenario, h, &config);
-            assert_eq!(cached.schedule, uncached.schedule, "{h}/{c} differs with caching off");
-            assert_eq!(uncached.metrics.cache_hits, 0);
+    // The tree cache is an exact optimization (DESIGN.md §3); its ablation
+    // must be invisible in the output on every scheduler — on the small
+    // paper graph under every criterion, and on a 16×16 grid, where a
+    // tree spans 256 machines and a route crosses a dozen of them, so
+    // that most trees are served after validating a few paths.
+    let grid = GridConfig { rows: 16, cols: 16, items: 12, requests: 36, ..GridConfig::default() };
+    let cases = [(generate(&GeneratorConfig::small(), 5), true), (generate_grid(&grid, 5), false)];
+    for (scenario, every_criterion) in &cases {
+        for h in Heuristic::EXTENDED {
+            let criteria = if *every_criterion { h.criteria() } else { &[CostCriterion::C4] };
+            for &c in criteria {
+                let mut config = HeuristicConfig {
+                    criterion: c,
+                    eu: EuWeights::from_log10_ratio(0.0),
+                    priority_weights: PriorityWeights::paper_1_10_100(),
+                    caching: true,
+                };
+                let cached = run(scenario, h, &config);
+                config.caching = false;
+                let uncached = run(scenario, h, &config);
+                assert_eq!(cached.schedule, uncached.schedule, "{h}/{c} differs with caching off");
+                assert_eq!(uncached.metrics.cache_hits, 0);
+                assert!(cached.metrics.dijkstra_runs <= uncached.metrics.dijkstra_runs);
+            }
         }
     }
 }
