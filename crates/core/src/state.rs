@@ -11,7 +11,10 @@
 //! ([`SchedulerState::owning`]): each submission is appended to the
 //! state's own scenario ([`SchedulerState::add_request`]), routed by the
 //! ordinary heuristic loop, and — when it is refused — taken back again
-//! ([`SchedulerState::rollback`]).
+//! ([`SchedulerState::rollback`]). Reservations made earlier leave the same
+//! way they came: [`SchedulerState::unbook`] frees one transfer's window
+//! and storage, [`SchedulerState::rederive_item`] rebuilds its item's
+//! tables from the transfers that remain.
 
 use std::borrow::Cow;
 
@@ -139,6 +142,14 @@ pub struct SchedulerState<'a> {
     /// reservations a hold change must move, and the copy a late request
     /// for an already-staged destination is served from.
     staged: Vec<Vec<Staged>>,
+    /// Copy losses per item, `(machine, lost_at)`: every copy that reached
+    /// the machine no later than `lost_at` is gone from then on.
+    lost: Vec<Vec<(MachineId, SimTime)>>,
+    /// The link outages applied and the instant before which every link is
+    /// blocked. The ledger merges a block with the reservations around it,
+    /// so a release must be told which part of a window stays busy.
+    down: Vec<(VirtualLinkId, SimTime)>,
+    past: SimTime,
     /// Whether each request may receive resources. All requests start
     /// active; the dynamic layer deactivates requests that have not been
     /// released yet. Inactive requests still *record* deliveries when a
@@ -247,6 +258,9 @@ impl<'a> SchedulerState<'a> {
             hold_until,
             delivered: vec![None; scenario.request_count()],
             staged: vec![Vec::new(); scenario.item_count()],
+            lost: vec![Vec::new(); scenario.item_count()],
+            down: Vec::new(),
+            past: SimTime::ZERO,
             active: vec![true; scenario.request_count()],
             trees: vec![None; scenario.item_count()],
             journal: ChangeJournal::default(),
@@ -312,8 +326,8 @@ impl<'a> SchedulerState<'a> {
     /// [`Scenario::push_request`] does) and brings the tables up to what a
     /// fresh state over the grown scenario, with the same transfers
     /// booked, would hold. The request starts active and undelivered,
-    /// except that a copy already staged on its destination in time
-    /// delivers it — the first such copy in commit order.
+    /// except that a copy already staged on its destination delivers it
+    /// (see [`SchedulerState::rederive_item`] for which).
     ///
     /// Holds are retroactive: the request's deadline may push its item's
     /// garbage-collection time out, and its destination now keeps its copy
@@ -334,11 +348,7 @@ impl<'a> SchedulerState<'a> {
             self.scenario.to_mut().pop_request();
             return Err(AddRequestError::Hold(refused));
         }
-        let served = self.staged[item.index()]
-            .iter()
-            .find(|s| s.machine == request.destination() && s.arrival <= request.deadline())
-            .map(|s| Delivery { request: id, at: s.arrival, hops: s.depth });
-        self.delivered.push(served);
+        self.delivered.push(self.served(id, &request));
         self.active.push(true);
         Ok(id)
     }
@@ -507,11 +517,11 @@ impl<'a> SchedulerState<'a> {
     }
 
     /// The first difference between the scheduling tables of `self` and
-    /// `other` — requests, horizon, ledger, copies, holds, deliveries,
-    /// staged arrivals with their depths, activity flags — or `None` when
-    /// they agree. Caches (trees, journal), the pending transfer list and
-    /// run counters are not compared: two states that agree here make the
-    /// same decisions.
+    /// `other` — requests, horizon, blocks, ledger, copies, losses, holds,
+    /// deliveries, staged arrivals with their depths, activity flags — or
+    /// `None` when they agree. Caches (trees, journal), the pending
+    /// transfer list and run counters are not compared: two states that
+    /// agree here make the same decisions.
     #[must_use]
     pub fn first_difference(&self, other: &SchedulerState<'_>) -> Option<String> {
         fn differ<T: PartialEq + core::fmt::Debug>(what: String, a: &T, b: &T) -> Option<String> {
@@ -525,6 +535,8 @@ impl<'a> SchedulerState<'a> {
         }
         let (mine, theirs) = (&self.ledger, &other.ledger);
         differ("horizon".to_string(), &a.horizon(), &b.horizon())
+            .or_else(|| differ("blocked past".to_string(), &self.past, &other.past))
+            .or_else(|| differ("link outages".to_string(), &self.down, &other.down))
             .or_else(|| {
                 a.network().links().find_map(|(l, _)| {
                     differ(format!("busy intervals of {l}"), mine.link_busy(l), theirs.link_busy(l))
@@ -539,6 +551,9 @@ impl<'a> SchedulerState<'a> {
                 a.item_ids().find_map(|item| {
                     let i = item.index();
                     differ(format!("copies of {item}"), &self.copies[i], &other.copies[i])
+                        .or_else(|| {
+                            differ(format!("losses of {item}"), &self.lost[i], &other.lost[i])
+                        })
                         .or_else(|| {
                             let (x, y) = (&self.hold_until[i], &other.hold_until[i]);
                             differ(format!("holds of {item}"), x, y)
@@ -565,14 +580,14 @@ impl<'a> SchedulerState<'a> {
             })
     }
 
-    /// Removes the copies of `item` held at `machine` that exist at
-    /// `lost_at` — i.e. whose availability is `<= lost_at` (dynamic copy
-    /// loss: a crash or storage fault). Copies scheduled to arrive
-    /// *after* the loss survive. Future plans can no longer source the
-    /// item from the removed copies; their storage reservations are left
-    /// in place (the model cannot reclaim half-elapsed holds, and staying
-    /// conservative only under-reports performance). Returns whether any
-    /// copy was removed.
+    /// Loses the copies of `item` held at `machine` that exist at `lost_at`
+    /// — i.e. whose availability is `<= lost_at` (dynamic copy loss: a
+    /// crash or storage fault). Copies that arrive *after* the loss
+    /// survive. Plans can no longer source the item from the lost copies,
+    /// and a request they had delivered falls to the next copy that serves
+    /// it, if any; their storage reservations are left in place (the model
+    /// cannot reclaim half-elapsed holds, and staying conservative only
+    /// under-reports performance). Returns whether any copy was removed.
     ///
     /// The item's cached tree is invalidated; other items are unaffected
     /// (losing a source can only worsen this item's arrivals).
@@ -582,6 +597,7 @@ impl<'a> SchedulerState<'a> {
         machine: MachineId,
         lost_at: SimTime,
     ) -> bool {
+        self.lost[item.index()].push((machine, lost_at));
         let copies = &mut self.copies[item.index()];
         let before = copies.len();
         copies.retain(|&(m, at)| m != machine || at > lost_at);
@@ -589,7 +605,41 @@ impl<'a> SchedulerState<'a> {
         if removed {
             self.trees[item.index()] = None;
         }
+        for &id in self.scenario.requests_for(item) {
+            let request = self.scenario.request(id);
+            if request.destination() == machine {
+                self.delivered[id.index()] = self.served(id, request);
+            }
+        }
         removed
+    }
+
+    /// Whether the copy of `item` that reached `machine` at `arrival` is
+    /// still there at `until`.
+    fn survives(
+        &self,
+        item: DataItemId,
+        machine: MachineId,
+        arrival: SimTime,
+        until: SimTime,
+    ) -> bool {
+        !self.lost[item.index()].iter().any(|&(m, at)| m == machine && arrival <= at && at <= until)
+    }
+
+    /// The delivery the staged copies of its item give `request`: the first
+    /// copy in commit order at its destination, in time, that survives to
+    /// its deadline — the one loss rule, whether the copy, the loss or the
+    /// request came last.
+    fn served(&self, id: RequestId, request: &Request) -> Option<Delivery> {
+        let (item, at) = (request.item(), request.destination());
+        self.staged[item.index()]
+            .iter()
+            .find(|s| {
+                s.machine == at
+                    && s.arrival <= request.deadline()
+                    && self.survives(item, at, s.arrival, request.deadline())
+            })
+            .map(|s| Delivery { request: id, at: s.arrival, hops: s.depth })
     }
 
     /// The recorded delivery of a request, if any.
@@ -602,16 +652,6 @@ impl<'a> SchedulerState<'a> {
         self.delivered[request.index()]
     }
 
-    /// Clears a recorded delivery so the request becomes pending again
-    /// (dynamic copy loss at a destination before the deadline).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn revoke_delivery(&mut self, request: RequestId) {
-        self.delivered[request.index()] = None;
-    }
-
     /// Takes a link out of service from `from` onward (remaining window
     /// time is blanket-reserved). The block is pure consumption, so it is
     /// journaled like a commit: affected cached trees are repaired lazily
@@ -619,6 +659,7 @@ impl<'a> SchedulerState<'a> {
     pub fn apply_link_outage(&mut self, link: VirtualLinkId, from: SimTime) {
         let end = self.scenario.network().link(link).end();
         self.ledger.block_link(link, from, end.max(from));
+        self.down.push((link, from));
         self.journal.record_link(link);
         if !self.caching {
             self.drop_all_trees();
@@ -630,6 +671,7 @@ impl<'a> SchedulerState<'a> {
     /// invalidates every cached tree.
     pub fn block_past(&mut self, now: SimTime) {
         self.ledger.block_past(now);
+        self.past = self.past.max(now);
         self.drop_all_trees();
     }
 
@@ -780,8 +822,7 @@ impl<'a> SchedulerState<'a> {
     }
 
     /// Books one transfer of `item`: reserves the link and the receiving
-    /// storage, adds the new copy with its hop depth, and marks the
-    /// request it satisfies. The caller journals the consumption.
+    /// storage, then stages the copy. The caller journals the consumption.
     fn book(&mut self, item: DataItemId, hop: Hop) -> Result<(), CommitError> {
         let hold = self.hold_until[item.index()][hop.to.index()];
         let slot = self.ledger.commit_transfer(
@@ -801,11 +842,112 @@ impl<'a> SchedulerState<'a> {
             arrival: hop.arrival,
         });
         self.metrics.transfers_committed += 1;
-        self.copies[item.index()].push((hop.to, hop.arrival));
-        let depth = self.depth_at(item, hop.from).saturating_add(1);
-        self.staged[item.index()].push(Staged { machine: hop.to, arrival: hop.arrival, depth });
-        self.mark_deliveries(item, hop.to, hop.arrival, depth);
+        self.stage(item, hop.from, hop.to, hop.arrival);
         Ok(())
+    }
+
+    /// The table half of a booking: the new copy (unless a loss already on
+    /// record takes it), its arrival with its hop depth, and the requests
+    /// it delivers.
+    fn stage(&mut self, item: DataItemId, from: MachineId, to: MachineId, arrival: SimTime) {
+        if self.survives(item, to, arrival, SimTime::MAX) {
+            self.copies[item.index()].push((to, arrival));
+        }
+        let depth = self.depth_at(item, from).saturating_add(1);
+        self.staged[item.index()].push(Staged { machine: to, arrival, depth });
+        for &id in self.scenario.requests_for(item) {
+            let request = self.scenario.request(id);
+            if self.delivered[id.index()].is_none()
+                && request.destination() == to
+                && arrival <= request.deadline()
+                && self.survives(item, to, arrival, request.deadline())
+            {
+                self.delivered[id.index()] =
+                    Some(Delivery { request: id, at: arrival, hops: depth });
+            }
+        }
+    }
+
+    /// Books a transfer made elsewhere — a recorded reservation being
+    /// replayed — exactly as the heuristic that planned it did.
+    ///
+    /// # Errors
+    ///
+    /// Returns the ledger's refusal; the state is unchanged.
+    pub fn book_transfer(&mut self, t: &Transfer) -> Result<(), CommitError> {
+        let hop = Hop { from: t.from, to: t.to, link: t.link, start: t.start, arrival: t.arrival };
+        self.book(t.item, hop)?;
+        self.record_consumption(t.item, &[t.link], &[t.to]);
+        Ok(())
+    }
+
+    /// Takes a booked transfer out of the ledger: its link window and the
+    /// receiving store are free again — except the part of the window that
+    /// lies in the blocked past or on the link after its outage, which a
+    /// state built without the transfer would have blocked outright. The
+    /// item's tables still list the copy until
+    /// [`SchedulerState::rederive_item`]; every cached tree is forgotten,
+    /// as in [`SchedulerState::rollback`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is not booked.
+    pub fn unbook(&mut self, t: &Transfer) {
+        let hold = self.hold_until[t.item.index()][t.to.index()];
+        let size = self.scenario.item(t.item).size();
+        self.ledger.release_transfer(self.scenario.network(), t.link, t.start, size, hold);
+        self.ledger.block_link(t.link, t.start, t.arrival.min(self.past));
+        for &(link, from) in &self.down {
+            if link == t.link {
+                self.ledger.block_link(link, from.max(t.start), t.arrival);
+            }
+        }
+        self.forget_trees();
+    }
+
+    /// Puts a transfer taken out by [`SchedulerState::unbook`] back, nothing
+    /// else having been booked or released in between: the exact inverse.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the receiving store has no room for it.
+    pub fn rebook(&mut self, t: &Transfer) {
+        let hold = self.hold_until[t.item.index()][t.to.index()];
+        let size = self.scenario.item(t.item).size();
+        // The blocked part of the window never became free.
+        self.ledger.block_link(t.link, t.start, t.arrival);
+        self.ledger
+            .reserve_storage(t.to, size, t.start, hold.max(t.arrival))
+            .expect("the store held this very copy before it was unbooked");
+    }
+
+    /// Rebuilds `item`'s tables — copies, booked arrivals with their hop
+    /// depths, the deliveries of its requests — from `transfers`, all of
+    /// the item's booked transfers in commit order, with no ledger call.
+    /// The tables are a function of that list, the item's losses and its
+    /// requests alone: a copy on record is one no loss has taken, and a
+    /// request is delivered by the first copy in the list at its
+    /// destination, in time, that survives to its deadline. Booking the
+    /// same transfers one by one on a fresh state runs the same code.
+    pub fn rederive_item<'t>(
+        &mut self,
+        item: DataItemId,
+        transfers: impl IntoIterator<Item = &'t Transfer>,
+    ) {
+        let sources = self.scenario.item(item).sources().iter();
+        self.copies[item.index()] = sources
+            .map(|src| (src.machine, src.available_at))
+            .filter(|&(machine, at)| self.survives(item, machine, at, SimTime::MAX))
+            .collect();
+        self.staged[item.index()].clear();
+        for id in self.scenario.requests_for(item) {
+            self.delivered[id.index()] = None;
+        }
+        for t in transfers {
+            debug_assert_eq!(t.item, item);
+            self.stage(item, t.from, t.to, t.arrival);
+        }
+        self.trees[item.index()] = None;
     }
 
     /// Hop depth of the copy of `item` most recently booked into
@@ -991,23 +1133,12 @@ impl<'a> SchedulerState<'a> {
         (Schedule::from_parts(self.transfers, deliveries), self.metrics)
     }
 
-    fn mark_deliveries(&mut self, item: DataItemId, machine: MachineId, at: SimTime, hops: u32) {
-        for &req_id in self.scenario.requests_for(item) {
-            if self.delivered[req_id.index()].is_some() {
-                continue;
-            }
-            let req = self.scenario.request(req_id);
-            if req.destination() == machine && at <= req.deadline() {
-                self.delivered[req_id.index()] = Some(Delivery { request: req_id, at, hops });
-            }
-        }
-    }
-
     /// Records resource consumption after committing transfers of `item`
     /// that used `links` and placed copies on `machines`.
     ///
-    /// Resources are only ever consumed while trees are cached (the one
-    /// release, [`SchedulerState::rollback`], forgets every tree), so a
+    /// Resources are only ever consumed while trees are cached (the two
+    /// releases, [`SchedulerState::rollback`] and
+    /// [`SchedulerState::unbook`], forget every tree), so a
     /// path of a cached tree stays optimal while each of its hops over a
     /// touched link or into a touched machine still finds its old slot
     /// (see DESIGN.md §3). The consumption is journaled; other items'
@@ -1341,14 +1472,18 @@ mod tests {
     }
 
     #[test]
-    fn revoke_delivery_reopens_the_request() {
+    fn a_lost_destination_copy_reopens_the_request() {
         let s = line_scenario();
         let mut st = SchedulerState::new(&s);
         st.commit_path(item(0), m(2));
         assert!(st.is_delivered(RequestId::new(0)));
-        st.revoke_delivery(RequestId::new(0));
+        // Lost before the deadline (3 000 s): pending again.
+        assert!(st.remove_copies(item(0), m(2), t(25)));
         assert!(!st.is_delivered(RequestId::new(0)));
         assert_eq!(st.pending_requests(item(0)).count(), 2);
+        // A copy that lands after the loss delivers it again.
+        book_at(&mut st, item(0), 1, 30);
+        assert_eq!(st.delivery_of(RequestId::new(0)).map(|d| d.at), Some(t(40)));
     }
 
     #[test]
@@ -1652,6 +1787,107 @@ mod tests {
             assert!(fresh.try_commit_stale_hop(t.item, hop));
         }
         fresh
+    }
+
+    /// `item`'s transfer over `link` (10 s a hop in `growing`) from `start`.
+    fn hop_at(st: &SchedulerState<'_>, item: DataItemId, link: u32, start: u64) -> Transfer {
+        let vl = st.scenario().network().link(VirtualLinkId::new(link));
+        let (from, to, start) = (vl.source(), vl.destination(), t(start));
+        Transfer {
+            item,
+            from,
+            to,
+            link: VirtualLinkId::new(link),
+            start,
+            arrival: start + vl.transfer_time(st.scenario().item(item).size()),
+        }
+    }
+
+    /// Booking `hop` on `st` and taking it out again, and taking it out of
+    /// the booked state and putting it back, both change nothing.
+    fn assert_unbook_inverts_book(mut st: SchedulerState<'static>, hop: Transfer, case: &str) {
+        let others: Vec<Transfer> =
+            st.transfers.iter().filter(|t| t.item == hop.item).copied().collect();
+        let before = st.clone();
+        st.book_transfer(&hop).unwrap_or_else(|e| panic!("{case}: {e}"));
+        let booked = st.clone();
+        st.unbook(&hop);
+        st.rederive_item(hop.item, &others);
+        assert_eq!(st.first_difference(&before), None, "{case}: unbook after book");
+        assert_eq!(st.journal_len(), 0);
+        st.rebook(&hop);
+        st.rederive_item(hop.item, others.iter().chain([&hop]));
+        assert_eq!(st.first_difference(&booked), None, "{case}: rebook after unbook");
+    }
+
+    #[test]
+    fn unbooking_is_the_exact_inverse_of_booking() {
+        // Link-adjacent: neighbours on both sides of the window, which the
+        // busy set has merged into one span.
+        let mut st = growing(1 << 20);
+        st.add_request(Request::new(item(1), m(2), t(100), Priority::LOW)).unwrap();
+        for start in [0, 20] {
+            let neighbour = hop_at(&st, item(1), 0, start);
+            st.book_transfer(&neighbour).unwrap();
+        }
+        let hop = hop_at(&st, item(0), 0, 10);
+        assert_unbook_inverts_book(st, hop, "link-adjacent");
+        // Block-adjacent: the blocked past ends and an outage begins where
+        // the window does.
+        let mut st = growing(1 << 20);
+        st.block_past(t(10));
+        st.apply_link_outage(VirtualLinkId::new(0), t(20));
+        st.forget_trees();
+        let hop = hop_at(&st, item(0), 0, 10);
+        assert_unbook_inverts_book(st, hop, "block-adjacent");
+        // Storage-tight: the relay holds exactly this one copy, and has
+        // room for the other item's once it is gone.
+        let mut st = growing(10_000);
+        st.add_request(Request::new(item(1), m(2), t(100), Priority::LOW)).unwrap();
+        let (hop, other) = (hop_at(&st, item(0), 0, 0), hop_at(&st, item(1), 0, 10));
+        assert_unbook_inverts_book(st.clone(), hop, "storage-tight");
+        st.book_transfer(&hop).unwrap();
+        assert!(st.clone().book_transfer(&other).is_err(), "the relay is full");
+        st.unbook(&hop);
+        st.book_transfer(&other).expect("the relay is free again");
+    }
+
+    #[test]
+    fn a_release_spares_the_blocked_part_of_the_window() {
+        // Booked over [10 s, 20 s) on link 0; then the past is blocked to
+        // 13 s and the link goes down at 17 s, and the busy set merges both
+        // blocks with the window. Releasing it frees [13 s, 17 s) alone —
+        // what a state that never booked it shows.
+        let mut never = growing(1 << 20);
+        let mut st = never.clone();
+        let hop = hop_at(&st, item(0), 0, 10);
+        st.book_transfer(&hop).unwrap();
+        for state in [&mut st, &mut never] {
+            state.block_past(t(13));
+            state.apply_link_outage(VirtualLinkId::new(0), t(17));
+            state.forget_trees();
+        }
+        st.take_transfers();
+        st.unbook(&hop);
+        st.rederive_item(hop.item, []);
+        assert_eq!(st.first_difference(&never), None);
+        let busy = st.ledger().link_busy(hop.link);
+        assert!(
+            !busy.is_free(t(12), t(13))
+                && busy.is_free(t(13), t(17))
+                && !busy.is_free(t(17), t(18))
+        );
+        // Entirely in the past, or entirely after the outage: nothing frees.
+        for start in [0, 30] {
+            let mut st = growing(1 << 20);
+            let hop = hop_at(&st, item(0), 0, start);
+            st.book_transfer(&hop).unwrap();
+            st.block_past(t(10));
+            st.apply_link_outage(VirtualLinkId::new(0), t(25));
+            let blocked = st.ledger().link_busy(hop.link).clone();
+            st.unbook(&hop);
+            assert_eq!(*st.ledger().link_busy(hop.link), blocked, "from {start} s");
+        }
     }
 
     #[test]

@@ -47,5 +47,7 @@ pub mod repair;
 pub mod simulate;
 
 pub use event::{Event, EventError, EventKind, EventLog};
-pub use repair::{append_request, filter_consistent, final_deliveries, replay_state, Loss, Outage};
+pub use repair::{
+    deliveries_among, filter_consistent, final_deliveries, replay_order, replay_state, Loss, Outage,
+};
 pub use simulate::{simulate, OnlineOutcome, OnlinePolicy};

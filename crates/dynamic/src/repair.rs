@@ -16,19 +16,19 @@
 //!   the ones they invalidate (cascading through staged copies);
 //! * [`final_deliveries`] — the deliveries that survive to each request's
 //!   deadline under the copy-survival semantics of §4.4;
-//! * [`replay_state`] — rebuild a [`SchedulerState`] from a surviving
+//! * [`replay_state`] — build a [`SchedulerState`] from a surviving
 //!   transfer set plus the disturbances, ready for an incremental
-//!   re-plan.
+//!   re-plan. The daemon builds its state this way once, on restore, and
+//!   from then on edits it; the replay stays the definition the edited
+//!   state is compared with.
 
 use std::collections::HashMap;
 
 use dstage_core::schedule::{Delivery, Transfer};
-use dstage_core::state::{AddRequestError, SchedulerState};
+use dstage_core::state::SchedulerState;
 use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
-use dstage_model::request::Request;
 use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
-use dstage_path::Hop;
 
 /// A link-outage instant: the link and when it went down.
 pub type Outage = (VirtualLinkId, SimTime);
@@ -38,37 +38,45 @@ pub type Loss = (DataItemId, MachineId, SimTime);
 
 /// Per-(item, machine) copy availability bookkeeping with loss events.
 pub(crate) struct CopyTracker<'a> {
-    avails: HashMap<(DataItemId, MachineId), Vec<SimTime>>,
+    scenario: &'a Scenario,
+    /// Arrivals by transfer; the original sources are read off the scenario.
+    staged: HashMap<(DataItemId, MachineId), Vec<SimTime>>,
     losses: &'a [Loss],
 }
 
 impl<'a> CopyTracker<'a> {
-    pub(crate) fn new(scenario: &Scenario, losses: &'a [Loss]) -> Self {
-        let mut avails: HashMap<(DataItemId, MachineId), Vec<SimTime>> = HashMap::new();
-        for (item_id, item) in scenario.items() {
-            for src in item.sources() {
-                avails.entry((item_id, src.machine)).or_default().push(src.available_at);
-            }
-        }
-        CopyTracker { avails, losses }
+    pub(crate) fn new(scenario: &'a Scenario, losses: &'a [Loss]) -> Self {
+        CopyTracker { scenario, staged: HashMap::new(), losses }
     }
 
     pub(crate) fn add(&mut self, item: DataItemId, machine: MachineId, at: SimTime) {
-        self.avails.entry((item, machine)).or_default().push(at);
+        self.staged.entry((item, machine)).or_default().push(at);
     }
 
-    /// Whether a copy of `item` is present at `machine` at instant `at`:
-    /// some copy arrived no later than `at` and no loss hit the machine
-    /// between that arrival and `at` (inclusive).
-    pub(crate) fn present(&self, item: DataItemId, machine: MachineId, at: SimTime) -> bool {
-        let Some(avails) = self.avails.get(&(item, machine)) else { return false };
-        avails.iter().any(|&avail| {
+    /// The arrivals of `item` at `machine` no later than `at` that no loss
+    /// hit between their arrival and `at` (inclusive).
+    fn present_at(
+        &self,
+        item: DataItemId,
+        machine: MachineId,
+        at: SimTime,
+    ) -> impl Iterator<Item = SimTime> + '_ {
+        let sources = self.scenario.item(item).sources().iter();
+        let original =
+            sources.filter(move |src| src.machine == machine).map(|src| src.available_at);
+        let staged = self.staged.get(&(item, machine)).into_iter().flatten().copied();
+        original.chain(staged).filter(move |&avail| {
             avail <= at
                 && !self
                     .losses
                     .iter()
                     .any(|&(i, m, tl)| i == item && m == machine && avail <= tl && tl <= at)
         })
+    }
+
+    /// Whether a copy of `item` is present at `machine` at instant `at`.
+    pub(crate) fn present(&self, item: DataItemId, machine: MachineId, at: SimTime) -> bool {
+        self.present_at(item, machine, at).next().is_some()
     }
 
     /// The earliest arrival that is still present at `until` (survival to
@@ -79,27 +87,22 @@ impl<'a> CopyTracker<'a> {
         machine: MachineId,
         until: SimTime,
     ) -> Option<SimTime> {
-        let avails = self.avails.get(&(item, machine))?;
-        avails
-            .iter()
-            .copied()
-            .filter(|&avail| {
-                avail <= until
-                    && !self
-                        .losses
-                        .iter()
-                        .any(|&(i, m, tl)| i == item && m == machine && avail <= tl && tl <= until)
-            })
-            .min()
+        self.present_at(item, machine, until).min()
     }
+}
+
+/// The order a transfer set is replayed in: by start, then arrival, then
+/// link — causally valid, since a copy is staged before it is sent on.
+#[must_use]
+pub fn replay_order(t: &Transfer) -> (SimTime, SimTime, VirtualLinkId) {
+    (t.start, t.arrival, t.link)
 }
 
 /// Splits `kept` into transfers consistent with the disturbances so far
 /// and the ones invalidated by them (cascading: a transfer whose source
 /// copy came from an invalidated transfer is itself invalid).
 ///
-/// The consistent set is returned in `(start, arrival, link)` order,
-/// which is also a causally valid replay order for [`replay_state`].
+/// The consistent set is returned in [`replay_order`].
 #[must_use]
 pub fn filter_consistent(
     scenario: &Scenario,
@@ -107,7 +110,7 @@ pub fn filter_consistent(
     outages: &[Outage],
     losses: &[Loss],
 ) -> (Vec<Transfer>, Vec<Transfer>) {
-    kept.sort_by_key(|t| (t.start, t.arrival, t.link));
+    kept.sort_by_key(replay_order);
     let mut tracker = CopyTracker::new(scenario, losses);
     let mut valid = Vec::with_capacity(kept.len());
     let mut cancelled = Vec::new();
@@ -129,11 +132,24 @@ pub fn filter_consistent(
 /// its destination by the deadline *and survives to the deadline* (§4.4).
 #[must_use]
 pub fn final_deliveries(scenario: &Scenario, kept: &[Transfer], losses: &[Loss]) -> Vec<Delivery> {
+    deliveries_among(scenario, scenario.request_ids(), kept, losses)
+}
+
+/// [`final_deliveries`] for `requests` alone, in the order given. The
+/// copies of an item never depend on another item's transfers, so `kept`
+/// need hold only the transfers of the items those requests ask for.
+#[must_use]
+pub fn deliveries_among(
+    scenario: &Scenario,
+    requests: impl IntoIterator<Item = RequestId>,
+    kept: &[Transfer],
+    losses: &[Loss],
+) -> Vec<Delivery> {
     let mut tracker = CopyTracker::new(scenario, losses);
     // Per (item, machine): the arrivals there, each with its hop depth.
     let mut depth: HashMap<(DataItemId, MachineId), Vec<(SimTime, u32)>> = HashMap::new();
     let mut sorted: Vec<&Transfer> = kept.iter().collect();
-    sorted.sort_by_key(|t| (t.start, t.arrival, t.link));
+    sorted.sort_by_key(|t| replay_order(t));
     for t in sorted {
         let from_depth = depth
             .get(&(t.item, t.from))
@@ -149,7 +165,8 @@ pub fn final_deliveries(scenario: &Scenario, kept: &[Transfer], losses: &[Loss])
         tracker.add(t.item, t.to, t.arrival);
     }
     let mut deliveries = Vec::new();
-    for (req_id, req) in scenario.requests() {
+    for req_id in requests {
+        let req = scenario.request(req_id);
         if let Some(at) = tracker.earliest_surviving(req.item(), req.destination(), req.deadline())
         {
             let hops = depth
@@ -162,29 +179,24 @@ pub fn final_deliveries(scenario: &Scenario, kept: &[Transfer], losses: &[Loss])
     deliveries
 }
 
-pub(crate) fn hop_of(t: &Transfer) -> Hop {
-    Hop { from: t.from, to: t.to, link: t.link, start: t.start, arrival: t.arrival }
-}
-
-/// Rebuilds `state` as of instant `now`: replays the surviving transfer
-/// set `kept` into the ledger, applies copy losses (removing vanished
-/// copies and revoking deliveries they carried), takes outaged links out
-/// of service, and blocks the past so no new transfer can start before
+/// Builds `state`, fresh over its scenario, as of instant `now`: records
+/// the copy losses, books every transfer of `kept`, takes outaged links
+/// out of service, and blocks the past so no new transfer can start before
 /// `now`.
 ///
 /// `kept` must already be consistent with the disturbances (the valid
-/// half of [`filter_consistent`]) and in a causally valid order — a
-/// transfer's source copy must be staged by an earlier entry or an
-/// original source.
+/// half of [`filter_consistent`]); its order is the commit order the
+/// state's tables record — per item, what
+/// [`SchedulerState::rederive_item`] is given.
 ///
 /// Request activity flags are left to the caller: deactivate whatever the
 /// re-plan must not route *before or after* calling this.
 ///
 /// # Errors
 ///
-/// Returns the first transfer that fails to replay against the pristine
-/// ledger — an internal-invariant violation for a consistent `kept` set,
-/// not an input condition.
+/// Returns the first transfer the ledger refuses — two of `kept` claim one
+/// window, or a store is over-full — an internal-invariant violation for a
+/// set that was booked once, not an input condition.
 pub fn replay_state(
     state: &mut SchedulerState<'_>,
     kept: &[Transfer],
@@ -198,16 +210,11 @@ pub fn replay_state(
     // losses drop the affected item's own tree, and `block_past` drops
     // every cached tree outright. Nothing releases a reservation, so
     // incremental repair stays exact across replan rounds.
-    for t in kept {
-        if !state.try_commit_stale_hop(t.item, hop_of(t)) {
-            return Err(*t);
-        }
-    }
     for &(item, machine, tl) in losses {
         state.remove_copies(item, machine, tl);
-        for req_id in state.scenario().requests_for(item).to_vec() {
-            revoke_if_lost(state, req_id, machine, tl);
-        }
+    }
+    for t in kept {
+        state.book_transfer(t).map_err(|_| *t)?;
     }
     for &(link, tl) in outages {
         state.apply_link_outage(link, tl);
@@ -216,55 +223,11 @@ pub fn replay_state(
     Ok(())
 }
 
-/// Revokes `request`'s delivery when the copy that made it was on
-/// `machine` at `lost_at`, before the deadline: the copy did not survive
-/// long enough to be used, so the request is pending again. (A destination
-/// is never an original source of its item, so nothing else on the
-/// machine could stand in for the lost copy.)
-fn revoke_if_lost(
-    state: &mut SchedulerState<'_>,
-    request: RequestId,
-    machine: MachineId,
-    lost_at: SimTime,
-) {
-    let req = state.scenario().request(request);
-    if req.destination() == machine
-        && lost_at <= req.deadline()
-        && state.delivery_of(request).is_some_and(|d| d.at <= lost_at)
-    {
-        state.revoke_delivery(request);
-    }
-}
-
-/// Adds one request to a state built by [`replay_state`], leaving it as a
-/// replay of the same transfers and disturbances over the grown scenario
-/// would: [`SchedulerState::add_request`] lengthens the holds and serves
-/// the request from a copy already staged on its destination, and the
-/// `losses` on that destination revoke the delivery as they would have in
-/// the replay.
-///
-/// # Errors
-///
-/// Passes on [`SchedulerState::add_request`]'s refusal; the state is
-/// unchanged.
-pub fn append_request(
-    state: &mut SchedulerState<'_>,
-    request: Request,
-    losses: &[Loss],
-) -> Result<RequestId, AddRequestError> {
-    let id = state.add_request(request)?;
-    for &(item, machine, tl) in losses {
-        if item == request.item() {
-            revoke_if_lost(state, id, machine, tl);
-        }
-    }
-    Ok(id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dstage_core::heuristic::{drive_state, run, HeuristicConfig};
+    use dstage_model::units::Bytes;
     use dstage_workload::small::{fan_out, two_hop_chain};
 
     #[test]
@@ -302,34 +265,116 @@ mod tests {
         assert_eq!(plan.deliveries().len(), outcome.schedule.deliveries().len());
     }
 
+    /// Two parallel links `m0 → m1` (10 s per transfer of the one item,
+    /// 10 kB on `m0`) and one request: `m1` by 500 s.
+    fn parallel_links() -> Scenario {
+        use dstage_model::prelude::*;
+        let mut b = NetworkBuilder::new();
+        for name in ["m0", "m1"] {
+            b.add_machine(Machine::new(name, Bytes::from_mib(1)));
+        }
+        let m = MachineId::new;
+        for _ in 0..2 {
+            let window = (SimTime::ZERO, SimTime::from_hours(2));
+            b.add_link(VirtualLink::new(m(0), m(1), window.0, window.1, BitsPerSec::new(8_000)));
+        }
+        Scenario::builder(b.build())
+            .add_item(DataItem::new(
+                "d0",
+                Bytes::new(10_000),
+                vec![DataSource::new(m(0), SimTime::ZERO)],
+            ))
+            .add_request(Request::new(
+                DataItemId::new(0),
+                m(1),
+                SimTime::from_secs(500),
+                Priority::LOW,
+            ))
+            .build()
+            .expect("valid by construction")
+    }
+
+    /// The one item's transfer `m0 → m1` over `link`, 10 s from `start`.
+    fn hop(link: u32, start: u64) -> Transfer {
+        Transfer {
+            item: DataItemId::new(0),
+            from: MachineId::new(0),
+            to: MachineId::new(1),
+            link: VirtualLinkId::new(link),
+            start: SimTime::from_secs(start),
+            arrival: SimTime::from_secs(start + 10),
+        }
+    }
+
+    fn busy(state: &SchedulerState<'_>, t: &Transfer) -> bool {
+        !state.ledger().link_busy(t.link).is_free(t.start, t.arrival)
+    }
+
     #[test]
-    fn append_request_equals_a_replay_with_the_request_present() {
-        // Replay a plan into a state that lacks the last request, append
-        // it, and compare with the replay over the whole request set —
-        // with no disturbance (the request is served by its staged copy)
-        // and with that copy lost before the deadline (the delivery is
-        // revoked, as the replay revokes it).
-        let scenario = fan_out();
-        let policy = crate::OnlinePolicy::paper_best();
-        let outcome = run(&scenario, policy.heuristic, &policy.config);
-        let (kept, _) =
-            filter_consistent(&scenario, outcome.schedule.transfers().to_vec(), &[], &[]);
+    fn a_replay_books_a_later_copy_that_sorts_after_an_earlier_one() {
+        // Booked late first (what `alap` / `rcd` or a re-route after a
+        // cancellation produce), then early: once `filter_consistent` has
+        // sorted them the later arrival follows an equally early copy on
+        // the same machine, and it is still a reservation in force.
+        let scenario = parallel_links();
+        let (late, early) = (hop(0, 100), hop(1, 0));
+        let (kept, cancelled) = filter_consistent(&scenario, vec![late, early], &[], &[]);
+        assert_eq!((kept.as_slice(), cancelled.len()), ([early, late].as_slice(), 0));
+        let mut state = SchedulerState::owning(scenario.clone(), true);
+        replay_state(&mut state, &kept, &[], &[], SimTime::ZERO).expect("both were booked once");
+        assert!(busy(&state, &early) && busy(&state, &late), "a booked window reads free");
+        let both = Bytes::new(20_000);
+        assert_eq!(state.ledger().store(late.to).used_at(late.arrival), both);
+        // Both are staged: booked one by one, live, the tables are the same.
+        let mut live = SchedulerState::owning(scenario, true);
+        for t in &kept {
+            live.book_transfer(t).expect("free");
+        }
+        assert_eq!(state.first_difference(&live), None);
+    }
+
+    #[test]
+    fn a_copy_rerouted_into_a_machine_that_lost_one_replays_booked_and_delivering() {
+        let scenario = parallel_links();
+        let (first, again) = (hop(0, 0), hop(0, 30));
+        let losses = vec![(first.item, first.to, SimTime::from_secs(20))];
+        let mut state = SchedulerState::owning(scenario, true);
+        replay_state(&mut state, &[first, again], &[], &losses, SimTime::from_secs(20)).unwrap();
+        assert!(busy(&state, &again));
+        let delivery = state.delivery_of(RequestId::new(0)).expect("the second copy survives");
+        assert_eq!(delivery.at, again.arrival);
+        // The same copy, booked live after the loss, delivers as well.
+        let mut live = SchedulerState::owning(state.scenario().clone(), true);
+        replay_state(&mut live, &[first], &[], &losses, SimTime::from_secs(20)).unwrap();
+        assert!(!live.is_delivered(RequestId::new(0)));
+        live.book_transfer(&again).expect("free");
+        assert_eq!(live.first_difference(&state), None);
+    }
+
+    #[test]
+    fn a_late_request_equals_a_replay_with_the_request_present() {
+        // Replay into a state that lacks the request, add it, and compare
+        // with the replay over the whole request set: served by the staged
+        // copy, left pending when that copy is lost before the deadline,
+        // served by the copy that replaced it.
+        let scenario = parallel_links();
         let mut fewer = scenario.clone();
-        let last = fewer.pop_request().expect("fan_out has requests");
-        let arrival = outcome
-            .schedule
-            .delivery_of(RequestId::new(fewer.request_count() as u32))
-            .expect("the last request is delivered")
-            .at;
-        let lost = (last.item(), last.destination(), arrival);
-        for losses in [vec![], vec![lost]] {
+        let last = fewer.pop_request().expect("one request");
+        let (first, again) = (hop(0, 0), hop(0, 30));
+        let lost = (first.item, first.to, SimTime::from_secs(20));
+        let cases: [(&[Transfer], &[Loss], Option<SimTime>); 3] = [
+            (&[first], &[], Some(first.arrival)),
+            (&[first], &[lost], None),
+            (&[first, again], &[lost], Some(again.arrival)),
+        ];
+        for (kept, losses, served) in cases {
             let mut whole = SchedulerState::owning(scenario.clone(), true);
-            replay_state(&mut whole, &kept, &[], &losses, SimTime::ZERO).unwrap();
+            replay_state(&mut whole, kept, &[], losses, SimTime::ZERO).unwrap();
             let mut grown = SchedulerState::owning(fewer.clone(), true);
-            replay_state(&mut grown, &kept, &[], &losses, SimTime::ZERO).unwrap();
-            let id = append_request(&mut grown, last, &losses).unwrap();
+            replay_state(&mut grown, kept, &[], losses, SimTime::ZERO).unwrap();
+            let id = grown.add_request(last).unwrap();
             assert_eq!(grown.first_difference(&whole), None, "{} losses", losses.len());
-            assert_eq!(grown.delivery_of(id).is_some(), losses.is_empty());
+            assert_eq!(grown.delivery_of(id).map(|d| d.at), served);
         }
     }
 

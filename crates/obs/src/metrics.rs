@@ -53,6 +53,12 @@ pub static SERVICE_VERB_OPTIMIZE_US: Histogram = Histogram::new(&LATENCY_BOUNDS_
 pub static SERVICE_OPT_SWAP_ATTEMPTS: Counter = Counter::new();
 /// Optimizer swaps that improved `E[S]` and were kept.
 pub static SERVICE_OPT_SWAPS_ACCEPTED: Counter = Counter::new();
+/// Optimizer trials whose victim was unbooked and then put back because
+/// the candidate still did not fit.
+pub static SERVICE_OPT_TRIALS_ROLLED_BACK: Counter = Counter::new();
+/// Items whose tables were re-derived from their committed transfers (by a
+/// repair or an optimizer trial).
+pub static SERVICE_ITEMS_REDERIVED: Counter = Counter::new();
 /// Deadline slack at admission (`deadline − ETA`), milliseconds. Wide
 /// buckets: scenarios span minutes to days.
 pub static SERVICE_ADMIT_SLACK_MS: Histogram = Histogram::new(&SLACK_BOUNDS_MS);
@@ -92,6 +98,9 @@ pub static RESOURCES_GAP_ITERATIONS: Counter = Counter::new();
 pub static RESOURCES_PEAK_SCANS: Counter = Counter::new();
 /// Transfers committed into the ledger.
 pub static RESOURCES_COMMITS: Counter = Counter::new();
+/// Committed transfers taken back out of the ledger (a refused decision
+/// rolled back, a cancelled or evicted reservation released).
+pub static RESOURCES_RELEASES: Counter = Counter::new();
 
 // --- path layer (earliest-arrival Dijkstra) ---------------------------
 
@@ -286,6 +295,20 @@ pub fn registry() -> &'static [MetricDef] {
             kind: Counter(&SERVICE_OPT_SWAPS_ACCEPTED),
         },
         MetricDef {
+            name: "dstage_service_opt_trials_rolled_back_total",
+            help: "Optimizer trials that unbooked a victim and put it back",
+            layer: "service",
+            label: None,
+            kind: Counter(&SERVICE_OPT_TRIALS_ROLLED_BACK),
+        },
+        MetricDef {
+            name: "dstage_service_items_rederived_total",
+            help: "Items whose tables were re-derived from their committed transfers",
+            layer: "service",
+            label: None,
+            kind: Counter(&SERVICE_ITEMS_REDERIVED),
+        },
+        MetricDef {
             name: "dstage_service_admit_slack_ms",
             help: "Deadline slack at admission (deadline minus ETA), milliseconds",
             layer: "service",
@@ -382,6 +405,13 @@ pub fn registry() -> &'static [MetricDef] {
             layer: "resources",
             label: None,
             kind: Counter(&RESOURCES_COMMITS),
+        },
+        MetricDef {
+            name: "dstage_resources_releases_total",
+            help: "Committed transfers taken back out of the ledger",
+            layer: "resources",
+            label: None,
+            kind: Counter(&RESOURCES_RELEASES),
         },
         MetricDef {
             name: "dstage_path_trees_total",

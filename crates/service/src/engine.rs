@@ -8,19 +8,23 @@
 //! heuristic try to route it on the live state: admitted, its path becomes
 //! part of the ledger; refused, what it touched is rolled back and it
 //! leaves no residue. A decision costs what its own route costs, however
-//! many were admitted before. The state is rebuilt — the committed
-//! reservations replayed into a fresh one by [`replay_state`], as the
-//! dstage-dynamic rolling horizon does — only where reservations are
-//! *removed*: on `restore`, per `inject`, and per optimizer trial.
+//! many were admitted before. Removing a reservation is an edit of the
+//! same state: the transfer is unbooked and its item's tables re-derived
+//! from the transfers that remain. The invariant every operation keeps is
+//! that the ledger holds exactly the bookings of `committed` plus the
+//! blocks of the outages and of `now`, and each item's tables are what
+//! its committed transfers, in order, its losses and its requests make
+//! them — the state [`replay_state`] builds from scratch, which only
+//! `restore` still does.
 //!
 //! `inject` feeds a live disturbance (link outage / copy loss) into the
 //! engine: committed reservations the disturbance invalidates are
-//! cancelled with the cascade semantics of [`dstage_dynamic::repair`],
-//! then the displaced requests are re-admitted against the surviving
-//! ledger in weighted-priority order — so forced degradation drops the
-//! lowest `W[p]` first, preserving the paper's objective. A displaced
-//! request that can be re-routed becomes `repaired`; one that cannot is
-//! `evicted` (terminal).
+//! cancelled with the cascade semantics of [`dstage_dynamic::repair`] and
+//! released, then the displaced requests are re-admitted against the
+//! surviving ledger in weighted-priority order — so forced degradation
+//! drops the lowest `W[p]` first, preserving the paper's objective. A
+//! displaced request that can be re-routed becomes `repaired`; one that
+//! cannot is `evicted` (terminal).
 //!
 //! Every method is a deterministic function of the operation history
 //! (submissions and injections interleaved), which is what makes
@@ -28,13 +32,13 @@
 //! order through a fresh engine must produce a byte-identical snapshot.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use dstage_core::heuristic::{drive_state, Heuristic, HeuristicConfig};
 use dstage_core::schedule::{Delivery, Schedule, Transfer};
 use dstage_core::state::{AddRequestError, HoldRefused, Savepoint, SchedulerState};
 use dstage_dynamic::{
-    append_request, filter_consistent, final_deliveries, replay_state, Loss, Outage,
+    deliveries_among, filter_consistent, final_deliveries, replay_order, replay_state, Loss, Outage,
 };
 use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
 use dstage_model::request::{Priority, Request};
@@ -228,6 +232,44 @@ impl IdempotencyCache {
     }
 }
 
+/// The fields of [`AdmissionCounters`] that are read off the decision log,
+/// for an empty log; the engine keeps them up to date as the log grows.
+fn no_tallies(levels: u8) -> AdmissionCounters {
+    let none = vec![0; levels as usize];
+    AdmissionCounters {
+        admitted_by_priority: none.clone(),
+        rejected_by_priority: none,
+        ..AdmissionCounters::default()
+    }
+}
+
+/// Counts `record`, the next entry of `log`, into `tallies`.
+fn tally(tallies: &mut AdmissionCounters, record: &LogRecord, log: &[LogRecord]) {
+    let levels = tallies.admitted_by_priority.len();
+    let level = |args: &SubmitArgs| (args.priority as usize).min(levels.saturating_sub(1));
+    match record {
+        LogRecord::Submission(s) => {
+            tallies.submissions += 1;
+            match &s.decision {
+                Decision::Admitted { .. } => tallies.admitted_by_priority[level(&s.args)] += 1,
+                Decision::Rejected { .. } => tallies.rejected_by_priority[level(&s.args)] += 1,
+            }
+        }
+        LogRecord::Injection(_) => tallies.injections += 1,
+        LogRecord::Optimization(o) => {
+            tallies.optimizations += 1;
+            tallies.swapped += o.swaps.len() as u64;
+            // A kept swap converts a refusal into an admission; move its
+            // submission between the per-priority tallies.
+            for swap in &o.swaps {
+                let LogRecord::Submission(s) = &log[swap.submission as usize] else { continue };
+                tallies.rejected_by_priority[level(&s.args)] -= 1;
+                tallies.admitted_by_priority[level(&s.args)] += 1;
+            }
+        }
+    }
+}
+
 /// Thread-safe-by-construction admission-control state (owned data only,
 /// no interior mutability — wrap it in a lock to share).
 #[derive(Debug, Clone)]
@@ -244,18 +286,20 @@ pub struct AdmissionEngine {
     /// Every reservation in force, in the order `state` booked them; the
     /// state itself keeps only the ledger they are booked in.
     committed: Vec<Transfer>,
+    /// What the last normalisation (a repair or a kept swap) covered: that
+    /// prefix of `committed` is in replay order, those requests carry the
+    /// surviving deliveries. Only the items of what came after are stale.
+    normal_transfers: usize,
+    normal_requests: usize,
     outages: Vec<Outage>,
     losses: Vec<Loss>,
     now: SimTime,
-    /// The refusal every decision gets while `committed` does not replay
-    /// (an internal inconsistency; `state` is then a partial replay). The
-    /// next rebuild that succeeds clears it.
-    wedged: Option<String>,
     idempotency: IdempotencyCache,
     log: Vec<LogRecord>,
-    /// `LogRecord::Submission` entries in `log`, kept so
-    /// [`AdmissionEngine::submission_count`] need not rescan it.
-    submissions: usize,
+    tallies: AdmissionCounters,
+    /// The well-formed rejected submissions no optimizer pass has readmitted
+    /// yet, as `(Reverse(weight), log index)`; a pass tries them in order.
+    open_rejections: Vec<(Reverse<u64>, u64)>,
 }
 
 impl AdmissionEngine {
@@ -286,18 +330,20 @@ impl AdmissionEngine {
         AdmissionEngine {
             item_ids: names.iter().enumerate().map(|(i, n)| (n.to_string(), i as u32)).collect(),
             fingerprint,
+            tallies: no_tallies(config.priority_weights.levels()),
             state: SchedulerState::owning(served, config.caching),
             heuristic,
             config,
             info: Vec::new(),
             committed: Vec::new(),
+            normal_transfers: 0,
+            normal_requests: 0,
             outages: Vec::new(),
             losses: Vec::new(),
             now: SimTime::ZERO,
-            wedged: None,
             idempotency: IdempotencyCache::new(IDEMPOTENCY_CAPACITY),
             log: Vec::new(),
-            submissions: 0,
+            open_rejections: Vec::new(),
         }
     }
 
@@ -328,11 +374,7 @@ impl AdmissionEngine {
     /// are not counted.
     #[must_use]
     pub fn submission_count(&self) -> usize {
-        debug_assert_eq!(
-            self.submissions,
-            self.log.iter().filter(|r| matches!(r, LogRecord::Submission(_))).count()
-        );
-        self.submissions
+        self.tallies.submissions as usize
     }
 
     /// Number of admitted requests (including later-evicted ones).
@@ -397,9 +439,29 @@ impl AdmissionEngine {
         if let Some(key) = &args.idempotency_key {
             self.idempotency.insert(key.clone(), submission as usize);
         }
-        self.log.push(LogRecord::Submission(SubmissionRecord { args: args.clone(), decision }));
-        self.submissions += 1;
+        self.push_record(LogRecord::Submission(SubmissionRecord { args: args.clone(), decision }));
         Ok(response)
+    }
+
+    /// Appends `record` to the decision log, tallied; a well-formed refusal
+    /// (a malformed ask can never be admitted, whatever capacity frees up)
+    /// joins the open rejections.
+    fn push_record(&mut self, record: LogRecord) {
+        tally(&mut self.tallies, &record, &self.log);
+        if let LogRecord::Submission(SubmissionRecord {
+            args,
+            decision: Decision::Rejected { .. },
+        }) = &record
+        {
+            if self.item_ids.contains_key(args.item.as_str())
+                && args.priority < self.config.priority_weights.levels()
+                && (args.destination as usize) < self.machine_count()
+            {
+                let weight = self.config.priority_weights.weight(Priority::new(args.priority));
+                self.open_rejections.push((Reverse(weight), self.log.len() as u64));
+            }
+        }
+        self.log.push(record);
     }
 
     /// Decides admission for a point-to-multipoint group: one item, many
@@ -484,7 +546,7 @@ impl AdmissionEngine {
     fn decide(&mut self, args: &SubmitArgs) -> Result<(Delivery, usize), String> {
         let (candidate, collected) = self.candidate(args)?;
         let savepoint = self.state.savepoint(candidate.item());
-        let id = match append_request(&mut self.state, candidate, &self.losses) {
+        let id = match self.state.add_request(candidate) {
             Ok(id) => id,
             // Validation errors name the candidate by its positional id,
             // `R{admitted count}`; recorded logs and snapshots carry the
@@ -504,12 +566,10 @@ impl AdmissionEngine {
             }
         }
         let Some((delivery, route)) = self.settle(id, savepoint) else {
-            return Err(self.wedged.clone().unwrap_or_else(|| {
-                format!(
-                    "deadline {} ms unreachable for `{}` to M{} under the current ledger",
-                    args.deadline_ms, args.item, args.destination
-                )
-            }));
+            return Err(format!(
+                "deadline {} ms unreachable for `{}` to M{} under the current ledger",
+                args.deadline_ms, args.item, args.destination
+            ));
         };
         let new_transfers = route.len();
         self.info.push(AdmittedInfo {
@@ -562,58 +622,33 @@ impl AdmissionEngine {
     /// Lets the heuristic route request `id`, the only active one, on the
     /// live state. Delivered, what was booked joins the committed list and
     /// is returned with the delivery; otherwise the state goes back to
-    /// `savepoint`. While `committed` does not replay nothing is routed.
+    /// `savepoint`.
     fn settle(&mut self, id: RequestId, savepoint: Savepoint) -> Option<(Delivery, Vec<Transfer>)> {
-        if self.wedged.is_none() {
-            self.state.set_request_active(id, true);
-            drive_state(&mut self.state, self.heuristic, &self.config);
-            self.state.set_request_active(id, false);
-        }
-        let Some(delivery) = self.state.delivery_of(id).filter(|_| self.wedged.is_none()) else {
+        self.state.set_request_active(id, true);
+        drive_state(&mut self.state, self.heuristic, &self.config);
+        self.state.set_request_active(id, false);
+        let Some(delivery) = self.state.delivery_of(id) else {
             self.state.rollback(savepoint);
             return None;
         };
         self.state.forget_trees();
-        let mut route = self.state.take_transfers();
-        // `replay_state` skips a transfer into a machine that held an
-        // equally early copy of the item, a copy since lost included. Such
-        // a reservation is in `committed` but not in the replayed ledger:
-        // the live state may book the very same one again (no addition),
-        // and the next replay skips whatever it books there. So rebuild.
-        let shadowed = |t: &Transfer| {
-            self.losses.iter().any(|&(item, machine, _)| item == t.item && machine == t.to)
-        };
-        let rebuild = route.iter().any(shadowed);
-        if rebuild {
-            route.retain(|t| !self.committed.contains(t));
-        }
+        let route = self.state.take_transfers();
         self.committed.extend_from_slice(&route);
-        if rebuild {
-            self.rebuild();
-        }
         Some((delivery, route))
     }
 
-    /// A fresh state with `committed` and the disturbances so far
-    /// replayed into it, every request inactive — and the refusal reason
-    /// when `committed` does not replay.
-    fn replayed_state(&self) -> (SchedulerState<'static>, Option<String>) {
+    /// A fresh state with `committed` and the disturbances so far replayed
+    /// into it, every request inactive — or why `committed` does not replay.
+    fn replayed_state(&self) -> Result<SchedulerState<'static>, String> {
         let mut state = SchedulerState::owning(self.scenario().clone(), self.config.caching);
         for id in state.scenario().request_ids() {
             state.set_request_active(id, false);
         }
-        let wedged =
-            replay_state(&mut state, &self.committed, &self.outages, &self.losses, self.now)
-                .err()
-                .map(|t| format!("internal: committed reservation failed to replay: {t:?}"));
+        replay_state(&mut state, &self.committed, &self.outages, &self.losses, self.now)
+            .map_err(|t| format!("committed reservation {t:?} does not book (overlaps another)"))?;
         state.take_transfers();
         state.forget_trees();
-        (state, wedged)
-    }
-
-    /// Replaces the live state by the replayed one.
-    fn rebuild(&mut self) {
-        (self.state, self.wedged) = self.replayed_state();
+        Ok(state)
     }
 
     /// Records in the live state's journal of consumed resources: what the
@@ -629,11 +664,7 @@ impl AdmissionEngine {
     /// decision relies on. For tests and debug assertions: it replays it all.
     #[must_use]
     pub fn live_state_divergence(&self) -> Option<String> {
-        if self.wedged.is_some() {
-            return None;
-        }
-        let (replayed, wedged) = self.replayed_state();
-        wedged.or_else(|| self.state.first_difference(&replayed))
+        self.replayed_state().map_or_else(Some, |replayed| self.state.first_difference(&replayed))
     }
 
     /// Injects a disturbance and repairs the schedule around it.
@@ -650,13 +681,20 @@ impl AdmissionEngine {
     /// nothing is logged or changed.
     pub fn inject(&mut self, args: &InjectArgs) -> Result<InjectResponse, String> {
         let at = SimTime::from_millis(args.at_ms);
+        // Stale besides: the items whose reservations the disturbance can cancel.
+        let mut stale = self.stale_items();
         match &args.kind {
             InjectKind::LinkOutage { link } => {
                 let links = self.scenario().network().link_count();
                 if *link as usize >= links {
                     return Err(format!("unknown link id {link} (network has {links} links)"));
                 }
-                self.outages.push((VirtualLinkId::new(*link), at));
+                let link = VirtualLinkId::new(*link);
+                for t in self.committed.iter().filter(|t| t.link == link && t.arrival > at) {
+                    stale[t.item.index()] = true;
+                }
+                self.outages.push((link, at));
+                self.state.apply_link_outage(link, at);
             }
             InjectKind::CopyLoss { item, machine } => {
                 let Some(&item_id) = self.item_ids.get(item.as_str()) else {
@@ -668,12 +706,16 @@ impl AdmissionEngine {
                         self.machine_count()
                     ));
                 }
-                self.losses.push((DataItemId::new(item_id), MachineId::new(*machine), at));
+                stale[item_id as usize] = true;
+                let lost = (DataItemId::new(item_id), MachineId::new(*machine), at);
+                self.losses.push(lost);
+                self.state.remove_copies(lost.0, lost.1, at);
             }
         }
         self.now = self.now.max(at);
+        self.state.block_past(self.now);
         dstage_obs::metrics::SERVICE_INJECTIONS.inc();
-        let (cancelled, repaired, evicted) = self.repair();
+        let (cancelled, repaired, evicted) = self.repair(stale);
         dstage_obs::metrics::SERVICE_REPAIRS.add(repaired.len() as u64);
         dstage_obs::metrics::SERVICE_EVICTIONS.add(evicted.len() as u64);
         let injection = self.log.len() as u64;
@@ -686,7 +728,7 @@ impl AdmissionEngine {
             repaired: repaired.len() as u64,
             evicted: evicted.len() as u64,
         };
-        self.log.push(LogRecord::Injection(InjectionRecord {
+        self.push_record(LogRecord::Injection(InjectionRecord {
             args: args.clone(),
             cancelled_transfers: cancelled,
             repaired,
@@ -695,22 +737,31 @@ impl AdmissionEngine {
         Ok(response)
     }
 
-    /// Incremental repair after a disturbance: cancel invalidated
-    /// reservations, rebuild the live state from the survivors, refresh
-    /// surviving deliveries, then re-route the displaced requests
-    /// best-first. Returns `(cancelled, repaired, evicted)`.
-    fn repair(&mut self) -> (usize, Vec<u32>, Vec<u32>) {
-        let cancelled = self.cancel_inconsistent();
-        if !cancelled.is_empty() {
-            for info in &mut self.info {
-                info.route.retain(|t| !cancelled.contains(t));
-            }
+    /// Repair in place after a disturbance the state already knows of, when
+    /// only the `stale` items can have changed: release what
+    /// `filter_consistent` cancels among them, normalise, re-route the
+    /// displaced best-first. A transfer depends on copies of its own item
+    /// alone, so the cascade never reaches another item. Returns
+    /// `(cancelled, repaired, evicted)`.
+    fn repair(&mut self, stale: Vec<bool>) -> (usize, Vec<u32>, Vec<u32>) {
+        let theirs = self.committed.iter().filter(|t| stale[t.item.index()]).copied().collect();
+        let scenario = self.state.scenario();
+        let (_, cancelled) = filter_consistent(scenario, theirs, &self.outages, &self.losses);
+        debug_assert_eq!(
+            cancelled,
+            filter_consistent(scenario, self.committed.clone(), &self.outages, &self.losses).1
+        );
+        for t in &cancelled {
+            self.state.unbook(t);
         }
-        self.rebuild();
-
-        // The surviving ledger is the authority on who is still promised
-        // a delivery (survival-to-deadline semantics, §4.4).
-        let mut displaced = self.refresh_deliveries();
+        self.committed.retain(|t| !cancelled.contains(t));
+        for info in &mut self.info {
+            info.route.retain(|t| !cancelled.contains(t));
+        }
+        // The surviving reservations are the authority on who is still
+        // promised a delivery (survival-to-deadline semantics, §4.4).
+        let mut displaced = self.normalise(&stale);
+        self.state.forget_trees();
         let weights = &self.config.priority_weights;
         let scenario = self.state.scenario();
         displaced.sort_by_key(|&id| {
@@ -745,37 +796,69 @@ impl AdmissionEngine {
         (cancelled.len(), repaired, evicted)
     }
 
-    /// Drops from `committed` the reservations the disturbances so far
-    /// invalidate (cascading through staged copies) and returns them.
-    fn cancel_inconsistent(&mut self) -> Vec<Transfer> {
-        let (valid, cancelled) = filter_consistent(
-            self.state.scenario(),
-            std::mem::take(&mut self.committed),
-            &self.outages,
-            &self.losses,
-        );
-        self.committed = valid;
-        cancelled
+    /// By item: whether anything was booked or asked for since the last
+    /// normalisation — tables in booking order, deliveries the live state's.
+    fn stale_items(&self) -> Vec<bool> {
+        let mut stale = vec![false; self.scenario().item_count()];
+        for t in &self.committed[self.normal_transfers..] {
+            stale[t.item.index()] = true;
+        }
+        for (_, request) in self.scenario().requests().skip(self.normal_requests) {
+            stale[request.item().index()] = true;
+        }
+        stale
     }
 
-    /// Refreshes every non-evicted request's delivery from what survives
-    /// in `committed`, and returns the ids left without one.
-    fn refresh_deliveries(&mut self) -> Vec<u32> {
-        let mut surviving: Vec<Option<Delivery>> = vec![None; self.info.len()];
-        for d in final_deliveries(self.state.scenario(), &self.committed, &self.losses) {
-            surviving[d.request.index()] = Some(d);
+    /// Puts `committed` in replay order, re-derives the `stale` items'
+    /// tables from it and refreshes their non-evicted requests' deliveries
+    /// from what survives in it. Returns the ids left without one.
+    fn normalise(&mut self, stale: &[bool]) -> Vec<u32> {
+        self.committed.sort_by_key(replay_order);
+        self.normal_transfers = self.committed.len();
+        self.normal_requests = self.info.len();
+        let theirs: Vec<Transfer> =
+            self.committed.iter().filter(|t| stale[t.item.index()]).copied().collect();
+        for item in (0..stale.len()).filter(|&i| stale[i]).map(|i| DataItemId::new(i as u32)) {
+            Self::rederive(&mut self.state, item, &theirs);
         }
-        let mut displaced = Vec::new();
-        for (id, (info, delivery)) in self.info.iter_mut().zip(surviving).enumerate() {
-            if info.status == RequestStatus::Evicted {
-                continue;
-            }
-            match delivery {
-                Some(d) => info.delivery = Some(d),
-                None => displaced.push(id as u32),
-            }
+        let scenario = self.state.scenario();
+        let requests: Vec<RequestId> = (scenario.requests().zip(&self.info))
+            .filter(|((_, request), info)| {
+                stale[request.item().index()] && info.status != RequestStatus::Evicted
+            })
+            .map(|((id, _), _)| id)
+            .collect();
+        let mut displaced: Vec<u32> = requests.iter().map(|id| id.index() as u32).collect();
+        for d in deliveries_among(scenario, requests, &theirs, &self.losses) {
+            self.info[d.request.index()].delivery = Some(d);
+            displaced.retain(|&id| id as usize != d.request.index());
         }
+        debug_assert!(self.is_normal(&displaced));
         displaced
+    }
+
+    /// [`SchedulerState::rederive_item`] from `item`'s part of `order`.
+    fn rederive(state: &mut SchedulerState<'static>, item: DataItemId, order: &[Transfer]) {
+        dstage_obs::metrics::SERVICE_ITEMS_REDERIVED.inc();
+        state.rederive_item(item, order.iter().filter(|t| t.item == item));
+    }
+
+    /// [`AdmissionEngine::normalise`]'s result by the whole-table functions:
+    /// `committed` all valid and in their order, every non-evicted request
+    /// outside `displaced` carrying the delivery that survives in it.
+    fn is_normal(&self, displaced: &[u32]) -> bool {
+        let scenario = self.state.scenario();
+        let (valid, cancelled) =
+            filter_consistent(scenario, self.committed.clone(), &self.outages, &self.losses);
+        let surviving = final_deliveries(scenario, &valid, &self.losses);
+        let mut promised =
+            self.info.iter().enumerate().filter(|(_, i)| i.status != RequestStatus::Evicted);
+        cancelled.is_empty()
+            && valid == self.committed
+            && promised.all(|(id, info)| match surviving.iter().find(|d| d.request.index() == id) {
+                Some(d) => info.delivery == Some(*d),
+                None => displaced.contains(&(id as u32)),
+            })
     }
 
     /// Anytime evict-and-readmit hill climb over the live schedule.
@@ -785,95 +868,48 @@ impl AdmissionEngine {
     /// victims are currently satisfied requests with strictly smaller
     /// weight (lightest first, then id). Each trial evicts one victim and
     /// tries to route the candidate on the freed capacity; the swap is
-    /// kept iff the weighted satisfied sum `E[S]` strictly improves and
-    /// nobody else loses their delivery. The pass stops at the swap
+    /// kept iff nobody else loses their delivery — the weighted satisfied
+    /// sum `E[S]` then strictly improves. The pass stops at the swap
     /// `budget` or at a local optimum, whichever comes first, and always
     /// leaves a valid schedule — it is safe to interrupt between arrivals.
     ///
     /// The pass is appended to the decision log, so replaying the log
     /// through a fresh engine re-executes it deterministically.
     pub fn optimize(&mut self, budget: u64) -> OptimizeResponse {
-        let levels = self.config.priority_weights.levels();
-        // Rejected submissions an earlier pass already readmitted are
-        // spent: their refusal has been converted into an admission.
-        let consumed: HashSet<u64> = self
-            .log
-            .iter()
-            .filter_map(|record| match record {
-                LogRecord::Optimization(o) => Some(o.swaps.iter().map(|s| s.submission)),
-                _ => None,
-            })
-            .flatten()
-            .collect();
-        let mut candidates: Vec<(u64, u64, SubmitArgs)> = Vec::new();
-        for (index, record) in self.log.iter().enumerate() {
-            let LogRecord::Submission(s) = record else { continue };
-            if !matches!(s.decision, Decision::Rejected { .. }) {
-                continue;
-            }
-            let index = index as u64;
-            if consumed.contains(&index) {
-                continue;
-            }
-            // Malformed asks (unknown item, bad priority or machine) can
-            // never be admitted, whatever capacity frees up.
-            if !self.item_ids.contains_key(s.args.item.as_str())
-                || s.args.priority >= levels
-                || s.args.destination as usize >= self.machine_count()
-            {
-                continue;
-            }
-            let weight = self.config.priority_weights.weight(Priority::new(s.args.priority));
-            candidates.push((weight, index, s.args.clone()));
-        }
-        candidates.sort_by_key(|&(weight, index, _)| (Reverse(weight), index));
-
         let mut attempted = 0u64;
         let mut swaps: Vec<SwapRecord> = Vec::new();
-        let mut readmitted: HashSet<u64> = HashSet::new();
         let mut incumbent = self.weighted_sum();
         'climb: loop {
             let kept_before = swaps.len();
             // Satisfied requests, lightest first; it changes only when a
             // swap is kept, which restarts the sweep.
-            let mut satisfied: Vec<(u64, u32)> = self
-                .scenario()
-                .requests()
-                .zip(&self.info)
-                .filter(|(_, info)| info.status != RequestStatus::Evicted)
-                .map(|((id, req), _)| {
-                    (self.config.priority_weights.weight(req.priority()), id.index() as u32)
-                })
-                .collect();
+            let mut satisfied: Vec<(u64, u32)> = self.satisfied().collect();
             satisfied.sort_unstable();
-            for (weight, submission, args) in &candidates {
-                if readmitted.contains(submission) {
-                    continue;
-                }
+            let mut candidates = self.open_rejections.clone();
+            candidates.sort_unstable();
+            for (Reverse(weight), submission) in candidates {
+                let LogRecord::Submission(refused) = &self.log[submission as usize] else {
+                    unreachable!("open rejections index submissions");
+                };
+                let args = refused.args.clone();
                 // Victims strictly lighter than the candidate — evicting
                 // heavier work could only lose weight.
-                for &(_, victim) in satisfied.iter().take_while(|&&(w, _)| w < *weight) {
+                for &(_, victim) in satisfied.iter().take_while(|&&(w, _)| w < weight) {
                     if attempted >= budget {
                         break 'climb;
                     }
                     attempted += 1;
                     dstage_obs::metrics::SERVICE_OPT_SWAP_ATTEMPTS.inc();
-                    let Some((trial, admitted)) = self.try_swap(args, victim) else { continue };
-                    let improved = trial.weighted_sum();
-                    if improved > incumbent {
-                        dstage_obs::metrics::SERVICE_OPT_SWAPS_ACCEPTED.inc();
-                        swaps.push(SwapRecord {
-                            submission: *submission,
-                            evicted: victim,
-                            admitted,
-                        });
-                        readmitted.insert(*submission);
-                        incumbent = improved;
-                        *self = trial;
-                        debug_assert_eq!(self.live_state_divergence(), None);
-                        // The victim set changed; re-derive everything.
-                        continue 'climb;
-                    }
+                    let Some(admitted) = self.try_swap(&args, victim) else { continue };
+                    debug_assert!(self.weighted_sum() > incumbent);
+                    debug_assert_eq!(self.live_state_divergence(), None);
+                    dstage_obs::metrics::SERVICE_OPT_SWAPS_ACCEPTED.inc();
+                    swaps.push(SwapRecord { submission, evicted: victim, admitted });
+                    // A readmitted refusal is spent: it is an admission now.
+                    self.open_rejections.retain(|&(_, index)| index != submission);
+                    incumbent = self.weighted_sum();
+                    // The victim set changed; re-derive everything.
+                    continue 'climb;
                 }
             }
             if swaps.len() == kept_before {
@@ -889,36 +925,102 @@ impl AdmissionEngine {
             swapped: swaps.len() as u64,
             weighted_sum: incumbent,
         };
-        self.log.push(LogRecord::Optimization(OptimizationRecord { budget, attempted, swaps }));
+        self.push_record(LogRecord::Optimization(OptimizationRecord { budget, attempted, swaps }));
         response
     }
 
-    /// One evict-and-readmit trial: returns the improved engine clone and
-    /// the readmitted request's id, or `None` when the swap is infeasible
-    /// — evicting the victim cascades into other reservations, costs
-    /// someone else their delivery, or the candidate still does not fit.
-    fn try_swap(&self, args: &SubmitArgs, victim: u32) -> Option<(AdmissionEngine, u32)> {
-        let mut trial = self.clone();
-        let route = std::mem::take(&mut trial.info[victim as usize].route);
-        trial.committed.retain(|t| !route.contains(t));
-        trial.info[victim as usize].status = RequestStatus::Evicted;
-        trial.info[victim as usize].delivery = None;
-        if !trial.cancel_inconsistent().is_empty() || !trial.refresh_deliveries().is_empty() {
-            return None;
+    /// `item`'s committed transfers without `victim`'s route, in replay
+    /// order — if taking the route away cancels none of them and costs no
+    /// other request of the item its delivery. No other item is affected.
+    fn without_route(&self, victim: u32, item: DataItemId) -> Option<Vec<Transfer>> {
+        let route = &self.info[victim as usize].route;
+        let rest: Vec<Transfer> = (self.committed.iter())
+            .filter(|t| t.item == item && !route.contains(t))
+            .copied()
+            .collect();
+        let scenario = self.state.scenario();
+        let (rest, cancelled) = filter_consistent(scenario, rest, &self.outages, &self.losses);
+        let others = scenario.requests_for(item).iter().copied().filter(|id| {
+            id.index() != victim as usize && self.info[id.index()].status != RequestStatus::Evicted
+        });
+        let delivered = deliveries_among(scenario, others.clone(), &rest, &self.losses).len();
+        (cancelled.is_empty() && delivered == others.count()).then_some(rest)
+    }
+
+    /// One evict-and-readmit trial on the live state: unbooks the victim's
+    /// route, decides the candidate on what that frees, and keeps the swap
+    /// (returning the readmitted request's id) or puts everything back.
+    /// `None` when the swap is infeasible: evicting the victim cascades,
+    /// costs someone else their delivery, or the candidate still does not fit.
+    fn try_swap(&mut self, args: &SubmitArgs, victim: u32) -> Option<u32> {
+        let scenario = self.state.scenario();
+        let evicting = scenario.request(RequestId::new(victim)).item();
+        let admitting = DataItemId::new(self.item_ids[args.item.as_str()]);
+        let rest = self.without_route(victim, evicting)?;
+        let evicted =
+            AdmittedInfo { status: RequestStatus::Evicted, delivery: None, route: vec![] };
+        let was = std::mem::replace(&mut self.info[victim as usize], evicted);
+        for t in &was.route {
+            self.state.unbook(t);
         }
-        trial.rebuild();
-        let (delivery, _) = trial.decide(args).ok()?;
-        Some((trial, delivery.request.index() as u32))
+        // The candidate decides on the two items' tables in replay order.
+        Self::rederive(&mut self.state, evicting, &rest);
+        if admitting != evicting {
+            let mut own: Vec<Transfer> =
+                self.committed.iter().filter(|t| t.item == admitting).copied().collect();
+            own.sort_by_key(replay_order);
+            Self::rederive(&mut self.state, admitting, &own);
+        }
+        let booked = self.committed.len();
+        match self.decide(args) {
+            Ok((delivery, _)) => {
+                self.keep_swap(&was.route, booked, [evicting, admitting]);
+                Some(delivery.request.index() as u32)
+            }
+            Err(_) => {
+                dstage_obs::metrics::SERVICE_OPT_TRIALS_ROLLED_BACK.inc();
+                for t in &was.route {
+                    self.state.rebook(t);
+                }
+                self.info[victim as usize] = was;
+                for item in [evicting, admitting] {
+                    Self::rederive(&mut self.state, item, &self.committed);
+                }
+                None
+            }
+        }
+    }
+
+    /// Finishes a swap whose candidate was just admitted (its route is
+    /// `committed[booked..]`): drops the victim's `route` and normalises
+    /// what preceded the admission, as a repair does before it re-routes.
+    fn keep_swap(&mut self, route: &[Transfer], booked: usize, swapped: [DataItemId; 2]) {
+        let mut stale = self.stale_items();
+        for item in swapped {
+            stale[item.index()] = true;
+        }
+        let admitted = self.info.pop().expect("the candidate was just admitted");
+        let admission = self.committed.split_off(booked);
+        self.committed.retain(|t| !route.contains(t));
+        let displaced = self.normalise(&stale);
+        debug_assert_eq!(displaced, Vec::<u32>::new());
+        self.committed.extend(admission);
+        self.info.push(admitted);
+        Self::rederive(&mut self.state, swapped[1], &self.committed);
+    }
+
+    /// The requests still promised a delivery, as `(weight, id)`.
+    fn satisfied(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        (self.scenario().requests().zip(&self.info))
+            .filter(|(_, info)| info.status != RequestStatus::Evicted)
+            .map(|((id, req), _)| {
+                (self.config.priority_weights.weight(req.priority()), id.index() as u32)
+            })
     }
 
     /// Σ weight(priority) over the requests still promised a delivery.
     fn weighted_sum(&self) -> u64 {
-        self.scenario()
-            .requests()
-            .zip(&self.info)
-            .filter(|(_, info)| info.status != RequestStatus::Evicted)
-            .map(|((_, req), _)| self.config.priority_weights.weight(req.priority()))
-            .sum()
+        self.satisfied().map(|(weight, _)| weight).sum()
     }
 
     /// Replays one snapshot-log record (an entry of the snapshot's
@@ -989,60 +1091,31 @@ impl AdmissionEngine {
     /// longer counts).
     #[must_use]
     pub fn counters(&self) -> AdmissionCounters {
-        let levels = self.config.priority_weights.levels() as usize;
-        let mut admitted_by_priority = vec![0u64; levels];
-        let mut rejected_by_priority = vec![0u64; levels];
-        let mut submissions = 0u64;
-        let mut injections = 0u64;
-        let mut optimizations = 0u64;
-        let mut swapped = 0u64;
-        for record in &self.log {
-            match record {
-                LogRecord::Submission(s) => {
-                    submissions += 1;
-                    let level = (s.args.priority as usize).min(levels.saturating_sub(1));
-                    match &s.decision {
-                        Decision::Admitted { .. } => admitted_by_priority[level] += 1,
-                        Decision::Rejected { .. } => rejected_by_priority[level] += 1,
-                    }
+        debug_assert_eq!(
+            self.tallies,
+            (0..self.log.len()).fold(
+                no_tallies(self.tallies.admitted_by_priority.len() as u8),
+                |mut scan, i| {
+                    tally(&mut scan, &self.log[i], &self.log[..i]);
+                    scan
                 }
-                LogRecord::Injection(_) => injections += 1,
-                LogRecord::Optimization(o) => {
-                    optimizations += 1;
-                    swapped += o.swaps.len() as u64;
-                    // A kept swap converts a refusal into an admission;
-                    // move its submission between the per-priority tallies.
-                    for swap in &o.swaps {
-                        let LogRecord::Submission(s) = &self.log[swap.submission as usize] else {
-                            continue;
-                        };
-                        let level = (s.args.priority as usize).min(levels.saturating_sub(1));
-                        rejected_by_priority[level] -= 1;
-                        admitted_by_priority[level] += 1;
-                    }
-                }
-            }
-        }
-        let tally = |status: RequestStatus| {
+            )
+        );
+        let status = |status: RequestStatus| {
             self.info.iter().filter(|info| info.status == status).count() as u64
         };
         let admitted = self.admitted_count() as u64;
-        let evicted = tally(RequestStatus::Evicted);
+        let evicted = status(RequestStatus::Evicted);
         AdmissionCounters {
-            submissions,
             admitted,
             // Each optimizer swap consumes one unique rejected
             // submission, so the difference stays the refusal count.
-            rejected: submissions - admitted,
-            injections,
-            optimizations,
-            swapped,
-            repaired: tally(RequestStatus::Repaired),
+            rejected: self.tallies.submissions - admitted,
+            repaired: status(RequestStatus::Repaired),
             evicted,
             satisfied: admitted - evicted,
-            admitted_by_priority,
-            rejected_by_priority,
             weighted_sum: self.weighted_sum(),
+            ..self.tallies.clone()
         }
     }
 
@@ -1272,27 +1345,19 @@ impl AdmissionEngine {
         engine.outages = typed_field(checkpoint, "outages")?;
         engine.losses = typed_field(checkpoint, "losses")?;
 
-        let mut log = Vec::new();
-        for entry in array_field("log")? {
-            log.push(record_from_value(entry)?);
-        }
         // One pass over the restored log rebuilds what is derived from it
-        // and checks what `counters()` relies on. The idempotency window
-        // is a pure function of the key-insertion sequence: first use of
-        // a key inserts it, FIFO eviction forgets the oldest. (A key at
-        // two log indexes means the first aged out before the second was
-        // decided; the same eviction happens here.) `counters()` indexes
-        // the log by `swaps[].submission` and moves that submission from
-        // the rejected to the admitted tally, so a swap must name an
-        // earlier rejected submission, once.
+        // (`push_record`) and checks what `counters()` relies on. The
+        // idempotency window is a pure function of the key-insertion
+        // sequence: first use of a key inserts it, FIFO eviction forgets
+        // the oldest. (A key at two log indexes means the first aged out
+        // before the second was decided; the same eviction happens here.)
+        // `counters()` moves a swap's submission from the rejected to the
+        // admitted tally, so a swap must name an open rejection, once.
         let mut idempotency = IdempotencyCache::new(capacity);
-        let mut consumed: Vec<u64> = Vec::new();
-        let mut admitted_by_log = 0usize;
-        for (index, record) in log.iter().enumerate() {
-            match record {
+        for (index, entry) in array_field("log")?.iter().enumerate() {
+            let record = record_from_value(entry)?;
+            match &record {
                 LogRecord::Submission(s) => {
-                    engine.submissions += 1;
-                    admitted_by_log += usize::from(matches!(s.decision, Decision::Admitted { .. }));
                     if let Some(key) = &s.args.idempotency_key {
                         if idempotency.get(key).is_none() {
                             idempotency.insert(key.clone(), index);
@@ -1302,39 +1367,32 @@ impl AdmissionEngine {
                 LogRecord::Injection(_) => {}
                 LogRecord::Optimization(o) => {
                     for swap in &o.swaps {
-                        let earlier_rejection = usize::try_from(swap.submission)
-                            .ok()
-                            .filter(|&submission| submission < index)
-                            .is_some_and(|submission| {
-                                matches!(
-                                    &log[submission],
-                                    LogRecord::Submission(s)
-                                        if matches!(s.decision, Decision::Rejected { .. })
-                                )
-                            });
-                        if !earlier_rejection || consumed.contains(&swap.submission) {
+                        let open = &mut engine.open_rejections;
+                        let Some(at) = open.iter().position(|&(_, i)| i == swap.submission) else {
                             return Err(format!(
                                 "checkpoint: log record {index} swaps in submission {}, which is \
                                  not an earlier rejected submission still open for readmission",
                                 swap.submission
                             ));
-                        }
-                        consumed.push(swap.submission);
-                        admitted_by_log += 1;
+                        };
+                        open.remove(at);
                     }
                 }
             }
+            engine.push_record(record);
         }
-        if admitted_by_log != engine.admitted_count() {
+        let admitted_by_log: u64 = engine.tallies.admitted_by_priority.iter().sum();
+        if admitted_by_log != engine.admitted_count() as u64 {
             return Err(format!(
                 "checkpoint: {} admitted requests but the log admits {admitted_by_log}",
                 engine.admitted_count()
             ));
         }
         engine.idempotency = idempotency;
-        engine.log = log;
-        engine.rebuild();
-        debug_assert_eq!(engine.live_state_divergence(), None);
+        // The one place a state is still built from a history. What the
+        // last normalisation covered is not recorded, so the next one
+        // looks at every item (`normal_*` stay 0).
+        engine.state = engine.replayed_state().map_err(|why| format!("checkpoint: {why}"))?;
         Ok(engine)
     }
 }
@@ -1531,7 +1589,7 @@ pub fn record_from_value(entry: &Value) -> Result<LogRecord, String> {
 }
 
 /// Admission counters reported by the `metrics` verb.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
 pub struct AdmissionCounters {
     /// Processed submissions (admitted + rejected).
     pub submissions: u64,

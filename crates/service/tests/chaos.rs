@@ -18,6 +18,9 @@ use dstage_service::protocol::{InjectArgs, InjectKind, SubmitArgs};
 use dstage_workload::{generate, Family, GeneratorConfig};
 use serde::Value;
 
+#[path = "support/oracle.rs"]
+mod oracle;
+
 /// Workload seed shared by the daemon (`--generate`) and the load
 /// generator (`--seed`) so item names line up.
 const SEED: u64 = 11;
@@ -133,12 +136,17 @@ fn assert_ledger_consistent(text: &str) {
 
 /// The DDCCast headroom claim under the harness's fixed injection
 /// script: because `alap` parks low-priority transfers against their
-/// deadlines instead of packing the early timeline, repair after the
-/// scripted disturbances finds free capacity more often — at least as
-/// many displaced requests are re-admitted (and no more are evicted)
-/// than under `partial`.
+/// deadlines instead of packing the early timeline, the scripted
+/// disturbances displace fewer of its requests and evict no more of them
+/// than under `partial`, and it keeps the larger weighted sum.
+///
+/// (This test used to claim a re-admission *rate* at least `partial`'s
+/// too. `alap` made that rate, 6/16 against 7/19, only while a replay
+/// dropped a booked transfer from link 224 and the sixth repair was
+/// routed across its window; on a ledger that keeps every reservation it
+/// is 5/16. The snapshots are checked for exactly that here.)
 #[test]
-fn alap_repairs_at_least_as_many_displaced_requests_as_partial() {
+fn alap_loses_fewer_requests_to_the_injection_script_than_partial() {
     let scenario = generate(&GeneratorConfig::paper(), SEED);
     let item = {
         let (_, request) = scenario.requests().next().expect("paper catalog has requests");
@@ -166,6 +174,7 @@ fn alap_repairs_at_least_as_many_displaced_requests_as_partial() {
                 at_ms: 120_000,
             })
             .expect("inject the copy loss");
+        oracle::assert_sound(&engine.snapshot(), &scenario, &format!("{heuristic} after repair"));
         engine.counters()
     };
     let partial = run(Heuristic::PartialPath);
@@ -177,20 +186,14 @@ fn alap_repairs_at_least_as_many_displaced_requests_as_partial() {
         "the injection script must displace admitted requests under both schedulers"
     );
     assert!(
+        alap_displaced <= partial_displaced,
+        "the script displaced more of alap's requests: {alap_displaced} > {partial_displaced}"
+    );
+    assert!(
         alap.evicted <= partial.evicted,
         "alap evicted more displaced requests than partial: {} > {}",
         alap.evicted,
         partial.evicted
-    );
-    // Re-admission *rate* (repaired / displaced), compared exactly via
-    // cross-multiplication: the absolute counts are incomparable because
-    // fewer alap reservations get displaced in the first place.
-    assert!(
-        alap.repaired * partial_displaced >= partial.repaired * alap_displaced,
-        "alap re-admitted a smaller share of its displaced requests: {}/{alap_displaced} < \
-         {}/{partial_displaced}",
-        alap.repaired,
-        partial.repaired
     );
     assert!(
         alap.weighted_sum > partial.weighted_sum,
@@ -306,8 +309,9 @@ fn chaos_run(family: Family) {
     // with no faults anywhere reproduces the snapshot byte for byte.
     let mut replay = AdmissionEngine::new(&scenario, Heuristic::FullPathOneDestination, config());
     let log = snapshot.get("log").and_then(Value::as_array).expect("snapshot log");
-    for entry in log {
+    for (index, entry) in log.iter().enumerate() {
         replay.replay_record(entry).expect("replay log record");
+        oracle::assert_sound(&replay.snapshot(), &scenario, &format!("after record {index}"));
     }
     let live_bytes = serde_json::to_string(&snapshot).expect("reserialize snapshot");
     let replay_bytes = serde_json::to_string(&replay.snapshot()).expect("serialize replay");

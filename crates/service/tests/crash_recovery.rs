@@ -22,6 +22,9 @@ use dstage_service::engine::AdmissionEngine;
 use dstage_workload::{generate, GeneratorConfig};
 use serde::Value;
 
+#[path = "support/oracle.rs"]
+mod oracle;
+
 /// Catalog seed shared by the daemon (`--generate`) and the in-test
 /// replay engines.
 const SEED: u64 = 11;
@@ -150,6 +153,7 @@ fn assert_recovered(addr: &str, scenario: &Scenario, acked: &HashMap<String, Val
         serde_json::to_string(&replay.snapshot()).expect("replay json"),
         "recovered snapshot must equal a fault-free replay of the surviving log"
     );
+    oracle::assert_sound(&snapshot, scenario, "after recovery");
 
     // No acknowledged decision lost, and retries replay it unchanged.
     for (key, response) in acked {

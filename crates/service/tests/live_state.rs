@@ -1,12 +1,15 @@
-//! The live admission state against the mechanism it replaced.
+//! The live admission state against the replay that defines it.
 //!
 //! The engine decides every submission on one long-lived scheduling state
-//! and rebuilds that state by `replay_state` only where reservations are
-//! removed. These tests hold the two together: after every record the
-//! live state is the state a replay of the engine's whole history builds
-//! (`live_state_divergence`), a refusal leaves nothing behind, the holds a
-//! later request lengthens retroactively are refused exactly where they do
-//! not fit, and the decisions are the ones recorded on the parent commit.
+//! and edits that state where reservations are removed — a repair, an
+//! optimizer trial. These tests hold it to the state `replay_state` builds
+//! from the engine's whole history: after every record the two agree
+//! (`live_state_divergence`) and the snapshot is a valid schedule by a
+//! check that shares no code with the ledger (`support/oracle.rs`); a
+//! refusal, of a candidate or of an optimizer trial, leaves nothing behind;
+//! a release spares blocked time; the holds a later request lengthens
+//! retroactively are refused exactly where they do not fit; and the
+//! decisions are the ones recorded on the commit that replayed per decision.
 
 use dstage_core::cost::{CostCriterion, EuWeights};
 use dstage_core::heuristic::{Heuristic, HeuristicConfig};
@@ -20,6 +23,9 @@ use dstage_workload::small::fan_out;
 use dstage_workload::{generate, Family, GeneratorConfig};
 use proptest::prelude::*;
 use serde::Value;
+
+#[path = "support/oracle.rs"]
+mod oracle;
 
 /// The heuristic configuration matching `stage-serve`'s defaults.
 fn config() -> HeuristicConfig {
@@ -77,7 +83,9 @@ fn ask(item: &str, destination: u32, deadline_ms: u64) -> SubmitArgs {
 /// Drives `ops` randomized records — submits (deadlines up to a quarter
 /// past the horizon, so it moves; destinations one past the last machine,
 /// so some are malformed), point-to-multipoint submits, link outages,
-/// copy losses, optimizer passes — and checks the invariant after each.
+/// copy losses, a submit between two outages (so the second repair finds
+/// reservations out of replay order), optimizer passes — and checks the
+/// invariant and the oracle after each.
 fn lockstep(heuristic: Heuristic, family: usize, catalog_seed: u64, ops_seed: u64) {
     let catalog = match family {
         0 => Family::Grid.generate_small(catalog_seed),
@@ -92,19 +100,28 @@ fn lockstep(heuristic: Heuristic, family: usize, catalog_seed: u64, ops_seed: u6
     let links = catalog.network().link_count() as u64;
     let horizon = catalog.horizon().as_millis();
     let mut clock = 0u64;
+    let random_submit = |engine: &mut AdmissionEngine, rng: &mut SplitMix64| {
+        let args = SubmitArgs {
+            priority: rng.below(3) as u8,
+            ..ask(&pick_item(rng), rng.below(machines + 1) as u32, rng.below(horizon * 5 / 4) + 1)
+        };
+        submit(engine, &args);
+    };
+    let outage = |engine: &mut AdmissionEngine, rng: &mut SplitMix64, clock: &mut u64| {
+        *clock += rng.below(horizon / 16);
+        let kind = InjectKind::LinkOutage { link: rng.below(links) as u32 };
+        engine.inject(&InjectArgs { kind, at_ms: *clock }).expect("a known link");
+    };
     for op in 0..32 {
         let roll = rng.below(100);
-        let what = if roll < 60 {
-            let args = SubmitArgs {
-                priority: rng.below(3) as u8,
-                ..ask(
-                    &pick_item(&mut rng),
-                    rng.below(machines + 1) as u32,
-                    rng.below(horizon + horizon / 4) + 1,
-                )
-            };
-            submit(&mut engine, &args);
+        let what = if roll < 56 {
+            random_submit(&mut engine, &mut rng);
             "submit"
+        } else if roll < 62 {
+            outage(&mut engine, &mut rng, &mut clock);
+            random_submit(&mut engine, &mut rng);
+            outage(&mut engine, &mut rng, &mut clock);
+            "outage, submit, outage"
         } else if roll < 72 {
             let mut destinations: Vec<u32> =
                 (0..1 + rng.below(3)).map(|_| rng.below(machines) as u32).collect();
@@ -120,9 +137,7 @@ fn lockstep(heuristic: Heuristic, family: usize, catalog_seed: u64, ops_seed: u6
             engine.submit_p2mp(&args).expect("a well-formed group");
             "p2mp submit"
         } else if roll < 82 {
-            clock += rng.below(horizon / 16);
-            let kind = InjectKind::LinkOutage { link: rng.below(links) as u32 };
-            engine.inject(&InjectArgs { kind, at_ms: clock }).expect("a known link");
+            outage(&mut engine, &mut rng, &mut clock);
             "link outage"
         } else if roll < 92 {
             clock += rng.below(horizon / 16);
@@ -136,11 +151,11 @@ fn lockstep(heuristic: Heuristic, family: usize, catalog_seed: u64, ops_seed: u6
             engine.optimize(3);
             "optimize"
         };
-        assert_eq!(
-            engine.live_state_divergence(),
-            None,
+        let when = format!(
             "{heuristic} on family {family} seed {catalog_seed}/{ops_seed}: after op {op} ({what})"
         );
+        assert_eq!(engine.live_state_divergence(), None, "{when}");
+        oracle::assert_sound(&engine.snapshot(), &catalog, &when);
         assert_eq!(engine.journal_len(), 0, "the journal outlived the decision");
     }
 }
@@ -208,16 +223,21 @@ fn relay_catalog(relay_bytes: u64) -> Scenario {
         .expect("the relay catalog is valid by construction")
 }
 
-/// Everything a checkpoint records but the decision log: admitted
+/// The fields of a checkpoint but the decision log, by name: admitted
 /// requests, their routes and deliveries, the committed reservations, the
-/// disturbances. With `live_state_divergence() == None` on both sides,
-/// equal values here mean equal live states.
-fn without_log(engine: &AdmissionEngine) -> String {
+/// disturbances.
+fn fields(engine: &AdmissionEngine) -> Vec<(String, String)> {
     let Value::Object(fields) = engine.checkpoint_value() else {
         panic!("a checkpoint is an object")
     };
-    let kept = fields.into_iter().filter(|(name, _)| name != "log").collect();
-    serde_json::to_string(&Value::Object(kept)).expect("serializable")
+    let text = |value: &Value| serde_json::to_string(value).expect("serializable");
+    fields.iter().filter(|(name, _)| name != "log").map(|(n, v)| (n.clone(), text(v))).collect()
+}
+
+/// [`fields`] as one value. With `live_state_divergence() == None` on both
+/// sides, equal values here mean equal live states.
+fn without_log(engine: &AdmissionEngine) -> String {
+    format!("{:?}", fields(engine))
 }
 
 /// `alpha` to `m2` by 100 s stages a copy on the relay until 160 s; `beta`
@@ -360,6 +380,110 @@ fn a_staged_destination_is_served_by_its_first_copy_in_commit_order() {
     let served = submit(&mut engine, &ask(&item, 1, second_copy + 1));
     assert_eq!((served.eta_ms, served.new_transfers), (Some(second_copy), Some(0)));
     assert_eq!(engine.live_state_divergence(), None);
+}
+
+// ---------------------------------------------------------------------
+// Release in place: repairs and optimizer trials edit the live state.
+// ---------------------------------------------------------------------
+
+fn outage(engine: &mut AdmissionEngine, link: u32, at_ms: u64) -> (u64, u64) {
+    let args = InjectArgs { kind: InjectKind::LinkOutage { link }, at_ms };
+    let done = engine.inject(&args).expect("a known link");
+    (done.cancelled_transfers, done.displaced)
+}
+
+#[test]
+fn a_replay_order_that_puts_a_later_copy_second_keeps_both_booked() {
+    // Latest placement stages the hub copy for the loose deadline late, at
+    // [1780 s, 1790 s); the tight deadline then books a second, earlier
+    // one. An unrelated outage puts `committed` in replay order: early
+    // copy first. The replay used to skip the late one there — an equally
+    // early copy was on the hub already — and offer its window again.
+    let catalog = fan_out();
+    let mut engine = AdmissionEngine::new(&catalog, Heuristic::Alap, config());
+    let items: Vec<String> = engine.item_names().map(str::to_string).collect();
+    submit(&mut engine, &ask(&items[0], 2, 1_800_000));
+    submit(&mut engine, &ask(&items[0], 3, 60_000));
+    let late = engine.query(0).unwrap().route[0].clone();
+    assert_eq!((late.link, late.start_ms, late.arrival_ms), (0, 1_780_000, 1_790_000));
+    assert_eq!(outage(&mut engine, 3, 1), (0, 0));
+    assert_eq!(engine.live_state_divergence(), None);
+    // The second item (5 s a hop) to m3 by 1795 s would, placed latest,
+    // cross the first link over [1785 s, 1790 s): inside that window.
+    let other = submit(&mut engine, &ask(&items[1], 3, 1_795_000));
+    assert_eq!(other.decision, "admitted");
+    let hub_hop = engine.query(2).unwrap().route[0].clone();
+    assert_eq!((hub_hop.link, hub_hop.arrival_ms), (0, late.start_ms), "offered a booked window");
+    oracle::assert_sound(&engine.snapshot(), &catalog, "after the re-sorting inject");
+}
+
+#[test]
+fn a_cancelled_transfer_frees_its_window_but_for_the_blocked_part() {
+    // `alpha` crosses m0 → m1 over [0, 10 s) and m1 → m2 over [10 s, 20 s).
+    let mut engine = relay_engine(40_000);
+    // An outage elsewhere moves `now` to 15 s; losing the relay's copy at
+    // 10 s then cancels the second hop, whose window lies across `now`:
+    // [10 s, 15 s) stays blocked, [15 s, 20 s) is free again — as in the
+    // replay, which never booked it.
+    assert_eq!(outage(&mut engine, 3, 15_000), (0, 0));
+    let lost = InjectKind::CopyLoss { item: "alpha".to_string(), machine: 1 };
+    let done = engine.inject(&InjectArgs { kind: lost, at_ms: 10_000 }).unwrap();
+    assert_eq!((done.cancelled_transfers, done.repaired), (1, 1));
+    assert_eq!(engine.live_state_divergence(), None, "a window lying across `now`");
+    oracle::assert_sound(&engine.snapshot(), &relay_catalog(40_000), "after the loss");
+    // An outage of the first link at 5 s, with `now` long past: the hops it
+    // cancels there lie across the outage's start or after it, and before
+    // `now` — all of their windows stay blocked; the hops the cascade
+    // cancels on the other links lie before `now` as well.
+    let mut engine = relay_engine(40_000);
+    assert_eq!(outage(&mut engine, 3, 60_000), (0, 0));
+    assert_eq!(outage(&mut engine, 0, 5_000), (4, 2));
+    assert_eq!(engine.live_state_divergence(), None, "a window lying across an outage");
+    oracle::assert_sound(&engine.snapshot(), &relay_catalog(40_000), "after both outages");
+}
+
+#[test]
+fn an_inject_that_cancels_nothing_records_the_disturbance_and_nothing_else() {
+    let mut engine = relay_engine(20_000);
+    // The first repair also puts `committed` in replay order.
+    assert_eq!(outage(&mut engine, 3, 40_000), (0, 0));
+    let before = fields(&engine);
+    assert_eq!(outage(&mut engine, 2, 50_000), (0, 0));
+    let changed: Vec<String> = (before.iter().zip(fields(&engine)))
+        .filter(|(was, is)| **was != *is)
+        .map(|(was, _)| was.0.clone())
+        .collect();
+    assert_eq!(changed, ["now_ms", "outages"]);
+    // The state took the two blocks and nothing else: it is the replay of
+    // the same reservations with them.
+    assert_eq!(engine.live_state_divergence(), None);
+    assert_eq!(engine.journal_len(), 0);
+}
+
+#[test]
+fn a_refused_optimizer_pass_leaves_the_engine_as_it_was() {
+    let grid = generate_grid(
+        &GridConfig { rows: 10, cols: 10, items: 400, requests: 2_000, ..GridConfig::default() },
+        7,
+    );
+    let mut engine = AdmissionEngine::new(&grid, Heuristic::FullPathOneDestination, config());
+    for args in distinct_pair_stream(&grid, 2007, 300) {
+        submit(&mut engine, &args);
+    }
+    let mut rng = SplitMix64(22);
+    for at_ms in (1..=5).map(|i| i * 200_000) {
+        outage(&mut engine, rng.below(grid.network().link_count() as u64) as u32, at_ms);
+    }
+    assert_eq!(engine.live_state_divergence(), None);
+    for budget in [1, 8, 64] {
+        let before = without_log(&engine);
+        let pass = engine.optimize(budget);
+        assert!(pass.attempted > 0 && pass.swapped == 0, "{budget}: {pass:?}");
+        assert_eq!(without_log(&engine), before, "budget {budget}: a refused trial left residue");
+        assert_eq!(engine.live_state_divergence(), None, "budget {budget}");
+        assert_eq!(engine.journal_len(), 0);
+    }
+    oracle::assert_sound(&engine.snapshot(), &grid, "after three refused passes");
 }
 
 // ---------------------------------------------------------------------

@@ -16,6 +16,9 @@ use dstage_service::engine::AdmissionEngine;
 use dstage_workload::{generate, GeneratorConfig};
 use serde::Value;
 
+#[path = "support/oracle.rs"]
+mod oracle;
+
 const SEED: u64 = 11;
 
 fn catalog() -> Scenario {
@@ -251,4 +254,5 @@ fn exercise_loopback(workers: usize, clients: usize) {
     let live_bytes = serde_json::to_string(&snapshot).expect("reserialize snapshot");
     let replay_bytes = serde_json::to_string(&replay.snapshot()).expect("serialize replay");
     assert_eq!(replay_bytes, live_bytes, "concurrent and sequential admission must agree");
+    oracle::assert_sound(&snapshot, &scenario, "after the concurrent run");
 }
