@@ -56,6 +56,9 @@ pub static SERVICE_OPT_SWAPS_ACCEPTED: Counter = Counter::new();
 /// Optimizer trials whose victim was unbooked and then put back because
 /// the candidate still did not fit.
 pub static SERVICE_OPT_TRIALS_ROLLED_BACK: Counter = Counter::new();
+/// Committed reservations released in place: cancelled by a repair, or a
+/// victim's route taken out by an optimizer trial.
+pub static SERVICE_TRANSFERS_RELEASED: Counter = Counter::new();
 /// Items whose tables were re-derived from their committed transfers (by a
 /// repair or an optimizer trial).
 pub static SERVICE_ITEMS_REDERIVED: Counter = Counter::new();
@@ -98,9 +101,6 @@ pub static RESOURCES_GAP_ITERATIONS: Counter = Counter::new();
 pub static RESOURCES_PEAK_SCANS: Counter = Counter::new();
 /// Transfers committed into the ledger.
 pub static RESOURCES_COMMITS: Counter = Counter::new();
-/// Committed transfers taken back out of the ledger (a refused decision
-/// rolled back, a cancelled or evicted reservation released).
-pub static RESOURCES_RELEASES: Counter = Counter::new();
 
 // --- path layer (earliest-arrival Dijkstra) ---------------------------
 
@@ -302,6 +302,13 @@ pub fn registry() -> &'static [MetricDef] {
             kind: Counter(&SERVICE_OPT_TRIALS_ROLLED_BACK),
         },
         MetricDef {
+            name: "dstage_service_transfers_released_total",
+            help: "Committed reservations released in place by a repair or an optimizer trial",
+            layer: "service",
+            label: None,
+            kind: Counter(&SERVICE_TRANSFERS_RELEASED),
+        },
+        MetricDef {
             name: "dstage_service_items_rederived_total",
             help: "Items whose tables were re-derived from their committed transfers",
             layer: "service",
@@ -405,13 +412,6 @@ pub fn registry() -> &'static [MetricDef] {
             layer: "resources",
             label: None,
             kind: Counter(&RESOURCES_COMMITS),
-        },
-        MetricDef {
-            name: "dstage_resources_releases_total",
-            help: "Committed transfers taken back out of the ledger",
-            layer: "resources",
-            label: None,
-            kind: Counter(&RESOURCES_RELEASES),
         },
         MetricDef {
             name: "dstage_path_trees_total",

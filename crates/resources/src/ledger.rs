@@ -310,7 +310,6 @@ impl NetworkLedger {
             self.links[link.index()].release(start, arrival);
         }
         self.stores[vl.destination().index()].release(size, start, hold_until.max(arrival));
-        dstage_obs::metrics::RESOURCES_RELEASES.inc();
     }
 
     /// Reserves storage on a machine without a transfer — used for initial

@@ -181,6 +181,12 @@ struct AdmittedInfo {
     route: Vec<Transfer>,
 }
 
+impl AdmittedInfo {
+    fn admitted(delivery: Delivery, route: Vec<Transfer>) -> Self {
+        AdmittedInfo { status: RequestStatus::Admitted, delivery: Some(delivery), route }
+    }
+}
+
 /// Bounded idempotency-key index with FIFO (insertion-order) eviction.
 ///
 /// The unbounded map was a memory leak under sustained keyed traffic.
@@ -232,39 +238,50 @@ impl IdempotencyCache {
     }
 }
 
-/// The fields of [`AdmissionCounters`] that are read off the decision log,
-/// for an empty log; the engine keeps them up to date as the log grows.
-fn no_tallies(levels: u8) -> AdmissionCounters {
-    let none = vec![0; levels as usize];
-    AdmissionCounters {
-        admitted_by_priority: none.clone(),
-        rejected_by_priority: none,
-        ..AdmissionCounters::default()
-    }
+/// What [`AdmissionCounters`] reads off the decision log, kept as it grows.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct LogTallies {
+    submissions: u64,
+    injections: u64,
+    optimizations: u64,
+    swapped: u64,
+    admitted_by_priority: Vec<u64>,
+    rejected_by_priority: Vec<u64>,
 }
 
-/// Counts `record`, the next entry of `log`, into `tallies`.
-fn tally(tallies: &mut AdmissionCounters, record: &LogRecord, log: &[LogRecord]) {
-    let levels = tallies.admitted_by_priority.len();
-    let level = |args: &SubmitArgs| (args.priority as usize).min(levels.saturating_sub(1));
-    match record {
-        LogRecord::Submission(s) => {
-            tallies.submissions += 1;
-            match &s.decision {
-                Decision::Admitted { .. } => tallies.admitted_by_priority[level(&s.args)] += 1,
-                Decision::Rejected { .. } => tallies.rejected_by_priority[level(&s.args)] += 1,
-            }
+impl LogTallies {
+    fn new(levels: u8) -> Self {
+        let none = vec![0; levels as usize];
+        LogTallies {
+            admitted_by_priority: none.clone(),
+            rejected_by_priority: none,
+            ..LogTallies::default()
         }
-        LogRecord::Injection(_) => tallies.injections += 1,
-        LogRecord::Optimization(o) => {
-            tallies.optimizations += 1;
-            tallies.swapped += o.swaps.len() as u64;
-            // A kept swap converts a refusal into an admission; move its
-            // submission between the per-priority tallies.
-            for swap in &o.swaps {
-                let LogRecord::Submission(s) = &log[swap.submission as usize] else { continue };
-                tallies.rejected_by_priority[level(&s.args)] -= 1;
-                tallies.admitted_by_priority[level(&s.args)] += 1;
+    }
+
+    /// Counts `record`, the next entry of `log`.
+    fn count(&mut self, record: &LogRecord, log: &[LogRecord]) {
+        let levels = self.admitted_by_priority.len();
+        let level = |args: &SubmitArgs| (args.priority as usize).min(levels.saturating_sub(1));
+        match record {
+            LogRecord::Submission(s) => {
+                self.submissions += 1;
+                match &s.decision {
+                    Decision::Admitted { .. } => self.admitted_by_priority[level(&s.args)] += 1,
+                    Decision::Rejected { .. } => self.rejected_by_priority[level(&s.args)] += 1,
+                }
+            }
+            LogRecord::Injection(_) => self.injections += 1,
+            LogRecord::Optimization(o) => {
+                self.optimizations += 1;
+                self.swapped += o.swaps.len() as u64;
+                // A kept swap converts a refusal into an admission; move its
+                // submission between the per-priority tallies.
+                for swap in &o.swaps {
+                    let LogRecord::Submission(s) = &log[swap.submission as usize] else { continue };
+                    self.rejected_by_priority[level(&s.args)] -= 1;
+                    self.admitted_by_priority[level(&s.args)] += 1;
+                }
             }
         }
     }
@@ -296,7 +313,7 @@ pub struct AdmissionEngine {
     now: SimTime,
     idempotency: IdempotencyCache,
     log: Vec<LogRecord>,
-    tallies: AdmissionCounters,
+    tallies: LogTallies,
     /// The well-formed rejected submissions no optimizer pass has readmitted
     /// yet, as `(Reverse(weight), log index)`; a pass tries them in order.
     open_rejections: Vec<(Reverse<u64>, u64)>,
@@ -330,7 +347,7 @@ impl AdmissionEngine {
         AdmissionEngine {
             item_ids: names.iter().enumerate().map(|(i, n)| (n.to_string(), i as u32)).collect(),
             fingerprint,
-            tallies: no_tallies(config.priority_weights.levels()),
+            tallies: LogTallies::new(config.priority_weights.levels()),
             state: SchedulerState::owning(served, config.caching),
             heuristic,
             config,
@@ -423,10 +440,13 @@ impl AdmissionEngine {
                 dstage_obs::metrics::SERVICE_REFUSED.inc();
                 Decision::Rejected { reason }
             }
-            Ok((delivery, new_transfers)) => {
+            Ok((delivery, route)) => {
                 dstage_obs::metrics::SERVICE_ADMIT_SLACK_MS
                     .record(args.deadline_ms.saturating_sub(delivery.at.as_millis()));
                 dstage_obs::metrics::SERVICE_ADMITTED.inc();
+                let new_transfers = route.len();
+                self.committed.extend_from_slice(&route);
+                self.info.push(AdmittedInfo::admitted(delivery, route));
                 Decision::Admitted {
                     request: delivery.request,
                     eta: delivery.at,
@@ -447,7 +467,7 @@ impl AdmissionEngine {
     /// (a malformed ask can never be admitted, whatever capacity frees up)
     /// joins the open rejections.
     fn push_record(&mut self, record: LogRecord) {
-        tally(&mut self.tallies, &record, &self.log);
+        self.tallies.count(&record, &self.log);
         if let LogRecord::Submission(SubmissionRecord {
             args,
             decision: Decision::Rejected { .. },
@@ -541,9 +561,9 @@ impl AdmissionEngine {
 
     /// Decides one submission on the live state: appends the candidate,
     /// lets the heuristic route it, and either keeps what was booked
-    /// (returning the delivery and the number of new reservations) or
-    /// rolls everything back. `Err` carries the refusal reason.
-    fn decide(&mut self, args: &SubmitArgs) -> Result<(Delivery, usize), String> {
+    /// (returning the delivery and the new reservations, which the caller
+    /// records) or rolls everything back. `Err` carries the refusal reason.
+    fn decide(&mut self, args: &SubmitArgs) -> Result<(Delivery, Vec<Transfer>), String> {
         let (candidate, collected) = self.candidate(args)?;
         let savepoint = self.state.savepoint(candidate.item());
         let id = match self.state.add_request(candidate) {
@@ -565,19 +585,12 @@ impl AdmissionEngine {
                 return Err(self.hold_reason(refused));
             }
         }
-        let Some((delivery, route)) = self.settle(id, savepoint) else {
-            return Err(format!(
+        self.settle(id, savepoint).ok_or_else(|| {
+            format!(
                 "deadline {} ms unreachable for `{}` to M{} under the current ledger",
                 args.deadline_ms, args.item, args.destination
-            ));
-        };
-        let new_transfers = route.len();
-        self.info.push(AdmittedInfo {
-            status: RequestStatus::Admitted,
-            delivery: Some(delivery),
-            route,
-        });
-        Ok((delivery, new_transfers))
+            )
+        })
     }
 
     /// Checks an ask against the catalog and the weighting. Returns the
@@ -620,9 +633,8 @@ impl AdmissionEngine {
     }
 
     /// Lets the heuristic route request `id`, the only active one, on the
-    /// live state. Delivered, what was booked joins the committed list and
-    /// is returned with the delivery; otherwise the state goes back to
-    /// `savepoint`.
+    /// live state. Delivered, what was booked is returned with the delivery,
+    /// for the caller to commit; otherwise the state goes back to `savepoint`.
     fn settle(&mut self, id: RequestId, savepoint: Savepoint) -> Option<(Delivery, Vec<Transfer>)> {
         self.state.set_request_active(id, true);
         drive_state(&mut self.state, self.heuristic, &self.config);
@@ -632,9 +644,7 @@ impl AdmissionEngine {
             return None;
         };
         self.state.forget_trees();
-        let route = self.state.take_transfers();
-        self.committed.extend_from_slice(&route);
-        Some((delivery, route))
+        Some((delivery, self.state.take_transfers()))
     }
 
     /// A fresh state with `committed` and the disturbances so far replayed
@@ -751,6 +761,7 @@ impl AdmissionEngine {
             cancelled,
             filter_consistent(scenario, self.committed.clone(), &self.outages, &self.losses).1
         );
+        dstage_obs::metrics::SERVICE_TRANSFERS_RELEASED.add(cancelled.len() as u64);
         for t in &cancelled {
             self.state.unbook(t);
         }
@@ -760,7 +771,7 @@ impl AdmissionEngine {
         }
         // The surviving reservations are the authority on who is still
         // promised a delivery (survival-to-deadline semantics, §4.4).
-        let mut displaced = self.normalise(&stale);
+        let mut displaced = self.normalise(&stale, &[]);
         self.state.forget_trees();
         let weights = &self.config.priority_weights;
         let scenario = self.state.scenario();
@@ -781,6 +792,7 @@ impl AdmissionEngine {
                     let info = &mut self.info[id as usize];
                     info.status = RequestStatus::Repaired;
                     info.delivery = Some(delivery);
+                    self.committed.extend_from_slice(&route);
                     info.route.extend(route);
                     repaired.push(id);
                 }
@@ -809,18 +821,16 @@ impl AdmissionEngine {
         stale
     }
 
-    /// Puts `committed` in replay order, re-derives the `stale` items'
-    /// tables from it and refreshes their non-evicted requests' deliveries
-    /// from what survives in it. Returns the ids left without one.
-    fn normalise(&mut self, stale: &[bool]) -> Vec<u32> {
+    /// Puts `committed` in replay order and refreshes the `stale` items'
+    /// non-evicted requests' deliveries from what survives in it; then
+    /// appends `tail`, booked on top of it, and re-derives those items'
+    /// tables from the result. Returns the ids left without a delivery.
+    fn normalise(&mut self, stale: &[bool], tail: &[Transfer]) -> Vec<u32> {
         self.committed.sort_by_key(replay_order);
         self.normal_transfers = self.committed.len();
         self.normal_requests = self.info.len();
-        let theirs: Vec<Transfer> =
+        let mut theirs: Vec<Transfer> =
             self.committed.iter().filter(|t| stale[t.item.index()]).copied().collect();
-        for item in (0..stale.len()).filter(|&i| stale[i]).map(|i| DataItemId::new(i as u32)) {
-            Self::rederive(&mut self.state, item, &theirs);
-        }
         let scenario = self.state.scenario();
         let requests: Vec<RequestId> = (scenario.requests().zip(&self.info))
             .filter(|((_, request), info)| {
@@ -834,13 +844,13 @@ impl AdmissionEngine {
             displaced.retain(|&id| id as usize != d.request.index());
         }
         debug_assert!(self.is_normal(&displaced));
+        self.committed.extend_from_slice(tail);
+        theirs.extend_from_slice(tail);
+        for item in (0..stale.len()).filter(|&i| stale[i]).map(|i| DataItemId::new(i as u32)) {
+            dstage_obs::metrics::SERVICE_ITEMS_REDERIVED.inc();
+            self.state.rederive_item(item, theirs.iter().filter(|t| t.item == item));
+        }
         displaced
-    }
-
-    /// [`SchedulerState::rederive_item`] from `item`'s part of `order`.
-    fn rederive(state: &mut SchedulerState<'static>, item: DataItemId, order: &[Transfer]) {
-        dstage_obs::metrics::SERVICE_ITEMS_REDERIVED.inc();
-        state.rederive_item(item, order.iter().filter(|t| t.item == item));
     }
 
     /// [`AdmissionEngine::normalise`]'s result by the whole-table functions:
@@ -953,28 +963,36 @@ impl AdmissionEngine {
     /// `None` when the swap is infeasible: evicting the victim cascades,
     /// costs someone else their delivery, or the candidate still does not fit.
     fn try_swap(&mut self, args: &SubmitArgs, victim: u32) -> Option<u32> {
-        let scenario = self.state.scenario();
-        let evicting = scenario.request(RequestId::new(victim)).item();
+        let evicting = self.scenario().request(RequestId::new(victim)).item();
         let admitting = DataItemId::new(self.item_ids[args.item.as_str()]);
-        let rest = self.without_route(victim, evicting)?;
+        // The candidate decides on the two items' tables in replay order.
+        let mut order = self.without_route(victim, evicting)?;
+        if admitting != evicting {
+            order.extend(self.committed.iter().filter(|t| t.item == admitting));
+            order.sort_by_key(replay_order);
+        }
         let evicted =
             AdmittedInfo { status: RequestStatus::Evicted, delivery: None, route: vec![] };
         let was = std::mem::replace(&mut self.info[victim as usize], evicted);
+        dstage_obs::metrics::SERVICE_TRANSFERS_RELEASED.add(was.route.len() as u64);
         for t in &was.route {
             self.state.unbook(t);
         }
-        // The candidate decides on the two items' tables in replay order.
-        Self::rederive(&mut self.state, evicting, &rest);
-        if admitting != evicting {
-            let mut own: Vec<Transfer> =
-                self.committed.iter().filter(|t| t.item == admitting).copied().collect();
-            own.sort_by_key(replay_order);
-            Self::rederive(&mut self.state, admitting, &own);
+        dstage_obs::metrics::SERVICE_ITEMS_REDERIVED.add(2);
+        for item in [evicting, admitting] {
+            self.state.rederive_item(item, order.iter().filter(|t| t.item == item));
         }
-        let booked = self.committed.len();
         match self.decide(args) {
-            Ok((delivery, _)) => {
-                self.keep_swap(&was.route, booked, [evicting, admitting]);
+            // Kept: what preceded the admission is normalised as a repair
+            // does before it re-routes, the admission booked on top of it.
+            Ok((delivery, route)) => {
+                self.committed.retain(|t| !was.route.contains(t));
+                let mut stale = self.stale_items();
+                stale[evicting.index()] = true;
+                stale[admitting.index()] = true;
+                let displaced = self.normalise(&stale, &route);
+                debug_assert_eq!(displaced, Vec::<u32>::new());
+                self.info.push(AdmittedInfo::admitted(delivery, route));
                 Some(delivery.request.index() as u32)
             }
             Err(_) => {
@@ -983,30 +1001,14 @@ impl AdmissionEngine {
                     self.state.rebook(t);
                 }
                 self.info[victim as usize] = was;
+                dstage_obs::metrics::SERVICE_ITEMS_REDERIVED.add(2);
                 for item in [evicting, admitting] {
-                    Self::rederive(&mut self.state, item, &self.committed);
+                    self.state
+                        .rederive_item(item, self.committed.iter().filter(|t| t.item == item));
                 }
                 None
             }
         }
-    }
-
-    /// Finishes a swap whose candidate was just admitted (its route is
-    /// `committed[booked..]`): drops the victim's `route` and normalises
-    /// what preceded the admission, as a repair does before it re-routes.
-    fn keep_swap(&mut self, route: &[Transfer], booked: usize, swapped: [DataItemId; 2]) {
-        let mut stale = self.stale_items();
-        for item in swapped {
-            stale[item.index()] = true;
-        }
-        let admitted = self.info.pop().expect("the candidate was just admitted");
-        let admission = self.committed.split_off(booked);
-        self.committed.retain(|t| !route.contains(t));
-        let displaced = self.normalise(&stale);
-        debug_assert_eq!(displaced, Vec::<u32>::new());
-        self.committed.extend(admission);
-        self.info.push(admitted);
-        Self::rederive(&mut self.state, swapped[1], &self.committed);
     }
 
     /// The requests still promised a delivery, as `(weight, id)`.
@@ -1091,31 +1093,35 @@ impl AdmissionEngine {
     /// longer counts).
     #[must_use]
     pub fn counters(&self) -> AdmissionCounters {
+        let levels = self.config.priority_weights.levels();
         debug_assert_eq!(
             self.tallies,
-            (0..self.log.len()).fold(
-                no_tallies(self.tallies.admitted_by_priority.len() as u8),
-                |mut scan, i| {
-                    tally(&mut scan, &self.log[i], &self.log[..i]);
-                    scan
-                }
-            )
+            (0..self.log.len()).fold(LogTallies::new(levels), |mut scan, i| {
+                scan.count(&self.log[i], &self.log[..i]);
+                scan
+            })
         );
         let status = |status: RequestStatus| {
             self.info.iter().filter(|info| info.status == status).count() as u64
         };
         let admitted = self.admitted_count() as u64;
         let evicted = status(RequestStatus::Evicted);
+        let tallies = self.tallies.clone();
         AdmissionCounters {
+            submissions: tallies.submissions,
             admitted,
             // Each optimizer swap consumes one unique rejected
             // submission, so the difference stays the refusal count.
-            rejected: self.tallies.submissions - admitted,
+            rejected: tallies.submissions - admitted,
+            injections: tallies.injections,
+            optimizations: tallies.optimizations,
+            swapped: tallies.swapped,
             repaired: status(RequestStatus::Repaired),
             evicted,
             satisfied: admitted - evicted,
+            admitted_by_priority: tallies.admitted_by_priority,
+            rejected_by_priority: tallies.rejected_by_priority,
             weighted_sum: self.weighted_sum(),
-            ..self.tallies.clone()
         }
     }
 
@@ -1589,7 +1595,7 @@ pub fn record_from_value(entry: &Value) -> Result<LogRecord, String> {
 }
 
 /// Admission counters reported by the `metrics` verb.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct AdmissionCounters {
     /// Processed submissions (admitted + rejected).
     pub submissions: u64,

@@ -136,17 +136,12 @@ fn assert_ledger_consistent(text: &str) {
 
 /// The DDCCast headroom claim under the harness's fixed injection
 /// script: because `alap` parks low-priority transfers against their
-/// deadlines instead of packing the early timeline, the scripted
-/// disturbances displace fewer of its requests and evict no more of them
-/// than under `partial`, and it keeps the larger weighted sum.
-///
-/// (This test used to claim a re-admission *rate* at least `partial`'s
-/// too. `alap` made that rate, 6/16 against 7/19, only while a replay
-/// dropped a booked transfer from link 224 and the sixth repair was
-/// routed across its window; on a ledger that keeps every reservation it
-/// is 5/16. The snapshots are checked for exactly that here.)
+/// deadlines instead of packing the early timeline, repair after the
+/// scripted disturbances finds free capacity more often — at least as
+/// many displaced requests are re-admitted (and no more are evicted)
+/// than under `partial`.
 #[test]
-fn alap_loses_fewer_requests_to_the_injection_script_than_partial() {
+fn alap_repairs_at_least_as_many_displaced_requests_as_partial() {
     let scenario = generate(&GeneratorConfig::paper(), SEED);
     let item = {
         let (_, request) = scenario.requests().next().expect("paper catalog has requests");
@@ -194,6 +189,21 @@ fn alap_loses_fewer_requests_to_the_injection_script_than_partial() {
         "alap evicted more displaced requests than partial: {} > {}",
         alap.evicted,
         partial.evicted
+    );
+    // Re-admission *rate* (repaired / displaced), compared exactly via
+    // cross-multiplication: the absolute counts are incomparable because
+    // fewer alap reservations get displaced in the first place.
+    //
+    // Fails since PR 22 (5/16 < 7/19): `alap`'s sixth repair had been
+    // routed across a window on link 224 that the old replay had dropped
+    // from the ledger while it stayed booked. Kept as written until an
+    // issue restates the claim; see EXPERIMENTS.md "Release in place".
+    assert!(
+        alap.repaired * partial_displaced >= partial.repaired * alap_displaced,
+        "alap re-admitted a smaller share of its displaced requests: {}/{alap_displaced} < \
+         {}/{partial_displaced}",
+        alap.repaired,
+        partial.repaired
     );
     assert!(
         alap.weighted_sum > partial.weighted_sum,
