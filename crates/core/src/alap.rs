@@ -18,9 +18,7 @@ use crate::state::SchedulerState;
 pub(crate) fn step(state: &mut SchedulerState<'_>, config: &HeuristicConfig) -> bool {
     let Some(choice) = best_choice(state, config) else { return false };
     state.note_iteration();
-    let destination = choice
-        .destination
-        .or_else(|| lowest_cost_destination(state.scenario(), config, &choice.step));
+    let destination = choice.destination.or_else(|| lowest_cost_destination(config, &choice.step));
     let Some(request) = destination else {
         // Unreachable: steps always contain a satisfiable destination.
         debug_assert!(false, "winning step had no satisfiable destination");

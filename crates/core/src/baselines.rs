@@ -97,13 +97,16 @@ pub fn random_dijkstra(scenario: &Scenario, seed: u64) -> ScheduleOutcome {
     let mut state = SchedulerState::new(scenario);
     loop {
         let steps = state.all_candidate_steps();
-        if steps.is_empty() {
+        let offered = steps.clone().count();
+        if offered == 0 {
             break;
         }
+        let (item, hop) = steps
+            .map(|step| (step.item, step.hop))
+            .nth(rng.gen_range(0..offered))
+            .expect("picked among the steps offered");
         state.note_iteration();
-        let pick = rng.gen_range(0..steps.len());
-        let step = &steps[pick];
-        state.commit_hop(step.item, step.hop);
+        state.commit_hop(item, hop);
     }
     state.set_elapsed(started.elapsed());
     let (schedule, metrics) = state.into_outcome();
@@ -142,12 +145,10 @@ pub fn priority_first(scenario: &Scenario, weights: &PriorityWeights) -> Schedul
         loop {
             // Among pending satisfiable destinations of this class, pick
             // the lowest request id — arbitrary order, blind to urgency.
-            let steps = state.all_candidate_steps();
             let mut best: Option<(RequestId, DataItemId)> = None;
-            for step in &steps {
+            for step in state.all_candidate_steps() {
                 for d in step.satisfiable() {
-                    let req = scenario.request(d.request);
-                    if req.priority() != class {
+                    if d.priority != class {
                         continue;
                     }
                     if best.is_none_or(|(r, _)| d.request < r) {

@@ -197,11 +197,22 @@ pub fn step_cost(
     weights: EuWeights,
     destinations: &[DestinationCost],
 ) -> f64 {
-    let satisfiable = destinations.iter().filter(|d| d.satisfiable);
+    step_cost_over(criterion, weights, destinations.iter().copied())
+}
+
+/// [`step_cost`] over destinations produced on the fly — the selection
+/// round scores a cached step where it lies, with nothing collected. The
+/// sums run in iteration order, as the slice form's do.
+pub(crate) fn step_cost_over(
+    criterion: CostCriterion,
+    weights: EuWeights,
+    destinations: impl Iterator<Item = DestinationCost> + Clone,
+) -> f64 {
+    let satisfiable = destinations.clone().filter(|d| d.satisfiable);
     match criterion {
         CostCriterion::C1 => panic!("C1 is a per-destination criterion; use cost_c1"),
         CostCriterion::C2 => {
-            let efp_sum: f64 = destinations.iter().map(|d| d.effective_priority).sum();
+            let efp_sum: f64 = destinations.map(|d| d.effective_priority).sum();
             let max_urgency = satisfiable.map(|d| d.urgency).fold(f64::NEG_INFINITY, f64::max);
             let max_urgency = if max_urgency.is_finite() { max_urgency } else { 0.0 };
             -weights.w_e * efp_sum - weights.w_u * max_urgency
@@ -213,8 +224,8 @@ pub fn step_cost(
             satisfiable.map(|d| d.effective_priority / d.urgency.min(-C3_FLOOR_SECS)).sum()
         }
         CostCriterion::C4 => {
-            let efp_sum: f64 = destinations.iter().map(|d| d.effective_priority).sum();
-            let urgency_sum: f64 = destinations.iter().map(|d| d.urgency).sum();
+            let efp_sum: f64 = destinations.clone().map(|d| d.effective_priority).sum();
+            let urgency_sum: f64 = destinations.map(|d| d.urgency).sum();
             -weights.w_e * efp_sum - weights.w_u * urgency_sum
         }
     }

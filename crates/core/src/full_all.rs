@@ -8,7 +8,7 @@
 //! paper gives for it — at the price of committing to several paths from
 //! one (possibly soon stale) plan.
 
-use crate::heuristic::{best_choice, destination_costs, HeuristicConfig};
+use crate::heuristic::{best_choice, HeuristicConfig};
 use crate::state::SchedulerState;
 
 /// One iteration of the full path/all destinations main loop; `false`
@@ -17,11 +17,8 @@ pub(crate) fn step(state: &mut SchedulerState<'_>, config: &HeuristicConfig) -> 
     let Some(choice) = best_choice(state, config) else { return false };
     state.note_iteration();
     let scenario = state.scenario();
-    let machines: Vec<_> = destination_costs(scenario, &config.priority_weights, &choice.step)
-        .into_iter()
-        .filter(|(_, dc)| dc.satisfiable)
-        .map(|(req, _)| scenario.request(req).destination())
-        .collect();
+    let machines: Vec<_> =
+        choice.step.satisfiable().map(|d| scenario.request(d.request).destination()).collect();
     debug_assert!(!machines.is_empty());
     state.commit_paths(choice.step.item, &machines);
     true

@@ -12,7 +12,7 @@ use dstage_model::ids::RequestId;
 use dstage_model::request::PriorityWeights;
 use dstage_model::scenario::Scenario;
 
-use crate::cost::{cost_c1, step_cost, CostCriterion, DestinationCost, EuWeights};
+use crate::cost::{cost_c1, step_cost_over, CostCriterion, DestinationCost, EuWeights};
 use crate::metrics::RunMetrics;
 use crate::schedule::Schedule;
 use crate::state::{CandidateStep, SchedulerState};
@@ -227,33 +227,25 @@ pub(crate) fn best_choice(
     state: &mut SchedulerState<'_>,
     config: &HeuristicConfig,
 ) -> Option<Choice> {
-    let steps = state.all_candidate_steps();
-    let scenario = state.scenario();
-    let mut best: Option<Choice> = None;
-    let mut consider = |cost: f64, step: &CandidateStep, destination: Option<RequestId>| {
-        let better = match &best {
-            None => true,
-            Some(b) => cost < b.cost,
-        };
-        if better {
-            best = Some(Choice { step: step.clone(), destination, cost });
+    let mut best: Option<(f64, &CandidateStep, Option<RequestId>)> = None;
+    let mut consider = |cost: f64, step, destination| {
+        if best.is_none_or(|(lowest, _, _)| cost < lowest) {
+            best = Some((cost, step, destination));
         }
     };
-    for step in &steps {
-        let outlooks = destination_costs(scenario, &config.priority_weights, step);
+    for step in state.all_candidate_steps() {
+        let costs = destination_costs(&config.priority_weights, step);
         if config.criterion == CostCriterion::C1 {
-            for (req, dc) in &outlooks {
+            for (d, dc) in step.destinations.iter().zip(costs) {
                 if dc.satisfiable {
-                    consider(cost_c1(config.eu, *dc), step, Some(*req));
+                    consider(cost_c1(config.eu, dc), step, Some(d.request));
                 }
             }
         } else {
-            let dcs: Vec<DestinationCost> = outlooks.iter().map(|(_, dc)| *dc).collect();
-            let cost = step_cost(config.criterion, config.eu, &dcs);
-            consider(cost, step, None);
+            consider(step_cost_over(config.criterion, config.eu, costs), step, None);
         }
     }
-    best
+    best.map(|(cost, step, destination)| Choice { step: step.clone(), destination, cost })
 }
 
 /// Picks the "lowest cost destination" (§4.6) a `full path/one
@@ -264,48 +256,37 @@ pub(crate) fn best_choice(
 /// criterion's own per-destination term `Efp / Urgency`. Ties go to the
 /// lowest request id. Only satisfiable destinations are considered.
 pub(crate) fn lowest_cost_destination(
-    scenario: &Scenario,
     config: &HeuristicConfig,
     step: &CandidateStep,
 ) -> Option<RequestId> {
-    destination_costs(scenario, &config.priority_weights, step)
-        .into_iter()
+    let cost = |dc: DestinationCost| match config.criterion {
+        CostCriterion::C3 => {
+            dc.effective_priority / dc.urgency.min(-crate::cost::C3_URGENCY_EPSILON_SECS)
+        }
+        CostCriterion::C3Floor => {
+            dc.effective_priority / dc.urgency.min(-crate::cost::C3_FLOOR_SECS)
+        }
+        _ => cost_c1(config.eu, dc),
+    };
+    step.destinations
+        .iter()
+        .zip(destination_costs(&config.priority_weights, step))
         .filter(|(_, dc)| dc.satisfiable)
-        .min_by(|(ra, a), (rb, b)| {
-            let cost = |dc: &DestinationCost| match config.criterion {
-                CostCriterion::C3 => {
-                    dc.effective_priority / dc.urgency.min(-crate::cost::C3_URGENCY_EPSILON_SECS)
-                }
-                CostCriterion::C3Floor => {
-                    dc.effective_priority / dc.urgency.min(-crate::cost::C3_FLOOR_SECS)
-                }
-                _ => cost_c1(config.eu, *dc),
-            };
-            cost(a).partial_cmp(&cost(b)).expect("costs are finite").then(ra.cmp(rb))
-            // lower request id wins ties
-        })
-        .map(|(r, _)| r)
+        .map(|(d, dc)| (d.request, cost(dc)))
+        // lower request id wins ties
+        .min_by(|(ra, a), (rb, b)| a.partial_cmp(b).expect("costs are finite").then(ra.cmp(rb)))
+        .map(|(request, _)| request)
 }
 
-/// The per-destination cost ingredients of a step, in request-id order.
-pub(crate) fn destination_costs(
-    scenario: &Scenario,
-    weights: &PriorityWeights,
-    step: &CandidateStep,
-) -> Vec<(RequestId, DestinationCost)> {
-    let mut v: Vec<(RequestId, DestinationCost)> = step
-        .destinations
+/// The per-destination cost ingredients of a step, in the step's own
+/// (request-id) order.
+fn destination_costs<'s>(
+    weights: &'s PriorityWeights,
+    step: &'s CandidateStep,
+) -> impl Iterator<Item = DestinationCost> + Clone + 's {
+    step.destinations
         .iter()
-        .map(|d| {
-            let req = scenario.request(d.request);
-            (
-                d.request,
-                DestinationCost::new(d.arrival, req.deadline(), weights.weight(req.priority())),
-            )
-        })
-        .collect();
-    v.sort_by_key(|(r, _)| *r);
-    v
+        .map(|d| DestinationCost::new(d.arrival, d.deadline, weights.weight(d.priority)))
 }
 
 #[cfg(test)]
@@ -364,7 +345,7 @@ mod tests {
         let choice = best_choice(&mut state, &cfg).unwrap();
         // The winning step fans out to three destinations of item 0; at a
         // priority-dominant ratio the HIGH one (request 0) is chosen.
-        let dest = lowest_cost_destination(&s, &cfg, &choice.step).unwrap();
+        let dest = lowest_cost_destination(&cfg, &choice.step).unwrap();
         assert_eq!(dest, RequestId::new(0));
     }
 
@@ -403,11 +384,9 @@ mod tests {
         let steps = state.candidate_steps(dstage_model::ids::DataItemId::new(0));
         let step = &steps[0];
         assert_eq!(step.destinations.len(), 2);
-        let priority_pick =
-            lowest_cost_destination(&s, &config(CostCriterion::C4, 4.0), step).unwrap();
+        let priority_pick = lowest_cost_destination(&config(CostCriterion::C4, 4.0), step).unwrap();
         assert_eq!(priority_pick, RequestId::new(0), "priority-dominant picks the high request");
-        let urgency_pick =
-            lowest_cost_destination(&s, &config(CostCriterion::C4, -3.0), step).unwrap();
+        let urgency_pick = lowest_cost_destination(&config(CostCriterion::C4, -3.0), step).unwrap();
         assert_eq!(urgency_pick, RequestId::new(1), "urgency-dominant picks the tight deadline");
     }
 

@@ -17,16 +17,13 @@ use crate::state::SchedulerState;
 /// One iteration of the rapidly-close-to-deadline main loop; `false` when
 /// no request can make progress.
 pub(crate) fn step(state: &mut SchedulerState<'_>, _config: &HeuristicConfig) -> bool {
-    let steps = state.all_candidate_steps();
-    let scenario = state.scenario();
     // The (slack, request) winner per step, then the global minimum.
     // Ties keep enumeration order (items by id, steps by receiving
     // machine then link), matching the other heuristics' determinism.
     let mut best: Option<(SimDuration, RequestId)> = None;
-    for step in &steps {
+    for step in state.all_candidate_steps() {
         for d in step.satisfiable() {
-            let deadline = scenario.request(d.request).deadline();
-            let slack = deadline.saturating_since(d.arrival);
+            let slack = d.deadline.saturating_since(d.arrival);
             // Strictly-tighter only: equal slack keeps the earlier
             // enumerated step/destination.
             if best.is_none_or(|(s, _)| slack < s) {
@@ -35,8 +32,8 @@ pub(crate) fn step(state: &mut SchedulerState<'_>, _config: &HeuristicConfig) ->
         }
     }
     let Some((_, request)) = best else { return false };
-    let machine = scenario.request(request).destination();
-    let item = scenario.request(request).item();
+    let request = state.scenario().request(request);
+    let (item, machine) = (request.item(), request.destination());
     state.note_iteration();
     state.commit_path(item, machine);
     true

@@ -20,7 +20,8 @@ use std::borrow::Cow;
 
 use dstage_model::error::ScenarioError;
 use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
-use dstage_model::request::Request;
+use dstage_model::network::Network;
+use dstage_model::request::{Priority, Request};
 use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
 use dstage_path::{earliest_arrival_tree, paths_hold, repair_tree, ArrivalTree, Hop, ItemQuery};
@@ -30,11 +31,16 @@ use dstage_resources::ledger::{CommitError, NetworkLedger};
 use crate::metrics::RunMetrics;
 use crate::schedule::{Delivery, Schedule, Transfer};
 
-/// One destination affected by a candidate step.
+/// One destination affected by a candidate step: everything a cost
+/// criterion reads about it, so that scoring a step touches nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DestinationOutlook {
     /// The request this destination belongs to.
     pub request: RequestId,
+    /// The request's deadline `Rft[i, j]`.
+    pub deadline: SimTime,
+    /// The request's priority.
+    pub priority: Priority,
     /// The shortest-path arrival estimate `A_T[i, j]`.
     pub arrival: SimTime,
     /// `Sat[i, r](j)`: whether `A_T` meets the request's deadline.
@@ -54,7 +60,8 @@ pub struct CandidateStep {
     /// The transfer `M[s] → M[r]` over one virtual link, with times.
     pub hop: Hop,
     /// The destinations whose shortest paths start with `hop`, i.e.
-    /// `Drq[item, hop.to]`, with per-destination outlooks.
+    /// `Drq[item, hop.to]`, with per-destination outlooks, in request-id
+    /// order (the order every cost sum is taken in).
     pub destinations: Vec<DestinationOutlook>,
 }
 
@@ -122,6 +129,133 @@ pub struct Savepoint {
     delivered: Vec<Option<Delivery>>,
 }
 
+/// A set of machines: one bit each, sized to the network.
+#[derive(Debug, Clone, Default)]
+struct MachineSet(Vec<u64>);
+
+impl MachineSet {
+    fn sized(machines: usize) -> Self {
+        MachineSet(vec![0; machines.div_ceil(64)])
+    }
+
+    /// Adds `machine`; whether it was new.
+    fn insert(&mut self, machine: MachineId) -> bool {
+        let (word, bit) = (machine.index() / 64, 1u64 << (machine.index() % 64));
+        let new = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        new
+    }
+
+    fn intersects(&self, other: &MachineSet) -> bool {
+        self.0.iter().zip(&other.0).any(|(a, b)| a & b != 0)
+    }
+
+    fn clear(&mut self) {
+        self.0.fill(0);
+    }
+}
+
+/// The machines entered by what the journal recorded between `from` and
+/// `upto`: the machines recorded, and the receiving machine of each link
+/// recorded (a hop enters `hop.to` over a link that ends there, so a hop
+/// that [`paths_hold`] would probe again always enters a machine of this
+/// set). The items visited in one selection round were all checked at the
+/// previous round's mark, so one set serves the whole round.
+#[derive(Debug, Clone, Default)]
+struct Dirtied {
+    from: JournalMark,
+    upto: JournalMark,
+    machines: MachineSet,
+}
+
+impl Dirtied {
+    /// The set for everything `journal` recorded since `from`.
+    fn since(
+        &mut self,
+        from: JournalMark,
+        journal: &ChangeJournal,
+        network: &Network,
+    ) -> &MachineSet {
+        if self.from != from {
+            self.restart(from);
+        }
+        let (links, machines) = journal.since(self.upto);
+        for &link in links {
+            self.machines.insert(network.link(link).destination());
+        }
+        for &machine in machines {
+            self.machines.insert(machine);
+        }
+        self.upto = journal.mark();
+        &self.machines
+    }
+
+    /// The empty set at `from`. A cleared journal restarts its marks, so
+    /// the set must restart with it.
+    fn restart(&mut self, from: JournalMark) {
+        self.machines.clear();
+        (self.from, self.upto) = (from, from);
+    }
+}
+
+/// The candidate steps read off a cached tree for its item's pending
+/// requests (whose destinations are the entry's `validated`).
+#[derive(Debug, Clone)]
+struct Enumeration {
+    /// As [`SchedulerState::candidate_steps`] returns them. Empty: the
+    /// item is *dead* — no pending destination can be reached in time.
+    steps: Vec<CandidateStep>,
+    /// The machines the tree's paths to the pending destinations enter.
+    entered: MachineSet,
+}
+
+/// Everything cached about one item.
+#[derive(Debug, Clone)]
+struct CachedItem {
+    /// The earliest-arrival tree. Between repairs only its paths to
+    /// `validated` are known to be current (DESIGN.md §3).
+    tree: ArrivalTree,
+    /// The journal position when the tree was built or last repaired —
+    /// what a repair must be seeded with, so a validation never advances
+    /// it.
+    built: JournalMark,
+    /// The journal position up to which the tree's paths to `validated`
+    /// have been checked, so that each record is examined once.
+    checked: JournalMark,
+    /// The destinations `checked` speaks for. A read of any other machine
+    /// must go back to `built`.
+    validated: Vec<MachineId>,
+    /// The steps enumerated when the tree was last read for `validated`,
+    /// while `validated` is the item's pending destinations: kept as long
+    /// as the tree is served unchanged for that same read, dropped with
+    /// the tree and by whatever changes the pending set under it.
+    enumeration: Option<Enumeration>,
+}
+
+/// The steps last enumerated for an item, current once
+/// [`SchedulerState::refresh_steps`] has visited it.
+fn cached_steps(cached: &Option<CachedItem>) -> &[CandidateStep] {
+    cached.as_ref().and_then(|c| c.enumeration.as_ref()).map_or(&[], |read| &read.steps)
+}
+
+/// How one item's visit in a selection round was answered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Visit {
+    /// No pending request: nothing to enumerate.
+    Idle,
+    /// Cached enumeration empty: skipped, no pending destination can have
+    /// come into reach.
+    Dead,
+    /// Nothing journaled since the last check enters a machine on the read
+    /// paths: skipped.
+    Clean,
+    /// The tree's read paths were validated hop by hop and hold.
+    Validated,
+    /// The tree was built or repaired, or was never read for these
+    /// destinations: the steps were enumerated afresh.
+    Rebuilt,
+}
+
 /// Mutable state of one scheduling run.
 #[derive(Debug, Clone)]
 pub struct SchedulerState<'a> {
@@ -156,22 +290,16 @@ pub struct SchedulerState<'a> {
     /// copy happens to land on their destination — the data is simply
     /// there — but never drive scheduling decisions.
     active: Vec<bool>,
-    /// Cached earliest-arrival tree per item. Between repairs only its
-    /// paths to `validated` are known to be current (DESIGN.md §3).
-    trees: Vec<Option<ArrivalTree>>,
-    /// Append-only log of consumed links/stores; with the two marks it
-    /// tells each cached tree exactly what moved under it.
+    /// Per item, everything cached about it: the tree, what was last read
+    /// off it and the steps that read produced (DESIGN.md §3). Dropping an
+    /// entry drops all of it.
+    cache: Vec<Option<CachedItem>>,
+    /// Append-only log of consumed links/stores; with an entry's two marks
+    /// it tells each cached tree exactly what moved under it.
     journal: ChangeJournal,
-    /// Per item: the journal position when its cached tree was built or
-    /// last repaired — what a repair must be seeded with, so a validation
-    /// never advances it. Meaningless while the tree slot is `None`.
-    built: Vec<JournalMark>,
-    /// Per item: the journal position up to which the tree's paths to
-    /// `validated` have been checked, so that each record is examined once.
-    checked: Vec<JournalMark>,
-    /// Per item: the destinations `checked` speaks for. A read of any
-    /// other machine must go back to `built`.
-    validated: Vec<Vec<MachineId>>,
+    /// The machines entered by what the journal recorded since one mark —
+    /// the mark the items of a selection round share.
+    dirtied: Dirtied,
     /// Transfers booked since the state was built or last
     /// [`SchedulerState::take_transfers`].
     transfers: Vec<Transfer>,
@@ -206,6 +334,49 @@ fn reads_match_scratch(
         }),
         None => *tree == scratch,
     }
+}
+
+/// The candidate steps `tree` offers `item`'s `pending` requests: the
+/// distinct first hops of its paths to their destinations, each grouped
+/// with its `Drq[i, r]`, ordered by receiving machine then link; steps
+/// without a satisfiable destination are left out.
+fn enumerate(
+    scenario: &Scenario,
+    item: DataItemId,
+    pending: &[RequestId],
+    tree: &ArrivalTree,
+) -> Vec<CandidateStep> {
+    let mut steps: Vec<CandidateStep> = Vec::new();
+    for &request in pending {
+        let req = scenario.request(request);
+        let destination = req.destination();
+        if !tree.is_reachable(destination) {
+            continue;
+        }
+        let Some(first_hop) = tree.first_hop_toward(destination) else {
+            // Destination already holds (or is scheduled to receive) a
+            // copy and no earlier route exists; nothing to schedule.
+            continue;
+        };
+        let arrival = tree.arrival(destination);
+        let outlook = DestinationOutlook {
+            request,
+            deadline: req.deadline(),
+            priority: req.priority(),
+            arrival,
+            satisfiable: arrival <= req.deadline(),
+        };
+        match steps.iter_mut().find(|s| s.hop == first_hop) {
+            Some(step) => step.destinations.push(outlook),
+            None => steps.push(CandidateStep { item, hop: first_hop, destinations: vec![outlook] }),
+        }
+    }
+    steps.retain(|s| s.destinations.iter().any(|d| d.satisfiable));
+    steps.sort_by_key(|s| (s.hop.to, s.hop.link));
+    for step in &mut steps {
+        step.destinations.sort_by_key(|d| d.request);
+    }
+    steps
 }
 
 impl<'a> SchedulerState<'a> {
@@ -262,11 +433,12 @@ impl<'a> SchedulerState<'a> {
             down: Vec::new(),
             past: SimTime::ZERO,
             active: vec![true; scenario.request_count()],
-            trees: vec![None; scenario.item_count()],
+            cache: vec![None; scenario.item_count()],
             journal: ChangeJournal::default(),
-            built: vec![JournalMark::default(); scenario.item_count()],
-            checked: vec![JournalMark::default(); scenario.item_count()],
-            validated: vec![Vec::new(); scenario.item_count()],
+            dirtied: Dirtied {
+                machines: MachineSet::sized(scenario.network().machine_count()),
+                ..Dirtied::default()
+            },
             transfers: Vec::new(),
             metrics: RunMetrics::default(),
             caching,
@@ -310,6 +482,7 @@ impl<'a> SchedulerState<'a> {
     /// Panics if the id is out of range.
     pub fn set_request_active(&mut self, request: RequestId, active: bool) {
         self.active[request.index()] = active;
+        self.forget_steps(self.scenario.request(request).item());
     }
 
     /// Whether a request may receive resources.
@@ -350,6 +523,9 @@ impl<'a> SchedulerState<'a> {
         }
         self.delivered.push(self.served(id, &request));
         self.active.push(true);
+        // A hold row that did not move leaves the item's tree cached; its
+        // steps were enumerated without this request.
+        self.forget_steps(item);
         Ok(id)
     }
 
@@ -430,7 +606,7 @@ impl<'a> SchedulerState<'a> {
             self.journal.record_machine(s.machine);
         }
         self.hold_until[item.index()] = new_row;
-        self.trees[item.index()] = None;
+        self.cache[item.index()] = None;
         if !self.caching {
             self.drop_all_trees();
         }
@@ -506,8 +682,7 @@ impl<'a> SchedulerState<'a> {
     pub fn forget_trees(&mut self) {
         self.drop_all_trees();
         self.journal.clear();
-        self.built.fill(JournalMark::default());
-        self.checked.fill(JournalMark::default());
+        self.dirtied.restart(JournalMark::default());
     }
 
     /// Records held by the journal of consumed resources.
@@ -603,7 +778,7 @@ impl<'a> SchedulerState<'a> {
         copies.retain(|&(m, at)| m != machine || at > lost_at);
         let removed = copies.len() != before;
         if removed {
-            self.trees[item.index()] = None;
+            self.cache[item.index()] = None;
         }
         for &id in self.scenario.requests_for(item) {
             let request = self.scenario.request(id);
@@ -611,6 +786,9 @@ impl<'a> SchedulerState<'a> {
                 self.delivered[id.index()] = self.served(id, request);
             }
         }
+        // A loss can reopen a request whose copy an earlier loss took
+        // already: the pending set moves although no copy did.
+        self.forget_steps(item);
         removed
     }
 
@@ -675,10 +853,16 @@ impl<'a> SchedulerState<'a> {
         self.drop_all_trees();
     }
 
-    /// Invalidates every cached tree.
+    /// Invalidates every cached tree, and with it the steps read off it.
     fn drop_all_trees(&mut self) {
-        for tree in &mut self.trees {
-            *tree = None;
+        self.cache.fill(None);
+    }
+
+    /// Drops `item`'s cached steps, keeping its tree: its pending set
+    /// changed, nothing the tree was searched on did.
+    fn forget_steps(&mut self, item: DataItemId) {
+        if let Some(cached) = &mut self.cache[item.index()] {
+            cached.enumeration = None;
         }
     }
 
@@ -697,7 +881,7 @@ impl<'a> SchedulerState<'a> {
     }
 
     fn refreshed(&self, item: DataItemId) -> &ArrivalTree {
-        self.trees[item.index()].as_ref().expect("just refreshed")
+        &self.cache[item.index()].as_ref().expect("just refreshed").tree
     }
 
     /// The search instance of `item` against the current ledger.
@@ -721,51 +905,175 @@ impl<'a> SchedulerState<'a> {
     /// keeps its slot. The whole-tree read keeps the coarser test by
     /// resource identity. Either failing, the tree is repaired with
     /// everything consumed since it was built.
+    ///
+    /// The entry's steps survive exactly one outcome: the tree served as
+    /// it stood, for the destinations it was last validated for.
     fn refresh_tree(&mut self, item: DataItemId, read: Option<&[MachineId]>) {
-        let idx = item.index();
-        let query = self.query(item);
-        let since_built = self.journal.since(self.built[idx]);
+        let mark = self.journal.mark();
         // With caching disabled every query recomputes from scratch,
         // mirroring the paper's unoptimized procedure — the reference the
         // validated and repaired trees are tested against.
-        let cached = self.trees[idx].as_ref().filter(|_| self.caching);
-        let clean = cached.is_some_and(|tree| match read {
-            Some(destinations) => {
-                // `checked` only speaks for the destinations validated
-                // with it: a read beyond them starts over from `built`.
-                let known = destinations.iter().all(|d| self.validated[idx].contains(d));
-                let (links, machines) =
-                    if known { self.journal.since(self.checked[idx]) } else { since_built };
-                paths_hold(&query, tree, destinations, links, machines)
-            }
-            None => {
-                let (links, machines) = since_built;
-                !links.iter().any(|&l| tree.uses_link(query.network, l))
-                    && !machines.iter().any(|&m| tree.stores_on(m))
+        let cached = self.cache[item.index()].take().filter(|_| self.caching);
+        let query = self.query(item);
+        let clean = cached.as_ref().is_some_and(|cached| {
+            let since_built = self.journal.since(cached.built);
+            match read {
+                Some(destinations) => {
+                    // `checked` only speaks for the destinations validated
+                    // with it: a read beyond them starts over from `built`.
+                    let known = destinations.iter().all(|d| cached.validated.contains(d));
+                    let (links, machines) =
+                        if known { self.journal.since(cached.checked) } else { since_built };
+                    paths_hold(&query, &cached.tree, destinations, links, machines)
+                }
+                None => {
+                    let (links, machines) = since_built;
+                    !links.iter().any(|&l| cached.tree.uses_link(query.network, l))
+                        && !machines.iter().any(|&m| cached.tree.stores_on(m))
+                }
             }
         });
+        let refreshed = match cached {
+            Some(mut cached) if clean => {
+                debug_assert!(reads_match_scratch(&query, &cached.tree, read));
+                // Every label is current after a clean whole-tree read; a
+                // validated path read says nothing about the rest.
+                if read.is_none() {
+                    cached.built = mark;
+                }
+                cached.checked = mark;
+                if read != Some(&cached.validated[..]) {
+                    cached.enumeration = None;
+                    cached.validated.clear();
+                    cached.validated.extend_from_slice(read.unwrap_or_default());
+                }
+                cached
+            }
+            stale => {
+                let tree = match &stale {
+                    Some(old) => {
+                        let (links, machines) = self.journal.since(old.built);
+                        repair_tree(&query, &old.tree, links, machines)
+                    }
+                    None => earliest_arrival_tree(&query),
+                };
+                CachedItem {
+                    tree,
+                    built: mark,
+                    checked: mark,
+                    validated: read.unwrap_or_default().to_vec(),
+                    enumeration: None,
+                }
+            }
+        };
+        self.cache[item.index()] = Some(refreshed);
+        // A repair replaces a scratch build one for one, so both count as
+        // a dijkstra run (repair volume is published through the obs tap
+        // instead).
         if clean {
-            debug_assert!(reads_match_scratch(&query, cached.expect("clean"), read));
             self.metrics.cache_hits += 1;
         } else {
-            // A repair replaces a scratch build one for one, so both count
-            // as a dijkstra run (repair volume is published through the
-            // obs tap instead).
-            let tree = match cached {
-                Some(old) => repair_tree(&query, old, since_built.0, since_built.1),
-                None => earliest_arrival_tree(&query),
-            };
-            self.trees[idx] = Some(tree);
             self.metrics.dijkstra_runs += 1;
         }
-        // Every label is current after a build or a clean whole-tree
-        // read; a validated path read says nothing about the rest.
-        if !clean || read.is_none() {
-            self.built[idx] = self.journal.mark();
+    }
+
+    /// Brings `item`'s cached steps up to date, re-reading only what can
+    /// have changed under them (DESIGN.md §3, "what a selection round
+    /// re-reads").
+    fn refresh_steps(&mut self, item: DataItemId) -> Visit {
+        let idx = item.index();
+        if self.caching {
+            let skipped = match &mut self.cache[idx] {
+                Some(CachedItem { enumeration: Some(read), checked, .. }) => {
+                    if read.steps.is_empty() {
+                        // Consumption moves no arrival earlier, so no
+                        // destination comes into reach; everything that can
+                        // (a release, a copy, a request, a hold row) drops
+                        // the entry or its steps.
+                        Some(Visit::Dead)
+                    } else if !self
+                        .dirtied
+                        .since(*checked, &self.journal, self.scenario.network())
+                        .intersects(&read.entered)
+                    {
+                        // `paths_hold` would find no hop to probe again.
+                        *checked = self.journal.mark();
+                        Some(Visit::Clean)
+                    } else {
+                        None
+                    }
+                }
+                _ => None,
+            };
+            if let Some(visit) = skipped {
+                self.metrics.cache_hits += 1;
+                debug_assert!(self.skip_matches_scratch(item, visit));
+                return visit;
+            }
         }
-        self.checked[idx] = self.journal.mark();
-        self.validated[idx].clear();
-        self.validated[idx].extend_from_slice(read.unwrap_or_default());
+        let pending: Vec<RequestId> = self.pending_requests(item).collect();
+        if pending.is_empty() {
+            debug_assert!(self.cache[idx].as_ref().is_none_or(|c| c.enumeration.is_none()));
+            return Visit::Idle;
+        }
+        let destinations: Vec<MachineId> =
+            pending.iter().map(|&r| self.scenario.request(r).destination()).collect();
+        self.refresh_tree(item, Some(&destinations));
+        let cached = self.cache[idx].as_mut().expect("just refreshed");
+        if cached.enumeration.is_some() {
+            return Visit::Validated;
+        }
+        let mut entered = MachineSet::sized(self.scenario.network().machine_count());
+        for &destination in &destinations {
+            let mut cursor = destination;
+            while let Some(hop) = cached.tree.hop_into(cursor) {
+                // Already entered: so is the rest of the way to a source.
+                if !entered.insert(hop.to) {
+                    break;
+                }
+                cursor = hop.from;
+            }
+        }
+        let steps = enumerate(&self.scenario, item, &pending, &cached.tree);
+        cached.enumeration = Some(Enumeration { steps, entered });
+        Visit::Rebuilt
+    }
+
+    /// The oracle a skipped visit is held to in debug builds: the pending
+    /// destinations are the ones the cached steps were enumerated for, and
+    /// a from-scratch search agrees — label for label on the read paths
+    /// of a clean item, on there being nothing to offer for a dead one.
+    fn skip_matches_scratch(&self, item: DataItemId, visit: Visit) -> bool {
+        let cached = self.cache[item.index()].as_ref().expect("skipped on its entry");
+        let pending: Vec<RequestId> = self.pending_requests(item).collect();
+        let destinations: Vec<MachineId> =
+            pending.iter().map(|&r| self.scenario.request(r).destination()).collect();
+        let query = self.query(item);
+        destinations == cached.validated
+            && match visit {
+                Visit::Dead => {
+                    let scratch = earliest_arrival_tree(&query);
+                    enumerate(&self.scenario, item, &pending, &scratch).is_empty()
+                }
+                _ => reads_match_scratch(&query, &cached.tree, Some(&destinations)),
+            }
+    }
+
+    /// Makes `visits` and publishes how they were answered — counted here
+    /// and added once, not one atomic per item of every round.
+    fn publish(visits: impl IntoIterator<Item = Visit>) {
+        let (mut dead, mut clean, mut rebuilt) = (0, 0, 0);
+        for visit in visits {
+            match visit {
+                Visit::Dead => dead += 1,
+                Visit::Clean => clean += 1,
+                Visit::Rebuilt => rebuilt += 1,
+                Visit::Idle | Visit::Validated => {}
+            }
+        }
+        dstage_obs::metrics::CORE_ITEMS_SKIPPED_DEAD.add(dead);
+        dstage_obs::metrics::CORE_ITEMS_SKIPPED_CLEAN.add(clean);
+        dstage_obs::metrics::CORE_STEPS_REBUILT.add(rebuilt);
     }
 
     /// Enumerates the candidate steps of `item`: the distinct first hops
@@ -774,51 +1082,18 @@ impl<'a> SchedulerState<'a> {
     /// destination are omitted.
     ///
     /// Deterministic: steps are ordered by the id of the receiving machine.
-    pub fn candidate_steps(&mut self, item: DataItemId) -> Vec<CandidateStep> {
-        let pending: Vec<RequestId> = self.pending_requests(item).collect();
-        if pending.is_empty() {
-            return Vec::new();
-        }
-        let destinations: Vec<MachineId> =
-            pending.iter().map(|&r| self.scenario.request(r).destination()).collect();
-        self.refresh_tree(item, Some(&destinations));
-        let tree = self.refreshed(item);
-        let mut steps: Vec<CandidateStep> = Vec::new();
-        for (req_id, dest) in pending.into_iter().zip(destinations) {
-            let req = self.scenario.request(req_id);
-            if !tree.is_reachable(dest) {
-                continue;
-            }
-            let Some(first_hop) = tree.first_hop_toward(dest) else {
-                // Destination already holds (or is scheduled to receive) a
-                // copy and no earlier route exists; nothing to schedule.
-                continue;
-            };
-            let outlook = DestinationOutlook {
-                request: req_id,
-                arrival: tree.arrival(dest),
-                satisfiable: tree.arrival(dest) <= req.deadline(),
-            };
-            match steps.iter_mut().find(|s| s.hop == first_hop) {
-                Some(step) => step.destinations.push(outlook),
-                None => {
-                    steps.push(CandidateStep { item, hop: first_hop, destinations: vec![outlook] })
-                }
-            }
-        }
-        steps.retain(|s| s.destinations.iter().any(|d| d.satisfiable));
-        steps.sort_by_key(|s| (s.hop.to, s.hop.link));
-        steps
+    pub fn candidate_steps(&mut self, item: DataItemId) -> &[CandidateStep] {
+        Self::publish([self.refresh_steps(item)]);
+        cached_steps(&self.cache[item.index()])
     }
 
-    /// Enumerates candidate steps for every item with pending requests.
-    pub fn all_candidate_steps(&mut self) -> Vec<CandidateStep> {
-        let items: Vec<DataItemId> = self.scenario.item_ids().collect();
-        let mut all = Vec::new();
-        for item in items {
-            all.extend(self.candidate_steps(item));
-        }
-        all
+    /// One selection round's enumeration: the candidate steps of every
+    /// item with pending requests, items by id. They are lent from the
+    /// cache — a heuristic scores them where they lie and clones the
+    /// winner.
+    pub fn all_candidate_steps(&mut self) -> impl Iterator<Item = &CandidateStep> + Clone + '_ {
+        Self::publish(self.scenario.item_ids().map(|item| self.refresh_steps(item)));
+        self.cache.iter().flat_map(cached_steps)
     }
 
     /// Books one transfer of `item`: reserves the link and the receiving
@@ -947,7 +1222,7 @@ impl<'a> SchedulerState<'a> {
             debug_assert_eq!(t.item, item);
             self.stage(item, t.from, t.to, t.arrival);
         }
-        self.trees[item.index()] = None;
+        self.cache[item.index()] = None;
     }
 
     /// Hop depth of the copy of `item` most recently booked into
@@ -1159,7 +1434,7 @@ impl<'a> SchedulerState<'a> {
         for &machine in machines {
             self.journal.record_machine(machine);
         }
-        self.trees[item.index()] = None;
+        self.cache[item.index()] = None;
         if !self.caching {
             self.drop_all_trees();
         }
@@ -1253,10 +1528,10 @@ mod tests {
     fn commit_hop_advances_the_frontier() {
         let s = line_scenario();
         let mut st = SchedulerState::new(&s);
-        let steps = st.candidate_steps(item(0));
+        let steps = st.candidate_steps(item(0)).to_vec();
         st.commit_hop(item(0), steps[0].hop);
         // Now the first hop is 1 -> 2.
-        let steps = st.candidate_steps(item(0));
+        let steps = st.candidate_steps(item(0)).to_vec();
         assert_eq!(steps.len(), 1);
         assert_eq!(steps[0].hop.from, m(1));
         assert_eq!(steps[0].hop.to, m(2));
@@ -1363,7 +1638,7 @@ mod tests {
         let _ = st.tree(item(1));
         assert_eq!(st.metrics().dijkstra_runs, 2);
         // Committing item 0's hop must not invalidate item 1's tree.
-        let steps = st.candidate_steps(item(0));
+        let steps = st.candidate_steps(item(0)).to_vec();
         assert_eq!(st.metrics().cache_hits, 1); // candidate_steps reused tree 0
         st.commit_hop(item(0), steps[0].hop);
         let _ = st.tree(item(1));
@@ -1396,7 +1671,7 @@ mod tests {
             .unwrap();
         let mut st = SchedulerState::new(&s);
         let arrival_before = st.tree(item(1)).arrival(m(1));
-        let steps = st.candidate_steps(item(0));
+        let steps = st.candidate_steps(item(0)).to_vec();
         st.commit_hop(item(0), steps[0].hop);
         // Item 1 used the same link: its tree must recompute and worsen.
         let arrival_after = st.tree(item(1)).arrival(m(1));
@@ -1410,8 +1685,7 @@ mod tests {
         let run = |caching: bool| {
             let mut st = SchedulerState::with_caching(&s, caching);
             loop {
-                let steps = st.all_candidate_steps();
-                let Some(step) = steps.into_iter().next() else { break };
+                let Some(step) = st.all_candidate_steps().next().cloned() else { break };
                 st.commit_hop(step.item, step.hop);
             }
             st.into_outcome().0
@@ -1611,14 +1885,14 @@ mod tests {
     #[test]
     fn an_on_path_link_consumed_at_another_time_leaves_the_tree_served() {
         let mut st = fork();
-        let planned = st.candidate_steps(item(0));
+        let planned = st.candidate_steps(item(0)).to_vec();
         assert_eq!(planned[0].destinations[0].arrival, t(20)); // 0 -> 1 -> 2
         assert_eq!(st.metrics().dijkstra_runs, 1);
         // Link 1 carries `a` over [10, 20): a transfer at 100 s touches
         // the path by resource identity (the whole-tree test behind
         // `tree()` would repair), but the hop still finds its slot.
         book_at(&mut st, item(2), 1, 100);
-        assert_eq!(st.candidate_steps(item(0)), planned);
+        assert_eq!(st.candidate_steps(item(0)), &planned[..]);
         assert_eq!(st.metrics().dijkstra_runs, 1, "no search for a hop that keeps its slot");
         assert_eq!(st.metrics().cache_hits, 1);
     }
@@ -1626,9 +1900,9 @@ mod tests {
     #[test]
     fn an_on_path_link_consumed_at_the_planned_slot_repairs_the_tree() {
         let mut st = fork();
-        let planned = st.candidate_steps(item(0));
+        let planned = st.candidate_steps(item(0)).to_vec();
         book_at(&mut st, item(2), 1, 12); // link 1 over [12, 27): `a` wanted [10, 20)
-        let replanned = st.candidate_steps(item(0));
+        let replanned = st.candidate_steps(item(0)).to_vec();
         assert_eq!(st.metrics().dijkstra_runs, 2);
         assert_eq!(replanned[0].hop, planned[0].hop);
         assert_eq!(replanned[0].destinations[0].arrival, t(37));
@@ -1637,15 +1911,15 @@ mod tests {
     #[test]
     fn storage_consumed_on_an_on_path_machine_repairs_only_when_it_no_longer_fits() {
         let mut st = fork();
-        let planned = st.candidate_steps(item(0));
+        let planned = st.candidate_steps(item(0)).to_vec();
         // m2 keeps 30 kB: `c` (15 kB, held to the horizon) leaves room for
         // `a`'s 10 kB through its hold ...
         book_at(&mut st, item(2), 1, 100);
-        assert_eq!(st.candidate_steps(item(0)), planned);
+        assert_eq!(st.candidate_steps(item(0)), &planned[..]);
         assert_eq!(st.metrics().dijkstra_runs, 1);
         // ... and `b` on top of it does not.
         book_at(&mut st, item(1), 1, 200);
-        let waiting = st.candidate_steps(item(0));
+        let waiting = st.candidate_steps(item(0)).to_vec();
         assert!(waiting[0].destinations[0].arrival > t(3_000), "no room until `b` is collected");
         assert_eq!(st.metrics().dijkstra_runs, 2);
     }
@@ -1679,6 +1953,119 @@ mod tests {
         assert_eq!(st.commit_path(item(0), m(3)), 2);
         let booked = st.take_transfers();
         assert_eq!(booked.last().map(|t| (t.link, t.start)), Some((VirtualLinkId::new(2), t(15))));
+    }
+
+    #[test]
+    fn withholding_a_request_drops_the_steps_enumerated_with_it() {
+        // Mutant: `set_request_active` without its `forget_steps` — the
+        // tree stays, nothing is journaled, and the clean skip serves the
+        // step that still lists the withheld request.
+        let s = line_scenario();
+        let mut st = SchedulerState::new(&s);
+        assert_eq!(st.candidate_steps(item(0))[0].destinations.len(), 2);
+        st.set_request_active(RequestId::new(1), false);
+        let steps = st.candidate_steps(item(0));
+        assert_eq!(steps[0].destinations.len(), 1);
+        assert_eq!(steps[0].destinations[0].request, RequestId::new(0));
+        assert_eq!(st.metrics().dijkstra_runs, 1, "the tree was read again, not searched again");
+        // Withholding the other one too leaves nothing to offer; releasing
+        // one brings the item back although it was enumerated as dead.
+        st.set_request_active(RequestId::new(0), false);
+        assert!(st.candidate_steps(item(0)).is_empty());
+        st.set_request_active(RequestId::new(1), true);
+        assert_eq!(st.candidate_steps(item(0))[0].destinations[0].request, RequestId::new(1));
+    }
+
+    #[test]
+    fn a_late_request_under_a_pinned_hold_row_drops_the_steps_but_not_the_tree() {
+        // Mutant: `add_request` without its `forget_steps` — `rehold` finds
+        // the row unchanged and keeps the entry, and the clean skip serves
+        // steps enumerated before the request existed.
+        let mut st = fork();
+        assert_eq!(st.refresh_steps(item(0)), Visit::Rebuilt);
+        assert_eq!(st.refresh_steps(item(0)), Visit::Clean);
+        let late = st.add_request(Request::new(item(0), m(3), t(3_000), Priority::LOW)).unwrap();
+        assert_eq!(st.refresh_steps(item(0)), Visit::Rebuilt);
+        let steps = st.candidate_steps(item(0));
+        assert!(steps[0].destinations.iter().any(|d| d.request == late));
+        assert_eq!(st.metrics().dijkstra_runs, 1, "the hold row did not move: one search in all");
+    }
+
+    #[test]
+    fn a_loss_that_removes_no_copy_still_drops_the_steps() {
+        // Mutant: `remove_copies` forgetting the steps only when it removed
+        // a copy — the second loss below finds the copy gone already, but
+        // reopens the request it had delivered.
+        let s = line_scenario();
+        let mut st = SchedulerState::new(&s);
+        st.commit_path(item(0), m(2)); // m2 at 20 s delivers request 0 (due 3 000 s)
+        assert!(st.remove_copies(item(0), m(2), t(4_000)), "lost after the deadline: delivered");
+        assert!(st.is_delivered(RequestId::new(0)));
+        let before = st.candidate_steps(item(0)).to_vec();
+        assert_eq!(before[0].destinations.len(), 1, "only m3 is pending");
+        assert!(!st.remove_copies(item(0), m(2), t(100)), "no copy left to remove");
+        assert!(!st.is_delivered(RequestId::new(0)), "lost before the deadline: pending again");
+        let after = st.candidate_steps(item(0));
+        assert_eq!(after[0].hop, before[0].hop);
+        assert_eq!(after[0].destinations.len(), 2);
+    }
+
+    #[test]
+    fn an_outage_defeats_the_clean_skip_only_on_a_link_into_a_read_path_machine() {
+        // `a` reads 0 -> 1 -> 2: its paths enter m1 and m2, never m3.
+        // Mutant: `Dirtied::since` counting machines only — an outage
+        // journals nothing but its link.
+        let mut st = fork();
+        let (into_m2, into_m3) = (VirtualLinkId::new(1), VirtualLinkId::new(2));
+        assert_eq!(st.refresh_steps(item(0)), Visit::Rebuilt);
+        st.apply_link_outage(into_m3, t(0));
+        assert_eq!(st.refresh_steps(item(0)), Visit::Clean);
+        // Long after the planned slot [10 s, 20 s): the set cannot tell,
+        // so the hop is probed again, and holds.
+        st.apply_link_outage(into_m2, t(5_000));
+        assert_eq!(st.refresh_steps(item(0)), Visit::Validated);
+        assert_eq!(st.refresh_steps(item(0)), Visit::Clean, "each record is examined once");
+        st.apply_link_outage(into_m2, t(0));
+        assert_eq!(st.refresh_steps(item(0)), Visit::Rebuilt);
+        assert!(st.candidate_steps(item(0)).is_empty(), "m2 is cut off");
+        assert_eq!(st.refresh_steps(item(0)), Visit::Dead);
+        // Skips count as visits served without a tree build.
+        let metrics = st.metrics();
+        assert_eq!((metrics.dijkstra_runs, metrics.cache_hits), (2, 5));
+    }
+
+    /// `growing` with link 0 booked solid by `d1` until 90 s: `d0` reaches
+    /// m2 at 110 s, after its deadline. Returns the bookings.
+    fn crowd_out_d0(st: &mut SchedulerState<'static>) -> Vec<Transfer> {
+        let crowd: Vec<Transfer> =
+            (0..90).step_by(10).map(|start| hop_at(st, item(1), 0, start)).collect();
+        for hop in &crowd {
+            st.book_transfer(hop).unwrap();
+        }
+        crowd
+    }
+
+    #[test]
+    fn a_dead_item_is_enumerated_again_after_a_rollback_and_after_an_unbooking() {
+        // Deadness outlives consumption only; a release forgets the entry.
+        // Mutant: `rollback` / `unbook` without `forget_trees`.
+        let mut st = growing(1 << 20);
+        let savepoint = st.savepoint(item(1));
+        crowd_out_d0(&mut st);
+        assert_eq!(st.refresh_steps(item(0)), Visit::Rebuilt);
+        assert_eq!(st.refresh_steps(item(0)), Visit::Dead);
+        st.rollback(savepoint);
+        assert_eq!(st.refresh_steps(item(0)), Visit::Rebuilt);
+        assert_eq!(st.candidate_steps(item(0)).len(), 1);
+
+        let mut st = growing(1 << 20);
+        let crowd = crowd_out_d0(&mut st);
+        assert!(st.candidate_steps(item(0)).is_empty());
+        assert_eq!(st.refresh_steps(item(0)), Visit::Dead);
+        st.unbook(&crowd[0]);
+        st.rederive_item(item(1), &crowd[1..]);
+        assert_eq!(st.refresh_steps(item(0)), Visit::Rebuilt);
+        assert_eq!(st.candidate_steps(item(0))[0].destinations[0].arrival, t(20));
     }
 
     /// Every label a heuristic would read from `st` next — the arrival at

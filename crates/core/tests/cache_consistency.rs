@@ -1,18 +1,24 @@
 //! Lockstep equivalence of the tree-cache modes (DESIGN.md §3).
 //!
-//! Two `SchedulerState`s — caching with read-side validation and
-//! incremental repair, and no caching at all (the from-scratch reference)
-//! — are driven through the same randomized sequence of commits, evictions
-//! (copy losses), link outages, past-blocking, stale re-admissions, late
-//! and withheld requests and commits to machines nobody asked for. Before
-//! every step their candidate enumerations must agree, and the final
-//! schedules must be equal. This pins the "resources are only consumed" argument across
-//! *every* mutation path the dynamic layer and the daemon exercise, and
-//! the two ways a read can leave the set of destinations a cached tree was
-//! last validated for: a request appended to an item whose tree survives,
-//! and a direct commit to an arbitrary machine.
+//! Two `SchedulerState`s — caching with read-side validation, incremental
+//! repair and steps kept with their tree, and no caching at all (the
+//! from-scratch reference) — are driven through the same randomized
+//! sequence of commits, evictions (copy losses), link outages,
+//! past-blocking, stale re-admissions, late and withheld requests and
+//! commits to machines nobody asked for. Before every step their candidate
+//! enumerations must agree, and the final schedules must be equal. This
+//! pins the "resources are only consumed" argument across *every* mutation
+//! path the dynamic layer and the daemon exercise; the two ways a read can
+//! leave the set of destinations a cached tree was last validated for (a
+//! request appended to an item whose tree survives, a direct commit to an
+//! arbitrary machine); and the three ways an item's pending set can change
+//! under a tree that stays cached, with the steps read off it (a request
+//! withheld or released, a late request whose hold row is pinned, a loss
+//! at a delivered destination) — on draws where most items offer steps and
+//! on an oversubscribed one where most are dead until such a change
+//! revives them.
 
-use dstage_core::state::SchedulerState;
+use dstage_core::state::{CandidateStep, SchedulerState};
 use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
 use dstage_model::request::{Priority, Request};
 use dstage_model::time::SimTime;
@@ -20,24 +26,48 @@ use dstage_workload::grid::{generate_grid, GridConfig};
 use dstage_workload::Family;
 use proptest::prelude::*;
 
+/// Both modes' enumerations, which must agree.
+fn enumerations(
+    repairing: &mut SchedulerState<'_>,
+    uncached: &mut SchedulerState<'_>,
+) -> Result<Vec<CandidateStep>, TestCaseError> {
+    let steps: Vec<CandidateStep> = repairing.all_candidate_steps().cloned().collect();
+    let reference: Vec<CandidateStep> = uncached.all_candidate_steps().cloned().collect();
+    prop_assert_eq!(&steps, &reference);
+    Ok(steps)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn cached_and_uncached_modes_stay_in_lockstep(
-        family in 0usize..6,
+        family in 0usize..8,
         seed in 0u64..8,
-        ops in prop::collection::vec((0u8..14, 0usize..64, 0u64..900), 1..40),
+        ops in prop::collection::vec((0u8..18, 0usize..64, 0u64..900), 1..40),
     ) {
         // The small paper, grid and line families, where nearly every
-        // machine is somebody's destination — and a 4×4 grid with two
-        // requests per item, where most of a tree is read by nobody.
+        // machine is somebody's destination; a 4×4 grid with two requests
+        // per item, where most of a tree is read by nobody; and a 3×3 grid
+        // of slow links with deadlines minutes after availability, where
+        // most requests cannot be met from the start or after a commit or
+        // two — items whose every pending destination is out of reach.
         let sparse = GridConfig { rows: 4, cols: 4, items: 6, requests: 12, ..GridConfig::default() };
+        let oversubscribed = GridConfig {
+            rows: 3,
+            cols: 3,
+            items: 8,
+            requests: 32,
+            bandwidth: 60_000..=240_000,
+            deadline_offset_mins: 1..=12,
+            ..GridConfig::default()
+        };
         let scenario = match family {
             0 => Family::Paper.generate_small(seed),
             1 => Family::Grid.generate_small(seed),
             2 => Family::Line.generate_small(seed),
-            _ => generate_grid(&sparse, seed),
+            3..=5 => generate_grid(&sparse, seed),
+            _ => generate_grid(&oversubscribed, seed),
         };
         let items = scenario.item_count();
         let machines = scenario.network().machine_count();
@@ -58,9 +88,9 @@ proptest! {
         }
 
         let mut now = SimTime::ZERO;
+        let mut withheld: Vec<RequestId> = Vec::new();
         for &(op, pick, time) in &ops {
-            let steps = repairing.all_candidate_steps();
-            prop_assert_eq!(&steps, &uncached.all_candidate_steps());
+            let steps = enumerations(&mut repairing, &mut uncached)?;
             match op {
                 // Commit a candidate step — the common case, so several
                 // selector values map here. Even ops commit the single
@@ -144,7 +174,7 @@ proptest! {
                 // A direct commit to a machine that need be nobody's
                 // pending destination (the exact reference and the
                 // baselines do this): its path was never validated.
-                _ => {
+                12..=13 => {
                     let item = DataItemId::new((pick % items) as u32);
                     let machine = MachineId::new((time as usize % machines) as u32);
                     if !uncached.tree(item).is_reachable(machine) {
@@ -153,11 +183,72 @@ proptest! {
                     let n = repairing.commit_path(item, machine);
                     prop_assert_eq!(n, uncached.commit_path(item, machine));
                 }
+                // Withhold a request a step was just offered for: its
+                // item's tree, and the steps read off it, are certainly
+                // cached, and nothing the tree was searched on moves.
+                14 => {
+                    if steps.is_empty() {
+                        continue;
+                    }
+                    let step = &steps[pick % steps.len()];
+                    let request = step.destinations[time as usize % step.destinations.len()].request;
+                    withheld.push(request);
+                    for state in [&mut repairing, &mut uncached] {
+                        state.set_request_active(request, false);
+                    }
+                }
+                // ... and release the one withheld last: an item that went
+                // dead with it comes back.
+                15 => {
+                    let Some(request) = withheld.pop() else { continue };
+                    for state in [&mut repairing, &mut uncached] {
+                        state.set_request_active(request, true);
+                    }
+                }
+                // A late request due at the horizon for an item whose hold
+                // row is pinned there: the row cannot move, so the tree
+                // stays and only the pending set grows.
+                16 => {
+                    let pinned = pick % items;
+                    let item = DataItemId::new((pinned - usize::from(pinned % 4 == 3)) as u32);
+                    let machine = MachineId::new((time as usize % machines) as u32);
+                    let request = Request::new(item, machine, horizon, Priority::new(pick as u8 % 3));
+                    prop_assert_eq!(&repairing.add_request(request), &uncached.add_request(request));
+                }
+                // A loss at a delivered destination, at or after the
+                // delivery: the request is pending again. One time in
+                // three a loss at the horizon comes first: it takes the
+                // copy off the record but (the deadline being earlier)
+                // leaves the request delivered, so that the second loss
+                // removes nothing and reopens it all the same.
+                _ => {
+                    let delivered: Vec<RequestId> = repairing
+                        .scenario()
+                        .request_ids()
+                        .filter(|&r| repairing.is_delivered(r))
+                        .collect();
+                    if delivered.is_empty() {
+                        continue;
+                    }
+                    let id = delivered[pick % delivered.len()];
+                    let request = *repairing.scenario().request(id);
+                    let at = repairing.delivery_of(id).expect("delivered").at;
+                    let (item, machine) = (request.item(), request.destination());
+                    let instants = match time % 3 {
+                        0 => vec![at],
+                        1 => vec![request.deadline()],
+                        _ => vec![horizon, request.deadline()],
+                    };
+                    for lost_at in instants {
+                        let removed = repairing.remove_copies(item, machine, lost_at);
+                        prop_assert_eq!(removed, uncached.remove_copies(item, machine, lost_at));
+                        enumerations(&mut repairing, &mut uncached)?;
+                    }
+                }
             }
         }
 
-        let steps = repairing.all_candidate_steps();
-        prop_assert_eq!(&steps, &uncached.all_candidate_steps());
+        enumerations(&mut repairing, &mut uncached)?;
         let (repaired_schedule, _) = repairing.into_outcome();
         let (uncached_schedule, _) = uncached.into_outcome();
         prop_assert_eq!(&repaired_schedule, &uncached_schedule);

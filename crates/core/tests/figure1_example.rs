@@ -89,7 +89,7 @@ fn cost_criteria_match_hand_calculations() {
     // Urgency = -(15 - 11) = -4 s.
     let scenario = figure1_scenario();
     let mut state = SchedulerState::new(&scenario);
-    let step = state.candidate_steps(DataItemId::new(0)).remove(0);
+    let step = state.candidate_steps(DataItemId::new(0))[0].clone();
     let w = PriorityWeights::paper_1_10_100();
     let dcs: Vec<DestinationCost> = step
         .destinations

@@ -1,7 +1,8 @@
 //! The fixed metric inventory and its Prometheus text exposition.
 //!
 //! Every metric the system records is a `static` here, grouped by the
-//! four instrumented layers (`service`, `resources`, `path`, `sim`).
+//! five instrumented layers (`service`, `resources`, `path`, `core`,
+//! `sim`).
 //! Instrumented crates increment the statics directly — no registration,
 //! no lookup, no allocation on the hot path. [`render_prometheus`]
 //! renders the whole table in declaration order, so equal states always
@@ -132,6 +133,20 @@ pub static PATH_TREE_REPAIRS: Counter = Counter::new();
 /// Queue seeds fed into repair runs (frontier machines plus re-seeded
 /// sources).
 pub static PATH_REPAIR_SEEDS: Counter = Counter::new();
+
+// --- core layer (heuristic selection rounds) --------------------------
+
+/// Item visits of a selection round answered without looking at the tree:
+/// nothing consumed since the last check enters a machine on the item's
+/// read paths.
+pub static CORE_ITEMS_SKIPPED_CLEAN: Counter = Counter::new();
+/// Item visits of a selection round answered without looking at the tree:
+/// the item's cached enumeration is empty, and consumption cannot bring a
+/// destination into reach.
+pub static CORE_ITEMS_SKIPPED_DEAD: Counter = Counter::new();
+/// Candidate-step enumerations read off a tree afresh (the tree was built
+/// or repaired, or its item's pending set changed).
+pub static CORE_STEPS_REBUILT: Counter = Counter::new();
 
 // --- sim layer (sweep executor) ---------------------------------------
 
@@ -484,6 +499,27 @@ pub fn registry() -> &'static [MetricDef] {
             kind: Counter(&PATH_REPAIR_SEEDS),
         },
         MetricDef {
+            name: "dstage_core_items_skipped_clean_total",
+            help: "Selection-round item visits skipped: nothing consumed enters the read paths",
+            layer: "core",
+            label: None,
+            kind: Counter(&CORE_ITEMS_SKIPPED_CLEAN),
+        },
+        MetricDef {
+            name: "dstage_core_items_skipped_dead_total",
+            help: "Selection-round item visits skipped: no destination can come into reach",
+            layer: "core",
+            label: None,
+            kind: Counter(&CORE_ITEMS_SKIPPED_DEAD),
+        },
+        MetricDef {
+            name: "dstage_core_steps_rebuilt_total",
+            help: "Candidate-step enumerations read off a tree afresh",
+            layer: "core",
+            label: None,
+            kind: Counter(&CORE_STEPS_REBUILT),
+        },
+        MetricDef {
             name: "dstage_sim_work_units_total",
             help: "Sweep work units executed",
             layer: "sim",
@@ -590,15 +626,15 @@ mod tests {
     use std::collections::BTreeSet;
 
     #[test]
-    fn registry_spans_four_layers_with_enough_series() {
+    fn registry_spans_five_layers_with_enough_series() {
         let defs = registry();
         let layers: BTreeSet<&str> = defs.iter().map(|d| d.layer).collect();
         assert_eq!(
             layers.into_iter().collect::<Vec<_>>(),
-            vec!["path", "resources", "service", "sim"]
+            vec!["core", "path", "resources", "service", "sim"]
         );
         // Distinct series = (family, label) pairs; the acceptance bar is
-        // at least 12 across all four layers.
+        // at least 12 across all five layers.
         let series: BTreeSet<(&str, Option<(&str, &str)>)> =
             defs.iter().map(|d| (d.name, d.label)).collect();
         assert!(series.len() >= 12, "only {} series", series.len());

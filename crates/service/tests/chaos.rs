@@ -135,13 +135,19 @@ fn assert_ledger_consistent(text: &str) {
 }
 
 /// The DDCCast headroom claim under the harness's fixed injection
-/// script: because `alap` parks low-priority transfers against their
-/// deadlines instead of packing the early timeline, repair after the
-/// scripted disturbances finds free capacity more often — at least as
-/// many displaced requests are re-admitted (and no more are evicted)
-/// than under `partial`.
+/// script, as far as it holds on a ledger that books every transfer once:
+/// because `alap` parks low-priority transfers against their deadlines
+/// instead of packing the early timeline, the scripted disturbances
+/// displace fewer of its admitted requests, evict no more of them, and
+/// leave a strictly larger weighted sum than under `partial` — with both
+/// post-repair snapshots sound under the ledger-independent oracle.
+///
+/// Not claimed: the re-admission *rate*. `alap` repairs 5 of its 16
+/// displaced requests, `partial` 7 of its 19 (EXPERIMENTS.md "Release in
+/// place"): the rate only read higher while a sixth repair crossed a
+/// window the old replay had dropped from the ledger.
 #[test]
-fn alap_repairs_at_least_as_many_displaced_requests_as_partial() {
+fn alap_has_fewer_displaced_no_more_evicted_and_a_larger_weighted_sum_than_partial() {
     let scenario = generate(&GeneratorConfig::paper(), SEED);
     let item = {
         let (_, request) = scenario.requests().next().expect("paper catalog has requests");
@@ -181,29 +187,14 @@ fn alap_repairs_at_least_as_many_displaced_requests_as_partial() {
         "the injection script must displace admitted requests under both schedulers"
     );
     assert!(
-        alap_displaced <= partial_displaced,
-        "the script displaced more of alap's requests: {alap_displaced} > {partial_displaced}"
+        alap_displaced < partial_displaced,
+        "the script displaced no fewer of alap's requests: {alap_displaced} >= {partial_displaced}"
     );
     assert!(
         alap.evicted <= partial.evicted,
         "alap evicted more displaced requests than partial: {} > {}",
         alap.evicted,
         partial.evicted
-    );
-    // Re-admission *rate* (repaired / displaced), compared exactly via
-    // cross-multiplication: the absolute counts are incomparable because
-    // fewer alap reservations get displaced in the first place.
-    //
-    // Fails since PR 22 (5/16 < 7/19): `alap`'s sixth repair had been
-    // routed across a window on link 224 that the old replay had dropped
-    // from the ledger while it stayed booked. Kept as written until an
-    // issue restates the claim; see EXPERIMENTS.md "Release in place".
-    assert!(
-        alap.repaired * partial_displaced >= partial.repaired * alap_displaced,
-        "alap re-admitted a smaller share of its displaced requests: {}/{alap_displaced} < \
-         {}/{partial_displaced}",
-        alap.repaired,
-        partial.repaired
     );
     assert!(
         alap.weighted_sum > partial.weighted_sum,
