@@ -8,17 +8,17 @@
 //!             (default: all)
 //!
 //! OPTIONS:
-//!   --cases N     number of random test cases (default 40, the paper's)
+//!   --cases N     number of random test cases, at least 1 (default 40, the
+//!                 paper's)
 //!   --budget N    swap budget of the optimizer post-pass (default 8)
 //!   --small       use the scaled-down generator config (fast smoke run)
 //!   --out DIR     write <experiment>.txt and CSV series to DIR
 //!                 (default: results/)
-//!   --threads N   worker threads for the sweep (default: DSTAGE_THREADS,
-//!                 then the machine's available parallelism); results are
-//!                 byte-identical for every thread count
+//!   --threads N   worker threads every experiment's case loop fans out
+//!                 over (default: DSTAGE_THREADS, then the machine's
+//!                 available parallelism); results are byte-identical for
+//!                 every thread count
 //!   --quiet       suppress progress logging
-//!   --profile     write per-stage wall times and the observability-tap
-//!                 counters to <out>/PROFILE_sweep.json after the run
 //! ```
 
 use std::io::Write as _;
@@ -55,7 +55,6 @@ struct Options {
     out: PathBuf,
     threads: Option<usize>,
     quiet: bool,
-    profile: bool,
     experiments: Vec<String>,
 }
 
@@ -67,7 +66,6 @@ fn parse_args() -> Result<Options, String> {
         out: PathBuf::from("results"),
         threads: None,
         quiet: false,
-        profile: false,
         experiments: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
@@ -75,8 +73,11 @@ fn parse_args() -> Result<Options, String> {
         match arg.as_str() {
             "--cases" => {
                 let value = args.next().ok_or("--cases needs a number")?;
-                options.cases =
-                    value.parse().map_err(|_| format!("invalid case count {value:?}"))?;
+                options.cases = value
+                    .parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| format!("invalid case count {value:?} (need at least 1)"))?;
             }
             "--small" => options.small = true,
             "--budget" => {
@@ -93,7 +94,6 @@ fn parse_args() -> Result<Options, String> {
                 options.out = PathBuf::from(args.next().ok_or("--out needs a directory")?);
             }
             "--quiet" => options.quiet = true,
-            "--profile" => options.profile = true,
             "--help" | "-h" => {
                 return Err(String::new()); // triggers usage
             }
@@ -109,73 +109,12 @@ fn parse_args() -> Result<Options, String> {
     Ok(options)
 }
 
-/// One named stage of the run with its measured wall time.
-struct StageTiming {
-    name: String,
-    wall_ms: u64,
-}
-
-fn elapsed_ms(started: std::time::Instant) -> u64 {
-    u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX)
-}
-
-/// Renders the profile JSON: run parameters, per-stage wall times, and
-/// the observability-tap registry (every counter, plus summary stats of
-/// every histogram). Wall times are diagnostic — the profile file is the
-/// one output that is *expected* to differ run to run.
-fn profile_json(options: &Options, threads: usize, stages: &[StageTiming]) -> String {
-    use dstage_obs::metrics::{registry, MetricKind};
-    use serde::Value;
-
-    let stage_values = stages
-        .iter()
-        .map(|s| {
-            Value::Object(vec![
-                ("name".to_string(), Value::String(s.name.clone())),
-                ("wall_ms".to_string(), Value::UInt(s.wall_ms)),
-            ])
-        })
-        .collect();
-
-    let mut layers: Vec<(String, Value)> = Vec::new();
-    for def in registry() {
-        let series_name = match def.label {
-            Some((key, value)) => format!("{}{{{key}=\"{value}\"}}", def.name),
-            None => def.name.to_string(),
-        };
-        let value = match def.kind {
-            MetricKind::Counter(c) => Value::UInt(c.get()),
-            MetricKind::Gauge(g) => Value::Int(g.get()),
-            MetricKind::Histogram(h) => {
-                let snap = h.snapshot();
-                Value::Object(vec![
-                    ("count".to_string(), Value::UInt(snap.count)),
-                    ("sum".to_string(), Value::UInt(snap.sum)),
-                    ("mean".to_string(), Value::UInt(snap.mean())),
-                    ("max".to_string(), Value::UInt(snap.max)),
-                ])
-            }
-        };
-        match layers.iter_mut().find(|(layer, _)| layer == def.layer) {
-            Some((_, Value::Object(entries))) => entries.push((series_name, value)),
-            _ => layers.push((def.layer.to_string(), Value::Object(vec![(series_name, value)]))),
-        }
-    }
-
-    let root = Value::Object(vec![
-        ("scale".to_string(), {
-            Value::String(if options.small { "small" } else { "paper" }.to_string())
-        }),
-        ("cases".to_string(), Value::UInt(options.cases as u64)),
-        ("threads".to_string(), Value::UInt(threads as u64)),
-        ("obs_enabled".to_string(), Value::Bool(dstage_obs::enabled())),
-        ("stages".to_string(), Value::Array(stage_values)),
-        ("metrics".to_string(), Value::Object(layers)),
-    ]);
-    serde_json::to_string_pretty(&root).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
-}
-
-fn run_experiment(name: &str, harness: &Harness, options: &Options) -> Option<ExperimentReport> {
+fn run_experiment(
+    name: &str,
+    harness: &Harness,
+    options: &Options,
+    threads: usize,
+) -> Option<ExperimentReport> {
     match name {
         "fig2" => Some(experiments::fig2(harness)),
         "fig3" => Some(experiments::fig3(harness)),
@@ -192,25 +131,25 @@ fn run_experiment(name: &str, harness: &Harness, options: &Options) -> Option<Ex
                 if options.small { GeneratorConfig::small() } else { GeneratorConfig::paper() };
             // Each climb trial re-runs the full heuristic; a reduced case
             // count keeps the pass tractable at paper scale.
-            Some(experiments::optimizer(&base, options.cases.min(10), options.budget))
+            Some(experiments::optimizer(&base, options.cases.min(10), options.budget, threads))
         }
         "fault-tolerance" | "fault_tolerance" => {
             let base =
                 if options.small { GeneratorConfig::small() } else { GeneratorConfig::paper() };
-            Some(experiments::fault_tolerance(&base, options.cases.min(10)))
+            Some(experiments::fault_tolerance(&base, options.cases.min(10), threads))
         }
         "congestion" => {
             let base =
                 if options.small { GeneratorConfig::small() } else { GeneratorConfig::paper() };
             // Congestion sweeps 4x the load; a reduced case count keeps it
             // tractable while staying statistically meaningful.
-            Some(experiments::congestion(&base, options.cases.min(10)))
+            Some(experiments::congestion(&base, options.cases.min(10), threads))
         }
         "families" => {
             // Five schedulers x five families, fault-free and re-planned
             // under copy loss; a reduced case count keeps the online
             // simulations tractable at paper scale.
-            Some(experiments::families(options.cases.min(10), options.small))
+            Some(experiments::families(options.cases.min(10), options.small, threads))
         }
         _ => None,
     }
@@ -225,7 +164,7 @@ fn main() -> ExitCode {
             }
             eprintln!(
                 "usage: figures [--cases N] [--budget N] [--small] [--out DIR] [--threads N] \
-                 [--quiet] [--profile] \
+                 [--quiet] \
                  [fig2 fig3 fig4 fig5 weights prio-first minmax exec extensions schedulers \
                  optimizer fault-tolerance congestion families | all]"
             );
@@ -247,9 +186,9 @@ fn main() -> ExitCode {
     }
 
     let config = if options.small { GeneratorConfig::small() } else { GeneratorConfig::paper() };
-    let mut harness = Harness::new(&config, options.cases);
-    harness.set_verbose(!options.quiet);
     let threads = dstage_sim::executor::resolve_threads(options.threads);
+    let mut harness = Harness::new(&config, options.cases).with_threads(threads);
+    harness.set_verbose(!options.quiet);
     if !options.quiet {
         eprintln!(
             "[figures] {} cases at {} scale on {} threads -> {}",
@@ -260,22 +199,6 @@ fn main() -> ExitCode {
         );
     }
 
-    // Fan the harness-backed sweep work out before rendering; reports are
-    // byte-identical to a sequential run (see dstage_sim::executor).
-    let mut units = Vec::new();
-    let mut bound_weightings = Vec::new();
-    for name in &options.experiments {
-        if let Some((u, b)) = experiments::work_units(name) {
-            units.extend(u);
-            bound_weightings.extend(b);
-        }
-    }
-    let mut stages: Vec<StageTiming> = Vec::new();
-    let prefetch_started = std::time::Instant::now();
-    harness.prefetch(&units, &bound_weightings, threads);
-    stages
-        .push(StageTiming { name: "prefetch".to_string(), wall_ms: elapsed_ms(prefetch_started) });
-
     if let Err(e) = std::fs::create_dir_all(&options.out) {
         eprintln!("error: cannot create {}: {e}", options.out.display());
         return ExitCode::FAILURE;
@@ -283,7 +206,7 @@ fn main() -> ExitCode {
 
     for name in &options.experiments {
         let started = std::time::Instant::now();
-        let Some(report) = run_experiment(name, &harness, &options) else {
+        let Some(report) = run_experiment(name, &harness, &options, threads) else {
             eprintln!("error: unknown experiment {name:?}");
             return ExitCode::FAILURE;
         };
@@ -305,25 +228,10 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        stages.push(StageTiming { name: name.clone(), wall_ms: elapsed_ms(started) });
         if !options.quiet {
             eprintln!("[figures] {name} done in {:.1?}", started.elapsed());
         }
     }
 
-    if options.profile {
-        let path = options.out.join("PROFILE_sweep.json");
-        let json = profile_json(&options, threads, &stages);
-        if let Err(e) = std::fs::File::create(&path).and_then(|mut f| {
-            f.write_all(json.as_bytes())?;
-            f.write_all(b"\n")
-        }) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        if !options.quiet {
-            eprintln!("[figures] profile -> {}", path.display());
-        }
-    }
     ExitCode::SUCCESS
 }

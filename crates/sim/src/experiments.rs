@@ -4,11 +4,18 @@
 //! Every experiment consumes a shared [`Harness`] (results are cached
 //! across experiments — Figure 2 reuses the `Cost₄` series of Figures
 //! 3–5) and returns an [`ExperimentReport`] of tables, an optional ASCII
-//! plot, and CSV payloads.
+//! plot, and CSV payloads. The sweep fans out in one place, the case
+//! loop: the harness (for a missing series) and the own-generator
+//! experiments (for their per-case values) both call [`run_indexed`], and
+//! every mean sums the per-case values in case order.
 
 use dstage_core::cost::CostCriterion;
-use dstage_core::heuristic::Heuristic;
+use dstage_core::heuristic::{run, Heuristic, HeuristicConfig};
+use dstage_dynamic::{simulate, Event, EventKind, EventLog, OnlinePolicy};
+use dstage_model::scenario::Scenario;
+use dstage_model::time::SimDuration;
 
+use crate::executor::run_indexed;
 use crate::report::{ascii_plot, Series, Table};
 use crate::runner::{Harness, SchedulerKind, Weighting};
 use crate::stats::Stats;
@@ -91,6 +98,12 @@ fn best_point(
         .max_by(|(_, a), (_, b)| a.partial_cmp(b).expect("means are finite"))
         .expect("sweep is non-empty");
     EuRatioPoint::PAPER_SWEEP[idx]
+}
+
+/// The mean of `value` over `items`, summed in slice order (so a series
+/// computed on any number of threads averages to the same bits).
+fn mean<T>(items: &[T], value: impl Fn(&T) -> f64) -> f64 {
+    items.iter().map(value).sum::<f64>() / items.len() as f64
 }
 
 fn x_labels() -> Vec<String> {
@@ -384,11 +397,16 @@ pub fn exec(harness: &Harness) -> ExperimentReport {
 /// must grow with congestion.
 ///
 /// Runs its own scaled generator configs, so it does not share the main
-/// harness; `cases` scenarios per congestion level.
-pub fn congestion(base: &dstage_workload::GeneratorConfig, cases: usize) -> ExperimentReport {
+/// harness; `cases` scenarios per congestion level, fanned out over
+/// `threads` workers.
+pub fn congestion(
+    base: &dstage_workload::GeneratorConfig,
+    cases: usize,
+    threads: usize,
+) -> ExperimentReport {
     use dstage_core::cost::EuWeights;
-    use dstage_core::heuristic::{run, HeuristicConfig};
 
+    const CRITERIA: [CostCriterion; 3] = [CostCriterion::C1, CostCriterion::C3, CostCriterion::C4];
     let weighting = Weighting::W1_10_100;
     let weights = weighting.weights();
     let eu = EuWeights::from_log10_ratio(2.0);
@@ -405,31 +423,24 @@ pub fn congestion(base: &dstage_workload::GeneratorConfig, cases: usize) -> Expe
     );
     for factor in [0.5, 1.0, 2.0, 4.0] {
         let config = base.clone().with_congestion(factor);
-        let scenarios: Vec<_> =
-            (0..cases as u64).map(|seed| dstage_workload::generate(&config, seed)).collect();
-        let mean_requests = scenarios.iter().map(|s| s.request_count() as f64).sum::<f64>()
-            / scenarios.len() as f64;
-        let mean_for = |criterion: CostCriterion| -> f64 {
-            scenarios
-                .iter()
-                .map(|s| {
-                    let cfg = HeuristicConfig {
-                        criterion,
-                        eu,
-                        priority_weights: weights.clone(),
-                        caching: true,
-                    };
-                    run(s, Heuristic::FullPathOneDestination, &cfg)
-                        .schedule
-                        .evaluate(s, &weights)
-                        .weighted_sum as f64
-                })
-                .sum::<f64>()
-                / scenarios.len() as f64
-        };
-        let c1 = mean_for(CostCriterion::C1);
-        let c3 = mean_for(CostCriterion::C3);
-        let c4 = mean_for(CostCriterion::C4);
+        let per_case = run_indexed(cases, threads, |seed| {
+            let s = dstage_workload::generate(&config, seed as u64);
+            let sums = CRITERIA.map(|criterion| {
+                let cfg = HeuristicConfig {
+                    criterion,
+                    eu,
+                    priority_weights: weights.clone(),
+                    caching: true,
+                };
+                run(&s, Heuristic::FullPathOneDestination, &cfg)
+                    .schedule
+                    .evaluate(&s, &weights)
+                    .weighted_sum as f64
+            });
+            (s.request_count() as f64, sums)
+        });
+        let mean_requests = mean(&per_case, |c| c.0);
+        let [c1, c3, c4] = [0, 1, 2].map(|k| mean(&per_case, |c| c.1[k]));
         table.push_row(vec![
             format!("{factor}x"),
             format!("{mean_requests:.0}"),
@@ -528,16 +539,15 @@ pub fn optimizer(
     base: &dstage_workload::GeneratorConfig,
     cases: usize,
     budget: u64,
+    threads: usize,
 ) -> ExperimentReport {
     use dstage_core::bounds::upper_bound;
-    use dstage_core::heuristic::{run, HeuristicConfig};
 
     let config = HeuristicConfig::paper_best();
     let weights = &config.priority_weights;
     let scenarios: Vec<_> =
         (0..cases as u64).map(|seed| dstage_workload::generate(base, seed)).collect();
-    let n = scenarios.len() as f64;
-    let ub_mean = scenarios.iter().map(|s| upper_bound(s, weights) as f64).sum::<f64>() / n;
+    let ub_mean = mean(&scenarios, |s| upper_bound(s, weights) as f64);
     let mut table = Table::new(
         format!(
             "Evict-and-rerun post-pass, swap budget {budget} \
@@ -554,18 +564,15 @@ pub fn optimizer(
         ],
     );
     for h in Heuristic::EXTENDED {
-        let mut base_acc = 0.0f64;
-        let mut opt_acc = 0.0f64;
-        let mut swaps_acc = 0.0f64;
-        for scenario in &scenarios {
+        let per_case = run_indexed(cases, threads, |i| {
+            let scenario = &scenarios[i];
             let base_sum =
                 run(scenario, h, &config).schedule.evaluate(scenario, weights).weighted_sum;
             let outcome = dstage_sched::optimize_schedule(scenario, h, &config, budget);
-            base_acc += base_sum as f64;
-            opt_acc += outcome.evaluation.weighted_sum as f64;
-            swaps_acc += outcome.accepted as f64;
-        }
-        let (base_mean, opt_mean) = (base_acc / n, opt_acc / n);
+            (base_sum as f64, outcome.evaluation.weighted_sum as f64, outcome.accepted as f64)
+        });
+        let base_mean = mean(&per_case, |c| c.0);
+        let opt_mean = mean(&per_case, |c| c.1);
         table.push_row(vec![
             h.to_string(),
             format!("{base_mean:.1}"),
@@ -573,7 +580,7 @@ pub fn optimizer(
             format!("{:.1}", ub_mean - base_mean),
             format!("{:.1}", ub_mean - opt_mean),
             format!("{:+.1}", opt_mean - base_mean),
-            format!("{:.1}", swaps_acc / n),
+            format!("{:.1}", mean(&per_case, |c| c.2)),
         ]);
     }
     ExperimentReport {
@@ -584,6 +591,66 @@ pub fn optimizer(
     }
 }
 
+/// One case of the copy-loss experiments.
+struct CopyLossCase {
+    /// Weighted sum of the static, fault-free schedule.
+    offline_sum: u64,
+    /// Deliveries destroyed while their deadlines were still ahead.
+    losses: usize,
+    /// Of those, the requests the online re-plan satisfied again.
+    recovered: usize,
+    /// Online weighted sum as a percentage of the static one.
+    kept_pct: f64,
+}
+
+/// Schedules `scenario` statically under `policy`, destroys the
+/// destination copies of its `n_losses` earliest deliveries one minute
+/// after arrival (with `kill_sources`, every initial source of the item
+/// too), and re-plans online with [`simulate`].
+fn copy_loss_case(
+    scenario: &Scenario,
+    policy: &OnlinePolicy,
+    n_losses: usize,
+    kill_sources: bool,
+) -> CopyLossCase {
+    let weights = &policy.config.priority_weights;
+    let offline = run(scenario, policy.heuristic, &policy.config);
+    let offline_sum = offline.schedule.evaluate(scenario, weights).weighted_sum;
+    let mut deliveries: Vec<_> = offline.schedule.deliveries().to_vec();
+    deliveries.sort_by_key(|d| d.at);
+    let mut events = Vec::new();
+    let mut victims = Vec::new();
+    for d in deliveries.iter().take(n_losses) {
+        let req = scenario.request(d.request);
+        let loss_at = d.at + SimDuration::from_mins(1);
+        if loss_at > req.deadline() {
+            continue; // already safe: data survived to its deadline
+        }
+        victims.push(d.request);
+        events.push(Event::new(
+            loss_at,
+            EventKind::CopyLoss { item: req.item(), machine: req.destination() },
+        ));
+        if kill_sources {
+            for src in scenario.item(req.item()).sources() {
+                events.push(Event::new(
+                    loss_at,
+                    EventKind::CopyLoss { item: req.item(), machine: src.machine },
+                ));
+            }
+        }
+    }
+    let log = EventLog::new(scenario, events).expect("ids from the scenario");
+    let outcome = simulate(scenario, &log, policy);
+    let online_sum = outcome.executed.evaluate(scenario, weights).weighted_sum;
+    CopyLossCase {
+        offline_sum,
+        losses: victims.len(),
+        recovered: victims.iter().filter(|&&r| outcome.executed.delivery_of(r).is_some()).count(),
+        kept_pct: 100.0 * online_sum as f64 / offline_sum.max(1) as f64,
+    }
+}
+
 /// **fault_tolerance**: quantifies §4.4's redundancy rationale — copies
 /// are retained on intermediate machines for γ after the latest deadline
 /// precisely so that "a link, an intermediate node, or a destination"
@@ -591,14 +658,13 @@ pub fn optimizer(
 /// destroy the earliest deliveries' destination copies shortly after they
 /// arrive, re-plan online, and measure how many of the lost requests are
 /// re-satisfied, as a function of γ.
-pub fn fault_tolerance(base: &dstage_workload::GeneratorConfig, cases: usize) -> ExperimentReport {
-    use dstage_core::heuristic::{run, HeuristicConfig};
-    use dstage_dynamic::{simulate, Event, EventKind, EventLog, OnlinePolicy};
-    use dstage_model::time::SimDuration;
-
+pub fn fault_tolerance(
+    base: &dstage_workload::GeneratorConfig,
+    cases: usize,
+    threads: usize,
+) -> ExperimentReport {
     const LOSSES_PER_CASE: usize = 5;
     let policy = OnlinePolicy::paper_best();
-    let weights = Weighting::W1_10_100.weights();
     let mut tables = Vec::new();
     // Two severities: losing only the destination copy (the original
     // sources can always re-send), and losing the destination copy *and*
@@ -626,48 +692,12 @@ pub fn fault_tolerance(base: &dstage_workload::GeneratorConfig, cases: usize) ->
                 gc_delay: SimDuration::from_mins(gamma_mins),
                 ..base.clone()
             };
-            let mut losses_total = 0usize;
-            let mut recovered_total = 0usize;
-            let mut kept_pct_acc = 0.0f64;
-            for seed in 0..cases as u64 {
-                let scenario = dstage_workload::generate(&config, seed);
-                let offline = run(&scenario, policy.heuristic, &HeuristicConfig::paper_best());
-                let offline_sum =
-                    offline.schedule.evaluate(&scenario, &weights).weighted_sum.max(1);
-                // Destroy the earliest deliveries (one minute after
-                // arrival, while their deadlines are still ahead).
-                let mut deliveries: Vec<_> = offline.schedule.deliveries().to_vec();
-                deliveries.sort_by_key(|d| d.at);
-                let mut events = Vec::new();
-                let mut victims = Vec::new();
-                for d in deliveries.iter().take(LOSSES_PER_CASE) {
-                    let req = scenario.request(d.request);
-                    let loss_at = d.at + SimDuration::from_mins(1);
-                    if loss_at > req.deadline() {
-                        continue; // already safe: data survived to its deadline
-                    }
-                    victims.push(d.request);
-                    events.push(Event::new(
-                        loss_at,
-                        EventKind::CopyLoss { item: req.item(), machine: req.destination() },
-                    ));
-                    if kill_sources {
-                        for src in scenario.item(req.item()).sources() {
-                            events.push(Event::new(
-                                loss_at,
-                                EventKind::CopyLoss { item: req.item(), machine: src.machine },
-                            ));
-                        }
-                    }
-                }
-                let log = EventLog::new(&scenario, events).expect("ids from the scenario");
-                let outcome = simulate(&scenario, &log, &policy);
-                losses_total += victims.len();
-                recovered_total +=
-                    victims.iter().filter(|&&r| outcome.executed.delivery_of(r).is_some()).count();
-                let online_sum = outcome.executed.evaluate(&scenario, &weights).weighted_sum;
-                kept_pct_acc += 100.0 * online_sum as f64 / offline_sum as f64;
-            }
+            let per_case = run_indexed(cases, threads, |seed| {
+                let scenario = dstage_workload::generate(&config, seed as u64);
+                copy_loss_case(&scenario, &policy, LOSSES_PER_CASE, kill_sources)
+            });
+            let losses_total: usize = per_case.iter().map(|c| c.losses).sum();
+            let recovered_total: usize = per_case.iter().map(|c| c.recovered).sum();
             let rate =
                 if losses_total == 0 { 1.0 } else { recovered_total as f64 / losses_total as f64 };
             table.push_row(vec![
@@ -675,7 +705,7 @@ pub fn fault_tolerance(base: &dstage_workload::GeneratorConfig, cases: usize) ->
                 losses_total.to_string(),
                 recovered_total.to_string(),
                 format!("{:.0}%", rate * 100.0),
-                format!("{:.1}", kept_pct_acc / cases as f64),
+                format!("{:.1}", mean(&per_case, |c| c.kept_pct)),
             ]);
         }
         tables.push(table);
@@ -699,23 +729,16 @@ pub fn fault_tolerance(base: &dstage_workload::GeneratorConfig, cases: usize) ->
 /// after arrival, re-planned online with each scheduler).
 ///
 /// Runs its own generators, so it does not share the main harness;
-/// `cases` seeds per family.
-pub fn families(cases: usize, small: bool) -> ExperimentReport {
-    use dstage_core::heuristic::{run, HeuristicConfig};
-    use dstage_dynamic::{simulate, Event, EventKind, EventLog, OnlinePolicy};
-    use dstage_model::time::SimDuration;
+/// `cases` seeds per family, fanned out over `threads` workers.
+pub fn families(cases: usize, small: bool, threads: usize) -> ExperimentReport {
     use dstage_workload::Family;
 
     const LOSSES_PER_CASE: usize = 3;
-    let weights = Weighting::W1_10_100.weights();
-    let config = HeuristicConfig::paper_best();
-    let generate = |family: Family, seed: u64| {
-        if small {
-            family.generate_small(seed)
-        } else {
-            family.generate(seed)
-        }
-    };
+    let policies = Heuristic::EXTENDED.map(|heuristic| OnlinePolicy {
+        heuristic,
+        config: HeuristicConfig::paper_best(),
+        optimize_budget: 0,
+    });
 
     let mut header = vec!["family".into(), "mean requests".into(), "mean p2mp groups".into()];
     header.extend(Heuristic::EXTENDED.iter().map(ToString::to_string));
@@ -732,48 +755,25 @@ pub fn families(cases: usize, small: bool) -> ExperimentReport {
     );
 
     for family in Family::ALL {
-        let scenarios: Vec<_> = (0..cases as u64).map(|seed| generate(family, seed)).collect();
-        let mean_requests = scenarios.iter().map(|s| s.request_count() as f64).sum::<f64>()
-            / scenarios.len().max(1) as f64;
-        let mean_groups = scenarios.iter().map(|s| s.p2mp_groups().len() as f64).sum::<f64>()
-            / scenarios.len().max(1) as f64;
-
-        let mut clean_row =
-            vec![family.to_string(), format!("{mean_requests:.0}"), format!("{mean_groups:.0}")];
+        let per_case = run_indexed(cases, threads, |seed| {
+            let scenario = if small {
+                family.generate_small(seed as u64)
+            } else {
+                family.generate(seed as u64)
+            };
+            let by_scheduler =
+                policies.each_ref().map(|p| copy_loss_case(&scenario, p, LOSSES_PER_CASE, false));
+            (scenario.request_count() as f64, scenario.p2mp_groups().len() as f64, by_scheduler)
+        });
+        let mut clean_row = vec![
+            family.to_string(),
+            format!("{:.0}", mean(&per_case, |c| c.0)),
+            format!("{:.0}", mean(&per_case, |c| c.1)),
+        ];
         let mut faulted_row = vec![family.to_string()];
-        for h in Heuristic::EXTENDED {
-            let mean = scenarios
-                .iter()
-                .map(|s| run(s, h, &config).schedule.evaluate(s, &weights).weighted_sum as f64)
-                .sum::<f64>()
-                / scenarios.len().max(1) as f64;
-            clean_row.push(format!("{mean:.1}"));
-
-            let policy = OnlinePolicy { heuristic: h, config: config.clone(), optimize_budget: 0 };
-            let mut kept_pct_acc = 0.0f64;
-            for scenario in &scenarios {
-                let offline = run(scenario, h, &config);
-                let offline_sum = offline.schedule.evaluate(scenario, &weights).weighted_sum.max(1);
-                let mut deliveries: Vec<_> = offline.schedule.deliveries().to_vec();
-                deliveries.sort_by_key(|d| d.at);
-                let mut events = Vec::new();
-                for d in deliveries.iter().take(LOSSES_PER_CASE) {
-                    let req = scenario.request(d.request);
-                    let loss_at = d.at + SimDuration::from_mins(1);
-                    if loss_at > req.deadline() {
-                        continue; // already safe: data survived to its deadline
-                    }
-                    events.push(Event::new(
-                        loss_at,
-                        EventKind::CopyLoss { item: req.item(), machine: req.destination() },
-                    ));
-                }
-                let log = EventLog::new(scenario, events).expect("ids from the scenario");
-                let outcome = simulate(scenario, &log, &policy);
-                let online_sum = outcome.executed.evaluate(scenario, &weights).weighted_sum;
-                kept_pct_acc += 100.0 * online_sum as f64 / offline_sum as f64;
-            }
-            faulted_row.push(format!("{:.1}", kept_pct_acc / scenarios.len().max(1) as f64));
+        for k in 0..policies.len() {
+            clean_row.push(format!("{:.1}", mean(&per_case, |c| c.2[k].offline_sum as f64)));
+            faulted_row.push(format!("{:.1}", mean(&per_case, |c| c.2[k].kept_pct)));
         }
         clean.push_row(clean_row);
         faulted.push_row(faulted_row);
@@ -799,121 +799,6 @@ pub fn all(harness: &Harness) -> Vec<ExperimentReport> {
         minmax(harness),
         exec(harness),
     ]
-}
-
-/// An experiment's prefetch set: the (scheduler, weighting) result
-/// series it will request from the harness, plus the weightings whose
-/// bounds it reads — the input for [`Harness::prefetch`].
-pub type PrefetchSet = (Vec<(SchedulerKind, Weighting)>, Vec<Weighting>);
-
-/// The prefetch set of one experiment.
-///
-/// Returns `None` for unknown ids and for the experiments that run their
-/// own scaled generators instead of the shared harness
-/// (`fault_tolerance`, `congestion`, `families`).
-#[must_use]
-pub fn work_units(id: &str) -> Option<PrefetchSet> {
-    let w = Weighting::W1_10_100;
-    let sweep = |h: Heuristic, c: CostCriterion, weighting: Weighting| {
-        EuRatioPoint::PAPER_SWEEP
-            .iter()
-            .map(move |&p| (SchedulerKind::Pairing(h, c, p), weighting))
-            .collect::<Vec<_>>()
-    };
-    let all_criteria_sweeps =
-        |h: Heuristic| h.criteria().iter().flat_map(|&c| sweep(h, c, w)).collect::<Vec<_>>();
-    match id {
-        "fig2" => {
-            let mut units =
-                vec![(SchedulerKind::SingleDijkstraRandom, w), (SchedulerKind::RandomDijkstra, w)];
-            for h in Heuristic::ALL {
-                units.extend(sweep(h, CostCriterion::C4, w));
-            }
-            Some((units, vec![w]))
-        }
-        "fig3" => Some((all_criteria_sweeps(Heuristic::PartialPath), vec![])),
-        "fig4" => Some((all_criteria_sweeps(Heuristic::FullPathOneDestination), vec![])),
-        "fig5" => Some((all_criteria_sweeps(Heuristic::FullPathAllDestinations), vec![])),
-        "weights" => {
-            // `best_point` scans the C4 sweep under both weightings.
-            let mut units = Vec::new();
-            for h in Heuristic::ALL {
-                for weighting in Weighting::ALL {
-                    units.extend(sweep(h, CostCriterion::C4, weighting));
-                }
-            }
-            Some((units, vec![]))
-        }
-        "prio_first" | "prio-first" => {
-            let mut units = vec![(SchedulerKind::PriorityFirst, w)];
-            for h in Heuristic::ALL {
-                units.extend(all_criteria_sweeps(h));
-            }
-            Some((units, vec![]))
-        }
-        "minmax" => {
-            let mut units = Vec::new();
-            for h in Heuristic::ALL {
-                units.extend(sweep(h, CostCriterion::C4, w));
-            }
-            Some((units, vec![]))
-        }
-        "exec" => {
-            let point = EuRatioPoint::Log10(0);
-            let units = Heuristic::ALL
-                .iter()
-                .flat_map(|&h| {
-                    h.criteria()
-                        .iter()
-                        .map(move |&c| (SchedulerKind::Pairing(h, c, point), w))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            Some((units, vec![]))
-        }
-        "schedulers" => {
-            let mut units = Vec::new();
-            for h in Heuristic::EXTENDED {
-                units.extend(sweep(h, CostCriterion::C4, w));
-            }
-            Some((units, vec![w]))
-        }
-        "extensions" => {
-            let point = EuRatioPoint::Log10(0);
-            let mut units = Vec::new();
-            for h in Heuristic::ALL {
-                units.push((SchedulerKind::Pairing(h, CostCriterion::C3, point), w));
-                units.push((SchedulerKind::Pairing(h, CostCriterion::C3Floor, point), w));
-                units.extend(sweep(h, CostCriterion::C4, w));
-            }
-            Some((units, vec![]))
-        }
-        _ => None,
-    }
-}
-
-/// The prefetch set of the full [`all`] suite.
-#[must_use]
-pub fn all_work_units() -> PrefetchSet {
-    let mut units = Vec::new();
-    let mut bounds = Vec::new();
-    for id in ["fig2", "fig3", "fig4", "fig5", "weights", "prio_first", "minmax", "exec"] {
-        let (u, b) = work_units(id).expect("known experiment id");
-        units.extend(u);
-        bounds.extend(b);
-    }
-    (units, bounds)
-}
-
-/// Runs every experiment in paper order, computing the underlying sweep
-/// on `threads` worker threads first. The rendered reports are
-/// byte-identical to [`all`]'s: the parallel phase only populates the
-/// harness caches (in stable work-unit order), and rendering then reads
-/// them sequentially.
-pub fn all_parallel(harness: &Harness, threads: usize) -> Vec<ExperimentReport> {
-    let (units, bounds) = all_work_units();
-    harness.prefetch(&units, &bounds, threads);
-    all(harness)
 }
 
 #[cfg(test)]
@@ -980,10 +865,8 @@ mod tests {
 
     #[test]
     fn optimizer_reports_every_scheduler_and_never_regresses() {
-        use dstage_core::heuristic::{run, HeuristicConfig};
-
         let base = GeneratorConfig::small();
-        let r = optimizer(&base, 2, 4);
+        let r = optimizer(&base, 2, 4, 1);
         assert_eq!(r.tables[0].rows.len(), 5);
         // The acceptance guarantee, case by case: the post-pass never
         // decreases E[S] on any sweep case.

@@ -2,6 +2,8 @@
 //! (scheduler × weighting × E-U point) pairings over it, caching results
 //! so the figures share work (Figure 2 reuses the C4 series of Figures
 //! 3–5, and `Cost₃` runs once per sweep because it is E-U independent).
+//! A missing series is computed with its cases fanned out over the
+//! harness's worker threads ([`crate::executor::run_indexed`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -96,11 +98,14 @@ pub struct Harness {
     cases: Vec<Scenario>,
     cache: ResultCache,
     bounds_cache: Mutex<HashMap<Weighting, Arc<Vec<CaseBounds>>>>,
+    threads: usize,
     verbose: bool,
 }
 
 impl Harness {
     /// Generates `n_cases` scenarios (seeds `0..n_cases`) under `config`.
+    /// Series are computed on one thread until [`Harness::with_threads`]
+    /// says otherwise.
     #[must_use]
     pub fn new(config: &GeneratorConfig, n_cases: usize) -> Self {
         let cases = (0..n_cases as u64).map(|seed| generate(config, seed)).collect();
@@ -108,8 +113,19 @@ impl Harness {
             cases,
             cache: Mutex::new(HashMap::new()),
             bounds_cache: Mutex::new(HashMap::new()),
+            threads: 1,
             verbose: false,
         }
+    }
+
+    /// Computes every missing series with its cases fanned out over
+    /// `threads` workers. Per-case outcomes are pure functions of
+    /// (scheduler, weighting, case) and are merged in case order, so the
+    /// thread count never changes a rendered byte.
+    #[must_use]
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
     }
 
     /// The paper's harness: 40 cases at §5.3 scale.
@@ -143,8 +159,8 @@ impl Harness {
             eprintln!("[harness] running {:?} under {} ...", key.0, weighting.label());
         }
         let weights = weighting.weights();
-        let results: Vec<CaseResult> =
-            (0..self.cases.len()).map(|i| self.case_result(key.0, &weights, i)).collect();
+        let results =
+            run_indexed(self.cases.len(), self.threads, |i| self.case_result(key.0, &weights, i));
         // First insert wins: if another thread raced us to the same key,
         // keep (and return) its series so every caller shares one
         // allocation and cached re-reads stay pointer-stable.
@@ -186,102 +202,6 @@ impl Harness {
         }
     }
 
-    /// Computes a batch of result series (and per-weighting bounds) in
-    /// parallel on `threads` workers, populating the same caches that
-    /// [`Harness::results`] / [`Harness::bounds`] read.
-    ///
-    /// Work fans out at (scheduler × weighting × case) granularity and is
-    /// merged back in stable (unit, case) order, so a subsequent
-    /// sequential report render is **byte-identical** to one computed
-    /// without this call: per-case outcomes are pure functions of their
-    /// unit, and cache lookups are keyed, never iterated.
-    pub fn prefetch(
-        &self,
-        kinds: &[(SchedulerKind, Weighting)],
-        bound_weightings: &[Weighting],
-        threads: usize,
-    ) {
-        // Dedup to normalized, uncached keys, keeping first-seen order.
-        let mut pending_keys: Vec<(SchedulerKind, Weighting)> = Vec::new();
-        {
-            let cache = self.cache.lock();
-            for &(kind, weighting) in kinds {
-                let key = (Self::normalize(kind), weighting);
-                if !cache.contains_key(&key) && !pending_keys.contains(&key) {
-                    pending_keys.push(key);
-                }
-            }
-        }
-        let mut pending_bounds: Vec<Weighting> = Vec::new();
-        {
-            let cache = self.bounds_cache.lock();
-            for &weighting in bound_weightings {
-                if !cache.contains_key(&weighting) && !pending_bounds.contains(&weighting) {
-                    pending_bounds.push(weighting);
-                }
-            }
-        }
-        let n_cases = self.cases.len();
-        if n_cases == 0 || (pending_keys.is_empty() && pending_bounds.is_empty()) {
-            return;
-        }
-        if self.verbose {
-            eprintln!(
-                "[harness] prefetching {} series + {} bound sets over {} cases on {} threads ...",
-                pending_keys.len(),
-                pending_bounds.len(),
-                n_cases,
-                threads
-            );
-        }
-
-        enum Unit {
-            Result(CaseResult),
-            Bounds(CaseBounds),
-        }
-        let n_result_units = pending_keys.len() * n_cases;
-        let n_units = n_result_units + pending_bounds.len() * n_cases;
-        let outputs = run_indexed(n_units, threads, |u| {
-            if u < n_result_units {
-                let (kind, weighting) = pending_keys[u / n_cases];
-                Unit::Result(self.case_result(kind, &weighting.weights(), u % n_cases))
-            } else {
-                let b = u - n_result_units;
-                let weighting = pending_bounds[b / n_cases];
-                Unit::Bounds(self.case_bounds(&weighting.weights(), b % n_cases))
-            }
-        });
-
-        // Stable merge: outputs arrive in unit order, i.e. grouped by key
-        // with cases ascending within each group.
-        let mut outputs = outputs.into_iter();
-        let mut cache = self.cache.lock();
-        for &key in &pending_keys {
-            let series: Vec<CaseResult> = outputs
-                .by_ref()
-                .take(n_cases)
-                .map(|u| match u {
-                    Unit::Result(r) => r,
-                    Unit::Bounds(_) => unreachable!("result units precede bound units"),
-                })
-                .collect();
-            cache.entry(key).or_insert_with(|| Arc::new(series));
-        }
-        drop(cache);
-        let mut bounds_cache = self.bounds_cache.lock();
-        for &weighting in &pending_bounds {
-            let series: Vec<CaseBounds> = outputs
-                .by_ref()
-                .take(n_cases)
-                .map(|u| match u {
-                    Unit::Bounds(b) => b,
-                    Unit::Result(_) => unreachable!("bound units follow result units"),
-                })
-                .collect();
-            bounds_cache.entry(weighting).or_insert_with(|| Arc::new(series));
-        }
-    }
-
     /// The per-case upper bounds under a weighting.
     pub fn bounds(&self, weighting: Weighting) -> Arc<Vec<CaseBounds>> {
         if let Some(hit) = self.bounds_cache.lock().get(&weighting) {
@@ -291,8 +211,7 @@ impl Harness {
             eprintln!("[harness] computing bounds under {} ...", weighting.label());
         }
         let weights = weighting.weights();
-        let bounds: Vec<CaseBounds> =
-            (0..self.cases.len()).map(|i| self.case_bounds(&weights, i)).collect();
+        let bounds = run_indexed(self.cases.len(), self.threads, |i| self.case_bounds(&weights, i));
         // First insert wins, as in `results`.
         Arc::clone(self.bounds_cache.lock().entry(weighting).or_insert_with(|| Arc::new(bounds)))
     }

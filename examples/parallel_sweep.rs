@@ -1,7 +1,6 @@
-//! Parallel sweeps end to end: prefetches a figure's (scheduler ×
-//! weighting × case) work units across worker threads, then renders the
-//! report from the warmed cache and shows it is byte-identical to a
-//! sequential run of the same suite.
+//! Parallel sweeps end to end: renders the paper suite with every
+//! series' cases fanned out across worker threads and shows it is
+//! byte-identical to a one-thread run of the same suite.
 //!
 //! Thread count resolution mirrors the `figures` binary: an explicit
 //! count beats `DSTAGE_THREADS`, which beats the host's available
@@ -27,7 +26,7 @@ fn main() {
         available_threads()
     );
 
-    // Sequential reference: the classic cache-as-you-go path.
+    // One-thread reference.
     let started = Instant::now();
     let sequential: Vec<String> = experiments::all(&Harness::new(&GeneratorConfig::small(), CASES))
         .iter()
@@ -35,11 +34,10 @@ fn main() {
         .collect();
     println!("sequential: {:.2?}", started.elapsed());
 
-    // Parallel: prefetch every work unit, then render from the cache.
-    let harness = Harness::new(&GeneratorConfig::small(), CASES);
+    // Parallel: the same call on a harness told how many workers it has.
+    let harness = Harness::new(&GeneratorConfig::small(), CASES).with_threads(threads);
     let started = Instant::now();
-    let parallel: Vec<String> =
-        experiments::all_parallel(&harness, threads).iter().map(|r| r.to_text()).collect();
+    let parallel: Vec<String> = experiments::all(&harness).iter().map(|r| r.to_text()).collect();
     println!("{threads} threads: {:.2?}", started.elapsed());
 
     // Scheduling outputs are byte-identical whatever the thread count

@@ -65,8 +65,8 @@ fn sweep_reports_are_byte_identical_with_obs_on_and_off() {
         "sequential sweep diverges when the observability tap is disabled"
     );
     for threads in [2usize, 4, 8] {
-        let harness = Harness::new(&GeneratorConfig::small(), 4);
-        let parallel_off = render(&experiments::all_parallel(&harness, threads));
+        let harness = Harness::new(&GeneratorConfig::small(), 4).with_threads(threads);
+        let parallel_off = render(&experiments::all(&harness));
         assert_eq!(
             with_obs, parallel_off,
             "{threads}-thread sweep with obs off diverges from the obs-on reference"

@@ -1,7 +1,7 @@
-//! Determinism tests for the parallel sweep executor: a sweep fanned out
-//! over N worker threads must render reports **byte-identical** to the
-//! sequential run, and the harness result cache must stay coherent when
-//! hammered from many threads at once.
+//! Determinism tests for the parallel sweep: every experiment fans its
+//! case loop out over N worker threads and must render reports
+//! **byte-identical** to the one-thread run, and the harness result cache
+//! must stay coherent when hammered from many threads at once.
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -60,17 +60,18 @@ fn assert_byte_identical(parallel: &str, sequential: &str, threads: usize) {
 }
 
 /// Debug-speed smoke suite: 2, 4, and 8 worker threads must all
-/// reproduce the sequential report byte for byte. (The paper-scale
+/// reproduce the one-thread report byte for byte. (The paper-scale
 /// 40-case version of this loop is the `#[ignore]`d release test
 /// below.)
 #[test]
 fn parallel_sweep_is_byte_identical_across_thread_counts() {
-    let sequential = render(&experiments::all(&Harness::new(&GeneratorConfig::small(), 6)));
+    let all = |threads| {
+        render(&experiments::all(&Harness::new(&GeneratorConfig::small(), 6).with_threads(threads)))
+    };
+    let sequential = all(1);
     assert!(!sequential.is_empty());
     for threads in [2usize, 4, 8] {
-        let harness = Harness::new(&GeneratorConfig::small(), 6);
-        let parallel = render(&experiments::all_parallel(&harness, threads));
-        assert_byte_identical(&parallel, &sequential, threads);
+        assert_byte_identical(&all(threads), &sequential, threads);
     }
 }
 
@@ -94,9 +95,8 @@ fn full_sweep_parallel_matches_sequential_on_the_paper_suite() {
         }
     }
     for threads in thread_counts {
-        let harness = Harness::paper();
         let started = Instant::now();
-        let parallel = render(&experiments::all_parallel(&harness, threads));
+        let parallel = render(&experiments::all(&Harness::paper().with_threads(threads)));
         let parallel_elapsed = started.elapsed();
 
         eprintln!(
@@ -117,24 +117,51 @@ fn full_sweep_parallel_matches_sequential_on_the_paper_suite() {
     }
 }
 
-/// The extended scheduler matrix — `alap` and `rcd` included — must
-/// render byte-identically whether its sweep is prefetched on two
-/// worker threads or computed sequentially, just like the paper suite.
+/// The six experiments outside `all` — the extended scheduler matrix
+/// (`alap` and `rcd` included), the extension criterion, and the four
+/// that run their own generators — ride the same guarantee.
 #[test]
-fn extended_scheduler_sweep_is_byte_identical_at_two_threads() {
-    let sequential =
-        render(&[experiments::schedulers(&Harness::new(&GeneratorConfig::small(), 4))]);
-    let harness = Harness::new(&GeneratorConfig::small(), 4);
-    let (units, bounds) = experiments::work_units("schedulers").expect("known experiment id");
-    harness.prefetch(&units, &bounds, 2);
-    let parallel = render(&[experiments::schedulers(&harness)]);
-    assert_byte_identical(&parallel, &sequential, 2);
+fn experiments_outside_all_are_byte_identical_across_thread_counts() {
+    const CASES: usize = 3;
+    let small = GeneratorConfig::small();
+    let rendered = |threads| {
+        let harness = Harness::new(&small, CASES).with_threads(threads);
+        render(&[
+            experiments::schedulers(&harness),
+            experiments::extensions(&harness),
+            experiments::optimizer(&small, CASES, 4, threads),
+            experiments::fault_tolerance(&small, CASES, threads),
+            experiments::congestion(&small, CASES, threads),
+            experiments::families(CASES, true, threads),
+        ])
+    };
+    let sequential = rendered(1);
+    for threads in [2usize, 4, 8] {
+        assert_byte_identical(&rendered(threads), &sequential, threads);
+    }
 }
 
-/// Prefetching on worker threads must leave the cache holding exactly
-/// what sequential calls would have computed.
+/// An own-generator experiment really goes through the executor: with the
+/// tap on, the work-unit counter grows by at least one unit per case
+/// while `families` renders on two threads. (Other tests of this binary
+/// only ever add to the counter, so the bound holds under `cargo test`'s
+/// own parallelism.)
 #[test]
-fn prefetched_results_equal_sequential_results() {
+fn families_fans_its_cases_out_through_the_executor() {
+    const CASES: usize = 3;
+    if !data_staging::obs::enabled() {
+        return;
+    }
+    let before = data_staging::obs::metrics::SIM_WORK_UNITS.get();
+    let _ = experiments::families(CASES, true, 2);
+    let grown = data_staging::obs::metrics::SIM_WORK_UNITS.get() - before;
+    assert!(grown >= CASES as u64, "families ran {grown} work units for {CASES} cases");
+}
+
+/// A harness computing its series on four threads must hold exactly
+/// what a one-thread harness computes.
+#[test]
+fn harness_series_at_four_threads_equal_one_thread() {
     let kinds = [
         (
             SchedulerKind::Pairing(
@@ -151,8 +178,7 @@ fn prefetched_results_equal_sequential_results() {
         (SchedulerKind::RandomDijkstra, Weighting::W1_10_100),
         (SchedulerKind::PriorityFirst, Weighting::W1_5_10),
     ];
-    let parallel = Harness::new(&GeneratorConfig::small(), 6);
-    parallel.prefetch(&kinds, &[Weighting::W1_10_100], 4);
+    let parallel = Harness::new(&GeneratorConfig::small(), 6).with_threads(4);
     let sequential = Harness::new(&GeneratorConfig::small(), 6);
     for &(kind, weighting) in &kinds {
         let p = parallel.results(kind, weighting);
