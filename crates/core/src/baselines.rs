@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use dstage_model::ids::{DataItemId, RequestId};
+use dstage_model::ids::{DataItemId, MachineId, RequestId};
 use dstage_model::request::{Priority, PriorityWeights};
 use dstage_model::scenario::Scenario;
 use dstage_path::Hop;
@@ -47,8 +47,11 @@ pub fn single_dijkstra_random(scenario: &Scenario, seed: u64) -> ScheduleOutcome
     // Plan every item's paths on the pristine network.
     let mut planned: Vec<(RequestId, Option<Vec<Hop>>)> = Vec::new();
     for item_id in scenario.item_ids() {
-        let tree = state.tree(item_id).clone();
-        for &req_id in scenario.requests_for(item_id) {
+        let requests = scenario.requests_for(item_id);
+        let destinations: Vec<MachineId> =
+            requests.iter().map(|&r| scenario.request(r).destination()).collect();
+        let tree = state.tree(item_id, &destinations).clone();
+        for &req_id in requests {
             let req = scenario.request(req_id);
             let path = tree.path_to(req.destination()).filter(|_| {
                 // Requests that miss their deadline even on the pristine

@@ -14,7 +14,7 @@
 //! conceivable transfer-level schedule; that distinction is documented
 //! here and in DESIGN.md.
 
-use dstage_model::ids::RequestId;
+use dstage_model::ids::{MachineId, RequestId};
 use dstage_model::request::PriorityWeights;
 use dstage_model::scenario::Scenario;
 
@@ -101,12 +101,16 @@ fn search(
     // path meets the deadline.
     let mut candidates: Vec<RequestId> = Vec::new();
     let mut optimistic = achieved;
-    let items: Vec<_> = scenario.item_ids().collect();
-    for item in items {
+    for item in scenario.item_ids() {
         let pending: Vec<RequestId> = state.pending_requests(item).collect();
+        if pending.is_empty() {
+            continue;
+        }
+        let destinations: Vec<MachineId> =
+            pending.iter().map(|&r| scenario.request(r).destination()).collect();
+        let tree = state.tree(item, &destinations);
         for req_id in pending {
             let req = scenario.request(req_id);
-            let tree = state.tree(item);
             if tree.arrival(req.destination()) <= req.deadline() {
                 candidates.push(req_id);
                 optimistic += weights.weight(req.priority());
@@ -136,7 +140,7 @@ fn search(
         let req = scenario.request(req_id);
         let mut child = state.clone();
         // Re-check satisfiability in the child (cheap, uses the cache).
-        let arrival = child.tree(req.item()).arrival(req.destination());
+        let arrival = child.tree(req.item(), &[req.destination()]).arrival(req.destination());
         if arrival > req.deadline() {
             continue;
         }

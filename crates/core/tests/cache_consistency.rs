@@ -1,8 +1,8 @@
 //! Lockstep equivalence of the tree-cache modes (DESIGN.md §3).
 //!
-//! Two `SchedulerState`s — caching with read-side validation, incremental
-//! repair and steps kept with their tree, and no caching at all (the
-//! from-scratch reference) — are driven through the same randomized
+//! Two `SchedulerState`s — caching with read-side validation and steps
+//! kept with their tree, and no caching at all (the from-scratch
+//! reference) — are driven through the same randomized
 //! sequence of commits, evictions (copy losses), link outages,
 //! past-blocking, stale re-admissions, late and withheld requests and
 //! commits to machines nobody asked for. Before every step their candidate
@@ -28,10 +28,10 @@ use proptest::prelude::*;
 
 /// Both modes' enumerations, which must agree.
 fn enumerations(
-    repairing: &mut SchedulerState<'_>,
+    cached: &mut SchedulerState<'_>,
     uncached: &mut SchedulerState<'_>,
 ) -> Result<Vec<CandidateStep>, TestCaseError> {
-    let steps: Vec<CandidateStep> = repairing.all_candidate_steps().cloned().collect();
+    let steps: Vec<CandidateStep> = cached.all_candidate_steps().cloned().collect();
     let reference: Vec<CandidateStep> = uncached.all_candidate_steps().cloned().collect();
     prop_assert_eq!(&steps, &reference);
     Ok(steps)
@@ -73,7 +73,7 @@ proptest! {
         let machines = scenario.network().machine_count();
         let links = scenario.network().link_count();
 
-        let mut repairing = SchedulerState::with_caching(&scenario, true);
+        let mut cached = SchedulerState::with_caching(&scenario, true);
         let mut uncached = SchedulerState::with_caching(&scenario, false);
 
         // A request due at the horizon pins its item's hold row at the
@@ -84,13 +84,13 @@ proptest! {
         for (i, item) in scenario.item_ids().enumerate().filter(|(i, _)| i % 4 != 3) {
             let far = MachineId::new(((seed as usize + i) % machines) as u32);
             let pin = Request::new(item, far, horizon, Priority::LOW);
-            prop_assert_eq!(repairing.add_request(pin), uncached.add_request(pin));
+            prop_assert_eq!(cached.add_request(pin), uncached.add_request(pin));
         }
 
         let mut now = SimTime::ZERO;
         let mut withheld: Vec<RequestId> = Vec::new();
         for &(op, pick, time) in &ops {
-            let steps = enumerations(&mut repairing, &mut uncached)?;
+            let steps = enumerations(&mut cached, &mut uncached)?;
             match op {
                 // Commit a candidate step — the common case, so several
                 // selector values map here. Even ops commit the single
@@ -102,16 +102,16 @@ proptest! {
                     }
                     let step = steps[pick % steps.len()].clone();
                     if op % 2 == 0 {
-                        for state in [&mut repairing, &mut uncached] {
+                        for state in [&mut cached, &mut uncached] {
                             state.commit_hop(step.item, step.hop);
                         }
                     } else {
                         let dests: Vec<MachineId> = step
                             .destinations
                             .iter()
-                            .map(|d| repairing.scenario().request(d.request).destination())
+                            .map(|d| cached.scenario().request(d.request).destination())
                             .collect();
-                        let n = repairing.commit_paths(step.item, &dests);
+                        let n = cached.commit_paths(step.item, &dests);
                         prop_assert_eq!(n, uncached.commit_paths(step.item, &dests));
                     }
                 }
@@ -120,20 +120,20 @@ proptest! {
                 4 => {
                     let item = DataItemId::new((pick % items) as u32);
                     let machine = MachineId::new((time as usize % machines) as u32);
-                    let removed = repairing.remove_copies(item, machine, now);
+                    let removed = cached.remove_copies(item, machine, now);
                     prop_assert_eq!(removed, uncached.remove_copies(item, machine, now));
                 }
                 // Link outage from the current instant.
                 5 => {
                     let link = VirtualLinkId::new((pick % links) as u32);
-                    for state in [&mut repairing, &mut uncached] {
+                    for state in [&mut cached, &mut uncached] {
                         state.apply_link_outage(link, now);
                     }
                 }
                 // Advance the clock and wall off the past (replanning).
                 6 => {
                     now = now.max(SimTime::from_secs(time));
-                    for state in [&mut repairing, &mut uncached] {
+                    for state in [&mut cached, &mut uncached] {
                         state.block_past(now);
                     }
                 }
@@ -144,7 +144,7 @@ proptest! {
                         continue;
                     }
                     let step = steps[pick % steps.len()].clone();
-                    let ok = repairing.try_commit_stale_hop(step.item, step.hop);
+                    let ok = cached.try_commit_stale_hop(step.item, step.hop);
                     prop_assert_eq!(ok, uncached.try_commit_stale_hop(step.item, step.hop));
                 }
                 // A late request, as the daemon appends them: a new
@@ -158,16 +158,16 @@ proptest! {
                     let deadline = if op == 8 { SimTime::from_secs(8 * time) } else { horizon };
                     let request =
                         Request::new(item, machine, deadline, Priority::new(pick as u8 % 3));
-                    let added = repairing.add_request(request);
+                    let added = cached.add_request(request);
                     prop_assert_eq!(&added, &uncached.add_request(request));
                 }
                 // Release or withhold a request, as the dynamic layer and
                 // the daemon do: a released one is a destination its
                 // item's cached tree was not being validated for.
                 11 => {
-                    let count = repairing.scenario().request_count();
+                    let count = cached.scenario().request_count();
                     let request = RequestId::new((time as usize % count) as u32);
-                    for state in [&mut repairing, &mut uncached] {
+                    for state in [&mut cached, &mut uncached] {
                         state.set_request_active(request, pick % 2 == 0);
                     }
                 }
@@ -177,10 +177,10 @@ proptest! {
                 12..=13 => {
                     let item = DataItemId::new((pick % items) as u32);
                     let machine = MachineId::new((time as usize % machines) as u32);
-                    if !uncached.tree(item).is_reachable(machine) {
+                    if !uncached.tree(item, &[machine]).is_reachable(machine) {
                         continue;
                     }
-                    let n = repairing.commit_path(item, machine);
+                    let n = cached.commit_path(item, machine);
                     prop_assert_eq!(n, uncached.commit_path(item, machine));
                 }
                 // Withhold a request a step was just offered for: its
@@ -193,7 +193,7 @@ proptest! {
                     let step = &steps[pick % steps.len()];
                     let request = step.destinations[time as usize % step.destinations.len()].request;
                     withheld.push(request);
-                    for state in [&mut repairing, &mut uncached] {
+                    for state in [&mut cached, &mut uncached] {
                         state.set_request_active(request, false);
                     }
                 }
@@ -201,7 +201,7 @@ proptest! {
                 // dead with it comes back.
                 15 => {
                     let Some(request) = withheld.pop() else { continue };
-                    for state in [&mut repairing, &mut uncached] {
+                    for state in [&mut cached, &mut uncached] {
                         state.set_request_active(request, true);
                     }
                 }
@@ -213,7 +213,7 @@ proptest! {
                     let item = DataItemId::new((pinned - usize::from(pinned % 4 == 3)) as u32);
                     let machine = MachineId::new((time as usize % machines) as u32);
                     let request = Request::new(item, machine, horizon, Priority::new(pick as u8 % 3));
-                    prop_assert_eq!(&repairing.add_request(request), &uncached.add_request(request));
+                    prop_assert_eq!(&cached.add_request(request), &uncached.add_request(request));
                 }
                 // A loss at a delivered destination, at or after the
                 // delivery: the request is pending again. One time in
@@ -222,17 +222,17 @@ proptest! {
                 // leaves the request delivered, so that the second loss
                 // removes nothing and reopens it all the same.
                 _ => {
-                    let delivered: Vec<RequestId> = repairing
+                    let delivered: Vec<RequestId> = cached
                         .scenario()
                         .request_ids()
-                        .filter(|&r| repairing.is_delivered(r))
+                        .filter(|&r| cached.is_delivered(r))
                         .collect();
                     if delivered.is_empty() {
                         continue;
                     }
                     let id = delivered[pick % delivered.len()];
-                    let request = *repairing.scenario().request(id);
-                    let at = repairing.delivery_of(id).expect("delivered").at;
+                    let request = *cached.scenario().request(id);
+                    let at = cached.delivery_of(id).expect("delivered").at;
                     let (item, machine) = (request.item(), request.destination());
                     let instants = match time % 3 {
                         0 => vec![at],
@@ -240,17 +240,17 @@ proptest! {
                         _ => vec![horizon, request.deadline()],
                     };
                     for lost_at in instants {
-                        let removed = repairing.remove_copies(item, machine, lost_at);
+                        let removed = cached.remove_copies(item, machine, lost_at);
                         prop_assert_eq!(removed, uncached.remove_copies(item, machine, lost_at));
-                        enumerations(&mut repairing, &mut uncached)?;
+                        enumerations(&mut cached, &mut uncached)?;
                     }
                 }
             }
         }
 
-        enumerations(&mut repairing, &mut uncached)?;
-        let (repaired_schedule, _) = repairing.into_outcome();
+        enumerations(&mut cached, &mut uncached)?;
+        let (cached_schedule, _) = cached.into_outcome();
         let (uncached_schedule, _) = uncached.into_outcome();
-        prop_assert_eq!(&repaired_schedule, &uncached_schedule);
+        prop_assert_eq!(&cached_schedule, &uncached_schedule);
     }
 }

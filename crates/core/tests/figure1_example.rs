@@ -61,7 +61,7 @@ fn figure1_scenario() -> Scenario {
 fn arrivals_match_the_papers_numbers() {
     let scenario = figure1_scenario();
     let mut state = SchedulerState::new(&scenario);
-    let tree = state.tree(DataItemId::new(0));
+    let tree = state.tree(DataItemId::new(0), &[m(3), m(7), m(8), m(9)]);
     assert_eq!(tree.arrival(m(3)), t(2));
     assert_eq!(tree.arrival(m(7)), t(12));
     assert_eq!(tree.arrival(m(8)), t(11));

@@ -209,7 +209,7 @@ pub fn replay_state(
     // *consume* ledger capacity (both are journaled by the state), copy
     // losses drop the affected item's own tree, and `block_past` drops
     // every cached tree outright. Nothing releases a reservation, so
-    // incremental repair stays exact across replan rounds.
+    // validation on read stays exact across replan rounds.
     for &(item, machine, tl) in losses {
         state.remove_copies(item, machine, tl);
     }

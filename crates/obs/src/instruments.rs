@@ -131,7 +131,10 @@ impl Histogram {
             self.bounds.iter().position(|&bound| value <= bound).unwrap_or(self.bounds.len());
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+        // Saturating, not wrapping: a wrapped sum reads below the max.
+        let _ = self.sum.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |sum| {
+            Some(sum.saturating_add(value))
+        });
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
@@ -176,7 +179,7 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<u64>,
     /// Total observations.
     pub count: u64,
-    /// Sum of all observed values.
+    /// Sum of all observed values, saturating at `u64::MAX`.
     pub sum: u64,
     /// Largest observed value.
     pub max: u64,
@@ -187,7 +190,7 @@ impl HistogramSnapshot {
     /// when empty.
     #[must_use]
     pub fn mean(&self) -> u64 {
-        (self.sum + self.count / 2).checked_div(self.count).unwrap_or(0)
+        self.sum.saturating_add(self.count / 2).checked_div(self.count).unwrap_or(0)
     }
 }
 
@@ -203,18 +206,17 @@ mod tests {
         c.inc();
         c.add(4);
         c.add(0); // no-op, not a fetch_add of zero spam
-        assert_eq!(c.get(), if cfg!(feature = "tap") { 5 } else { 0 });
+        assert_eq!(c.get(), 5);
         c.reset();
         assert_eq!(c.get(), 0);
 
         let g = Gauge::new();
         g.set(-3);
-        assert_eq!(g.get(), if cfg!(feature = "tap") { -3 } else { 0 });
+        assert_eq!(g.get(), -3);
         g.reset();
         assert_eq!(g.get(), 0);
     }
 
-    #[cfg(feature = "tap")]
     #[test]
     fn histogram_buckets_observations() {
         let _serial = crate::test_lock();
@@ -234,7 +236,21 @@ mod tests {
         assert_eq!(h.snapshot().count, 0);
     }
 
-    #[cfg(feature = "tap")]
+    #[test]
+    fn histogram_sum_and_mean_saturate_instead_of_wrapping() {
+        let _serial = crate::test_lock();
+        crate::set_enabled(true);
+        static BOUNDS: [u64; 1] = [10];
+        let h = Histogram::new(&BOUNDS);
+        for v in [u64::MAX - 1, u64::MAX - 1, 1] {
+            h.record(v);
+        }
+        let snap = h.snapshot();
+        assert_eq!(snap.sum, u64::MAX);
+        assert!(snap.sum >= snap.max);
+        assert_eq!(snap.mean(), u64::MAX / 3);
+    }
+
     #[test]
     fn disabled_tap_records_nothing() {
         let _serial = crate::test_lock();

@@ -4,8 +4,8 @@
 //! (counters, gauges, histograms, flight-recorder events) and nothing in
 //! the system ever reads that state back to make a decision. Sweep
 //! reports and service snapshots are therefore byte-identical whether the
-//! tap is enabled, disabled at runtime, or compiled out entirely — the
-//! invariant the `obs_readonly_tap` integration tests pin down.
+//! tap is enabled or disabled — the invariant the `obs_readonly_tap`
+//! integration tests pin down.
 //!
 //! Three design rules keep the tap cheap and deterministic:
 //!
@@ -21,11 +21,9 @@
 //!    durations are *recorded* (they are the point of a profile) but
 //!    never flow into any determinism-checked output.
 //!
-//! Runtime control: the tap starts enabled unless the `DSTAGE_OBS`
-//! environment variable is `0`/`off`/`false`/`no`; [`set_enabled`]
-//! overrides either way. Compile-time control: building `dstage-obs`
-//! without the default `tap` feature turns every record call into a
-//! no-op with the API unchanged.
+//! Control: the tap starts enabled unless the `DSTAGE_OBS` environment
+//! variable is `0`/`off`/`false`/`no`; [`set_enabled`] overrides either
+//! way.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,13 +43,9 @@ static STATE: AtomicU8 = AtomicU8::new(0);
 /// Whether the tap records anything right now.
 ///
 /// First call resolves the `DSTAGE_OBS` environment variable (default:
-/// enabled); later calls are a single relaxed atomic load. Always `false`
-/// when the `tap` feature is compiled out.
+/// enabled); later calls are a single relaxed atomic load.
 #[must_use]
 pub fn enabled() -> bool {
-    if cfg!(not(feature = "tap")) {
-        return false;
-    }
     match STATE.load(Ordering::Relaxed) {
         1 => true,
         2 => false,
@@ -98,7 +92,7 @@ mod tests {
     fn enable_toggle_round_trips() {
         let _serial = test_lock();
         set_enabled(true);
-        assert!(enabled() == cfg!(feature = "tap"));
+        assert!(enabled());
         set_enabled(false);
         assert!(!enabled());
         set_enabled(true);

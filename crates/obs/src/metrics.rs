@@ -105,7 +105,7 @@ pub static RESOURCES_COMMITS: Counter = Counter::new();
 
 // --- path layer (earliest-arrival Dijkstra) ---------------------------
 
-/// Earliest-arrival trees computed (from scratch or by repair).
+/// Earliest-arrival trees computed.
 pub static PATH_TREES: Counter = Counter::new();
 /// Cached trees served without a search after their read paths were
 /// validated (`paths_hold` returned true).
@@ -127,12 +127,6 @@ pub static PATH_LB_PRUNES: Counter = Counter::new();
 pub static PATH_HEAP_PUSHES: Counter = Counter::new();
 /// Stale queue entries popped and skipped.
 pub static PATH_STALE_POPS: Counter = Counter::new();
-/// Trees produced by incremental repair instead of a from-scratch run
-/// (a subset of `dstage_path_trees_total`).
-pub static PATH_TREE_REPAIRS: Counter = Counter::new();
-/// Queue seeds fed into repair runs (frontier machines plus re-seeded
-/// sources).
-pub static PATH_REPAIR_SEEDS: Counter = Counter::new();
 
 // --- core layer (heuristic selection rounds) --------------------------
 
@@ -144,8 +138,8 @@ pub static CORE_ITEMS_SKIPPED_CLEAN: Counter = Counter::new();
 /// the item's cached enumeration is empty, and consumption cannot bring a
 /// destination into reach.
 pub static CORE_ITEMS_SKIPPED_DEAD: Counter = Counter::new();
-/// Candidate-step enumerations read off a tree afresh (the tree was built
-/// or repaired, or its item's pending set changed).
+/// Candidate-step enumerations read off a tree afresh (the tree was built,
+/// or its item's pending set changed).
 pub static CORE_STEPS_REBUILT: Counter = Counter::new();
 
 // --- sim layer (sweep executor) ---------------------------------------
@@ -485,20 +479,6 @@ pub fn registry() -> &'static [MetricDef] {
             kind: Counter(&PATH_STALE_POPS),
         },
         MetricDef {
-            name: "dstage_path_tree_repairs_total",
-            help: "Trees produced by incremental repair",
-            layer: "path",
-            label: None,
-            kind: Counter(&PATH_TREE_REPAIRS),
-        },
-        MetricDef {
-            name: "dstage_path_repair_seeds_total",
-            help: "Queue seeds fed into repair runs",
-            layer: "path",
-            label: None,
-            kind: Counter(&PATH_REPAIR_SEEDS),
-        },
-        MetricDef {
             name: "dstage_core_items_skipped_clean_total",
             help: "Selection-round item visits skipped: nothing consumed enters the read paths",
             layer: "core",
@@ -657,7 +637,6 @@ mod tests {
         assert_eq!(a.matches("# TYPE dstage_service_verb_latency_us histogram").count(), 1);
     }
 
-    #[cfg(feature = "tap")]
     #[test]
     fn histogram_buckets_render_cumulatively() {
         let _serial = crate::test_lock();

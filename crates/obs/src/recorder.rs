@@ -80,7 +80,6 @@ pub fn clear() {
 mod tests {
     use super::*;
 
-    #[cfg(feature = "tap")]
     #[test]
     fn ring_keeps_most_recent_and_sequences_logically() {
         let _serial = crate::test_lock();

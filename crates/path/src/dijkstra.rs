@@ -10,30 +10,27 @@
 //! a probe), which gives the FIFO/non-overtaking property that makes
 //! label-setting Dijkstra exact for this setting.
 //!
-//! Two hot-path optimizations ride on that structure, neither of which
-//! may change a single label (pinned by `tests/properties.rs`):
+//! The same monotonicity makes two shortcuts exact (pinned by
+//! `tests/properties.rs`):
 //!
 //! - *lower-bound pruning*: the cheapest conceivable crossing of a link —
 //!   ignoring every reservation — is `max(ready, window start) + transfer
 //!   time`. When even that bound cannot beat the current label or fit the
 //!   window/hold limits, the ledger probe is skipped entirely;
-//! - incremental tree repair ([`crate::repair`]) reuses this crate's
-//!   search core seeded only from the frontier around dirtied resources.
+//! - *validation on read* ([`paths_hold`]): after consumption, a cached
+//!   tree's paths to the destinations about to be read still hold when
+//!   every hop over a consumed resource re-probes to its old slot.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use dstage_model::ids::MachineId;
+use dstage_model::ids::{MachineId, VirtualLinkId};
 use dstage_model::network::Network;
 use dstage_model::time::SimTime;
 use dstage_model::units::Bytes;
 use dstage_resources::ledger::NetworkLedger;
 
 use crate::tree::{ArrivalTree, Hop};
-
-/// The search frontier: a min-heap popping ascending `(arrival, machine
-/// id)`, with lazy deletion of superseded entries.
-pub(crate) type Frontier = BinaryHeap<Reverse<(SimTime, u32)>>;
 
 /// One search instance: everything needed to compute the earliest-arrival
 /// tree of a single data item against the current resource state.
@@ -60,24 +57,24 @@ pub struct ItemQuery<'a> {
 
 /// Per-search work tallies, published to the obs tap once per tree.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct SearchStats {
+struct SearchStats {
     /// Outgoing edges considered, including every pruned one.
-    pub(crate) edge_scans: u64,
+    edge_scans: u64,
     /// Ledger probes issued (`earliest_transfer` calls) — kept exactly
     /// equal to the resources layer's probe count by construction.
-    pub(crate) relaxations: u64,
+    relaxations: u64,
     /// Queue pushes (sources + label improvements).
-    pub(crate) heap_pushes: u64,
+    heap_pushes: u64,
     /// Pops whose label had already improved.
-    pub(crate) stale_pops: u64,
+    stale_pops: u64,
     /// Edges discarded by the static lower bound before any probe.
-    pub(crate) lb_prunes: u64,
+    lb_prunes: u64,
 }
 
 impl SearchStats {
     /// One batched `fetch_add` per series per tree — this is the system's
     /// innermost loop, so the tap must not cost per-relaxation traffic.
-    pub(crate) fn publish(&self) {
+    fn publish(&self) {
         use dstage_obs::metrics as m;
         m::PATH_TREES.inc();
         m::PATH_EDGE_SCANS.add(self.edge_scans);
@@ -85,74 +82,6 @@ impl SearchStats {
         m::PATH_HEAP_PUSHES.add(self.heap_pushes);
         m::PATH_STALE_POPS.add(self.stale_pops);
         m::PATH_LB_PRUNES.add(self.lb_prunes);
-    }
-}
-
-/// The label-setting core, shared by [`earliest_arrival_tree`] and
-/// [`crate::repair::repair_tree`]: drains the pre-seeded queue, relaxing
-/// every outgoing edge of each settled machine.
-///
-/// `frozen`, when supplied, marks machines whose labels are already final
-/// (the repair path's unaffected set): edges into them are skipped — a
-/// probe there could never improve the label, so skipping is exact and
-/// keeps the probe sequence into every *non*-frozen machine identical to a
-/// from-scratch run's.
-pub(crate) fn run_search(
-    query: &ItemQuery<'_>,
-    arrivals: &mut [SimTime],
-    hops: &mut [Option<Hop>],
-    queue: &mut Frontier,
-    frozen: Option<&[bool]>,
-    stats: &mut SearchStats,
-) {
-    while let Some(Reverse((ready, u_idx))) = queue.pop() {
-        if ready > arrivals[u_idx as usize] {
-            stats.stale_pops += 1;
-            continue; // stale queue entry
-        }
-        let u = MachineId::new(u_idx);
-        for &link_id in query.network.outgoing(u) {
-            stats.edge_scans += 1;
-            let link = query.network.link(link_id);
-            let v = link.destination().index();
-            if frozen.is_some_and(|f| f[v]) {
-                continue;
-            }
-            // The unloaded-network bound: no slot can complete earlier
-            // than the earliest start plus the transfer time, and none may
-            // complete after window end or the hold deadline. Most edges
-            // fail it on the start alone, before the transfer time (a
-            // division) is known; overflow means unrepresentably late.
-            let hold = query.hold_until[v];
-            let (earliest, limit) = (link.start().max(ready), link.end().min(hold));
-            let may_improve = earliest <= limit
-                && earliest < arrivals[v]
-                && earliest
-                    .checked_add(link.transfer_time(query.size))
-                    .is_some_and(|lb| lb <= limit && lb < arrivals[v]);
-            if !may_improve {
-                stats.lb_prunes += 1;
-                continue;
-            }
-            stats.relaxations += 1;
-            let Some(slot) =
-                query.ledger.earliest_transfer(query.network, link_id, ready, query.size, hold)
-            else {
-                continue;
-            };
-            if slot.arrival < arrivals[v] {
-                arrivals[v] = slot.arrival;
-                hops[v] = Some(Hop {
-                    from: u,
-                    to: MachineId::new(v as u32),
-                    link: link_id,
-                    start: slot.start,
-                    arrival: slot.arrival,
-                });
-                queue.push(Reverse((slot.arrival, v as u32)));
-                stats.heap_pushes += 1;
-            }
-        }
     }
 }
 
@@ -192,10 +121,126 @@ pub fn earliest_arrival_tree(query: &ItemQuery<'_>) -> ArrivalTree {
         }
     }
 
-    run_search(query, &mut arrivals, &mut hops, &mut queue, None, &mut stats);
+    settle(query, &mut arrivals, &mut hops, &mut queue, &mut stats);
     stats.publish();
 
     ArrivalTree::new(arrivals, hops)
+}
+
+/// The search frontier: a min-heap popping ascending `(arrival, machine
+/// id)`, with lazy deletion of superseded entries.
+type Frontier = BinaryHeap<Reverse<(SimTime, u32)>>;
+
+/// The label-setting core: drains the seeded queue, relaxing every
+/// outgoing edge of each settled machine. Kept out of line: folded into
+/// its caller, the sweep measured 12–15 % slower (EXPERIMENTS.md "Tree
+/// repair retired").
+#[inline(never)]
+fn settle(
+    query: &ItemQuery<'_>,
+    arrivals: &mut [SimTime],
+    hops: &mut [Option<Hop>],
+    queue: &mut Frontier,
+    stats: &mut SearchStats,
+) {
+    while let Some(Reverse((ready, u_idx))) = queue.pop() {
+        if ready > arrivals[u_idx as usize] {
+            stats.stale_pops += 1;
+            continue; // stale queue entry
+        }
+        let u = MachineId::new(u_idx);
+        for &link_id in query.network.outgoing(u) {
+            stats.edge_scans += 1;
+            let link = query.network.link(link_id);
+            let v = link.destination().index();
+            // The unloaded-network bound: no slot can complete earlier
+            // than the earliest start plus the transfer time, and none may
+            // complete after window end or the hold deadline. Most edges
+            // fail it on the start alone, before the transfer time (a
+            // division) is known; overflow means unrepresentably late.
+            let hold = query.hold_until[v];
+            let (earliest, limit) = (link.start().max(ready), link.end().min(hold));
+            let may_improve = earliest <= limit
+                && earliest < arrivals[v]
+                && earliest
+                    .checked_add(link.transfer_time(query.size))
+                    .is_some_and(|lb| lb <= limit && lb < arrivals[v]);
+            if !may_improve {
+                stats.lb_prunes += 1;
+                continue;
+            }
+            stats.relaxations += 1;
+            let Some(slot) =
+                query.ledger.earliest_transfer(query.network, link_id, ready, query.size, hold)
+            else {
+                continue;
+            };
+            if slot.arrival < arrivals[v] {
+                arrivals[v] = slot.arrival;
+                hops[v] = Some(Hop {
+                    from: u,
+                    to: MachineId::new(v as u32),
+                    link: link_id,
+                    start: slot.start,
+                    arrival: slot.arrival,
+                });
+                queue.push(Reverse((slot.arrival, v as u32)));
+                stats.heap_pushes += 1;
+            }
+        }
+    }
+}
+
+/// Whether `tree`'s paths to `destinations` — and with them the labels
+/// and hops along those paths — are still what a from-scratch run on
+/// `query`'s ledger returns, although the given links/stores were consumed
+/// since the tree was last known to hold for those destinations.
+///
+/// Each hop on such a path whose link or receiving store was consumed is
+/// probed again exactly as the search probed it; the path holds when every
+/// probe answers with the hop's old slot. That is sufficient (DESIGN.md
+/// §3): consumption moves no label earlier; a path whose hops all keep
+/// their slots keeps its labels, by induction from the unchanged sources;
+/// and every rival predecessor's label and probe answer is the same or
+/// later, so the strict-`<` update still picks the same hop in the same
+/// `(arrival, machine id)` pop order. Nothing is claimed about the rest of
+/// the tree.
+#[must_use]
+pub fn paths_hold(
+    query: &ItemQuery<'_>,
+    tree: &ArrivalTree,
+    destinations: &[MachineId],
+    dirty_links: &[VirtualLinkId],
+    dirty_machines: &[MachineId],
+) -> bool {
+    let mut reprobed = 0;
+    let untouched = dirty_links.is_empty() && dirty_machines.is_empty();
+    let holds = untouched
+        || destinations.iter().all(|&destination| {
+            let mut cursor = destination;
+            while let Some(hop) = tree.hop_into(cursor) {
+                if dirty_links.contains(&hop.link) || dirty_machines.contains(&hop.to) {
+                    reprobed += 1;
+                    let slot = query.ledger.earliest_transfer(
+                        query.network,
+                        hop.link,
+                        tree.arrival(hop.from),
+                        query.size,
+                        query.hold_until[hop.to.index()],
+                    );
+                    if slot.map(|s| (s.start, s.arrival)) != Some((hop.start, hop.arrival)) {
+                        return false;
+                    }
+                }
+                cursor = hop.from;
+            }
+            true
+        });
+    dstage_obs::metrics::PATH_HOPS_REPROBED.add(reprobed);
+    if holds {
+        dstage_obs::metrics::PATH_TREES_VALIDATED.inc();
+    }
+    holds
 }
 
 #[cfg(test)]
@@ -501,6 +546,37 @@ mod tests {
         for i in 0..3 {
             assert!(!tree.is_reachable(m(i)));
         }
+    }
+
+    #[test]
+    fn a_path_holds_only_while_its_consumed_hops_keep_their_slots() {
+        let net = line_net();
+        let (link, into) = (dstage_model::ids::VirtualLinkId::new(1), [m(2)]);
+        let pristine = NetworkLedger::new(&net);
+        let booked_at = |starts: &[u64]| {
+            let mut ledger = pristine.clone();
+            for &s in starts {
+                ledger.commit_transfer(&net, link, t(s), Bytes::new(1_000), SimTime::MAX).unwrap();
+            }
+            ledger
+        };
+        let (later, clashing) = (booked_at(&[100]), booked_at(&[100, 12]));
+        let hold = max_hold(3);
+        let sources = [(m(0), t(0))];
+        let query = |ledger| ItemQuery {
+            network: &net,
+            ledger,
+            size: Bytes::new(10_000),
+            sources: &sources,
+            hold_until: &hold,
+            horizon: SimTime::MAX,
+        };
+        let tree = earliest_arrival_tree(&query(&pristine)); // hop 1 -> 2 over [10, 20)
+        assert!(paths_hold(&query(&later), &tree, &[m(2)], &[link], &into), "slot kept");
+        assert!(!paths_hold(&query(&clashing), &tree, &[m(2)], &[link], &into), "slot moved");
+        assert_ne!(earliest_arrival_tree(&query(&clashing)).arrival(m(2)), tree.arrival(m(2)));
+        // The path to m1 never crosses the link.
+        assert!(paths_hold(&query(&clashing), &tree, &[m(1)], &[link], &into));
     }
 
     #[test]

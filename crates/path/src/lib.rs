@@ -9,12 +9,11 @@
 //!
 //! The search is exact for the current resource state because every
 //! constraint is monotone in the ready time (see
-//! [`dijkstra::earliest_arrival_tree`]). The same monotonicity powers the
-//! optimizations kept on the hot path: static lower-bound pruning of
-//! hopeless relaxations, and — for cached trees after resource consumption
-//! — validation of just the paths about to be read, with incremental
-//! repair when one no longer holds ([`repair`]). The frontier is a plain
-//! binary heap.
+//! [`dijkstra::earliest_arrival_tree`]). The same monotonicity powers
+//! static lower-bound pruning of hopeless relaxations and, for cached trees
+//! after resource consumption, validation of just the paths about to be
+//! read ([`paths_hold`]); a tree that fails it is searched again from
+//! scratch. The frontier is a plain binary heap.
 //!
 //! # Examples
 //!
@@ -47,9 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod dijkstra;
-pub mod repair;
 pub mod tree;
 
-pub use dijkstra::{earliest_arrival_tree, ItemQuery};
-pub use repair::{paths_hold, repair_tree};
+pub use dijkstra::{earliest_arrival_tree, paths_hold, ItemQuery};
 pub use tree::{ArrivalTree, Hop};

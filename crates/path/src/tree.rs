@@ -1,7 +1,6 @@
 //! Shortest-path trees produced by the earliest-arrival search.
 
 use dstage_model::ids::{MachineId, VirtualLinkId};
-use dstage_model::network::Network;
 use dstage_model::time::SimTime;
 
 /// One scheduled-to-be hop: how the item would reach a machine.
@@ -121,30 +120,9 @@ impl ArrivalTree {
         self.first_hops[machine.index()]
     }
 
-    /// Borrowed label/hop views for the incremental repair path.
-    pub(crate) fn parts(&self) -> (&[SimTime], &[Option<Hop>]) {
-        (&self.arrivals, &self.hops)
-    }
-
     /// Iterates over every hop in the tree (each machine's inbound hop).
     pub fn hops(&self) -> impl Iterator<Item = Hop> + '_ {
         self.hops.iter().filter_map(|h| *h)
-    }
-
-    /// Whether any hop in the tree uses `link` of `network` — the link
-    /// half of the whole-tree dirty predicate (see DESIGN.md §3). A link
-    /// can only carry the hop into its own receiving machine.
-    #[must_use]
-    pub fn uses_link(&self, network: &Network, link: VirtualLinkId) -> bool {
-        self.hops[network.link(link).destination().index()].is_some_and(|h| h.link == link)
-    }
-
-    /// Whether the tree would place a new copy on `machine` (i.e. the
-    /// machine is reached via a hop) — the storage half of the
-    /// whole-tree dirty predicate.
-    #[must_use]
-    pub fn stores_on(&self, machine: MachineId) -> bool {
-        self.hops[machine.index()].is_some()
     }
 }
 
@@ -231,34 +209,6 @@ mod tests {
         assert_eq!(tr.first_hop_toward(m(1)).unwrap().to, m(1));
         assert_eq!(tr.first_hop_toward(m(0)), None);
         assert_eq!(tr.first_hop_toward(m(3)), None);
-    }
-
-    #[test]
-    fn dirty_tracking_predicates() {
-        use dstage_model::link::VirtualLink;
-        use dstage_model::machine::Machine;
-        use dstage_model::network::NetworkBuilder;
-        use dstage_model::units::{BitsPerSec, Bytes};
-        // The sample's two links, plus a rival 0 -> 2 into a machine the
-        // tree reaches over another link, and 2 -> 3 into one it never
-        // reaches.
-        let mut b = NetworkBuilder::new();
-        for i in 0..4 {
-            b.add_machine(Machine::new(format!("m{i}"), Bytes::from_mib(1)));
-        }
-        for (from, to) in [(0, 1), (1, 2), (0, 2), (2, 3)] {
-            b.add_link(VirtualLink::new(m(from), m(to), t(0), t(60), BitsPerSec::new(8_000)));
-        }
-        let net = b.build();
-        let tr = sample();
-        assert!(tr.uses_link(&net, VirtualLinkId::new(0)));
-        assert!(tr.uses_link(&net, VirtualLinkId::new(1)));
-        assert!(!tr.uses_link(&net, VirtualLinkId::new(2)));
-        assert!(!tr.uses_link(&net, VirtualLinkId::new(3)));
-        assert!(tr.stores_on(m(1)));
-        assert!(tr.stores_on(m(2)));
-        assert!(!tr.stores_on(m(0)));
-        assert!(!tr.stores_on(m(3)));
     }
 
     #[test]

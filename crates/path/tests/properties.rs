@@ -7,8 +7,8 @@
 //!    argument for label-setting holds for our time-dependent edges.
 //! 2. **Commit consistency** — every hop the tree promises can actually be
 //!    committed to the ledger at exactly the promised times.
-//! 3. **Repair exactness** — after arbitrary consumption sequences, an
-//!    incrementally repaired tree equals a from-scratch rebuild.
+//! 3. **Validation soundness** — after arbitrary consumption, the paths
+//!    `paths_hold` accepts are a from-scratch search's.
 //! 4. **First-hop memo** — the precomputed first hop equals a walk up the
 //!    hop chain.
 
@@ -18,7 +18,7 @@ use dstage_model::machine::Machine;
 use dstage_model::network::{Network, NetworkBuilder};
 use dstage_model::time::SimTime;
 use dstage_model::units::{BitsPerSec, Bytes};
-use dstage_path::{earliest_arrival_tree, repair_tree, ItemQuery};
+use dstage_path::{earliest_arrival_tree, paths_hold, ItemQuery};
 use dstage_resources::ledger::NetworkLedger;
 use proptest::prelude::*;
 
@@ -123,7 +123,7 @@ fn fixpoint_arrivals(
 }
 
 /// Applies `seeds`-driven random commits to `ledger`, returning the
-/// consumed links and receiving machines (the repair journal's view).
+/// consumed links and receiving machines (the journal's view).
 fn consume_randomly(
     network: &Network,
     ledger: &mut NetworkLedger,
@@ -280,12 +280,13 @@ proptest! {
     }
 
     #[test]
-    fn repaired_tree_equals_scratch_rebuild_after_commits(
+    fn paths_that_hold_equal_a_scratch_search(
         net in random_net_strategy(),
         size in 1u64..20_000,
         src in 0usize..7,
         src_avail in 0u64..50,
         commits in prop::collection::vec((0usize..32, 0u64..300, 1u64..30_000), 0..12),
+        picks in prop::collection::vec(0usize..7, 1..4),
     ) {
         let network = build(&net);
         if network.link_count() == 0 {
@@ -294,42 +295,25 @@ proptest! {
         let src = MachineId::new((src % net.machines) as u32);
         let hold = vec![SimTime::MAX; net.machines];
         let sources = [(src, SimTime::from_secs(src_avail))];
+        let destinations: Vec<MachineId> =
+            picks.iter().map(|&p| MachineId::new((p % net.machines) as u32)).collect();
         let mut ledger = NetworkLedger::new(&network);
-        let before = earliest_arrival_tree(&query_of(&network, &ledger, size, &sources, &hold));
+        let query = query_of(&network, &ledger, size, &sources, &hold);
+        let tree = earliest_arrival_tree(&query);
+        // Nothing consumed: every hop, probed again with every resource
+        // named, finds the slot the search gave it.
+        let (all_links, all_machines): (Vec<VirtualLinkId>, Vec<MachineId>) =
+            network.links().map(|(l, link)| (l, link.destination())).unzip();
+        prop_assert!(paths_hold(&query, &tree, &destinations, &all_links, &all_machines));
+
         let (dirty_links, dirty_machines) = consume_randomly(&network, &mut ledger, &commits);
         let query = query_of(&network, &ledger, size, &sources, &hold);
-        let repaired = repair_tree(&query, &before, &dirty_links, &dirty_machines);
-        let scratch = earliest_arrival_tree(&query);
-        prop_assert_eq!(&repaired, &scratch);
-    }
-
-    #[test]
-    fn repair_composes_across_consumption_rounds(
-        net in random_net_strategy(),
-        size in 1u64..20_000,
-        src in 0usize..7,
-        rounds in prop::collection::vec(
-            prop::collection::vec((0usize..32, 0u64..300, 1u64..30_000), 1..4),
-            1..4,
-        ),
-    ) {
-        // Repairing a repaired tree must keep matching scratch — the
-        // scheduler repairs incrementally run after run.
-        let network = build(&net);
-        if network.link_count() == 0 {
-            return Ok(());
-        }
-        let src = MachineId::new((src % net.machines) as u32);
-        let hold = vec![SimTime::MAX; net.machines];
-        let sources = [(src, SimTime::ZERO)];
-        let mut ledger = NetworkLedger::new(&network);
-        let mut tree = earliest_arrival_tree(&query_of(&network, &ledger, size, &sources, &hold));
-        for commits in &rounds {
-            let (dirty_links, dirty_machines) = consume_randomly(&network, &mut ledger, commits);
-            let query = query_of(&network, &ledger, size, &sources, &hold);
-            tree = repair_tree(&query, &tree, &dirty_links, &dirty_machines);
+        if paths_hold(&query, &tree, &destinations, &dirty_links, &dirty_machines) {
             let scratch = earliest_arrival_tree(&query);
-            prop_assert_eq!(&tree, &scratch);
+            for &d in &destinations {
+                prop_assert_eq!(tree.arrival(d), scratch.arrival(d), "arrival at {}", d);
+                prop_assert_eq!(tree.path_to(d), scratch.path_to(d), "path to {}", d);
+            }
         }
     }
 

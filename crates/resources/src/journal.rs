@@ -1,11 +1,9 @@
 //! Append-only journal of consumed resources.
 //!
 //! The scheduler's dirty-item tree cache needs to know *which* links and
-//! stores moved since each cached tree was built and since it was last
-//! checked — to pick the hops of a tree that must be probed again before
-//! it is served, and to seed the incremental repair in `dstage-path` with
-//! exactly the dirtied resources. The ledger's own
-//! mutation surface is consumption-only ([`crate::ledger::NetworkLedger`]
+//! stores moved since each cached tree was last checked — to pick the
+//! hops of a tree that must be probed again before it is served. The
+//! ledger's own mutation surface is consumption-only ([`crate::ledger::NetworkLedger`]
 //! has no release APIs), so a simple append-only log suffices: every
 //! consumer records what it touched, and a reader compares its saved
 //! [`JournalMark`] against the current tail.
@@ -16,8 +14,8 @@
 
 use dstage_model::ids::{MachineId, VirtualLinkId};
 
-/// A position in a [`ChangeJournal`]; taken when a tree is (re)built or
-/// its read paths are validated, and compared against the tail later.
+/// A position in a [`ChangeJournal`]; taken when a tree is built or its
+/// read paths are validated, and compared against the tail later.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct JournalMark {
     links: usize,

@@ -77,9 +77,8 @@ pub fn optimize_schedule(
     optimize_with(scenario, &config.priority_weights, budget, |excluded| {
         // Each eviction trial re-plans from a FRESH state: no ledger
         // reservation is ever released mid-run, which is what keeps the
-        // tree cache's consumption-only invalidation argument (and its
-        // incremental repair) sound. Do not "optimize" this into reusing
-        // a state across trials.
+        // tree cache's consumption-only validation argument sound. Do not
+        // "optimize" this into reusing a state across trials.
         let mut state = SchedulerState::with_caching(scenario, config.caching);
         for &r in excluded {
             state.set_request_active(r, false);

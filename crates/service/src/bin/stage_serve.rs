@@ -23,7 +23,7 @@
 //!   --data-dir D     durable data directory: recover on start, write-
 //!                    ahead log every decision, enable `checkpoint`
 //!   --durability P   fsync policy: always (default) | interval:<ms> |
-//!                    never; DSTAGE_DURABILITY is the env fallback
+//!                    never
 //!   --checkpoint-every N  periodic checkpoint after N WAL records
 //! ```
 //!
@@ -56,7 +56,9 @@ struct Options {
     ratio: f64,
     weights: PriorityWeights,
     data_dir: Option<String>,
-    durability: Option<FsyncPolicy>,
+    /// `always` by default, so a bare `--data-dir` never silently risks
+    /// acknowledged decisions.
+    durability: FsyncPolicy,
     checkpoint_every: u64,
 }
 
@@ -120,7 +122,7 @@ fn parse_args() -> Result<Options, CliError> {
         ratio: 2.0,
         weights: PriorityWeights::paper_1_10_100(),
         data_dir: None,
-        durability: None,
+        durability: FsyncPolicy::Always,
         checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
     };
     let mut args = std::env::args().skip(1);
@@ -180,7 +182,7 @@ fn parse_args() -> Result<Options, CliError> {
             }
             "--durability" => {
                 let policy = args.next().ok_or("--durability needs a policy")?;
-                options.durability = Some(FsyncPolicy::parse(&policy)?);
+                options.durability = FsyncPolicy::parse(&policy)?;
             }
             "--checkpoint-every" => {
                 options.checkpoint_every = args
@@ -248,26 +250,11 @@ fn main() -> ExitCode {
         priority_weights: options.weights.clone(),
         caching: true,
     };
-    // The flag wins over the environment; `always` is the default so a
-    // bare `--data-dir` never silently risks acknowledged decisions.
-    let policy = match options.durability {
-        Some(policy) => policy,
-        None => match std::env::var("DSTAGE_DURABILITY") {
-            Ok(text) => match FsyncPolicy::parse(&text) {
-                Ok(policy) => policy,
-                Err(e) => {
-                    eprintln!("error: DSTAGE_DURABILITY: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(_) => FsyncPolicy::Always,
-        },
-    };
     let (durability, engine) = match &options.data_dir {
         Some(dir) => {
             let recovered = Durability::recover(
                 std::path::Path::new(dir),
-                policy,
+                options.durability,
                 options.checkpoint_every,
                 &catalog,
                 options.heuristic,

@@ -1682,6 +1682,21 @@ mod tests {
     }
 
     #[test]
+    fn slack_of_far_deadlines_saturates_the_histogram_sum() {
+        // Four admissions with slack near `u64::MAX` each: a wrapping sum
+        // would read below its own max. Other tests record into the same
+        // static concurrently; saturation keeps `sum >= max` regardless.
+        let mut e = engine();
+        let gc_ms = e.scenario().gc_delay().as_millis();
+        let deadline_ms = u64::MAX - gc_ms - 1;
+        for (item, dest) in [("alpha", 1), ("alpha", 2), ("bravo", 1), ("bravo", 2)] {
+            assert_eq!(submit(&mut e, item, dest, deadline_ms).decision, "admitted");
+        }
+        let slack = dstage_obs::metrics::SERVICE_ADMIT_SLACK_MS.snapshot();
+        assert!(slack.sum >= slack.max, "sum {} below max {}", slack.sum, slack.max);
+    }
+
+    #[test]
     fn duplicate_pair_and_impossible_deadline_reject_without_residue() {
         let mut e = engine();
         let item = e.item_names().next().unwrap().to_string();

@@ -8,6 +8,7 @@
 //! is process-global: flipping it from concurrently running tests would
 //! race whole measurement runs against each other.
 
+use data_staging::obs::metrics::{PATH_TREES, RESOURCES_PROBES};
 use data_staging::sim::experiments::{self, ExperimentReport};
 use data_staging::sim::runner::Harness;
 use data_staging::workload::GeneratorConfig;
@@ -40,20 +41,13 @@ fn render(reports: &[ExperimentReport]) -> String {
 #[test]
 fn sweep_reports_are_byte_identical_with_obs_on_and_off() {
     // Reference run: tap ON, sequential. Also proves the tap is live by
-    // checking that instrumented hot paths actually moved the counters
-    // (guarded on the `tap` feature being compiled in, its default).
+    // checking that instrumented hot paths actually moved the counters.
     data_staging::obs::set_enabled(true);
     data_staging::obs::reset();
     let with_obs = render(&experiments::all(&Harness::new(&GeneratorConfig::small(), 4)));
     assert!(!with_obs.is_empty());
-    if data_staging::obs::enabled() {
-        use data_staging::obs::metrics;
-        assert!(
-            metrics::RESOURCES_PROBES.get() > 0,
-            "tap enabled but the resources layer recorded nothing"
-        );
-        assert!(metrics::PATH_TREES.get() > 0, "tap enabled but the path layer recorded nothing");
-    }
+    assert!(RESOURCES_PROBES.get() > 0, "tap enabled but the resources layer recorded nothing");
+    assert!(PATH_TREES.get() > 0, "tap enabled but the path layer recorded nothing");
 
     // Tap OFF: sequential and the 2/4/8-thread ladder must all render
     // the very same bytes.
@@ -75,7 +69,7 @@ fn sweep_reports_are_byte_identical_with_obs_on_and_off() {
 
     // With the tap off, nothing may have been recorded.
     assert_eq!(
-        data_staging::obs::metrics::RESOURCES_PROBES.get(),
+        RESOURCES_PROBES.get(),
         0,
         "tap disabled but counters still moved — a record call is not gated"
     );
