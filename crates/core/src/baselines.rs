@@ -13,6 +13,8 @@
 //!   against in §5.4: all high-priority requests are scheduled (earliest
 //!   deadline first) before any medium, and all medium before any low.
 
+use std::collections::HashMap;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -20,9 +22,11 @@ use rand::{Rng, SeedableRng};
 use dstage_model::ids::{DataItemId, MachineId, RequestId};
 use dstage_model::request::{Priority, PriorityWeights};
 use dstage_model::scenario::Scenario;
+use dstage_model::time::SimTime;
 use dstage_path::Hop;
 
 use crate::heuristic::ScheduleOutcome;
+use crate::schedule::Transfer;
 use crate::state::SchedulerState;
 
 /// The looser lower bound: one pristine-network Dijkstra per item, then
@@ -64,15 +68,28 @@ pub fn single_dijkstra_random(scenario: &Scenario, seed: u64) -> ScheduleOutcome
 
     // Commit in arbitrary order; on the first conflict the request is
     // dropped (already-committed hops stay, as in the partial heuristic).
+    // A hop into a machine that already holds an equally early copy is
+    // done: the earliest copy of each item on each machine is kept here.
+    let mut earliest: HashMap<(DataItemId, MachineId), SimTime> = HashMap::new();
+    for (item, data) in scenario.items() {
+        for src in data.sources() {
+            let at = earliest.entry((item, src.machine)).or_insert(src.available_at);
+            *at = (*at).min(src.available_at);
+        }
+    }
     planned.shuffle(&mut rng);
     for (req_id, path) in planned {
         let Some(path) = path else { continue };
         let item = scenario.request(req_id).item();
         for hop in path {
             state.note_iteration();
-            if !state.try_commit_stale_hop(item, hop) {
+            if earliest.get(&(item, hop.to)).is_some_and(|&at| at <= hop.arrival) {
+                continue;
+            }
+            if state.book_transfer(&Transfer::along(item, hop)).is_err() {
                 break;
             }
+            earliest.insert((item, hop.to), hop.arrival); // every copy there came later
         }
     }
     state.set_elapsed(started.elapsed());

@@ -170,9 +170,9 @@ pub fn run(scenario: &Scenario, heuristic: Heuristic, config: &HeuristicConfig) 
 /// Drives the chosen heuristic's main loop on an already-prepared
 /// [`SchedulerState`] until no request can make further progress.
 ///
-/// This is the advanced entry point used by the dynamic (online) layer,
-/// which first replays kept transfers, applies outages, and deactivates
-/// unreleased requests; most callers want [`run`].
+/// This is the advanced entry point used by the dynamic (online) layer
+/// and the admission daemon, which drive it on a live state they repair
+/// in place between drives; most callers want [`run`].
 ///
 /// # Panics
 ///

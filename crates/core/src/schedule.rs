@@ -17,6 +17,7 @@ use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
 use dstage_model::request::PriorityWeights;
 use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
+use dstage_path::Hop;
 use dstage_resources::ledger::NetworkLedger;
 
 /// One committed point-to-point communication step.
@@ -34,6 +35,15 @@ pub struct Transfer {
     pub start: SimTime,
     /// Completion; the copy is available at `to` from this time.
     pub arrival: SimTime,
+}
+
+impl Transfer {
+    /// The transfer of `item` along `hop`.
+    #[must_use]
+    pub fn along(item: DataItemId, hop: Hop) -> Self {
+        let Hop { from, to, link, start, arrival } = hop;
+        Transfer { item, from, to, link, start, arrival }
+    }
 }
 
 /// A delivery: the moment a request's destination first held the item.

@@ -1068,14 +1068,7 @@ impl<'a> SchedulerState<'a> {
             hold,
         )?;
         debug_assert_eq!(slot.arrival, hop.arrival);
-        self.transfers.push(Transfer {
-            item,
-            from: hop.from,
-            to: hop.to,
-            link: hop.link,
-            start: hop.start,
-            arrival: hop.arrival,
-        });
+        self.transfers.push(Transfer::along(item, hop));
         self.metrics.transfers_committed += 1;
         self.stage(item, hop.from, hop.to, hop.arrival);
         Ok(())
@@ -1343,22 +1336,6 @@ impl<'a> SchedulerState<'a> {
         }
         self.record_consumption(item, &links, &machines);
         links.len() as u32
-    }
-
-    /// Attempts to commit a *precomputed* hop against the current ledger
-    /// (used by the single-Dijkstra random lower bound, whose paths were
-    /// planned on the pristine network and may no longer fit). Returns
-    /// `true` on success; on conflict the state is unchanged.
-    pub fn try_commit_stale_hop(&mut self, item: DataItemId, hop: Hop) -> bool {
-        // A copy at least as early already there: treat as success.
-        if self.copies[item.index()].iter().any(|&(m, at)| m == hop.to && at <= hop.arrival) {
-            return true;
-        }
-        let booked = self.book(item, hop).is_ok();
-        if booked {
-            self.record_consumption(item, &[hop.link], &[hop.to]);
-        }
-        booked
     }
 
     /// Finalizes the run into a schedule plus metrics.
@@ -1752,20 +1729,21 @@ mod tests {
     }
 
     #[test]
-    fn try_commit_stale_hop_is_idempotent_on_existing_copies() {
+    fn book_transfer_refuses_a_booked_window_and_changes_nothing() {
         let s = line_scenario();
         let mut st = SchedulerState::new(&s);
         let hop = st.candidate_steps(item(0))[0].hop;
-        assert!(st.try_commit_stale_hop(item(0), hop));
-        // The same hop again: a copy at least as early is already there =>
-        // success without a new transfer.
-        let transfers_before = st.metrics().transfers_committed;
-        assert!(st.try_commit_stale_hop(item(0), hop));
-        assert_eq!(st.metrics().transfers_committed, transfers_before);
+        st.book_transfer(&Transfer::along(item(0), hop))
+            .expect("a hop of the current tree is free");
+        // The same window again: refused, nothing booked or staged.
+        let before = st.clone();
+        assert!(st.book_transfer(&Transfer::along(item(0), hop)).is_err());
+        assert_eq!(st.first_difference(&before), None);
+        assert_eq!(st.metrics().transfers_committed, before.metrics().transfers_committed);
     }
 
     #[test]
-    fn try_commit_stale_hop_reports_link_conflicts() {
+    fn book_transfer_reports_link_conflicts() {
         // Two items at m0, single link to m1: plan both on the pristine
         // network (identical slots), then commit both — the second fails.
         let mut b = NetworkBuilder::new();
@@ -1790,8 +1768,11 @@ mod tests {
         let hop_a = st.tree(item(0), &[m(1)]).first_hop_toward(m(1)).unwrap();
         let hop_b = st.tree(item(1), &[m(1)]).first_hop_toward(m(1)).unwrap();
         assert_eq!(hop_a.start, hop_b.start, "planned on the same pristine network");
-        assert!(st.try_commit_stale_hop(item(0), hop_a));
-        assert!(!st.try_commit_stale_hop(item(1), hop_b), "stale slot must conflict");
+        assert!(st.book_transfer(&Transfer::along(item(0), hop_a)).is_ok());
+        assert!(
+            st.book_transfer(&Transfer::along(item(1), hop_b)).is_err(),
+            "stale slot must conflict"
+        );
         // State is unchanged by the failed commit: item 1 has no copy at m1.
         assert!(!st.is_delivered(RequestId::new(1)));
     }
@@ -1837,7 +1818,7 @@ mod tests {
             start: t(start),
             arrival,
         };
-        assert!(st.try_commit_stale_hop(item, hop));
+        st.book_transfer(&Transfer::along(item, hop)).expect("free at that time");
     }
 
     #[test]
@@ -2128,9 +2109,7 @@ mod tests {
     fn rebuilt(state: &SchedulerState<'_>, transfers: &[Transfer]) -> SchedulerState<'static> {
         let mut fresh = SchedulerState::owning(state.scenario().clone(), true);
         for t in transfers {
-            let hop =
-                Hop { from: t.from, to: t.to, link: t.link, start: t.start, arrival: t.arrival };
-            assert!(fresh.try_commit_stale_hop(t.item, hop));
+            fresh.book_transfer(t).expect("booked once already");
         }
         fresh
     }

@@ -18,6 +18,7 @@
 //! on an oversubscribed one where most are dead until such a change
 //! revives them.
 
+use dstage_core::schedule::Transfer;
 use dstage_core::state::{CandidateStep, SchedulerState};
 use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
 use dstage_model::request::{Priority, Request};
@@ -137,15 +138,17 @@ proptest! {
                         state.block_past(now);
                     }
                 }
-                // Re-admission of a stale hop: plan from the current tree,
-                // then try the commit — success must agree across modes.
+                // A recorded reservation booked again, as a replay and the
+                // baselines book them: a step's hop as a transfer — success
+                // must agree across modes.
                 7 => {
                     if steps.is_empty() {
                         continue;
                     }
-                    let step = steps[pick % steps.len()].clone();
-                    let ok = cached.try_commit_stale_hop(step.item, step.hop);
-                    prop_assert_eq!(ok, uncached.try_commit_stale_hop(step.item, step.hop));
+                    let step = &steps[pick % steps.len()];
+                    let t = Transfer::along(step.item, step.hop);
+                    let ok = cached.book_transfer(&t).is_ok();
+                    prop_assert_eq!(ok, uncached.book_transfer(&t).is_ok());
                 }
                 // A late request, as the daemon appends them: a new
                 // destination for an item whose tree may be cached. Where

@@ -145,19 +145,6 @@ impl EventLog {
         times.dedup();
         times
     }
-
-    /// The release time of each request: its release event's time, or
-    /// time 0 when it has none.
-    #[must_use]
-    pub fn release_times(&self, scenario: &Scenario) -> Vec<SimTime> {
-        let mut releases = vec![SimTime::ZERO; scenario.request_count()];
-        for e in &self.events {
-            if let EventKind::Release(r) = e.kind {
-                releases[r.index()] = e.at;
-            }
-        }
-        releases
-    }
 }
 
 #[cfg(test)]
@@ -184,17 +171,6 @@ mod tests {
         assert_eq!(log.events()[0].at, t(10));
         assert_eq!(log.boundaries(), vec![t(10), t(50)]);
         assert!(!log.is_empty());
-    }
-
-    #[test]
-    fn release_times_default_to_zero() {
-        let s = two_hop_chain();
-        let log = EventLog::new(&s, vec![Event::new(t(30), EventKind::Release(RequestId::new(1)))])
-            .unwrap();
-        let releases = log.release_times(&s);
-        assert_eq!(releases[0], SimTime::ZERO);
-        assert_eq!(releases[1], t(30));
-        assert_eq!(releases[2], SimTime::ZERO);
     }
 
     #[test]

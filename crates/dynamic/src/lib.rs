@@ -6,7 +6,11 @@
 //! This crate builds that layer on top of the static heuristics: a
 //! rolling-horizon simulator that re-plans with a chosen
 //! heuristic/cost-criterion pairing at every disturbance, executing only
-//! the plan prefix that precedes the next event.
+//! the plan prefix that precedes the next event. The simulator keeps one
+//! [`LiveSchedule`] for the whole run and edits it in place — events
+//! applied, the tentative tail withdrawn, invalidated transfers unbooked
+//! — and the admission daemon (`dstage-service`) drives the same type, so
+//! offline and online repair are one implementation.
 //!
 //! It also operationalizes two design rationales the paper states but
 //! cannot exercise in the static setting:
@@ -48,6 +52,7 @@ pub mod simulate;
 
 pub use event::{Event, EventError, EventKind, EventLog};
 pub use repair::{
-    deliveries_among, filter_consistent, final_deliveries, replay_order, replay_state, Loss, Outage,
+    deliveries_among, filter_consistent, final_deliveries, replay_order, replay_state,
+    LiveSchedule, Loss, Normalised, Outage,
 };
 pub use simulate::{simulate, OnlineOutcome, OnlinePolicy};

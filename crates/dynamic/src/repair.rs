@@ -1,15 +1,14 @@
-//! Schedule-repair primitives shared by the offline re-planning loop and
-//! the live admission daemon.
+//! Schedule repair: one live schedule, edited in place under disturbances,
+//! shared by the offline re-planning loop and the live admission daemon.
 //!
-//! [`crate::simulate()`] composes these pieces at every event boundary;
-//! `dstage-service` reuses them to invalidate and re-admit committed
-//! promises when a disturbance is *injected* into the running daemon.
-//! Keeping both callers on one implementation is what makes the service's
-//! chaos invariant checkable: the daemon's post-injection state is, by
-//! construction, the state an offline replay of the same disturbances
-//! produces.
+//! [`LiveSchedule`] is the one repair loop. [`crate::simulate()`] drives it
+//! at every event boundary; `dstage-service`'s admission engine drives it
+//! when a disturbance is *injected* into the running daemon and when an
+//! optimizer swap is kept. Either way a disturbance is applied to the live
+//! state, the committed transfers it invalidates are unbooked, and the
+//! items it touched are re-derived — nothing is rebuilt from a history.
 //!
-//! The three primitives:
+//! The primitives beneath it:
 //!
 //! * [`filter_consistent`] — split an executed/committed transfer set
 //!   into the transfers still consistent with the disturbances so far and
@@ -17,10 +16,9 @@
 //! * [`final_deliveries`] — the deliveries that survive to each request's
 //!   deadline under the copy-survival semantics of §4.4;
 //! * [`replay_state`] — build a [`SchedulerState`] from a surviving
-//!   transfer set plus the disturbances, ready for an incremental
-//!   re-plan. The daemon builds its state this way once, on restore, and
-//!   from then on edits it; the replay stays the definition the edited
-//!   state is compared with.
+//!   transfer set plus the disturbances. It is the definition the live
+//!   state is compared with ([`LiveSchedule::divergence`]), and the way the
+//!   daemon rebuilds its state from a checkpoint.
 
 use std::collections::HashMap;
 
@@ -29,6 +27,8 @@ use dstage_core::state::SchedulerState;
 use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
 use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
+
+use crate::event::{Event, EventKind};
 
 /// A link-outage instant: the link and when it went down.
 pub type Outage = (VirtualLinkId, SimTime);
@@ -221,6 +221,267 @@ pub fn replay_state(
     }
     state.block_past(now);
     Ok(())
+}
+
+/// One schedule kept live under disturbances: a [`SchedulerState`], the
+/// transfers committed in it, the disturbances so far and the instant
+/// reached — edited in place, never rebuilt.
+///
+/// The invariant every operation keeps, up to the stale items, is the
+/// state [`replay_state`] builds from scratch: the ledger holds exactly the
+/// bookings of `committed` plus the blocks of the outages and of `now`,
+/// and each item's tables are what its committed transfers, in order, its
+/// losses and its requests make them. The caller may book on the state in
+/// between (a heuristic drive, an admission); what it keeps it
+/// [`commit`](LiveSchedule::commit)s, what it does not it
+/// [`withdraw`](LiveSchedule::withdraw)s or rolls back. Items so touched
+/// are *stale* — their tables in booking order, their requests' deliveries
+/// the state's — until [`normalise`](LiveSchedule::normalise) re-derives
+/// them, after which [`divergence`](LiveSchedule::divergence) is `None`.
+#[derive(Debug, Clone)]
+pub struct LiveSchedule<'a> {
+    state: SchedulerState<'a>,
+    /// Every reservation in force, in the order the state booked them
+    /// since the last normalisation, which sorts them into replay order.
+    committed: Vec<Transfer>,
+    outages: Vec<Outage>,
+    losses: Vec<Loss>,
+    now: SimTime,
+    /// Requests the last normalisation covered; the items of later ones
+    /// are stale.
+    normal_requests: usize,
+    /// By item: booked, withdrawn or disturbed since the last normalisation.
+    touched: Vec<bool>,
+}
+
+/// What a [`LiveSchedule::normalise`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Normalised {
+    /// Each promised request of a stale item, ascending, with the delivery
+    /// that survives in the committed transfers — `None` when it lost it.
+    pub deliveries: Vec<(RequestId, Option<Delivery>)>,
+    /// Items whose tables were re-derived.
+    pub rederived: usize,
+}
+
+impl<'a> LiveSchedule<'a> {
+    /// A live schedule over `state`, which has booked nothing yet.
+    #[must_use]
+    pub fn new(state: SchedulerState<'a>) -> Self {
+        let items = state.scenario().item_count();
+        LiveSchedule {
+            state,
+            committed: Vec::new(),
+            outages: Vec::new(),
+            losses: Vec::new(),
+            now: SimTime::ZERO,
+            normal_requests: 0,
+            touched: vec![false; items],
+        }
+    }
+
+    /// `state`, fresh, with `committed` and the disturbances replayed into
+    /// it as of `now` ([`replay_state`]). The first normalisation looks at
+    /// every item with a committed transfer or a request.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first transfer the ledger refuses.
+    pub fn replayed(
+        mut state: SchedulerState<'a>,
+        committed: &[Transfer],
+        outages: Vec<Outage>,
+        losses: Vec<Loss>,
+        now: SimTime,
+    ) -> Result<Self, Transfer> {
+        replay_state(&mut state, committed, &outages, &losses, now)?;
+        state.take_transfers();
+        state.forget_trees();
+        let mut live = LiveSchedule { outages, losses, now, ..LiveSchedule::new(state) };
+        live.commit(committed);
+        Ok(live)
+    }
+
+    /// The live scheduling state.
+    #[must_use]
+    pub fn state(&self) -> &SchedulerState<'a> {
+        &self.state
+    }
+
+    /// The live scheduling state, to book on, add requests to or roll back.
+    pub fn state_mut(&mut self) -> &mut SchedulerState<'a> {
+        &mut self.state
+    }
+
+    /// Every reservation in force.
+    #[must_use]
+    pub fn committed(&self) -> &[Transfer] {
+        &self.committed
+    }
+
+    /// The link outages so far, in the order applied.
+    #[must_use]
+    pub fn outages(&self) -> &[Outage] {
+        &self.outages
+    }
+
+    /// The copy losses so far, in the order applied.
+    #[must_use]
+    pub fn losses(&self) -> &[Loss] {
+        &self.losses
+    }
+
+    /// The latest instant reached; nothing new starts before it.
+    #[must_use]
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Keeps `transfers`, booked on the state, as reservations in force.
+    pub fn commit(&mut self, transfers: &[Transfer]) {
+        for t in transfers {
+            self.touched[t.item.index()] = true;
+        }
+        self.committed.extend_from_slice(transfers);
+    }
+
+    /// Takes back transfers booked on the state but never committed.
+    pub fn withdraw(&mut self, transfers: &[Transfer]) {
+        for t in transfers {
+            self.state.unbook(t);
+            self.touched[t.item.index()] = true;
+        }
+    }
+
+    /// Drops committed transfers the caller has unbooked already.
+    pub fn forget(&mut self, transfers: &[Transfer]) {
+        for t in transfers {
+            self.touched[t.item.index()] = true;
+        }
+        self.committed.retain(|t| !transfers.contains(t));
+    }
+
+    /// Re-derives `item`'s tables from its committed transfers, in the
+    /// order committed.
+    pub fn rederive(&mut self, item: DataItemId) {
+        self.state.rederive_item(item, self.committed.iter().filter(|t| t.item == item));
+    }
+
+    /// Applies `event` to the live state. A released request takes part in
+    /// the next drive; an outage or a copy loss leaves the committed
+    /// transfers it invalidates to the next repair.
+    pub fn apply(&mut self, event: Event) {
+        let at = event.at;
+        match event.kind {
+            EventKind::Release(request) => self.state.set_request_active(request, true),
+            EventKind::LinkOutage(link) => {
+                for t in self.committed.iter().filter(|t| t.link == link && t.arrival > at) {
+                    self.touched[t.item.index()] = true;
+                }
+                self.outages.push((link, at));
+                self.state.apply_link_outage(link, at);
+            }
+            EventKind::CopyLoss { item, machine } => {
+                self.touched[item.index()] = true;
+                self.losses.push((item, machine, at));
+                self.state.remove_copies(item, machine, at);
+            }
+        }
+    }
+
+    /// Moves the clock to `now` (never back) and blocks the past.
+    pub fn advance(&mut self, now: SimTime) {
+        self.now = self.now.max(now);
+        self.state.block_past(self.now);
+    }
+
+    /// By item: whether anything was booked, withdrawn, disturbed or asked
+    /// for since the last normalisation.
+    fn stale_items(&self) -> Vec<bool> {
+        let mut stale = self.touched.clone();
+        for (_, request) in self.state.scenario().requests().skip(self.normal_requests) {
+            stale[request.item().index()] = true;
+        }
+        stale
+    }
+
+    /// Repairs the schedule after the disturbances applied so far: unbooks
+    /// what [`filter_consistent`] cancels among the stale items'
+    /// committed transfers, then normalises. A transfer depends on copies
+    /// of its own item alone, so the cascade never reaches another item.
+    /// Returns the cancelled transfers, in replay order, and what the
+    /// normalisation found for the `promised` requests.
+    pub fn repair(&mut self, promised: &[bool]) -> (Vec<Transfer>, Normalised) {
+        let stale = self.stale_items();
+        let theirs = self.committed.iter().filter(|t| stale[t.item.index()]).copied().collect();
+        let scenario = self.state.scenario();
+        let (_, cancelled) = filter_consistent(scenario, theirs, &self.outages, &self.losses);
+        debug_assert_eq!(
+            cancelled,
+            filter_consistent(scenario, self.committed.clone(), &self.outages, &self.losses).1
+        );
+        for t in &cancelled {
+            self.state.unbook(t);
+        }
+        self.committed.retain(|t| !cancelled.contains(t));
+        let normalised = self.normalise(promised, &[]);
+        self.state.forget_trees();
+        (cancelled, normalised)
+    }
+
+    /// Puts `committed` in replay order and re-derives the stale items'
+    /// tables from it, with `tail` — transfers booked on top of it —
+    /// committed after. `promised` holds, per request from the first,
+    /// whether the caller still promises it a delivery; the normalisation
+    /// covers that many requests and reports the surviving delivery of each
+    /// promised one of a stale item, `tail` left out.
+    pub fn normalise(&mut self, promised: &[bool], tail: &[Transfer]) -> Normalised {
+        let stale = self.stale_items();
+        self.touched.fill(false);
+        self.normal_requests = promised.len();
+        self.committed.sort_by_key(replay_order);
+        let scenario = self.state.scenario();
+        debug_assert_eq!(
+            filter_consistent(scenario, self.committed.clone(), &self.outages, &self.losses),
+            (self.committed.clone(), Vec::new()),
+            "a normalisation starts from a repaired schedule"
+        );
+        let mut theirs: Vec<Transfer> =
+            self.committed.iter().filter(|t| stale[t.item.index()]).copied().collect();
+        let named: Vec<RequestId> = (scenario.requests().zip(promised))
+            .filter(|((_, request), promised)| **promised && stale[request.item().index()])
+            .map(|((id, _), _)| id)
+            .collect();
+        let found = deliveries_among(scenario, named.iter().copied(), &theirs, &self.losses);
+        let mut found = found.into_iter().peekable();
+        let deliveries =
+            named.into_iter().map(|id| (id, found.next_if(|d| d.request == id))).collect();
+        theirs.extend_from_slice(tail);
+        let mut rederived = 0;
+        for item in (0..stale.len()).filter(|&i| stale[i]).map(|i| DataItemId::new(i as u32)) {
+            rederived += 1;
+            self.state.rederive_item(item, theirs.iter().filter(|t| t.item == item));
+        }
+        self.commit(tail);
+        Normalised { deliveries, rederived }
+    }
+
+    /// How the live state differs from the one [`replay_state`] builds from
+    /// the committed transfers and the disturbances so far, under the live
+    /// activity flags — `None` when it does not, the invariant every
+    /// decision relies on. For tests and debug assertions: it replays it all.
+    #[must_use]
+    pub fn divergence(&self) -> Option<String> {
+        let scenario = self.state.scenario();
+        let mut replayed = SchedulerState::new(scenario);
+        for id in scenario.request_ids() {
+            replayed.set_request_active(id, self.state.is_request_active(id));
+        }
+        match replay_state(&mut replayed, &self.committed, &self.outages, &self.losses, self.now) {
+            Err(t) => Some(format!("committed reservation {t:?} does not book (overlaps another)")),
+            Ok(()) => self.state.first_difference(&replayed),
+        }
+    }
 }
 
 #[cfg(test)]

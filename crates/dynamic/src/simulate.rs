@@ -23,8 +23,11 @@
 //!   copy is at its destination by the deadline *and survives to the
 //!   deadline*.
 //!
-//! The invalidate/replay/re-plan primitives live in [`crate::repair`] and
-//! are shared with the live admission daemon's fault-tolerance layer.
+//! One [`LiveSchedule`] carries the whole run — the loop the live
+//! admission daemon drives too. At each boundary the events are applied
+//! to it in place, the previous plan's tentative tail is withdrawn, the
+//! transfers the events invalidated are cancelled, and the heuristic
+//! re-plans on what is left.
 
 use dstage_core::heuristic::{drive_state, Heuristic, HeuristicConfig};
 use dstage_core::schedule::{Schedule, Transfer};
@@ -33,7 +36,7 @@ use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
 
 use crate::event::{EventKind, EventLog};
-use crate::repair::{filter_consistent, final_deliveries, replay_state, Loss, Outage};
+use crate::repair::{final_deliveries, LiveSchedule};
 
 /// Which heuristic the online scheduler re-plans with.
 #[derive(Debug, Clone)]
@@ -42,30 +45,16 @@ pub struct OnlinePolicy {
     pub heuristic: Heuristic,
     /// Its cost-criterion configuration.
     pub config: HeuristicConfig,
-    /// Evict-and-rerun trials the repair-time optimizer may spend per
-    /// re-plan (`0` disables it). Already-executed transfers are sunk —
-    /// the climb only reallocates *tentative* capacity, so it can trade a
-    /// lighter request's future hops for a heavier refused one.
-    pub optimize_budget: u64,
 }
 
 impl OnlinePolicy {
-    /// The paper's best pairing (full path/one destination + C4), no
-    /// repair-time optimization.
+    /// The paper's best pairing (full path/one destination + C4).
     #[must_use]
     pub fn paper_best() -> Self {
         OnlinePolicy {
             heuristic: Heuristic::FullPathOneDestination,
             config: HeuristicConfig::paper_best(),
-            optimize_budget: 0,
         }
-    }
-
-    /// The same policy with a repair-time optimizer budget.
-    #[must_use]
-    pub fn with_optimizer(mut self, budget: u64) -> Self {
-        self.optimize_budget = budget;
-        self
     }
 }
 
@@ -91,87 +80,56 @@ pub struct OnlineOutcome {
 /// # Panics
 ///
 /// Panics on the full path/all destinations + `Cost₁` pairing (as for
-/// the static scheduler), and if an internal replay of already-executed
-/// transfers fails (a bug, not an input condition).
+/// the static scheduler).
 #[must_use]
 pub fn simulate(scenario: &Scenario, events: &EventLog, policy: &OnlinePolicy) -> OnlineOutcome {
-    let releases = events.release_times(scenario);
     let mut boundaries = vec![SimTime::ZERO];
     boundaries.extend(events.boundaries());
     boundaries.dedup();
 
-    let mut outages: Vec<Outage> = Vec::new();
-    let mut losses: Vec<Loss> = Vec::new();
-    let mut kept: Vec<Transfer> = Vec::new();
-    let mut cancelled_total: Vec<Transfer> = Vec::new();
-    let mut replans = 0u64;
-
-    for (i, &now) in boundaries.iter().enumerate() {
-        // 1. Absorb this instant's events.
-        for e in events.events().iter().filter(|e| e.at == now) {
-            match e.kind {
-                EventKind::LinkOutage(l) => outages.push((l, now)),
-                EventKind::CopyLoss { item, machine } => losses.push((item, machine, now)),
-                EventKind::Release(_) => {} // releases handled via `releases`
-            }
-        }
-        // 2. Drop executed transfers the events invalidated (cascading).
-        let (valid, newly_cancelled) = filter_consistent(scenario, kept, &outages, &losses);
-        kept = valid;
-        cancelled_total.extend(newly_cancelled);
-
-        // 3 + 4. Rebuild scheduler state as of `now` and re-plan over the
-        // remaining horizon (optionally excluding requests the repair-time
-        // optimizer evicts).
-        let plan_excluding = |excluded: &[dstage_model::ids::RequestId]| {
-            let mut state = SchedulerState::with_caching(scenario, policy.config.caching);
-            for (r, &rel) in releases.iter().enumerate() {
-                if rel > now {
-                    state.set_request_active(dstage_model::ids::RequestId::new(r as u32), false);
-                }
-            }
-            for &r in excluded {
-                state.set_request_active(r, false);
-            }
-            replay_state(&mut state, &kept, &outages, &losses, now)
-                .unwrap_or_else(|t| panic!("replay of an executed transfer failed: {t:?}"));
-            drive_state(&mut state, policy.heuristic, &policy.config);
-            state.into_outcome().0
-        };
-        let plan = if policy.optimize_budget == 0 {
-            plan_excluding(&[])
-        } else {
-            // The repair-time pass: hill-climb the fresh plan by evicting
-            // tentatively satisfied lightweights for refused heavyweights.
-            dstage_sched::optimize_with(
-                scenario,
-                &policy.config.priority_weights,
-                policy.optimize_budget,
-                plan_excluding,
-            )
-            .schedule
-        };
-        replans += 1;
-
-        // 5. Execute the plan up to the next boundary; later transfers
-        //    stay tentative and will be re-planned.
-        let next = boundaries.get(i + 1).copied();
-        for t in plan.transfers() {
-            if kept.contains(t) {
-                continue; // a replayed, already-executed transfer
-            }
-            match next {
-                Some(boundary) if t.start >= boundary => {} // tentative
-                _ => kept.push(*t),
-            }
+    let mut state = SchedulerState::with_caching(scenario, policy.config.caching);
+    for e in events.events() {
+        if let EventKind::Release(r) = e.kind {
+            state.set_request_active(r, false);
         }
     }
+    let mut live = LiveSchedule::new(state);
+    // The run promises nothing along the way: its deliveries are read off
+    // the executed transfers at the end.
+    let promised = vec![false; scenario.request_count()];
+    let mut tentative: Vec<Transfer> = Vec::new();
+    let mut cancelled: Vec<Transfer> = Vec::new();
 
-    let deliveries = final_deliveries(scenario, &kept, &losses);
+    for (i, &now) in boundaries.iter().enumerate() {
+        // 1. Absorb this instant's events in place.
+        for &e in events.events().iter().filter(|e| e.at == now) {
+            live.apply(e);
+        }
+        // 2. The previous plan's tentative tail is re-planned, not kept.
+        live.withdraw(&tentative);
+        // 3. Cancel the executed transfers the events invalidated
+        //    (cascading) and bring the touched items up to date.
+        cancelled.extend(live.repair(&promised).0);
+        // 4. Nothing new starts in the past.
+        live.advance(now);
+        debug_assert_eq!(live.divergence(), None);
+        // 5. Re-plan the remaining horizon.
+        drive_state(live.state_mut(), policy.heuristic, &policy.config);
+        // 6. Execute the plan up to the next boundary; later transfers
+        //    stay tentative.
+        let next = boundaries.get(i + 1).copied();
+        let (executed, later): (Vec<Transfer>, Vec<Transfer>) = (live.state_mut().take_transfers())
+            .into_iter()
+            .partition(|t| next.is_none_or(|boundary| t.start < boundary));
+        live.commit(&executed);
+        tentative = later;
+    }
+
+    let deliveries = final_deliveries(scenario, live.committed(), live.losses());
     OnlineOutcome {
-        executed: Schedule::from_parts(kept, deliveries),
-        cancelled: cancelled_total,
-        replans,
+        executed: Schedule::from_parts(live.committed().to_vec(), deliveries),
+        cancelled,
+        replans: boundaries.len() as u64,
     }
 }
 
@@ -300,30 +258,6 @@ mod tests {
         .unwrap();
         let outcome = simulate(&scenario, &log, &policy);
         assert!(outcome.executed.delivery_of(RequestId::new(0)).is_some());
-    }
-
-    #[test]
-    fn repair_time_optimizer_never_hurts() {
-        use dstage_model::request::PriorityWeights;
-        let w = PriorityWeights::paper_1_10_100();
-        for scenario in [two_hop_chain(), fan_out(), contended_link()] {
-            let log = EventLog::new(
-                &scenario,
-                vec![Event::new(t(5), EventKind::LinkOutage(VirtualLinkId::new(0)))],
-            )
-            .unwrap();
-            let base = simulate(&scenario, &log, &OnlinePolicy::paper_best());
-            let optimized =
-                simulate(&scenario, &log, &OnlinePolicy::paper_best().with_optimizer(8));
-            assert!(
-                optimized.executed.evaluate(&scenario, &w).weighted_sum
-                    >= base.executed.evaluate(&scenario, &w).weighted_sum,
-                "the repair-time pass must never lose weight"
-            );
-            // Determinism: the optimized run reproduces itself.
-            let again = simulate(&scenario, &log, &OnlinePolicy::paper_best().with_optimizer(8));
-            assert_eq!(optimized.executed, again.executed);
-        }
     }
 
     #[test]

@@ -1,11 +1,20 @@
 //! Property-based tests for the online simulator: random disturbance
-//! mixes over small scenarios must preserve the core invariants.
+//! mixes over small scenarios must preserve the core invariants, and the
+//! one live schedule `simulate` edits must decide exactly what a fresh
+//! replay at every boundary decides.
 
-use dstage_core::schedule::Transfer;
-use dstage_dynamic::{simulate, Event, EventKind, EventLog, OnlinePolicy};
+use dstage_core::heuristic::{drive_state, run, Heuristic, HeuristicConfig};
+use dstage_core::schedule::{Schedule, Transfer};
+use dstage_core::state::SchedulerState;
+use dstage_dynamic::{
+    filter_consistent, final_deliveries, replay_state, simulate, Event, EventKind, EventLog,
+    OnlineOutcome, OnlinePolicy,
+};
 use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
+use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
 use dstage_workload::small::{contended_link, fan_out, two_hop_chain};
+use dstage_workload::Family;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
@@ -61,6 +70,130 @@ fn events_for(
         }
     }
     EventLog::new(scenario, events).expect("ids clamped into range")
+}
+
+/// The online loop as a fresh state per boundary: the executed transfers
+/// so far filtered against the disturbances, replayed into a new state as
+/// of the boundary, and the heuristic driven on it — the definition the
+/// live schedule `simulate` edits in place must agree with.
+fn replanned_from_scratch(
+    scenario: &Scenario,
+    events: &EventLog,
+    policy: &OnlinePolicy,
+) -> OnlineOutcome {
+    let mut releases = vec![SimTime::ZERO; scenario.request_count()];
+    for e in events.events() {
+        if let EventKind::Release(r) = e.kind {
+            releases[r.index()] = e.at;
+        }
+    }
+    let mut boundaries = vec![SimTime::ZERO];
+    boundaries.extend(events.boundaries());
+    boundaries.dedup();
+    let (mut outages, mut losses, mut kept, mut cancelled) = (vec![], vec![], vec![], vec![]);
+    for (i, &now) in boundaries.iter().enumerate() {
+        for e in events.events().iter().filter(|e| e.at == now) {
+            match e.kind {
+                EventKind::LinkOutage(l) => outages.push((l, now)),
+                EventKind::CopyLoss { item, machine } => losses.push((item, machine, now)),
+                EventKind::Release(_) => {}
+            }
+        }
+        let (valid, invalidated) = filter_consistent(scenario, kept, &outages, &losses);
+        kept = valid;
+        cancelled.extend(invalidated);
+        let mut state = SchedulerState::with_caching(scenario, policy.config.caching);
+        for (r, &release) in releases.iter().enumerate() {
+            if release > now {
+                state.set_request_active(RequestId::new(r as u32), false);
+            }
+        }
+        replay_state(&mut state, &kept, &outages, &losses, now).expect("executed transfers book");
+        drive_state(&mut state, policy.heuristic, &policy.config);
+        let next = boundaries.get(i + 1).copied();
+        for t in state.into_outcome().0.transfers() {
+            if !kept.contains(t) && next.is_none_or(|boundary| t.start < boundary) {
+                kept.push(*t);
+            }
+        }
+    }
+    let deliveries = final_deliveries(scenario, &kept, &losses);
+    OnlineOutcome {
+        executed: Schedule::from_parts(kept, deliveries),
+        cancelled,
+        replans: boundaries.len() as u64,
+    }
+}
+
+/// Random disturbances aimed at a static run of `policy` on `scenario`,
+/// so that they cost something: an outage while one of its transfers is
+/// in flight, the loss of a copy one of them staged, or a request released
+/// partway to its deadline.
+fn disturbances_for(
+    scenario: &Scenario,
+    policy: &OnlinePolicy,
+    raw: &[(u8, usize, u64)],
+) -> EventLog {
+    let plan = run(scenario, policy.heuristic, &policy.config).schedule;
+    let mut released = vec![false; scenario.request_count()];
+    let mut events = Vec::new();
+    for &(kind, pick, permille) in raw {
+        let between = |from: SimTime, to: SimTime| {
+            let span = to.as_millis().saturating_sub(from.as_millis());
+            SimTime::from_millis(from.as_millis() + span * permille / 1_000)
+        };
+        let request = RequestId::new((pick % scenario.request_count()) as u32);
+        match (kind % 3, plan.transfers().get(pick % plan.transfers().len().max(1))) {
+            (1, Some(t)) => {
+                events.push(Event::new(between(t.start, t.arrival), EventKind::LinkOutage(t.link)));
+            }
+            (2, Some(t)) => {
+                let lost = EventKind::CopyLoss { item: t.item, machine: t.to };
+                let deadline = scenario.request(request).deadline();
+                events.push(Event::new(between(t.arrival, deadline.max(t.arrival)), lost));
+            }
+            _ if !released[request.index()] => {
+                released[request.index()] = true;
+                let deadline = scenario.request(request).deadline();
+                events.push(Event::new(
+                    between(SimTime::ZERO, deadline),
+                    EventKind::Release(request),
+                ));
+            }
+            _ => {}
+        }
+    }
+    EventLog::new(scenario, events).expect("ids drawn from the scenario")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn the_live_schedule_decides_what_a_fresh_replay_per_boundary_decides(
+        family in prop_oneof![Just(Family::Paper), Just(Family::Grid), Just(Family::Line)],
+        heuristic in prop_oneof![
+            Just(Heuristic::EXTENDED[0]),
+            Just(Heuristic::EXTENDED[1]),
+            Just(Heuristic::EXTENDED[2]),
+            Just(Heuristic::EXTENDED[3]),
+            Just(Heuristic::EXTENDED[4]),
+        ],
+        seed in 0u64..1_000,
+        raw in prop::collection::vec((0u8..3, 0usize..1_024, 0u64..1_000), 0..10),
+    ) {
+        let scenario = family.generate_small(seed);
+        prop_assume!(scenario.request_count() > 0);
+        let policy = OnlinePolicy { heuristic, config: HeuristicConfig::paper_best() };
+        let log = disturbances_for(&scenario, &policy, &raw);
+        // Debug builds also hold the live state to a full replay at every
+        // boundary, before the drive.
+        let live = simulate(&scenario, &log, &policy);
+        let fresh = replanned_from_scratch(&scenario, &log, &policy);
+        prop_assert_eq!(live.executed, fresh.executed);
+        prop_assert_eq!(live.cancelled, fresh.cancelled);
+        prop_assert_eq!(live.replans, fresh.replans);
+    }
 }
 
 proptest! {

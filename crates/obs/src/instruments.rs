@@ -138,12 +138,6 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// The configured bucket bounds.
-    #[must_use]
-    pub fn bounds(&self) -> &'static [u64] {
-        self.bounds
-    }
-
     /// A point-in-time copy of the histogram state.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -192,6 +186,33 @@ impl HistogramSnapshot {
     pub fn mean(&self) -> u64 {
         self.sum.saturating_add(self.count / 2).checked_div(self.count).unwrap_or(0)
     }
+
+    /// Upper bound of the bucket holding the `p`-quantile; the exact
+    /// maximum for observations in the unbounded bucket; zero when empty.
+    ///
+    /// `p` is the fraction of observations covered, in `(0, 1]`:
+    /// `percentile(1.0)` covers everything. Out-of-range `p` is clamped —
+    /// `p <= 0` (and NaN) behaves like the smallest positive quantile (rank
+    /// 1, the bucket of the minimum observation; a true 0-quantile covers
+    /// no observations and has no defined bucket), `p > 1` like `1.0`.
+    #[must_use]
+    pub fn percentile(&self, p: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        // NaN-safe: a NaN product fails the `>=` test and falls through
+        // to rank 1, matching the p <= 0 clamp.
+        let product = p * self.count as f64;
+        let rank = if product >= 1.0 { (product.ceil() as u64).min(self.count) } else { 1 };
+        let mut seen = 0;
+        for (bucket, &n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen >= rank {
+                return self.bounds.get(bucket).copied().unwrap_or(self.max);
+            }
+        }
+        self.max
+    }
 }
 
 #[cfg(test)]
@@ -234,6 +255,38 @@ mod tests {
         assert_eq!(snap.mean(), 1_257); // 5026/4 = 1256.5 rounds half up
         h.reset();
         assert_eq!(h.snapshot().count, 0);
+    }
+
+    #[test]
+    fn histogram_percentiles_come_from_bucket_bounds() {
+        let _serial = crate::test_lock();
+        crate::set_enabled(true);
+        let h = Histogram::new(&crate::metrics::LATENCY_BOUNDS_US);
+        assert_eq!(h.snapshot().percentile(0.5), 0, "empty reads zero");
+        for micros in [10, 20, 30, 40, 60, 70, 80, 90, 2_000_000, 3_000_000] {
+            h.record(micros);
+        }
+        let snap = h.snapshot();
+        assert_eq!(snap.percentile(0.50), 100); // 5th obs sits in the ≤100µs bucket
+        assert_eq!(snap.percentile(0.99), 3_000_000); // overflow bucket → max
+    }
+
+    #[test]
+    fn percentile_edge_quantiles_are_defined() {
+        let _serial = crate::test_lock();
+        crate::set_enabled(true);
+        let h = Histogram::new(&crate::metrics::LATENCY_BOUNDS_US);
+        for micros in [10, 600, 2_000_000] {
+            h.record(micros);
+        }
+        let snap = h.snapshot();
+        // p <= 0 clamps to rank 1: the minimum observation's bucket.
+        assert_eq!(snap.percentile(0.0), 50);
+        assert_eq!(snap.percentile(-1.0), 50);
+        assert_eq!(snap.percentile(f64::NAN), 50);
+        // p >= 1 covers everything, including the unbounded bucket.
+        assert_eq!(snap.percentile(1.0), 2_000_000);
+        assert_eq!(snap.percentile(7.5), 2_000_000);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::instruments::{Counter, Gauge, Histogram};
 
 /// Upper bucket bounds shared by every latency/wall-time histogram, in
-/// microseconds (mirrors the service's submit-latency buckets).
+/// microseconds.
 pub const LATENCY_BOUNDS_US: [u64; 14] = [
     50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
     1_000_000,
@@ -38,7 +38,8 @@ pub static SERVICE_REPAIRS: Counter = Counter::new();
 pub static SERVICE_EVICTIONS: Counter = Counter::new();
 /// Depth of the displaced queue at the most recent repair.
 pub static SERVICE_DISPLACED_DEPTH: Gauge = Gauge::new();
-/// Wall latency of `submit` dispatches.
+/// Wall latency of `submit` dispatches; the `metrics` verb's `latency`
+/// object reads it.
 pub static SERVICE_VERB_SUBMIT_US: Histogram = Histogram::new(&LATENCY_BOUNDS_US);
 /// Wall latency of `query` dispatches.
 pub static SERVICE_VERB_QUERY_US: Histogram = Histogram::new(&LATENCY_BOUNDS_US);

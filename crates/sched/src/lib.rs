@@ -9,14 +9,14 @@
 //! schedule by trading satisfied low-weight requests for refused
 //! higher-weight ones.
 //!
-//! [`optimize_schedule`] wraps a static heuristic run; [`optimize_with`]
-//! is the generic engine and accepts any planner that can re-plan with a
-//! set of requests excluded — the rolling-horizon simulator of
-//! `dstage_dynamic` plugs its replay-aware planner in here, and the live
-//! admission daemon implements the same climb natively against its
-//! decision log. The climb only ever *adopts* strict improvements of the
-//! weighted satisfied sum `E[S]`, so interrupting it at any budget leaves
-//! a schedule no worse than the base plan.
+//! [`optimize_schedule`] wraps a static heuristic run (the `figures
+//! optimizer` post-pass); [`optimize_with`] is the generic climb and
+//! accepts any planner that can re-plan with a set of requests excluded.
+//! The live admission daemon implements the same climb natively, as
+//! evict-and-readmit trials on its live schedule. The climb only ever
+//! *adopts* strict improvements of the weighted satisfied sum `E[S]`, so
+//! interrupting it at any budget leaves a schedule no worse than the base
+//! plan.
 //!
 //! # Examples
 //!

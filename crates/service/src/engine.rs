@@ -1,30 +1,21 @@
 //! Incremental admission control on top of the offline heuristics.
 //!
-//! The [`AdmissionEngine`] owns one long-lived [`SchedulerState`] — the
-//! resource ledger, copy sets, holds and deliveries over a scenario that
-//! holds the catalog (network + data items) and every admitted request —
-//! beside the committed link reservations and the decision log. Each
-//! `submit` appends the candidate to that scenario and lets the configured
-//! heuristic try to route it on the live state: admitted, its path becomes
-//! part of the ledger; refused, what it touched is rolled back and it
-//! leaves no residue. A decision costs what its own route costs, however
-//! many were admitted before. Removing a reservation is an edit of the
-//! same state: the transfer is unbooked and its item's tables re-derived
-//! from the transfers that remain. The invariant every operation keeps is
-//! that the ledger holds exactly the bookings of `committed` plus the
-//! blocks of the outages and of `now`, and each item's tables are what
-//! its committed transfers, in order, its losses and its requests make
-//! them — the state [`replay_state`] builds from scratch, which only
-//! `restore` still does.
+//! The [`AdmissionEngine`] drives one [`LiveSchedule`] — the repair loop
+//! the offline simulator drives too — over a scenario that holds the
+//! catalog (network + data items) and every admitted request, beside the
+//! per-request bookkeeping and the decision log. Each `submit` appends the
+//! candidate to that scenario and lets the configured heuristic try to
+//! route it on the live state: admitted, its path is committed; refused,
+//! what it touched is rolled back and it leaves no residue. A decision
+//! costs what its own route costs, however many were admitted before.
 //!
-//! `inject` feeds a live disturbance (link outage / copy loss) into the
-//! engine: committed reservations the disturbance invalidates are
-//! cancelled with the cascade semantics of [`dstage_dynamic::repair`] and
-//! released, then the displaced requests are re-admitted against the
-//! surviving ledger in weighted-priority order — so forced degradation
-//! drops the lowest `W[p]` first, preserving the paper's objective. A
-//! displaced request that can be re-routed becomes `repaired`; one that
-//! cannot is `evicted` (terminal).
+//! `inject` applies a live disturbance (link outage / copy loss) to the
+//! live schedule, whose repair unbooks the reservations it invalidates;
+//! the displaced requests are re-admitted in weighted-priority order, so
+//! forced degradation drops the lowest `W[p]` first. A displaced request
+//! that can be re-routed becomes `repaired`; one that cannot is `evicted`
+//! (terminal). Only `restore` builds a state from a history
+//! ([`LiveSchedule::replayed`]).
 //!
 //! Every method is a deterministic function of the operation history
 //! (submissions and injections interleaved), which is what makes
@@ -38,7 +29,8 @@ use dstage_core::heuristic::{drive_state, Heuristic, HeuristicConfig};
 use dstage_core::schedule::{Delivery, Schedule, Transfer};
 use dstage_core::state::{AddRequestError, HoldRefused, Savepoint, SchedulerState};
 use dstage_dynamic::{
-    deliveries_among, filter_consistent, final_deliveries, replay_order, replay_state, Loss, Outage,
+    deliveries_among, filter_consistent, final_deliveries, replay_order, Event, EventKind,
+    LiveSchedule, Normalised,
 };
 use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
 use dstage_model::request::{Priority, Request};
@@ -291,26 +283,15 @@ impl LogTallies {
 /// no interior mutability — wrap it in a lock to share).
 #[derive(Debug, Clone)]
 pub struct AdmissionEngine {
-    /// The live scheduling state. Its scenario is the catalog plus every
-    /// admitted request (evicted ones included), in admission order; all
-    /// of them are inactive between decisions.
-    state: SchedulerState<'static>,
+    /// The live schedule. Its scenario is the catalog plus every admitted
+    /// request (evicted ones included), in admission order; all of them
+    /// are inactive between decisions.
+    live: LiveSchedule<'static>,
     item_ids: HashMap<String, u32>,
     fingerprint: String,
     heuristic: Heuristic,
     config: HeuristicConfig,
     info: Vec<AdmittedInfo>,
-    /// Every reservation in force, in the order `state` booked them; the
-    /// state itself keeps only the ledger they are booked in.
-    committed: Vec<Transfer>,
-    /// What the last normalisation (a repair or a kept swap) covered: that
-    /// prefix of `committed` is in replay order, those requests carry the
-    /// surviving deliveries. Only the items of what came after are stale.
-    normal_transfers: usize,
-    normal_requests: usize,
-    outages: Vec<Outage>,
-    losses: Vec<Loss>,
-    now: SimTime,
     idempotency: IdempotencyCache,
     log: Vec<LogRecord>,
     tallies: LogTallies,
@@ -348,16 +329,10 @@ impl AdmissionEngine {
             item_ids: names.iter().enumerate().map(|(i, n)| (n.to_string(), i as u32)).collect(),
             fingerprint,
             tallies: LogTallies::new(config.priority_weights.levels()),
-            state: SchedulerState::owning(served, config.caching),
+            live: LiveSchedule::new(SchedulerState::owning(served, config.caching)),
             heuristic,
             config,
             info: Vec::new(),
-            committed: Vec::new(),
-            normal_transfers: 0,
-            normal_requests: 0,
-            outages: Vec::new(),
-            losses: Vec::new(),
-            now: SimTime::ZERO,
             idempotency: IdempotencyCache::new(IDEMPOTENCY_CAPACITY),
             log: Vec::new(),
             open_rejections: Vec::new(),
@@ -366,7 +341,7 @@ impl AdmissionEngine {
 
     /// The served scenario: the catalog plus every admitted request.
     fn scenario(&self) -> &Scenario {
-        self.state.scenario()
+        self.live.state().scenario()
     }
 
     /// Overrides the idempotency window, trimming oldest keys if needed.
@@ -445,7 +420,7 @@ impl AdmissionEngine {
                     .record(args.deadline_ms.saturating_sub(delivery.at.as_millis()));
                 dstage_obs::metrics::SERVICE_ADMITTED.inc();
                 let new_transfers = route.len();
-                self.committed.extend_from_slice(&route);
+                self.live.commit(&route);
                 self.info.push(AdmittedInfo::admitted(delivery, route));
                 Decision::Admitted {
                     request: delivery.request,
@@ -565,8 +540,8 @@ impl AdmissionEngine {
     /// records) or rolls everything back. `Err` carries the refusal reason.
     fn decide(&mut self, args: &SubmitArgs) -> Result<(Delivery, Vec<Transfer>), String> {
         let (candidate, collected) = self.candidate(args)?;
-        let savepoint = self.state.savepoint(candidate.item());
-        let id = match self.state.add_request(candidate) {
+        let savepoint = self.live.state().savepoint(candidate.item());
+        let id = match self.live.state_mut().add_request(candidate) {
             Ok(id) => id,
             // Validation errors name the candidate by its positional id,
             // `R{admitted count}`; recorded logs and snapshots carry the
@@ -580,8 +555,8 @@ impl AdmissionEngine {
             Err(AddRequestError::Hold(refused)) => return Err(self.hold_reason(refused)),
         };
         if collected > self.scenario().horizon() {
-            if let Err(refused) = self.state.set_horizon(collected) {
-                self.state.rollback(savepoint);
+            if let Err(refused) = self.live.state_mut().set_horizon(collected) {
+                self.live.state_mut().rollback(savepoint);
                 return Err(self.hold_reason(refused));
             }
         }
@@ -636,45 +611,30 @@ impl AdmissionEngine {
     /// live state. Delivered, what was booked is returned with the delivery,
     /// for the caller to commit; otherwise the state goes back to `savepoint`.
     fn settle(&mut self, id: RequestId, savepoint: Savepoint) -> Option<(Delivery, Vec<Transfer>)> {
-        self.state.set_request_active(id, true);
-        drive_state(&mut self.state, self.heuristic, &self.config);
-        self.state.set_request_active(id, false);
-        let Some(delivery) = self.state.delivery_of(id) else {
-            self.state.rollback(savepoint);
+        let (heuristic, state) = (self.heuristic, self.live.state_mut());
+        state.set_request_active(id, true);
+        drive_state(state, heuristic, &self.config);
+        state.set_request_active(id, false);
+        let Some(delivery) = state.delivery_of(id) else {
+            state.rollback(savepoint);
             return None;
         };
-        self.state.forget_trees();
-        Some((delivery, self.state.take_transfers()))
-    }
-
-    /// A fresh state with `committed` and the disturbances so far replayed
-    /// into it, every request inactive — or why `committed` does not replay.
-    fn replayed_state(&self) -> Result<SchedulerState<'static>, String> {
-        let mut state = SchedulerState::owning(self.scenario().clone(), self.config.caching);
-        for id in state.scenario().request_ids() {
-            state.set_request_active(id, false);
-        }
-        replay_state(&mut state, &self.committed, &self.outages, &self.losses, self.now)
-            .map_err(|t| format!("committed reservation {t:?} does not book (overlaps another)"))?;
-        state.take_transfers();
         state.forget_trees();
-        Ok(state)
+        Some((delivery, state.take_transfers()))
     }
 
     /// Records in the live state's journal of consumed resources: what the
     /// decision in progress booked, nothing between decisions.
     #[must_use]
     pub fn journal_len(&self) -> usize {
-        self.state.journal_len()
+        self.live.state().journal_len()
     }
 
-    /// How the live state differs from the one [`replay_state`] builds
-    /// from the admitted requests, the committed reservations and the
-    /// disturbances so far — `None` when it does not, the invariant every
-    /// decision relies on. For tests and debug assertions: it replays it all.
+    /// How the live state differs from a full replay of the history, if it
+    /// does ([`LiveSchedule::divergence`]).
     #[must_use]
     pub fn live_state_divergence(&self) -> Option<String> {
-        self.replayed_state().map_or_else(Some, |replayed| self.state.first_difference(&replayed))
+        self.live.divergence()
     }
 
     /// Injects a disturbance and repairs the schedule around it.
@@ -691,41 +651,29 @@ impl AdmissionEngine {
     /// nothing is logged or changed.
     pub fn inject(&mut self, args: &InjectArgs) -> Result<InjectResponse, String> {
         let at = SimTime::from_millis(args.at_ms);
-        // Stale besides: the items whose reservations the disturbance can cancel.
-        let mut stale = self.stale_items();
-        match &args.kind {
+        let kind = match &args.kind {
             InjectKind::LinkOutage { link } => {
                 let links = self.scenario().network().link_count();
                 if *link as usize >= links {
                     return Err(format!("unknown link id {link} (network has {links} links)"));
                 }
-                let link = VirtualLinkId::new(*link);
-                for t in self.committed.iter().filter(|t| t.link == link && t.arrival > at) {
-                    stale[t.item.index()] = true;
-                }
-                self.outages.push((link, at));
-                self.state.apply_link_outage(link, at);
+                EventKind::LinkOutage(VirtualLinkId::new(*link))
             }
             InjectKind::CopyLoss { item, machine } => {
-                let Some(&item_id) = self.item_ids.get(item.as_str()) else {
+                let Some(&id) = self.item_ids.get(item.as_str()) else {
                     return Err(format!("unknown data item `{item}`"));
                 };
-                if *machine as usize >= self.machine_count() {
-                    return Err(format!(
-                        "unknown machine id {machine} (network has {} machines)",
-                        self.machine_count()
-                    ));
+                let n = self.machine_count();
+                if *machine as usize >= n {
+                    return Err(format!("unknown machine id {machine} (network has {n} machines)"));
                 }
-                stale[item_id as usize] = true;
-                let lost = (DataItemId::new(item_id), MachineId::new(*machine), at);
-                self.losses.push(lost);
-                self.state.remove_copies(lost.0, lost.1, at);
+                EventKind::CopyLoss { item: DataItemId::new(id), machine: MachineId::new(*machine) }
             }
-        }
-        self.now = self.now.max(at);
-        self.state.block_past(self.now);
+        };
+        self.live.apply(Event::new(at, kind));
+        self.live.advance(at);
         dstage_obs::metrics::SERVICE_INJECTIONS.inc();
-        let (cancelled, repaired, evicted) = self.repair(stale);
+        let (cancelled, repaired, evicted) = self.repair();
         dstage_obs::metrics::SERVICE_REPAIRS.add(repaired.len() as u64);
         dstage_obs::metrics::SERVICE_EVICTIONS.add(evicted.len() as u64);
         let injection = self.log.len() as u64;
@@ -747,34 +695,21 @@ impl AdmissionEngine {
         Ok(response)
     }
 
-    /// Repair in place after a disturbance the state already knows of, when
-    /// only the `stale` items can have changed: release what
-    /// `filter_consistent` cancels among them, normalise, re-route the
-    /// displaced best-first. A transfer depends on copies of its own item
-    /// alone, so the cascade never reaches another item. Returns
-    /// `(cancelled, repaired, evicted)`.
-    fn repair(&mut self, stale: Vec<bool>) -> (usize, Vec<u32>, Vec<u32>) {
-        let theirs = self.committed.iter().filter(|t| stale[t.item.index()]).copied().collect();
-        let scenario = self.state.scenario();
-        let (_, cancelled) = filter_consistent(scenario, theirs, &self.outages, &self.losses);
-        debug_assert_eq!(
-            cancelled,
-            filter_consistent(scenario, self.committed.clone(), &self.outages, &self.losses).1
-        );
+    /// Repairs the live schedule after a disturbance it already knows of,
+    /// then re-routes the displaced best-first. Returns `(cancelled,
+    /// repaired, evicted)`.
+    fn repair(&mut self) -> (usize, Vec<u32>, Vec<u32>) {
+        let (cancelled, normalised) = self.live.repair(&self.promised());
         dstage_obs::metrics::SERVICE_TRANSFERS_RELEASED.add(cancelled.len() as u64);
-        for t in &cancelled {
-            self.state.unbook(t);
-        }
-        self.committed.retain(|t| !cancelled.contains(t));
         for info in &mut self.info {
             info.route.retain(|t| !cancelled.contains(t));
         }
         // The surviving reservations are the authority on who is still
         // promised a delivery (survival-to-deadline semantics, §4.4).
-        let mut displaced = self.normalise(&stale, &[]);
-        self.state.forget_trees();
+        let mut displaced = self.keep_deliveries(normalised);
+        debug_assert!(self.promises_hold(&displaced, 0));
         let weights = &self.config.priority_weights;
-        let scenario = self.state.scenario();
+        let scenario = self.scenario();
         displaced.sort_by_key(|&id| {
             (Reverse(weights.weight(scenario.request(RequestId::new(id)).priority())), id)
         });
@@ -786,89 +721,54 @@ impl AdmissionEngine {
         let mut evicted = Vec::new();
         for id in displaced {
             let request = RequestId::new(id);
-            let savepoint = self.state.savepoint(self.scenario().request(request).item());
-            match self.settle(request, savepoint) {
-                Some((delivery, route)) => {
-                    let info = &mut self.info[id as usize];
-                    info.status = RequestStatus::Repaired;
-                    info.delivery = Some(delivery);
-                    self.committed.extend_from_slice(&route);
-                    info.route.extend(route);
-                    repaired.push(id);
-                }
-                None => {
-                    let info = &mut self.info[id as usize];
-                    info.status = RequestStatus::Evicted;
-                    info.delivery = None;
-                    evicted.push(id);
-                }
+            let savepoint = self.live.state().savepoint(self.scenario().request(request).item());
+            let settled = self.settle(request, savepoint);
+            let info = &mut self.info[id as usize];
+            info.delivery = settled.as_ref().map(|&(delivery, _)| delivery);
+            if let Some((_, route)) = settled {
+                self.live.commit(&route);
+                info.status = RequestStatus::Repaired;
+                info.route.extend(route);
+                repaired.push(id);
+            } else {
+                info.status = RequestStatus::Evicted;
+                evicted.push(id);
             }
         }
         debug_assert_eq!(self.live_state_divergence(), None);
         (cancelled.len(), repaired, evicted)
     }
 
-    /// By item: whether anything was booked or asked for since the last
-    /// normalisation — tables in booking order, deliveries the live state's.
-    fn stale_items(&self) -> Vec<bool> {
-        let mut stale = vec![false; self.scenario().item_count()];
-        for t in &self.committed[self.normal_transfers..] {
-            stale[t.item.index()] = true;
-        }
-        for (_, request) in self.scenario().requests().skip(self.normal_requests) {
-            stale[request.item().index()] = true;
-        }
-        stale
+    /// Per admitted request, whether it is still promised a delivery.
+    fn promised(&self) -> Vec<bool> {
+        self.info.iter().map(|info| info.status != RequestStatus::Evicted).collect()
     }
 
-    /// Puts `committed` in replay order and refreshes the `stale` items'
-    /// non-evicted requests' deliveries from what survives in it; then
-    /// appends `tail`, booked on top of it, and re-derives those items'
-    /// tables from the result. Returns the ids left without a delivery.
-    fn normalise(&mut self, stale: &[bool], tail: &[Transfer]) -> Vec<u32> {
-        self.committed.sort_by_key(replay_order);
-        self.normal_transfers = self.committed.len();
-        self.normal_requests = self.info.len();
-        let mut theirs: Vec<Transfer> =
-            self.committed.iter().filter(|t| stale[t.item.index()]).copied().collect();
-        let scenario = self.state.scenario();
-        let requests: Vec<RequestId> = (scenario.requests().zip(&self.info))
-            .filter(|((_, request), info)| {
-                stale[request.item().index()] && info.status != RequestStatus::Evicted
+    /// Records the surviving deliveries a normalisation found; returns the
+    /// ids left without one, for the caller to re-route or evict.
+    fn keep_deliveries(&mut self, normalised: Normalised) -> Vec<u32> {
+        dstage_obs::metrics::SERVICE_ITEMS_REDERIVED.add(normalised.rederived as u64);
+        (normalised.deliveries.into_iter())
+            .filter_map(|(id, delivery)| {
+                self.info[id.index()].delivery = delivery;
+                delivery.is_none().then_some(id.index() as u32)
             })
-            .map(|((id, _), _)| id)
-            .collect();
-        let mut displaced: Vec<u32> = requests.iter().map(|id| id.index() as u32).collect();
-        for d in deliveries_among(scenario, requests, &theirs, &self.losses) {
-            self.info[d.request.index()].delivery = Some(d);
-            displaced.retain(|&id| id as usize != d.request.index());
-        }
-        debug_assert!(self.is_normal(&displaced));
-        self.committed.extend_from_slice(tail);
-        theirs.extend_from_slice(tail);
-        for item in (0..stale.len()).filter(|&i| stale[i]).map(|i| DataItemId::new(i as u32)) {
-            dstage_obs::metrics::SERVICE_ITEMS_REDERIVED.inc();
-            self.state.rederive_item(item, theirs.iter().filter(|t| t.item == item));
-        }
-        displaced
+            .collect()
     }
 
-    /// [`AdmissionEngine::normalise`]'s result by the whole-table functions:
-    /// `committed` all valid and in their order, every non-evicted request
-    /// outside `displaced` carrying the delivery that survives in it.
-    fn is_normal(&self, displaced: &[u32]) -> bool {
-        let scenario = self.state.scenario();
-        let (valid, cancelled) =
-            filter_consistent(scenario, self.committed.clone(), &self.outages, &self.losses);
-        let surviving = final_deliveries(scenario, &valid, &self.losses);
+    /// A normalisation's result by the whole-table function: every
+    /// non-evicted request outside `displaced` carries the delivery that
+    /// survives in the committed transfers but the last `tail`.
+    fn promises_hold(&self, displaced: &[u32], tail: usize) -> bool {
+        let committed = self.live.committed();
+        let kept = &committed[..committed.len() - tail];
+        let surviving = final_deliveries(self.scenario(), kept, self.live.losses());
         let mut promised =
             self.info.iter().enumerate().filter(|(_, i)| i.status != RequestStatus::Evicted);
-        cancelled.is_empty()
-            && valid == self.committed
-            && promised.all(|(id, info)| match surviving.iter().find(|d| d.request.index() == id) {
-                Some(d) => info.delivery == Some(*d),
-                None => displaced.contains(&(id as u32)),
-            })
+        promised.all(|(id, info)| match surviving.iter().find(|d| d.request.index() == id) {
+            Some(d) => info.delivery == Some(*d),
+            None => displaced.contains(&(id as u32)),
+        })
     }
 
     /// Anytime evict-and-readmit hill climb over the live schedule.
@@ -944,16 +844,16 @@ impl AdmissionEngine {
     /// other request of the item its delivery. No other item is affected.
     fn without_route(&self, victim: u32, item: DataItemId) -> Option<Vec<Transfer>> {
         let route = &self.info[victim as usize].route;
-        let rest: Vec<Transfer> = (self.committed.iter())
+        let rest: Vec<Transfer> = (self.live.committed().iter())
             .filter(|t| t.item == item && !route.contains(t))
             .copied()
             .collect();
-        let scenario = self.state.scenario();
-        let (rest, cancelled) = filter_consistent(scenario, rest, &self.outages, &self.losses);
+        let (scenario, losses) = (self.scenario(), self.live.losses());
+        let (rest, cancelled) = filter_consistent(scenario, rest, self.live.outages(), losses);
         let others = scenario.requests_for(item).iter().copied().filter(|id| {
             id.index() != victim as usize && self.info[id.index()].status != RequestStatus::Evicted
         });
-        let delivered = deliveries_among(scenario, others.clone(), &rest, &self.losses).len();
+        let delivered = deliveries_among(scenario, others.clone(), &rest, losses).len();
         (cancelled.is_empty() && delivered == others.count()).then_some(rest)
     }
 
@@ -968,44 +868,41 @@ impl AdmissionEngine {
         // The candidate decides on the two items' tables in replay order.
         let mut order = self.without_route(victim, evicting)?;
         if admitting != evicting {
-            order.extend(self.committed.iter().filter(|t| t.item == admitting));
+            order.extend(self.live.committed().iter().filter(|t| t.item == admitting));
             order.sort_by_key(replay_order);
         }
         let evicted =
             AdmittedInfo { status: RequestStatus::Evicted, delivery: None, route: vec![] };
         let was = std::mem::replace(&mut self.info[victim as usize], evicted);
         dstage_obs::metrics::SERVICE_TRANSFERS_RELEASED.add(was.route.len() as u64);
-        for t in &was.route {
-            self.state.unbook(t);
-        }
         dstage_obs::metrics::SERVICE_ITEMS_REDERIVED.add(2);
+        let state = self.live.state_mut();
+        for t in &was.route {
+            state.unbook(t);
+        }
         for item in [evicting, admitting] {
-            self.state.rederive_item(item, order.iter().filter(|t| t.item == item));
+            state.rederive_item(item, order.iter().filter(|t| t.item == item));
         }
         match self.decide(args) {
             // Kept: what preceded the admission is normalised as a repair
             // does before it re-routes, the admission booked on top of it.
             Ok((delivery, route)) => {
-                self.committed.retain(|t| !was.route.contains(t));
-                let mut stale = self.stale_items();
-                stale[evicting.index()] = true;
-                stale[admitting.index()] = true;
-                let displaced = self.normalise(&stale, &route);
-                debug_assert_eq!(displaced, Vec::<u32>::new());
+                self.live.forget(&was.route);
+                let normalised = self.live.normalise(&self.promised(), &route);
+                let displaced = self.keep_deliveries(normalised);
+                debug_assert!(displaced.is_empty() && self.promises_hold(&[], route.len()));
                 self.info.push(AdmittedInfo::admitted(delivery, route));
                 Some(delivery.request.index() as u32)
             }
             Err(_) => {
                 dstage_obs::metrics::SERVICE_OPT_TRIALS_ROLLED_BACK.inc();
+                dstage_obs::metrics::SERVICE_ITEMS_REDERIVED.add(2);
                 for t in &was.route {
-                    self.state.rebook(t);
+                    self.live.state_mut().rebook(t);
                 }
                 self.info[victim as usize] = was;
-                dstage_obs::metrics::SERVICE_ITEMS_REDERIVED.add(2);
-                for item in [evicting, admitting] {
-                    self.state
-                        .rederive_item(item, self.committed.iter().filter(|t| t.item == item));
-                }
+                self.live.rederive(evicting);
+                self.live.rederive(admitting);
                 None
             }
         }
@@ -1132,11 +1029,11 @@ impl AdmissionEngine {
     #[must_use]
     pub fn snapshot(&self) -> Value {
         let deliveries: Vec<Delivery> = self.info.iter().filter_map(|i| i.delivery).collect();
-        let schedule = Schedule::from_parts(self.committed.clone(), deliveries);
+        let schedule = Schedule::from_parts(self.live.committed().to_vec(), deliveries);
         let schedule_value = serde::to_value(&schedule).unwrap_or(Value::Null);
 
         let mut busy: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
-        for t in &self.committed {
+        for t in self.live.committed() {
             busy.entry(t.link.index() as u64)
                 .or_default()
                 .push((t.start.as_millis(), t.arrival.as_millis()));
@@ -1261,16 +1158,17 @@ impl AdmissionEngine {
                 })
                 .collect(),
         );
+        let live = &self.live;
         Value::Object(vec![
             ("format".to_string(), Value::UInt(CHECKPOINT_FORMAT)),
             ("fingerprint".to_string(), Value::String(self.catalog_fingerprint())),
-            ("now_ms".to_string(), Value::UInt(self.now.as_millis())),
+            ("now_ms".to_string(), Value::UInt(live.now().as_millis())),
             ("idempotency_capacity".to_string(), Value::UInt(self.idempotency.capacity as u64)),
             ("admitted".to_string(), admitted),
             ("info".to_string(), info),
-            ("committed".to_string(), serde::to_value(&self.committed).unwrap_or(Value::Null)),
-            ("outages".to_string(), serde::to_value(&self.outages).unwrap_or(Value::Null)),
-            ("losses".to_string(), serde::to_value(&self.losses).unwrap_or(Value::Null)),
+            ("committed".to_string(), serde::to_value(live.committed()).unwrap_or(Value::Null)),
+            ("outages".to_string(), serde::to_value(live.outages()).unwrap_or(Value::Null)),
+            ("losses".to_string(), serde::to_value(live.losses()).unwrap_or(Value::Null)),
             ("log".to_string(), Value::Array(self.log.iter().map(record_value).collect())),
         ])
     }
@@ -1312,7 +1210,7 @@ impl AdmissionEngine {
                  scheduler, or configuration)"
                 .to_string());
         }
-        engine.now = SimTime::from_millis(typed_field(checkpoint, "now_ms")?);
+        let now = SimTime::from_millis(typed_field(checkpoint, "now_ms")?);
         let capacity: usize = typed_field(checkpoint, "idempotency_capacity")?;
 
         for entry in array_field("admitted")? {
@@ -1322,11 +1220,12 @@ impl AdmissionEngine {
                 .and_then(|args| engine.candidate(&args))
                 .map_err(|e| format!("checkpoint: bad admitted request: {e}"))?;
             engine
-                .state
+                .live
+                .state_mut()
                 .add_request(request)
                 .map_err(|e| format!("checkpoint: bad admitted request: {e}"))?;
             if collected > engine.scenario().horizon() {
-                engine.state.set_horizon(collected).expect("no copy is staged yet");
+                engine.live.state_mut().set_horizon(collected).expect("no copy is staged yet");
             }
         }
         for entry in array_field("info")? {
@@ -1347,9 +1246,9 @@ impl AdmissionEngine {
                 engine.info.len()
             ));
         }
-        engine.committed = typed_field(checkpoint, "committed")?;
-        engine.outages = typed_field(checkpoint, "outages")?;
-        engine.losses = typed_field(checkpoint, "losses")?;
+        let committed: Vec<Transfer> = typed_field(checkpoint, "committed")?;
+        let outages = typed_field(checkpoint, "outages")?;
+        let losses = typed_field(checkpoint, "losses")?;
 
         // One pass over the restored log rebuilds what is derived from it
         // (`push_record`) and checks what `counters()` relies on. The
@@ -1395,10 +1294,15 @@ impl AdmissionEngine {
             ));
         }
         engine.idempotency = idempotency;
-        // The one place a state is still built from a history. What the
-        // last normalisation covered is not recorded, so the next one
-        // looks at every item (`normal_*` stay 0).
-        engine.state = engine.replayed_state().map_err(|why| format!("checkpoint: {why}"))?;
+        // The one place a state is still built from a history.
+        let mut state = SchedulerState::owning(engine.scenario().clone(), engine.config.caching);
+        for id in engine.scenario().request_ids() {
+            state.set_request_active(id, false);
+        }
+        engine.live =
+            LiveSchedule::replayed(state, &committed, outages, losses, now).map_err(|t| {
+                format!("checkpoint: committed reservation {t:?} does not book (overlaps another)")
+            })?;
         Ok(engine)
     }
 }

@@ -89,6 +89,6 @@ pub mod prelude {
         QueryResponse, SubmitArgs, SubmitResponse,
     };
     pub use crate::retry::Backoff;
-    pub use crate::server::{LatencyHistogram, Server, ServerConfig, MAX_LINE_BYTES};
+    pub use crate::server::{Server, ServerConfig, MAX_LINE_BYTES};
     pub use crate::wal::{crc32, scan_segment, FsyncPolicy, SegmentWriter};
 }

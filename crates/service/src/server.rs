@@ -22,6 +22,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
+use dstage_obs::HistogramSnapshot;
 use parking_lot::{Condvar, Mutex, RwLock};
 use serde::Value;
 
@@ -35,123 +36,6 @@ use crate::protocol::{
 /// longer gets an error response and the connection is dropped — the
 /// remainder of the oversized line cannot be re-synchronized.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
-
-/// Upper bucket bounds of the service-latency histogram, in microseconds.
-/// A final unbounded bucket catches everything above the last bound.
-pub const BUCKET_BOUNDS_US: [u64; 14] = [
-    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
-    1_000_000,
-];
-
-/// Fixed-bucket histogram of per-submission service latency (lock wait +
-/// admission decision), reported by the `metrics` verb.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyHistogram {
-    counts: [u64; BUCKET_BOUNDS_US.len() + 1],
-    count: u64,
-    sum_us: u64,
-    max_us: u64,
-}
-
-impl LatencyHistogram {
-    /// Creates an empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, micros: u64) {
-        let bucket = BUCKET_BOUNDS_US
-            .iter()
-            .position(|&bound| micros <= bound)
-            .unwrap_or(BUCKET_BOUNDS_US.len());
-        self.counts[bucket] += 1;
-        self.count += 1;
-        // Saturating: near u64::MAX an unchecked sum wraps and corrupts
-        // `mean_us` (or panics in debug builds); a pinned-at-max sum
-        // merely over-reports the mean, which the mean then clamps.
-        self.sum_us = self.sum_us.saturating_add(micros);
-        self.max_us = self.max_us.max(micros);
-    }
-
-    /// Number of recorded observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean recorded latency in microseconds, rounded to the nearest
-    /// integer (half up); `0` when nothing has been recorded.
-    #[must_use]
-    pub fn mean_us(&self) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        // Round instead of truncating: `sum / count` floors, which
-        // under-reports by up to a microsecond and (worse) reports
-        // `mean == 0` for any all-sub-microsecond-rounded sample mix
-        // like [0, 1, 1] where the nearest integer is 1. Saturating:
-        // the rounding addend must not wrap a sum pinned at the max.
-        self.sum_us.saturating_add(self.count / 2) / self.count
-    }
-
-    /// Upper bound (µs) of the bucket containing the `p`-quantile;
-    /// the exact maximum for observations in the unbounded bucket.
-    ///
-    /// `p` is the fraction of observations covered, in `(0, 1]`:
-    /// `percentile_us(1.0)` covers everything. Out-of-range `p` is
-    /// clamped — `p <= 0` behaves like the smallest positive quantile
-    /// (rank 1, the bucket of the minimum observation; a true 0-quantile
-    /// covers no observations and has no defined bucket), `p > 1`
-    /// behaves like `1.0`.
-    #[must_use]
-    pub fn percentile_us(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        // NaN-safe: a NaN product fails the `>=` test and falls through
-        // to rank 1, matching the p <= 0 clamp.
-        let product = p * self.count as f64;
-        let rank = if product >= 1.0 { (product.ceil() as u64).min(self.count) } else { 1 };
-        let mut seen = 0;
-        for (bucket, &n) in self.counts.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return BUCKET_BOUNDS_US.get(bucket).copied().unwrap_or(self.max_us);
-            }
-        }
-        self.max_us
-    }
-
-    /// The histogram as a JSON value for the `metrics` response.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        let buckets = Value::Array(
-            self.counts
-                .iter()
-                .enumerate()
-                .map(|(bucket, &n)| {
-                    let bound =
-                        BUCKET_BOUNDS_US.get(bucket).map_or(Value::Null, |&b| Value::UInt(b));
-                    Value::Object(vec![
-                        ("le_us".to_string(), bound),
-                        ("count".to_string(), Value::UInt(n)),
-                    ])
-                })
-                .collect(),
-        );
-        Value::Object(vec![
-            ("count".to_string(), Value::UInt(self.count)),
-            ("mean_us".to_string(), Value::UInt(self.mean_us())),
-            ("p50_us".to_string(), Value::UInt(self.percentile_us(0.50))),
-            ("p90_us".to_string(), Value::UInt(self.percentile_us(0.90))),
-            ("p99_us".to_string(), Value::UInt(self.percentile_us(0.99))),
-            ("max_us".to_string(), Value::UInt(self.max_us)),
-            ("buckets".to_string(), buckets),
-        ])
-    }
-}
 
 /// Tunables of [`Server`].
 #[derive(Debug, Clone)]
@@ -222,7 +106,6 @@ impl Drop for Turn<'_> {
 /// State shared by the accept loop and every worker.
 struct Shared {
     engine: RwLock<AdmissionEngine>,
-    latency: Mutex<LatencyHistogram>,
     turns: TurnQueue,
     shutdown: AtomicBool,
     addr: SocketAddr,
@@ -269,7 +152,6 @@ impl Server {
             config,
             shared: Arc::new(Shared {
                 engine: RwLock::new(engine),
-                latency: Mutex::new(LatencyHistogram::new()),
                 turns: TurnQueue::default(),
                 shutdown: AtomicBool::new(false),
                 addr,
@@ -520,19 +402,13 @@ fn write_verb<T>(shared: &Shared, verb: impl FnOnce(&mut AdmissionEngine) -> T) 
     result
 }
 
-/// A submit verb through the write path; an answered one lands in the
-/// service-latency histogram (turn and lock wait included).
-fn submit_line<R: serde::Serialize>(
+/// A mutating verb through the write path, then the periodic checkpoint.
+fn write_line<R: serde::Serialize>(
     shared: &Shared,
     verb: impl FnOnce(&mut AdmissionEngine) -> Result<R, String>,
 ) -> String {
-    let start = Instant::now();
     let line = match write_verb(shared, verb) {
-        Ok(response) => {
-            let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-            shared.latency.lock().record(micros);
-            response_line(&response)
-        }
+        Ok(response) => response_line(&response),
         Err(message) => ErrorResponse::line(message),
     };
     maybe_checkpoint(shared);
@@ -541,28 +417,19 @@ fn submit_line<R: serde::Serialize>(
 
 fn dispatch_parsed(shared: &Shared, request: ClientRequest) -> String {
     match request {
-        ClientRequest::Submit(args) => submit_line(shared, |engine| engine.submit(&args)),
+        ClientRequest::Submit(args) => write_line(shared, |engine| engine.submit(&args)),
         // The group's members are decided back-to-back inside one turn,
         // so later destinations plan against the ledger the earlier
         // ones committed (the shared-hop guarantee).
-        ClientRequest::SubmitP2mp(args) => submit_line(shared, |engine| engine.submit_p2mp(&args)),
+        ClientRequest::SubmitP2mp(args) => write_line(shared, |engine| engine.submit_p2mp(&args)),
         ClientRequest::Query { request } => match shared.engine.read().query(request) {
             Ok(response) => response_line(&response),
             Err(message) => ErrorResponse::line(message),
         },
-        ClientRequest::Inject(args) => {
-            let line = match write_verb(shared, |engine| engine.inject(&args)) {
-                Ok(response) => response_line(&response),
-                Err(message) => ErrorResponse::line(message),
-            };
-            maybe_checkpoint(shared);
-            line
-        }
+        ClientRequest::Inject(args) => write_line(shared, |engine| engine.inject(&args)),
         ClientRequest::Optimize { budget } => {
             let budget = budget.unwrap_or(DEFAULT_OPTIMIZE_BUDGET);
-            let line = response_line(&write_verb(shared, |engine| engine.optimize(budget)));
-            maybe_checkpoint(shared);
-            line
+            write_line(shared, |engine| Ok(engine.optimize(budget)))
         }
         ClientRequest::Snapshot => value_line(&shared.engine.read().snapshot()),
         ClientRequest::Metrics { format: MetricsFormat::Json } => {
@@ -573,7 +440,8 @@ fn dispatch_parsed(shared: &Shared, request: ClientRequest) -> String {
             };
             let mut fields = vec![("ok".to_string(), Value::Bool(true))];
             fields.extend(counter_fields);
-            fields.push(("latency".to_string(), shared.latency.lock().to_value()));
+            let submits = dstage_obs::metrics::SERVICE_VERB_SUBMIT_US.snapshot();
+            fields.push(("latency".to_string(), latency_value(&submits)));
             value_line(&Value::Object(fields))
         }
         ClientRequest::Metrics { format: MetricsFormat::Prometheus } => {
@@ -658,6 +526,26 @@ fn maybe_checkpoint(shared: &Shared) {
     shared.checkpointing.store(false, Ordering::SeqCst);
 }
 
+/// The `latency` object of the `metrics` verb: the wall time of every
+/// `submit` dispatch (turn and lock wait included), as the tap counts it.
+fn latency_value(h: &HistogramSnapshot) -> Value {
+    let buckets = (h.buckets.iter().enumerate())
+        .map(|(bucket, &n)| {
+            let bound = h.bounds.get(bucket).map_or(Value::Null, |&b| Value::UInt(b));
+            Value::Object(vec![("le_us".to_string(), bound), ("count".to_string(), Value::UInt(n))])
+        })
+        .collect();
+    Value::Object(vec![
+        ("count".to_string(), Value::UInt(h.count)),
+        ("mean_us".to_string(), Value::UInt(h.mean())),
+        ("p50_us".to_string(), Value::UInt(h.percentile(0.50))),
+        ("p90_us".to_string(), Value::UInt(h.percentile(0.90))),
+        ("p99_us".to_string(), Value::UInt(h.percentile(0.99))),
+        ("max_us".to_string(), Value::UInt(h.max)),
+        ("buckets".to_string(), Value::Array(buckets)),
+    ])
+}
+
 fn value_line(value: &Value) -> String {
     serde_json::to_string(value).unwrap_or_else(|e| ErrorResponse::line(format!("serialize: {e}")))
 }
@@ -716,59 +604,24 @@ mod tests {
     }
 
     #[test]
-    fn histogram_percentiles_come_from_bucket_bounds() {
-        let mut h = LatencyHistogram::new();
-        for micros in [10, 20, 30, 40, 60, 70, 80, 90, 2_000_000, 3_000_000] {
-            h.record(micros);
-        }
-        assert_eq!(h.count(), 10);
-        assert_eq!(h.percentile_us(0.50), 100); // 5th obs sits in the ≤100µs bucket
-        assert_eq!(h.percentile_us(0.99), 3_000_000); // overflow bucket → max
-        let v = h.to_value();
-        assert_eq!(v.get("count").and_then(Value::as_u64), Some(10));
-        assert_eq!(v.get("max_us").and_then(Value::as_u64), Some(3_000_000));
-    }
-
-    #[test]
-    fn empty_histogram_reports_zeros() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.percentile_us(0.5), 0);
-        assert_eq!(h.percentile_us(0.0), 0);
-        assert_eq!(h.mean_us(), 0);
-        assert_eq!(h.to_value().get("mean_us").and_then(Value::as_u64), Some(0));
-    }
-
-    #[test]
-    fn mean_rounds_to_nearest_microsecond() {
-        // Regression: integer division truncated, so [0, 1, 1] reported a
-        // mean of 0µs instead of the nearest integer 1µs.
-        let mut h = LatencyHistogram::new();
-        for micros in [0, 1, 1] {
-            h.record(micros);
-        }
-        assert_eq!(h.mean_us(), 1);
-        assert_eq!(h.to_value().get("mean_us").and_then(Value::as_u64), Some(1));
-        // Rounds down below the halfway point: mean(1, 2, 3, 5) = 2.75 → 3,
-        // mean(1, 1, 2, 5) = 2.25 → 2.
-        let mut h = LatencyHistogram::new();
-        for micros in [1, 1, 2, 5] {
-            h.record(micros);
-        }
-        assert_eq!(h.mean_us(), 2);
-    }
-
-    #[test]
-    fn percentile_edge_quantiles_are_defined() {
-        let mut h = LatencyHistogram::new();
-        for micros in [10, 600, 2_000_000] {
-            h.record(micros);
-        }
-        // p <= 0 clamps to rank 1: the minimum observation's bucket.
-        assert_eq!(h.percentile_us(0.0), 50);
-        assert_eq!(h.percentile_us(-1.0), 50);
-        assert_eq!(h.percentile_us(f64::NAN), 50);
-        // p >= 1 covers everything, including the unbounded bucket.
-        assert_eq!(h.percentile_us(1.0), 2_000_000);
-        assert_eq!(h.percentile_us(7.5), 2_000_000);
+    fn latency_object_renders_the_submit_histogram() {
+        static BOUNDS: [u64; 2] = [50, 100];
+        let h = HistogramSnapshot {
+            bounds: &BOUNDS,
+            buckets: vec![1, 0, 1],
+            count: 2,
+            sum: 2_010,
+            max: 2_000,
+        };
+        let v = latency_value(&h);
+        let field = |name: &str| v.get(name).and_then(Value::as_u64);
+        assert_eq!(
+            (field("count"), field("mean_us"), field("max_us")),
+            (Some(2), Some(1_005), Some(2_000))
+        );
+        assert_eq!((field("p50_us"), field("p99_us")), (Some(50), Some(2_000)));
+        let buckets = v.get("buckets").and_then(Value::as_array).expect("buckets");
+        assert_eq!(buckets.len(), 3);
+        assert_eq!(buckets[2].get("le_us"), Some(&Value::Null), "the unbounded bucket");
     }
 }

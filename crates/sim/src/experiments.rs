@@ -734,11 +734,8 @@ pub fn families(cases: usize, small: bool, threads: usize) -> ExperimentReport {
     use dstage_workload::Family;
 
     const LOSSES_PER_CASE: usize = 3;
-    let policies = Heuristic::EXTENDED.map(|heuristic| OnlinePolicy {
-        heuristic,
-        config: HeuristicConfig::paper_best(),
-        optimize_budget: 0,
-    });
+    let policies = Heuristic::EXTENDED
+        .map(|heuristic| OnlinePolicy { heuristic, config: HeuristicConfig::paper_best() });
 
     let mut header = vec!["family".into(), "mean requests".into(), "mean p2mp groups".into()];
     header.extend(Heuristic::EXTENDED.iter().map(ToString::to_string));

@@ -8,7 +8,7 @@ use data_staging::core::state::SchedulerState;
 use data_staging::model::scenario::Scenario;
 use data_staging::resources::ledger::NetworkLedger;
 use data_staging::service::engine::AdmissionEngine;
-use data_staging::service::server::{LatencyHistogram, Server};
+use data_staging::service::server::Server;
 use data_staging::sim::runner::Harness;
 
 fn assert_send_sync<T: Send + Sync>() {}
@@ -25,7 +25,6 @@ fn shared_scheduling_state_is_send_and_sync() {
     // The service layer itself.
     assert_send_sync::<AdmissionEngine>();
     assert_send_sync::<Server>();
-    assert_send_sync::<LatencyHistogram>();
     // The experiment harness (Arc + Mutex caches, not Rc + RefCell).
     assert_send_sync::<Harness>();
 }
