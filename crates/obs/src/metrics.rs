@@ -609,7 +609,10 @@ mod tests {
     #[test]
     fn registry_spans_five_layers_with_enough_series() {
         let defs = registry();
-        let layers: BTreeSet<&str> = defs.iter().map(|d| d.layer).collect();
+        let layers: BTreeSet<&str> = defs
+            .iter()
+            .map(|d| d.name.strip_prefix("dstage_").and_then(|n| n.split('_').next()).unwrap())
+            .collect();
         assert_eq!(
             layers.into_iter().collect::<Vec<_>>(),
             vec!["core", "path", "resources", "service", "sim"]
