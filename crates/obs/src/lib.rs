@@ -12,10 +12,11 @@
 //! 1. **Zero dependencies.** Only `std::sync::atomic` and one `Mutex`
 //!    (around the flight-recorder ring). Hot paths batch their counts
 //!    locally and publish with a single relaxed `fetch_add`.
-//! 2. **Static inventory.** Every metric is a `static` declared in
-//!    [`metrics`]; there is no registration step, no hashing, and the
-//!    Prometheus exposition renders the fixed table in declaration order,
-//!    so equal states render byte-identically.
+//! 2. **Static inventory.** Every metric is a `static` declared once, as
+//!    one row of the table in [`metrics`] that also gives its kind,
+//!    bounds, family name, label and HELP text; there is no registration
+//!    step, no hashing, and the Prometheus exposition renders the table
+//!    in declaration order, so equal states render byte-identically.
 //! 3. **Logical sequencing.** Flight-recorder events are keyed by a
 //!    logical sequence number assigned under the ring lock. Wall-clock
 //!    durations are *recorded* (they are the point of a profile) but
