@@ -140,6 +140,14 @@ impl CostCriterion {
             CostCriterion::C3Floor => "C3f",
         }
     }
+
+    /// Parses a criterion name as printed by [`CostCriterion::label`],
+    /// ignoring case (`C4`, `c4`, `C3f`).
+    #[must_use]
+    pub fn from_label(name: &str) -> Option<CostCriterion> {
+        (CostCriterion::ALL.into_iter().chain(CostCriterion::EXTENSIONS))
+            .find(|c| c.label().eq_ignore_ascii_case(name))
+    }
 }
 
 impl core::fmt::Display for CostCriterion {
@@ -393,6 +401,16 @@ mod tests {
         assert!(!CostCriterion::MULTI_DESTINATION.contains(&CostCriterion::C3Floor));
         assert_eq!(CostCriterion::EXTENSIONS, [CostCriterion::C3Floor]);
         assert_eq!(CostCriterion::C3Floor.label(), "C3f");
+    }
+
+    #[test]
+    fn from_label_round_trips_in_either_case() {
+        for c in CostCriterion::ALL.into_iter().chain(CostCriterion::EXTENSIONS) {
+            assert_eq!(CostCriterion::from_label(c.label()), Some(c));
+            assert_eq!(CostCriterion::from_label(&c.label().to_lowercase()), Some(c));
+        }
+        assert_eq!(CostCriterion::from_label("C5"), None);
+        assert_eq!(CostCriterion::from_label(""), None);
     }
 
     #[test]

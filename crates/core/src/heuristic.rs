@@ -116,6 +116,26 @@ impl Heuristic {
             _ => &CostCriterion::ALL,
         }
     }
+
+    /// Checks that `criterion` can score this heuristic's steps: one of
+    /// [`Heuristic::criteria`], or an extension criterion.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the pairing, for full path/all destinations with
+    /// [`CostCriterion::C1`] (a pairing the paper excludes, §6).
+    pub fn check_criterion(self, criterion: CostCriterion) -> Result<(), String> {
+        let criteria = self.criteria();
+        if criteria.contains(&criterion) || CostCriterion::EXTENSIONS.contains(&criterion) {
+            return Ok(());
+        }
+        let valid: Vec<_> =
+            criteria.iter().chain(&CostCriterion::EXTENSIONS).map(|c| c.label()).collect();
+        Err(format!(
+            "the {self} heuristic cannot use criterion {criterion} (paper §6; valid: {})",
+            valid.join(", ")
+        ))
+    }
 }
 
 impl core::fmt::Display for Heuristic {
@@ -155,10 +175,9 @@ pub struct ScheduleOutcome {
 /// ```
 #[must_use]
 pub fn run(scenario: &Scenario, heuristic: Heuristic, config: &HeuristicConfig) -> ScheduleOutcome {
-    assert!(
-        !(heuristic == Heuristic::FullPathAllDestinations && config.criterion == CostCriterion::C1),
-        "the full path/all destinations heuristic cannot use Cost1 (paper §6)"
-    );
+    if let Err(message) = heuristic.check_criterion(config.criterion) {
+        panic!("{message}");
+    }
     let started = std::time::Instant::now();
     let mut state = SchedulerState::with_caching(scenario, config.caching);
     drive_state(&mut state, heuristic, config);
@@ -179,10 +198,9 @@ pub fn run(scenario: &Scenario, heuristic: Heuristic, config: &HeuristicConfig) 
 /// Panics on the [`Heuristic::FullPathAllDestinations`] +
 /// [`CostCriterion::C1`] pairing, as for [`run`].
 pub fn drive_state(state: &mut SchedulerState<'_>, heuristic: Heuristic, config: &HeuristicConfig) {
-    assert!(
-        !(heuristic == Heuristic::FullPathAllDestinations && config.criterion == CostCriterion::C1),
-        "the full path/all destinations heuristic cannot use Cost1 (paper §6)"
-    );
+    if let Err(message) = heuristic.check_criterion(config.criterion) {
+        panic!("{message}");
+    }
     while step_state(state, heuristic, config) {}
 }
 
@@ -432,6 +450,19 @@ mod tests {
         let fa = Heuristic::FullPathAllDestinations.criteria();
         assert_eq!(fa.len(), 3);
         assert!(!fa.contains(&CostCriterion::C1));
+    }
+
+    #[test]
+    fn only_the_excluded_pairing_fails_the_criterion_check() {
+        for h in Heuristic::EXTENDED {
+            for c in CostCriterion::ALL.into_iter().chain(CostCriterion::EXTENSIONS) {
+                let excluded = h == Heuristic::FullPathAllDestinations && c == CostCriterion::C1;
+                assert_eq!(h.check_criterion(c).is_err(), excluded, "{h} + {c}");
+            }
+        }
+        let message =
+            Heuristic::FullPathAllDestinations.check_criterion(CostCriterion::C1).unwrap_err();
+        assert!(message.contains("full_all") && message.contains("C1"), "{message}");
     }
 
     #[test]

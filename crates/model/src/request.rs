@@ -89,6 +89,17 @@ impl PriorityWeights {
         PriorityWeights::new(vec![1, 10, 100])
     }
 
+    /// Parses one of the paper's two weightings written as its weights,
+    /// `1,5,10` or `1,10,100`.
+    #[must_use]
+    pub fn paper_from_label(name: &str) -> Option<Self> {
+        match name {
+            "1,5,10" => Some(PriorityWeights::paper_1_5_10()),
+            "1,10,100" => Some(PriorityWeights::paper_1_10_100()),
+            _ => None,
+        }
+    }
+
     /// Creates a weighting from the weights of levels `0..=P`, in order.
     ///
     /// # Panics
@@ -308,6 +319,19 @@ mod tests {
         let w = PriorityWeights::new(vec![2, 4]);
         let levels: Vec<Priority> = w.priorities().collect();
         assert_eq!(levels, vec![Priority::new(0), Priority::new(1)]);
+    }
+
+    #[test]
+    fn paper_weightings_parse_from_their_weights() {
+        assert_eq!(
+            PriorityWeights::paper_from_label("1,5,10"),
+            Some(PriorityWeights::paper_1_5_10())
+        );
+        assert_eq!(
+            PriorityWeights::paper_from_label("1,10,100"),
+            Some(PriorityWeights::paper_1_10_100())
+        );
+        assert_eq!(PriorityWeights::paper_from_label("1,2,3"), None);
     }
 
     #[test]

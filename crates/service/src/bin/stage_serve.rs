@@ -17,7 +17,8 @@
 //!   --scheduler S    partial | full-one (default) | full-all | alap | rcd
 //!                    (--heuristic is an accepted alias); an unknown name
 //!                    lists the valid ones and exits with code 2
-//!   --criterion C    C1 | C2 | C3 | C4 (default) | C3f
+//!   --criterion C    C1 | C2 | C3 | C4 (default) | C3f; full-all refuses
+//!                    C1 (paper §6) with a usage error
 //!   --ratio X        log10 of the E-U ratio (default 2)
 //!   --weights W      1,5,10 | 1,10,100 (default)
 //!   --data-dir D     durable data directory: recover on start, write-
@@ -154,14 +155,9 @@ fn parse_args() -> Result<Options, CliError> {
                 options.heuristic = parse_scheduler(args.next().as_deref())?;
             }
             "--criterion" => {
-                options.criterion = match args.next().as_deref() {
-                    Some("C1") | Some("c1") => CostCriterion::C1,
-                    Some("C2") | Some("c2") => CostCriterion::C2,
-                    Some("C3") | Some("c3") => CostCriterion::C3,
-                    Some("C4") | Some("c4") => CostCriterion::C4,
-                    Some("C3f") | Some("c3f") => CostCriterion::C3Floor,
-                    other => return Err(CliError::usage(format!("unknown criterion {other:?}"))),
-                };
+                let name = args.next().ok_or("--criterion needs a name")?;
+                options.criterion = CostCriterion::from_label(&name)
+                    .ok_or_else(|| format!("unknown criterion {name:?}"))?;
             }
             "--ratio" => {
                 options.ratio = args
@@ -171,11 +167,9 @@ fn parse_args() -> Result<Options, CliError> {
                     .map_err(|e| format!("invalid ratio: {e}"))?;
             }
             "--weights" => {
-                options.weights = match args.next().as_deref() {
-                    Some("1,5,10") => PriorityWeights::paper_1_5_10(),
-                    Some("1,10,100") => PriorityWeights::paper_1_10_100(),
-                    other => return Err(CliError::usage(format!("unknown weighting {other:?}"))),
-                };
+                let name = args.next().ok_or("--weights needs a weighting")?;
+                options.weights = PriorityWeights::paper_from_label(&name)
+                    .ok_or_else(|| format!("unknown weighting {name:?}"))?;
             }
             "--data-dir" => {
                 options.data_dir = Some(args.next().ok_or("--data-dir needs a directory")?);
@@ -197,6 +191,7 @@ fn parse_args() -> Result<Options, CliError> {
             other => return Err(CliError::usage(format!("unknown option {other:?}"))),
         }
     }
+    options.heuristic.check_criterion(options.criterion)?;
     Ok(options)
 }
 

@@ -186,8 +186,16 @@ impl AdmissionEngine {
     ///
     /// Requests present in the catalog scenario are ignored: admission
     /// state starts empty and grows one `submit` at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.criterion` cannot score `heuristic`'s steps
+    /// ([`Heuristic::check_criterion`]), before any decision is made.
     #[must_use]
     pub fn new(catalog: &Scenario, heuristic: Heuristic, config: HeuristicConfig) -> Self {
+        if let Err(message) = heuristic.check_criterion(config.criterion) {
+            panic!("{message}");
+        }
         let mut builder = Scenario::builder(catalog.network().clone())
             .gc_delay(catalog.gc_delay())
             .horizon(catalog.horizon());
@@ -1178,6 +1186,13 @@ mod tests {
 
     fn engine() -> AdmissionEngine {
         AdmissionEngine::new(&two_hop_chain(), Heuristic::FullPathOneDestination, config())
+    }
+
+    #[test]
+    #[should_panic(expected = "full_all heuristic cannot use criterion C1")]
+    fn the_pairing_the_paper_excludes_fails_at_construction() {
+        let config = HeuristicConfig { criterion: CostCriterion::C1, ..config() };
+        let _ = AdmissionEngine::new(&two_hop_chain(), Heuristic::FullPathAllDestinations, config);
     }
 
     fn args(item: &str, dest: u32, deadline_ms: u64) -> SubmitArgs {

@@ -1,0 +1,40 @@
+//! The `stage-serve` binary's argument contract, checked on the built
+//! binary.
+
+use std::io::Read;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
+
+/// The paper excludes full path/all destinations with `Cost1` (§6). The
+/// daemon used to serve it and panic a worker on the first `submit`,
+/// leaving the candidate appended to its scenario; now it refuses the
+/// pairing before binding.
+#[test]
+fn full_all_with_c1_is_refused_before_serving() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_stage-serve"))
+        .args(["--generate", "0", "--addr", "127.0.0.1:0", "--scheduler", "full-all"])
+        .args(["--criterion", "C1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn stage-serve");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll stage-serve") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("stage-serve kept serving the full_all + C1 pairing");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let (mut stdout, mut stderr) = (String::new(), String::new());
+    child.stdout.take().expect("piped").read_to_string(&mut stdout).expect("read stdout");
+    child.stderr.take().expect("piped").read_to_string(&mut stderr).expect("read stderr");
+    assert_eq!(status.code(), Some(1), "{stderr}");
+    assert!(!stdout.contains("listening on"), "{stdout}");
+    assert!(stderr.contains("full_all") && stderr.contains("C1"), "{stderr}");
+    assert!(stderr.contains("usage: stage-serve"), "{stderr}");
+}

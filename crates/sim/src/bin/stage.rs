@@ -6,8 +6,8 @@
 //! stage <scenario.json> [OPTIONS]
 //!
 //! OPTIONS:
-//!   --heuristic H   partial | full-one (default) | full-all
-//!   --criterion C   C1 | C2 | C3 | C4 (default) | C3f
+//!   --heuristic H   partial | full-one (default) | full-all | alap | rcd
+//!   --criterion C   C1 | C2 | C3 | C4 (default) | C3f; full-all refuses C1
 //!   --ratio X       log10 of the E-U ratio (default 2)
 //!   --weights W     1,5,10 | 1,10,100 (default)
 //!   --timeline      print the per-link schedule timeline
@@ -46,22 +46,16 @@ fn parse_args() -> Result<Options, String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--heuristic" => {
-                options.heuristic = match args.next().as_deref() {
-                    Some("partial") => Heuristic::PartialPath,
-                    Some("full-one") | Some("full_one") => Heuristic::FullPathOneDestination,
-                    Some("full-all") | Some("full_all") => Heuristic::FullPathAllDestinations,
-                    other => return Err(format!("unknown heuristic {other:?}")),
-                };
+                let name = args.next().ok_or("--heuristic needs a name")?;
+                options.heuristic = Heuristic::from_label(&name).ok_or_else(|| {
+                    let valid = Heuristic::EXTENDED.map(Heuristic::label).join(", ");
+                    format!("unknown heuristic {name:?} (valid: {valid})")
+                })?;
             }
             "--criterion" => {
-                options.criterion = match args.next().as_deref() {
-                    Some("C1") | Some("c1") => CostCriterion::C1,
-                    Some("C2") | Some("c2") => CostCriterion::C2,
-                    Some("C3") | Some("c3") => CostCriterion::C3,
-                    Some("C4") | Some("c4") => CostCriterion::C4,
-                    Some("C3f") | Some("c3f") => CostCriterion::C3Floor,
-                    other => return Err(format!("unknown criterion {other:?}")),
-                };
+                let name = args.next().ok_or("--criterion needs a name")?;
+                options.criterion = CostCriterion::from_label(&name)
+                    .ok_or_else(|| format!("unknown criterion {name:?}"))?;
             }
             "--ratio" => {
                 options.ratio = args
@@ -71,11 +65,9 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|e| format!("invalid ratio: {e}"))?;
             }
             "--weights" => {
-                options.weights = match args.next().as_deref() {
-                    Some("1,5,10") => PriorityWeights::paper_1_5_10(),
-                    Some("1,10,100") => PriorityWeights::paper_1_10_100(),
-                    other => return Err(format!("unknown weighting {other:?}")),
-                };
+                let name = args.next().ok_or("--weights needs a weighting")?;
+                options.weights = PriorityWeights::paper_from_label(&name)
+                    .ok_or_else(|| format!("unknown weighting {name:?}"))?;
             }
             "--timeline" => options.timeline = true,
             "--json" => options.json = true,
@@ -92,6 +84,7 @@ fn parse_args() -> Result<Options, String> {
     if options.path.is_empty() {
         return Err("a scenario file is required".into());
     }
+    options.heuristic.check_criterion(options.criterion)?;
     Ok(options)
 }
 
@@ -119,7 +112,7 @@ fn main() -> ExitCode {
                 eprintln!("error: {msg}");
             }
             eprintln!(
-                "usage: stage <scenario.json> [--heuristic partial|full-one|full-all] \
+                "usage: stage <scenario.json> [--heuristic partial|full-one|full-all|alap|rcd] \
                  [--criterion C1|C2|C3|C4|C3f] [--ratio X] [--weights 1,5,10|1,10,100] \
                  [--timeline] [--json]"
             );
