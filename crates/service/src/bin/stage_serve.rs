@@ -23,8 +23,7 @@
 //!   --weights W      1,5,10 | 1,10,100 (default)
 //!   --data-dir D     durable data directory: recover on start, write-
 //!                    ahead log every decision, enable `checkpoint`
-//!   --durability P   fsync policy: always (default) | interval:<ms> |
-//!                    never
+//!   --durability P   fsync policy: always (default) | interval:<ms>
 //!   --checkpoint-every N  periodic checkpoint after N WAL records
 //! ```
 //!
@@ -223,7 +222,7 @@ fn main() -> ExitCode {
                  [--family paper|satcom|wan|grid|line] [--addr HOST:PORT] \
                  [--workers N] [--scheduler partial|full-one|full-all|alap|rcd] \
                  [--criterion C1|C2|C3|C4|C3f] [--ratio X] [--weights 1,5,10|1,10,100] \
-                 [--data-dir D] [--durability always|interval:<ms>|never] \
+                 [--data-dir D] [--durability always|interval:<ms>] \
                  [--checkpoint-every N]"
             );
             return if err.message.is_empty() { ExitCode::SUCCESS } else { err.exit };

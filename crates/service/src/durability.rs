@@ -375,7 +375,6 @@ impl Durability {
         let due = match self.policy {
             FsyncPolicy::Always => true,
             FsyncPolicy::Interval(every) => state.last_sync.elapsed() >= every,
-            FsyncPolicy::Never => false,
         };
         if due {
             if let Err(e) = state.writer.sync() {
@@ -462,8 +461,9 @@ impl Durability {
         })
     }
 
-    /// Flushes and fsyncs the WAL unconditionally (graceful drain: even
-    /// `--durability never` must not tear the log on an orderly exit).
+    /// Flushes and fsyncs the WAL unconditionally (graceful drain: an
+    /// `interval:<ms>` daemon must not leave its last interval unsynced
+    /// on an orderly exit).
     pub fn finalize(&self) {
         let mut state = self.state.lock();
         if state.synced < state.staged {

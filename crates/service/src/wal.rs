@@ -55,16 +55,13 @@ pub enum FsyncPolicy {
     /// Fsync before every response is released: an acknowledged
     /// decision survives even an OS crash.
     Always,
-    /// Fsync at most once per interval: bounded data loss on OS crash,
-    /// near-`Never` throughput.
+    /// Fsync at most once per interval: a process crash loses nothing,
+    /// an OS crash at most the last interval's decisions.
     Interval(Duration),
-    /// Never fsync on the hot path (drain still does): a process crash
-    /// loses nothing, an OS crash may lose the unsynced suffix.
-    Never,
 }
 
 impl FsyncPolicy {
-    /// Parses `always` | `interval:<ms>` | `never`.
+    /// Parses `always` | `interval:<ms>`.
     ///
     /// # Errors
     ///
@@ -72,14 +69,13 @@ impl FsyncPolicy {
     pub fn parse(text: &str) -> Result<FsyncPolicy, String> {
         match text {
             "always" => Ok(FsyncPolicy::Always),
-            "never" => Ok(FsyncPolicy::Never),
             other => match other.strip_prefix("interval:") {
                 Some(ms) => match ms.parse::<u64>() {
                     Ok(ms) if ms > 0 => Ok(FsyncPolicy::Interval(Duration::from_millis(ms))),
                     _ => Err(format!("invalid fsync interval `{ms}` (positive milliseconds)")),
                 },
                 None => Err(format!(
-                    "unknown durability policy `{other}` (valid: always, interval:<ms>, never)"
+                    "unknown durability policy `{other}` (valid: always, interval:<ms>)"
                 )),
             },
         }
@@ -91,7 +87,6 @@ impl FsyncPolicy {
         match self {
             FsyncPolicy::Always => "always".to_string(),
             FsyncPolicy::Interval(d) => format!("interval:{}", d.as_millis()),
-            FsyncPolicy::Never => "never".to_string(),
         }
     }
 }
@@ -372,18 +367,19 @@ mod tests {
     #[test]
     fn policy_parsing_round_trips() {
         assert_eq!(FsyncPolicy::parse("always"), Ok(FsyncPolicy::Always));
-        assert_eq!(FsyncPolicy::parse("never"), Ok(FsyncPolicy::Never));
         assert_eq!(
             FsyncPolicy::parse("interval:250"),
             Ok(FsyncPolicy::Interval(Duration::from_millis(250)))
         );
-        for policy in [
-            FsyncPolicy::Always,
-            FsyncPolicy::Never,
-            FsyncPolicy::Interval(Duration::from_millis(40)),
-        ] {
+        for policy in [FsyncPolicy::Always, FsyncPolicy::Interval(Duration::from_millis(40))] {
             assert_eq!(FsyncPolicy::parse(&policy.label()), Ok(policy));
         }
+        // `never` synced no sooner than the drain: the process-crash
+        // guarantee of `interval:<ms>`, and no workload ran it.
+        assert_eq!(
+            FsyncPolicy::parse("never"),
+            Err("unknown durability policy `never` (valid: always, interval:<ms>)".to_string())
+        );
         assert!(FsyncPolicy::parse("sometimes").is_err());
         assert!(FsyncPolicy::parse("interval:0").is_err());
         assert!(FsyncPolicy::parse("interval:fast").is_err());

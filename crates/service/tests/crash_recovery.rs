@@ -59,19 +59,16 @@ fn temp_data_dir(tag: &str) -> PathBuf {
 /// Spawns the daemon on `data_dir`, optionally arming a crash point,
 /// and waits for the banner.
 fn spawn_server(data_dir: &Path, durability: &str, crash: Option<&str>) -> (Child, String) {
+    spawn_server_with(data_dir, &["--durability", durability], crash)
+}
+
+/// [`spawn_server`] with `options` in place of the fsync policy.
+fn spawn_server_with(data_dir: &Path, options: &[&str], crash: Option<&str>) -> (Child, String) {
     let mut command = Command::new(env!("CARGO_BIN_EXE_stage-serve"));
     command
-        .args([
-            "--generate",
-            &SEED.to_string(),
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "4",
-            "--durability",
-            durability,
-            "--data-dir",
-        ])
+        .args(["--generate", &SEED.to_string(), "--addr", "127.0.0.1:0", "--workers", "4"])
+        .args(options)
+        .arg("--data-dir")
         .arg(data_dir)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -327,6 +324,77 @@ fn randomized_crash_chaos_preserves_acknowledged_decisions() {
         drain(&mut child, &addr);
         assert!(started.elapsed() < BUDGET, "chaos loop exceeded {BUDGET:?}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The names of `dir`'s files `<prefix>NNN<suffix>`, as their numbers.
+fn numbered(dir: &Path, prefix: &str, suffix: &str) -> Vec<u64> {
+    let names = std::fs::read_dir(dir).expect("read data dir").filter_map(Result::ok);
+    let numbers = names.filter_map(|e| {
+        let name = e.file_name().into_string().ok()?;
+        name.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok()
+    });
+    numbers.collect()
+}
+
+/// `--checkpoint-every`: concurrent keyed submits cross the periodic
+/// trigger several times, then SIGKILL. The newest checkpoint was written
+/// by the trigger (no client asked for one), every WAL segment before it
+/// was compacted away, and the restart recovers the checkpoint plus its
+/// WAL tail: a snapshot equal to a replay of its own log, with every
+/// acknowledged key replaying its recorded response instead of being
+/// decided again.
+#[test]
+fn periodic_checkpoints_compact_the_wal_and_recover_after_sigkill() {
+    const CLIENTS: usize = 4;
+    const PER_CLIENT: usize = 20;
+    let scenario = catalog();
+    let items = item_names(&scenario);
+    let machines = scenario.network().machine_count();
+    let dir = temp_data_dir("periodic");
+    let options = ["--durability", "always", "--checkpoint-every", "25"];
+    let (mut child, addr) = spawn_server_with(&dir, &options, None);
+
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|client| {
+            let (addr, items) = (addr.clone(), items.clone());
+            std::thread::spawn(move || {
+                let (mut reader, mut writer) = connect(&addr);
+                (0..PER_CLIENT)
+                    .map(|i| {
+                        let key = format!("periodic-{client}-{i}");
+                        let line = submit_line(&items, machines, client * PER_CLIENT + i, &key);
+                        let response = round_trip(&mut reader, &mut writer, &line);
+                        assert!(acked_ok(&response), "submit must be acknowledged: {response:?}");
+                        (key, response)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let acked: HashMap<String, Value> =
+        clients.into_iter().flat_map(|c| c.join().expect("client thread")).collect();
+    assert_eq!(acked.len(), CLIENTS * PER_CLIENT);
+    child.kill().expect("SIGKILL stage-serve");
+    child.wait().expect("wait for killed server");
+
+    let newest = numbered(&dir, "checkpoint-", ".ckpt").into_iter().max();
+    let newest = newest.expect("a periodic checkpoint was written");
+    assert!(newest >= 25, "checkpoint covers {newest} records, fewer than --checkpoint-every");
+    let segments = numbered(&dir, "wal-", ".log");
+    assert!(segments.iter().all(|&start| start >= newest), "{segments:?} below {newest}");
+
+    let (mut child, addr) = spawn_server_with(&dir, &options, None);
+    let log_len = |addr: &str| {
+        let (mut reader, mut writer) = connect(addr);
+        let snapshot = round_trip(&mut reader, &mut writer, "{\"verb\":\"snapshot\"}");
+        snapshot.get("log").and_then(Value::as_array).expect("snapshot log").len()
+    };
+    let recovered = log_len(&addr);
+    assert_eq!(recovered, CLIENTS * PER_CLIENT, "every acknowledged decision is in the log");
+    assert_recovered(&addr, &scenario, &acked);
+    assert_eq!(log_len(&addr), recovered, "a retried key was decided again");
+    drain(&mut child, &addr);
     std::fs::remove_dir_all(&dir).ok();
 }
 

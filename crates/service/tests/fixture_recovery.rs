@@ -27,7 +27,7 @@ fn catalog() -> Scenario {
 fn recover(dir: &Path) -> (Durability, AdmissionEngine, RecoveryReport) {
     Durability::recover(
         dir,
-        FsyncPolicy::Never,
+        FsyncPolicy::Always,
         u64::MAX,
         &catalog(),
         Heuristic::FullPathOneDestination,

@@ -89,7 +89,7 @@ fn submit(engine: &mut AdmissionEngine, item: &str, priority: u8, key: Option<&s
 fn log_every_shape(dir: &Path) -> (Durability, AdmissionEngine) {
     let (durability, mut engine, _) = Durability::recover(
         dir,
-        FsyncPolicy::Never,
+        FsyncPolicy::Always,
         DEFAULT_CHECKPOINT_EVERY,
         &catalog(),
         Heuristic::FullPathOneDestination,
