@@ -109,7 +109,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// Creates an empty histogram over `bounds` (strictly increasing, at
-    /// most [`MAX_BUCKETS`]` - 1` entries).
+    /// most `MAX_BUCKETS - 1` = 15 entries).
     #[must_use]
     pub const fn new(bounds: &'static [u64]) -> Self {
         assert!(bounds.len() < MAX_BUCKETS, "too many histogram bounds");

@@ -2,7 +2,7 @@
 //! engine behind a `parking_lot::RwLock`.
 //!
 //! Every mutating verb (`submit`, point-to-multipoint `submit`, `inject`,
-//! `optimize`) goes through one write path, [`write_verb`]: take a FIFO
+//! `optimize`) goes through one write path, `write_verb`: take a FIFO
 //! turn, take the write lock, decide against live state, stage the new
 //! log records into the WAL, release, then wait for the group-commit
 //! fsync. The order in which turns are served *is* the decision order,
