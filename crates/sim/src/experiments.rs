@@ -812,7 +812,12 @@ pub fn families(cases: usize, small: bool, threads: usize) -> ExperimentReport {
     }
 }
 
-/// Runs every experiment in paper order.
+/// Runs the paper's nine harness tables (figures 2–5, `weights`,
+/// `prio_first`, `minmax`, `exec`, `exec_time`) in paper order — not
+/// every experiment: [`extensions`], [`schedulers`] and the four with
+/// generators of their own ([`optimizer`], [`fault_tolerance`],
+/// [`congestion`], [`families`]) are left out. `figures all` runs those
+/// too.
 pub fn all(harness: &Harness) -> Vec<ExperimentReport> {
     vec![
         fig2(harness),
