@@ -51,7 +51,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot use Cost1")]
+    #[should_panic(expected = "full_all heuristic cannot use criterion C1")]
     fn rejects_c1() {
         let s = two_hop_chain();
         let _ = run(&s, Heuristic::FullPathAllDestinations, &config(CostCriterion::C1));

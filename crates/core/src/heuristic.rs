@@ -175,9 +175,6 @@ pub struct ScheduleOutcome {
 /// ```
 #[must_use]
 pub fn run(scenario: &Scenario, heuristic: Heuristic, config: &HeuristicConfig) -> ScheduleOutcome {
-    if let Err(message) = heuristic.check_criterion(config.criterion) {
-        panic!("{message}");
-    }
     let started = std::time::Instant::now();
     let mut state = SchedulerState::with_caching(scenario, config.caching);
     drive_state(&mut state, heuristic, config);
@@ -198,9 +195,7 @@ pub fn run(scenario: &Scenario, heuristic: Heuristic, config: &HeuristicConfig) 
 /// Panics on the [`Heuristic::FullPathAllDestinations`] +
 /// [`CostCriterion::C1`] pairing, as for [`run`].
 pub fn drive_state(state: &mut SchedulerState<'_>, heuristic: Heuristic, config: &HeuristicConfig) {
-    if let Err(message) = heuristic.check_criterion(config.criterion) {
-        panic!("{message}");
-    }
+    heuristic.check_criterion(config.criterion).unwrap_or_else(|message| panic!("{message}"));
     while step_state(state, heuristic, config) {}
 }
 

@@ -193,9 +193,7 @@ impl AdmissionEngine {
     /// ([`Heuristic::check_criterion`]), before any decision is made.
     #[must_use]
     pub fn new(catalog: &Scenario, heuristic: Heuristic, config: HeuristicConfig) -> Self {
-        if let Err(message) = heuristic.check_criterion(config.criterion) {
-            panic!("{message}");
-        }
+        heuristic.check_criterion(config.criterion).unwrap_or_else(|message| panic!("{message}"));
         let mut builder = Scenario::builder(catalog.network().clone())
             .gc_delay(catalog.gc_delay())
             .horizon(catalog.horizon());
