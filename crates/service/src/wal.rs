@@ -374,8 +374,6 @@ mod tests {
         for policy in [FsyncPolicy::Always, FsyncPolicy::Interval(Duration::from_millis(40))] {
             assert_eq!(FsyncPolicy::parse(&policy.label()), Ok(policy));
         }
-        // `never` synced no sooner than the drain: the process-crash
-        // guarantee of `interval:<ms>`, and no workload ran it.
         assert_eq!(
             FsyncPolicy::parse("never"),
             Err("unknown durability policy `never` (valid: always, interval:<ms>)".to_string())
