@@ -11,6 +11,9 @@
 //!    `paths_hold` accepts are a from-scratch search's.
 //! 4. **First-hop memo** — the precomputed first hop equals a walk up the
 //!    hop chain.
+//!
+//! Exactness is also checked with finite per-machine hold deadlines, on a
+//! partly consumed ledger, with some windows opening after every hold.
 
 use dstage_model::ids::{MachineId, VirtualLinkId};
 use dstage_model::link::VirtualLink;
@@ -314,6 +317,39 @@ proptest! {
                 prop_assert_eq!(tree.arrival(d), scratch.arrival(d), "arrival at {}", d);
                 prop_assert_eq!(tree.path_to(d), scratch.path_to(d), "path to {}", d);
             }
+        }
+    }
+
+    #[test]
+    fn dijkstra_matches_fixpoint_reference_under_finite_holds(
+        net in random_net_strategy(),
+        size in 1u64..40_000,
+        src in 0usize..7,
+        src_avail in 0u64..60,
+        holds in prop::collection::vec(60u64..170, 7),
+        commits in prop::collection::vec((0usize..32, 0u64..200, 1u64..30_000), 0..8),
+    ) {
+        // Every hold ends by 170 s; the appended link opens at 185 s and
+        // random windows open anywhere up to 200 s, so some windows open
+        // after every hold and can carry nothing.
+        let mut net = net;
+        net.links.push((0, 1, 185, 100, 5));
+        let network = build(&net);
+        let src = MachineId::new((src % net.machines) as u32);
+        let mut ledger = NetworkLedger::new(&network);
+        consume_randomly(&network, &mut ledger, &commits);
+        let hold: Vec<SimTime> =
+            holds[..net.machines].iter().map(|&h| SimTime::from_secs(h)).collect();
+        let sources = [(src, SimTime::from_secs(src_avail))];
+        let query = query_of(&network, &ledger, size, &sources, &hold);
+        let tree = earliest_arrival_tree(&query);
+        let reference = fixpoint_arrivals(&network, &ledger, Bytes::new(size), &sources, &hold);
+        for (i, &expected) in reference.iter().enumerate() {
+            prop_assert_eq!(
+                tree.arrival(MachineId::new(i as u32)),
+                expected,
+                "machine {} disagrees", i
+            );
         }
     }
 

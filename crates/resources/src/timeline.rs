@@ -32,11 +32,10 @@ use serde::{Deserialize, Serialize};
 pub struct CapacityTimeline {
     capacity: Bytes,
     /// Sorted by time; `(t, delta)` means usage changes by `delta` at `t`.
-    /// Deltas are never zero. Times are usually unique, but a reservation
-    /// larger than `i64::MAX` bytes (or a same-instant merge that would
-    /// overflow `i64`) is stored as several same-time entries whose deltas
-    /// sum to the true change — readers fold every event at an instant, so
-    /// only the per-instant sum matters.
+    /// Deltas are never zero. Times are usually unique, but a net change
+    /// beyond `i64` at one instant (a reservation larger than `i64::MAX`
+    /// bytes, say) is stored as several same-time entries of one sign
+    /// whose deltas sum to the true change.
     events: Vec<(SimTime, i64)>,
 }
 
@@ -245,36 +244,30 @@ impl CapacityTimeline {
         self.apply_span(size, until, from);
     }
 
-    /// Applies `+size` at `from` and `-size` at `until`, chunking sizes
-    /// above `i64::MAX` into several balanced i64 deltas. This is where
-    /// reservations beyond `i64::MAX` bytes used to panic through
-    /// `i64::try_from(..).expect("sizes fit in i64")` — a malformed
-    /// scenario could kill the daemon.
+    /// Applies `+size` at `from` and `-size` at `until`.
     fn apply_span(&mut self, size: Bytes, from: SimTime, until: SimTime) {
-        let mut remaining = size.as_u64();
-        while remaining > 0 {
-            let chunk = remaining.min(i64::MAX as u64);
-            remaining -= chunk;
-            let amount = i64::try_from(chunk).expect("chunk clamped to i64::MAX");
-            self.apply_delta(from, amount);
-            self.apply_delta(until, -amount);
-        }
+        let size = i128::from(size.as_u64());
+        self.apply_delta(from, size);
+        self.apply_delta(until, -size);
     }
 
-    fn apply_delta(&mut self, t: SimTime, delta: i64) {
-        match self.events.binary_search_by_key(&t, |&(et, _)| et) {
-            Ok(idx) => match self.events[idx].1.checked_add(delta) {
-                Some(0) => {
-                    self.events.remove(idx);
-                }
-                Some(merged) => self.events[idx].1 = merged,
-                // The merged delta would overflow i64: keep a second entry
-                // at the same instant instead of wrapping. Readers fold
-                // every event at an instant, so only the sum matters.
-                None => self.events.insert(idx + 1, (t, delta)),
-            },
-            Err(idx) => self.events.insert(idx, (t, delta)),
-        }
+    /// Adds `delta` to the net change at `t` and stores that net as the
+    /// fewest same-sign i64 entries (none when it is zero). With one sign
+    /// per instant, every partial sum a reader folds inside an instant
+    /// lies between the levels before and after it — so no reader sees a
+    /// level that never exists. (Merging into one of several same-instant
+    /// entries used to leave `+i64::MAX, -i64::MAX` pairs behind a
+    /// released huge reservation, and the machine read as full.)
+    fn apply_delta(&mut self, t: SimTime, delta: i128) {
+        let lo = self.events.partition_point(|&(et, _)| et < t);
+        let hi = lo + self.events[lo..].iter().take_while(|&&(et, _)| et == t).count();
+        let mut net = delta + self.events[lo..hi].iter().map(|&(_, d)| i128::from(d)).sum::<i128>();
+        let chunks = std::iter::from_fn(|| {
+            let chunk = net.clamp(-i128::from(i64::MAX), i128::from(i64::MAX));
+            net -= chunk;
+            (chunk != 0).then(|| (t, i64::try_from(chunk).expect("chunk clamped to i64")))
+        });
+        self.events.splice(lo..hi, chunks);
     }
 }
 
@@ -489,6 +482,26 @@ mod tests {
         assert_eq!(tl.used_at(t(40)), huge);
         assert_eq!(tl.used_at(t(50)), Bytes::ZERO);
         assert!(tl.can_hold(kb(1), t(50), t(60)));
+    }
+
+    #[test]
+    fn releasing_a_huge_reservation_restores_the_timeline() {
+        // Regression: the release merged into one of the reservation's
+        // same-instant chunks, leaving `+i64::MAX, -i64::MAX` behind; the
+        // readers' fold passed through `i64::MAX` at that instant and the
+        // empty machine read as full.
+        let huge = Bytes::new(i64::MAX as u64 + 5);
+        let mut tl = CapacityTimeline::new(Bytes::new(u64::MAX));
+        tl.force_reserve(kb(4), t(5), t(20));
+        let before = tl.clone();
+        tl.force_reserve(huge, t(10), t(30));
+        tl.release(huge, t(10), t(30));
+        assert_eq!(tl, before);
+        assert_eq!(tl.peak_usage(t(0), t(40)), kb(4));
+        tl.force_reserve(Bytes::new(u64::MAX), t(10), t(30));
+        tl.release(kb(4), t(5), t(20));
+        tl.release(Bytes::new(u64::MAX), t(10), t(30));
+        assert_eq!(tl, CapacityTimeline::new(Bytes::new(u64::MAX)));
     }
 
     #[test]

@@ -299,3 +299,128 @@ proptest! {
         }
     }
 }
+
+/// The booked spans themselves, `(from_ms, until_ms, bytes)`: the
+/// reference a [`CapacityTimeline`] is checked against. Every level is
+/// folded from scratch in `u128`, so no size needs chunking here.
+#[derive(Debug, Default)]
+struct NaiveStore {
+    spans: Vec<(u64, u64, u128)>,
+}
+
+impl NaiveStore {
+    fn level(&self, at: u64) -> u128 {
+        self.spans.iter().filter(|&&(f, u, _)| f <= at && at < u).map(|&(_, _, s)| s).sum()
+    }
+
+    /// The instants strictly inside `(from, until)` where a span begins or
+    /// ends — the only places the level can change.
+    fn breakpoints(&self, from: u64, until: u64) -> Vec<u64> {
+        let mut points: Vec<u64> = self
+            .spans
+            .iter()
+            .flat_map(|&(f, u, _)| [f, u])
+            .filter(|&p| from < p && p < until)
+            .collect();
+        points.sort_unstable();
+        points.dedup();
+        points
+    }
+
+    fn peak(&self, from: u64, until: u64) -> u128 {
+        if from >= until {
+            return 0;
+        }
+        self.breakpoints(from, until)
+            .into_iter()
+            .map(|p| self.level(p))
+            .fold(self.level(from), u128::max)
+    }
+
+    fn fits(&self, cap: u64, size: u64, from: u64, until: u64) -> bool {
+        from >= until || size == 0 || self.peak(from, until) + u128::from(size) <= u128::from(cap)
+    }
+
+    fn earliest_hold_start(&self, cap: u64, size: u64, from: u64, until: u64) -> Option<u64> {
+        if from >= until || size == 0 {
+            return Some(from);
+        }
+        std::iter::once(from)
+            .chain(self.breakpoints(from, until))
+            .find(|&start| self.fits(cap, size, start, until))
+    }
+}
+
+/// A level as the timeline reports it: clamped to `u64::MAX`.
+fn clamped(level: u128) -> Bytes {
+    Bytes::new(u64::try_from(level).unwrap_or(u64::MAX))
+}
+
+/// Sizes drawn mostly small, sometimes above `i64::MAX` (stored by the
+/// timeline as several same-instant chunks), sometimes zero.
+fn drawn_size(pick: u64, small: u64) -> u64 {
+    match pick {
+        0 => u64::MAX,
+        1 => i64::MAX as u64 + 1 + small,
+        2 => 0,
+        _ => small,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn timeline_matches_a_naive_fold_under_reserve_force_and_release(
+        cap_pick in 0u64..4,
+        small_cap in 1_000u64..60_000,
+        ops in prop::collection::vec((0u64..4, 0u64..120, 0u64..60, 0u64..10, 1u64..40_000, 0usize..64), 0..40),
+        probes in prop::collection::vec((0u64..140, 0u64..60, 0u64..10, 1u64..70_000), 1..8),
+    ) {
+        let cap = if cap_pick == 0 { u64::MAX } else { small_cap };
+        let mut tl = CapacityTimeline::new(Bytes::new(cap));
+        let mut naive = NaiveStore::default();
+        for (kind, from, len, pick, small, victim) in ops {
+            let (until, size) = (from + len, drawn_size(pick, small));
+            match kind {
+                // Release one booked span, the exact inverse of its booking.
+                0 if !naive.spans.is_empty() => {
+                    let (f, u, s) = naive.spans.swap_remove(victim % naive.spans.len());
+                    tl.release(Bytes::new(u64::try_from(s).unwrap()), t(f), t(u));
+                }
+                // Force: the data is simply there, overcommit or not.
+                1 => {
+                    tl.force_reserve(Bytes::new(size), t(from), t(until));
+                    naive.spans.push((from, until, u128::from(size)));
+                }
+                _ => {
+                    let expected = naive.fits(cap, size, from, until);
+                    let booked = tl.reserve(Bytes::new(size), t(from), t(until)).is_ok();
+                    prop_assert_eq!(booked, expected, "reserve {} over [{}, {})", size, from, until);
+                    if booked {
+                        naive.spans.push((from, until, u128::from(size)));
+                    }
+                }
+            }
+            for &(pf, plen, ppick, psmall) in &probes {
+                let (pu, psize) = (pf + plen, drawn_size(ppick, psmall));
+                prop_assert_eq!(tl.used_at(t(pf)), clamped(naive.level(pf)), "used_at {}", pf);
+                prop_assert_eq!(
+                    tl.peak_usage(t(pf), t(pu)),
+                    clamped(naive.peak(pf, pu)),
+                    "peak_usage [{}, {})", pf, pu
+                );
+                prop_assert_eq!(
+                    tl.can_hold(Bytes::new(psize), t(pf), t(pu)),
+                    naive.fits(cap, psize, pf, pu),
+                    "can_hold {} over [{}, {})", psize, pf, pu
+                );
+                prop_assert_eq!(
+                    tl.earliest_hold_start(Bytes::new(psize), t(pf), t(pu)),
+                    naive.earliest_hold_start(cap, psize, pf, pu).map(t),
+                    "earliest_hold_start {} over [{}, {})", psize, pf, pu
+                );
+            }
+        }
+    }
+}
