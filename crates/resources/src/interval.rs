@@ -5,7 +5,6 @@
 //! half-open intervals `[start, end)` over simulation time.
 
 use dstage_model::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A set of disjoint, sorted, half-open busy intervals.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// );
 /// assert_eq!(start, Some(SimTime::from_secs(20)));
 /// ```
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct BusyIntervals {
     /// Sorted by start; pairwise disjoint (abutting intervals are merged).
     spans: Vec<(SimTime, SimTime)>,

@@ -16,7 +16,6 @@ use dstage_model::link::VirtualLink;
 use dstage_model::network::Network;
 use dstage_model::time::{SimDuration, SimTime};
 use dstage_model::units::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::interval::BusyIntervals;
 use crate::timeline::CapacityTimeline;
@@ -107,7 +106,7 @@ impl std::error::Error for CommitError {}
 ///     .unwrap();
 /// assert_eq!(next.start, slot.arrival);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkLedger {
     links: Vec<BusyIntervals>,
     stores: Vec<CapacityTimeline>,

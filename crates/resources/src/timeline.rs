@@ -5,11 +5,12 @@
 //! constant function (usage deltas at event times) and answers two
 //! questions the scheduler needs: *can this machine hold `size` extra bytes
 //! throughout `[from, until)`?* and *what is the earliest start time from
-//! which it can?*
+//! which it can?* Most probes are answered without a scan: the timeline
+//! keeps its highest level, and when even that leaves room for `size`,
+//! every span does.
 
 use dstage_model::time::SimTime;
 use dstage_model::units::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// Piecewise-constant storage usage against a fixed total capacity.
 ///
@@ -28,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// // ...but fits entirely after it.
 /// assert!(tl.can_hold(Bytes::from_mib(6), SimTime::from_secs(60), SimTime::from_secs(90)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CapacityTimeline {
     capacity: Bytes,
     /// Sorted by time; `(t, delta)` means usage changes by `delta` at `t`.
@@ -37,6 +38,9 @@ pub struct CapacityTimeline {
     /// bytes, say) is stored as several same-time entries of one sign
     /// whose deltas sum to the true change.
     events: Vec<(SimTime, i64)>,
+    /// The highest level at any instant (clamped to `u64::MAX`),
+    /// recomputed by every write. Writes are rare next to probes.
+    peak: Bytes,
 }
 
 /// Error returned by [`CapacityTimeline::reserve`] when the reservation
@@ -68,7 +72,7 @@ impl CapacityTimeline {
     /// no usage.
     #[must_use]
     pub fn new(capacity: Bytes) -> Self {
-        CapacityTimeline { capacity, events: Vec::new() }
+        CapacityTimeline { capacity, events: Vec::new(), peak: Bytes::ZERO }
     }
 
     /// The machine's total capacity.
@@ -97,6 +101,11 @@ impl CapacityTimeline {
     #[must_use]
     pub fn peak_usage(&self, from: SimTime, until: SimTime) -> Bytes {
         dstage_obs::metrics::RESOURCES_PEAK_SCANS.inc();
+        self.scan_peak(from, until)
+    }
+
+    /// [`CapacityTimeline::peak_usage`] without the tap.
+    fn scan_peak(&self, from: SimTime, until: SimTime) -> Bytes {
         if from >= until {
             return Bytes::ZERO;
         }
@@ -129,10 +138,22 @@ impl CapacityTimeline {
         if from >= until || size == Bytes::ZERO {
             return true;
         }
-        match self.peak_usage(from, until).checked_add(size) {
-            Some(total) => total <= self.capacity,
-            None => false,
+        if self.fits_everywhere(size) {
+            debug_assert!(self.fits(self.scan_peak(from, until), size), "peak fast path vs scan");
+            return true;
         }
+        self.fits(self.peak_usage(from, until), size)
+    }
+
+    /// Whether `size` more bytes fit on top of `level`.
+    fn fits(&self, level: Bytes, size: Bytes) -> bool {
+        level.checked_add(size).is_some_and(|total| total <= self.capacity)
+    }
+
+    /// Whether `size` more bytes fit at every instant — what a scan of
+    /// any span answers when even the highest level leaves that room.
+    fn fits_everywhere(&self, size: Bytes) -> bool {
+        self.fits(self.peak, size)
     }
 
     /// The earliest `start >= from` such that `size` extra bytes fit
@@ -148,12 +169,23 @@ impl CapacityTimeline {
         from: SimTime,
         until: SimTime,
     ) -> Option<SimTime> {
-        if from >= until {
+        if from >= until || size == Bytes::ZERO {
             return Some(from);
         }
-        if size == Bytes::ZERO {
+        if self.fits_everywhere(size) {
+            debug_assert_eq!(
+                self.scan_hold_start(size, from, until),
+                Some(from),
+                "peak fast path vs scan"
+            );
             return Some(from);
         }
+        self.scan_hold_start(size, from, until)
+    }
+
+    /// [`CapacityTimeline::earliest_hold_start`] by folding every event
+    /// before `until`, for a non-empty span and a non-zero size.
+    fn scan_hold_start(&self, size: Bytes, from: SimTime, until: SimTime) -> Option<SimTime> {
         if size > self.capacity {
             return None;
         }
@@ -206,10 +238,11 @@ impl CapacityTimeline {
         if from >= until || size == Bytes::ZERO {
             return Ok(());
         }
-        let peak = self.peak_usage(from, until);
-        let fits = peak.checked_add(size).is_some_and(|t| t <= self.capacity);
-        if !fits {
-            return Err(CapacityExceeded { at: from, used: peak, capacity: self.capacity });
+        if !self.fits_everywhere(size) {
+            let used = self.peak_usage(from, until);
+            if !self.fits(used, size) {
+                return Err(CapacityExceeded { at: from, used, capacity: self.capacity });
+            }
         }
         self.apply_span(size, from, until);
         Ok(())
@@ -233,8 +266,7 @@ impl CapacityTimeline {
     /// Takes `size` bytes over `[from, until)` back — the exact inverse of
     /// the [`CapacityTimeline::reserve`] or
     /// [`CapacityTimeline::force_reserve`] that booked them. Releasing
-    /// what was never reserved trips the non-negative usage invariant at
-    /// the next read.
+    /// what was never reserved trips the non-negative usage invariant.
     pub fn release(&mut self, size: Bytes, from: SimTime, until: SimTime) {
         if from >= until || size == Bytes::ZERO {
             return;
@@ -244,11 +276,20 @@ impl CapacityTimeline {
         self.apply_span(size, until, from);
     }
 
-    /// Applies `+size` at `from` and `-size` at `until`.
+    /// Applies `+size` at `from` and `-size` at `until`, then refolds the
+    /// peak — checking on the way that no level is negative.
     fn apply_span(&mut self, size: Bytes, from: SimTime, until: SimTime) {
         let size = i128::from(size.as_u64());
         self.apply_delta(from, size);
         self.apply_delta(until, -size);
+        let mut level: i128 = 0;
+        let mut peak: i128 = 0;
+        for &(_, delta) in &self.events {
+            level += i128::from(delta);
+            assert!(level >= 0, "usage invariant: never negative (level {level})");
+            peak = peak.max(level);
+        }
+        self.peak = level_bytes(peak);
     }
 
     /// Adds `delta` to the net change at `t` and stores that net as the
@@ -273,12 +314,11 @@ impl CapacityTimeline {
 
 /// Converts an accumulated usage level to [`Bytes`].
 ///
-/// The level must be non-negative (reservations and releases are applied
-/// in balanced pairs); force-reserve overcommit can push it past
-/// `u64::MAX`, which clamps — capacity is a `u64`, so anything above
-/// `u64::MAX` fails every capacity check identically.
+/// Levels are never negative (every write checks); force-reserve
+/// overcommit can push one past `u64::MAX`, which clamps — capacity is a
+/// `u64`, so anything above `u64::MAX` fails every capacity check
+/// identically.
 fn level_bytes(level: i128) -> Bytes {
-    assert!(level >= 0, "usage invariant: never negative (level {level})");
     Bytes::new(u64::try_from(level).unwrap_or(u64::MAX))
 }
 
