@@ -5,14 +5,19 @@
 //! (strong connectivity via Tarjan's algorithm) operate on the *static*
 //! graph — the union of all virtual links, ignoring time windows — which is
 //! the sense in which the paper's generator guarantees strong connectivity.
+//!
+//! A network read from JSON is rebuilt through [`NetworkBuilder`]: the
+//! stored adjacency lists are checked against the links, never trusted.
 
+use core::fmt;
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 use crate::ids::{MachineId, VirtualLinkId};
 use crate::link::VirtualLink;
 use crate::machine::{Machine, MachineRef};
+use crate::time::SimTime;
 
 /// The communication system: machines plus virtual links, with adjacency
 /// indexes for efficient traversal.
@@ -37,15 +42,99 @@ use crate::machine::{Machine, MachineRef};
 /// assert_eq!(net.machine_count(), 2);
 /// assert!(net.is_strongly_connected());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     machines: Vec<Machine>,
     links: Vec<VirtualLink>,
     /// Outgoing virtual links per machine, sorted by id.
     out_links: Vec<Vec<VirtualLinkId>>,
+    /// The window start of each link in `out_links`, in the same order —
+    /// what the search reads before deciding to load a link at all.
+    out_starts: Vec<Vec<SimTime>>,
     /// Incoming virtual links per machine, sorted by id.
     in_links: Vec<Vec<VirtualLinkId>>,
 }
+
+/// The serialized form of a [`Network`]: the adjacency lists are written
+/// out for readers of the JSON, and checked on the way back in.
+#[derive(Serialize)]
+struct NetworkRef<'a> {
+    machines: &'a [Machine],
+    links: &'a [VirtualLink],
+    out_links: &'a [Vec<VirtualLinkId>],
+    in_links: &'a [Vec<VirtualLinkId>],
+}
+
+/// The owned counterpart of [`NetworkRef`], read before any check.
+#[derive(Deserialize)]
+struct NetworkWire {
+    machines: Vec<Machine>,
+    links: Vec<VirtualLink>,
+    out_links: Vec<Vec<VirtualLinkId>>,
+    in_links: Vec<Vec<VirtualLinkId>>,
+}
+
+impl Serialize for Network {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        NetworkRef {
+            machines: &self.machines,
+            links: &self.links,
+            out_links: &self.out_links,
+            in_links: &self.in_links,
+        }
+        .serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for Network {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let wire = NetworkWire::deserialize(deserializer)?;
+        let mut b = NetworkBuilder::new();
+        for machine in wire.machines {
+            b.add_machine(machine);
+        }
+        for link in wire.links {
+            b.try_add_link(link).map_err(serde::de::Error::custom)?;
+        }
+        b.build_matching(&wire.out_links, &wire.in_links).map_err(serde::de::Error::custom)
+    }
+}
+
+/// Why a network read from outside is refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum NetworkError {
+    /// A link names a machine the network does not have.
+    UnknownEndpoint {
+        /// The offending link.
+        link: VirtualLinkId,
+        /// The machine it names.
+        machine: MachineId,
+    },
+    /// A machine's stored adjacency list is not the list of links that
+    /// leave (or enter) it, in id order.
+    AdjacencyMismatch {
+        /// The machine whose list disagrees.
+        machine: MachineId,
+        /// `"out_links"` or `"in_links"`.
+        list: &'static str,
+    },
+}
+
+impl fmt::Display for NetworkError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NetworkError::UnknownEndpoint { link, machine } => {
+                write!(f, "link {link} references unknown machine {machine}")
+            }
+            NetworkError::AdjacencyMismatch { machine, list } => {
+                write!(f, "{list} of machine {machine} disagree with the links' endpoints")
+            }
+        }
+    }
+}
+
+impl std::error::Error for NetworkError {}
 
 impl Network {
     /// Number of machines `m`.
@@ -106,6 +195,17 @@ impl Network {
     #[must_use]
     pub fn outgoing(&self, machine: MachineId) -> &[VirtualLinkId] {
         &self.out_links[machine.index()]
+    }
+
+    /// The window start of each link in [`Network::outgoing`], in the same
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range for this network.
+    #[must_use]
+    pub fn outgoing_starts(&self, machine: MachineId) -> &[SimTime] {
+        &self.out_starts[machine.index()]
     }
 
     /// The ids of virtual links arriving at `machine`.
@@ -252,14 +352,21 @@ impl NetworkBuilder {
     ///
     /// Panics if either endpoint has not been added yet.
     pub fn add_link(&mut self, link: VirtualLink) -> VirtualLinkId {
-        let m = self.machines.len();
-        assert!(
-            link.source().index() < m && link.destination().index() < m,
-            "link endpoints must refer to machines already added to the builder"
-        );
+        self.try_add_link(link).unwrap_or_else(|e| {
+            panic!("{e}: link endpoints must refer to machines already added to the builder")
+        })
+    }
+
+    /// [`NetworkBuilder::add_link`], refusing a dangling endpoint.
+    fn try_add_link(&mut self, link: VirtualLink) -> Result<VirtualLinkId, NetworkError> {
         let id = VirtualLinkId::new(self.links.len() as u32);
+        for machine in [link.source(), link.destination()] {
+            if machine.index() >= self.machines.len() {
+                return Err(NetworkError::UnknownEndpoint { link: id, machine });
+            }
+        }
         self.links.push(link);
-        id
+        Ok(id)
     }
 
     /// Number of machines added so far.
@@ -273,13 +380,38 @@ impl NetworkBuilder {
     pub fn build(self) -> Network {
         let n = self.machines.len();
         let mut out_links = vec![Vec::new(); n];
+        let mut out_starts = vec![Vec::new(); n];
         let mut in_links = vec![Vec::new(); n];
         for (i, link) in self.links.iter().enumerate() {
             let id = VirtualLinkId::new(i as u32);
             out_links[link.source().index()].push(id);
+            out_starts[link.source().index()].push(link.start());
             in_links[link.destination().index()].push(id);
         }
-        Network { machines: self.machines, links: self.links, out_links, in_links }
+        Network { machines: self.machines, links: self.links, out_links, out_starts, in_links }
+    }
+
+    /// [`NetworkBuilder::build`], refusing the network unless `out_links`
+    /// and `in_links` are exactly the adjacency lists it derives.
+    fn build_matching(
+        self,
+        out_links: &[Vec<VirtualLinkId>],
+        in_links: &[Vec<VirtualLinkId>],
+    ) -> Result<Network, NetworkError> {
+        let network = self.build();
+        for (list, stored, derived) in [
+            ("out_links", out_links, &network.out_links),
+            ("in_links", in_links, &network.in_links),
+        ] {
+            let longest = stored.len().max(derived.len());
+            if let Some(i) = (0..longest).find(|&i| stored.get(i) != derived.get(i)) {
+                return Err(NetworkError::AdjacencyMismatch {
+                    machine: MachineId::new(i as u32),
+                    list,
+                });
+            }
+        }
+        Ok(network)
     }
 }
 
@@ -415,6 +547,92 @@ mod tests {
         let net = b.build();
         assert!(net.is_strongly_connected());
         assert_eq!(net.strongly_connected_components().len(), 1);
+    }
+
+    #[test]
+    fn outgoing_starts_follow_outgoing() {
+        let mut b = NetworkBuilder::new();
+        machines(&mut b, 3);
+        let late = |a, c, s| {
+            VirtualLink::new(
+                MachineId::new(a),
+                MachineId::new(c),
+                SimTime::from_secs(s),
+                SimTime::from_secs(s + 60),
+                BitsPerSec::from_kbps(56),
+            )
+        };
+        b.add_link(late(0, 1, 30));
+        b.add_link(late(1, 2, 10));
+        b.add_link(late(0, 2, 20));
+        let net = b.build();
+        for m in net.machine_ids() {
+            let starts: Vec<SimTime> =
+                net.outgoing(m).iter().map(|&l| net.link(l).start()).collect();
+            assert_eq!(net.outgoing_starts(m), &starts[..]);
+        }
+        assert_eq!(
+            net.outgoing_starts(MachineId::new(0)),
+            &[SimTime::from_secs(30), SimTime::from_secs(20)]
+        );
+    }
+
+    /// A three-machine network as JSON, with `edits` (`from`, `to`)
+    /// replaced before reading.
+    fn read_edited(edits: &[(&str, &str)]) -> Result<Network, String> {
+        let mut b = NetworkBuilder::new();
+        machines(&mut b, 3);
+        b.add_link(quick_link(0, 1));
+        b.add_link(quick_link(0, 2));
+        b.add_link(quick_link(1, 2));
+        let mut text = serde_json::to_string(&b.build()).unwrap();
+        for (from, to) in edits {
+            assert!(text.contains(from), "{from} not in {text}");
+            text = text.replace(from, to);
+        }
+        serde_json::from_str::<Network>(&text).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn a_read_network_writes_the_same_bytes() {
+        let mut b = NetworkBuilder::new();
+        machines(&mut b, 3);
+        b.add_link(quick_link(0, 1));
+        b.add_link(quick_link(2, 0));
+        let net = b.build();
+        let text = serde_json::to_string(&net).unwrap();
+        assert!(text.ends_with(r#""out_links":[[0],[],[1]],"in_links":[[1],[0],[]]}"#), "{text}");
+        let back: Network = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, net);
+        assert_eq!(serde_json::to_string(&back).unwrap(), text);
+        assert!(read_edited(&[]).is_ok());
+    }
+
+    #[test]
+    fn an_out_of_range_adjacency_id_is_refused() {
+        // Trusted, this made the search index past the link table.
+        let err = read_edited(&[(r#""out_links":[[0,"#, r#""out_links":[[99,"#)]).unwrap_err();
+        assert!(err.contains("out_links of machine M0 disagree"), "{err}");
+    }
+
+    #[test]
+    fn a_link_filed_under_the_wrong_machine_is_refused() {
+        // Trusted, the link was searched from M1 and the schedule it gave
+        // failed validation: its transfer's endpoints were not the link's.
+        let err =
+            read_edited(&[(r#""out_links":[[0,1],[2]"#, r#""out_links":[[1],[0,2]"#)]).unwrap_err();
+        assert!(err.contains("out_links of machine M0 disagree"), "{err}");
+        let err =
+            read_edited(&[(r#""in_links":[[],[0],[1,2]]"#, r#""in_links":[[],[0]]"#)]).unwrap_err();
+        assert!(err.contains("in_links of machine M2 disagree"), "{err}");
+    }
+
+    #[test]
+    fn a_dangling_link_endpoint_is_refused() {
+        let err =
+            read_edited(&[(r#""source":1,"destination":2"#, r#""source":1,"destination":7"#)])
+                .unwrap_err();
+        assert!(err.contains("link L2 references unknown machine M7"), "{err}");
     }
 
     #[test]

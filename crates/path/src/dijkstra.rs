@@ -16,7 +16,10 @@
 //! - *lower-bound pruning*: the cheapest conceivable crossing of a link —
 //!   ignoring every reservation — is `max(ready, window start) + transfer
 //!   time`. When even that bound cannot beat the current label or fit the
-//!   window/hold limits, the ledger probe is skipped entirely;
+//!   window/hold limits, the ledger probe is skipped entirely. A window
+//!   that opens after every machine's hold deadline fails that bound
+//!   whatever the labels, so such a link is passed over on its start time
+//!   alone, without loading it;
 //! - *validation on read* ([`paths_hold`]): after consumption, a cached
 //!   tree's paths to the destinations about to be read still hold when
 //!   every hop over a consumed resource re-probes to its old slot.
@@ -25,6 +28,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use dstage_model::ids::{MachineId, VirtualLinkId};
+use dstage_model::link::VirtualLink;
 use dstage_model::network::Network;
 use dstage_model::time::SimTime;
 use dstage_model::units::Bytes;
@@ -143,35 +147,34 @@ fn settle(
     queue: &mut Frontier,
     stats: &mut SearchStats,
 ) {
+    let network = query.network;
+    let n = network.machine_count();
+    let latest_hold = query.hold_until[..n].iter().copied().max().unwrap_or(SimTime::ZERO);
     while let Some(Reverse((ready, u_idx))) = queue.pop() {
         if ready > arrivals[u_idx as usize] {
             stats.stale_pops += 1;
             continue; // stale queue entry
         }
         let u = MachineId::new(u_idx);
-        for &link_id in query.network.outgoing(u) {
+        for (&link_id, &start) in network.outgoing(u).iter().zip(network.outgoing_starts(u)) {
             stats.edge_scans += 1;
-            let link = query.network.link(link_id);
-            let v = link.destination().index();
-            // The unloaded-network bound: no slot can complete earlier
-            // than the earliest start plus the transfer time, and none may
-            // complete after window end or the hold deadline. Most edges
-            // fail it on the start alone, before the transfer time (a
-            // division) is known; overflow means unrepresentably late.
-            let hold = query.hold_until[v];
-            let (earliest, limit) = (link.start().max(ready), link.end().min(hold));
-            let may_improve = earliest <= limit
-                && earliest < arrivals[v]
-                && earliest
-                    .checked_add(link.transfer_time(query.size))
-                    .is_some_and(|lb| lb <= limit && lb < arrivals[v]);
-            if !may_improve {
+            // The bound below rejects a window opening after every hold
+            // (`earliest >= start > hold >= limit`): skip it unloaded.
+            if start > latest_hold {
+                debug_assert!(!may_improve(query, network.link(link_id), ready, arrivals));
                 stats.lb_prunes += 1;
                 continue;
             }
+            let link = network.link(link_id);
+            if !may_improve(query, link, ready, arrivals) {
+                stats.lb_prunes += 1;
+                continue;
+            }
+            let v = link.destination().index();
+            let hold = query.hold_until[v];
             stats.relaxations += 1;
             let Some(slot) =
-                query.ledger.earliest_transfer(query.network, link_id, ready, query.size, hold)
+                query.ledger.earliest_transfer(network, link_id, ready, query.size, hold)
             else {
                 continue;
             };
@@ -189,6 +192,28 @@ fn settle(
             }
         }
     }
+}
+
+/// The unloaded-network bound: no slot can complete earlier than the
+/// earliest start plus the transfer time, and none may complete after
+/// window end or the receiver's hold deadline — nor, to matter, at or
+/// after its current label. Most edges fail it on the start alone, before
+/// the transfer time (a division) is known; overflow means unrepresentably
+/// late.
+#[inline(always)]
+fn may_improve(
+    query: &ItemQuery<'_>,
+    link: &VirtualLink,
+    ready: SimTime,
+    arrivals: &[SimTime],
+) -> bool {
+    let v = link.destination().index();
+    let (earliest, limit) = (link.start().max(ready), link.end().min(query.hold_until[v]));
+    earliest <= limit
+        && earliest < arrivals[v]
+        && earliest
+            .checked_add(link.transfer_time(query.size))
+            .is_some_and(|lb| lb <= limit && lb < arrivals[v])
 }
 
 /// Whether `tree`'s paths to `destinations` — and with them the labels

@@ -198,16 +198,12 @@ fn parse_args() -> Result<Options, CliError> {
 /// wrapper object with a `scenario` field.
 fn load_scenario(path: &str) -> Result<Scenario, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if let Ok(s) = serde_json::from_str::<Scenario>(&text) {
-        return Ok(s);
+    let invalid = |e: &dyn std::fmt::Display| format!("{path} is not a scenario JSON: {e}");
+    let mut json: serde_json::Value = serde_json::from_str(&text).map_err(|e| invalid(&e))?;
+    if let Some(inner) = json.get("scenario").cloned() {
+        json = inner;
     }
-    #[derive(serde::Deserialize)]
-    struct Wrapper {
-        scenario: Scenario,
-    }
-    serde_json::from_str::<Wrapper>(&text)
-        .map(|w| w.scenario)
-        .map_err(|e| format!("{path} is not a scenario JSON: {e}"))
+    serde::from_value(json).map_err(|e| invalid(&e))
 }
 
 fn main() -> ExitCode {

@@ -50,3 +50,49 @@ fn the_extension_schedulers_are_accepted() {
         assert!(stdout.starts_with(head), "{args:?}: {stdout}");
     }
 }
+
+/// The small scenario with its machine 0 outgoing list (`[[a,b,..],`)
+/// rewritten by `edit`, which gets that list's ids and the rest of the
+/// JSON after its closing bracket.
+fn edited_out_links(name: &str, edit: impl FnOnce(Vec<&str>, &str) -> String) -> PathBuf {
+    let path = scenario_file(name);
+    let text = std::fs::read_to_string(&path).expect("read");
+    let key = r#""out_links":[["#;
+    let at = text.find(key).expect("out_links") + key.len();
+    let close = at + text[at..].find(']').expect("list end");
+    let ids = text[at..close].split(',').collect();
+    let edited = format!("{}{}", &text[..at], edit(ids, &text[close..]));
+    std::fs::write(&path, edited).expect("write");
+    path
+}
+
+fn assert_refused_naming_machine_0(path: &PathBuf) {
+    let out = stage(path, &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked") && !stderr.contains("internal error"), "{stderr}");
+    assert!(stderr.contains("out_links of machine M0 disagree"), "{stderr}");
+    assert!(out.stdout.is_empty(), "a schedule was printed");
+}
+
+/// A scenario file's adjacency lists are checked, not trusted: an
+/// out-of-range link id used to panic the search (exit 101).
+#[test]
+fn an_out_of_range_adjacency_id_is_refused() {
+    let path = edited_out_links("stage-oob-link.json", |mut ids, rest| {
+        ids[0] = "99999";
+        format!("{}{rest}", ids.join(","))
+    });
+    assert_refused_naming_machine_0(&path);
+}
+
+/// A link filed under the wrong machine used to be searched from there,
+/// and the run ended in a schedule that failed validation.
+#[test]
+fn a_link_filed_under_the_wrong_machine_is_refused() {
+    let path = edited_out_links("stage-misfiled-link.json", |ids, rest| {
+        // `rest` is `],[c,d,..],...`: M0's first link moves to M1's list.
+        format!("{}],[{},{}", ids[1..].join(","), ids[0], &rest[3..])
+    });
+    assert_refused_naming_machine_0(&path);
+}
