@@ -4,19 +4,41 @@
 //! be plain `static`s, and all writes are relaxed atomics — the tap never
 //! orders anything, it only tallies.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+
+/// How many cache lines a [`Counter`] spreads its writes over.
+const STRIPES: usize = 16;
+
+/// One counter stripe, alone on its cache line.
+#[derive(Debug)]
+#[repr(align(64))]
+struct Stripe(AtomicU64);
+
+/// The stripe the calling thread writes, handed out round-robin on the
+/// thread's first write to any counter.
+fn my_stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static MINE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    }
+    MINE.with(|&stripe| stripe)
+}
 
 /// A monotonically increasing event count.
+///
+/// Striped: each thread adds to a cache line of its own (16 of them,
+/// handed out round-robin), so threads counting the same event do not
+/// contend for one line; [`Counter::get`] sums the stripes.
 #[derive(Debug)]
 pub struct Counter {
-    value: AtomicU64,
+    stripes: [Stripe; STRIPES],
 }
 
 impl Counter {
     /// Creates a counter at zero.
     #[must_use]
     pub const fn new() -> Self {
-        Counter { value: AtomicU64::new(0) }
+        Counter { stripes: [const { Stripe(AtomicU64::new(0)) }; STRIPES] }
     }
 
     /// Adds one.
@@ -29,19 +51,21 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         if crate::enabled() && n > 0 {
-            self.value.fetch_add(n, Ordering::Relaxed);
+            self.stripes[my_stripe()].0.fetch_add(n, Ordering::Relaxed);
         }
     }
 
-    /// Current value.
+    /// Current value: the sum of the stripes.
     #[must_use]
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.stripes.iter().map(|s| s.0.load(Ordering::Relaxed)).fold(0, u64::wrapping_add)
     }
 
-    /// Resets to zero (test/profile isolation).
+    /// Resets every stripe to zero (test/profile isolation).
     pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
+        for stripe in &self.stripes {
+            stripe.0.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -236,6 +260,31 @@ mod tests {
         assert_eq!(g.get(), -3);
         g.reset();
         assert_eq!(g.get(), 0);
+    }
+
+    #[test]
+    fn striped_counter_sums_every_thread_and_resets_every_stripe() {
+        let _serial = crate::test_lock();
+        crate::set_enabled(true);
+        let c = Counter::new();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..100_000 {
+                        c.inc();
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), 400_000);
+        // Reach stripes no spawned thread wrote, too.
+        for stripe in &c.stripes {
+            stripe.0.fetch_add(1, Ordering::Relaxed);
+        }
+        assert_eq!(c.get(), 400_000 + STRIPES as u64);
+        c.reset();
+        assert_eq!(c.get(), 0);
+        assert!(c.stripes.iter().all(|s| s.0.load(Ordering::Relaxed) == 0));
     }
 
     #[test]

@@ -9,9 +9,13 @@
 //!
 //! Three design rules keep the tap cheap and deterministic:
 //!
-//! 1. **Zero dependencies.** Only `std::sync::atomic` and one `Mutex`
-//!    (around the flight-recorder ring). Hot paths batch their counts
-//!    locally and publish with a single relaxed `fetch_add`.
+//! 1. **Zero dependencies, no contention.** Only `std::sync::atomic`, one
+//!    `thread_local!` and one `Mutex` (around the flight-recorder ring).
+//!    Hot paths batch their counts locally and publish with a single
+//!    relaxed `fetch_add`, and a [`Counter`] is 16 cache-line stripes: a
+//!    thread adds to the stripe it was handed round-robin on first use,
+//!    and reads sum the stripes, so threads counting the same event do not
+//!    fight over one cache line.
 //! 2. **Static inventory.** Every metric is a `static` declared once, as
 //!    one row of the table in [`metrics`] that also gives its kind,
 //!    bounds, family name, label and HELP text; there is no registration
