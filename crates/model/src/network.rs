@@ -102,8 +102,7 @@ impl<'de> Deserialize<'de> for Network {
 
 /// Why a network read from outside is refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum NetworkError {
+pub(crate) enum NetworkError {
     /// A link names a machine the network does not have.
     UnknownEndpoint {
         /// The offending link.

@@ -296,9 +296,7 @@ impl CapacityTimeline {
     /// fewest same-sign i64 entries (none when it is zero). With one sign
     /// per instant, every partial sum a reader folds inside an instant
     /// lies between the levels before and after it — so no reader sees a
-    /// level that never exists. (Merging into one of several same-instant
-    /// entries used to leave `+i64::MAX, -i64::MAX` pairs behind a
-    /// released huge reservation, and the machine read as full.)
+    /// level that never exists.
     fn apply_delta(&mut self, t: SimTime, delta: i128) {
         let lo = self.events.partition_point(|&(et, _)| et < t);
         let hi = lo + self.events[lo..].iter().take_while(|&&(et, _)| et == t).count();
