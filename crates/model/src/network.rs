@@ -48,9 +48,12 @@ pub struct Network {
     links: Vec<VirtualLink>,
     /// Outgoing virtual links per machine, sorted by id.
     out_links: Vec<Vec<VirtualLinkId>>,
-    /// The window start of each link in `out_links`, in the same order —
-    /// what the search reads before deciding to load a link at all.
-    out_starts: Vec<Vec<SimTime>>,
+    /// The window start of each link in `out_links`, flattened machine
+    /// after machine — what the search reads before deciding to load a
+    /// link at all. Machine `m`'s run is
+    /// `out_starts[out_offsets[m]..out_offsets[m + 1]]`.
+    out_starts: Vec<SimTime>,
+    out_offsets: Vec<usize>,
     /// Incoming virtual links per machine, sorted by id.
     in_links: Vec<Vec<VirtualLinkId>>,
 }
@@ -133,8 +136,6 @@ impl fmt::Display for NetworkError {
     }
 }
 
-impl std::error::Error for NetworkError {}
-
 impl Network {
     /// Number of machines `m`.
     #[must_use]
@@ -204,7 +205,8 @@ impl Network {
     /// Panics if the id is out of range for this network.
     #[must_use]
     pub fn outgoing_starts(&self, machine: MachineId) -> &[SimTime] {
-        &self.out_starts[machine.index()]
+        let m = machine.index();
+        &self.out_starts[self.out_offsets[m]..self.out_offsets[m + 1]]
     }
 
     /// The ids of virtual links arriving at `machine`.
@@ -379,15 +381,28 @@ impl NetworkBuilder {
     pub fn build(self) -> Network {
         let n = self.machines.len();
         let mut out_links = vec![Vec::new(); n];
-        let mut out_starts = vec![Vec::new(); n];
         let mut in_links = vec![Vec::new(); n];
         for (i, link) in self.links.iter().enumerate() {
             let id = VirtualLinkId::new(i as u32);
             out_links[link.source().index()].push(id);
-            out_starts[link.source().index()].push(link.start());
             in_links[link.destination().index()].push(id);
         }
-        Network { machines: self.machines, links: self.links, out_links, out_starts, in_links }
+        let out_starts: Vec<SimTime> =
+            out_links.iter().flatten().map(|l| self.links[l.index()].start()).collect();
+        let out_offsets: Vec<usize> = std::iter::once(0)
+            .chain(out_links.iter().scan(0, |end, list| {
+                *end += list.len();
+                Some(*end)
+            }))
+            .collect();
+        Network {
+            machines: self.machines,
+            links: self.links,
+            out_links,
+            out_starts,
+            out_offsets,
+            in_links,
+        }
     }
 
     /// [`NetworkBuilder::build`], refusing the network unless `out_links`
