@@ -10,7 +10,10 @@
 //! [`LiveSchedule`] for the whole run and edits it in place — events
 //! applied, the tentative tail withdrawn, invalidated transfers unbooked
 //! — and the admission daemon (`dstage-service`) drives the same type, so
-//! offline and online repair are one implementation.
+//! offline and online repair are one implementation. The evict-and-readmit
+//! hill climb ([`LiveSchedule::climb`]) is one implementation too: the
+//! daemon's `optimize` verb runs it on its live schedule, and
+//! [`climb_plan`] runs it on an offline plan.
 //!
 //! It also operationalizes two design rationales the paper states but
 //! cannot exercise in the static setting:
@@ -46,10 +49,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod climb;
 pub mod event;
 pub mod repair;
 pub mod simulate;
 
+pub use climb::{climb_plan, Climbed, Standing, Swap};
 pub use event::{Event, EventError, EventKind, EventLog};
 pub use repair::{
     deliveries_among, filter_consistent, final_deliveries, replay_order, replay_state,

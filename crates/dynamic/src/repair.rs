@@ -280,9 +280,10 @@ impl<'a> LiveSchedule<'a> {
         }
     }
 
-    /// `state`, fresh, with `committed` and the disturbances replayed into
-    /// it as of `now` ([`replay_state`]). The first normalisation looks at
-    /// every item with a committed transfer or a request.
+    /// `state`, fresh, with every request inactive and `committed` and the
+    /// disturbances replayed into it as of `now` ([`replay_state`]). The
+    /// first normalisation looks at every item with a committed transfer or
+    /// a request.
     ///
     /// # Errors
     ///
@@ -294,6 +295,9 @@ impl<'a> LiveSchedule<'a> {
         losses: Vec<Loss>,
         now: SimTime,
     ) -> Result<Self, Transfer> {
+        for id in state.scenario().request_ids() {
+            state.set_request_active(id, false);
+        }
         replay_state(&mut state, committed, &outages, &losses, now)?;
         state.take_transfers();
         state.forget_trees();
@@ -453,6 +457,13 @@ impl<'a> LiveSchedule<'a> {
             .map(|((id, _), _)| id)
             .collect();
         let found = deliveries_among(scenario, named.iter().copied(), &theirs, &self.losses);
+        debug_assert_eq!(
+            found,
+            (final_deliveries(scenario, &self.committed, &self.losses).into_iter())
+                .filter(|d| named.contains(&d.request))
+                .collect::<Vec<_>>(),
+            "item-local deliveries equal the whole-table ones"
+        );
         let mut found = found.into_iter().peekable();
         let deliveries =
             named.into_iter().map(|id| (id, found.next_if(|d| d.request == id))).collect();

@@ -36,7 +36,7 @@ use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
 
 use crate::event::{EventKind, EventLog};
-use crate::repair::{final_deliveries, LiveSchedule};
+use crate::repair::LiveSchedule;
 
 /// Which heuristic the online scheduler re-plans with.
 #[derive(Debug, Clone)]
@@ -125,12 +125,7 @@ pub fn simulate(scenario: &Scenario, events: &EventLog, policy: &OnlinePolicy) -
         tentative = later;
     }
 
-    let deliveries = final_deliveries(scenario, live.committed(), live.losses());
-    OnlineOutcome {
-        executed: Schedule::from_parts(live.committed().to_vec(), deliveries),
-        cancelled,
-        replans: boundaries.len() as u64,
-    }
+    OnlineOutcome { executed: live.schedule(), cancelled, replans: boundaries.len() as u64 }
 }
 
 #[cfg(test)]

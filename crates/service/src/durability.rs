@@ -37,12 +37,12 @@
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 use crate::engine::AdmissionEngine;
 use crate::protocol::{Checkpoint, LogRecord};
+use crate::unpoisoned;
 use crate::wal::{crash_point, scan_segment, FsyncPolicy, SegmentWriter};
 use dstage_core::heuristic::{Heuristic, HeuristicConfig};
 use dstage_model::scenario::Scenario;
@@ -350,7 +350,7 @@ impl Durability {
     /// commit already happened and cannot be taken back.
     pub fn stage(&self, engine: &AdmissionEngine) -> u64 {
         let log = engine.log();
-        let mut state = self.state.lock();
+        let mut state = unpoisoned(self.state.lock());
         let from = usize::try_from(state.staged).unwrap_or(usize::MAX);
         for record in &log[from..] {
             let payload = serde_json::to_string(record)
@@ -368,7 +368,7 @@ impl Durability {
     /// without the engine lock; concurrent commits coalesce into one
     /// group fsync. Aborts the process if the fsync fails.
     pub fn commit(&self, seq: u64) {
-        let mut state = self.state.lock();
+        let mut state = unpoisoned(self.state.lock());
         if state.synced >= seq {
             return; // another committer's fsync already covered us
         }
@@ -389,7 +389,7 @@ impl Durability {
     /// warrant a periodic one.
     #[must_use]
     pub fn should_checkpoint(&self) -> bool {
-        let state = self.state.lock();
+        let state = unpoisoned(self.state.lock());
         state.staged - state.covered >= self.checkpoint_every
     }
 
@@ -426,7 +426,7 @@ impl Durability {
 
         // Rotate under the WAL mutex so interleaved commits keep a
         // consistent view; the engine read lock already excludes stage.
-        let mut state = self.state.lock();
+        let mut state = unpoisoned(self.state.lock());
         debug_assert_eq!(state.staged, covered, "checkpoint must run under the engine read lock");
         let fresh = segment_path(&self.data_dir, covered);
         state.writer = SegmentWriter::create(&fresh)?;
@@ -465,7 +465,7 @@ impl Durability {
     /// `interval:<ms>` daemon must not leave its last interval unsynced
     /// on an orderly exit).
     pub fn finalize(&self) {
-        let mut state = self.state.lock();
+        let mut state = unpoisoned(self.state.lock());
         if state.synced < state.staged {
             if let Err(e) = state.writer.sync() {
                 die("fsync WAL at drain", &e);

@@ -25,13 +25,10 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use dstage_core::heuristic::{drive_state, Heuristic, HeuristicConfig};
+use dstage_core::heuristic::{Heuristic, HeuristicConfig};
 use dstage_core::schedule::{Delivery, Schedule, Transfer};
-use dstage_core::state::{AddRequestError, HoldRefused, Savepoint, SchedulerState};
-use dstage_dynamic::{
-    deliveries_among, filter_consistent, final_deliveries, replay_order, Event, EventKind,
-    LiveSchedule, Normalised,
-};
+use dstage_core::state::{AddRequestError, HoldRefused, SchedulerState};
+use dstage_dynamic::{Event, EventKind, LiveSchedule, OnlinePolicy, Standing};
 use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
 use dstage_model::request::{Priority, Request};
 use dstage_model::scenario::Scenario;
@@ -54,9 +51,21 @@ pub const DEFAULT_OPTIMIZE_BUDGET: u64 = 8;
 /// Idempotency keys the engine remembers before forgetting the oldest.
 pub const IDEMPOTENCY_CAPACITY: usize = 4096;
 
-impl RequestInfo {
-    fn admitted(delivery: Delivery, route: Vec<Transfer>) -> Self {
+impl Standing for RequestInfo {
+    fn route(&self) -> Option<&[Transfer]> {
+        (self.status != RequestStatus::Evicted).then_some(&self.route)
+    }
+
+    fn promised(delivery: Delivery, route: Vec<Transfer>) -> Self {
         RequestInfo { status: RequestStatus::Admitted, delivery: Some(delivery), route }
+    }
+
+    fn evicted() -> Self {
+        RequestInfo { status: RequestStatus::Evicted, delivery: None, route: Vec::new() }
+    }
+
+    fn set_delivery(&mut self, delivery: Option<Delivery>) {
+        self.delivery = delivery;
     }
 }
 
@@ -170,15 +179,15 @@ pub struct AdmissionEngine {
     live: LiveSchedule<'static>,
     item_ids: HashMap<String, u32>,
     fingerprint: String,
-    heuristic: Heuristic,
-    config: HeuristicConfig,
+    policy: OnlinePolicy,
     info: Vec<RequestInfo>,
     idempotency: IdempotencyCache,
     log: Vec<LogRecord>,
     tallies: LogTallies,
-    /// The well-formed rejected submissions no optimizer pass has readmitted
-    /// yet, as `(Reverse(weight), log index)`; a pass tries them in order.
-    open_rejections: Vec<(Reverse<u64>, u64)>,
+    /// The rejected submissions a pass may readmit — an ask that passes
+    /// [`AdmissionEngine::candidate`], not readmitted yet — as `(log index,
+    /// request)`.
+    open_rejections: Vec<(u64, Request)>,
 }
 
 impl AdmissionEngine {
@@ -217,8 +226,7 @@ impl AdmissionEngine {
             fingerprint,
             tallies: LogTallies::new(config.priority_weights.levels()),
             live: LiveSchedule::new(SchedulerState::owning(served, config.caching)),
-            heuristic,
-            config,
+            policy: OnlinePolicy { heuristic, config },
             info: Vec::new(),
             idempotency: IdempotencyCache::new(IDEMPOTENCY_CAPACITY),
             log: Vec::new(),
@@ -308,7 +316,7 @@ impl AdmissionEngine {
                 dstage_obs::metrics::SERVICE_ADMITTED.inc();
                 let new_transfers = route.len();
                 self.live.commit(&route);
-                self.info.push(RequestInfo::admitted(delivery, route));
+                self.info.push(RequestInfo::promised(delivery, route));
                 Decision::Admitted {
                     request: delivery.request,
                     eta: delivery.at,
@@ -335,12 +343,10 @@ impl AdmissionEngine {
             decision: Decision::Rejected { .. },
         }) = &record
         {
-            if self.item_ids.contains_key(args.item.as_str())
-                && args.priority < self.config.priority_weights.levels()
-                && (args.destination as usize) < self.machine_count()
-            {
-                let weight = self.config.priority_weights.weight(Priority::new(args.priority));
-                self.open_rejections.push((Reverse(weight), self.log.len() as u64));
+            if let Ok(request) = self.candidate(args) {
+                if (args.destination as usize) < self.machine_count() {
+                    self.open_rejections.push((self.log.len() as u64, request));
+                }
             }
         }
         self.log.push(record);
@@ -426,9 +432,9 @@ impl AdmissionEngine {
     /// (returning the delivery and the new reservations, which the caller
     /// records) or rolls everything back. `Err` carries the refusal reason.
     fn decide(&mut self, args: &SubmitArgs) -> Result<(Delivery, Vec<Transfer>), String> {
-        let (candidate, collected) = self.candidate(args)?;
+        let candidate = self.candidate(args)?;
         let savepoint = self.live.state().savepoint(candidate.item());
-        let id = match self.live.state_mut().add_request(candidate) {
+        let id = match append(self.live.state_mut(), candidate) {
             Ok(id) => id,
             // Validation errors name the candidate by its positional id,
             // `R{admitted count}`; recorded logs and snapshots carry the
@@ -439,15 +445,12 @@ impl AdmissionEngine {
                 let token = format!("R{}", self.admitted_count());
                 return Err(e.to_string().replace(&token, "the candidate"));
             }
-            Err(AddRequestError::Hold(refused)) => return Err(self.hold_reason(refused)),
-        };
-        if collected > self.scenario().horizon() {
-            if let Err(refused) = self.live.state_mut().set_horizon(collected) {
+            Err(AddRequestError::Hold(refused)) => {
                 self.live.state_mut().rollback(savepoint);
                 return Err(self.hold_reason(refused));
             }
-        }
-        self.settle(id, savepoint).ok_or_else(|| {
+        };
+        self.live.settle(id, savepoint, &self.policy).ok_or_else(|| {
             format!(
                 "deadline {} ms unreachable for `{}` to M{} under the current ledger",
                 args.deadline_ms, args.item, args.destination
@@ -455,14 +458,13 @@ impl AdmissionEngine {
         })
     }
 
-    /// Checks an ask against the catalog and the weighting. Returns the
-    /// request it makes and when its item's copies are collected: `γ`
-    /// after the deadline, which the horizon never ends before.
-    fn candidate(&self, args: &SubmitArgs) -> Result<(Request, SimTime), String> {
+    /// Checks an ask against the catalog and the weighting, and returns the
+    /// request it makes.
+    fn candidate(&self, args: &SubmitArgs) -> Result<Request, String> {
         let Some(&item) = self.item_ids.get(args.item.as_str()) else {
             return Err(format!("unknown data item `{}`", args.item));
         };
-        let levels = self.config.priority_weights.levels();
+        let levels = self.policy.config.priority_weights.levels();
         if args.priority >= levels {
             return Err(format!(
                 "priority {} out of range (weighting has {levels} levels)",
@@ -470,16 +472,15 @@ impl AdmissionEngine {
             ));
         }
         let deadline = SimTime::from_millis(args.deadline_ms);
-        let Some(collected) = deadline.checked_add(self.scenario().gc_delay()) else {
+        if deadline.checked_add(self.scenario().gc_delay()).is_none() {
             return Err(format!("deadline {} ms is past the end of time", args.deadline_ms));
-        };
-        let request = Request::new(
+        }
+        Ok(Request::new(
             DataItemId::new(item),
             MachineId::new(args.destination),
             deadline,
             Priority::new(args.priority),
-        );
-        Ok((request, collected))
+        ))
     }
 
     /// The refusal reason for a hold that cannot be lengthened: a later
@@ -492,22 +493,6 @@ impl AdmissionEngine {
             self.scenario().item(refused.item).name(),
             refused.until.as_millis()
         )
-    }
-
-    /// Lets the heuristic route request `id`, the only active one, on the
-    /// live state. Delivered, what was booked is returned with the delivery,
-    /// for the caller to commit; otherwise the state goes back to `savepoint`.
-    fn settle(&mut self, id: RequestId, savepoint: Savepoint) -> Option<(Delivery, Vec<Transfer>)> {
-        let (heuristic, state) = (self.heuristic, self.live.state_mut());
-        state.set_request_active(id, true);
-        drive_state(state, heuristic, &self.config);
-        state.set_request_active(id, false);
-        let Some(delivery) = state.delivery_of(id) else {
-            state.rollback(savepoint);
-            return None;
-        };
-        state.forget_trees();
-        Some((delivery, state.take_transfers()))
     }
 
     /// Records in the live state's journal of consumed resources: what the
@@ -586,16 +571,21 @@ impl AdmissionEngine {
     /// then re-routes the displaced best-first. Returns `(cancelled,
     /// repaired, evicted)`.
     fn repair(&mut self) -> (usize, Vec<u32>, Vec<u32>) {
-        let (cancelled, normalised) = self.live.repair(&self.promised());
+        let promised: Vec<bool> = self.info.iter().map(|info| info.route().is_some()).collect();
+        let (cancelled, normalised) = self.live.repair(&promised);
         dstage_obs::metrics::SERVICE_TRANSFERS_RELEASED.add(cancelled.len() as u64);
+        dstage_obs::metrics::SERVICE_ITEMS_REDERIVED.add(normalised.rederived as u64);
         for info in &mut self.info {
             info.route.retain(|t| !cancelled.contains(t));
         }
         // The surviving reservations are the authority on who is still
         // promised a delivery (survival-to-deadline semantics, §4.4).
-        let mut displaced = self.keep_deliveries(normalised);
-        debug_assert!(self.promises_hold(&displaced, 0));
-        let weights = &self.config.priority_weights;
+        let mut displaced = Vec::new();
+        for (id, delivery) in normalised.deliveries {
+            self.info[id.index()].delivery = delivery;
+            displaced.extend(delivery.is_none().then_some(id.index() as u32));
+        }
+        let weights = &self.policy.config.priority_weights;
         let scenario = self.scenario();
         displaced.sort_by_key(|&id| {
             (Reverse(weights.weight(scenario.request(RequestId::new(id)).priority())), id)
@@ -609,7 +599,7 @@ impl AdmissionEngine {
         for id in displaced {
             let request = RequestId::new(id);
             let savepoint = self.live.state().savepoint(self.scenario().request(request).item());
-            let settled = self.settle(request, savepoint);
+            let settled = self.live.settle(request, savepoint, &self.policy);
             let info = &mut self.info[id as usize];
             info.delivery = settled.as_ref().map(|&(delivery, _)| delivery);
             if let Some((_, route)) = settled {
@@ -626,186 +616,52 @@ impl AdmissionEngine {
         (cancelled.len(), repaired, evicted)
     }
 
-    /// Per admitted request, whether it is still promised a delivery.
-    fn promised(&self) -> Vec<bool> {
-        self.info.iter().map(|info| info.status != RequestStatus::Evicted).collect()
-    }
-
-    /// Records the surviving deliveries a normalisation found; returns the
-    /// ids left without one, for the caller to re-route or evict.
-    fn keep_deliveries(&mut self, normalised: Normalised) -> Vec<u32> {
-        dstage_obs::metrics::SERVICE_ITEMS_REDERIVED.add(normalised.rederived as u64);
-        (normalised.deliveries.into_iter())
-            .filter_map(|(id, delivery)| {
-                self.info[id.index()].delivery = delivery;
-                delivery.is_none().then_some(id.index() as u32)
-            })
-            .collect()
-    }
-
-    /// A normalisation's result by the whole-table function: every
-    /// non-evicted request outside `displaced` carries the delivery that
-    /// survives in the committed transfers but the last `tail`.
-    fn promises_hold(&self, displaced: &[u32], tail: usize) -> bool {
-        let committed = self.live.committed();
-        let kept = &committed[..committed.len() - tail];
-        let surviving = final_deliveries(self.scenario(), kept, self.live.losses());
-        let mut promised =
-            self.info.iter().enumerate().filter(|(_, i)| i.status != RequestStatus::Evicted);
-        promised.all(|(id, info)| match surviving.iter().find(|d| d.request.index() == id) {
-            Some(d) => info.delivery == Some(*d),
-            None => displaced.contains(&(id as u32)),
-        })
-    }
-
-    /// Anytime evict-and-readmit hill climb over the live schedule.
-    ///
-    /// Candidates are previously *rejected* submissions (heaviest weight
-    /// first, then submission order) that no earlier pass has readmitted;
-    /// victims are currently satisfied requests with strictly smaller
-    /// weight (lightest first, then id). Each trial evicts one victim and
-    /// tries to route the candidate on the freed capacity; the swap is
-    /// kept iff nobody else loses their delivery — the weighted satisfied
-    /// sum `E[S]` then strictly improves. The pass stops at the swap
-    /// `budget` or at a local optimum, whichever comes first, and always
-    /// leaves a valid schedule — it is safe to interrupt between arrivals.
+    /// Anytime evict-and-readmit hill climb over the live schedule
+    /// ([`LiveSchedule::climb`]): the open rejections are the candidates,
+    /// in submission order among equal weights, and a kept swap evicts the
+    /// victim and admits the candidate as a new request. The pass always
+    /// leaves a valid schedule, so it is safe to interrupt between arrivals.
     ///
     /// The pass is appended to the decision log, so replaying the log
     /// through a fresh engine re-executes it deterministically.
     pub fn optimize(&mut self, budget: u64) -> OptimizeResponse {
-        let mut attempted = 0u64;
-        let mut swaps: Vec<SwapRecord> = Vec::new();
-        let mut incumbent = self.weighted_sum();
-        'climb: loop {
-            let kept_before = swaps.len();
-            // Satisfied requests, lightest first; it changes only when a
-            // swap is kept, which restarts the sweep.
-            let mut satisfied: Vec<(u64, u32)> = self.satisfied().collect();
-            satisfied.sort_unstable();
-            let mut candidates = self.open_rejections.clone();
-            candidates.sort_unstable();
-            for (Reverse(weight), submission) in candidates {
-                let LogRecord::Submission(refused) = &self.log[submission as usize] else {
-                    unreachable!("open rejections index submissions");
-                };
-                let args = refused.args.clone();
-                // Victims strictly lighter than the candidate — evicting
-                // heavier work could only lose weight.
-                for &(_, victim) in satisfied.iter().take_while(|&&(w, _)| w < weight) {
-                    if attempted >= budget {
-                        break 'climb;
-                    }
-                    attempted += 1;
-                    dstage_obs::metrics::SERVICE_OPT_SWAP_ATTEMPTS.inc();
-                    let Some(admitted) = self.try_swap(&args, victim) else { continue };
-                    debug_assert!(self.weighted_sum() > incumbent);
-                    debug_assert_eq!(self.live_state_divergence(), None);
-                    dstage_obs::metrics::SERVICE_OPT_SWAPS_ACCEPTED.inc();
-                    swaps.push(SwapRecord { submission, evicted: victim, admitted });
-                    // A readmitted refusal is spent: it is an admission now.
-                    self.open_rejections.retain(|&(_, index)| index != submission);
-                    incumbent = self.weighted_sum();
-                    // The victim set changed; re-derive everything.
-                    continue 'climb;
-                }
-            }
-            if swaps.len() == kept_before {
-                break; // a full sweep kept nothing — local optimum
-            }
-        }
-        let optimization = self.log.len() as u64;
+        let (candidates, policy) = (self.open_rejections.clone(), &self.policy);
+        let admit = |state: &mut SchedulerState<'static>, _, request| append(state, request).ok();
+        let climbed = self.live.climb(policy, &mut self.info, candidates, budget, admit);
+        dstage_obs::metrics::SERVICE_OPT_SWAP_ATTEMPTS.add(climbed.attempted);
+        dstage_obs::metrics::SERVICE_OPT_SWAPS_ACCEPTED.add(climbed.swaps.len() as u64);
+        dstage_obs::metrics::SERVICE_OPT_TRIALS_ROLLED_BACK.add(climbed.rolled_back);
+        dstage_obs::metrics::SERVICE_TRANSFERS_RELEASED.add(climbed.released);
+        dstage_obs::metrics::SERVICE_ITEMS_REDERIVED.add(climbed.rederived);
+        let swaps: Vec<SwapRecord> = (climbed.swaps.iter())
+            .map(|s| SwapRecord {
+                submission: s.key,
+                evicted: s.evicted.index() as u32,
+                admitted: s.admitted.index() as u32,
+            })
+            .collect();
+        // A readmitted refusal is spent: it is an admission now.
+        self.open_rejections.retain(|&(key, _)| swaps.iter().all(|s| s.submission != key));
+        let record = OptimizationRecord { budget, attempted: climbed.attempted, swaps };
         let response = OptimizeResponse {
             ok: true,
-            optimization,
+            optimization: self.log.len() as u64,
             budget,
-            attempted,
-            swapped: swaps.len() as u64,
-            weighted_sum: incumbent,
+            attempted: record.attempted,
+            swapped: record.swaps.len() as u64,
+            weighted_sum: self.weighted_sum(),
         };
-        self.push_record(LogRecord::Optimization(OptimizationRecord { budget, attempted, swaps }));
+        self.push_record(LogRecord::Optimization(record));
         response
-    }
-
-    /// `item`'s committed transfers without `victim`'s route, in replay
-    /// order — if taking the route away cancels none of them and costs no
-    /// other request of the item its delivery. No other item is affected.
-    fn without_route(&self, victim: u32, item: DataItemId) -> Option<Vec<Transfer>> {
-        let route = &self.info[victim as usize].route;
-        let rest: Vec<Transfer> = (self.live.committed().iter())
-            .filter(|t| t.item == item && !route.contains(t))
-            .copied()
-            .collect();
-        let (scenario, losses) = (self.scenario(), self.live.losses());
-        let (rest, cancelled) = filter_consistent(scenario, rest, self.live.outages(), losses);
-        let others = scenario.requests_for(item).iter().copied().filter(|id| {
-            id.index() != victim as usize && self.info[id.index()].status != RequestStatus::Evicted
-        });
-        let delivered = deliveries_among(scenario, others.clone(), &rest, losses).len();
-        (cancelled.is_empty() && delivered == others.count()).then_some(rest)
-    }
-
-    /// One evict-and-readmit trial on the live state: unbooks the victim's
-    /// route, decides the candidate on what that frees, and keeps the swap
-    /// (returning the readmitted request's id) or puts everything back.
-    /// `None` when the swap is infeasible: evicting the victim cascades,
-    /// costs someone else their delivery, or the candidate still does not fit.
-    fn try_swap(&mut self, args: &SubmitArgs, victim: u32) -> Option<u32> {
-        let evicting = self.scenario().request(RequestId::new(victim)).item();
-        let admitting = DataItemId::new(self.item_ids[args.item.as_str()]);
-        // The candidate decides on the two items' tables in replay order.
-        let mut order = self.without_route(victim, evicting)?;
-        if admitting != evicting {
-            order.extend(self.live.committed().iter().filter(|t| t.item == admitting));
-            order.sort_by_key(replay_order);
-        }
-        let evicted = RequestInfo { status: RequestStatus::Evicted, delivery: None, route: vec![] };
-        let was = std::mem::replace(&mut self.info[victim as usize], evicted);
-        dstage_obs::metrics::SERVICE_TRANSFERS_RELEASED.add(was.route.len() as u64);
-        dstage_obs::metrics::SERVICE_ITEMS_REDERIVED.add(2);
-        let state = self.live.state_mut();
-        for t in &was.route {
-            state.unbook(t);
-        }
-        for item in [evicting, admitting] {
-            state.rederive_item(item, order.iter().filter(|t| t.item == item));
-        }
-        match self.decide(args) {
-            // Kept: what preceded the admission is normalised as a repair
-            // does before it re-routes, the admission booked on top of it.
-            Ok((delivery, route)) => {
-                self.live.forget(&was.route);
-                let normalised = self.live.normalise(&self.promised(), &route);
-                let displaced = self.keep_deliveries(normalised);
-                debug_assert!(displaced.is_empty() && self.promises_hold(&[], route.len()));
-                self.info.push(RequestInfo::admitted(delivery, route));
-                Some(delivery.request.index() as u32)
-            }
-            Err(_) => {
-                dstage_obs::metrics::SERVICE_OPT_TRIALS_ROLLED_BACK.inc();
-                dstage_obs::metrics::SERVICE_ITEMS_REDERIVED.add(2);
-                for t in &was.route {
-                    self.live.state_mut().rebook(t);
-                }
-                self.info[victim as usize] = was;
-                self.live.rederive(evicting);
-                self.live.rederive(admitting);
-                None
-            }
-        }
-    }
-
-    /// The requests still promised a delivery, as `(weight, id)`.
-    fn satisfied(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        (self.scenario().requests().zip(&self.info))
-            .filter(|(_, info)| info.status != RequestStatus::Evicted)
-            .map(|((id, req), _)| {
-                (self.config.priority_weights.weight(req.priority()), id.index() as u32)
-            })
     }
 
     /// Σ weight(priority) over the requests still promised a delivery.
     fn weighted_sum(&self) -> u64 {
-        self.satisfied().map(|(weight, _)| weight).sum()
+        let weights = &self.policy.config.priority_weights;
+        (self.scenario().requests().zip(&self.info))
+            .filter(|(_, info)| info.status != RequestStatus::Evicted)
+            .map(|((_, req), _)| weights.weight(req.priority()))
+            .sum()
     }
 
     /// Replays one snapshot-log record (an entry of the snapshot's
@@ -882,7 +738,7 @@ impl AdmissionEngine {
     /// longer counts).
     #[must_use]
     pub fn counters(&self) -> AdmissionCounters {
-        let levels = self.config.priority_weights.levels();
+        let levels = self.policy.config.priority_weights.levels();
         debug_assert_eq!(
             self.tallies,
             (0..self.log.len()).fold(LogTallies::new(levels), |mut scan, i| {
@@ -1053,17 +909,10 @@ impl AdmissionEngine {
         for args in &checkpoint.admitted {
             // Nothing is booked yet, so only validation can refuse here;
             // the reservations are replayed once everything is loaded.
-            let (request, collected) = engine
-                .candidate(args)
-                .map_err(|e| format!("checkpoint: bad admitted request: {e}"))?;
-            engine
-                .live
-                .state_mut()
-                .add_request(request)
-                .map_err(|e| format!("checkpoint: bad admitted request: {e}"))?;
-            if collected > engine.scenario().horizon() {
-                engine.live.state_mut().set_horizon(collected).expect("no copy is staged yet");
-            }
+            let request = engine.candidate(args);
+            let request =
+                request.and_then(|r| append(engine.live.state_mut(), r).map_err(|e| e.to_string()));
+            request.map_err(|e| format!("checkpoint: bad admitted request: {e}"))?;
         }
         engine.info = checkpoint.info;
         if engine.info.len() != engine.admitted_count() {
@@ -1096,7 +945,8 @@ impl AdmissionEngine {
                 LogRecord::Optimization(o) => {
                     for swap in &o.swaps {
                         let open = &mut engine.open_rejections;
-                        let Some(at) = open.iter().position(|&(_, i)| i == swap.submission) else {
+                        let Some(at) = open.iter().position(|&(key, _)| key == swap.submission)
+                        else {
                             return Err(format!(
                                 "checkpoint: log record {index} swaps in submission {}, which is \
                                  not an earlier rejected submission still open for readmission",
@@ -1118,10 +968,8 @@ impl AdmissionEngine {
         }
         engine.idempotency = idempotency;
         // The one place a state is still built from a history.
-        let mut state = SchedulerState::owning(engine.scenario().clone(), engine.config.caching);
-        for id in engine.scenario().request_ids() {
-            state.set_request_active(id, false);
-        }
+        let caching = engine.policy.config.caching;
+        let state = SchedulerState::owning(engine.scenario().clone(), caching);
         let (committed, outages, losses) =
             (checkpoint.committed, checkpoint.outages, checkpoint.losses);
         engine.live =
@@ -1130,6 +978,19 @@ impl AdmissionEngine {
             })?;
         Ok(engine)
     }
+}
+
+/// Appends `request` to `state` and moves the horizon out to when its
+/// item's copies are collected, `γ` after the deadline — the horizon never
+/// ends before. [`AdmissionEngine::candidate`] has checked that instant
+/// exists.
+fn append(state: &mut SchedulerState<'_>, request: Request) -> Result<RequestId, AddRequestError> {
+    let id = state.add_request(request)?;
+    let collected = request.deadline() + state.scenario().gc_delay();
+    if collected > state.scenario().horizon() {
+        state.set_horizon(collected).map_err(AddRequestError::Hold)?;
+    }
+    Ok(id)
 }
 
 /// Version tag of [`AdmissionEngine::checkpoint_value`]'s layout.
@@ -1702,6 +1563,24 @@ mod tests {
         // budget on consumed or hopeless candidates.
         assert_eq!(e.optimize(8).swapped, 0);
         assert_eq!(e.counters().weighted_sum, before);
+    }
+
+    #[test]
+    fn a_refusal_past_the_end_of_time_spends_no_optimize_budget() {
+        let catalog = one_link_catalog();
+        let heuristic = Heuristic::FullPathOneDestination;
+        let mut e = AdmissionEngine::new(&catalog, heuristic, config());
+        assert_eq!(e.submit(&prioritized("alpha", 15_000, 0)).unwrap().decision, "admitted");
+        // `deadline + γ` overflows: refused before any routing, and never
+        // admissible, whatever an eviction frees.
+        assert_eq!(e.submit(&prioritized("beta", u64::MAX, 2)).unwrap().decision, "rejected");
+        assert_eq!(e.submit(&prioritized("beta", 15_000, 2)).unwrap().decision, "rejected");
+        let restored =
+            AdmissionEngine::restore(&catalog, heuristic, config(), &e.checkpoint_value()).unwrap();
+        for mut engine in [e, restored] {
+            let r = engine.optimize(1);
+            assert_eq!((r.attempted, r.swapped, r.weighted_sum), (1, 1, 100));
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   `checkpoint`, `shutdown`), with idempotent retries via
 //!   `idempotency_key` on `submit`, and the one declared format of every
 //!   request, reply, decision-log record and checkpoint (derived JSON);
-//! * [`server::Server`] — accept loop + crossbeam worker pool sharing
-//!   the engine behind a `parking_lot::RwLock`; every mutating verb
+//! * [`server::Server`] — accept loop + worker pool sharing the engine
+//!   behind an `RwLock`; every mutating verb
 //!   takes a FIFO turn for the write lock, so decisions are made in
 //!   arrival order, one at a time, against live state; request lines
 //!   are bounded at [`server::MAX_LINE_BYTES`];
@@ -77,6 +77,14 @@ pub mod protocol;
 pub mod retry;
 pub mod server;
 pub mod wal;
+
+/// The guarded value whether or not an earlier holder panicked. A decision
+/// that unwinds under the engine's write lock fails its own request only;
+/// the daemon keeps serving from the state it left, as it would if locks
+/// did not poison.
+pub(crate) fn unpoisoned<G>(locked: std::sync::LockResult<G>) -> G {
+    locked.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Convenience re-exports of the service vocabulary.
 pub mod prelude {

@@ -1,5 +1,5 @@
-//! The TCP daemon: accept loop, crossbeam worker pool, and the shared
-//! engine behind a `parking_lot::RwLock`.
+//! The TCP daemon: accept loop, worker pool, and the shared engine
+//! behind an `RwLock`.
 //!
 //! Every mutating verb (`submit`, point-to-multipoint `submit`, `inject`,
 //! `optimize`) goes through one write path, `write_verb`: take a FIFO
@@ -17,13 +17,11 @@
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
 use dstage_obs::HistogramSnapshot;
-use parking_lot::{Condvar, Mutex, RwLock};
 use serde::Value;
 
 use crate::durability::Durability;
@@ -32,6 +30,7 @@ use crate::protocol::{
     response_line, CheckpointResponse, ClientRequest, ErrorResponse, Latency, LatencyBucket,
     MetricsFormat, MetricsReply, PrometheusReply, ShutdownReply, TraceEvent, TraceReply,
 };
+use crate::unpoisoned;
 
 /// Longest accepted request line, in bytes (newline excluded). Anything
 /// longer gets an error response and the connection is dropped — the
@@ -87,11 +86,11 @@ struct Turn<'a> {
 impl TurnQueue {
     /// Draws the next ticket and blocks until it is served.
     fn wait(&self) -> Turn<'_> {
-        let mut state = self.state.lock();
+        let mut state = unpoisoned(self.state.lock());
         let ticket = state.next;
         state.next += 1;
         while state.serving != ticket {
-            self.advanced.wait(&mut state);
+            state = unpoisoned(self.advanced.wait(state));
         }
         Turn { queue: self, ticket }
     }
@@ -99,7 +98,7 @@ impl TurnQueue {
 
 impl Drop for Turn<'_> {
     fn drop(&mut self) {
-        self.queue.state.lock().serving = self.ticket + 1;
+        unpoisoned(self.queue.state.lock()).serving = self.ticket + 1;
         self.queue.advanced.notify_all();
     }
 }
@@ -194,18 +193,20 @@ impl Server {
     ///
     /// Propagates fatal socket errors from the accept loop.
     pub fn run(self) -> io::Result<Value> {
-        let (sender, receiver) = channel::bounded::<TcpStream>(self.config.workers.max(1) * 2);
+        let (sender, receiver) = mpsc::sync_channel::<TcpStream>(self.config.workers.max(1) * 2);
+        // One receiver, taken in turn: an idle worker waits on the lock,
+        // the one holding it on the channel.
+        let receiver = Arc::new(Mutex::new(receiver));
         let mut workers = Vec::with_capacity(self.config.workers.max(1));
         for _ in 0..self.config.workers.max(1) {
-            let receiver = receiver.clone();
+            let receiver = Arc::clone(&receiver);
             let shared = Arc::clone(&self.shared);
-            workers.push(thread::spawn(move || {
-                while let Ok(stream) = receiver.recv() {
-                    handle_connection(&shared, stream);
-                }
+            workers.push(thread::spawn(move || loop {
+                let next = unpoisoned(receiver.lock()).recv();
+                let Ok(stream) = next else { break };
+                handle_connection(&shared, stream);
             }));
         }
-        drop(receiver);
 
         while !self.shared.shutdown.load(Ordering::SeqCst) {
             match self.listener.accept() {
@@ -230,7 +231,7 @@ impl Server {
         for worker in workers {
             let _ = worker.join();
         }
-        Ok(self.shared.engine.read().snapshot())
+        Ok(unpoisoned(self.shared.engine.read()).snapshot())
     }
 }
 
@@ -392,7 +393,7 @@ fn dispatch(shared: &Shared, line: &str) -> String {
 /// WAL.
 fn write_verb<T>(shared: &Shared, verb: impl FnOnce(&mut AdmissionEngine) -> T) -> T {
     let turn = shared.turns.wait();
-    let mut engine = shared.engine.write();
+    let mut engine = unpoisoned(shared.engine.write());
     let result = verb(&mut engine);
     let staged = shared.durability.get().map(|d| (d, d.stage(&engine)));
     drop(engine);
@@ -423,7 +424,7 @@ fn dispatch_parsed(shared: &Shared, request: ClientRequest) -> String {
         // so later destinations plan against the ledger the earlier
         // ones committed (the shared-hop guarantee).
         ClientRequest::SubmitP2mp(args) => write_line(shared, |engine| engine.submit_p2mp(&args)),
-        ClientRequest::Query { request } => match shared.engine.read().query(request) {
+        ClientRequest::Query { request } => match unpoisoned(shared.engine.read()).query(request) {
             Ok(response) => response_line(&response),
             Err(message) => ErrorResponse::line(message),
         },
@@ -432,9 +433,9 @@ fn dispatch_parsed(shared: &Shared, request: ClientRequest) -> String {
             let budget = budget.unwrap_or(DEFAULT_OPTIMIZE_BUDGET);
             write_line(shared, |engine| Ok(engine.optimize(budget)))
         }
-        ClientRequest::Snapshot => response_line(&shared.engine.read().snapshot()),
+        ClientRequest::Snapshot => response_line(&unpoisoned(shared.engine.read()).snapshot()),
         ClientRequest::Metrics { format: MetricsFormat::Json } => {
-            let counters = shared.engine.read().counters();
+            let counters = unpoisoned(shared.engine.read()).counters();
             let submits = dstage_obs::metrics::SERVICE_VERB_SUBMIT_US.snapshot();
             response_line(&MetricsReply { ok: true, counters, latency: latency(&submits) })
         }
@@ -468,7 +469,7 @@ fn dispatch_parsed(shared: &Shared, request: ClientRequest) -> String {
             };
             // The read lock excludes writers, so the checkpoint covers
             // exactly the staged WAL prefix.
-            let engine = shared.engine.read();
+            let engine = unpoisoned(shared.engine.read());
             match durability.checkpoint(&engine) {
                 Ok(stats) => response_line(&CheckpointResponse {
                     ok: true,
@@ -501,7 +502,7 @@ fn maybe_checkpoint(shared: &Shared) {
     if shared.checkpointing.swap(true, Ordering::SeqCst) {
         return; // another worker is already on it
     }
-    let engine = shared.engine.read();
+    let engine = unpoisoned(shared.engine.read());
     if let Err(e) = durability.checkpoint(&engine) {
         eprintln!("periodic checkpoint failed (will retry): {e}");
     }
@@ -543,13 +544,13 @@ mod tests {
                     start.wait();
                     for _ in 0..TURNS {
                         let turn = queue.wait();
-                        served.lock().push(turn.ticket);
+                        served.lock().unwrap().push(turn.ticket);
                     }
                 });
             }
         });
         let expected: Vec<u64> = (0..(THREADS * TURNS) as u64).collect();
-        assert_eq!(served.into_inner(), expected);
+        assert_eq!(served.into_inner().unwrap(), expected);
     }
 
     #[test]
@@ -568,15 +569,15 @@ mod tests {
             let waiter = scope.spawn(|| queue.wait().ticket);
             // The waiter has drawn its ticket once two are out; it cannot
             // be served while the holder still has the turn.
-            while queue.state.lock().next < 2 {
+            while queue.state.lock().unwrap().next < 2 {
                 thread::yield_now();
             }
-            assert_eq!(queue.state.lock().serving, 0);
+            assert_eq!(queue.state.lock().unwrap().serving, 0);
             release.send(()).expect("the holder is waiting");
             assert!(holder.join().is_err(), "the holder panicked");
             assert_eq!(waiter.join().expect("the waiter was served"), 1);
         });
-        assert_eq!(queue.state.lock().serving, 2);
+        assert_eq!(queue.state.lock().unwrap().serving, 2);
     }
 
     #[test]

@@ -132,8 +132,7 @@ fn run_experiment(
         "optimizer" => {
             let base =
                 if options.small { GeneratorConfig::small() } else { GeneratorConfig::paper() };
-            // Each climb trial re-runs the full heuristic; a reduced case
-            // count keeps the pass tractable at paper scale.
+            // The table keeps its ten-case sample at paper scale.
             Some(experiments::optimizer(&base, options.cases.min(10), options.budget, threads))
         }
         "fault-tolerance" | "fault_tolerance" => {

@@ -10,10 +10,8 @@
 //! `DSTAGE_THREADS` environment variable, which beats the machine's
 //! available parallelism.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-
-use crossbeam::{channel, thread};
-use parking_lot::Mutex;
 
 /// Runs one work unit under the observability tap: wall time goes to the
 /// per-unit histogram and the flight recorder, the queue-wait histogram
@@ -90,50 +88,34 @@ where
         return (0..n_units).map(|i| observed(i, pool_started, &work)).collect();
     }
 
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(n_units);
-    slots.resize_with(n_units, || None);
-    let slots = Mutex::new(slots);
-    let (sender, receiver) = channel::unbounded::<usize>();
-    for i in 0..n_units {
-        sender.send(i).expect("receiver alive until scope end");
-    }
-    drop(sender);
-
-    let outcome = thread::scope(|scope| {
+    // Each worker takes the next unclaimed index and keeps its own
+    // results; the scope joins every worker before a panic propagates.
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let receiver = receiver.clone();
-                let slots = &slots;
-                let work = &work;
-                scope.spawn(move || {
-                    while let Ok(i) = receiver.recv() {
-                        let result = observed(i, pool_started, work);
-                        slots.lock()[i] = Some(result);
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n_units {
+                            break done;
+                        }
+                        done.push((i, observed(i, pool_started, &work)));
                     }
                 })
             })
             .collect();
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
+        let joined = handles.into_iter().map(std::thread::ScopedJoinHandle::join);
+        joined.flat_map(|done| done.unwrap_or_else(|e| std::panic::resume_unwind(e))).collect()
     });
-    if let Err(payload) = outcome {
-        std::panic::resume_unwind(payload);
-    }
-
-    slots
-        .into_inner()
-        .into_iter()
-        .map(|slot| slot.expect("every unit was drained from the queue"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_come_back_in_index_order() {

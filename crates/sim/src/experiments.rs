@@ -11,7 +11,7 @@
 
 use dstage_core::cost::CostCriterion;
 use dstage_core::heuristic::{run, Heuristic, HeuristicConfig};
-use dstage_dynamic::{simulate, Event, EventKind, EventLog, OnlinePolicy};
+use dstage_dynamic::{climb_plan, simulate, Event, EventKind, EventLog, OnlinePolicy};
 use dstage_model::scenario::Scenario;
 use dstage_model::time::SimDuration;
 
@@ -555,14 +555,16 @@ pub fn schedulers(harness: &Harness) -> ExperimentReport {
     }
 }
 
-/// **optimizer**: the anytime evict-and-rerun post-pass on versus off,
+/// **optimizer**: the anytime evict-and-readmit post-pass on versus off,
 /// per scheduler, with the residual gap to `upper_bound` before and
-/// after. The climb only adopts strict `E[S]` improvements, so the
-/// "optimized" column is ≥ "base" case by case (asserted in tests), and
-/// the gap delta is what the swap budget bought.
+/// after. Each case's plan is climbed by the daemon's climb
+/// ([`climb_plan`]): a trial unbooks one satisfied request's route and
+/// routes one refused heavier request on what that frees. Only strict
+/// `E[S]` improvements are kept, so the "optimized" column is ≥ "base"
+/// case by case (asserted in tests), and the gap delta is what the swap
+/// budget bought.
 ///
-/// Runs its own generator like `congestion` (the trials re-run the full
-/// heuristic, so the case count is deliberately small).
+/// Runs its own generator like `congestion`.
 pub fn optimizer(
     base: &dstage_workload::GeneratorConfig,
     cases: usize,
@@ -578,7 +580,7 @@ pub fn optimizer(
     let ub_mean = mean(&scenarios, |s| upper_bound(s, weights) as f64);
     let mut table = Table::new(
         format!(
-            "Evict-and-rerun post-pass, swap budget {budget} \
+            "Evict-and-readmit post-pass, swap budget {budget} \
              (mean upper bound {ub_mean:.1}, E-U ratio 1, 1,10,100 weighting)"
         ),
         vec![
@@ -592,12 +594,14 @@ pub fn optimizer(
         ],
     );
     for h in Heuristic::EXTENDED {
+        let policy = OnlinePolicy { heuristic: h, config: config.clone() };
         let per_case = run_indexed(cases, threads, |i| {
             let scenario = &scenarios[i];
-            let base_sum =
-                run(scenario, h, &config).schedule.evaluate(scenario, weights).weighted_sum;
-            let outcome = dstage_sched::optimize_schedule(scenario, h, &config, budget);
-            (base_sum as f64, outcome.evaluation.weighted_sum as f64, outcome.accepted as f64)
+            let plan = run(scenario, h, &config).schedule;
+            let base_sum = plan.evaluate(scenario, weights).weighted_sum;
+            let (live, climbed) = climb_plan(scenario, &plan, &policy, budget);
+            let optimized = live.schedule().evaluate(scenario, weights).weighted_sum;
+            (base_sum as f64, optimized as f64, climbed.swaps.len() as f64)
         });
         let base_mean = mean(&per_case, |c| c.0);
         let opt_mean = mean(&per_case, |c| c.1);
@@ -901,21 +905,23 @@ mod tests {
         let r = optimizer(&base, 2, 4, 1);
         assert_eq!(r.tables[0].rows.len(), 5);
         // The acceptance guarantee, case by case: the post-pass never
-        // decreases E[S] on any sweep case.
+        // decreases E[S] on any sweep case, and what it leaves is a valid
+        // schedule held by a live state equal to its full replay.
         let config = HeuristicConfig::paper_best();
         for seed in 0..2u64 {
             let scenario = dstage_workload::generate(&base, seed);
             for h in Heuristic::EXTENDED {
-                let plain = run(&scenario, h, &config)
-                    .schedule
-                    .evaluate(&scenario, &config.priority_weights)
-                    .weighted_sum;
-                let best = dstage_sched::optimize_schedule(&scenario, h, &config, 4);
-                assert!(
-                    best.evaluation.weighted_sum >= plain,
-                    "{h} regressed on seed {seed}: {} < {plain}",
-                    best.evaluation.weighted_sum
-                );
+                let plan = run(&scenario, h, &config).schedule;
+                let plain = plan.evaluate(&scenario, &config.priority_weights).weighted_sum;
+                let policy = OnlinePolicy { heuristic: h, config: config.clone() };
+                let (live, _) = climb_plan(&scenario, &plan, &policy, 4);
+                let best = live.schedule();
+                let sum = best.evaluate(&scenario, &config.priority_weights).weighted_sum;
+                assert!(sum >= plain, "{h} regressed on seed {seed}: {sum} < {plain}");
+                if let Err(violation) = best.validate(&scenario) {
+                    panic!("{h} on seed {seed}: {violation}");
+                }
+                assert_eq!(live.divergence(), None, "{h} on seed {seed}");
             }
         }
     }

@@ -6,9 +6,8 @@
 //! harness's worker threads ([`crate::executor::run_indexed`]).
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::hash::Hash;
+use std::sync::{Arc, Mutex};
 
 use dstage_core::baselines::{priority_first, random_dijkstra, single_dijkstra_random};
 use dstage_core::bounds::{possible_satisfy, upper_bound};
@@ -93,6 +92,24 @@ pub struct CaseBounds {
 /// `Send + Sync`, so callers may share one suite across threads.
 type ResultCache = Mutex<HashMap<(SchedulerKind, Weighting), Arc<Vec<CaseResult>>>>;
 
+/// The value `cache` holds under `key`, computed outside the lock when it
+/// is missing. First insert wins: if another thread raced us to the same
+/// key, its value is kept (and returned), so every caller shares one
+/// allocation and cached re-reads stay pointer-stable. A lock is held for
+/// one map lookup or insert, which cannot panic, so it is never poisoned.
+fn cached<K: Eq + Hash, V>(
+    cache: &Mutex<HashMap<K, Arc<V>>>,
+    key: K,
+    compute: impl FnOnce() -> V,
+) -> Arc<V> {
+    let map = || cache.lock().expect("a cache lock is never poisoned");
+    if let Some(hit) = map().get(&key) {
+        return Arc::clone(hit);
+    }
+    let value = compute();
+    Arc::clone(map().entry(key).or_insert_with(|| Arc::new(value)))
+}
+
 /// The experiment harness over one generated test-case suite.
 pub struct Harness {
     cases: Vec<Scenario>,
@@ -152,19 +169,13 @@ impl Harness {
     /// run per case.
     pub fn results(&self, kind: SchedulerKind, weighting: Weighting) -> Arc<Vec<CaseResult>> {
         let key = (Self::normalize(kind), weighting);
-        if let Some(hit) = self.cache.lock().get(&key) {
-            return Arc::clone(hit);
-        }
-        if self.verbose {
-            eprintln!("[harness] running {:?} under {} ...", key.0, weighting.label());
-        }
-        let weights = weighting.weights();
-        let results =
-            run_indexed(self.cases.len(), self.threads, |i| self.case_result(key.0, &weights, i));
-        // First insert wins: if another thread raced us to the same key,
-        // keep (and return) its series so every caller shares one
-        // allocation and cached re-reads stay pointer-stable.
-        Arc::clone(self.cache.lock().entry(key).or_insert_with(|| Arc::new(results)))
+        cached(&self.cache, key, || {
+            if self.verbose {
+                eprintln!("[harness] running {:?} under {} ...", key.0, weighting.label());
+            }
+            let weights = weighting.weights();
+            run_indexed(self.cases.len(), self.threads, |i| self.case_result(key.0, &weights, i))
+        })
     }
 
     /// One scheduler on one case. `kind` must already be normalized; the
@@ -204,16 +215,13 @@ impl Harness {
 
     /// The per-case upper bounds under a weighting.
     pub fn bounds(&self, weighting: Weighting) -> Arc<Vec<CaseBounds>> {
-        if let Some(hit) = self.bounds_cache.lock().get(&weighting) {
-            return Arc::clone(hit);
-        }
-        if self.verbose {
-            eprintln!("[harness] computing bounds under {} ...", weighting.label());
-        }
-        let weights = weighting.weights();
-        let bounds = run_indexed(self.cases.len(), self.threads, |i| self.case_bounds(&weights, i));
-        // First insert wins, as in `results`.
-        Arc::clone(self.bounds_cache.lock().entry(weighting).or_insert_with(|| Arc::new(bounds)))
+        cached(&self.bounds_cache, weighting, || {
+            if self.verbose {
+                eprintln!("[harness] computing bounds under {} ...", weighting.label());
+            }
+            let weights = weighting.weights();
+            run_indexed(self.cases.len(), self.threads, |i| self.case_bounds(&weights, i))
+        })
     }
 
     /// Mean weighted sum of a scheduler across the cases (the y-value of
