@@ -127,7 +127,10 @@ impl VirtualLink {
 
     /// Total occupancy time for transferring `size` over this link:
     /// serialization delay plus latency (the paper's `D[i,j][k](|d|)`).
+    /// Inlined: the search and the ledger's probe call it per link they
+    /// consider, from other crates.
     #[must_use]
+    #[inline]
     pub fn transfer_time(&self, size: Bytes) -> SimDuration {
         self.bandwidth.serialization_delay(size).saturating_add(self.latency)
     }

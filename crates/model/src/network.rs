@@ -1,7 +1,8 @@
 //! The network topology graph `G_nt`.
 //!
 //! A [`Network`] owns the machines and the virtual links and provides the
-//! adjacency views the path-finding layer needs. Connectivity utilities
+//! adjacency views the path-finding layer needs, among them each machine's
+//! outgoing links cut into [`LinkRun`]s. Connectivity utilities
 //! (strong connectivity via Tarjan's algorithm) operate on the *static*
 //! graph — the union of all virtual links, ignoring time windows — which is
 //! the sense in which the paper's generator guarantees strong connectivity.
@@ -17,7 +18,6 @@ use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use crate::ids::{MachineId, VirtualLinkId};
 use crate::link::VirtualLink;
 use crate::machine::{Machine, MachineRef};
-use crate::time::SimTime;
 
 /// The communication system: machines plus virtual links, with adjacency
 /// indexes for efficient traversal.
@@ -48,14 +48,45 @@ pub struct Network {
     links: Vec<VirtualLink>,
     /// Outgoing virtual links per machine, sorted by id.
     out_links: Vec<Vec<VirtualLinkId>>,
-    /// The window start of each link in `out_links`, flattened machine
-    /// after machine — what the search reads before deciding to load a
-    /// link at all. Machine `m`'s run is
-    /// `out_starts[out_offsets[m]..out_offsets[m + 1]]`.
-    out_starts: Vec<SimTime>,
-    out_offsets: Vec<usize>,
+    /// The runs of `out_links` (see [`LinkRun`]), machine after machine;
+    /// machine `m`'s are `runs[run_offsets[m]..run_offsets[m + 1]]`.
+    runs: Vec<RunSpan>,
+    run_offsets: Vec<u32>,
     /// Incoming virtual links per machine, sorted by id.
     in_links: Vec<Vec<VirtualLinkId>>,
+}
+
+/// One run of outgoing links: the links `first..first + len`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RunSpan {
+    first: u32,
+    len: u32,
+}
+
+/// A maximal stretch of one machine's outgoing links, consecutive in id,
+/// with one destination, bandwidth and latency, and window starts and ends
+/// that never decrease — the windows of one physical link, as the paper's
+/// generator emits them (§5.3). A link that starts no such stretch with
+/// its neighbours is a run of length 1.
+///
+/// Within a run, a later window opens and closes no earlier, so a search
+/// can binary-search the run by window end and stop at the first window
+/// that opens too late.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LinkRun<'a> {
+    /// Id of the run's first link.
+    pub first: VirtualLinkId,
+    /// The run's links in id order (at least one): `links[k]` is link
+    /// `first + k`.
+    pub links: &'a [VirtualLink],
+}
+
+impl LinkRun<'_> {
+    /// The id of the run's `k`-th link.
+    #[must_use]
+    pub fn link(&self, k: usize) -> VirtualLinkId {
+        VirtualLinkId::new(self.first.index() as u32 + k as u32)
+    }
 }
 
 /// The serialized form of a [`Network`]: the adjacency lists are written
@@ -197,16 +228,19 @@ impl Network {
         &self.out_links[machine.index()]
     }
 
-    /// The window start of each link in [`Network::outgoing`], in the same
-    /// order.
+    /// [`Network::outgoing`] cut into its [`LinkRun`]s, in the same order:
+    /// the runs' links, read in turn, are exactly `outgoing(machine)`.
     ///
     /// # Panics
     ///
     /// Panics if the id is out of range for this network.
-    #[must_use]
-    pub fn outgoing_starts(&self, machine: MachineId) -> &[SimTime] {
+    pub fn outgoing_runs(&self, machine: MachineId) -> impl Iterator<Item = LinkRun<'_>> + '_ {
         let m = machine.index();
-        &self.out_starts[self.out_offsets[m]..self.out_offsets[m + 1]]
+        let runs = &self.runs[self.run_offsets[m] as usize..self.run_offsets[m + 1] as usize];
+        runs.iter().map(|&RunSpan { first, len }| LinkRun {
+            first: VirtualLinkId::new(first),
+            links: &self.links[first as usize..(first + len) as usize],
+        })
     }
 
     /// The ids of virtual links arriving at `machine`.
@@ -387,20 +421,27 @@ impl NetworkBuilder {
             out_links[link.source().index()].push(id);
             in_links[link.destination().index()].push(id);
         }
-        let out_starts: Vec<SimTime> =
-            out_links.iter().flatten().map(|l| self.links[l.index()].start()).collect();
-        let out_offsets: Vec<usize> = std::iter::once(0)
-            .chain(out_links.iter().scan(0, |end, list| {
-                *end += list.len();
-                Some(*end)
-            }))
-            .collect();
+        let mut runs: Vec<RunSpan> = Vec::new();
+        let mut run_offsets = Vec::with_capacity(n + 1);
+        for list in &out_links {
+            run_offsets.push(runs.len() as u32);
+            for &id in list {
+                // A previous id from the same source is the previous entry.
+                let i = id.index();
+                let continues = i > 0 && continues_run(&self.links[i - 1], &self.links[i]);
+                match runs.last_mut() {
+                    Some(run) if continues => run.len += 1,
+                    _ => runs.push(RunSpan { first: i as u32, len: 1 }),
+                }
+            }
+        }
+        run_offsets.push(runs.len() as u32);
         Network {
             machines: self.machines,
             links: self.links,
             out_links,
-            out_starts,
-            out_offsets,
+            runs,
+            run_offsets,
             in_links,
         }
     }
@@ -427,6 +468,17 @@ impl NetworkBuilder {
         }
         Ok(network)
     }
+}
+
+/// Whether `link` extends the run of `prev`, the link one id before it:
+/// the same endpoints, bandwidth and latency, and a window that starts and
+/// ends no earlier.
+fn continues_run(prev: &VirtualLink, link: &VirtualLink) -> bool {
+    (prev.source(), prev.destination()) == (link.source(), link.destination())
+        && prev.bandwidth() == link.bandwidth()
+        && prev.latency() == link.latency()
+        && prev.start() <= link.start()
+        && prev.end() <= link.end()
 }
 
 #[cfg(test)]
@@ -563,8 +615,19 @@ mod tests {
         assert_eq!(net.strongly_connected_components().len(), 1);
     }
 
+    /// Every machine's runs, as (first link id, destination, length).
+    fn runs_of(net: &Network) -> Vec<Vec<(usize, usize, usize)>> {
+        net.machine_ids()
+            .map(|m| {
+                net.outgoing_runs(m)
+                    .map(|r| (r.first.index(), r.links[0].destination().index(), r.links.len()))
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
-    fn outgoing_starts_follow_outgoing() {
+    fn outgoing_runs_follow_outgoing() {
         let mut b = NetworkBuilder::new();
         machines(&mut b, 3);
         let late = |a, c, s| {
@@ -578,17 +641,60 @@ mod tests {
         };
         b.add_link(late(0, 1, 30));
         b.add_link(late(1, 2, 10));
+        b.add_link(late(0, 1, 90));
         b.add_link(late(0, 2, 20));
+        b.add_link(late(0, 2, 90));
+        b.add_link(late(1, 2, 100));
         let net = b.build();
         for m in net.machine_ids() {
-            let starts: Vec<SimTime> =
-                net.outgoing(m).iter().map(|&l| net.link(l).start()).collect();
-            assert_eq!(net.outgoing_starts(m), &starts[..]);
+            let mut ids = Vec::new();
+            for run in net.outgoing_runs(m) {
+                assert!(!run.links.is_empty());
+                for (k, link) in run.links.iter().enumerate() {
+                    assert_eq!(net.link(run.link(k)), link);
+                    ids.push(run.link(k));
+                }
+            }
+            assert_eq!(ids, net.outgoing(m));
         }
-        assert_eq!(
-            net.outgoing_starts(MachineId::new(0)),
-            &[SimTime::from_secs(30), SimTime::from_secs(20)]
-        );
+        // L0 and L2 would be one run but for L1 between them; L3 and L4 are
+        // one; L5 leaves another machine.
+        let expected =
+            vec![vec![(0, 1, 1), (2, 1, 1), (3, 2, 2)], vec![(1, 2, 1), (5, 2, 1)], vec![]];
+        assert_eq!(runs_of(&net), expected);
+    }
+
+    #[test]
+    fn runs_split_wherever_a_window_train_breaks() {
+        use crate::time::SimDuration;
+        let window = |c, s, e, kbps, latency_ms| {
+            VirtualLink::with_latency(
+                MachineId::new(0),
+                MachineId::new(c),
+                SimTime::from_secs(s),
+                SimTime::from_secs(e),
+                BitsPerSec::from_kbps(kbps),
+                SimDuration::from_millis(latency_ms),
+            )
+        };
+        let mut b = NetworkBuilder::new();
+        machines(&mut b, 3);
+        b.add_link(window(1, 0, 10, 56, 0)); // run A
+        b.add_link(window(1, 20, 30, 56, 0)); // A
+        b.add_link(window(1, 20, 40, 56, 0)); // A: equal start, later end
+        b.add_link(window(2, 50, 60, 56, 0)); // B: destination changes
+        b.add_link(window(2, 70, 80, 64, 0)); // C: bandwidth changes
+        b.add_link(window(2, 90, 95, 64, 5)); // D: latency changes
+        b.add_link(window(2, 85, 99, 64, 5)); // E: start goes backwards
+        b.add_link(window(2, 86, 98, 64, 5)); // F: end goes backwards
+        b.add_link(window(2, 86, 98, 64, 5)); // F: an equal window continues
+        let net = b.build();
+        let expected = vec![(0, 1, 3), (3, 2, 1), (4, 2, 1), (5, 2, 1), (6, 2, 1), (7, 2, 2)];
+        assert_eq!(runs_of(&net)[0], expected);
+        // A network read back from JSON derives the same runs.
+        let back: Network = serde_json::from_str(&serde_json::to_string(&net).unwrap()).unwrap();
+        assert_eq!(runs_of(&back), runs_of(&net));
+        assert_eq!(back, net);
     }
 
     /// A three-machine network as JSON, with `edits` (`from`, `to`)

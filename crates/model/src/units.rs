@@ -148,12 +148,19 @@ impl BitsPerSec {
     /// );
     /// ```
     #[must_use]
+    #[inline]
     pub fn serialization_delay(self, size: Bytes) -> SimDuration {
-        let bits = size.bits();
-        let bps = self.0 as u128;
-        // ceil(bits * 1000 / bps) milliseconds.
-        let ms = (bits * 1_000).div_ceil(bps);
-        SimDuration::from_millis(u64::try_from(ms).unwrap_or(u64::MAX))
+        // ceil(bits * 1000 / bps) milliseconds, in `u64` whenever
+        // `bits * 1000` fits (every size below ~2.3 PB): a `u128`
+        // division is a library call.
+        let ms = match size.as_u64().checked_mul(8_000) {
+            Some(milli_bits) => milli_bits.div_ceil(self.0),
+            None => {
+                let ms = (size.bits() * 1_000).div_ceil(u128::from(self.0));
+                u64::try_from(ms).unwrap_or(u64::MAX)
+            }
+        };
+        SimDuration::from_millis(ms)
     }
 }
 
@@ -258,6 +265,36 @@ mod tests {
         // Smallest item over fastest paper link: 10 KB over 1.5 Mbit/s.
         let d = BitsPerSec::new(1_500_000).serialization_delay(Bytes::from_kib(10));
         assert_eq!(d.as_millis(), 55); // 81_920 bits / 1.5e6 bps = 54.6 ms
+    }
+
+    #[test]
+    fn the_u64_path_equals_the_u128_division() {
+        let wide = |bw: BitsPerSec, size: Bytes| {
+            let ms = (size.bits() * 1_000).div_ceil(u128::from(bw.as_u64()));
+            SimDuration::from_millis(u64::try_from(ms).unwrap_or(u64::MAX))
+        };
+        // `bits * 1000` overflows `u64` from this size on.
+        let edge = u64::MAX / 8_000 + 1;
+        let sizes = [
+            0,
+            1,
+            edge - 2,
+            edge - 1,
+            edge,
+            edge + 1,
+            u64::MAX / 8,
+            u64::MAX,
+            Bytes::from_kib(10).as_u64(),
+            Bytes::from_mib(100).as_u64(),
+        ];
+        let rates = [1, 3, 7, 999, 10_000, 1_500_000, 8_000_000_000, u64::MAX / 2, u64::MAX];
+        for size in sizes.map(Bytes::new) {
+            for bw in rates.map(BitsPerSec::new) {
+                assert_eq!(bw.serialization_delay(size), wide(bw, size), "{size} over {bw}");
+            }
+        }
+        assert!(Bytes::new(edge - 1).as_u64().checked_mul(8_000).is_some());
+        assert!(Bytes::new(edge).as_u64().checked_mul(8_000).is_none());
     }
 
     #[test]

@@ -16,10 +16,15 @@
 //! - *lower-bound pruning*: the cheapest conceivable crossing of a link —
 //!   ignoring every reservation — is `max(ready, window start) + transfer
 //!   time`. When even that bound cannot beat the current label or fit the
-//!   window/hold limits, the ledger probe is skipped entirely. A window
-//!   that opens after every machine's hold deadline fails that bound
-//!   whatever the labels, so such a link is passed over on its start time
-//!   alone, without loading it;
+//!   window/hold limits, the ledger probe is skipped entirely. The links
+//!   are scanned as [`LinkRun`]s — the windows of one physical link, in
+//!   which starts and ends never decrease — and the bound is monotone
+//!   along a run: the windows that closed before `ready` are a prefix,
+//!   found by binary search on the ends; and once a window's bound falls
+//!   past the receiver's hold or at or after its label, every later window
+//!   of the run fails it too, so the rest of the run is passed over
+//!   unread. Only the windows in between are tested one by one, with the
+//!   run's one transfer time, and probed in id order;
 //! - *validation on read* ([`paths_hold`]): after consumption, a cached
 //!   tree's paths to the destinations about to be read still hold when
 //!   every hop over a consumed resource re-probes to its old slot.
@@ -29,7 +34,7 @@ use std::collections::BinaryHeap;
 
 use dstage_model::ids::{MachineId, VirtualLinkId};
 use dstage_model::link::VirtualLink;
-use dstage_model::network::Network;
+use dstage_model::network::{LinkRun, Network};
 use dstage_model::time::SimTime;
 use dstage_model::units::Bytes;
 use dstage_resources::ledger::NetworkLedger;
@@ -65,14 +70,13 @@ struct SearchStats {
     /// Outgoing edges considered, including every pruned one.
     edge_scans: u64,
     /// Ledger probes issued (`earliest_transfer` calls) — kept exactly
-    /// equal to the resources layer's probe count by construction.
+    /// equal to the resources layer's probe count by construction. Every
+    /// other scanned edge was discarded by the static lower bound.
     relaxations: u64,
     /// Queue pushes (sources + label improvements).
     heap_pushes: u64,
     /// Pops whose label had already improved.
     stale_pops: u64,
-    /// Edges discarded by the static lower bound before any probe.
-    lb_prunes: u64,
 }
 
 impl SearchStats {
@@ -85,7 +89,7 @@ impl SearchStats {
         m::PATH_RELAXATIONS.add(self.relaxations);
         m::PATH_HEAP_PUSHES.add(self.heap_pushes);
         m::PATH_STALE_POPS.add(self.stale_pops);
-        m::PATH_LB_PRUNES.add(self.lb_prunes);
+        m::PATH_LB_PRUNES.add(self.edge_scans - self.relaxations);
     }
 }
 
@@ -148,59 +152,73 @@ fn settle(
     stats: &mut SearchStats,
 ) {
     let network = query.network;
-    let n = network.machine_count();
-    let latest_hold = query.hold_until[..n].iter().copied().max().unwrap_or(SimTime::ZERO);
     while let Some(Reverse((ready, u_idx))) = queue.pop() {
         if ready > arrivals[u_idx as usize] {
             stats.stale_pops += 1;
             continue; // stale queue entry
         }
         let u = MachineId::new(u_idx);
-        for (&link_id, &start) in network.outgoing(u).iter().zip(network.outgoing_starts(u)) {
-            stats.edge_scans += 1;
-            // The bound below rejects a window opening after every hold
-            // (`earliest >= start > hold >= limit`): skip it unloaded.
-            if start > latest_hold {
-                debug_assert!(!may_improve(query, network.link(link_id), ready, arrivals));
-                stats.lb_prunes += 1;
-                continue;
-            }
-            let link = network.link(link_id);
-            if !may_improve(query, link, ready, arrivals) {
-                stats.lb_prunes += 1;
-                continue;
-            }
-            let v = link.destination().index();
+        for run in network.outgoing_runs(u) {
+            stats.edge_scans += run.links.len() as u64;
+            let head = &run.links[0];
+            let v = head.destination().index();
             let hold = query.hold_until[v];
-            stats.relaxations += 1;
-            let Some(slot) =
-                query.ledger.earliest_transfer(network, link_id, ready, query.size, hold)
-            else {
-                continue;
-            };
-            if slot.arrival < arrivals[v] {
-                arrivals[v] = slot.arrival;
-                hops[v] = Some(Hop {
-                    from: u,
-                    to: MachineId::new(v as u32),
-                    link: link_id,
-                    start: slot.start,
-                    arrival: slot.arrival,
-                });
-                queue.push(Reverse((slot.arrival, v as u32)));
-                stats.heap_pushes += 1;
+            // Ends never decrease along a run: the windows that closed
+            // before `ready` are a prefix. Past it, `start < end` puts the
+            // earliest start inside the window.
+            let open = run.links.partition_point(|link| link.end() < ready);
+            debug_assert_pruned(query, &run, 0..open, ready, arrivals);
+            let mut transfer = None;
+            for (k, link) in run.links.iter().enumerate().skip(open) {
+                // Starts never decrease either, so neither do the earliest
+                // start and its bound: the first window whose bound falls
+                // past the hold or at or after the label ends the run.
+                let earliest = link.start().max(ready);
+                let bound = if earliest > hold || earliest >= arrivals[v] {
+                    None
+                } else {
+                    let transfer = *transfer.get_or_insert_with(|| head.transfer_time(query.size));
+                    earliest.checked_add(transfer).filter(|&lb| lb <= hold && lb < arrivals[v])
+                };
+                let Some(lb) = bound else {
+                    debug_assert_pruned(query, &run, k..run.links.len(), ready, arrivals);
+                    break;
+                };
+                if lb > link.end() {
+                    debug_assert_pruned(query, &run, k..k + 1, ready, arrivals);
+                    continue;
+                }
+                let link_id = run.link(k);
+                debug_assert!(may_improve(query, link, ready, arrivals));
+                stats.relaxations += 1;
+                let Some(slot) =
+                    query.ledger.earliest_transfer(network, link_id, ready, query.size, hold)
+                else {
+                    continue;
+                };
+                if slot.arrival < arrivals[v] {
+                    arrivals[v] = slot.arrival;
+                    hops[v] = Some(Hop {
+                        from: u,
+                        to: head.destination(),
+                        link: link_id,
+                        start: slot.start,
+                        arrival: slot.arrival,
+                    });
+                    queue.push(Reverse((slot.arrival, v as u32)));
+                    stats.heap_pushes += 1;
+                }
             }
         }
     }
 }
 
-/// The unloaded-network bound: no slot can complete earlier than the
-/// earliest start plus the transfer time, and none may complete after
-/// window end or the receiver's hold deadline — nor, to matter, at or
-/// after its current label. Most edges fail it on the start alone, before
-/// the transfer time (a division) is known; overflow means unrepresentably
-/// late.
-#[inline(always)]
+/// The unloaded-network bound, link by link: no slot can complete earlier
+/// than the earliest start plus the transfer time, and none may complete
+/// after window end or the receiver's hold deadline — nor, to matter, at or
+/// after its current label; overflow means unrepresentably late. `settle`
+/// applies it a run at a time; this is the oracle its debug build checks
+/// every passed-over link against.
 fn may_improve(
     query: &ItemQuery<'_>,
     link: &VirtualLink,
@@ -214,6 +232,21 @@ fn may_improve(
         && earliest
             .checked_add(link.transfer_time(query.size))
             .is_some_and(|lb| lb <= limit && lb < arrivals[v])
+}
+
+/// Debug builds only: every window `skipped` of `run` fails [`may_improve`].
+fn debug_assert_pruned(
+    query: &ItemQuery<'_>,
+    run: &LinkRun<'_>,
+    skipped: std::ops::Range<usize>,
+    ready: SimTime,
+    arrivals: &[SimTime],
+) {
+    if cfg!(debug_assertions) {
+        for k in skipped {
+            assert!(!may_improve(query, &run.links[k], ready, arrivals), "{} pruned", run.link(k));
+        }
+    }
 }
 
 /// Whether `tree`'s paths to `destinations` — and with them the labels

@@ -14,6 +14,9 @@
 //!
 //! Exactness is also checked with finite per-machine hold deadlines, on a
 //! partly consumed ledger, with some windows opening after every hold.
+//! That check and validation soundness also run on networks of window
+//! trains, where the search scans long runs of one physical link's
+//! windows.
 
 use dstage_model::ids::{MachineId, VirtualLinkId};
 use dstage_model::link::VirtualLink;
@@ -45,6 +48,45 @@ fn random_net_strategy() -> impl Strategy<Value = RandomNet> {
             machines,
             links,
             caps,
+        })
+    })
+}
+
+/// Networks of window trains, as the paper's generator emits them per
+/// physical link (`workload::links::generate_windows`): consecutive link
+/// ids, one bandwidth, ordered disjoint windows. About one window in four
+/// breaks its train — it steps back to near the train's first start, ends
+/// before the window it follows, or changes the bandwidth — and a train of
+/// one window is a single link between trains.
+fn train_net_strategy() -> impl Strategy<Value = RandomNet> {
+    (2usize..7).prop_flat_map(|machines| {
+        // (gap, length, breaker)
+        let window = (0u64..15, 1u64..30, 0u8..12);
+        let train =
+            (0..machines, 1..machines, 1u64..20, 0u64..60, prop::collection::vec(window, 1..10));
+        let trains = prop::collection::vec(train, 1..6);
+        let caps = prop::collection::vec(1_000u64..1_000_000, machines);
+        (Just(machines), trains, caps).prop_map(|(machines, trains, caps)| {
+            let mut links = Vec::new();
+            for (src, hop, mut speed, first, windows) in trains {
+                let (mut start, mut end) = (first, first);
+                for (gap, len, breaker) in windows {
+                    (start, end) = match breaker {
+                        0 => (first + gap, first + gap + len),
+                        1 => (
+                            start,
+                            (start + 1 + gap % len).min(end.saturating_sub(1)).max(start + 1),
+                        ),
+                        2 => {
+                            speed = 20 - speed;
+                            (end + gap, end + gap + len)
+                        }
+                        _ => (end + gap, end + gap + len),
+                    };
+                    links.push((src, (src + hop) % machines, start, end - start, speed));
+                }
+            }
+            RandomNet { machines, links, caps }
         })
     })
 }
@@ -156,6 +198,79 @@ fn consume_randomly(
         }
     }
     (dirty_links, dirty_machines)
+}
+
+/// After random consumption, every destination whose path `paths_hold`
+/// accepts has the arrival and path a from-scratch search gives it.
+fn check_paths_that_hold(
+    net: RandomNet,
+    size: u64,
+    src: usize,
+    src_avail: u64,
+    commits: &[(usize, u64, u64)],
+    picks: &[usize],
+) -> Result<(), TestCaseError> {
+    let network = build(&net);
+    if network.link_count() == 0 {
+        return Ok(());
+    }
+    let src = MachineId::new((src % net.machines) as u32);
+    let hold = vec![SimTime::MAX; net.machines];
+    let sources = [(src, SimTime::from_secs(src_avail))];
+    let destinations: Vec<MachineId> =
+        picks.iter().map(|&p| MachineId::new((p % net.machines) as u32)).collect();
+    let mut ledger = NetworkLedger::new(&network);
+    let query = query_of(&network, &ledger, size, &sources, &hold);
+    let tree = earliest_arrival_tree(&query);
+    // Nothing consumed: every hop, probed again with every resource
+    // named, finds the slot the search gave it.
+    let (all_links, all_machines): (Vec<VirtualLinkId>, Vec<MachineId>) =
+        network.links().map(|(l, link)| (l, link.destination())).unzip();
+    prop_assert!(paths_hold(&query, &tree, &destinations, &all_links, &all_machines));
+
+    let (dirty_links, dirty_machines) = consume_randomly(&network, &mut ledger, commits);
+    let query = query_of(&network, &ledger, size, &sources, &hold);
+    if paths_hold(&query, &tree, &destinations, &dirty_links, &dirty_machines) {
+        let scratch = earliest_arrival_tree(&query);
+        for &d in &destinations {
+            prop_assert_eq!(tree.arrival(d), scratch.arrival(d), "arrival at {}", d);
+            prop_assert_eq!(tree.path_to(d), scratch.path_to(d), "path to {}", d);
+        }
+    }
+    Ok(())
+}
+
+/// On a partly consumed ledger with finite holds, the search's arrivals
+/// are the fixpoint reference's.
+fn check_fixpoint_under_finite_holds(
+    mut net: RandomNet,
+    size: u64,
+    src: usize,
+    src_avail: u64,
+    holds: &[u64],
+    commits: &[(usize, u64, u64)],
+) -> Result<(), TestCaseError> {
+    // Every hold ends by 170 s and the appended link opens at 185 s, so
+    // at least one window opens after every hold and can carry nothing.
+    net.links.push((0, 1, 185, 100, 5));
+    let network = build(&net);
+    let src = MachineId::new((src % net.machines) as u32);
+    let mut ledger = NetworkLedger::new(&network);
+    consume_randomly(&network, &mut ledger, commits);
+    let hold: Vec<SimTime> = holds[..net.machines].iter().map(|&h| SimTime::from_secs(h)).collect();
+    let sources = [(src, SimTime::from_secs(src_avail))];
+    let query = query_of(&network, &ledger, size, &sources, &hold);
+    let tree = earliest_arrival_tree(&query);
+    let reference = fixpoint_arrivals(&network, &ledger, Bytes::new(size), &sources, &hold);
+    for (i, &expected) in reference.iter().enumerate() {
+        prop_assert_eq!(
+            tree.arrival(MachineId::new(i as u32)),
+            expected,
+            "machine {} disagrees",
+            i
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -291,33 +406,7 @@ proptest! {
         commits in prop::collection::vec((0usize..32, 0u64..300, 1u64..30_000), 0..12),
         picks in prop::collection::vec(0usize..7, 1..4),
     ) {
-        let network = build(&net);
-        if network.link_count() == 0 {
-            return Ok(());
-        }
-        let src = MachineId::new((src % net.machines) as u32);
-        let hold = vec![SimTime::MAX; net.machines];
-        let sources = [(src, SimTime::from_secs(src_avail))];
-        let destinations: Vec<MachineId> =
-            picks.iter().map(|&p| MachineId::new((p % net.machines) as u32)).collect();
-        let mut ledger = NetworkLedger::new(&network);
-        let query = query_of(&network, &ledger, size, &sources, &hold);
-        let tree = earliest_arrival_tree(&query);
-        // Nothing consumed: every hop, probed again with every resource
-        // named, finds the slot the search gave it.
-        let (all_links, all_machines): (Vec<VirtualLinkId>, Vec<MachineId>) =
-            network.links().map(|(l, link)| (l, link.destination())).unzip();
-        prop_assert!(paths_hold(&query, &tree, &destinations, &all_links, &all_machines));
-
-        let (dirty_links, dirty_machines) = consume_randomly(&network, &mut ledger, &commits);
-        let query = query_of(&network, &ledger, size, &sources, &hold);
-        if paths_hold(&query, &tree, &destinations, &dirty_links, &dirty_machines) {
-            let scratch = earliest_arrival_tree(&query);
-            for &d in &destinations {
-                prop_assert_eq!(tree.arrival(d), scratch.arrival(d), "arrival at {}", d);
-                prop_assert_eq!(tree.path_to(d), scratch.path_to(d), "path to {}", d);
-            }
-        }
+        check_paths_that_hold(net, size, src, src_avail, &commits, &picks)?;
     }
 
     #[test]
@@ -329,28 +418,7 @@ proptest! {
         holds in prop::collection::vec(60u64..170, 7),
         commits in prop::collection::vec((0usize..32, 0u64..200, 1u64..30_000), 0..8),
     ) {
-        // Every hold ends by 170 s; the appended link opens at 185 s and
-        // random windows open anywhere up to 200 s, so some windows open
-        // after every hold and can carry nothing.
-        let mut net = net;
-        net.links.push((0, 1, 185, 100, 5));
-        let network = build(&net);
-        let src = MachineId::new((src % net.machines) as u32);
-        let mut ledger = NetworkLedger::new(&network);
-        consume_randomly(&network, &mut ledger, &commits);
-        let hold: Vec<SimTime> =
-            holds[..net.machines].iter().map(|&h| SimTime::from_secs(h)).collect();
-        let sources = [(src, SimTime::from_secs(src_avail))];
-        let query = query_of(&network, &ledger, size, &sources, &hold);
-        let tree = earliest_arrival_tree(&query);
-        let reference = fixpoint_arrivals(&network, &ledger, Bytes::new(size), &sources, &hold);
-        for (i, &expected) in reference.iter().enumerate() {
-            prop_assert_eq!(
-                tree.arrival(MachineId::new(i as u32)),
-                expected,
-                "machine {} disagrees", i
-            );
-        }
+        check_fixpoint_under_finite_holds(net, size, src, src_avail, &holds, &commits)?;
     }
 
     #[test]
@@ -382,5 +450,34 @@ proptest! {
             });
             prop_assert_eq!(tree.first_hop_toward(m), walked, "machine {}", i);
         }
+    }
+}
+
+proptest! {
+    // Cheap cases; the run scan's exits need many trains to meet.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn paths_that_hold_on_window_trains_equal_a_scratch_search(
+        net in train_net_strategy(),
+        size in 1u64..20_000,
+        src in 0usize..7,
+        src_avail in 0u64..50,
+        commits in prop::collection::vec((0usize..32, 0u64..300, 1u64..30_000), 0..12),
+        picks in prop::collection::vec(0usize..7, 1..4),
+    ) {
+        check_paths_that_hold(net, size, src, src_avail, &commits, &picks)?;
+    }
+
+    #[test]
+    fn window_trains_match_fixpoint_reference_under_finite_holds(
+        net in train_net_strategy(),
+        size in 1u64..40_000,
+        src in 0usize..7,
+        src_avail in 0u64..60,
+        holds in prop::collection::vec(60u64..170, 7),
+        commits in prop::collection::vec((0usize..32, 0u64..200, 1u64..30_000), 0..8),
+    ) {
+        check_fixpoint_under_finite_holds(net, size, src, src_avail, &holds, &commits)?;
     }
 }

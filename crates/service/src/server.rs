@@ -261,15 +261,14 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
             LineRead::TooLong => {
                 let error =
                     ErrorResponse::line(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
-                let _ = writeln!(writer, "{error}");
-                let _ = writer.flush();
+                let _ = write_line(&mut writer, error);
                 return;
             }
             LineRead::Line => {}
         }
         let Ok(text) = std::str::from_utf8(&line) else {
             let error = ErrorResponse::line("request line is not valid UTF-8");
-            if writeln!(writer, "{error}").is_err() || writer.flush().is_err() {
+            if write_line(&mut writer, error).is_err() {
                 return;
             }
             continue;
@@ -279,10 +278,19 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
             continue;
         }
         let response = dispatch(shared, trimmed);
-        if writeln!(writer, "{response}").is_err() || writer.flush().is_err() {
+        if write_line(&mut writer, response).is_err() {
             return;
         }
     }
+}
+
+/// Sends `line` and its newline with one `write_all`: `writeln!` writes
+/// the newline separately, which under `TCP_NODELAY` leaves as a second
+/// segment.
+fn write_line(writer: &mut impl Write, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
 }
 
 /// Outcome of reading one bounded request line.
@@ -405,7 +413,7 @@ fn write_verb<T>(shared: &Shared, verb: impl FnOnce(&mut AdmissionEngine) -> T) 
 }
 
 /// A mutating verb through the write path, then the periodic checkpoint.
-fn write_line<R: serde::Serialize>(
+fn write_verb_line<R: serde::Serialize>(
     shared: &Shared,
     verb: impl FnOnce(&mut AdmissionEngine) -> Result<R, String>,
 ) -> String {
@@ -419,19 +427,21 @@ fn write_line<R: serde::Serialize>(
 
 fn dispatch_parsed(shared: &Shared, request: ClientRequest) -> String {
     match request {
-        ClientRequest::Submit(args) => write_line(shared, |engine| engine.submit(&args)),
+        ClientRequest::Submit(args) => write_verb_line(shared, |engine| engine.submit(&args)),
         // The group's members are decided back-to-back inside one turn,
         // so later destinations plan against the ledger the earlier
         // ones committed (the shared-hop guarantee).
-        ClientRequest::SubmitP2mp(args) => write_line(shared, |engine| engine.submit_p2mp(&args)),
+        ClientRequest::SubmitP2mp(args) => {
+            write_verb_line(shared, |engine| engine.submit_p2mp(&args))
+        }
         ClientRequest::Query { request } => match unpoisoned(shared.engine.read()).query(request) {
             Ok(response) => response_line(&response),
             Err(message) => ErrorResponse::line(message),
         },
-        ClientRequest::Inject(args) => write_line(shared, |engine| engine.inject(&args)),
+        ClientRequest::Inject(args) => write_verb_line(shared, |engine| engine.inject(&args)),
         ClientRequest::Optimize { budget } => {
             let budget = budget.unwrap_or(DEFAULT_OPTIMIZE_BUDGET);
-            write_line(shared, |engine| Ok(engine.optimize(budget)))
+            write_verb_line(shared, |engine| Ok(engine.optimize(budget)))
         }
         ClientRequest::Snapshot => response_line(&unpoisoned(shared.engine.read()).snapshot()),
         ClientRequest::Metrics { format: MetricsFormat::Json } => {
@@ -530,6 +540,32 @@ fn latency(h: &HistogramSnapshot) -> Latency {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_reply_line_leaves_in_one_write() {
+        /// Counts the `write` calls it receives.
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = Counting::default();
+        write_line(&mut out, ErrorResponse::line("bad")).unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(out.bytes, b"{\"ok\":false,\"error\":\"bad\"}\n");
+        write_line(&mut out, String::new()).unwrap();
+        assert_eq!((out.writes, out.bytes.last()), (2, Some(&b'\n')));
+    }
 
     #[test]
     fn turns_are_served_in_ticket_order() {
