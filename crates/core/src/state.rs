@@ -1070,18 +1070,19 @@ impl<'a> SchedulerState<'a> {
         debug_assert_eq!(slot.arrival, hop.arrival);
         self.transfers.push(Transfer::along(item, hop));
         self.metrics.transfers_committed += 1;
-        self.stage(item, hop.from, hop.to, hop.arrival);
+        let depth =
+            self.depth_at(item, hop.from, hop.start).map_or(u32::MAX, |d| d.saturating_add(1));
+        self.stage(item, hop.to, hop.arrival, depth);
         Ok(())
     }
 
     /// The table half of a booking: the new copy (unless a loss already on
     /// record takes it), its arrival with its hop depth, and the requests
     /// it delivers.
-    fn stage(&mut self, item: DataItemId, from: MachineId, to: MachineId, arrival: SimTime) {
+    fn stage(&mut self, item: DataItemId, to: MachineId, arrival: SimTime, depth: u32) {
         if self.survives(item, to, arrival, SimTime::MAX) {
             self.copies[item.index()].push((to, arrival));
         }
-        let depth = self.depth_at(item, from).saturating_add(1);
         self.staged[item.index()].push(Staged { machine: to, arrival, depth });
         for &id in self.scenario.requests_for(item) {
             let request = self.scenario.request(id);
@@ -1150,18 +1151,22 @@ impl<'a> SchedulerState<'a> {
     }
 
     /// Rebuilds `item`'s tables — copies, booked arrivals with their hop
-    /// depths, the deliveries of its requests — from `transfers`, all of
-    /// the item's booked transfers in commit order, with no ledger call.
-    /// The tables are a function of that list, the item's losses and its
-    /// requests alone: a copy on record is one no loss has taken, and a
-    /// request is delivered by the first copy in the list at its
-    /// destination, in time, that survives to its deadline. Booking the
-    /// same transfers one by one on a fresh state runs the same code.
+    /// depths, the deliveries of its requests — from `transfers`, the item's
+    /// booked transfers in commit order, with no ledger call, and returns
+    /// the ones it skips. A transfer is skipped when no copy of the item is
+    /// at its sending machine at its start, or when an outage on record
+    /// takes its link down before its arrival; a skipped transfer stages no
+    /// copy, so the transfers that copy would have fed are skipped in turn.
+    /// The tables are a function of that list, the item's losses, the
+    /// outages and its requests alone: a copy on record is one no loss has
+    /// taken, and a request is delivered by the first copy in the list at
+    /// its destination, in time, that survives to its deadline. Booking the
+    /// transfers it keeps one by one on a fresh state runs the same code.
     pub fn rederive_item<'t>(
         &mut self,
         item: DataItemId,
         transfers: impl IntoIterator<Item = &'t Transfer>,
-    ) {
+    ) -> Vec<Transfer> {
         let sources = self.scenario.item(item).sources().iter();
         self.copies[item.index()] = sources
             .map(|src| (src.machine, src.available_at))
@@ -1171,22 +1176,34 @@ impl<'a> SchedulerState<'a> {
         for id in self.scenario.requests_for(item) {
             self.delivered[id.index()] = None;
         }
+        let mut skipped = Vec::new();
         for t in transfers {
             debug_assert_eq!(t.item, item);
-            self.stage(item, t.from, t.to, t.arrival);
+            let down = self.down.iter().any(|&(link, from)| link == t.link && from < t.arrival);
+            match self.depth_at(item, t.from, t.start) {
+                Some(depth) if !down => self.stage(item, t.to, t.arrival, depth.saturating_add(1)),
+                _ => skipped.push(*t),
+            }
         }
         self.cache[item.index()] = None;
+        skipped
     }
 
-    /// Hop depth of the copy of `item` most recently booked into
-    /// `machine`; 0 where only an initial source put it there, `u32::MAX`
-    /// where it never was.
-    fn depth_at(&self, item: DataItemId, machine: MachineId) -> u32 {
-        match self.staged[item.index()].iter().rev().find(|s| s.machine == machine) {
-            Some(s) => s.depth,
-            None if self.scenario.item(item).has_source(machine) => 0,
-            None => u32::MAX,
-        }
+    /// Hop depth of the shallowest copy of `item` at `machine` at instant
+    /// `at` — arrived by then and not lost since — with an initial source
+    /// at depth 0; `None` where there is no such copy.
+    fn depth_at(&self, item: DataItemId, machine: MachineId, at: SimTime) -> Option<u32> {
+        let sources = (self.scenario.item(item).sources().iter())
+            .filter(|src| src.machine == machine)
+            .map(|src| (src.available_at, 0));
+        let staged = (self.staged[item.index()].iter())
+            .filter(|s| s.machine == machine)
+            .map(|s| (s.arrival, s.depth));
+        sources
+            .chain(staged)
+            .filter(|&(arrival, _)| arrival <= at && self.survives(item, machine, arrival, at))
+            .map(|(_, depth)| depth)
+            .min()
     }
 
     /// Commits a single hop (the partial path heuristic's move): reserves
@@ -1726,6 +1743,77 @@ mod tests {
         assert_eq!(d.at, t(20));
         assert_eq!(d.hops, 2);
         assert!(st.delivery_of(RequestId::new(1)).is_none());
+    }
+
+    #[test]
+    fn an_onward_hop_counts_from_the_shallowest_copy_at_its_start() {
+        // m0 → m1 directly (depth 1) and through m2 (depth 2), then m1 → m3:
+        // the deeper copy is booked after the shallow one, and both are on
+        // m1 when the onward hop starts; the one booked last arrives after.
+        let mut b = NetworkBuilder::new();
+        for i in 0..4 {
+            b.add_machine(Machine::new(format!("m{i}"), Bytes::from_mib(1)));
+        }
+        for (from, to) in [(0, 1), (0, 2), (2, 1), (1, 3)] {
+            let window = (t(0), SimTime::from_hours(2));
+            b.add_link(VirtualLink::new(
+                m(from),
+                m(to),
+                window.0,
+                window.1,
+                BitsPerSec::new(8_000),
+            ));
+        }
+        let s = Scenario::builder(b.build())
+            .add_item(DataItem::new("d0", Bytes::new(10_000), vec![DataSource::new(m(0), t(0))]))
+            .add_request(Request::new(item(0), m(3), t(3_000), Priority::HIGH))
+            .build()
+            .unwrap();
+        let mut st = SchedulerState::new(&s);
+        for (link, start) in [(0, 0), (1, 0), (2, 20), (1, 200), (2, 300)] {
+            book_at(&mut st, item(0), link, start);
+        }
+        book_at(&mut st, item(0), 3, 100);
+        assert_eq!(st.delivery_of(RequestId::new(0)).map(|d| (d.at, d.hops)), Some((t(110), 2)));
+        let booked = st.transfers.clone();
+        st.rederive_item(item(0), &booked);
+        assert_eq!(st.delivery_of(RequestId::new(0)).map(|d| d.hops), Some(2));
+    }
+
+    #[test]
+    fn rederive_skips_what_a_disturbance_cuts_off_and_what_it_fed() {
+        let s = dstage_workload::small::two_hop_chain();
+        let config = crate::heuristic::HeuristicConfig::paper_best();
+        let heuristic = crate::heuristic::Heuristic::FullPathOneDestination;
+        let mut plan = crate::heuristic::run(&s, heuristic, &config).schedule.transfers().to_vec();
+        assert!(plan.len() >= 2, "the chain needs staged hops");
+        plan.sort_by_key(|t| (t.item, t.start, t.arrival, t.link));
+        let rederive_all = |st: &mut SchedulerState<'_>| -> Vec<Transfer> {
+            let items = st.scenario().item_ids().collect::<Vec<_>>();
+            let of = |i: DataItemId| plan.iter().filter(move |t| t.item == i);
+            items.into_iter().flat_map(|i| st.rederive_item(i, of(i))).collect()
+        };
+        let mut fresh = SchedulerState::new(&s);
+        for t in &plan {
+            fresh.book_transfer(t).unwrap();
+        }
+        // No disturbance: everything stays, and the tables are the booked ones.
+        let mut st = fresh.clone();
+        assert_eq!(rederive_all(&mut st), []);
+        assert_eq!(st.first_difference(&fresh), None);
+        // The first-hop link down from t=0: every transfer depends on it,
+        // the second hops through the copies the first ones would stage.
+        let mut st = fresh.clone();
+        st.apply_link_outage(VirtualLinkId::new(0), SimTime::ZERO);
+        assert_eq!(rederive_all(&mut st), plan);
+        // Item 0's relay copy lost on arrival: its onward hop goes with it.
+        let relay = *plan.iter().find(|t| t.item == item(0) && t.to == m(1)).unwrap();
+        let mut st = fresh.clone();
+        st.remove_copies(item(0), m(1), relay.arrival);
+        let onward: Vec<Transfer> =
+            plan.iter().filter(|t| t.item == item(0) && t.from == m(1)).copied().collect();
+        assert!(!onward.is_empty());
+        assert_eq!(rederive_all(&mut st), onward);
     }
 
     #[test]

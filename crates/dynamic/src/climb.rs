@@ -15,7 +15,7 @@ use dstage_model::request::Request;
 use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
 
-use crate::repair::{deliveries_among, filter_consistent, final_deliveries, replay_order};
+use crate::repair::replay_order;
 use crate::{LiveSchedule, OnlinePolicy};
 
 /// What the climb reads and edits of one request, as its caller keeps it.
@@ -154,26 +154,39 @@ impl<'a> LiveSchedule<'a> {
         climbed
     }
 
-    /// `item`'s committed transfers without `victim`'s route, in replay
-    /// order — if taking the route away cancels none of them and costs no
-    /// other promised request of the item its delivery.
+    /// Whether `victim`'s route can go: re-derives `item`'s tables without
+    /// it and checks that no other transfer is skipped and no other
+    /// promised request of the item loses its delivery. If one does, the
+    /// tables are re-derived back from the committed transfers. Nothing is
+    /// unbooked.
     fn without_route<S: Standing>(
-        &self,
+        &mut self,
         standings: &[S],
         victim: RequestId,
         item: DataItemId,
-    ) -> Option<Vec<Transfer>> {
-        let route = standings[victim.index()].route()?;
-        let rest: Vec<Transfer> = (self.committed().iter())
-            .filter(|t| t.item == item && !route.contains(t))
+    ) -> bool {
+        let route = standings[victim.index()].route().expect("victims are promised");
+        let skipped = self.rederive_sorted(item, route);
+        let state = self.state();
+        let kept = skipped.is_empty()
+            && (state.scenario().requests_for(item).iter()).all(|&id| {
+                id == victim || standings[id.index()].route().is_none() || state.is_delivered(id)
+            });
+        if !kept {
+            self.rederive(item);
+        }
+        kept
+    }
+
+    /// Re-derives `item`'s tables from its committed transfers but
+    /// `except`, in replay order; returns the ones skipped.
+    fn rederive_sorted(&mut self, item: DataItemId, except: &[Transfer]) -> Vec<Transfer> {
+        let mut theirs: Vec<Transfer> = (self.committed().iter())
+            .filter(|t| t.item == item && !except.contains(t))
             .copied()
             .collect();
-        let (scenario, losses) = (self.state().scenario(), self.losses());
-        let (rest, cancelled) = filter_consistent(scenario, rest, self.outages(), losses);
-        let others = (scenario.requests_for(item).iter().copied())
-            .filter(|&id| id != victim && standings[id.index()].route().is_some());
-        let delivered = deliveries_among(scenario, others.clone(), &rest, losses).len();
-        (cancelled.is_empty() && delivered == others.count()).then_some(rest)
+        theirs.sort_by_key(replay_order);
+        self.state_mut().rederive_item(item, &theirs)
     }
 
     /// One trial: unbooks the victim's route, decides the candidate on
@@ -190,22 +203,22 @@ impl<'a> LiveSchedule<'a> {
     ) -> Option<RequestId> {
         let evicting = self.state().scenario().request(victim).item();
         let admitting = request.item();
-        // The candidate decides on the two items' tables in replay order.
-        let mut order = self.without_route(standings, victim, evicting)?;
+        // The candidate decides on the two items' tables in replay order:
+        // the victim's without its route (and back if that fails), then the
+        // candidate's.
+        climbed.rederived += 2;
+        if !self.without_route(standings, victim, evicting) {
+            return None;
+        }
         if admitting != evicting {
-            order.extend(self.committed().iter().filter(|t| t.item == admitting));
-            order.sort_by_key(replay_order);
+            self.rederive_sorted(admitting, &[]);
         }
         let was = std::mem::replace(&mut standings[victim.index()], S::evicted());
         let route = was.route().expect("victims are promised").to_vec();
         climbed.released += route.len() as u64;
-        climbed.rederived += 2;
         let state = self.state_mut();
         for t in &route {
             state.unbook(t);
-        }
-        for item in [evicting, admitting] {
-            state.rederive_item(item, order.iter().filter(|t| t.item == item));
         }
         let savepoint = state.savepoint(admitting);
         let settled = match admit(state, key, request) {
@@ -245,11 +258,15 @@ impl<'a> LiveSchedule<'a> {
         Some(id)
     }
 
-    /// The committed transfers with the deliveries that survive in them.
-    #[must_use]
-    pub fn schedule(&self) -> Schedule {
-        let deliveries = final_deliveries(self.state().scenario(), self.committed(), self.losses());
-        Schedule::from_parts(self.committed().to_vec(), deliveries)
+    /// The committed transfers, in the order committed, with the deliveries
+    /// the state reads off them once normalised.
+    pub fn schedule(&mut self) -> Schedule {
+        let (transfers, requests) =
+            (self.committed().to_vec(), self.state().scenario().request_count());
+        self.normalise(&vec![false; requests], &[]);
+        let state = self.state();
+        let deliveries = state.scenario().request_ids().filter_map(|id| state.delivery_of(id));
+        Schedule::from_parts(transfers, deliveries.collect())
     }
 }
 
@@ -340,7 +357,7 @@ mod tests {
             for heuristic in Heuristic::EXTENDED {
                 let policy = policy(heuristic);
                 let plan = run(&scenario, heuristic, &policy.config).schedule;
-                let (live, _) = climb_plan(&scenario, &plan, &policy, 6);
+                let (mut live, _) = climb_plan(&scenario, &plan, &policy, 6);
                 let best = live.schedule();
                 assert!(weighted_sum(&scenario, &best) >= weighted_sum(&scenario, &plan));
                 assert!(best.validate(&scenario).is_ok(), "{heuristic:?}");
@@ -362,7 +379,7 @@ mod tests {
         drive_state(&mut state, policy.heuristic, &policy.config);
         let plan = state.into_outcome().0;
         assert_eq!(weighted_sum(&scenario, &plan), 1);
-        let (live, climbed) = climb_plan(&scenario, &plan, &policy, 8);
+        let (mut live, climbed) = climb_plan(&scenario, &plan, &policy, 8);
         assert_eq!(climbed.attempted, 1);
         assert_eq!(climbed.swaps, vec![Swap { key: 0, evicted: low, admitted: high }]);
         let best = live.schedule();
@@ -376,7 +393,7 @@ mod tests {
         let scenario = contended_link();
         let policy = policy(Heuristic::PartialPath);
         let plan = run(&scenario, policy.heuristic, &policy.config).schedule;
-        let (live, climbed) = climb_plan(&scenario, &plan, &policy, 0);
+        let (mut live, climbed) = climb_plan(&scenario, &plan, &policy, 0);
         assert_eq!(climbed, Climbed::default());
         assert_eq!(live.committed(), plan.transfers());
         assert_eq!(
@@ -392,7 +409,7 @@ mod tests {
         let scenario = contended_link();
         let policy = policy(Heuristic::FullPathOneDestination);
         let plan = run(&scenario, policy.heuristic, &policy.config).schedule;
-        let (live, climbed) = climb_plan(&scenario, &plan, &policy, 50);
+        let (mut live, climbed) = climb_plan(&scenario, &plan, &policy, 50);
         assert_eq!(climbed.attempted, 0);
         assert_eq!(weighted_sum(&scenario, &live.schedule()), 100);
     }
@@ -402,8 +419,8 @@ mod tests {
         let scenario = fan_out();
         let policy = policy(Heuristic::Alap);
         let plan = run(&scenario, policy.heuristic, &policy.config).schedule;
-        let (a, climbed_a) = climb_plan(&scenario, &plan, &policy, 8);
-        let (b, climbed_b) = climb_plan(&scenario, &plan, &policy, 8);
+        let (mut a, climbed_a) = climb_plan(&scenario, &plan, &policy, 8);
+        let (mut b, climbed_b) = climb_plan(&scenario, &plan, &policy, 8);
         assert_eq!(a.schedule(), b.schedule());
         assert_eq!(climbed_a, climbed_b);
     }

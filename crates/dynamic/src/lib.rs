@@ -56,8 +56,5 @@ pub mod simulate;
 
 pub use climb::{climb_plan, Climbed, Standing, Swap};
 pub use event::{Event, EventError, EventKind, EventLog};
-pub use repair::{
-    deliveries_among, filter_consistent, final_deliveries, replay_order, replay_state,
-    LiveSchedule, Loss, Normalised, Outage,
-};
+pub use repair::{replay_order, replay_state, LiveSchedule, Loss, Normalised, Outage};
 pub use simulate::{simulate, OnlineOutcome, OnlinePolicy};

@@ -5,27 +5,21 @@
 //! at every event boundary; `dstage-service`'s admission engine drives it
 //! when a disturbance is *injected* into the running daemon and when an
 //! optimizer swap is kept. Either way a disturbance is applied to the live
-//! state, the committed transfers it invalidates are unbooked, and the
-//! items it touched are re-derived — nothing is rebuilt from a history.
+//! state, the items it touched are re-derived, and the committed transfers
+//! the re-derivation skips are unbooked — nothing is rebuilt from a history.
 //!
-//! The primitives beneath it:
-//!
-//! * [`filter_consistent`] — split an executed/committed transfer set
-//!   into the transfers still consistent with the disturbances so far and
-//!   the ones they invalidate (cascading through staged copies);
-//! * [`final_deliveries`] — the deliveries that survive to each request's
-//!   deadline under the copy-survival semantics of §4.4;
-//! * [`replay_state`] — build a [`SchedulerState`] from a surviving
-//!   transfer set plus the disturbances. It is the definition the live
-//!   state is compared with ([`LiveSchedule::divergence`]), and the way the
-//!   daemon rebuilds its state from a checkpoint.
-
-use std::collections::HashMap;
+//! Which copies of an item exist, which committed transfers they keep
+//! valid and which request each copy delivers is decided in one place,
+//! [`SchedulerState::rederive_item`]; this module only says which items to
+//! re-derive, in which order, and what to unbook. [`replay_state`] builds
+//! a [`SchedulerState`] from a surviving transfer set plus the
+//! disturbances. It is the definition the live state is compared with
+//! ([`LiveSchedule::divergence`]), and the way the daemon rebuilds its
+//! state from a checkpoint.
 
 use dstage_core::schedule::{Delivery, Transfer};
 use dstage_core::state::SchedulerState;
 use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
-use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
 
 use crate::event::{Event, EventKind};
@@ -36,61 +30,6 @@ pub type Outage = (VirtualLinkId, SimTime);
 /// A copy-loss instant: the item, the machine, and when the copy vanished.
 pub type Loss = (DataItemId, MachineId, SimTime);
 
-/// Per-(item, machine) copy availability bookkeeping with loss events.
-pub(crate) struct CopyTracker<'a> {
-    scenario: &'a Scenario,
-    /// Arrivals by transfer; the original sources are read off the scenario.
-    staged: HashMap<(DataItemId, MachineId), Vec<SimTime>>,
-    losses: &'a [Loss],
-}
-
-impl<'a> CopyTracker<'a> {
-    pub(crate) fn new(scenario: &'a Scenario, losses: &'a [Loss]) -> Self {
-        CopyTracker { scenario, staged: HashMap::new(), losses }
-    }
-
-    pub(crate) fn add(&mut self, item: DataItemId, machine: MachineId, at: SimTime) {
-        self.staged.entry((item, machine)).or_default().push(at);
-    }
-
-    /// The arrivals of `item` at `machine` no later than `at` that no loss
-    /// hit between their arrival and `at` (inclusive).
-    fn present_at(
-        &self,
-        item: DataItemId,
-        machine: MachineId,
-        at: SimTime,
-    ) -> impl Iterator<Item = SimTime> + '_ {
-        let sources = self.scenario.item(item).sources().iter();
-        let original =
-            sources.filter(move |src| src.machine == machine).map(|src| src.available_at);
-        let staged = self.staged.get(&(item, machine)).into_iter().flatten().copied();
-        original.chain(staged).filter(move |&avail| {
-            avail <= at
-                && !self
-                    .losses
-                    .iter()
-                    .any(|&(i, m, tl)| i == item && m == machine && avail <= tl && tl <= at)
-        })
-    }
-
-    /// Whether a copy of `item` is present at `machine` at instant `at`.
-    pub(crate) fn present(&self, item: DataItemId, machine: MachineId, at: SimTime) -> bool {
-        self.present_at(item, machine, at).next().is_some()
-    }
-
-    /// The earliest arrival that is still present at `until` (survival to
-    /// the deadline), if any.
-    pub(crate) fn earliest_surviving(
-        &self,
-        item: DataItemId,
-        machine: MachineId,
-        until: SimTime,
-    ) -> Option<SimTime> {
-        self.present_at(item, machine, until).min()
-    }
-}
-
 /// The order a transfer set is replayed in: by start, then arrival, then
 /// link — causally valid, since a copy is staged before it is sent on.
 #[must_use]
@@ -98,96 +37,15 @@ pub fn replay_order(t: &Transfer) -> (SimTime, SimTime, VirtualLinkId) {
     (t.start, t.arrival, t.link)
 }
 
-/// Splits `kept` into transfers consistent with the disturbances so far
-/// and the ones invalidated by them (cascading: a transfer whose source
-/// copy came from an invalidated transfer is itself invalid).
-///
-/// The consistent set is returned in [`replay_order`].
-#[must_use]
-pub fn filter_consistent(
-    scenario: &Scenario,
-    mut kept: Vec<Transfer>,
-    outages: &[Outage],
-    losses: &[Loss],
-) -> (Vec<Transfer>, Vec<Transfer>) {
-    kept.sort_by_key(replay_order);
-    let mut tracker = CopyTracker::new(scenario, losses);
-    let mut valid = Vec::with_capacity(kept.len());
-    let mut cancelled = Vec::new();
-    for t in kept {
-        let link_down = outages.iter().any(|&(l, tl)| l == t.link && t.arrival > tl);
-        let source_ok = tracker.present(t.item, t.from, t.start);
-        if link_down || !source_ok {
-            cancelled.push(t);
-        } else {
-            tracker.add(t.item, t.to, t.arrival);
-            valid.push(t);
-        }
-    }
-    (valid, cancelled)
-}
-
-/// Final deliveries under the survival semantics, with hop depths for the
-/// links-traversed statistic: a request is delivered when some copy is at
-/// its destination by the deadline *and survives to the deadline* (§4.4).
-#[must_use]
-pub fn final_deliveries(scenario: &Scenario, kept: &[Transfer], losses: &[Loss]) -> Vec<Delivery> {
-    deliveries_among(scenario, scenario.request_ids(), kept, losses)
-}
-
-/// [`final_deliveries`] for `requests` alone, in the order given. The
-/// copies of an item never depend on another item's transfers, so `kept`
-/// need hold only the transfers of the items those requests ask for.
-#[must_use]
-pub fn deliveries_among(
-    scenario: &Scenario,
-    requests: impl IntoIterator<Item = RequestId>,
-    kept: &[Transfer],
-    losses: &[Loss],
-) -> Vec<Delivery> {
-    let mut tracker = CopyTracker::new(scenario, losses);
-    // Per (item, machine): the arrivals there, each with its hop depth.
-    let mut depth: HashMap<(DataItemId, MachineId), Vec<(SimTime, u32)>> = HashMap::new();
-    let mut sorted: Vec<&Transfer> = kept.iter().collect();
-    sorted.sort_by_key(|t| replay_order(t));
-    for t in sorted {
-        let from_depth = depth
-            .get(&(t.item, t.from))
-            .and_then(|arrivals| {
-                arrivals.iter().filter(|&&(at, _)| at <= t.start).map(|&(_, d)| d).min()
-            })
-            .unwrap_or(0);
-        let arrivals = depth.entry((t.item, t.to)).or_default();
-        match arrivals.iter_mut().find(|(at, _)| *at == t.arrival) {
-            Some(entry) => entry.1 = from_depth + 1,
-            None => arrivals.push((t.arrival, from_depth + 1)),
-        }
-        tracker.add(t.item, t.to, t.arrival);
-    }
-    let mut deliveries = Vec::new();
-    for req_id in requests {
-        let req = scenario.request(req_id);
-        if let Some(at) = tracker.earliest_surviving(req.item(), req.destination(), req.deadline())
-        {
-            let hops = depth
-                .get(&(req.item(), req.destination()))
-                .and_then(|arrivals| arrivals.iter().find(|&&(a, _)| a == at))
-                .map_or(0, |&(_, d)| d);
-            deliveries.push(Delivery { request: req_id, at, hops });
-        }
-    }
-    deliveries
-}
-
 /// Builds `state`, fresh over its scenario, as of instant `now`: records
 /// the copy losses, books every transfer of `kept`, takes outaged links
 /// out of service, and blocks the past so no new transfer can start before
 /// `now`.
 ///
-/// `kept` must already be consistent with the disturbances (the valid
-/// half of [`filter_consistent`]); its order is the commit order the
-/// state's tables record — per item, what
-/// [`SchedulerState::rederive_item`] is given.
+/// `kept` must already be consistent with the disturbances (nothing
+/// [`SchedulerState::rederive_item`] would skip); its order is the commit
+/// order the state's tables record — per item, what `rederive_item` is
+/// given.
 ///
 /// Request activity flags are left to the caller: deactivate whatever the
 /// re-plan must not route *before or after* calling this.
@@ -409,26 +267,21 @@ impl<'a> LiveSchedule<'a> {
         stale
     }
 
-    /// Repairs the schedule after the disturbances applied so far: unbooks
-    /// what [`filter_consistent`] cancels among the stale items'
-    /// committed transfers, then normalises. A transfer depends on copies
-    /// of its own item alone, so the cascade never reaches another item.
-    /// Returns the cancelled transfers, in replay order, and what the
-    /// normalisation found for the `promised` requests.
+    /// Repairs the schedule after the disturbances applied so far: the
+    /// stale items are re-derived from their committed transfers, and the
+    /// ones the re-derivation skips — invalidated by an outage or a loss,
+    /// or fed only by such a transfer — are unbooked and dropped. A
+    /// transfer depends on copies of its own item alone, so the cascade
+    /// never reaches another item. Returns the cancelled transfers, in
+    /// replay order, and what the normalisation found for the `promised`
+    /// requests.
     pub fn repair(&mut self, promised: &[bool]) -> (Vec<Transfer>, Normalised) {
-        let stale = self.stale_items();
-        let theirs = self.committed.iter().filter(|t| stale[t.item.index()]).copied().collect();
-        let scenario = self.state.scenario();
-        let (_, cancelled) = filter_consistent(scenario, theirs, &self.outages, &self.losses);
-        debug_assert_eq!(
-            cancelled,
-            filter_consistent(scenario, self.committed.clone(), &self.outages, &self.losses).1
-        );
+        let (mut cancelled, normalised) = self.rederive_stale(promised, &[]);
+        cancelled.sort_by_key(replay_order);
         for t in &cancelled {
             self.state.unbook(t);
         }
         self.committed.retain(|t| !cancelled.contains(t));
-        let normalised = self.normalise(promised, &[]);
         self.state.forget_trees();
         (cancelled, normalised)
     }
@@ -437,44 +290,45 @@ impl<'a> LiveSchedule<'a> {
     /// tables from it, with `tail` — transfers booked on top of it —
     /// committed after. `promised` holds, per request from the first,
     /// whether the caller still promises it a delivery; the normalisation
-    /// covers that many requests and reports the surviving delivery of each
+    /// covers that many requests and reports the state's delivery of each
     /// promised one of a stale item, `tail` left out.
     pub fn normalise(&mut self, promised: &[bool], tail: &[Transfer]) -> Normalised {
+        let (cancelled, normalised) = self.rederive_stale(promised, tail);
+        debug_assert_eq!(cancelled, [], "a normalisation starts from a repaired schedule");
+        normalised
+    }
+
+    /// [`normalise`](LiveSchedule::normalise), returning the committed
+    /// transfers the re-derivation skipped, still booked and committed.
+    fn rederive_stale(
+        &mut self,
+        promised: &[bool],
+        tail: &[Transfer],
+    ) -> (Vec<Transfer>, Normalised) {
         let stale = self.stale_items();
         self.touched.fill(false);
         self.normal_requests = promised.len();
         self.committed.sort_by_key(replay_order);
-        let scenario = self.state.scenario();
-        debug_assert_eq!(
-            filter_consistent(scenario, self.committed.clone(), &self.outages, &self.losses),
-            (self.committed.clone(), Vec::new()),
-            "a normalisation starts from a repaired schedule"
-        );
         let mut theirs: Vec<Transfer> =
             self.committed.iter().filter(|t| stale[t.item.index()]).copied().collect();
-        let named: Vec<RequestId> = (scenario.requests().zip(promised))
+        let stale_ids =
+            || (0..stale.len()).filter(|&i| stale[i]).map(|i| DataItemId::new(i as u32));
+        let mut skipped = Vec::new();
+        for item in stale_ids() {
+            skipped
+                .extend(self.state.rederive_item(item, theirs.iter().filter(|t| t.item == item)));
+        }
+        let state = &self.state;
+        let deliveries = (state.scenario().requests().zip(promised))
             .filter(|((_, request), promised)| **promised && stale[request.item().index()])
-            .map(|((id, _), _)| id)
+            .map(|((id, _), _)| (id, state.delivery_of(id)))
             .collect();
-        let found = deliveries_among(scenario, named.iter().copied(), &theirs, &self.losses);
-        debug_assert_eq!(
-            found,
-            (final_deliveries(scenario, &self.committed, &self.losses).into_iter())
-                .filter(|d| named.contains(&d.request))
-                .collect::<Vec<_>>(),
-            "item-local deliveries equal the whole-table ones"
-        );
-        let mut found = found.into_iter().peekable();
-        let deliveries =
-            named.into_iter().map(|id| (id, found.next_if(|d| d.request == id))).collect();
         theirs.extend_from_slice(tail);
-        let mut rederived = 0;
-        for item in (0..stale.len()).filter(|&i| stale[i]).map(|i| DataItemId::new(i as u32)) {
-            rederived += 1;
+        for item in stale_ids().filter(|&item| tail.iter().any(|t| t.item == item)) {
             self.state.rederive_item(item, theirs.iter().filter(|t| t.item == item));
         }
         self.commit(tail);
-        Normalised { deliveries, rederived }
+        (skipped, Normalised { deliveries, rederived: stale_ids().count() })
     }
 
     /// How the live state differs from the one [`replay_state`] builds from
@@ -499,35 +353,17 @@ impl<'a> LiveSchedule<'a> {
 mod tests {
     use super::*;
     use dstage_core::heuristic::{drive_state, run, HeuristicConfig};
+    use dstage_model::scenario::Scenario;
     use dstage_model::units::Bytes;
-    use dstage_workload::small::{fan_out, two_hop_chain};
-
-    #[test]
-    fn filter_cascades_through_staged_copies() {
-        let scenario = two_hop_chain();
-        let policy = crate::OnlinePolicy::paper_best();
-        let outcome = run(&scenario, policy.heuristic, &policy.config);
-        let transfers = outcome.schedule.transfers().to_vec();
-        assert!(transfers.len() >= 2, "chain needs staged hops");
-        // Outage on the first-hop link at t=0 invalidates everything: the
-        // second hop's source copy was staged by a now-cancelled transfer.
-        let outages = vec![(dstage_model::ids::VirtualLinkId::new(0), SimTime::ZERO)];
-        let (valid, cancelled) = filter_consistent(&scenario, transfers.clone(), &outages, &[]);
-        assert!(valid.is_empty(), "every transfer depends on the dead first hop");
-        assert_eq!(cancelled.len(), transfers.len());
-        // No disturbances: everything survives, in time order.
-        let (valid, cancelled) = filter_consistent(&scenario, transfers, &[], &[]);
-        assert!(cancelled.is_empty());
-        assert!(valid.windows(2).all(|w| w[0].start <= w[1].start));
-    }
+    use dstage_workload::small::fan_out;
 
     #[test]
     fn replayed_state_reproduces_the_plan() {
         let scenario = fan_out();
         let policy = crate::OnlinePolicy::paper_best();
         let outcome = run(&scenario, policy.heuristic, &policy.config);
-        let (valid, _) =
-            filter_consistent(&scenario, outcome.schedule.transfers().to_vec(), &[], &[]);
+        let mut valid = outcome.schedule.transfers().to_vec();
+        valid.sort_by_key(replay_order);
         let mut state = SchedulerState::with_caching(&scenario, policy.config.caching);
         replay_state(&mut state, &valid, &[], &[], SimTime::ZERO).expect("consistent set replays");
         // Nothing left to do: a re-plan commits no further transfers.
@@ -585,15 +421,17 @@ mod tests {
     #[test]
     fn a_replay_books_a_later_copy_that_sorts_after_an_earlier_one() {
         // Booked late first (what `alap` / `rcd` or a re-route after a
-        // cancellation produce), then early: once `filter_consistent` has
-        // sorted them the later arrival follows an equally early copy on
-        // the same machine, and it is still a reservation in force.
+        // cancellation produce), then early: once sorted into replay order
+        // the later arrival follows an equally early copy on the same
+        // machine, and it is still a reservation in force.
         let scenario = parallel_links();
         let (late, early) = (hop(0, 100), hop(1, 0));
-        let (kept, cancelled) = filter_consistent(&scenario, vec![late, early], &[], &[]);
-        assert_eq!((kept.as_slice(), cancelled.len()), ([early, late].as_slice(), 0));
+        let mut kept = vec![late, early];
+        kept.sort_by_key(replay_order);
+        assert_eq!(kept, [early, late]);
         let mut state = SchedulerState::owning(scenario.clone(), true);
         replay_state(&mut state, &kept, &[], &[], SimTime::ZERO).expect("both were booked once");
+        assert_eq!(state.rederive_item(early.item, &kept), [], "neither is cancelled");
         assert!(busy(&state, &early) && busy(&state, &late), "a booked window reads free");
         let both = Bytes::new(20_000);
         assert_eq!(state.ledger().store(late.to).used_at(late.arrival), both);
@@ -651,21 +489,28 @@ mod tests {
     }
 
     #[test]
-    fn final_deliveries_drop_lost_destination_copies() {
+    fn a_lost_destination_copy_loses_its_delivery() {
         let scenario = fan_out();
         let policy = crate::OnlinePolicy::paper_best();
         let outcome = run(&scenario, policy.heuristic, &policy.config);
-        let kept = outcome.schedule.transfers().to_vec();
-        let clean = final_deliveries(&scenario, &kept, &[]);
-        assert_eq!(clean.len(), outcome.schedule.deliveries().len());
+        let mut kept = outcome.schedule.transfers().to_vec();
+        kept.sort_by_key(replay_order);
+        let replayed = |losses: &[Loss]| {
+            let mut state = SchedulerState::new(&scenario);
+            replay_state(&mut state, &kept, &[], losses, SimTime::ZERO).expect("booked once");
+            state
+        };
+        let clean = replayed(&[]);
+        let request = RequestId::new(0);
+        let delivered = scenario.request_ids().filter(|&id| clean.is_delivered(id)).count();
+        assert_eq!(delivered, outcome.schedule.deliveries().len());
         // Lose request 0's destination copy after its arrival but before
         // the deadline: without a re-delivery it is no longer satisfied.
-        let d1 = scenario.request(RequestId::new(0)).destination();
-        let item = scenario.request(RequestId::new(0)).item();
-        let arrival =
-            clean.iter().find(|d| d.request == RequestId::new(0)).expect("request 0 delivered").at;
-        let losses = vec![(item, d1, arrival + dstage_model::time::SimDuration::from_secs(1))];
-        let lossy = final_deliveries(&scenario, &kept, &losses);
-        assert!(lossy.iter().all(|d| d.request != RequestId::new(0)));
+        let (item, at) =
+            (scenario.request(request).item(), scenario.request(request).destination());
+        let arrival = clean.delivery_of(request).expect("request 0 delivered").at;
+        let lossy =
+            replayed(&[(item, at, arrival + dstage_model::time::SimDuration::from_secs(1))]);
+        assert_eq!(lossy.delivery_of(request), None);
     }
 }

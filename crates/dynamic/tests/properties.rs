@@ -1,14 +1,15 @@
 //! Property-based tests for the online simulator: random disturbance
 //! mixes over small scenarios must preserve the core invariants, and the
 //! one live schedule `simulate` edits must decide exactly what a fresh
-//! replay at every boundary decides.
+//! replay at every boundary decides — with the cancellations and the
+//! deliveries of that replay worked out here, over plain vectors, by a
+//! fold that shares no code with the scheduling state.
 
 use dstage_core::heuristic::{drive_state, run, Heuristic, HeuristicConfig};
-use dstage_core::schedule::{Schedule, Transfer};
+use dstage_core::schedule::{Delivery, Schedule, Transfer};
 use dstage_core::state::SchedulerState;
 use dstage_dynamic::{
-    filter_consistent, final_deliveries, replay_state, simulate, Event, EventKind, EventLog,
-    OnlineOutcome, OnlinePolicy,
+    replay_state, simulate, Event, EventKind, EventLog, OnlineOutcome, OnlinePolicy,
 };
 use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
 use dstage_model::scenario::Scenario;
@@ -72,10 +73,87 @@ fn events_for(
     EventLog::new(scenario, events).expect("ids clamped into range")
 }
 
+/// A copy lost at `(item, machine)` at an instant.
+type Loss = (DataItemId, MachineId, SimTime);
+
+/// One copy of an item: where it is, since when, and how many links it
+/// crossed from an initial source.
+#[derive(Debug, Clone, Copy)]
+struct Held {
+    item: DataItemId,
+    machine: MachineId,
+    arrival: SimTime,
+    hops: u32,
+}
+
+/// Whether a loss took `held` between its arrival and `until`.
+fn lost(held: &Held, losses: &[Loss], until: SimTime) -> bool {
+    (losses.iter()).any(|&(item, machine, at)| {
+        (item, machine) == (held.item, held.machine) && held.arrival <= at && at <= until
+    })
+}
+
+/// The copy rule, naively. `transfers` are taken by start, then arrival,
+/// then link; one stands when its link is not down before its arrival and
+/// its sending machine holds a copy that arrived by its start and survives
+/// to it, and its copy is one link deeper than the shallowest such copy.
+/// Returns the standing transfers in that order, the cancelled ones, and
+/// every copy: the initial sources, then the standing arrivals in order.
+fn cascade(
+    scenario: &Scenario,
+    mut transfers: Vec<Transfer>,
+    outages: &[(VirtualLinkId, SimTime)],
+    losses: &[Loss],
+) -> (Vec<Transfer>, Vec<Transfer>, Vec<Held>) {
+    transfers.sort_by_key(|t| (t.start, t.arrival, t.link));
+    let mut held: Vec<Held> = (scenario.item_ids())
+        .flat_map(|item| {
+            let sources = scenario.item(item).sources().iter();
+            sources.map(move |src| Held {
+                item,
+                machine: src.machine,
+                arrival: src.available_at,
+                hops: 0,
+            })
+        })
+        .collect();
+    let (mut standing, mut cancelled) = (Vec::new(), Vec::new());
+    for t in transfers {
+        let down = outages.iter().any(|&(link, at)| link == t.link && at < t.arrival);
+        let from = (held.iter())
+            .filter(|h| (h.item, h.machine) == (t.item, t.from) && h.arrival <= t.start)
+            .filter(|h| !lost(h, losses, t.start))
+            .map(|h| h.hops)
+            .min();
+        match from {
+            Some(hops) if !down => {
+                held.push(Held { item: t.item, machine: t.to, arrival: t.arrival, hops: hops + 1 });
+                standing.push(t);
+            }
+            _ => cancelled.push(t),
+        }
+    }
+    (standing, cancelled, held)
+}
+
+/// Each request's delivery: the first of `held` at its destination by its
+/// deadline that survives to the deadline.
+fn deliveries(scenario: &Scenario, held: &[Held], losses: &[Loss]) -> Vec<Delivery> {
+    (scenario.requests())
+        .filter_map(|(id, request)| {
+            let (item, at, deadline) = (request.item(), request.destination(), request.deadline());
+            (held.iter())
+                .filter(|h| (h.item, h.machine) == (item, at) && h.arrival <= deadline)
+                .find(|h| !lost(h, losses, deadline))
+                .map(|h| Delivery { request: id, at: h.arrival, hops: h.hops })
+        })
+        .collect()
+}
+
 /// The online loop as a fresh state per boundary: the executed transfers
-/// so far filtered against the disturbances, replayed into a new state as
-/// of the boundary, and the heuristic driven on it — the definition the
-/// live schedule `simulate` edits in place must agree with.
+/// so far cut down by [`cascade`], replayed into a new state as of the
+/// boundary, and the heuristic driven on it — the definition the live
+/// schedule `simulate` edits in place must agree with.
 fn replanned_from_scratch(
     scenario: &Scenario,
     events: &EventLog,
@@ -99,8 +177,8 @@ fn replanned_from_scratch(
                 EventKind::Release(_) => {}
             }
         }
-        let (valid, invalidated) = filter_consistent(scenario, kept, &outages, &losses);
-        kept = valid;
+        let (standing, invalidated, _) = cascade(scenario, kept, &outages, &losses);
+        kept = standing;
         cancelled.extend(invalidated);
         let mut state = SchedulerState::with_caching(scenario, policy.config.caching);
         for (r, &release) in releases.iter().enumerate() {
@@ -117,7 +195,9 @@ fn replanned_from_scratch(
             }
         }
     }
-    let deliveries = final_deliveries(scenario, &kept, &losses);
+    let (_, invalid, held) = cascade(scenario, kept.clone(), &outages, &losses);
+    assert_eq!(invalid, [], "a re-plan books only what stands");
+    let deliveries = deliveries(scenario, &held, &losses);
     OnlineOutcome {
         executed: Schedule::from_parts(kept, deliveries),
         cancelled,

@@ -502,11 +502,22 @@ impl AdmissionEngine {
         self.live.state().journal_len()
     }
 
-    /// How the live state differs from a full replay of the history, if it
-    /// does ([`LiveSchedule::divergence`]).
+    /// How the live state differs from a full replay of the history
+    /// ([`LiveSchedule::divergence`]), or a promised request's recorded
+    /// delivery from the live state's, if either does.
     #[must_use]
     pub fn live_state_divergence(&self) -> Option<String> {
-        self.live.divergence()
+        self.live.divergence().or_else(|| {
+            let state = self.live.state();
+            (state.scenario().request_ids().zip(&self.info))
+                .filter(|(_, info)| info.route().is_some())
+                .find_map(|(id, info)| {
+                    let live = state.delivery_of(id);
+                    (info.delivery != live).then(|| {
+                        format!("delivery of {id}: {:?} recorded, {live:?} live", info.delivery)
+                    })
+                })
+        })
     }
 
     /// Injects a disturbance and repairs the schedule around it.

@@ -599,7 +599,7 @@ pub fn optimizer(
             let scenario = &scenarios[i];
             let plan = run(scenario, h, &config).schedule;
             let base_sum = plan.evaluate(scenario, weights).weighted_sum;
-            let (live, climbed) = climb_plan(scenario, &plan, &policy, budget);
+            let (mut live, climbed) = climb_plan(scenario, &plan, &policy, budget);
             let optimized = live.schedule().evaluate(scenario, weights).weighted_sum;
             (base_sum as f64, optimized as f64, climbed.swaps.len() as f64)
         });
@@ -914,7 +914,7 @@ mod tests {
                 let plan = run(&scenario, h, &config).schedule;
                 let plain = plan.evaluate(&scenario, &config.priority_weights).weighted_sum;
                 let policy = OnlinePolicy { heuristic: h, config: config.clone() };
-                let (live, _) = climb_plan(&scenario, &plan, &policy, 4);
+                let (mut live, _) = climb_plan(&scenario, &plan, &policy, 4);
                 let best = live.schedule();
                 let sum = best.evaluate(&scenario, &config.priority_weights).weighted_sum;
                 assert!(sum >= plain, "{h} regressed on seed {seed}: {sum} < {plain}");
