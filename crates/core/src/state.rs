@@ -1167,11 +1167,17 @@ impl<'a> SchedulerState<'a> {
         item: DataItemId,
         transfers: impl IntoIterator<Item = &'t Transfer>,
     ) -> Vec<Transfer> {
+        // Refilled in place: the climb re-derives items trial after trial,
+        // and a fresh vector each time raised the daemon's peak RSS.
+        let mut copies = std::mem::take(&mut self.copies[item.index()]);
+        copies.clear();
         let sources = self.scenario.item(item).sources().iter();
-        self.copies[item.index()] = sources
-            .map(|src| (src.machine, src.available_at))
-            .filter(|&(machine, at)| self.survives(item, machine, at, SimTime::MAX))
-            .collect();
+        copies.extend(
+            sources
+                .map(|src| (src.machine, src.available_at))
+                .filter(|&(machine, at)| self.survives(item, machine, at, SimTime::MAX)),
+        );
+        self.copies[item.index()] = copies;
         self.staged[item.index()].clear();
         for id in self.scenario.requests_for(item) {
             self.delivered[id.index()] = None;
