@@ -13,8 +13,6 @@
 //!   against in §5.4: all high-priority requests are scheduled (earliest
 //!   deadline first) before any medium, and all medium before any low.
 
-use std::collections::HashMap;
-
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -22,12 +20,10 @@ use rand::{Rng, SeedableRng};
 use dstage_model::ids::{DataItemId, MachineId, RequestId};
 use dstage_model::request::{Priority, PriorityWeights};
 use dstage_model::scenario::Scenario;
-use dstage_model::time::SimTime;
 use dstage_path::Hop;
 
-use crate::heuristic::ScheduleOutcome;
+use crate::heuristic::{timed, ScheduleOutcome};
 use crate::schedule::Transfer;
-use crate::state::SchedulerState;
 
 /// The looser lower bound: one pristine-network Dijkstra per item, then
 /// blind path replay in seeded-random request order.
@@ -44,57 +40,45 @@ use crate::state::SchedulerState;
 /// ```
 #[must_use]
 pub fn single_dijkstra_random(scenario: &Scenario, seed: u64) -> ScheduleOutcome {
-    let started = std::time::Instant::now();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut state = SchedulerState::new(scenario);
-
-    // Plan every item's paths on the pristine network.
-    let mut planned: Vec<(RequestId, Option<Vec<Hop>>)> = Vec::new();
-    for item_id in scenario.item_ids() {
-        let requests = scenario.requests_for(item_id);
-        let destinations: Vec<MachineId> =
-            requests.iter().map(|&r| scenario.request(r).destination()).collect();
-        let tree = state.tree(item_id, &destinations).clone();
-        for &req_id in requests {
-            let req = scenario.request(req_id);
-            let path = tree.path_to(req.destination()).filter(|_| {
-                // Requests that miss their deadline even on the pristine
-                // network get no resources at all.
-                tree.arrival(req.destination()) <= req.deadline()
-            });
-            planned.push((req_id, path));
-        }
-    }
-
-    // Commit in arbitrary order; on the first conflict the request is
-    // dropped (already-committed hops stay, as in the partial heuristic).
-    // A hop into a machine that already holds an equally early copy is
-    // done: the earliest copy of each item on each machine is kept here.
-    let mut earliest: HashMap<(DataItemId, MachineId), SimTime> = HashMap::new();
-    for (item, data) in scenario.items() {
-        for src in data.sources() {
-            let at = earliest.entry((item, src.machine)).or_insert(src.available_at);
-            *at = (*at).min(src.available_at);
-        }
-    }
-    planned.shuffle(&mut rng);
-    for (req_id, path) in planned {
-        let Some(path) = path else { continue };
-        let item = scenario.request(req_id).item();
-        for hop in path {
-            state.note_iteration();
-            if earliest.get(&(item, hop.to)).is_some_and(|&at| at <= hop.arrival) {
-                continue;
+    timed(scenario, true, |state| {
+        // Plan every item's paths on the pristine network.
+        let mut planned: Vec<(RequestId, Option<Vec<Hop>>)> = Vec::new();
+        for item_id in scenario.item_ids() {
+            let requests = scenario.requests_for(item_id);
+            let destinations: Vec<MachineId> =
+                requests.iter().map(|&r| scenario.request(r).destination()).collect();
+            let tree = state.tree(item_id, &destinations).clone();
+            for &req_id in requests {
+                let req = scenario.request(req_id);
+                let path = tree.path_to(req.destination()).filter(|_| {
+                    // Requests that miss their deadline even on the
+                    // pristine network get no resources at all.
+                    tree.arrival(req.destination()) <= req.deadline()
+                });
+                planned.push((req_id, path));
             }
-            if state.book_transfer(&Transfer::along(item, hop)).is_err() {
-                break;
-            }
-            earliest.insert((item, hop.to), hop.arrival); // every copy there came later
         }
-    }
-    state.set_elapsed(started.elapsed());
-    let (schedule, metrics) = state.into_outcome();
-    ScheduleOutcome { schedule, metrics }
+
+        // Commit in arbitrary order; on the first conflict the request is
+        // dropped (already-committed hops stay, as in the partial
+        // heuristic). A hop into a machine that already holds an equally
+        // early copy is done.
+        planned.shuffle(&mut rng);
+        for (req_id, path) in planned {
+            let Some(path) = path else { continue };
+            let item = scenario.request(req_id).item();
+            for hop in path {
+                state.note_iteration();
+                if state.has_copy_by(item, hop.to, hop.arrival) {
+                    continue;
+                }
+                if state.book_transfer(&Transfer::along(item, hop)).is_err() {
+                    break;
+                }
+            }
+        }
+    })
 }
 
 /// The tighter lower bound: the partial path loop with uniformly random
@@ -112,10 +96,8 @@ pub fn single_dijkstra_random(scenario: &Scenario, seed: u64) -> ScheduleOutcome
 /// ```
 #[must_use]
 pub fn random_dijkstra(scenario: &Scenario, seed: u64) -> ScheduleOutcome {
-    let started = std::time::Instant::now();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut state = SchedulerState::new(scenario);
-    loop {
+    timed(scenario, true, |state| loop {
         let steps = state.all_candidate_steps();
         let offered = steps.clone().count();
         if offered == 0 {
@@ -127,10 +109,7 @@ pub fn random_dijkstra(scenario: &Scenario, seed: u64) -> ScheduleOutcome {
             .expect("picked among the steps offered");
         state.note_iteration();
         state.commit_hop(item, hop);
-    }
-    state.set_elapsed(started.elapsed());
-    let (schedule, metrics) = state.into_outcome();
-    ScheduleOutcome { schedule, metrics }
+    })
 }
 
 /// The simplified priority-first scheme: classes are processed from the
@@ -157,34 +136,32 @@ pub fn random_dijkstra(scenario: &Scenario, seed: u64) -> ScheduleOutcome {
 /// ```
 #[must_use]
 pub fn priority_first(scenario: &Scenario, weights: &PriorityWeights) -> ScheduleOutcome {
-    let started = std::time::Instant::now();
-    let mut state = SchedulerState::new(scenario);
     let mut levels: Vec<Priority> = weights.priorities().collect();
     levels.reverse(); // highest first
-    for class in levels {
-        loop {
-            // Among pending satisfiable destinations of this class, pick
-            // the lowest request id — arbitrary order, blind to urgency.
-            let mut best: Option<(RequestId, DataItemId)> = None;
-            for step in state.all_candidate_steps() {
-                for d in step.satisfiable() {
-                    if d.priority != class {
-                        continue;
-                    }
-                    if best.is_none_or(|(r, _)| d.request < r) {
-                        best = Some((d.request, step.item));
+    timed(scenario, true, |state| {
+        for class in levels {
+            loop {
+                // Among pending satisfiable destinations of this class,
+                // pick the lowest request id — arbitrary order, blind to
+                // urgency.
+                let mut best: Option<(RequestId, DataItemId)> = None;
+                for step in state.all_candidate_steps() {
+                    for d in step.satisfiable() {
+                        if d.priority != class {
+                            continue;
+                        }
+                        if best.is_none_or(|(r, _)| d.request < r) {
+                            best = Some((d.request, step.item));
+                        }
                     }
                 }
+                let Some((req_id, item)) = best else { break };
+                state.note_iteration();
+                let machine = scenario.request(req_id).destination();
+                state.commit_path(item, machine);
             }
-            let Some((req_id, item)) = best else { break };
-            state.note_iteration();
-            let machine = scenario.request(req_id).destination();
-            state.commit_path(item, machine);
         }
-    }
-    state.set_elapsed(started.elapsed());
-    let (schedule, metrics) = state.into_outcome();
-    ScheduleOutcome { schedule, metrics }
+    })
 }
 
 #[cfg(test)]

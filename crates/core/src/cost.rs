@@ -60,6 +60,23 @@ impl EuWeights {
         EuWeights { w_e: 10f64.powf(x), w_u: 1.0 }
     }
 
+    /// Parses `x`, the log10 of an E-U ratio as a command line gives it.
+    ///
+    /// # Errors
+    ///
+    /// A message for text that is not a number, for NaN, and for any `x`
+    /// whose `10^x` overflows (`inf`, `400`): such a `W_E` makes costs NaN
+    /// or −∞. `-inf` and large negative `x` are accepted: `10^x = 0` is
+    /// the urgency-only extreme.
+    pub fn parse_log10_ratio(text: &str) -> Result<f64, String> {
+        let x: f64 = text.parse().map_err(|e| format!("invalid ratio {text:?}: {e}"))?;
+        if 10f64.powf(x).is_finite() {
+            Ok(x)
+        } else {
+            Err(format!("invalid ratio {text:?}: 10^x must be a finite weight"))
+        }
+    }
+
     /// The `+inf` extreme: only effective priority matters.
     #[must_use]
     pub fn priority_only() -> Self {
@@ -401,6 +418,18 @@ mod tests {
         assert!(!CostCriterion::MULTI_DESTINATION.contains(&CostCriterion::C3Floor));
         assert_eq!(CostCriterion::EXTENSIONS, [CostCriterion::C3Floor]);
         assert_eq!(CostCriterion::C3Floor.label(), "C3f");
+    }
+
+    #[test]
+    fn a_ratio_parses_only_to_a_finite_weight() {
+        assert_eq!(EuWeights::parse_log10_ratio("2"), Ok(2.0));
+        assert_eq!(EuWeights::parse_log10_ratio("-inf"), Ok(f64::NEG_INFINITY));
+        assert_eq!(EuWeights::from_log10_ratio(f64::NEG_INFINITY).w_e, 0.0);
+        assert_eq!(EuWeights::parse_log10_ratio("-400"), Ok(-400.0));
+        for text in ["nan", "NaN", "inf", "+inf", "400", "", "two"] {
+            let message = EuWeights::parse_log10_ratio(text).unwrap_err();
+            assert!(message.starts_with("invalid ratio"), "{text}: {message}");
+        }
     }
 
     #[test]

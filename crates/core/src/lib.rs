@@ -26,17 +26,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod alap;
 pub mod baselines;
 pub mod bounds;
 pub mod cost;
 pub mod exact;
-mod full_all;
-mod full_one;
 pub mod heuristic;
 pub mod metrics;
-mod partial;
-mod rcd;
 pub mod schedule;
 pub mod state;
 

@@ -1212,6 +1212,12 @@ impl<'a> SchedulerState<'a> {
             .min()
     }
 
+    /// Whether a current copy of `item` — an initial source or a booked
+    /// arrival no loss has taken — is at `machine` by `by`.
+    pub(crate) fn has_copy_by(&self, item: DataItemId, machine: MachineId, by: SimTime) -> bool {
+        self.copies[item.index()].iter().any(|&(m, at)| m == machine && at <= by)
+    }
+
     /// Commits a single hop (the partial path heuristic's move): reserves
     /// the link and receiving storage, adds the new copy, marks satisfied
     /// requests, and invalidates affected tree caches.
@@ -1273,7 +1279,7 @@ impl<'a> SchedulerState<'a> {
         for hop in edges {
             // Skip hops into machines that already hold an equally early
             // copy (shared prefix with an earlier committed path).
-            if self.copies[item.index()].iter().any(|&(m, at)| m == hop.to && at <= hop.arrival) {
+            if self.has_copy_by(item, hop.to, hop.arrival) {
                 continue;
             }
             self.book(item, hop)
@@ -1325,7 +1331,7 @@ impl<'a> SchedulerState<'a> {
         for hop in path.iter().rev() {
             // A copy already at the receiving machine in time makes this
             // hop — and the chain feeding it — unnecessary.
-            if self.copies[item.index()].iter().any(|&(m, at)| m == hop.to && at <= limit) {
+            if self.has_copy_by(item, hop.to, limit) {
                 break;
             }
             let hold = self.hold_until[item.index()][hop.to.index()];

@@ -5,15 +5,12 @@ use std::io::Read;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// The paper excludes full path/all destinations with `Cost1` (§6). The
-/// daemon used to serve it and panic a worker on the first `submit`,
-/// leaving the candidate appended to its scenario; now it refuses the
-/// pairing before binding.
-#[test]
-fn full_all_with_c1_is_refused_before_serving() {
+/// Runs `stage-serve` with `args`, expecting it to exit rather than serve;
+/// returns its exit code, stdout and stderr.
+fn refused(args: &[&str]) -> (Option<i32>, String, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_stage-serve"))
-        .args(["--generate", "0", "--addr", "127.0.0.1:0", "--scheduler", "full-all"])
-        .args(["--criterion", "C1"])
+        .args(["--generate", "0", "--addr", "127.0.0.1:0"])
+        .args(args)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -26,15 +23,35 @@ fn full_all_with_c1_is_refused_before_serving() {
         if Instant::now() > deadline {
             child.kill().ok();
             child.wait().ok();
-            panic!("stage-serve kept serving the full_all + C1 pairing");
+            panic!("stage-serve kept serving with {args:?}");
         }
         std::thread::sleep(Duration::from_millis(20));
     };
     let (mut stdout, mut stderr) = (String::new(), String::new());
     child.stdout.take().expect("piped").read_to_string(&mut stdout).expect("read stdout");
     child.stderr.take().expect("piped").read_to_string(&mut stderr).expect("read stderr");
-    assert_eq!(status.code(), Some(1), "{stderr}");
+    (status.code(), stdout, stderr)
+}
+
+/// The paper excludes full path/all destinations with `Cost1` (§6). The
+/// daemon used to serve it and panic a worker on the first `submit`,
+/// leaving the candidate appended to its scenario; now it refuses the
+/// pairing before binding.
+#[test]
+fn full_all_with_c1_is_refused_before_serving() {
+    let (code, stdout, stderr) = refused(&["--scheduler", "full-all", "--criterion", "C1"]);
+    assert_eq!(code, Some(1), "{stderr}");
     assert!(!stdout.contains("listening on"), "{stdout}");
     assert!(stderr.contains("full_all") && stderr.contains("C1"), "{stderr}");
+    assert!(stderr.contains("usage: stage-serve"), "{stderr}");
+}
+
+/// A NaN `--ratio` used to be served with `w_e: NaN` in the fingerprint.
+#[test]
+fn a_non_finite_ratio_is_refused_before_serving() {
+    let (code, stdout, stderr) = refused(&["--ratio", "nan"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(!stdout.contains("listening on"), "{stdout}");
+    assert!(stderr.contains("invalid ratio"), "{stderr}");
     assert!(stderr.contains("usage: stage-serve"), "{stderr}");
 }

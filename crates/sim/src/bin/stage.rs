@@ -8,7 +8,8 @@
 //! OPTIONS:
 //!   --heuristic H   partial | full-one (default) | full-all | alap | rcd
 //!   --criterion C   C1 | C2 | C3 | C4 (default) | C3f; full-all refuses C1
-//!   --ratio X       log10 of the E-U ratio (default 2)
+//!   --ratio X       log10 of the E-U ratio (default 2; -inf weighs urgency
+//!                   only); NaN, or an X whose 10^X overflows, is refused
 //!   --weights W     1,5,10 | 1,10,100 (default)
 //!   --timeline      print the per-link schedule timeline
 //!   --json          print the schedule as JSON instead of text
@@ -58,11 +59,8 @@ fn parse_args() -> Result<Options, String> {
                     .ok_or_else(|| format!("unknown criterion {name:?}"))?;
             }
             "--ratio" => {
-                options.ratio = args
-                    .next()
-                    .ok_or("--ratio needs a number")?
-                    .parse()
-                    .map_err(|e| format!("invalid ratio: {e}"))?;
+                options.ratio =
+                    EuWeights::parse_log10_ratio(&args.next().ok_or("--ratio needs a number")?)?;
             }
             "--weights" => {
                 let name = args.next().ok_or("--weights needs a weighting")?;

@@ -31,6 +31,24 @@ fn full_all_with_c1_is_a_usage_error() {
     assert!(out.stdout.is_empty(), "a schedule was printed");
 }
 
+/// `--ratio` is the log10 of a weight: NaN used to panic the scheduler
+/// (exit 101) and an overflowing `10^x` scheduled with −∞ costs. `-inf`,
+/// the urgency-only extreme, still schedules.
+#[test]
+fn a_non_finite_ratio_is_a_usage_error() {
+    let path = scenario_file("stage-ratio.json");
+    for ratio in ["nan", "inf", "400"] {
+        let out = stage(&path, &["--ratio", ratio]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{ratio}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{ratio}: {stderr}");
+        assert!(stderr.contains("invalid ratio") && stderr.contains("usage: stage"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{ratio}: a schedule was printed");
+    }
+    let out = stage(&path, &["--ratio", "-inf"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
 /// Every scheduler name `stage-serve` accepts schedules offline too.
 #[test]
 fn the_extension_schedulers_are_accepted() {
