@@ -2,10 +2,11 @@
 //!
 //! A [`Network`] owns the machines and the virtual links and provides the
 //! adjacency views the path-finding layer needs, among them each machine's
-//! outgoing links cut into [`LinkRun`]s. Connectivity utilities
-//! (strong connectivity via Tarjan's algorithm) operate on the *static*
-//! graph — the union of all virtual links, ignoring time windows — which is
-//! the sense in which the paper's generator guarantees strong connectivity.
+//! outgoing links cut into [`LinkRun`]s. The strong-connectivity check
+//! ([`strongly_connected`]) works on the *static* graph — the union of all
+//! virtual links, ignoring time windows — which is the sense in which the
+//! paper's generator guarantees strong connectivity; the generator calls it
+//! on its physical links.
 //!
 //! A network read from JSON is rebuilt through [`NetworkBuilder`]: the
 //! stored adjacency lists are checked against the links, never trusted.
@@ -270,91 +271,47 @@ impl Network {
     /// connected.
     #[must_use]
     pub fn is_strongly_connected(&self) -> bool {
-        let n = self.machine_count();
-        if n <= 1 {
-            return true;
-        }
-        self.strongly_connected_components().len() == 1
+        let edges = self.links.iter().map(|l| (l.source().index(), l.destination().index()));
+        strongly_connected(self.machine_count(), edges)
     }
+}
 
-    /// Tarjan's strongly-connected-components algorithm on the static graph.
-    ///
-    /// Components are returned in reverse topological order (Tarjan's
-    /// natural output order); each component lists its machines in the order
-    /// they were popped.
-    #[must_use]
-    pub fn strongly_connected_components(&self) -> Vec<Vec<MachineId>> {
-        // Iterative Tarjan to avoid recursion limits (irrelevant at m<=12,
-        // but the routine is also used by tests on larger synthetic graphs).
-        const UNVISITED: usize = usize::MAX;
-        let n = self.machine_count();
-        let mut index = vec![UNVISITED; n];
-        let mut lowlink = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut next_index = 0usize;
-        let mut components = Vec::new();
-
-        // Explicit DFS state: (node, next-neighbour-cursor).
-        let mut work: Vec<(usize, usize)> = Vec::new();
-        // Pre-resolve neighbour lists as machine indices.
-        let succ: Vec<Vec<usize>> = (0..n)
-            .map(|u| {
-                let mut s: Vec<usize> =
-                    self.out_links[u].iter().map(|&l| self.link(l).destination().index()).collect();
-                s.sort_unstable();
-                s.dedup();
-                s
-            })
-            .collect();
-
-        for start in 0..n {
-            if index[start] != UNVISITED {
-                continue;
-            }
-            work.push((start, 0));
-            index[start] = next_index;
-            lowlink[start] = next_index;
-            next_index += 1;
-            stack.push(start);
-            on_stack[start] = true;
-
-            while let Some(&mut (v, ref mut cursor)) = work.last_mut() {
-                if *cursor < succ[v].len() {
-                    let w = succ[v][*cursor];
-                    *cursor += 1;
-                    if index[w] == UNVISITED {
-                        index[w] = next_index;
-                        lowlink[w] = next_index;
-                        next_index += 1;
-                        stack.push(w);
-                        on_stack[w] = true;
-                        work.push((w, 0));
-                    } else if on_stack[w] {
-                        lowlink[v] = lowlink[v].min(index[w]);
-                    }
-                } else {
-                    work.pop();
-                    if let Some(&(parent, _)) = work.last() {
-                        lowlink[parent] = lowlink[parent].min(lowlink[v]);
-                    }
-                    if lowlink[v] == index[v] {
-                        let mut component = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w] = false;
-                            component.push(MachineId::new(w as u32));
-                            if w == v {
-                                break;
-                            }
-                        }
-                        components.push(component);
-                    }
+/// Whether the digraph on nodes `0..nodes` with `edges` (`(from, to)`
+/// pairs) is strongly connected: node 0 reaches every node and every node
+/// reaches node 0, one search forward and one backward. Zero or one node
+/// counts as connected.
+///
+/// # Panics
+///
+/// Panics if an edge names a node `>= nodes`.
+#[must_use]
+pub fn strongly_connected(nodes: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> bool {
+    if nodes <= 1 {
+        return true;
+    }
+    let mut forward = vec![Vec::new(); nodes];
+    let mut backward = vec![Vec::new(); nodes];
+    for (from, to) in edges {
+        forward[from].push(to);
+        backward[to].push(from);
+    }
+    let reaches_all = |adjacent: &[Vec<usize>]| {
+        let mut seen = vec![false; nodes];
+        let mut stack = vec![0usize];
+        seen[0] = true;
+        let mut count = 1;
+        while let Some(u) = stack.pop() {
+            for &v in &adjacent[u] {
+                if !seen[v] {
+                    seen[v] = true;
+                    count += 1;
+                    stack.push(v);
                 }
             }
         }
-        components
-    }
+        count == nodes
+    };
+    reaches_all(&forward) && reaches_all(&backward)
 }
 
 /// Incremental constructor for [`Network`].
@@ -566,7 +523,6 @@ mod tests {
         b.add_link(quick_link(0, 1));
         let net = b.build();
         assert!(!net.is_strongly_connected());
-        assert_eq!(net.strongly_connected_components().len(), 2);
     }
 
     #[test]
@@ -579,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn tarjan_finds_two_components_with_bridge() {
+    fn two_cycles_joined_one_way_are_not_strongly_connected() {
         // {0,1} strongly connected, {2,3} strongly connected, bridge 1->2.
         let mut b = NetworkBuilder::new();
         machines(&mut b, 4);
@@ -588,31 +544,20 @@ mod tests {
         b.add_link(quick_link(2, 3));
         b.add_link(quick_link(3, 2));
         b.add_link(quick_link(1, 2));
-        let net = b.build();
-        let mut comps: Vec<Vec<usize>> = net
-            .strongly_connected_components()
-            .into_iter()
-            .map(|c| {
-                let mut v: Vec<usize> = c.into_iter().map(MachineId::index).collect();
-                v.sort_unstable();
-                v
-            })
-            .collect();
-        comps.sort();
-        assert_eq!(comps, vec![vec![0, 1], vec![2, 3]]);
+        assert!(!b.clone().build().is_strongly_connected());
+        b.add_link(quick_link(3, 0));
+        assert!(b.build().is_strongly_connected());
     }
 
     #[test]
-    fn tarjan_handles_long_cycle() {
+    fn a_long_cycle_is_strongly_connected() {
         let n = 50;
         let mut b = NetworkBuilder::new();
         machines(&mut b, n);
         for i in 0..n as u32 {
             b.add_link(quick_link(i, (i + 1) % n as u32));
         }
-        let net = b.build();
-        assert!(net.is_strongly_connected());
-        assert_eq!(net.strongly_connected_components().len(), 1);
+        assert!(b.build().is_strongly_connected());
     }
 
     /// Every machine's runs, as (first link id, destination, length).

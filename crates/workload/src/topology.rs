@@ -11,6 +11,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use dstage_model::network::strongly_connected;
+
 use crate::config::GeneratorConfig;
 
 /// A physical unidirectional link between two machines (indices), later
@@ -81,34 +83,9 @@ fn draw_topology(config: &GeneratorConfig, machines: usize, rng: &mut StdRng) ->
     links
 }
 
-/// Kosaraju-style strong connectivity check on the physical adjacency.
-pub fn is_strongly_connected(machines: usize, links: &[PhysicalLink]) -> bool {
-    if machines <= 1 {
-        return true;
-    }
-    let mut fwd = vec![Vec::new(); machines];
-    let mut bwd = vec![Vec::new(); machines];
-    for l in links {
-        fwd[l.from].push(l.to);
-        bwd[l.to].push(l.from);
-    }
-    let reaches_all = |adj: &[Vec<usize>]| {
-        let mut seen = vec![false; machines];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(u) = stack.pop() {
-            for &v in &adj[u] {
-                if !seen[v] {
-                    seen[v] = true;
-                    count += 1;
-                    stack.push(v);
-                }
-            }
-        }
-        count == machines
-    };
-    reaches_all(&fwd) && reaches_all(&bwd)
+/// Strong connectivity of the physical adjacency.
+fn is_strongly_connected(machines: usize, links: &[PhysicalLink]) -> bool {
+    strongly_connected(machines, links.iter().map(|l| (l.from, l.to)))
 }
 
 #[cfg(test)]
