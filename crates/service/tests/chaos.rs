@@ -5,21 +5,21 @@
 //! replay of the surviving decision log — faults may slow clients down
 //! and force retries, but they must never corrupt admission state.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use dstage_core::cost::{CostCriterion, EuWeights};
-use dstage_core::heuristic::{Heuristic, HeuristicConfig};
-use dstage_model::request::PriorityWeights;
+use dstage_core::heuristic::Heuristic;
 use dstage_service::engine::AdmissionEngine;
 use dstage_service::protocol::{InjectArgs, InjectKind, SubmitArgs};
 use dstage_workload::{generate, Family, GeneratorConfig};
 use serde::Value;
 
+#[path = "support/daemon.rs"]
+mod daemon;
 #[path = "support/oracle.rs"]
 mod oracle;
+
+use daemon::{config, connect, round_trip, spawn_server};
 
 /// Workload seed shared by the daemon (`--generate`) and the load
 /// generator (`--seed`) so item names line up.
@@ -31,58 +31,6 @@ const REQUESTS: usize = 48;
 /// Wall-clock ceiling for the whole run (chaos delays + retries
 /// included); CI treats a slower run as a hang.
 const BUDGET: Duration = Duration::from_secs(120);
-
-/// The heuristic configuration matching `stage-serve`'s defaults.
-fn config() -> HeuristicConfig {
-    HeuristicConfig {
-        criterion: CostCriterion::C4,
-        eu: EuWeights::from_log10_ratio(2.0),
-        priority_weights: PriorityWeights::paper_1_10_100(),
-        caching: true,
-    }
-}
-
-fn spawn_server(family: &str) -> (Child, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_stage-serve"))
-        .args([
-            "--generate",
-            &SEED.to_string(),
-            "--family",
-            family,
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "8",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn stage-serve");
-    let stdout = child.stdout.take().expect("stage-serve stdout is piped");
-    let mut line = String::new();
-    BufReader::new(stdout).read_line(&mut line).expect("read the listening line");
-    let addr = line
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner {line:?}"))
-        .to_string();
-    (child, addr)
-}
-
-fn round_trip(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, request: &str) -> Value {
-    writeln!(writer, "{request}").expect("send");
-    writer.flush().expect("flush");
-    let mut response = String::new();
-    let n = reader.read_line(&mut response).expect("recv");
-    assert!(n > 0, "daemon closed the connection after {request:?}");
-    serde_json::from_str(response.trim())
-        .unwrap_or_else(|e| panic!("bad response {response:?}: {e}"))
-}
-
-fn connect(addr: &str) -> (BufReader<TcpStream>, TcpStream) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    (BufReader::new(stream.try_clone().expect("clone stream")), stream)
-}
 
 /// Parses a Prometheus exposition and asserts the chaos-run ledger
 /// identities: every decision is admitted or refused, every displaced
@@ -225,7 +173,10 @@ fn chaos_run(family: Family) {
         let (_, request) = scenario.requests().next().expect("catalog has requests");
         scenario.item(request.item()).name().to_string()
     };
-    let (mut server, addr) = spawn_server(family.name());
+    let (mut server, addr) = spawn_server(
+        &["--generate", &SEED.to_string(), "--family", family.name(), "--workers", "8"],
+        &[],
+    );
 
     // Load phase: the real loadgen binary with the chaos proxy
     // interposed. Every submit line is keyed, so retries through the
@@ -257,7 +208,7 @@ fn chaos_run(family: Family) {
     // Disturbances land while the chaotic load is in flight; the engine's
     // write lock serializes them into the decision log wherever they fall.
     std::thread::sleep(Duration::from_millis(200));
-    let (mut reader, mut writer) = connect(&addr);
+    let (mut reader, mut writer) = connect(&addr, None);
     let outage = round_trip(
         &mut reader,
         &mut writer,
@@ -285,7 +236,7 @@ fn chaos_run(family: Family) {
     assert!(summary.contains("chaos proxy on"), "the proxy must be interposed:\n{summary}");
 
     // Authoritative post-chaos state, then shutdown.
-    let (mut reader, mut writer) = connect(&addr);
+    let (mut reader, mut writer) = connect(&addr, None);
     let snapshot = round_trip(&mut reader, &mut writer, r#"{"verb":"snapshot"}"#);
     // Keyed retries deduplicate: despite cut connections and re-sent
     // lines, exactly REQUESTS submissions reach the log.

@@ -8,22 +8,22 @@
 //! admission.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
-use dstage_core::cost::{CostCriterion, EuWeights};
-use dstage_core::heuristic::{Heuristic, HeuristicConfig};
-use dstage_model::request::PriorityWeights;
+use dstage_core::heuristic::Heuristic;
 use dstage_model::scenario::Scenario;
 use dstage_service::engine::AdmissionEngine;
 use dstage_workload::{generate, GeneratorConfig};
 use serde::Value;
 
+#[path = "support/daemon.rs"]
+mod daemon;
 #[path = "support/oracle.rs"]
 mod oracle;
+
+use daemon::{config, connect, round_trip, try_round_trip};
 
 /// Catalog seed shared by the daemon (`--generate`) and the in-test
 /// replay engines.
@@ -31,16 +31,8 @@ const SEED: u64 = 11;
 /// Wall-clock ceiling for each kill/restart loop; CI treats a slower
 /// run as a hang.
 const BUDGET: Duration = Duration::from_secs(120);
-
-/// The heuristic configuration matching `stage-serve`'s defaults.
-fn config() -> HeuristicConfig {
-    HeuristicConfig {
-        criterion: CostCriterion::C4,
-        eu: EuWeights::from_log10_ratio(2.0),
-        priority_weights: PriorityWeights::paper_1_10_100(),
-        caching: true,
-    }
-}
+/// How long a read waits for a reply before the connection counts as dead.
+const READ_TIMEOUT: Option<Duration> = Some(Duration::from_secs(20));
 
 fn catalog() -> Scenario {
     generate(&GeneratorConfig::paper(), SEED)
@@ -64,56 +56,11 @@ fn spawn_server(data_dir: &Path, durability: &str, crash: Option<&str>) -> (Chil
 
 /// [`spawn_server`] with `options` in place of the fsync policy.
 fn spawn_server_with(data_dir: &Path, options: &[&str], crash: Option<&str>) -> (Child, String) {
-    let mut command = Command::new(env!("CARGO_BIN_EXE_stage-serve"));
-    command
-        .args(["--generate", &SEED.to_string(), "--addr", "127.0.0.1:0", "--workers", "4"])
-        .args(options)
-        .arg("--data-dir")
-        .arg(data_dir)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .env_remove("DSTAGE_CRASH_POINT");
-    if let Some(point) = crash {
-        command.env("DSTAGE_CRASH_POINT", point);
-    }
-    let mut child = command.spawn().expect("spawn stage-serve");
-    let stdout = child.stdout.take().expect("stage-serve stdout is piped");
-    let mut line = String::new();
-    BufReader::new(stdout).read_line(&mut line).expect("read the listening line");
-    let addr = line
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner {line:?}"))
-        .to_string();
-    (child, addr)
-}
-
-fn connect(addr: &str) -> (BufReader<TcpStream>, TcpStream) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
-    (BufReader::new(stream.try_clone().expect("clone stream")), stream)
-}
-
-/// One round trip that tolerates the server dying mid-request (that is
-/// the point of this suite): `None` means no response arrived.
-fn try_round_trip(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    request: &str,
-) -> Option<Value> {
-    if writeln!(writer, "{request}").is_err() || writer.flush().is_err() {
-        return None;
-    }
-    let mut response = String::new();
-    match reader.read_line(&mut response) {
-        Ok(n) if n > 0 => serde_json::from_str(response.trim()).ok(),
-        _ => None,
-    }
-}
-
-fn round_trip(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, request: &str) -> Value {
-    try_round_trip(reader, writer, request)
-        .unwrap_or_else(|| panic!("no response to {request:?} from a healthy server"))
+    let seed = SEED.to_string();
+    let dir = data_dir.to_str().expect("utf-8 temp path");
+    let args = ["--generate", &seed, "--workers", "4", "--data-dir", dir];
+    let crash = crash.map(|point| ("DSTAGE_CRASH_POINT", point));
+    daemon::spawn_server(&[&args[..], options].concat(), crash.as_slice())
 }
 
 fn acked_ok(response: &Value) -> bool {
@@ -136,7 +83,7 @@ fn submit_line(items: &[String], machines: usize, pick: usize, key: &str) -> Str
 /// acknowledged submission is present with its recorded decision —
 /// which a keyed retry replays verbatim instead of deciding again.
 fn assert_recovered(addr: &str, scenario: &Scenario, acked: &HashMap<String, Value>) {
-    let (mut reader, mut writer) = connect(addr);
+    let (mut reader, mut writer) = connect(addr, READ_TIMEOUT);
     let snapshot = round_trip(&mut reader, &mut writer, "{\"verb\":\"snapshot\"}");
     let log = snapshot.get("log").and_then(Value::as_array).expect("snapshot log");
 
@@ -186,7 +133,7 @@ fn assert_recovered(addr: &str, scenario: &Scenario, acked: &HashMap<String, Val
 
 /// Drains the daemon with the `shutdown` verb and insists on exit 0.
 fn drain(child: &mut Child, addr: &str) {
-    let (mut reader, mut writer) = connect(addr);
+    let (mut reader, mut writer) = connect(addr, READ_TIMEOUT);
     round_trip(&mut reader, &mut writer, "{\"verb\":\"shutdown\"}");
     drop((reader, writer));
     let status = child.wait().expect("wait for drained server");
@@ -219,7 +166,7 @@ fn every_crash_point_recovers_without_losing_acknowledged_decisions() {
     let mut pick = 0usize;
     for (round, &(point, checkpoint)) in rounds.iter().enumerate() {
         let (mut child, addr) = spawn_server(&dir, "always", Some(point));
-        let (mut reader, mut writer) = connect(&addr);
+        let (mut reader, mut writer) = connect(&addr, READ_TIMEOUT);
         // Submit until the armed point kills the server (bounded: every
         // decision appends and commits, so the second append or fsync
         // lands by the second submission).
@@ -297,7 +244,7 @@ fn randomized_crash_chaos_preserves_acknowledged_decisions() {
             Some(point.as_str())
         };
         let (mut child, addr) = spawn_server(&dir, "always", crash);
-        let (mut reader, mut writer) = connect(&addr);
+        let (mut reader, mut writer) = connect(&addr, READ_TIMEOUT);
         let submissions = 2 + next() as usize % 3;
         for i in 0..submissions {
             let key = format!("chaos-{round}-{i}");
@@ -359,7 +306,7 @@ fn periodic_checkpoints_compact_the_wal_and_recover_after_sigkill() {
         .map(|client| {
             let (addr, items) = (addr.clone(), items.clone());
             std::thread::spawn(move || {
-                let (mut reader, mut writer) = connect(&addr);
+                let (mut reader, mut writer) = connect(&addr, READ_TIMEOUT);
                 (0..PER_CLIENT)
                     .map(|i| {
                         let key = format!("periodic-{client}-{i}");
@@ -386,7 +333,7 @@ fn periodic_checkpoints_compact_the_wal_and_recover_after_sigkill() {
 
     let (mut child, addr) = spawn_server_with(&dir, &options, None);
     let log_len = |addr: &str| {
-        let (mut reader, mut writer) = connect(addr);
+        let (mut reader, mut writer) = connect(addr, READ_TIMEOUT);
         let snapshot = round_trip(&mut reader, &mut writer, "{\"verb\":\"snapshot\"}");
         snapshot.get("log").and_then(Value::as_array).expect("snapshot log").len()
     };
@@ -412,7 +359,7 @@ fn sigterm_drains_gracefully_and_loses_nothing() {
     let (mut child, addr) = spawn_server(&dir, "interval:60000", None);
 
     let mut acked: HashMap<String, Value> = HashMap::new();
-    let (mut reader, mut writer) = connect(&addr);
+    let (mut reader, mut writer) = connect(&addr, READ_TIMEOUT);
     for i in 0..4 {
         let key = format!("term-{i}");
         let response =

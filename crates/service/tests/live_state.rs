@@ -11,8 +11,7 @@
 //! retroactively are refused exactly where they do not fit; and the
 //! decisions are the ones recorded on the commit that replayed per decision.
 
-use dstage_core::cost::{CostCriterion, EuWeights};
-use dstage_core::heuristic::{Heuristic, HeuristicConfig};
+use dstage_core::heuristic::Heuristic;
 use dstage_model::prelude::*;
 use dstage_service::engine::AdmissionEngine;
 use dstage_service::protocol::{
@@ -24,18 +23,12 @@ use dstage_workload::{generate, Family, GeneratorConfig};
 use proptest::prelude::*;
 use serde::Value;
 
+#[path = "support/daemon.rs"]
+mod daemon;
 #[path = "support/oracle.rs"]
 mod oracle;
 
-/// The heuristic configuration matching `stage-serve`'s defaults.
-fn config() -> HeuristicConfig {
-    HeuristicConfig {
-        criterion: CostCriterion::C4,
-        eu: EuWeights::from_log10_ratio(2.0),
-        priority_weights: PriorityWeights::paper_1_10_100(),
-        caching: true,
-    }
-}
+use daemon::config;
 
 /// Sebastiano Vigna's splitmix64: the streams below are a function of
 /// their seed alone.

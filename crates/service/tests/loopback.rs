@@ -3,21 +3,21 @@
 //! admission decisions a sequential offline replay of the same order
 //! makes — checked byte for byte on the snapshot JSON.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+use std::process::Child;
 use std::thread;
 
-use dstage_core::cost::{CostCriterion, EuWeights};
-use dstage_core::heuristic::{Heuristic, HeuristicConfig};
-use dstage_model::request::PriorityWeights;
+use dstage_core::heuristic::Heuristic;
 use dstage_model::scenario::Scenario;
 use dstage_service::engine::AdmissionEngine;
 use dstage_workload::{generate, GeneratorConfig};
 use serde::Value;
 
+#[path = "support/daemon.rs"]
+mod daemon;
 #[path = "support/oracle.rs"]
 mod oracle;
+
+use daemon::{config, connect, round_trip, spawn_server};
 
 const SEED: u64 = 11;
 
@@ -25,64 +25,14 @@ fn catalog() -> Scenario {
     generate(&GeneratorConfig::small(), SEED)
 }
 
-/// The heuristic configuration `stage-serve` is started with below.
-fn config() -> HeuristicConfig {
-    HeuristicConfig {
-        criterion: CostCriterion::C4,
-        eu: EuWeights::from_log10_ratio(2.0),
-        priority_weights: PriorityWeights::paper_1_10_100(),
-        caching: true,
-    }
-}
-
-/// Starts the daemon on an ephemeral port and returns (child, addr).
-fn spawn_server(scenario_path: &std::path::Path, workers: usize) -> (Child, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_stage-serve"))
-        .args([
-            "--scenario",
-            scenario_path.to_str().expect("utf-8 temp path"),
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            &workers.to_string(),
-            "--heuristic",
-            "full-one",
-            "--criterion",
-            "C4",
-            "--ratio",
-            "2",
-            "--weights",
-            "1,10,100",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn stage-serve");
-    let stdout = child.stdout.take().expect("stage-serve stdout is piped");
-    let mut line = String::new();
-    BufReader::new(stdout).read_line(&mut line).expect("read the listening line");
-    let addr = line
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner {line:?}"))
-        .to_string();
-    (child, addr)
-}
-
-/// One NDJSON round trip on an existing connection.
-fn round_trip(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, request: &str) -> Value {
-    writeln!(writer, "{request}").expect("send");
-    writer.flush().expect("flush");
-    let mut response = String::new();
-    let n = reader.read_line(&mut response).expect("recv");
-    assert!(n > 0, "daemon closed the connection after {request:?}");
-    serde_json::from_str(response.trim())
-        .unwrap_or_else(|e| panic!("bad response {response:?}: {e}"))
-}
-
-fn connect(addr: &str) -> (BufReader<TcpStream>, TcpStream) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    (BufReader::new(stream.try_clone().expect("clone stream")), stream)
+/// Starts the daemon on the catalog at `scenario_path` with `workers`
+/// workers, naming the default scheduler and weights explicitly.
+fn spawn(scenario_path: &std::path::Path, workers: usize) -> (Child, String) {
+    let scenario = scenario_path.to_str().expect("utf-8 temp path");
+    let workers = workers.to_string();
+    let args = ["--scenario", scenario, "--workers", &workers, "--heuristic", "full-one"];
+    let defaults = ["--criterion", "C4", "--ratio", "2", "--weights", "1,10,100"];
+    spawn_server(&[&args[..], &defaults].concat(), &[])
 }
 
 /// Byte-identity at 8 workers — the daemon's default-ish pool size.
@@ -123,10 +73,10 @@ fn p2mp_submit_round_trip_shares_hops_and_replays() {
         std::env::temp_dir().join(format!("dstage-loopback-p2mp-{}.json", std::process::id()));
     std::fs::write(&scenario_path, serde_json::to_string(&scenario).expect("serialize catalog"))
         .expect("write catalog file");
-    let (mut child, addr) = spawn_server(&scenario_path, 2);
+    let (mut child, addr) = spawn(&scenario_path, 2);
 
     let item = scenario.items().next().expect("fan_out has an item").1.name().to_string();
-    let (mut reader, mut writer) = connect(&addr);
+    let (mut reader, mut writer) = connect(&addr, None);
     let line = format!(
         r#"{{"verb":"submit","item":"{item}","destinations":[2,3,4],"deadline_ms":1800000,"priority":2,"idempotency_key":"wire-g1"}}"#
     );
@@ -171,7 +121,7 @@ fn exercise_loopback(workers: usize, clients: usize) {
         .join(format!("dstage-loopback-{}-{SEED}-w{workers}-c{clients}.json", std::process::id()));
     std::fs::write(&scenario_path, serde_json::to_string(&scenario).expect("serialize catalog"))
         .expect("write catalog file");
-    let (mut child, addr) = spawn_server(&scenario_path, workers);
+    let (mut child, addr) = spawn(&scenario_path, workers);
 
     // The catalog's request stream, as wire submissions.
     let submissions: Vec<String> = scenario
@@ -199,7 +149,7 @@ fn exercise_loopback(workers: usize, clients: usize) {
         let chunk = chunk.to_vec();
         let addr = addr.clone();
         clients.push(thread::spawn(move || {
-            let (mut reader, mut writer) = connect(&addr);
+            let (mut reader, mut writer) = connect(&addr, None);
             chunk
                 .iter()
                 .map(|line| round_trip(&mut reader, &mut writer, line))
@@ -224,7 +174,7 @@ fn exercise_loopback(workers: usize, clients: usize) {
     assert_eq!(submission_indices, (0..submissions.len() as u64).collect::<Vec<_>>());
 
     // Authoritative state, a query spot-check, then shutdown.
-    let (mut reader, mut writer) = connect(&addr);
+    let (mut reader, mut writer) = connect(&addr, None);
     let snapshot = round_trip(&mut reader, &mut writer, r#"{"verb":"snapshot"}"#);
     assert_eq!(snapshot.get("submissions").and_then(Value::as_u64), Some(submissions.len() as u64));
     let admitted = snapshot.get("admitted").and_then(Value::as_u64).expect("admitted count");

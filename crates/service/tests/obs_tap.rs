@@ -4,50 +4,15 @@
 //! (`DSTAGE_OBS=0`). Their snapshots must be byte-identical — metrics
 //! and flight-recorder state may differ wildly, admission state may not.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
-
 use dstage_workload::{generate, GeneratorConfig};
 use serde::Value;
 
+#[path = "support/daemon.rs"]
+mod daemon;
+
+use daemon::{connect, round_trip, spawn_server};
+
 const SEED: u64 = 11;
-
-fn spawn_server(scenario_path: &std::path::Path, obs: &str) -> (Child, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_stage-serve"))
-        .args([
-            "--scenario",
-            scenario_path.to_str().expect("utf-8 temp path"),
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "4",
-        ])
-        .env("DSTAGE_OBS", obs)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn stage-serve");
-    let stdout = child.stdout.take().expect("stage-serve stdout is piped");
-    let mut line = String::new();
-    BufReader::new(stdout).read_line(&mut line).expect("read the listening line");
-    let addr = line
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner {line:?}"))
-        .to_string();
-    (child, addr)
-}
-
-fn round_trip(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, request: &str) -> Value {
-    writeln!(writer, "{request}").expect("send");
-    writer.flush().expect("flush");
-    let mut response = String::new();
-    let n = reader.read_line(&mut response).expect("recv");
-    assert!(n > 0, "daemon closed the connection after {request:?}");
-    serde_json::from_str(response.trim())
-        .unwrap_or_else(|e| panic!("bad response {response:?}: {e}"))
-}
 
 /// Runs the fixed script against a fresh daemon with `DSTAGE_OBS=obs`:
 /// every catalog request submitted sequentially on one connection, one
@@ -58,10 +23,10 @@ fn run_script(
     submissions: &[String],
     obs: &str,
 ) -> (String, String, Value) {
-    let (mut child, addr) = spawn_server(scenario_path, obs);
-    let stream = TcpStream::connect(&addr).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut writer = stream;
+    let scenario = scenario_path.to_str().expect("utf-8 temp path");
+    let (mut child, addr) =
+        spawn_server(&["--scenario", scenario, "--workers", "4"], &[("DSTAGE_OBS", obs)]);
+    let (mut reader, mut writer) = connect(&addr, None);
 
     for line in submissions {
         let response = round_trip(&mut reader, &mut writer, line);

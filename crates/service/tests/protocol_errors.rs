@@ -16,20 +16,10 @@ use dstage_service::server::{Server, ServerConfig, MAX_LINE_BYTES};
 use dstage_workload::small::two_hop_chain;
 use serde::Value;
 
-fn connect(addr: &std::net::SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    (BufReader::new(stream.try_clone().expect("clone stream")), stream)
-}
+#[path = "support/daemon.rs"]
+mod daemon;
 
-fn round_trip(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, request: &str) -> Value {
-    writeln!(writer, "{request}").expect("send");
-    writer.flush().expect("flush");
-    let mut response = String::new();
-    let n = reader.read_line(&mut response).expect("recv");
-    assert!(n > 0, "daemon closed the connection after {request:?}");
-    serde_json::from_str(response.trim())
-        .unwrap_or_else(|e| panic!("bad response {response:?}: {e}"))
-}
+use daemon::{connect, round_trip};
 
 fn error_of(value: &Value) -> String {
     assert_eq!(value.get("ok").and_then(Value::as_bool), Some(false), "expected error: {value:?}");
@@ -49,7 +39,7 @@ fn abusive_clients_get_errors_and_the_worker_survives() {
     let daemon = thread::spawn(move || server.run());
 
     // --- inject with unknown ids is an error, never a logged injection.
-    let (mut reader, mut writer) = connect(&addr);
+    let (mut reader, mut writer) = connect(addr, None);
     let bad_link = round_trip(
         &mut reader,
         &mut writer,
@@ -128,13 +118,13 @@ fn abusive_clients_get_errors_and_the_worker_survives() {
     // shorter than MAX_LINE_BYTES) gets one error line on its own
     // connection; it must not overflow the worker's stack.
     {
-        let (mut reader, mut writer) = connect(&addr);
+        let (mut reader, mut writer) = connect(addr, None);
         let nested = round_trip(&mut reader, &mut writer, &"[".repeat(10_000));
         assert!(error_of(&nested).contains("recursion limit exceeded"), "{nested:?}");
     }
 
     // --- the worker is still alive and serving correct answers.
-    let (mut reader, mut writer) = connect(&addr);
+    let (mut reader, mut writer) = connect(addr, None);
     let query = round_trip(&mut reader, &mut writer, r#"{"verb":"query","request":0}"#);
     assert_eq!(query.get("ok").and_then(Value::as_bool), Some(true));
     assert_eq!(query.get("status").and_then(Value::as_str), Some("admitted"));

@@ -4,8 +4,6 @@
 //! drain grace window — the old code dropped it at the first
 //! post-shutdown read-timeout tick, closing the socket with no response.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
 
@@ -15,21 +13,10 @@ use dstage_service::server::{Server, ServerConfig};
 use dstage_workload::small::two_hop_chain;
 use serde::Value;
 
-fn connect(addr: &str) -> (BufReader<TcpStream>, TcpStream) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
-    (BufReader::new(stream.try_clone().expect("clone stream")), stream)
-}
+#[path = "support/daemon.rs"]
+mod daemon;
 
-fn round_trip(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, request: &str) -> Value {
-    writeln!(writer, "{request}").expect("send");
-    writer.flush().expect("flush");
-    let mut response = String::new();
-    let n = reader.read_line(&mut response).expect("recv");
-    assert!(n > 0, "daemon closed the connection after {request:?}");
-    serde_json::from_str(response.trim())
-        .unwrap_or_else(|e| panic!("bad response {response:?}: {e}"))
-}
+use daemon::{connect, round_trip};
 
 #[test]
 fn queued_connection_is_answered_during_shutdown_drain() {
@@ -45,14 +32,14 @@ fn queued_connection_is_answered_during_shutdown_drain() {
 
     // Connection B occupies the only worker (proven by a round trip);
     // connection A is accepted but waits in the worker queue.
-    let (mut b_reader, mut b_writer) = connect(&addr);
+    let (mut b_reader, mut b_writer) = connect(&addr, Some(Duration::from_secs(10)));
     let warmup = round_trip(
         &mut b_reader,
         &mut b_writer,
         r#"{"verb":"submit","item":"alpha","destination":2,"deadline_ms":7200000,"priority":2}"#,
     );
     assert_eq!(warmup.get("decision").and_then(Value::as_str), Some("admitted"));
-    let (mut a_reader, mut a_writer) = connect(&addr);
+    let (mut a_reader, mut a_writer) = connect(&addr, Some(Duration::from_secs(10)));
 
     // A goes silent past the old failure point (the worker's first
     // post-shutdown 200 ms timeout tick), then submits — the drain grace
