@@ -286,6 +286,10 @@ pub struct SchedulerState<'a> {
     /// copy happens to land on their destination — the data is simply
     /// there — but never drive scheduling decisions.
     active: Vec<bool>,
+    /// Per item, how many of its requests are active: the items a
+    /// selection round visits are those counted here. Kept where `active`
+    /// changes, and nowhere else.
+    active_per_item: Vec<usize>,
     /// Per item, everything cached about it: the tree, what was last read
     /// off it and the steps that read produced (DESIGN.md §3). Dropping an
     /// entry drops all of it.
@@ -425,6 +429,10 @@ impl<'a> SchedulerState<'a> {
             down: Vec::new(),
             past: SimTime::ZERO,
             active: vec![true; scenario.request_count()],
+            active_per_item: scenario
+                .item_ids()
+                .map(|item| scenario.requests_for(item).len())
+                .collect(),
             cache: vec![None; scenario.item_count()],
             journal: ChangeJournal::default(),
             dirtied: Dirtied {
@@ -473,8 +481,14 @@ impl<'a> SchedulerState<'a> {
     ///
     /// Panics if the id is out of range.
     pub fn set_request_active(&mut self, request: RequestId, active: bool) {
-        self.active[request.index()] = active;
-        self.forget_steps(self.scenario.request(request).item());
+        let item = self.scenario.request(request).item();
+        // Activating a request that is active already (the repair loop
+        // settles what `add_request` made active) must not count it twice.
+        if std::mem::replace(&mut self.active[request.index()], active) != active {
+            let count = &mut self.active_per_item[item.index()];
+            *count = if active { *count + 1 } else { *count - 1 };
+        }
+        self.forget_steps(item);
     }
 
     /// Whether a request may receive resources.
@@ -515,6 +529,7 @@ impl<'a> SchedulerState<'a> {
         }
         self.delivered.push(self.served(id, &request));
         self.active.push(true);
+        self.active_per_item[item.index()] += 1;
         // A hold row that did not move leaves the item's tree cached; its
         // steps were enumerated without this request.
         self.forget_steps(item);
@@ -647,6 +662,9 @@ impl<'a> SchedulerState<'a> {
         self.staged[item.index()].truncate(savepoint.staged);
         while self.scenario.request_count() > savepoint.requests {
             let withdrawn = self.scenario.to_mut().pop_request().expect("counted above").item();
+            if self.active[self.scenario.request_count()] {
+                self.active_per_item[withdrawn.index()] -= 1;
+            }
             self.rehold(withdrawn).expect("shortening holds frees storage");
         }
         self.delivered.truncate(savepoint.requests);
@@ -1051,9 +1069,42 @@ impl<'a> SchedulerState<'a> {
     /// item with pending requests, items by id. They are lent from the
     /// cache — a heuristic scores them where they lie and clones the
     /// winner.
+    ///
+    /// Only items with an active request are visited: any other one has
+    /// nothing pending, and no enumeration either, since withholding its
+    /// last request dropped it (DESIGN.md §3). A daemon, whose decisions
+    /// activate one request each, visits one item per round.
     pub fn all_candidate_steps(&mut self) -> impl Iterator<Item = &CandidateStep> + Clone + '_ {
-        Self::publish(self.scenario.item_ids().map(|item| self.refresh_steps(item)));
-        self.cache.iter().flat_map(cached_steps)
+        debug_assert!(self.passes_over_idle_items_only());
+        Self::publish(self.scenario.item_ids().filter_map(|item| {
+            if self.active_per_item[item.index()] > 0 {
+                Some(self.refresh_steps(item))
+            } else {
+                None
+            }
+        }));
+        self.cache
+            .iter()
+            .zip(&self.active_per_item)
+            .filter(|&(_, &active)| active > 0)
+            .flat_map(|(cached, _)| cached_steps(cached))
+    }
+
+    /// The oracle of the rounds' item filter in debug builds: every item's
+    /// count is a recount of its active requests, and an item without one
+    /// has nothing pending and no enumeration — its visit would have been
+    /// `Visit::Idle`, with no side effect.
+    fn passes_over_idle_items_only(&self) -> bool {
+        self.scenario.item_ids().all(|item| {
+            let recount =
+                self.scenario.requests_for(item).iter().filter(|r| self.active[r.index()]).count();
+            recount == self.active_per_item[item.index()]
+                && (recount > 0
+                    || (self.pending_requests(item).next().is_none()
+                        && self.cache[item.index()]
+                            .as_ref()
+                            .is_none_or(|c| c.enumeration.is_none())))
+        })
     }
 
     /// Books one transfer of `item`: reserves the link and the receiving
@@ -2406,5 +2457,47 @@ mod tests {
         all.extend(st.take_transfers());
         assert_eq!(all.len(), 3);
         assert_eq!(st.first_difference(&rebuilt(&st, &all)), None);
+    }
+
+    #[test]
+    fn the_active_count_follows_every_change_of_a_request_s_activity() {
+        // Mutants: a count bumped by a repeated activation, a rollback that
+        // drops an added request's count although it was withheld, a
+        // release that forgets to count: each leaves a round that skips an
+        // item with something pending, or visits one with nothing.
+        let mut st = growing(1 << 20);
+        let counts = |st: &SchedulerState<'_>| st.active_per_item.clone();
+        assert_eq!(counts(&st), [1, 0]);
+        // Added, then rolled back: active or withheld when it goes.
+        for withhold in [false, true] {
+            let savepoint = st.savepoint(item(1));
+            let id = st.add_request(Request::new(item(1), m(3), t(900), Priority::LOW)).unwrap();
+            assert_eq!(counts(&st), [1, 1]);
+            assert_eq!(st.all_candidate_steps().filter(|s| s.item == item(1)).count(), 1);
+            if withhold {
+                st.set_request_active(id, false);
+                assert_eq!(counts(&st), [1, 0]);
+            }
+            st.rollback(savepoint);
+            assert_eq!(counts(&st), [1, 0]);
+        }
+        // Activated while active: counted once.
+        let r0 = RequestId::new(0);
+        st.set_request_active(r0, true);
+        st.set_request_active(r0, true);
+        assert_eq!(counts(&st), [1, 0]);
+        // Withheld, the round visits nothing; released, its item again.
+        st.set_request_active(r0, false);
+        st.set_request_active(r0, false);
+        assert_eq!(counts(&st), [0, 0]);
+        let visits = |st: &SchedulerState<'_>| st.metrics().dijkstra_runs + st.metrics().cache_hits;
+        let before = visits(&st);
+        assert_eq!(st.all_candidate_steps().count(), 0);
+        assert_eq!(visits(&st), before, "no item was visited");
+        st.set_request_active(r0, true);
+        assert_eq!(counts(&st), [1, 0]);
+        let steps: Vec<CandidateStep> = st.all_candidate_steps().cloned().collect();
+        assert_eq!(steps.len(), 1);
+        assert_eq!(steps[0].destinations[0].request, r0);
     }
 }

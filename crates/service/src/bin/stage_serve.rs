@@ -13,7 +13,7 @@
 //!                    code 2
 
 //!   --addr A         bind address (default 127.0.0.1:0 = ephemeral port)
-//!   --workers N      worker threads (default: max(8, cores))
+//!   --workers N      worker threads, 1 to 1024 (default: max(8, cores))
 //!   --scheduler S    partial | full-one (default) | full-all | alap | rcd
 //!                    (--heuristic is an accepted alias); an unknown name
 //!                    lists the valid ones and exits with code 2
@@ -45,6 +45,10 @@ use dstage_service::server::{Server, ServerConfig};
 use dstage_service::wal::FsyncPolicy;
 use dstage_workload::Family;
 use serde::Value;
+
+/// Most worker threads `--workers` accepts. Each is an OS thread started
+/// at bind time, and the connection queue is sized by their number.
+const MAX_WORKERS: usize = 1024;
 
 struct Options {
     scenario: Option<String>,
@@ -147,8 +151,10 @@ fn parse_args() -> Result<Options, CliError> {
                 options.workers = Some(
                     args.next()
                         .ok_or("--workers needs a count")?
-                        .parse()
-                        .map_err(|e| format!("invalid worker count: {e}"))?,
+                        .parse::<usize>()
+                        .ok()
+                        .filter(|n| (1..=MAX_WORKERS).contains(n))
+                        .ok_or_else(|| format!("invalid --workers (1 to {MAX_WORKERS} threads)"))?,
                 );
             }
             "--scheduler" | "--heuristic" => {
@@ -214,7 +220,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: stage-serve [--scenario FILE | --generate SEED] \
                  [--family paper|satcom|wan|grid|line] [--addr HOST:PORT] \
-                 [--workers N] [--scheduler partial|full-one|full-all|alap|rcd] \
+                 [--workers 1-1024] [--scheduler partial|full-one|full-all|alap|rcd] \
                  [--criterion C1|C2|C3|C4|C3f] [--ratio X] [--weights 1,5,10|1,10,100] \
                  [--data-dir D] [--durability always|interval:<ms>] \
                  [--checkpoint-every N]"

@@ -8,6 +8,13 @@
 //! route it on the live state: admitted, its path is committed; refused,
 //! what it touched is rolled back and it leaves no residue. A decision
 //! costs what its own route costs, however many were admitted before.
+//! Its selection rounds visit its own item only, since the state visits
+//! just the items with an active request and a decision activates one:
+//! on the first 600 submits of seed 2000's `serve-grid` stream that is
+//! 1.9 item visits per decision where the whole catalog used to be walked
+//! (765), and the traced `service.engine.submit_us_p50` fell 49.0 →
+//! 40.8 µs (10.2 → 7.2 µs on `serve-paper`; medians of ten alternating
+//! pairs on a 2-vCPU host, DESIGN.md §3).
 //!
 //! `inject` applies a live disturbance (link outage / copy loss) to the
 //! live schedule, whose repair unbooks the reservations it invalidates;

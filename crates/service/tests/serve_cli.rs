@@ -55,3 +55,18 @@ fn a_non_finite_ratio_is_refused_before_serving() {
     assert!(stderr.contains("invalid ratio"), "{stderr}");
     assert!(stderr.contains("usage: stage-serve"), "{stderr}");
 }
+
+/// `--workers` sizes a channel and a `Vec` and starts one thread per
+/// worker: a huge count used to ask the OS for that many threads, and `0`
+/// silently became 1. Both are refused while parsing, before any thread
+/// starts.
+#[test]
+fn a_worker_count_outside_one_to_the_cap_is_refused_before_serving() {
+    for count in ["0", "1000000"] {
+        let (code, stdout, stderr) = refused(&["--workers", count]);
+        assert_eq!(code, Some(1), "{count}: {stderr}");
+        assert!(!stdout.contains("listening on"), "{count}: {stdout}");
+        assert!(stderr.contains("invalid --workers (1 to 1024 threads)"), "{count}: {stderr}");
+        assert!(stderr.contains("usage: stage-serve"), "{count}: {stderr}");
+    }
+}
