@@ -60,6 +60,33 @@ pub struct Scenario {
 }
 
 impl Scenario {
+    /// Reads a scenario file: a bare `Scenario` JSON, decoded straight
+    /// from the text, or the `scenarios` exporter's wrapper object, whose
+    /// `scenario` field is decoded in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `path` for an unreadable file, malformed
+    /// JSON, or a catalog that is neither form.
+    pub fn load_json(path: &str) -> Result<Scenario, String> {
+        #[derive(Deserialize)]
+        struct Exported {
+            scenario: Option<Scenario>,
+        }
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let invalid = |e: serde_json::Error| format!("{path} is not a scenario JSON: {e}");
+        let bare = match serde_json::from_str::<Scenario>(&text) {
+            Ok(scenario) => return Ok(scenario),
+            Err(e) if !e.is_data() => return Err(invalid(e)),
+            Err(e) => e,
+        };
+        match serde_json::from_str::<Exported>(&text) {
+            Ok(Exported { scenario: Some(scenario) }) => Ok(scenario),
+            Ok(Exported { scenario: None }) => Err(invalid(bare)),
+            Err(e) => Err(invalid(e)),
+        }
+    }
+
     /// Starts building a scenario on `network`.
     #[must_use]
     pub fn builder(network: Network) -> ScenarioBuilder {

@@ -40,7 +40,7 @@ use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
 use dstage_model::request::{Priority, Request};
 use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
-use serde::Value;
+use serde::{Deserialize, Value, ValueDeserializer, ValueError};
 
 use crate::protocol::{
     Checkpoint, InjectArgs, InjectKind, InjectResponse, LinkLedger, OptimizeResponse,
@@ -694,7 +694,8 @@ impl AdmissionEngine {
     /// Returns a message for a record that does not decode as a
     /// [`LogRecord`], and propagates `submit`/`inject` errors.
     pub fn replay_record(&mut self, entry: &Value) -> Result<(), String> {
-        let record = serde::from_value(entry.clone()).map_err(|e| format!("log record: {e}"))?;
+        let record = LogRecord::deserialize(ValueDeserializer::new(entry))
+            .map_err(|e: ValueError| format!("log record: {e}"))?;
         self.replay(record)
     }
 
@@ -794,6 +795,12 @@ impl AdmissionEngine {
     /// histories produce byte-identical serializations.
     #[must_use]
     pub fn snapshot(&self) -> Value {
+        serde::to_value(&self.snapshot_view()).expect("a snapshot serializes")
+    }
+
+    /// What [`AdmissionEngine::snapshot`] serializes; the `snapshot` verb
+    /// writes it straight to its reply line.
+    pub(crate) fn snapshot_view(&self) -> Snapshot<'_> {
         let deliveries: Vec<Delivery> = self.info.iter().filter_map(|i| i.delivery).collect();
         let mut busy: BTreeMap<u32, Vec<(SimTime, SimTime)>> = BTreeMap::new();
         for t in self.live.committed() {
@@ -811,7 +818,7 @@ impl AdmissionEngine {
             })
             .collect();
         let counters = self.counters();
-        let snapshot = Snapshot {
+        Snapshot {
             ok: true,
             submissions: counters.submissions,
             admitted: counters.admitted,
@@ -832,8 +839,7 @@ impl AdmissionEngine {
                     LinkLedger { link, busy_ms }
                 })
                 .collect(),
-        };
-        serde::to_value(&snapshot).expect("a snapshot serializes")
+        }
     }
 
     /// A stable identity of everything [`AdmissionEngine::new`] was
@@ -900,8 +906,8 @@ impl AdmissionEngine {
         config: HeuristicConfig,
         checkpoint: &Value,
     ) -> Result<AdmissionEngine, String> {
-        let checkpoint =
-            serde::from_value(checkpoint.clone()).map_err(|e| format!("checkpoint: {e}"))?;
+        let checkpoint = Checkpoint::deserialize(ValueDeserializer::new(checkpoint))
+            .map_err(|e: ValueError| format!("checkpoint: {e}"))?;
         Self::restored(catalog, heuristic, config, checkpoint)
     }
 

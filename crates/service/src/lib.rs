@@ -73,6 +73,8 @@
 
 pub mod durability;
 pub mod engine;
+#[cfg(test)]
+mod json_paths;
 pub mod protocol;
 pub mod retry;
 pub mod server;

@@ -185,10 +185,22 @@ impl ClientRequest {
     /// than 128 levels included), a missing or unknown `verb`, or
     /// missing/ill-typed arguments; a type error names its field.
     pub fn parse(line: &str) -> Result<ClientRequest, String> {
-        let value: Value =
-            serde_json::from_str(line).map_err(|e| format!("malformed JSON: {e}"))?;
+        let describe = |e: serde_json::Error| {
+            if e.is_data() {
+                e.to_string()
+            } else {
+                format!("malformed JSON: {e}")
+            }
+        };
         // The one shape a derive cannot tell apart: a `submit` carries
         // exactly one of `destination` and a non-empty `destinations`.
+        // Only a line that spells `destinations`, or escapes a character
+        // (a key could spell it so), can carry that key: every other line
+        // decodes straight from its text.
+        if !line.contains("destinations") && !line.contains('\\') {
+            return serde_json::from_str(line).map_err(describe);
+        }
+        let value: Value = serde_json::from_str(line).map_err(describe)?;
         let is_submit = value.get("verb").and_then(Value::as_str) == Some("submit");
         if is_submit && value.get("destinations").is_some() {
             if value.get("destination").is_some() {

@@ -443,7 +443,7 @@ fn dispatch_parsed(shared: &Shared, request: ClientRequest) -> String {
             let budget = budget.unwrap_or(DEFAULT_OPTIMIZE_BUDGET);
             write_verb_line(shared, |engine| Ok(engine.optimize(budget)))
         }
-        ClientRequest::Snapshot => response_line(&unpoisoned(shared.engine.read()).snapshot()),
+        ClientRequest::Snapshot => response_line(&unpoisoned(shared.engine.read()).snapshot_view()),
         ClientRequest::Metrics { format: MetricsFormat::Json } => {
             let counters = unpoisoned(shared.engine.read()).counters();
             let submits = dstage_obs::metrics::SERVICE_VERB_SUBMIT_US.snapshot();

@@ -62,6 +62,19 @@ fn abusive_clients_get_errors_and_the_worker_survives() {
         round_trip(&mut reader, &mut writer, r#"{"verb":"inject","kind":"meteor","at_ms":0}"#);
     assert!(error_of(&bad_kind).contains("unknown kind `meteor`"), "{bad_kind:?}");
 
+    // --- a high surrogate escape paired with a non-surrogate used to
+    // decode to an unrelated character (and overflow in a debug build,
+    // killing the worker): it is malformed JSON, and the connection
+    // goes on serving.
+    let ill_paired = round_trip(
+        &mut reader,
+        &mut writer,
+        r#"{"verb":"inject","kind":"copy_loss","item":"\uD800\u0041","machine":0,"at_ms":0}"#,
+    );
+    assert_eq!(error_of(&ill_paired), "malformed JSON: invalid unicode escape", "{ill_paired:?}");
+    let after = round_trip(&mut reader, &mut writer, r#"{"verb":"metrics"}"#);
+    assert_eq!(after.get("ok").and_then(Value::as_bool), Some(true), "{after:?}");
+
     // --- idempotency: replaying the same key+args returns the original
     // bytes; the same key with different args is rejected, not deduped.
     let keyed = r#"{"verb":"submit","item":"alpha","destination":2,"deadline_ms":7200000,"priority":2,"idempotency_key":"k1"}"#;

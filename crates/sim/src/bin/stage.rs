@@ -86,18 +86,6 @@ fn parse_args() -> Result<Options, String> {
     Ok(options)
 }
 
-/// Accepts either a bare `Scenario` JSON or the `scenarios` exporter's
-/// wrapper object with a `scenario` field.
-fn load_scenario(path: &str) -> Result<Scenario, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let invalid = |e: &dyn std::fmt::Display| format!("{path} is not a scenario JSON: {e}");
-    let mut json: serde_json::Value = serde_json::from_str(&text).map_err(|e| invalid(&e))?;
-    if let Some(inner) = json.get("scenario").cloned() {
-        json = inner;
-    }
-    serde::from_value(json).map_err(|e| invalid(&e))
-}
-
 fn main() -> ExitCode {
     let options = match parse_args() {
         Ok(o) => o,
@@ -113,7 +101,7 @@ fn main() -> ExitCode {
             return if msg.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
         }
     };
-    let scenario = match load_scenario(&options.path) {
+    let scenario = match Scenario::load_json(&options.path) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");

@@ -114,3 +114,34 @@ fn a_link_filed_under_the_wrong_machine_is_refused() {
     });
     assert_refused_naming_machine_0(&path);
 }
+
+/// `stage` reads a bare catalog and the `scenarios` exporter's wrapper
+/// object alike, and names the file when it is neither.
+#[test]
+fn a_bare_catalog_and_the_exporter_wrapper_both_load() {
+    let bare = scenario_file("stage-bare.json");
+    let text = std::fs::read_to_string(&bare).expect("read");
+    let wrapped = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("stage-wrapped.json");
+    std::fs::write(&wrapped, format!(r#"{{"seed":3,"scenario":{text},"schedule":null}}"#))
+        .expect("write");
+    let runs: Vec<Output> =
+        [&bare, &wrapped].into_iter().map(|path| stage(path, &["--json"])).collect();
+    for out in &runs {
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    }
+    assert_eq!(runs[0].stdout, runs[1].stdout, "the same catalog schedules the same");
+
+    let neither = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("stage-neither.json");
+    for (body, names) in [
+        (r#"{"seed":3}"#, "missing field `network`"),
+        (r#"{"seed":3,"scenario":{"items":[]}}"#, "field `scenario`: missing field `network`"),
+        (r#"{"seed":3,"#, "unexpected end of input"),
+    ] {
+        std::fs::write(&neither, body).expect("write");
+        let out = stage(&neither, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{body}: {stderr}");
+        assert!(stderr.contains("stage-neither.json is not a scenario JSON"), "{stderr}");
+        assert!(stderr.contains(names), "{body}: {stderr}");
+    }
+}
