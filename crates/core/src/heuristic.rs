@@ -34,14 +34,22 @@ pub struct HeuristicConfig {
     pub caching: bool,
 }
 
+/// The operating point: `log10` of the E-U ratio at which the paper's
+/// three heuristics under `Cost₄` peak in Figure 2 (`results/fig2.csv`).
+/// Every experiment, binary default and shared test helper that is not an
+/// explicit sweep reads it, through [`HeuristicConfig::paper_best`] or
+/// directly.
+pub const OPERATING_LOG10_RATIO: i32 = 2;
+
 impl HeuristicConfig {
-    /// A configuration with the paper's best pairing: `Cost₄`, E-U ratio
-    /// `10^0 = 1`, and the 1/10/100 priority weighting.
+    /// A configuration with the paper's best pairing: `Cost₄` at the
+    /// operating point's E-U ratio ([`OPERATING_LOG10_RATIO`]), and the
+    /// 1/10/100 priority weighting.
     #[must_use]
     pub fn paper_best() -> Self {
         HeuristicConfig {
             criterion: CostCriterion::C4,
-            eu: EuWeights::from_log10_ratio(0.0),
+            eu: EuWeights::from_log10_ratio(f64::from(OPERATING_LOG10_RATIO)),
             priority_weights: PriorityWeights::paper_1_10_100(),
             caching: true,
         }

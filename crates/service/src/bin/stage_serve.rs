@@ -19,8 +19,9 @@
 //!                    lists the valid ones and exits with code 2
 //!   --criterion C    C1 | C2 | C3 | C4 (default) | C3f; full-all refuses
 //!                    C1 (paper §6) with a usage error
-//!   --ratio X        log10 of the E-U ratio (default 2; -inf weighs urgency
-//!                    only); NaN, or an X whose 10^X overflows, is refused
+//!   --ratio X        log10 of the E-U ratio (default: the operating point,
+//!                    `OPERATING_LOG10_RATIO`; -inf weighs urgency only);
+//!                    NaN, or an X whose 10^X overflows, is refused
 //!   --weights W      1,5,10 | 1,10,100 (default)
 //!   --data-dir D     durable data directory: recover on start, write-
 //!                    ahead log every decision, enable `checkpoint`
@@ -36,7 +37,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use dstage_core::cost::{CostCriterion, EuWeights};
-use dstage_core::heuristic::{Heuristic, HeuristicConfig};
+use dstage_core::heuristic::{Heuristic, HeuristicConfig, OPERATING_LOG10_RATIO};
 use dstage_model::request::PriorityWeights;
 use dstage_model::scenario::Scenario;
 use dstage_service::durability::{Durability, DEFAULT_CHECKPOINT_EVERY};
@@ -124,7 +125,7 @@ fn parse_args() -> Result<Options, CliError> {
         workers: None,
         heuristic: Heuristic::FullPathOneDestination,
         criterion: CostCriterion::C4,
-        ratio: 2.0,
+        ratio: f64::from(OPERATING_LOG10_RATIO),
         weights: PriorityWeights::paper_1_10_100(),
         data_dir: None,
         durability: FsyncPolicy::Always,

@@ -1054,17 +1054,12 @@ pub struct AdmissionCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dstage_core::cost::{CostCriterion, EuWeights};
+    use dstage_core::cost::CostCriterion;
     use dstage_model::prelude::*;
     use dstage_workload::small::{fan_out, two_hop_chain};
 
     fn config() -> HeuristicConfig {
-        HeuristicConfig {
-            criterion: CostCriterion::C4,
-            eu: EuWeights::from_log10_ratio(2.0),
-            priority_weights: PriorityWeights::paper_1_10_100(),
-            caching: true,
-        }
+        HeuristicConfig::paper_best()
     }
 
     fn engine() -> AdmissionEngine {

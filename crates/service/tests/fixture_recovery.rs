@@ -8,6 +8,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use dstage_core::cost::EuWeights;
 use dstage_core::heuristic::{Heuristic, HeuristicConfig};
 use dstage_model::scenario::Scenario;
 use dstage_service::durability::{Durability, RecoveryReport};
@@ -15,6 +16,12 @@ use dstage_service::engine::AdmissionEngine;
 use dstage_service::protocol::{InjectArgs, InjectKind, SubmitArgs};
 use dstage_service::wal::FsyncPolicy;
 use dstage_workload::{generate, GeneratorConfig};
+
+/// The configuration the pinned bytes were written under, and their
+/// fingerprint names: `Cost₄` at E-U ratio 10⁰, the 1/10/100 weighting.
+fn written_under() -> HeuristicConfig {
+    HeuristicConfig { eu: EuWeights::from_log10_ratio(0.0), ..HeuristicConfig::paper_best() }
+}
 
 fn fixture() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/small-11")
@@ -24,32 +31,55 @@ fn catalog() -> Scenario {
     generate(&GeneratorConfig::small(), 11)
 }
 
-fn recover(dir: &Path) -> (Durability, AdmissionEngine, RecoveryReport) {
+fn recover_under(
+    dir: &Path,
+    config: HeuristicConfig,
+) -> Result<(Durability, AdmissionEngine, RecoveryReport), String> {
     Durability::recover(
         dir,
         FsyncPolicy::Always,
         u64::MAX,
         &catalog(),
         Heuristic::FullPathOneDestination,
-        HeuristicConfig::paper_best(),
+        config,
     )
-    .expect("recover")
 }
 
-#[test]
-fn a_data_dir_written_by_an_earlier_build_recovers_to_its_recorded_snapshot() {
-    let dir = std::env::temp_dir().join(format!("dstage-fixture-{}", std::process::id()));
+fn recover(dir: &Path) -> (Durability, AdmissionEngine, RecoveryReport) {
+    recover_under(dir, written_under()).expect("recover")
+}
+
+/// A fresh copy of the fixture's data dir, named for `name`.
+fn copy_of_the_fixture(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dstage-fixture-{name}-{}", std::process::id()));
     fs::remove_dir_all(&dir).ok();
     fs::create_dir_all(&dir).unwrap();
     for entry in fs::read_dir(fixture().join("data")).unwrap() {
         let path = entry.unwrap().path();
         fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
     }
+    dir
+}
+
+#[test]
+fn a_data_dir_written_by_an_earlier_build_recovers_to_its_recorded_snapshot() {
+    let dir = copy_of_the_fixture("snapshot");
     let (_, engine, report) = recover(&dir);
     assert!(report.checkpoint_records > 0 && report.replayed > 0, "{report:?}");
     assert!(!report.truncated, "{report:?}");
     let recorded = fs::read_to_string(fixture().join("snapshot.json")).unwrap();
     assert_eq!(serde_json::to_string(&engine.snapshot()).unwrap() + "\n", recorded);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// The same data dir under the operating point of this build, a ratio its
+/// fingerprint does not name, is refused instead of re-deciding its WAL
+/// tail under a configuration it was not written with.
+#[test]
+fn the_data_dir_under_another_operating_point_is_refused() {
+    let dir = copy_of_the_fixture("foreign");
+    let refused = recover_under(&dir, HeuristicConfig::paper_best()).map(|_| ()).unwrap_err();
+    assert!(refused.contains("fingerprint mismatch"), "{refused}");
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -12,20 +12,13 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use dstage_core::cost::{CostCriterion, EuWeights};
 use dstage_core::heuristic::HeuristicConfig;
-use dstage_model::request::PriorityWeights;
 use serde::Value;
 
-/// The heuristic configuration matching `stage-serve`'s defaults: `Cost₄`,
-/// E-U ratio 10², the 1/10/100 weighting.
+/// The heuristic configuration matching `stage-serve`'s defaults: `Cost₄`
+/// at the operating point, the 1/10/100 weighting.
 pub fn config() -> HeuristicConfig {
-    HeuristicConfig {
-        criterion: CostCriterion::C4,
-        eu: EuWeights::from_log10_ratio(2.0),
-        priority_weights: PriorityWeights::paper_1_10_100(),
-        caching: true,
-    }
+    HeuristicConfig::paper_best()
 }
 
 /// Starts `stage-serve` on an ephemeral port with `args` and the

@@ -8,6 +8,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 
+use dstage_core::cost::EuWeights;
 use dstage_core::heuristic::{Heuristic, HeuristicConfig};
 use dstage_model::prelude::*;
 use dstage_service::durability::{Durability, DEFAULT_CHECKPOINT_EVERY};
@@ -42,6 +43,12 @@ const CHECKPOINT_HEAD: &str = concat!(
     r#""log":["#,
 );
 
+/// The configuration the pinned bytes were written under, and their
+/// fingerprint names: `Cost₄` at E-U ratio 10⁰, the 1/10/100 weighting.
+fn written_under() -> HeuristicConfig {
+    HeuristicConfig { eu: EuWeights::from_log10_ratio(0.0), ..HeuristicConfig::paper_best() }
+}
+
 /// One link m0 → m1 (10 s per 10 kB item at 8 kbps): two items fit before
 /// a 20 s deadline, so the third and fourth are refused.
 fn catalog() -> Scenario {
@@ -66,11 +73,7 @@ fn catalog() -> Scenario {
 }
 
 fn fresh() -> AdmissionEngine {
-    AdmissionEngine::new(
-        &catalog(),
-        Heuristic::FullPathOneDestination,
-        HeuristicConfig::paper_best(),
-    )
+    AdmissionEngine::new(&catalog(), Heuristic::FullPathOneDestination, written_under())
 }
 
 fn submit(engine: &mut AdmissionEngine, item: &str, priority: u8, key: Option<&str>) {
@@ -93,7 +96,7 @@ fn log_every_shape(dir: &Path) -> (Durability, AdmissionEngine) {
         DEFAULT_CHECKPOINT_EVERY,
         &catalog(),
         Heuristic::FullPathOneDestination,
-        HeuristicConfig::paper_best(),
+        written_under(),
     )
     .expect("recover an empty data dir");
     let step = |engine: &mut AdmissionEngine, op: &dyn Fn(&mut AdmissionEngine)| {
@@ -173,7 +176,7 @@ fn the_checkpoint_encodes_to_its_pinned_bytes_and_restores() {
     let restored = AdmissionEngine::restore(
         &catalog(),
         Heuristic::FullPathOneDestination,
-        HeuristicConfig::paper_best(),
+        written_under(),
         &value,
     )
     .expect("the pinned checkpoint restores");

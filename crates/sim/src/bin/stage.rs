@@ -8,8 +8,9 @@
 //! OPTIONS:
 //!   --heuristic H   partial | full-one (default) | full-all | alap | rcd
 //!   --criterion C   C1 | C2 | C3 | C4 (default) | C3f; full-all refuses C1
-//!   --ratio X       log10 of the E-U ratio (default 2; -inf weighs urgency
-//!                   only); NaN, or an X whose 10^X overflows, is refused
+//!   --ratio X       log10 of the E-U ratio (default: the operating point,
+//!                   `OPERATING_LOG10_RATIO`; -inf weighs urgency only);
+//!                   NaN, or an X whose 10^X overflows, is refused
 //!   --weights W     1,5,10 | 1,10,100 (default)
 //!   --timeline      print the per-link schedule timeline
 //!   --json          print the schedule as JSON instead of text
@@ -18,7 +19,7 @@
 use std::process::ExitCode;
 
 use dstage_core::cost::{CostCriterion, EuWeights};
-use dstage_core::heuristic::{run, Heuristic, HeuristicConfig};
+use dstage_core::heuristic::{run, Heuristic, HeuristicConfig, OPERATING_LOG10_RATIO};
 use dstage_model::request::PriorityWeights;
 use dstage_model::scenario::Scenario;
 use dstage_sim::report::render_schedule_timeline;
@@ -38,7 +39,7 @@ fn parse_args() -> Result<Options, String> {
         path: String::new(),
         heuristic: Heuristic::FullPathOneDestination,
         criterion: CostCriterion::C4,
-        ratio: 2.0,
+        ratio: f64::from(OPERATING_LOG10_RATIO),
         weights: PriorityWeights::paper_1_10_100(),
         timeline: false,
         json: false,

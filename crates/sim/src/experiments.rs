@@ -10,7 +10,7 @@
 //! every mean sums the per-case values in case order.
 
 use dstage_core::cost::CostCriterion;
-use dstage_core::heuristic::{run, Heuristic, HeuristicConfig};
+use dstage_core::heuristic::{run, Heuristic, HeuristicConfig, OPERATING_LOG10_RATIO};
 use dstage_dynamic::{climb_plan, simulate, Event, EventKind, EventLog, OnlinePolicy};
 use dstage_model::scenario::Scenario;
 use dstage_model::time::SimDuration;
@@ -347,8 +347,12 @@ pub fn minmax(harness: &Harness) -> ExperimentReport {
     }
 }
 
-/// One row per heuristic/criterion pair at E-U ratio 1: the pair, then
-/// `cells` of its per-case results under `columns`.
+/// The operating point as a sweep point.
+const OPERATING_POINT: EuRatioPoint = EuRatioPoint::Log10(OPERATING_LOG10_RATIO);
+
+/// One row per heuristic/criterion pair at the operating point: the pair,
+/// then `cells` of its per-case results under `columns`. The title names
+/// the point.
 fn per_pair_table(
     harness: &Harness,
     title: &str,
@@ -357,10 +361,11 @@ fn per_pair_table(
 ) -> Table {
     let mut header = vec!["pair".to_string()];
     header.extend(columns.iter().map(|c| c.to_string()));
+    let title = format!("{title} (E-U ratio 10^{OPERATING_LOG10_RATIO})");
     let mut table = Table::new(title, header);
     for h in Heuristic::ALL {
         for &c in h.criteria() {
-            let kind = SchedulerKind::Pairing(h, c, EuRatioPoint::Log10(0));
+            let kind = SchedulerKind::Pairing(h, c, OPERATING_POINT);
             let mut row = vec![format!("{h}/{c}")];
             row.extend(cells(&harness.results(kind, Weighting::W1_10_100)));
             table.push_row(row);
@@ -371,25 +376,21 @@ fn per_pair_table(
 
 /// **exec** (§5.4 text, companion report \[17\]): Dijkstra-run counts,
 /// cache hits, transfers and mean links traversed per satisfied request,
-/// per heuristic/criterion at E-U ratio 1. Full path/all destinations must
-/// need the fewest Dijkstra runs (§4.7). Deterministic; the wall clock is
-/// [`exec_time`]'s.
+/// per heuristic/criterion at the operating point. Full path/all
+/// destinations must need the fewest Dijkstra runs (§4.7). Deterministic;
+/// the wall clock is [`exec_time`]'s.
 pub fn exec(harness: &Harness) -> ExperimentReport {
     let columns =
         ["mean Dijkstra runs", "mean cache hits", "mean transfers", "mean links/delivery"];
-    let table = per_pair_table(
-        harness,
-        "Execution metrics per heuristic/criterion (E-U ratio 1)",
-        &columns,
-        |results| {
+    let table =
+        per_pair_table(harness, "Execution metrics per heuristic/criterion", &columns, |results| {
             vec![
                 format!("{:.0}", mean(results, |r| r.metrics.dijkstra_runs as f64)),
                 format!("{:.0}", mean(results, |r| r.metrics.cache_hits as f64)),
                 format!("{:.0}", mean(results, |r| r.metrics.transfers_committed as f64)),
                 format!("{:.2}", mean(results, |r| r.evaluation.mean_hops_per_delivery)),
             ]
-        },
-    );
+        });
     ExperimentReport {
         id: "exec",
         title: "Dijkstra runs, links traversed (companion report)".into(),
@@ -399,12 +400,12 @@ pub fn exec(harness: &Harness) -> ExperimentReport {
 }
 
 /// **exec_time** (written with `exec`): the mean wall-clock time of each
-/// heuristic/criterion run at E-U ratio 1 — the one table that differs
-/// from run to run.
+/// heuristic/criterion run at the operating point — the one table that
+/// differs from run to run.
 pub fn exec_time(harness: &Harness) -> ExperimentReport {
     let table = per_pair_table(
         harness,
-        "Mean wall-clock time per heuristic/criterion (E-U ratio 1)",
+        "Mean wall-clock time per heuristic/criterion",
         &["mean time [ms]"],
         |results| {
             vec![format!("{:.1}", mean(results, |r| r.metrics.elapsed.as_secs_f64() * 1_000.0))]
@@ -432,14 +433,15 @@ pub fn congestion(
     cases: usize,
     threads: usize,
 ) -> ExperimentReport {
-    use dstage_core::cost::EuWeights;
-
     const CRITERIA: [CostCriterion; 3] = [CostCriterion::C1, CostCriterion::C3, CostCriterion::C4];
     let weighting = Weighting::W1_10_100;
     let weights = weighting.weights();
-    let eu = EuWeights::from_log10_ratio(2.0);
+    let eu = HeuristicConfig::paper_best().eu;
     let mut table = Table::new(
-        "Mean weighted sum vs request-load multiplier (full_one, E-U ratio 10^2)",
+        format!(
+            "Mean weighted sum vs request-load multiplier (full_one, E-U ratio \
+             10^{OPERATING_LOG10_RATIO})"
+        ),
         vec![
             "congestion".into(),
             "mean requests".into(),
@@ -492,7 +494,7 @@ pub fn congestion(
 /// for each heuristic.
 pub fn extensions(harness: &Harness) -> ExperimentReport {
     let weighting = Weighting::W1_10_100;
-    let point = EuRatioPoint::Log10(0); // C3/C3Floor are ratio-independent
+    let point = OPERATING_POINT; // C3/C3Floor are ratio-independent
     let mut table = Table::new(
         "Ratio criteria vs the floored extension (mean weighted sum; C4 at its best point)",
         vec!["heuristic".into(), "C3".into(), "C3f (extension)".into(), "C4 @ best x".into()],
@@ -581,7 +583,8 @@ pub fn optimizer(
     let mut table = Table::new(
         format!(
             "Evict-and-readmit post-pass, swap budget {budget} \
-             (mean upper bound {ub_mean:.1}, E-U ratio 1, 1,10,100 weighting)"
+             (mean upper bound {ub_mean:.1}, E-U ratio 10^{OPERATING_LOG10_RATIO}, \
+             1,10,100 weighting)"
         ),
         vec![
             "scheduler".into(),

@@ -10,7 +10,6 @@
 
 use data_staging::core::baselines::{priority_first, random_dijkstra, single_dijkstra_random};
 use data_staging::core::bounds::{possible_satisfy, upper_bound};
-use data_staging::core::cost::{CostCriterion, EuWeights};
 use data_staging::prelude::*;
 use data_staging::workload::{generate, GeneratorConfig};
 
@@ -36,14 +35,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenario.request_count(),
     );
 
-    // The heuristics, at the C4 pairing with an E-U ratio of 10^2 (a
-    // consistently strong point of the sweep in our reproduction).
-    let config = HeuristicConfig {
-        criterion: CostCriterion::C4,
-        eu: EuWeights::from_log10_ratio(2.0),
-        priority_weights: weights.clone(),
-        caching: true,
-    };
+    // The heuristics, at the C4 pairing and the operating point (the E-U
+    // ratio where the paper's three heuristics peak in Figure 2).
+    let config =
+        HeuristicConfig { priority_weights: weights.clone(), ..HeuristicConfig::paper_best() };
     for heuristic in Heuristic::ALL {
         let outcome = run(&scenario, heuristic, &config);
         outcome.schedule.validate(&scenario)?;
