@@ -1,19 +1,17 @@
-//! The scheduling loop of the five heuristics.
+//! The scheduling loop of the four heuristics.
 //!
 //! Each iteration, every heuristic (1) enumerates the candidate next
-//! communication steps across all items, (2) picks one — by the active cost
-//! criterion, or by least deadline slack for [`Heuristic::Rcd`] — and (3)
-//! commits some portion of the winning step's shortest path: one hop, one
-//! path, the union of the paths, or the latest-slot path. One step
-//! function, `step_state`, maps a [`Heuristic`] to its pick and its commit;
-//! [`run`] and [`drive_state`] loop it.
+//! communication steps across all items, (2) picks one by the active cost
+//! criterion, and (3) commits some portion of the winning step's shortest
+//! path: one hop, one path, the union of the paths, or the latest-slot
+//! path. One step function, `step_state`, maps a [`Heuristic`] to its
+//! commit; [`run`] and [`drive_state`] loop it.
 
 use serde::{Deserialize, Serialize};
 
 use dstage_model::ids::RequestId;
 use dstage_model::request::PriorityWeights;
 use dstage_model::scenario::Scenario;
-use dstage_model::time::SimDuration;
 
 use crate::cost::{cost_c1, step_cost_over, CostCriterion, DestinationCost, EuWeights};
 use crate::metrics::RunMetrics;
@@ -56,10 +54,9 @@ impl HeuristicConfig {
     }
 }
 
-/// The three data staging heuristics of §4.5–4.7 and the two
-/// deadline-headroom extensions. Each one is two choices: which candidate
-/// step wins a selection round, and how much of its shortest path is
-/// committed before the search runs again ([`drive_state`]).
+/// The three data staging heuristics of §4.5–4.7 and the deadline-headroom
+/// extension. Each one is how much of the winning step's shortest path is
+/// committed before the search runs again ([`drive_state`]), and where.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Heuristic {
     /// §4.5 partial path: the cost criterion picks the winning step and
@@ -95,14 +92,6 @@ pub enum Heuristic {
     /// relief, and in the online service it reduces the eviction pressure
     /// of disturbances.
     Alap,
-    /// Extension (RCD), rapidly-close-to-deadline: instead of the cost
-    /// competition, the satisfiable destination with the least deadline
-    /// slack (`deadline − A_T`) over all candidate steps wins, and its full
-    /// path is committed. Near-deadline work is placed while it is still
-    /// feasible; loose requests wait, absorbing whatever capacity is left.
-    /// The cost criterion and E-U weights are ignored — slack *is* the
-    /// criterion.
-    Rcd,
 }
 
 impl Heuristic {
@@ -113,18 +102,17 @@ impl Heuristic {
         Heuristic::FullPathAllDestinations,
     ];
 
-    /// The paper's three heuristics plus the deadline-headroom
-    /// extensions, in figure order.
-    pub const EXTENDED: [Heuristic; 5] = [
+    /// The paper's three heuristics plus the deadline-headroom extension,
+    /// in figure order.
+    pub const EXTENDED: [Heuristic; 4] = [
         Heuristic::PartialPath,
         Heuristic::FullPathOneDestination,
         Heuristic::FullPathAllDestinations,
         Heuristic::Alap,
-        Heuristic::Rcd,
     ];
 
     /// The figure label used in the paper ("partial", "full_one",
-    /// "full_all") or the extension name ("alap", "rcd").
+    /// "full_all") or the extension name ("alap").
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -132,7 +120,6 @@ impl Heuristic {
             Heuristic::FullPathOneDestination => "full_one",
             Heuristic::FullPathAllDestinations => "full_all",
             Heuristic::Alap => "alap",
-            Heuristic::Rcd => "rcd",
         }
     }
 
@@ -248,21 +235,16 @@ pub fn drive_state(state: &mut SchedulerState<'_>, heuristic: Heuristic, config:
 }
 
 /// One iteration of the chosen heuristic's main loop, and the only code
-/// that maps a [`Heuristic`] to its pick and its commit: the winning step
-/// by cost ([`best_choice`]) or, for [`Heuristic::Rcd`], by least slack;
-/// then one hop of it, the path to one destination, the union of the paths
-/// to all of them, or the latest-slot path. `false`, with nothing
-/// committed, when no request can make progress.
+/// that maps a [`Heuristic`] to its commit: the winning step by cost
+/// ([`best_choice`]), then one hop of it, the path to one destination, the
+/// union of the paths to all of them, or the latest-slot path. `false`,
+/// with nothing committed, when no request can make progress.
 pub(crate) fn step_state(
     state: &mut SchedulerState<'_>,
     heuristic: Heuristic,
     config: &HeuristicConfig,
 ) -> bool {
-    let choice = match heuristic {
-        Heuristic::Rcd => least_slack(state),
-        _ => best_choice(state, config),
-    };
-    let Some(Choice { step, destination }) = choice else { return false };
+    let Some(Choice { step, destination }) = best_choice(state, config) else { return false };
     state.note_iteration();
     match heuristic {
         Heuristic::PartialPath => state.commit_hop(step.item, step.hop),
@@ -272,7 +254,7 @@ pub(crate) fn step_state(
                 step.satisfiable().map(|d| scenario.request(d.request).destination()).collect();
             state.commit_paths(step.item, &machines);
         }
-        Heuristic::FullPathOneDestination | Heuristic::Alap | Heuristic::Rcd => {
+        Heuristic::FullPathOneDestination | Heuristic::Alap => {
             let request = destination
                 .or_else(|| lowest_cost_destination(config, &step))
                 .expect("a candidate step has a satisfiable destination");
@@ -293,8 +275,8 @@ pub(crate) fn step_state(
 pub(crate) struct Choice {
     /// The winning step.
     pub step: CandidateStep,
-    /// The destination the pick named: C1's and rcd's do, the per-step
-    /// criteria leave it to [`lowest_cost_destination`].
+    /// The destination the pick named: C1's does, the per-step criteria
+    /// leave it to [`lowest_cost_destination`].
     pub destination: Option<RequestId>,
 }
 
@@ -328,23 +310,6 @@ pub(crate) fn best_choice(
         }
     }
     best.map(|(_, step, destination)| Choice { step: step.clone(), destination })
-}
-
-/// Rcd's pick: the satisfiable destination with the least deadline slack
-/// (`deadline − A_T`) over every candidate step, with its step, or `None`
-/// when no request can make progress. Ties keep the first in enumeration
-/// order, as in [`best_choice`].
-fn least_slack(state: &mut SchedulerState<'_>) -> Option<Choice> {
-    let mut best: Option<(SimDuration, &CandidateStep, RequestId)> = None;
-    for step in state.all_candidate_steps() {
-        for d in step.satisfiable() {
-            let slack = d.deadline.saturating_since(d.arrival);
-            if best.is_none_or(|(lowest, _, _)| slack < lowest) {
-                best = Some((slack, step, d.request));
-            }
-        }
-    }
-    best.map(|(_, step, request)| Choice { step: step.clone(), destination: Some(request) })
 }
 
 /// Picks the "lowest cost destination" (§4.6) a `full path/one
@@ -515,7 +480,6 @@ mod tests {
         assert_eq!(Heuristic::FullPathOneDestination.to_string(), "full_one");
         assert_eq!(Heuristic::FullPathAllDestinations.to_string(), "full_all");
         assert_eq!(Heuristic::Alap.to_string(), "alap");
-        assert_eq!(Heuristic::Rcd.to_string(), "rcd");
     }
 
     #[test]
@@ -526,6 +490,7 @@ mod tests {
         assert_eq!(Heuristic::from_label("full-one"), Some(Heuristic::FullPathOneDestination));
         assert_eq!(Heuristic::from_label("full-all"), Some(Heuristic::FullPathAllDestinations));
         assert_eq!(Heuristic::from_label("fastest"), None);
+        assert_eq!(Heuristic::from_label("rcd"), None);
         assert_eq!(Heuristic::from_label(""), None);
     }
 
@@ -764,41 +729,6 @@ mod tests {
             let s = fan_out();
             let a = run(&s, Heuristic::Alap, &parity(CostCriterion::C2));
             let b = run(&s, Heuristic::Alap, &parity(CostCriterion::C2));
-            assert_eq!(a.schedule, b.schedule);
-        }
-    }
-
-    mod rcd {
-        use super::*;
-
-        #[test]
-        fn satisfies_everything_on_an_uncontended_chain() {
-            let s = two_hop_chain();
-            let out = run(&s, Heuristic::Rcd, &parity(CostCriterion::C4));
-            let derived = out.schedule.validate(&s).unwrap();
-            assert_eq!(derived.len(), s.request_count());
-        }
-
-        #[test]
-        fn tightest_deadline_is_served_first() {
-            let s = fan_out();
-            let out = run(&s, Heuristic::Rcd, &parity(CostCriterion::C4));
-            out.schedule.validate(&s).unwrap();
-            // The request with the least slack must be delivered (it was
-            // placed before anything could crowd it out).
-            let tightest = s
-                .requests()
-                .min_by_key(|(_, r)| r.deadline())
-                .map(|(id, _)| id)
-                .expect("scenario has requests");
-            assert!(out.schedule.delivery_of(tightest).is_some());
-        }
-
-        #[test]
-        fn deterministic_across_runs() {
-            let s = contended_link();
-            let a = run(&s, Heuristic::Rcd, &parity(CostCriterion::C4));
-            let b = run(&s, Heuristic::Rcd, &parity(CostCriterion::C4));
             assert_eq!(a.schedule, b.schedule);
         }
     }

@@ -7,11 +7,11 @@
 //! `upper_bound`/`possible_satisfy` bounds, and the priority-first
 //! comparison scheme of the paper's evaluation.
 //!
-//! The heuristics, and the two deadline-headroom extensions `alap` and
-//! `rcd`, are one loop over one step function in [`heuristic`]: each
-//! iteration picks a candidate step (by cost criterion, or by least slack
-//! for `rcd`) and commits one hop, one path, the union of the paths, or the
-//! latest-slot path of it to the shared [`state::SchedulerState`].
+//! The heuristics, and the deadline-headroom extension `alap`, are one loop
+//! over one step function in [`heuristic`]: each iteration picks a
+//! candidate step by cost criterion and commits one hop, one path, the
+//! union of the paths, or the latest-slot path of it to the shared
+//! [`state::SchedulerState`].
 //!
 //! # Examples
 //!

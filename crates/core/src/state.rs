@@ -2180,7 +2180,7 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
         /// Validation on read is exact: after every commit, link outage
-        /// and late request (`rehold`), under all five heuristics.
+        /// and late request (`rehold`), under all four heuristics.
         #[test]
         fn validated_paths_equal_a_scratch_search_under_every_heuristic(
             family in 0usize..3,

@@ -2,7 +2,8 @@
 //! `optimize` verb and for `figures optimizer`. A trial unbooks a lighter
 //! victim's route and lets the heuristic route one refused candidate on
 //! what that frees, re-planning nobody else (the residual-capacity
-//! admission of RCD and DDCCast). It is kept iff nobody else loses a
+//! admission of the online transfer schedulers in PAPERS.md, DDCCast among
+//! them). It is kept iff nobody else loses a
 //! delivery, so `E[S]` strictly improves; otherwise everything goes back.
 
 use std::cmp::Reverse;

@@ -420,7 +420,7 @@ mod tests {
 
     #[test]
     fn a_replay_books_a_later_copy_that_sorts_after_an_earlier_one() {
-        // Booked late first (what `alap` / `rcd` or a re-route after a
+        // Booked late first (what `alap` or a re-route after a
         // cancellation produce), then early: once sorted into replay order
         // the later arrival follows an equally early copy on the same
         // machine, and it is still a reservation in force.

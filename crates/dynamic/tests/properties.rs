@@ -257,7 +257,6 @@ proptest! {
             Just(Heuristic::EXTENDED[1]),
             Just(Heuristic::EXTENDED[2]),
             Just(Heuristic::EXTENDED[3]),
-            Just(Heuristic::EXTENDED[4]),
         ],
         seed in 0u64..1_000,
         raw in prop::collection::vec((0u8..3, 0usize..1_024, 0u64..1_000), 0..10),

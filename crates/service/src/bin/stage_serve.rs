@@ -14,7 +14,7 @@
 
 //!   --addr A         bind address (default 127.0.0.1:0 = ephemeral port)
 //!   --workers N      worker threads, 1 to 1024 (default: max(8, cores))
-//!   --scheduler S    partial | full-one (default) | full-all | alap | rcd
+//!   --scheduler S    partial | full-one (default) | full-all | alap
 //!                    (--heuristic is an accepted alias); an unknown name
 //!                    lists the valid ones and exits with code 2
 //!   --criterion C    C1 | C2 | C3 | C4 (default) | C3f; full-all refuses
@@ -209,10 +209,11 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: stage-serve [--scenario FILE | --generate SEED] \
                  [--family paper|satcom|wan|grid|line] [--addr HOST:PORT] \
-                 [--workers 1-1024] [--scheduler partial|full-one|full-all|alap|rcd] \
+                 [--workers 1-1024] [--scheduler {}] \
                  [--criterion C1|C2|C3|C4|C3f] [--ratio X] [--weights 1,5,10|1,10,100] \
                  [--data-dir D] [--durability always|interval:<ms>] \
-                 [--checkpoint-every N]"
+                 [--checkpoint-every N]",
+                Heuristic::EXTENDED.map(|h| h.label().replace('_', "-")).join("|")
             );
             return if err.message.is_empty() { ExitCode::SUCCESS } else { err.exit };
         }

@@ -668,16 +668,26 @@ mod tests {
         durability.checkpoint(&engine).expect("checkpoint");
         drop((durability, engine));
 
-        let other = generate(&GeneratorConfig::small(), 99);
-        let refused = Durability::recover(
-            &dir,
-            FsyncPolicy::Always,
-            DEFAULT_CHECKPOINT_EVERY,
-            &other,
-            Heuristic::FullPathOneDestination,
-            HeuristicConfig::paper_best(),
-        );
-        assert!(refused.is_err_and(|e| e.contains("fingerprint mismatch")));
+        let refused_under = |catalog: &Scenario| {
+            Durability::recover(
+                &dir,
+                FsyncPolicy::Always,
+                DEFAULT_CHECKPOINT_EVERY,
+                catalog,
+                Heuristic::FullPathOneDestination,
+                HeuristicConfig::paper_best(),
+            )
+            .is_err_and(|e| e.contains("fingerprint mismatch"))
+        };
+        assert!(refused_under(&generate(&GeneratorConfig::small(), 99)));
+
+        // The same catalog, but a checkpoint written by a build whose
+        // scheduler this one no longer has.
+        let (_, path) = list_numbered(&dir, "checkpoint-", ".ckpt").unwrap().pop().unwrap();
+        let text = fs::read_to_string(&path).unwrap();
+        assert!(text.contains("|heuristic=full_one|"), "{text}");
+        fs::write(&path, text.replacen("|heuristic=full_one|", "|heuristic=rcd|", 1)).unwrap();
+        assert!(refused_under(&catalog));
         fs::remove_dir_all(&dir).ok();
     }
 

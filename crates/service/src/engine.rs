@@ -43,9 +43,9 @@ use dstage_model::time::SimTime;
 use serde::{Deserialize, Value, ValueDeserializer, ValueError};
 
 use crate::protocol::{
-    Checkpoint, InjectArgs, InjectKind, InjectResponse, LinkLedger, OptimizeResponse,
-    P2mpSubmitArgs, P2mpSubmitResponse, QueryResponse, RequestInfo, RouteHop, Snapshot,
-    SnapshotRequest, SubmitArgs, SubmitResponse,
+    AdmittedArgs, Checkpoint, CheckpointView, InjectArgs, InjectKind, InjectResponse, LinkLedger,
+    OptimizeResponse, P2mpSubmitArgs, P2mpSubmitResponse, QueryResponse, RequestInfo, RouteHop,
+    Snapshot, SnapshotRequest, SubmitArgs, SubmitResponse,
 };
 pub use crate::protocol::{
     Decision, InjectionRecord, LogRecord, OptimizationRecord, RequestStatus, SubmissionRecord,
@@ -861,29 +861,29 @@ impl AdmissionEngine {
         serde::to_value(&self.checkpoint()).expect("a checkpoint serializes")
     }
 
-    /// The checkpoint [`AdmissionEngine::checkpoint_value`] serializes.
-    pub(crate) fn checkpoint(&self) -> Checkpoint {
+    /// The checkpoint [`AdmissionEngine::checkpoint_value`] serializes,
+    /// borrowed from the engine's state.
+    pub(crate) fn checkpoint(&self) -> CheckpointView<'_> {
         let scenario = self.scenario();
         let admitted = (scenario.requests())
-            .map(|(_, req)| SubmitArgs {
-                item: scenario.item(req.item()).name().to_string(),
+            .map(|(_, req)| AdmittedArgs {
+                item: scenario.item(req.item()).name(),
                 destination: req.destination().index() as u32,
                 deadline_ms: req.deadline().as_millis(),
                 priority: req.priority().level(),
-                idempotency_key: None,
             })
             .collect();
-        Checkpoint {
+        CheckpointView {
             format: CHECKPOINT_FORMAT,
-            fingerprint: self.catalog_fingerprint(),
+            fingerprint: &self.fingerprint,
             now_ms: self.live.now(),
             idempotency_capacity: self.idempotency.capacity,
             admitted,
-            info: self.info.clone(),
-            committed: self.live.committed().to_vec(),
-            outages: self.live.outages().to_vec(),
-            losses: self.live.losses().to_vec(),
-            log: self.log.clone(),
+            info: &self.info,
+            committed: self.live.committed(),
+            outages: self.live.outages(),
+            losses: self.live.losses(),
+            log: &self.log,
         }
     }
 

@@ -15,9 +15,9 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::protocol::{
-    Checkpoint, ClientRequest, Decision, InjectArgs, InjectKind, InjectionRecord, LogRecord,
-    MetricsFormat, OptimizationRecord, P2mpSubmitArgs, RequestInfo, RequestStatus,
-    SubmissionRecord, SubmitArgs, SubmitResponse, SwapRecord,
+    AdmittedArgs, Checkpoint, CheckpointView, ClientRequest, Decision, InjectArgs, InjectKind,
+    InjectionRecord, LogRecord, MetricsFormat, OptimizationRecord, P2mpSubmitArgs, RequestInfo,
+    RequestStatus, SubmissionRecord, SubmitArgs, SubmitResponse, SwapRecord,
 };
 
 /// Characters strings are drawn from: quotes, backslashes, control
@@ -149,7 +149,7 @@ fn checkpoint(rng: &mut StdRng) -> Checkpoint {
         fingerprint: text(rng),
         now_ms: time(rng),
         idempotency_capacity: rng.gen_range(0..100usize),
-        admitted: many(rng, submit_args),
+        admitted: many(rng, |rng| SubmitArgs { idempotency_key: None, ..submit_args(rng) }),
         info: many(rng, |rng| RequestInfo {
             status: statuses[rng.gen_range(0..3usize)],
             delivery: maybe(rng, |rng| Delivery {
@@ -165,6 +165,29 @@ fn checkpoint(rng: &mut StdRng) -> Checkpoint {
             (DataItemId::new(small(rng)), MachineId::new(small(rng)), time(rng))
         }),
         log: many(rng, log_record),
+    }
+}
+
+/// `checkpoint` borrowed as the engine writes one.
+fn view(checkpoint: &Checkpoint) -> CheckpointView<'_> {
+    CheckpointView {
+        format: checkpoint.format,
+        fingerprint: &checkpoint.fingerprint,
+        now_ms: checkpoint.now_ms,
+        idempotency_capacity: checkpoint.idempotency_capacity,
+        admitted: (checkpoint.admitted.iter())
+            .map(|args| AdmittedArgs {
+                item: &args.item,
+                destination: args.destination,
+                deadline_ms: args.deadline_ms,
+                priority: args.priority,
+            })
+            .collect(),
+        info: &checkpoint.info,
+        committed: &checkpoint.committed,
+        outages: &checkpoint.outages,
+        losses: &checkpoint.losses,
+        log: &checkpoint.log,
     }
 }
 
@@ -300,9 +323,11 @@ proptest! {
         round_trips(&submit_args(rng), rng)?;
         sinks_agree(&submit_response(rng))?;
 
-        // The checkpoint reads back as the same text.
+        // The checkpoint reads back as the same text, and the borrowed
+        // view the engine writes is that text too.
         let checkpoint = checkpoint(rng);
         let text = both_ways_agree(&checkpoint, rng)?;
+        prop_assert_eq!(&sinks_agree(&view(&checkpoint))?, &text);
         let back: Checkpoint = serde_json::from_str(&text).expect("a checkpoint reads back");
         prop_assert_eq!(serde_json::to_string(&back).expect("text"), text);
 

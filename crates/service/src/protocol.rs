@@ -380,8 +380,12 @@ pub(crate) struct LinkLedger {
     pub busy_ms: Vec<(SimTime, SimTime)>,
 }
 
-/// A durability checkpoint: the engine's complete dynamic state.
-#[derive(Serialize, Deserialize)]
+/// A durability checkpoint as recovery reads it: the engine's complete
+/// dynamic state. The engine writes it as a [`CheckpointView`]; the
+/// owned encoding exists only as the tests' reference for that view's
+/// bytes.
+#[derive(Deserialize)]
+#[cfg_attr(test, derive(Serialize))]
 pub(crate) struct Checkpoint {
     pub format: u64,
     pub fingerprint: String,
@@ -394,6 +398,33 @@ pub(crate) struct Checkpoint {
     pub outages: Vec<Outage>,
     pub losses: Vec<Loss>,
     pub log: Vec<LogRecord>,
+}
+
+/// A [`Checkpoint`] borrowed from the state it records, field for field in
+/// the same order, so it encodes to the same bytes without copying that
+/// state first.
+#[derive(Serialize)]
+pub(crate) struct CheckpointView<'a> {
+    pub format: u64,
+    pub fingerprint: &'a str,
+    pub now_ms: SimTime,
+    pub idempotency_capacity: usize,
+    pub admitted: Vec<AdmittedArgs<'a>>,
+    pub info: &'a [RequestInfo],
+    pub committed: &'a [Transfer],
+    pub outages: &'a [Outage],
+    pub losses: &'a [Loss],
+    pub log: &'a [LogRecord],
+}
+
+/// An admitted request in a [`CheckpointView`]: the [`SubmitArgs`] fields
+/// a checkpoint carries (no idempotency key), the item name borrowed.
+#[derive(Serialize)]
+pub(crate) struct AdmittedArgs<'a> {
+    pub item: &'a str,
+    pub destination: u32,
+    pub deadline_ms: u64,
+    pub priority: u8,
 }
 
 /// The JSON `metrics` reply.

@@ -175,11 +175,6 @@ proptest! {
     fn lockstep_alap(family in 0usize..3, catalog in 0u64..48, ops in 0u64..u64::MAX) {
         lockstep(Heuristic::Alap, family, catalog, ops);
     }
-
-    #[test]
-    fn lockstep_rcd(family in 0usize..3, catalog in 0u64..48, ops in 0u64..u64::MAX) {
-        lockstep(Heuristic::Rcd, family, catalog, ops);
-    }
 }
 
 // ---------------------------------------------------------------------

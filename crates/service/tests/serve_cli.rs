@@ -46,6 +46,25 @@ fn full_all_with_c1_is_refused_before_serving() {
     assert!(stderr.contains("usage: stage-serve"), "{stderr}");
 }
 
+/// An unknown scheduler, or one this build no longer has, exits with code
+/// 2 before serving, listing the valid names; the usage line lists the
+/// same ones.
+#[test]
+fn an_unknown_scheduler_is_refused_with_the_valid_names() {
+    for name in ["fastest", "rcd"] {
+        let (code, stdout, stderr) = refused(&["--scheduler", name]);
+        assert_eq!(code, Some(2), "{name}: {stderr}");
+        assert!(!stdout.contains("listening on"), "{name}: {stdout}");
+        assert!(
+            stderr.contains(&format!(
+                "unknown scheduler `{name}` (valid: partial, full_one, full_all, alap)"
+            )),
+            "{stderr}"
+        );
+        assert!(stderr.contains("[--scheduler partial|full-one|full-all|alap]"), "{stderr}");
+    }
+}
+
 /// A NaN `--ratio` used to be served with `w_e: NaN` in the fingerprint.
 #[test]
 fn a_non_finite_ratio_is_refused_before_serving() {

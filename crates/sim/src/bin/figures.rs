@@ -148,7 +148,7 @@ fn run_experiment(
             Some(experiments::congestion(&base, options.cases.min(10), threads))
         }
         "families" => {
-            // Five schedulers x five families, fault-free and re-planned
+            // Four schedulers x five families, fault-free and re-planned
             // under copy loss; a reduced case count keeps the online
             // simulations tractable at paper scale.
             Some(experiments::families(options.cases.min(10), options.small, threads))

@@ -6,7 +6,7 @@
 //! stage <scenario.json> [OPTIONS]
 //!
 //! OPTIONS:
-//!   --heuristic H   partial | full-one (default) | full-all | alap | rcd
+//!   --heuristic H   partial | full-one (default) | full-all | alap
 //!   --criterion C   C1 | C2 | C3 | C4 (default) | C3f; full-all refuses C1
 //!   --ratio X       log10 of the E-U ratio (default: the operating point,
 //!                   `OPERATING_LOG10_RATIO`; -inf weighs urgency only);
@@ -95,9 +95,10 @@ fn main() -> ExitCode {
                 eprintln!("error: {msg}");
             }
             eprintln!(
-                "usage: stage <scenario.json> [--heuristic partial|full-one|full-all|alap|rcd] \
+                "usage: stage <scenario.json> [--heuristic {}] \
                  [--criterion C1|C2|C3|C4|C3f] [--ratio X] [--weights 1,5,10|1,10,100] \
-                 [--timeline] [--json]"
+                 [--timeline] [--json]",
+                Heuristic::EXTENDED.map(|h| h.label().replace('_', "-")).join("|")
             );
             return if msg.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
         }

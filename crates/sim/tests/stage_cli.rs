@@ -49,13 +49,17 @@ fn a_non_finite_ratio_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
-/// Every scheduler name `stage-serve` accepts schedules offline too.
+/// The extension scheduler, the extension criterion and the 1,5,10
+/// weighting schedule offline too.
 #[test]
-fn the_extension_schedulers_are_accepted() {
+fn the_extension_scheduler_and_criterion_are_accepted() {
     let path = scenario_file("stage-extensions.json");
     for (args, head) in [
         (&["--heuristic", "alap"][..], "alap + C4"),
-        (&["--heuristic", "rcd", "--criterion", "c3f", "--weights", "1,5,10"][..], "rcd + C3f"),
+        (
+            &["--heuristic", "full-all", "--criterion", "c3f", "--weights", "1,5,10"][..],
+            "full_all + C3f",
+        ),
     ] {
         let out = stage(&path, args);
         let stdout = String::from_utf8_lossy(&out.stdout);
@@ -66,6 +70,26 @@ fn the_extension_schedulers_are_accepted() {
             String::from_utf8_lossy(&out.stderr)
         );
         assert!(stdout.starts_with(head), "{args:?}: {stdout}");
+    }
+}
+
+/// An unknown heuristic, or one this build no longer has, is a usage error
+/// that lists the valid names, and the usage line lists the same ones.
+#[test]
+fn an_unknown_heuristic_is_a_usage_error_naming_the_valid_ones() {
+    let path = scenario_file("stage-unknown-heuristic.json");
+    for name in ["fastest", "rcd"] {
+        let out = stage(&path, &["--heuristic", name]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "unknown heuristic \"{name}\" (valid: partial, full_one, full_all, alap)"
+            )),
+            "{stderr}"
+        );
+        assert!(stderr.contains("[--heuristic partial|full-one|full-all|alap]"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{name}: a schedule was printed");
     }
 }
 

@@ -118,7 +118,7 @@ fn full_sweep_parallel_matches_sequential_on_the_paper_suite() {
 }
 
 /// The six experiments outside `all` — the extended scheduler matrix
-/// (`alap` and `rcd` included), the extension criterion, and the four
+/// (`alap` included), the extension criterion, and the four
 /// that run their own generators — ride the same guarantee.
 #[test]
 fn experiments_outside_all_are_byte_identical_across_thread_counts() {
