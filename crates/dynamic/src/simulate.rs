@@ -48,7 +48,8 @@ pub struct OnlinePolicy {
 }
 
 impl OnlinePolicy {
-    /// The paper's best pairing (full path/one destination + C4).
+    /// The paper's best pairing: full path/one destination +
+    /// [`HeuristicConfig::paper_best`] (C4 at the operating point).
     #[must_use]
     pub fn paper_best() -> Self {
         OnlinePolicy {
