@@ -169,6 +169,146 @@ impl core::fmt::Display for Heuristic {
     }
 }
 
+/// A scheduler and the configuration it runs under, as the `stage` and
+/// `stage-serve` command lines choose them with `--heuristic` (`stage-serve`:
+/// `--scheduler`), `--criterion`, `--ratio` and `--weights`. The default is
+/// full path/one destination under [`HeuristicConfig::paper_best`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Pairing {
+    /// The scheduler.
+    pub heuristic: Heuristic,
+    /// `log10` of the E-U ratio that `config.eu` is built from.
+    pub log10_ratio: f64,
+    /// The criterion, E-U weights and priority weighting.
+    pub config: HeuristicConfig,
+}
+
+impl Default for Pairing {
+    fn default() -> Self {
+        Pairing {
+            heuristic: Heuristic::FullPathOneDestination,
+            log10_ratio: f64::from(OPERATING_LOG10_RATIO),
+            config: HeuristicConfig::paper_best(),
+        }
+    }
+}
+
+impl Pairing {
+    /// Reads the value of `flag` from `args` when `flag` is one of the four
+    /// pairing flags, and says whether it was. The scheduler flag is
+    /// `--heuristic` or `scheduler_flag`: `stage-serve` spells it
+    /// `--scheduler`, `stage` passes `--heuristic` and so takes only that.
+    ///
+    /// # Errors
+    ///
+    /// A missing or unknown value; an unknown scheduler is
+    /// [`UsageError::unknown_name`].
+    pub fn parse_flag(
+        &mut self,
+        scheduler_flag: &str,
+        flag: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, UsageError> {
+        let mut value = |what: &str| args.next().ok_or_else(|| format!("{flag} needs {what}"));
+        match flag {
+            _ if flag == "--heuristic" || flag == scheduler_flag => {
+                let name = value("a name")?;
+                self.heuristic = Heuristic::from_label(&name).ok_or_else(|| {
+                    let valid = Heuristic::EXTENDED.map(Heuristic::label).join(", ");
+                    UsageError::unknown_name(format!("unknown scheduler `{name}` (valid: {valid})"))
+                })?;
+            }
+            "--criterion" => {
+                let name = value("a name")?;
+                self.config.criterion = CostCriterion::from_label(&name)
+                    .ok_or_else(|| format!("unknown criterion {name:?}"))?;
+            }
+            "--ratio" => {
+                self.log10_ratio = EuWeights::parse_log10_ratio(&value("a number")?)?;
+                self.config.eu = EuWeights::from_log10_ratio(self.log10_ratio);
+            }
+            "--weights" => {
+                let name = value("a weighting")?;
+                self.config.priority_weights = PriorityWeights::paper_from_label(&name)
+                    .ok_or_else(|| format!("unknown weighting {name:?}"))?;
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Refuses a criterion the scheduler cannot use
+    /// ([`Heuristic::check_criterion`]).
+    ///
+    /// # Errors
+    ///
+    /// The message of [`Heuristic::check_criterion`], as a usage error.
+    pub fn check(&self) -> Result<(), UsageError> {
+        Ok(self.heuristic.check_criterion(self.config.criterion)?)
+    }
+
+    /// The usage line's part for the four flags, with the scheduler flag
+    /// spelled `flag`.
+    #[must_use]
+    pub fn usage(flag: &str) -> String {
+        let schedulers = Heuristic::EXTENDED.map(|h| h.label().replace('_', "-")).join("|");
+        let criteria: Vec<_> = CostCriterion::ALL
+            .iter()
+            .chain(&CostCriterion::EXTENSIONS)
+            .map(|c| c.label())
+            .collect();
+        format!(
+            "[{flag} {schedulers}] [--criterion {}] [--ratio X] [--weights 1,5,10|1,10,100]",
+            criteria.join("|")
+        )
+    }
+}
+
+/// A refused command line: the message to print and the exit code.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UsageError {
+    /// What was refused; empty for `--help`, which prints the usage and
+    /// exits 0.
+    pub message: String,
+    /// `2` for a name outside a closed list (a scheduler, a scenario
+    /// family), so scripts can tell a typo from any other usage error,
+    /// which exits `1`.
+    pub exit_code: u8,
+}
+
+impl UsageError {
+    /// An unknown name (exit code 2); `message` lists the valid ones.
+    #[must_use]
+    pub fn unknown_name(message: String) -> UsageError {
+        UsageError { message, exit_code: 2 }
+    }
+
+    /// Prints the message, when there is one, and the `usage` line to
+    /// stderr, and returns the exit code the process ends with.
+    #[must_use]
+    pub fn report(&self, usage: &str) -> std::process::ExitCode {
+        if self.message.is_empty() {
+            eprintln!("usage: {usage}");
+            return std::process::ExitCode::SUCCESS;
+        }
+        eprintln!("error: {}", self.message);
+        eprintln!("usage: {usage}");
+        std::process::ExitCode::from(self.exit_code)
+    }
+}
+
+impl From<String> for UsageError {
+    fn from(message: String) -> UsageError {
+        UsageError { message, exit_code: 1 }
+    }
+}
+
+impl From<&str> for UsageError {
+    fn from(message: &str) -> UsageError {
+        UsageError::from(message.to_string())
+    }
+}
+
 /// The result of one scheduling run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScheduleOutcome {
@@ -360,6 +500,92 @@ mod tests {
     use crate::state::SchedulerState;
     use dstage_model::ids::RequestId;
     use dstage_workload::small::{contended_link, fan_out, two_hop_chain};
+
+    /// Parses `args` as `stage-serve`'s pairing flags only, then checks the
+    /// pairing.
+    fn pairing(args: &[&str]) -> Result<Pairing, UsageError> {
+        let mut pairing = Pairing::default();
+        let mut args = args.iter().map(|a| a.to_string());
+        while let Some(flag) = args.next() {
+            let parsed = pairing.parse_flag("--scheduler", &flag, &mut args)?;
+            assert!(parsed, "{flag} is not a pairing flag");
+        }
+        pairing.check()?;
+        Ok(pairing)
+    }
+
+    /// `stage-serve`'s fingerprint is built from this config, so its E-U
+    /// weights must stay the operating point's floats bit for bit.
+    #[test]
+    fn the_default_pairing_is_full_one_under_the_paper_best_config() {
+        let default = pairing(&[]).unwrap();
+        assert_eq!(default.heuristic, Heuristic::FullPathOneDestination);
+        assert_eq!(default.config, HeuristicConfig::paper_best());
+        let operating = EuWeights::from_log10_ratio(f64::from(OPERATING_LOG10_RATIO));
+        assert_eq!(default.config.eu.w_e.to_bits(), operating.w_e.to_bits());
+        assert_eq!(default.config.eu.w_u.to_bits(), operating.w_u.to_bits());
+        assert_eq!(pairing(&["--ratio", "2"]).unwrap(), default);
+    }
+
+    #[test]
+    fn pairing_flags_set_their_field_and_refuse_with_their_exit_code() {
+        let chosen = pairing(&[
+            "--scheduler",
+            "full-all",
+            "--criterion",
+            "c3",
+            "--ratio",
+            "-1",
+            "--weights",
+            "1,5,10",
+        ])
+        .unwrap();
+        assert_eq!(chosen.heuristic, Heuristic::FullPathAllDestinations);
+        assert_eq!(chosen.log10_ratio, -1.0);
+        assert_eq!(
+            chosen.config,
+            HeuristicConfig {
+                criterion: CostCriterion::C3,
+                eu: EuWeights::from_log10_ratio(-1.0),
+                priority_weights: PriorityWeights::paper_1_5_10(),
+                caching: true,
+            }
+        );
+        assert_eq!(pairing(&["--heuristic", "alap"]).unwrap().heuristic, Heuristic::Alap);
+        // `stage` names its scheduler flag `--heuristic` only.
+        let mut args = ["full-all".to_string()].into_iter();
+        let mut stage = Pairing::default();
+        assert_eq!(stage.parse_flag("--heuristic", "--scheduler", &mut args), Ok(false));
+        assert_eq!(stage, Pairing::default());
+
+        let unknown = pairing(&["--heuristic", "rcd"]).unwrap_err();
+        assert_eq!(unknown.exit_code, 2);
+        assert_eq!(
+            unknown.message,
+            "unknown scheduler `rcd` (valid: partial, full_one, full_all, alap)"
+        );
+        for (args, message) in [
+            (&["--criterion", "C5"][..], "unknown criterion \"C5\""),
+            (&["--weights", "1,2,3"], "unknown weighting \"1,2,3\""),
+            (&["--ratio"], "--ratio needs a number"),
+            (&["--scheduler"], "--scheduler needs a name"),
+        ] {
+            assert_eq!(pairing(args).unwrap_err(), UsageError::from(message), "{args:?}");
+        }
+        let excluded = pairing(&["--heuristic", "full_all", "--criterion", "C1"]).unwrap_err();
+        assert_eq!(excluded.exit_code, 1);
+        assert!(excluded.message.contains("paper §6"), "{}", excluded.message);
+        assert!(pairing(&["--ratio", "nan"]).unwrap_err().message.starts_with("invalid ratio"));
+    }
+
+    #[test]
+    fn the_pairing_usage_lists_every_scheduler_and_criterion() {
+        assert_eq!(
+            Pairing::usage("--scheduler"),
+            "[--scheduler partial|full-one|full-all|alap] [--criterion C1|C2|C3|C4|C3f] \
+             [--ratio X] [--weights 1,5,10|1,10,100]"
+        );
+    }
 
     fn config(criterion: CostCriterion, x: f64) -> HeuristicConfig {
         HeuristicConfig {

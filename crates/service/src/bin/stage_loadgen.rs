@@ -41,15 +41,18 @@
 //! forwarded chunk, or forward cleanly. The schedule depends only on the
 //! seed and the connection order, making chaos runs reproducible.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::fmt::Display;
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use dstage_core::heuristic::UsageError;
+use dstage_service::client::{Backoff, Client, Connection, Failure};
 use dstage_service::protocol::{ClientRequest, SubmitArgs};
-use dstage_service::retry::Backoff;
 use dstage_workload::Family;
 use rand::{Rng, SeedableRng, StdRng};
 use serde::Value;
@@ -67,27 +70,7 @@ struct Options {
     shutdown: bool,
 }
 
-/// A fatal argument problem and the exit code it maps to. An unknown
-/// family name exits with `2` (matching stage-serve's scheduler flag) so
-/// scripts can tell a typo from the generic usage failure (`1`).
-struct CliError {
-    message: String,
-    exit: ExitCode,
-}
-
-impl From<String> for CliError {
-    fn from(message: String) -> CliError {
-        CliError { message, exit: ExitCode::FAILURE }
-    }
-}
-
-impl From<&str> for CliError {
-    fn from(message: &str) -> CliError {
-        CliError::from(message.to_string())
-    }
-}
-
-fn parse_args() -> Result<Options, CliError> {
+fn parse_args() -> Result<Options, UsageError> {
     let mut options = Options {
         addr: String::new(),
         clients: 8,
@@ -104,75 +87,48 @@ fn parse_args() -> Result<Options, CliError> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => options.addr = args.next().ok_or("--addr needs host:port")?,
-            "--clients" => {
-                options.clients = args
-                    .next()
-                    .ok_or("--clients needs a count")?
-                    .parse()
-                    .map_err(|e| format!("invalid client count: {e}"))?;
-            }
-            "--requests" => {
-                options.requests = args
-                    .next()
-                    .ok_or("--requests needs a count")?
-                    .parse()
-                    .map_err(|e| format!("invalid request count: {e}"))?;
-            }
-            "--seed" => {
-                options.seed = args
-                    .next()
-                    .ok_or("--seed needs a number")?
-                    .parse()
-                    .map_err(|e| format!("invalid seed: {e}"))?;
-            }
+            "--clients" => options.clients = number(&mut args, "--clients")?,
+            "--requests" => options.requests = number(&mut args, "--requests")?,
+            "--seed" => options.seed = number(&mut args, "--seed")?,
             "--family" => {
                 let name = args.next().ok_or("--family needs a name")?;
-                options.family = Family::from_name(&name).ok_or_else(|| CliError {
-                    message: format!("unknown family `{name}` (valid: {})", Family::names()),
-                    exit: ExitCode::from(2),
+                options.family = Family::from_name(&name).ok_or_else(|| {
+                    UsageError::unknown_name(format!(
+                        "unknown family `{name}` (valid: {})",
+                        Family::names()
+                    ))
                 })?;
             }
-            "--timeout-ms" => {
-                let ms: u64 = args
-                    .next()
-                    .ok_or("--timeout-ms needs a number")?
-                    .parse()
-                    .map_err(|e| format!("invalid timeout: {e}"))?;
-                if ms == 0 {
-                    return Err(CliError::from("--timeout-ms must be positive"));
-                }
-                options.timeout = Duration::from_millis(ms);
-            }
-            "--retries" => {
-                options.retries = args
-                    .next()
-                    .ok_or("--retries needs a count")?
-                    .parse()
-                    .map_err(|e| format!("invalid retry count: {e}"))?;
-            }
-            "--chaos" => {
-                options.chaos = Some(
-                    args.next()
-                        .ok_or("--chaos needs a seed")?
-                        .parse()
-                        .map_err(|e| format!("invalid chaos seed: {e}"))?,
-                );
-            }
+            "--timeout-ms" => match number(&mut args, "--timeout-ms")? {
+                0 => return Err(UsageError::from("--timeout-ms must be positive")),
+                ms => options.timeout = Duration::from_millis(ms),
+            },
+            "--retries" => options.retries = number(&mut args, "--retries")?,
+            "--chaos" => options.chaos = Some(number(&mut args, "--chaos")?),
             "--snapshot-out" => {
                 options.snapshot_out = Some(args.next().ok_or("--snapshot-out needs a path")?);
             }
             "--shutdown" => options.shutdown = true,
-            "--help" | "-h" => return Err(CliError::from(String::new())),
-            other => return Err(CliError::from(format!("unknown option {other:?}"))),
+            "--help" | "-h" => return Err(UsageError::from(String::new())),
+            other => return Err(UsageError::from(format!("unknown option {other:?}"))),
         }
     }
     if options.addr.is_empty() {
-        return Err(CliError::from("--addr is required"));
+        return Err(UsageError::from("--addr is required"));
     }
     if options.clients == 0 || options.requests == 0 {
-        return Err(CliError::from("--clients and --requests must be positive"));
+        return Err(UsageError::from("--clients and --requests must be positive"));
     }
     Ok(options)
+}
+
+/// The number that follows `flag`.
+fn number<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let text = args.next().ok_or_else(|| format!("{flag} needs a number"))?;
+    text.parse().map_err(|e| format!("invalid {flag}: {e}"))
 }
 
 /// The generated scenario's requests as submit lines, cycled (with
@@ -331,30 +287,11 @@ struct ClientStats {
     latencies: Vec<Duration>,
 }
 
-fn connect(addr: &str, timeout: Duration) -> io::Result<(BufReader<TcpStream>, TcpStream)> {
-    use std::net::ToSocketAddrs;
-    let mut last = io::Error::new(io::ErrorKind::AddrNotAvailable, "address resolved to nothing");
-    for resolved in addr.to_socket_addrs()? {
-        match TcpStream::connect_timeout(&resolved, timeout) {
-            Ok(stream) => {
-                stream.set_read_timeout(Some(timeout))?;
-                stream.set_write_timeout(Some(timeout))?;
-                // One-line requests: leaving Nagle on costs a delayed-ACK
-                // stall per round trip.
-                stream.set_nodelay(true)?;
-                let reader = BufReader::new(stream.try_clone()?);
-                return Ok((reader, stream));
-            }
-            Err(e) => last = e,
-        }
-    }
-    Err(last)
-}
-
-/// Submits `lines` (global indices starting at `first_index`), timing
-/// each answered round trip. A lost connection is re-established and the
-/// run resumes at the failed line; after `retries` bounded-backoff
-/// attempts the line is abandoned (`gave_up`) and the run continues.
+/// Submits `lines` (global indices starting at `first_index`) over one
+/// connection, timing each answered round trip. A lost connection is
+/// re-established and the run resumes at the failed line; after `retries`
+/// bounded-backoff attempts the line is abandoned (`gave_up`) and the run
+/// continues.
 fn run_client(
     addr: &str,
     lines: &[String],
@@ -365,85 +302,37 @@ fn run_client(
 ) -> ClientStats {
     let mut stats =
         ClientStats { latencies: Vec::with_capacity(lines.len()), ..Default::default() };
-    let mut conn: Option<(BufReader<TcpStream>, TcpStream)> = None;
+    let mut client = Client::new(addr, timeout);
     for (offset, line) in lines.iter().enumerate() {
         let mut backoff = Backoff::new(
             seed.wrapping_add((first_index + offset) as u64),
             retries,
             Duration::from_millis(50),
         );
-        let answer = loop {
-            if conn.is_none() {
-                match connect(addr, timeout) {
-                    Ok(c) => conn = Some(c),
-                    Err(_) => match backoff.next_delay() {
-                        Some(delay) => {
-                            stats.retries += 1;
-                            thread::sleep(delay);
-                            continue;
-                        }
-                        None => break None,
-                    },
-                }
-            }
-            let (reader, writer) = conn.as_mut().expect("connected above");
-            let start = Instant::now();
-            let exchange =
-                writeln!(writer, "{line}").and_then(|()| writer.flush()).and_then(|()| {
-                    let mut response = String::new();
-                    match reader.read_line(&mut response) {
-                        Ok(0) => Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "daemon closed the connection mid-run",
-                        )),
-                        Ok(_) => Ok((response, start.elapsed())),
-                        Err(e) => Err(e),
-                    }
-                });
-            match exchange {
-                Ok(answer) => break Some(answer),
-                Err(_) => {
-                    conn = None;
-                    match backoff.next_delay() {
-                        Some(delay) => {
-                            stats.retries += 1;
-                            thread::sleep(delay);
-                        }
-                        None => break None,
-                    }
-                }
-            }
+        // Every line is keyed, so a re-sent one replays its decision.
+        let answer = client.send(line, true, &mut backoff, |_, _| {});
+        stats.retries += u64::from(backoff.attempts_used());
+        let Ok((response, latency)) = answer else {
+            stats.gave_up += 1;
+            continue;
         };
-        match answer {
-            Some((response, latency)) => {
-                stats.latencies.push(latency);
-                match serde_json::from_str::<Value>(response.trim())
-                    .ok()
-                    .and_then(|v| v.get("decision").and_then(|d| d.as_str().map(str::to_string)))
-                    .as_deref()
-                {
-                    Some("admitted") => stats.admitted += 1,
-                    Some("rejected") => stats.rejected += 1,
-                    _ => stats.errors += 1,
-                }
-            }
-            None => stats.gave_up += 1,
+        stats.latencies.push(latency);
+        match serde_json::from_str::<Value>(&response)
+            .ok()
+            .and_then(|v| v.get("decision").and_then(|d| d.as_str().map(str::to_string)))
+            .as_deref()
+        {
+            Some("admitted") => stats.admitted += 1,
+            Some("rejected") => stats.rejected += 1,
+            _ => stats.errors += 1,
         }
     }
     stats
 }
 
-/// Opens a fresh connection, performs one NDJSON round trip, closes.
-fn one_shot(addr: &str, line: &str, timeout: Duration) -> io::Result<String> {
-    let (mut reader, mut writer) = connect(addr, timeout)?;
-    writeln!(writer, "{line}")?;
-    writer.flush()?;
-    let mut response = String::new();
-    match reader.read_line(&mut response) {
-        Ok(0) => Err(io::Error::new(io::ErrorKind::UnexpectedEof, "daemon closed the connection")),
-        Ok(_) => Ok(response.trim().to_string()),
-        Err(e) => Err(e),
-    }
+/// Opens a fresh connection to `addr` and makes one round trip.
+fn one_shot(addr: &str, request: &ClientRequest, timeout: Duration) -> Result<String, Failure> {
+    Connection::open(addr, timeout)?.round_trip(&line(request))
 }
 
 fn percentile(sorted: &[Duration], q: f64) -> Duration {
@@ -458,15 +347,12 @@ fn main() -> ExitCode {
     let options = match parse_args() {
         Ok(o) => o,
         Err(err) => {
-            if !err.message.is_empty() {
-                eprintln!("error: {}", err.message);
-            }
-            eprintln!(
-                "usage: stage-loadgen --addr HOST:PORT [--clients N] [--requests M] [--seed S] \
-                 [--family paper|satcom|wan|grid|line] \
-                 [--timeout-ms T] [--retries N] [--chaos S] [--snapshot-out F] [--shutdown]"
-            );
-            return if err.message.is_empty() { ExitCode::SUCCESS } else { err.exit };
+            return err.report(&format!(
+                "stage-loadgen --addr HOST:PORT [--clients N] [--requests M] [--seed S] \
+                 [--family {}] \
+                 [--timeout-ms T] [--retries N] [--chaos S] [--snapshot-out F] [--shutdown]",
+                Family::names().replace(", ", "|")
+            ))
         }
     };
     let target = match options.chaos {
@@ -540,7 +426,7 @@ fn main() -> ExitCode {
     // must not be dropped by an injected fault.
     let mut epilogue_failed = false;
     if let Some(path) = &options.snapshot_out {
-        match one_shot(&options.addr, &line(&ClientRequest::Snapshot), options.timeout) {
+        match one_shot(&options.addr, &ClientRequest::Snapshot, options.timeout) {
             Ok(snapshot) => {
                 if let Err(e) = std::fs::write(path, snapshot + "\n") {
                     eprintln!("error: cannot write {path}: {e}");
@@ -554,7 +440,7 @@ fn main() -> ExitCode {
         }
     }
     if options.shutdown {
-        if let Err(e) = one_shot(&options.addr, &line(&ClientRequest::Shutdown), options.timeout) {
+        if let Err(e) = one_shot(&options.addr, &ClientRequest::Shutdown, options.timeout) {
             eprintln!("error: shutdown request failed: {e}");
             epilogue_failed = true;
         }

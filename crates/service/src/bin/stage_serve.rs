@@ -36,9 +36,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use dstage_core::cost::{CostCriterion, EuWeights};
-use dstage_core::heuristic::{Heuristic, HeuristicConfig, OPERATING_LOG10_RATIO};
-use dstage_model::request::PriorityWeights;
+use dstage_core::heuristic::{Pairing, UsageError};
 use dstage_model::scenario::Scenario;
 use dstage_service::durability::{Durability, DEFAULT_CHECKPOINT_EVERY};
 use dstage_service::engine::AdmissionEngine;
@@ -57,10 +55,7 @@ struct Options {
     seed: u64,
     addr: String,
     workers: Option<usize>,
-    heuristic: Heuristic,
-    criterion: CostCriterion,
-    ratio: f64,
-    weights: PriorityWeights,
+    pairing: Pairing,
     data_dir: Option<String>,
     /// `always` by default, so a bare `--data-dir` never silently risks
     /// acknowledged decisions.
@@ -68,71 +63,23 @@ struct Options {
     checkpoint_every: u64,
 }
 
-/// A fatal argument problem and the exit code it maps to. An unknown
-/// scheduler name exits with `2` so scripts can tell a typo from the
-/// generic usage failure (`1`).
-struct CliError {
-    message: String,
-    exit: ExitCode,
-}
-
-impl CliError {
-    fn usage(message: impl Into<String>) -> CliError {
-        CliError { message: message.into(), exit: ExitCode::FAILURE }
-    }
-}
-
-impl From<String> for CliError {
-    fn from(message: String) -> CliError {
-        CliError::usage(message)
-    }
-}
-
-impl From<&str> for CliError {
-    fn from(message: &str) -> CliError {
-        CliError::usage(message)
-    }
-}
-
-/// Resolves a scenario-family name, with the scheduler flag's exit-2
-/// contract for typos.
-fn parse_family(name: Option<&str>) -> Result<Family, CliError> {
-    let name = name.ok_or_else(|| CliError::usage("--family needs a name"))?;
-    Family::from_name(name).ok_or_else(|| CliError {
-        message: format!("unknown family `{name}` (valid: {})", Family::names()),
-        exit: ExitCode::from(2),
-    })
-}
-
-/// Resolves a scheduler name against the extended heuristic labels.
-fn parse_scheduler(name: Option<&str>) -> Result<Heuristic, CliError> {
-    let name = name.ok_or_else(|| CliError::usage("--scheduler needs a name"))?;
-    Heuristic::from_label(name).ok_or_else(|| CliError {
-        message: format!(
-            "unknown scheduler `{name}` (valid: {})",
-            Heuristic::EXTENDED.map(Heuristic::label).join(", ")
-        ),
-        exit: ExitCode::from(2),
-    })
-}
-
-fn parse_args() -> Result<Options, CliError> {
+fn parse_args() -> Result<Options, UsageError> {
     let mut options = Options {
         scenario: None,
         family: Family::Paper,
         seed: 0,
         addr: "127.0.0.1:0".to_string(),
         workers: None,
-        heuristic: Heuristic::FullPathOneDestination,
-        criterion: CostCriterion::C4,
-        ratio: f64::from(OPERATING_LOG10_RATIO),
-        weights: PriorityWeights::paper_1_10_100(),
+        pairing: Pairing::default(),
         data_dir: None,
         durability: FsyncPolicy::Always,
         checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if options.pairing.parse_flag("--scheduler", &arg, &mut args)? {
+            continue;
+        }
         match arg.as_str() {
             "--scenario" => {
                 options.scenario = Some(args.next().ok_or("--scenario needs a file")?);
@@ -145,7 +92,13 @@ fn parse_args() -> Result<Options, CliError> {
                     .map_err(|e| format!("invalid seed: {e}"))?;
             }
             "--family" => {
-                options.family = parse_family(args.next().as_deref())?;
+                let name = args.next().ok_or("--family needs a name")?;
+                options.family = Family::from_name(&name).ok_or_else(|| {
+                    UsageError::unknown_name(format!(
+                        "unknown family `{name}` (valid: {})",
+                        Family::names()
+                    ))
+                })?;
             }
             "--addr" => options.addr = args.next().ok_or("--addr needs host:port")?,
             "--workers" => {
@@ -157,23 +110,6 @@ fn parse_args() -> Result<Options, CliError> {
                         .filter(|n| (1..=MAX_WORKERS).contains(n))
                         .ok_or_else(|| format!("invalid --workers (1 to {MAX_WORKERS} threads)"))?,
                 );
-            }
-            "--scheduler" | "--heuristic" => {
-                options.heuristic = parse_scheduler(args.next().as_deref())?;
-            }
-            "--criterion" => {
-                let name = args.next().ok_or("--criterion needs a name")?;
-                options.criterion = CostCriterion::from_label(&name)
-                    .ok_or_else(|| format!("unknown criterion {name:?}"))?;
-            }
-            "--ratio" => {
-                options.ratio =
-                    EuWeights::parse_log10_ratio(&args.next().ok_or("--ratio needs a number")?)?;
-            }
-            "--weights" => {
-                let name = args.next().ok_or("--weights needs a weighting")?;
-                options.weights = PriorityWeights::paper_from_label(&name)
-                    .ok_or_else(|| format!("unknown weighting {name:?}"))?;
             }
             "--data-dir" => {
                 options.data_dir = Some(args.next().ok_or("--data-dir needs a directory")?);
@@ -191,11 +127,11 @@ fn parse_args() -> Result<Options, CliError> {
                     .filter(|&n| n > 0)
                     .ok_or("invalid --checkpoint-every (positive record count)")?;
             }
-            "--help" | "-h" => return Err(CliError::usage(String::new())),
-            other => return Err(CliError::usage(format!("unknown option {other:?}"))),
+            "--help" | "-h" => return Err(UsageError::from("")),
+            other => return Err(UsageError::from(format!("unknown option {other:?}"))),
         }
     }
-    options.heuristic.check_criterion(options.criterion)?;
+    options.pairing.check()?;
     Ok(options)
 }
 
@@ -203,19 +139,13 @@ fn main() -> ExitCode {
     let options = match parse_args() {
         Ok(o) => o,
         Err(err) => {
-            if !err.message.is_empty() {
-                eprintln!("error: {}", err.message);
-            }
-            eprintln!(
-                "usage: stage-serve [--scenario FILE | --generate SEED] \
-                 [--family paper|satcom|wan|grid|line] [--addr HOST:PORT] \
-                 [--workers 1-1024] [--scheduler {}] \
-                 [--criterion C1|C2|C3|C4|C3f] [--ratio X] [--weights 1,5,10|1,10,100] \
-                 [--data-dir D] [--durability always|interval:<ms>] \
-                 [--checkpoint-every N]",
-                Heuristic::EXTENDED.map(|h| h.label().replace('_', "-")).join("|")
-            );
-            return if err.message.is_empty() { ExitCode::SUCCESS } else { err.exit };
+            return err.report(&format!(
+                "stage-serve [--scenario FILE | --generate SEED] [--family {}] \
+                 [--addr HOST:PORT] [--workers 1-1024] {} \
+                 [--data-dir D] [--durability always|interval:<ms>] [--checkpoint-every N]",
+                Family::names().replace(", ", "|"),
+                Pairing::usage("--scheduler")
+            ))
         }
     };
     let catalog = match &options.scenario {
@@ -228,12 +158,7 @@ fn main() -> ExitCode {
         },
         None => options.family.generate(options.seed),
     };
-    let config = HeuristicConfig {
-        criterion: options.criterion,
-        eu: EuWeights::from_log10_ratio(options.ratio),
-        priority_weights: options.weights.clone(),
-        caching: true,
-    };
+    let Pairing { heuristic, config, .. } = options.pairing;
     let (durability, engine) = match &options.data_dir {
         Some(dir) => {
             let recovered = Durability::recover(
@@ -241,7 +166,7 @@ fn main() -> ExitCode {
                 options.durability,
                 options.checkpoint_every,
                 &catalog,
-                options.heuristic,
+                heuristic,
                 config,
             );
             match recovered {
@@ -267,7 +192,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        None => (None, AdmissionEngine::new(&catalog, options.heuristic, config)),
+        None => (None, AdmissionEngine::new(&catalog, heuristic, config)),
     };
     eprintln!(
         "catalog: {} machines, {} items ({})",

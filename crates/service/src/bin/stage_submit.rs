@@ -22,23 +22,22 @@
 //! * `2` — the daemon refused the connection;
 //! * `3` — connecting or reading timed out.
 //!
-//! Connects with a bounded `connect_timeout` and reads with a
-//! `read_timeout` (`--timeout-ms`, default 5000), retrying transient
-//! failures up to `--retries` times (default 2) with seeded exponential
-//! backoff. A retried `submit` is made idempotent automatically: when no
+//! Talks to the daemon through `dstage_service::client`: connects, writes
+//! and reads under `--timeout-ms` (default 5000), retrying failures up to
+//! `--retries` times (default 2) on a seeded exponential backoff. A retried `submit` is made idempotent automatically: when no
 //! `--key` is given one is generated once and reused across attempts, so
 //! a retry after a lost response never double-admits. `inject` and
 //! `optimize` are only retried when the request line was never sent —
 //! the daemon may have applied a disturbance (or an optimization pass)
 //! whose response was lost.
 
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
+use dstage_core::heuristic::UsageError;
+use dstage_service::client::{Backoff, Client};
 use dstage_service::protocol::{ClientRequest, InjectArgs, InjectKind, MetricsFormat, SubmitArgs};
-use dstage_service::retry::Backoff;
 use serde::Value;
 
 struct Options {
@@ -168,71 +167,6 @@ where
     arg.ok_or(format!("{flag} needs a number"))?.parse().map_err(|e| format!("invalid {flag}: {e}"))
 }
 
-/// One failed attempt: what happened and whether the request line had
-/// already reached the socket when it happened.
-struct AttemptError {
-    message: String,
-    kind: io::ErrorKind,
-    sent: bool,
-}
-
-impl AttemptError {
-    fn new(stage: &str, e: &io::Error, sent: bool) -> Self {
-        AttemptError { message: format!("{stage}: {e}"), kind: e.kind(), sent }
-    }
-}
-
-/// Connects, sends the request line, and reads the one response line.
-fn attempt(options: &Options) -> Result<String, AttemptError> {
-    let addrs: Vec<SocketAddr> = options
-        .addr
-        .to_socket_addrs()
-        .map_err(|e| AttemptError::new("cannot resolve address", &e, false))?
-        .collect();
-    let mut stream = None;
-    let mut last = io::Error::new(io::ErrorKind::AddrNotAvailable, "address resolved to nothing");
-    for addr in addrs {
-        match TcpStream::connect_timeout(&addr, options.timeout) {
-            Ok(s) => {
-                // Single-line request/response: Nagle would add a
-                // delayed-ACK stall to the round trip.
-                let _ = s.set_nodelay(true);
-                stream = Some(s);
-                break;
-            }
-            Err(e) => last = e,
-        }
-    }
-    let Some(stream) = stream else {
-        return Err(AttemptError::new(
-            &format!("cannot connect to {}", options.addr),
-            &last,
-            false,
-        ));
-    };
-    stream
-        .set_read_timeout(Some(options.timeout))
-        .and_then(|()| stream.set_write_timeout(Some(options.timeout)))
-        .map_err(|e| AttemptError::new("cannot configure socket", &e, false))?;
-    let mut reader = BufReader::new(
-        stream.try_clone().map_err(|e| AttemptError::new("cannot clone socket", &e, false))?,
-    );
-    let mut writer = stream;
-    writeln!(writer, "{}", options.line)
-        .and_then(|()| writer.flush())
-        .map_err(|e| AttemptError::new("cannot send request", &e, false))?;
-    let mut response = String::new();
-    match reader.read_line(&mut response) {
-        Ok(0) => Err(AttemptError {
-            message: "daemon closed the connection without answering".to_string(),
-            kind: io::ErrorKind::UnexpectedEof,
-            sent: true,
-        }),
-        Ok(_) => Ok(response),
-        Err(e) => Err(AttemptError::new("cannot read response", &e, true)),
-    }
-}
-
 fn exit_code_for(kind: io::ErrorKind) -> ExitCode {
     match kind {
         io::ErrorKind::ConnectionRefused => ExitCode::from(2),
@@ -242,52 +176,44 @@ fn exit_code_for(kind: io::ErrorKind) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let options = match parse_args() {
-        Ok(o) => o,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}");
-            }
-            eprintln!(
-                "usage: stage-submit --addr HOST:PORT [--timeout-ms T] [--retries N] \
-                 [--retry-seed S] \
+    let options =
+        match parse_args() {
+            Ok(o) => o,
+            Err(msg) => return UsageError::from(msg).report(
+                "stage-submit --addr HOST:PORT [--timeout-ms T] [--retries N] [--retry-seed S] \
                  (submit --item NAME --dest M --deadline-ms T [--priority P] [--key K] \
                  | query --request N \
                  | inject --at-ms T (--link L | --item NAME --machine M) \
                  | optimize [--budget N] \
-                 | snapshot | metrics [--prometheus] | trace [--limit N] | shutdown)"
-            );
-            return if msg.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-        }
-    };
+                 | snapshot | metrics [--prometheus] | trace [--limit N] | shutdown)",
+            ),
+        };
     let mut backoff = Backoff::new(options.retry_seed, options.retries, Duration::from_millis(50));
-    let response = loop {
-        match attempt(&options) {
-            Ok(response) => break response,
-            Err(e) => {
-                eprintln!("error: {}", e.message);
-                // A non-idempotent verb whose line may have been applied
-                // must not be re-sent.
-                let retryable = options.resend_safe || !e.sent;
-                match backoff.next_delay() {
-                    Some(delay) if retryable => {
-                        eprintln!(
-                            "retrying in {} ms (attempt {}/{})",
-                            delay.as_millis(),
-                            backoff.attempts_used(),
-                            options.retries
-                        );
-                        std::thread::sleep(delay);
-                    }
-                    _ => return exit_code_for(e.kind),
-                }
+    let mut retried = 0;
+    let sent = Client::new(&options.addr, options.timeout).send(
+        &options.line,
+        options.resend_safe,
+        &mut backoff,
+        |failure, delay| {
+            eprintln!("error: {failure}");
+            if let Some(delay) = delay {
+                retried += 1;
+                eprintln!(
+                    "retrying in {} ms (attempt {retried}/{})",
+                    delay.as_millis(),
+                    options.retries
+                );
             }
-        }
+        },
+    );
+    let response = match sent {
+        Ok((response, _)) => response,
+        Err(failure) => return exit_code_for(failure.error.kind()),
     };
     // Write, not print!: a reader that closes early (snapshot piped into
     // `head`) must not panic the client.
-    let _ = std::io::stdout().write_all(response.as_bytes());
-    let ok = serde_json::from_str::<Value>(response.trim())
+    let _ = writeln!(io::stdout(), "{response}");
+    let ok = serde_json::from_str::<Value>(&response)
         .ok()
         .and_then(|v| v.get("ok").and_then(Value::as_bool))
         .unwrap_or(false);

@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::engine::AdmissionEngine;
+use crate::engine::{AdmissionEngine, ReplayError};
 use crate::protocol::{Checkpoint, LogRecord};
 use crate::unpoisoned;
 use crate::wal::{crash_point, scan_segment, FsyncPolicy, SegmentWriter};
@@ -156,8 +156,10 @@ impl Durability {
     ///
     /// # Errors
     ///
-    /// Returns a message for I/O failures and for a checkpoint taken
-    /// against a different catalog or scheduler configuration.
+    /// Returns a message for I/O failures, for a checkpoint taken
+    /// against a different catalog or scheduler configuration, and for an
+    /// intact WAL record that replays to a different decision (the message
+    /// names its log index); every file is left as it was.
     /// Corruption of checkpoints or WAL tails is *not* an error — bad
     /// checkpoints are skipped and torn tails truncated.
     pub fn recover(
@@ -263,7 +265,13 @@ impl Durability {
                         replayed += 1;
                         dstage_obs::metrics::SERVICE_RECOVERY_REPLAYED.inc();
                     }
-                    Err(reason) => {
+                    Err(ReplayError::Diverged(reason)) => {
+                        // Not corruption: the record is intact, and this
+                        // build would decide it differently. Refuse, as
+                        // for a foreign checkpoint, and keep every file.
+                        return Err(format!("{}: {reason}", path.display()));
+                    }
+                    Err(ReplayError::Refused(reason)) => {
                         // A CRC-valid record the engine cannot replay is
                         // corruption all the same: cut the log here.
                         eprintln!(
@@ -491,16 +499,18 @@ fn load_checkpoint(
 
 /// Parses one WAL payload and replays it through the engine's replay
 /// path (the same path the byte-identity tests exercise).
-fn replay_payload(engine: &mut AdmissionEngine, payload: &[u8]) -> Result<(), String> {
-    let text = std::str::from_utf8(payload).map_err(|e| format!("not UTF-8: {e}"))?;
-    let record: LogRecord = serde_json::from_str(text).map_err(|e| format!("log record: {e}"))?;
+fn replay_payload(engine: &mut AdmissionEngine, payload: &[u8]) -> Result<(), ReplayError> {
+    let text = std::str::from_utf8(payload)
+        .map_err(|e| ReplayError::Refused(format!("not UTF-8: {e}")))?;
+    let record: LogRecord =
+        serde_json::from_str(text).map_err(|e| ReplayError::Refused(format!("log record: {e}")))?;
     engine.replay(record)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::SubmitArgs;
+    use crate::protocol::{Decision, SubmitArgs};
     use dstage_workload::{generate, GeneratorConfig};
     use serde::Value;
 
@@ -688,6 +698,81 @@ mod tests {
         assert!(text.contains("|heuristic=full_one|"), "{text}");
         fs::write(&path, text.replacen("|heuristic=full_one|", "|heuristic=rcd|", 1)).unwrap();
         assert!(refused_under(&catalog));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A CRC-valid WAL record whose decision was edited is not corruption
+    /// to cut away but an acknowledged decision this build would make
+    /// differently: recovery refuses to start, names the record's log
+    /// index, and leaves every file as it was.
+    #[test]
+    fn a_record_that_replays_differently_refuses_recovery_and_keeps_every_file() {
+        let dir = temp_dir("diverged");
+        let catalog = scenario();
+        let (durability, mut engine, _) = recover(&dir, &catalog);
+        for i in 0..4 {
+            let _ = engine.submit(&args(&engine, i * 3 + 1, 86_400_000));
+            let seq = durability.stage(&engine);
+            durability.commit(seq);
+        }
+        let edited = engine
+            .log()
+            .iter()
+            .position(|r| {
+                matches!(r, LogRecord::Submission(s) if matches!(s.decision, Decision::Admitted { .. }))
+            })
+            .expect("a day of slack admits some request");
+        drop((durability, engine));
+
+        // Rewrite the segment with record `edited`'s ETA moved by a
+        // second: every frame is whole and checksummed.
+        let (_, segment) = list_numbered(&dir, "wal-", ".log").unwrap().pop().unwrap();
+        let payloads: Vec<Vec<u8>> =
+            scan_segment(&segment).unwrap().records.into_iter().map(|r| r.payload).collect();
+        let mut writer = SegmentWriter::create(&segment).unwrap();
+        for (index, payload) in payloads.into_iter().enumerate() {
+            let mut text = String::from_utf8(payload).unwrap();
+            if index == edited {
+                let record: Value = serde_json::from_str(&text).unwrap();
+                let eta = record.get("eta_ms").and_then(Value::as_u64).unwrap();
+                let moved = text.replacen(
+                    &format!(r#""eta_ms":{eta}"#),
+                    &format!(r#""eta_ms":{}"#, eta + 1_000),
+                    1,
+                );
+                assert_ne!(moved, text, "the edit must apply");
+                text = moved;
+            }
+            writer.append(text.as_bytes()).unwrap();
+        }
+        writer.sync().unwrap();
+        drop(writer);
+        let files = || {
+            let mut files: Vec<(PathBuf, Vec<u8>)> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .map(|path| (path.clone(), fs::read(&path).unwrap()))
+                .collect();
+            files.sort();
+            files
+        };
+        let before = files();
+
+        let refused = Durability::recover(
+            &dir,
+            FsyncPolicy::Always,
+            DEFAULT_CHECKPOINT_EVERY,
+            &catalog,
+            Heuristic::FullPathOneDestination,
+            HeuristicConfig::paper_best(),
+        )
+        .map(|_| ())
+        .expect_err("an edited decision must not be replayed over");
+        assert!(
+            refused.contains(&format!("log record {edited} replays to a different decision")),
+            "{refused}"
+        );
+        assert_eq!(files(), before, "recovery must not truncate or delete anything");
         fs::remove_dir_all(&dir).ok();
     }
 

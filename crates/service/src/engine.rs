@@ -696,25 +696,35 @@ impl AdmissionEngine {
     pub fn replay_record(&mut self, entry: &Value) -> Result<(), String> {
         let record = LogRecord::deserialize(ValueDeserializer::new(entry))
             .map_err(|e: ValueError| format!("log record: {e}"))?;
-        self.replay(record)
+        self.replay(record).map_err(ReplayError::into_message)
     }
 
-    /// [`AdmissionEngine::replay_record`] of a decoded record.
-    pub(crate) fn replay(&mut self, record: LogRecord) -> Result<(), String> {
-        match record {
-            LogRecord::Submission(record) => {
-                self.submit(&record.args)?;
+    /// [`AdmissionEngine::replay_record`] of a decoded record: runs its
+    /// verb and insists that the record it logs is the one recorded, so a
+    /// build that decides differently never rewrites an acknowledged
+    /// decision. Re-running a verb is deterministic, so an intact record
+    /// always replays to itself (an optimization pass rediscovers its
+    /// swaps).
+    pub(crate) fn replay(&mut self, record: LogRecord) -> Result<(), ReplayError> {
+        let index = self.log.len();
+        match &record {
+            LogRecord::Submission(recorded) => {
+                self.submit(&recorded.args).map_err(ReplayError::Refused)?;
             }
-            LogRecord::Injection(record) => {
-                self.inject(&record.args)?;
+            LogRecord::Injection(recorded) => {
+                self.inject(&recorded.args).map_err(ReplayError::Refused)?;
             }
-            // Re-executing the pass is deterministic, so the replayed
-            // engine rediscovers the recorded swaps.
-            LogRecord::Optimization(record) => {
-                self.optimize(record.budget);
+            LogRecord::Optimization(recorded) => {
+                self.optimize(recorded.budget);
             }
         }
-        Ok(())
+        if self.log.len() == index + 1 && self.log[index] == record {
+            Ok(())
+        } else {
+            Err(ReplayError::Diverged(format!(
+                "log record {index} replays to a different decision than the one recorded"
+            )))
+        }
     }
 
     /// Status, route, and ETA of an admitted request.
@@ -1049,6 +1059,25 @@ pub struct AdmissionCounters {
     /// paper's objective restricted to the promises the daemon still
     /// keeps.
     pub weighted_sum: u64,
+}
+
+/// Why a decision-log record did not replay.
+#[derive(Debug)]
+pub(crate) enum ReplayError {
+    /// The engine refused the record's verb: the record is not one this
+    /// engine could have logged.
+    Refused(String),
+    /// The verb ran but logged a different record.
+    Diverged(String),
+}
+
+impl ReplayError {
+    /// The message, whichever the cause.
+    pub(crate) fn into_message(self) -> String {
+        match self {
+            ReplayError::Refused(message) | ReplayError::Diverged(message) => message,
+        }
+    }
 }
 
 #[cfg(test)]

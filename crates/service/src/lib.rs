@@ -25,8 +25,9 @@
 //! * [`durability::Durability`] — WAL staging + group commit,
 //!   atomic checkpoints with log compaction, and crash recovery
 //!   (`stage-serve --data-dir`);
-//! * [`retry::Backoff`] — bounded, seeded exponential backoff shared by
-//!   the client binaries.
+//! * [`client`] — the one client of the wire protocol: a [`client::Connection`]
+//!   that makes round trips, and a retry loop ([`client::Client`]) that
+//!   reconnects on a bounded, seeded exponential [`client::Backoff`].
 //!
 //! Binaries: `stage-serve` (the daemon), `stage-submit` (one-shot
 //! client with timeouts, retries, and fault injection), `stage-loadgen`
@@ -71,12 +72,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod client;
 pub mod durability;
 pub mod engine;
 #[cfg(test)]
 mod json_paths;
 pub mod protocol;
-pub mod retry;
 pub mod server;
 pub mod wal;
 
@@ -90,6 +91,7 @@ pub(crate) fn unpoisoned<G>(locked: std::sync::LockResult<G>) -> G {
 
 /// Convenience re-exports of the service vocabulary.
 pub mod prelude {
+    pub use crate::client::{Backoff, Client, Connection, Failure};
     pub use crate::durability::{CheckpointStats, Durability, RecoveryReport};
     pub use crate::engine::{AdmissionCounters, AdmissionEngine};
     pub use crate::protocol::{
@@ -97,7 +99,6 @@ pub mod prelude {
         InjectResponse, InjectionRecord, LogRecord, QueryResponse, RequestStatus, SubmissionRecord,
         SubmitArgs, SubmitResponse,
     };
-    pub use crate::retry::Backoff;
     pub use crate::server::{Server, ServerConfig, MAX_LINE_BYTES};
     pub use crate::wal::{crc32, scan_segment, FsyncPolicy, SegmentWriter};
 }

@@ -116,6 +116,14 @@ struct Shared {
     checkpointing: AtomicBool,
 }
 
+impl Shared {
+    /// Raises the drain flag and pokes the accept loop so it observes it.
+    fn start_drain(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+    }
+}
+
 /// Triggers the daemon's graceful drain from outside a connection
 /// (signal handlers use this): equivalent to a client `shutdown` verb.
 #[derive(Clone)]
@@ -125,9 +133,7 @@ impl ShutdownHandle {
     /// Starts the drain: stop accepting, let in-flight requests finish
     /// under the grace deadline.
     pub fn trigger(&self) {
-        self.0.shutdown.store(true, Ordering::SeqCst);
-        // Poke the accept loop so it observes the flag.
-        let _ = TcpStream::connect(self.0.addr);
+        self.0.start_drain();
     }
 }
 
@@ -492,9 +498,7 @@ fn dispatch_parsed(shared: &Shared, request: ClientRequest) -> String {
             }
         }
         ClientRequest::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            // Poke the accept loop so it observes the flag.
-            let _ = TcpStream::connect(shared.addr);
+            shared.start_drain();
             response_line(&ShutdownReply { ok: true, draining: true })
         }
     }

@@ -208,22 +208,18 @@ fn chaos_run(family: Family) {
     // Disturbances land while the chaotic load is in flight; the engine's
     // write lock serializes them into the decision log wherever they fall.
     std::thread::sleep(Duration::from_millis(200));
-    let (mut reader, mut writer) = connect(&addr, None);
-    let outage = round_trip(
-        &mut reader,
-        &mut writer,
-        r#"{"verb":"inject","kind":"link_outage","link":0,"at_ms":60000}"#,
-    );
+    let mut conn = connect(&addr, None);
+    let outage =
+        round_trip(&mut conn, r#"{"verb":"inject","kind":"link_outage","link":0,"at_ms":60000}"#);
     assert_eq!(outage.get("ok").and_then(Value::as_bool), Some(true), "{outage:?}");
     let loss = round_trip(
-        &mut reader,
-        &mut writer,
+        &mut conn,
         &format!(
             r#"{{"verb":"inject","kind":"copy_loss","item":"{item}","machine":0,"at_ms":120000}}"#
         ),
     );
     assert_eq!(loss.get("ok").and_then(Value::as_bool), Some(true), "{loss:?}");
-    drop((reader, writer));
+    drop(conn);
 
     let output = loadgen.wait_with_output().expect("wait for stage-loadgen");
     let summary = String::from_utf8_lossy(&output.stdout).to_string();
@@ -236,8 +232,8 @@ fn chaos_run(family: Family) {
     assert!(summary.contains("chaos proxy on"), "the proxy must be interposed:\n{summary}");
 
     // Authoritative post-chaos state, then shutdown.
-    let (mut reader, mut writer) = connect(&addr, None);
-    let snapshot = round_trip(&mut reader, &mut writer, r#"{"verb":"snapshot"}"#);
+    let mut conn = connect(&addr, None);
+    let snapshot = round_trip(&mut conn, r#"{"verb":"snapshot"}"#);
     // Keyed retries deduplicate: despite cut connections and re-sent
     // lines, exactly REQUESTS submissions reach the log.
     assert_eq!(snapshot.get("submissions").and_then(Value::as_u64), Some(REQUESTS as u64));
@@ -245,15 +241,14 @@ fn chaos_run(family: Family) {
 
     // Prometheus scrape while the daemon is still up: the observability
     // ledger must be arithmetically consistent with the chaos run.
-    let scrape =
-        round_trip(&mut reader, &mut writer, r#"{"verb":"metrics","format":"prometheus"}"#);
+    let scrape = round_trip(&mut conn, r#"{"verb":"metrics","format":"prometheus"}"#);
     assert_eq!(scrape.get("ok").and_then(Value::as_bool), Some(true), "{scrape:?}");
     let text = scrape.get("text").and_then(Value::as_str).expect("prometheus text").to_string();
     assert_ledger_consistent(&text);
 
-    let bye = round_trip(&mut reader, &mut writer, r#"{"verb":"shutdown"}"#);
+    let bye = round_trip(&mut conn, r#"{"verb":"shutdown"}"#);
     assert_eq!(bye.get("draining").and_then(Value::as_bool), Some(true));
-    drop((reader, writer));
+    drop(conn);
     let status = server.wait().expect("wait for stage-serve");
     assert!(status.success(), "stage-serve must drain cleanly, got {status:?}");
 

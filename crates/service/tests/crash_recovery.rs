@@ -83,8 +83,8 @@ fn submit_line(items: &[String], machines: usize, pick: usize, key: &str) -> Str
 /// acknowledged submission is present with its recorded decision —
 /// which a keyed retry replays verbatim instead of deciding again.
 fn assert_recovered(addr: &str, scenario: &Scenario, acked: &HashMap<String, Value>) {
-    let (mut reader, mut writer) = connect(addr, READ_TIMEOUT);
-    let snapshot = round_trip(&mut reader, &mut writer, "{\"verb\":\"snapshot\"}");
+    let mut conn = connect(addr, READ_TIMEOUT);
+    let snapshot = round_trip(&mut conn, "{\"verb\":\"snapshot\"}");
     let log = snapshot.get("log").and_then(Value::as_array).expect("snapshot log");
 
     // Byte-identity: the recovered state replays from its own log.
@@ -115,8 +115,7 @@ fn assert_recovered(addr: &str, scenario: &Scenario, acked: &HashMap<String, Val
         let deadline = entry.get("deadline_ms").and_then(Value::as_u64).expect("deadline");
         let priority = entry.get("priority").and_then(Value::as_u64).expect("priority");
         let retry = round_trip(
-            &mut reader,
-            &mut writer,
+            &mut conn,
             &format!(
                 "{{\"verb\":\"submit\",\"item\":\"{item}\",\"destination\":{destination},\
                  \"deadline_ms\":{deadline},\"priority\":{priority},\
@@ -133,9 +132,9 @@ fn assert_recovered(addr: &str, scenario: &Scenario, acked: &HashMap<String, Val
 
 /// Drains the daemon with the `shutdown` verb and insists on exit 0.
 fn drain(child: &mut Child, addr: &str) {
-    let (mut reader, mut writer) = connect(addr, READ_TIMEOUT);
-    round_trip(&mut reader, &mut writer, "{\"verb\":\"shutdown\"}");
-    drop((reader, writer));
+    let mut conn = connect(addr, READ_TIMEOUT);
+    round_trip(&mut conn, "{\"verb\":\"shutdown\"}");
+    drop(conn);
     let status = child.wait().expect("wait for drained server");
     assert!(status.success(), "drain must exit cleanly, got {status:?}");
 }
@@ -166,7 +165,7 @@ fn every_crash_point_recovers_without_losing_acknowledged_decisions() {
     let mut pick = 0usize;
     for (round, &(point, checkpoint)) in rounds.iter().enumerate() {
         let (mut child, addr) = spawn_server(&dir, "always", Some(point));
-        let (mut reader, mut writer) = connect(&addr, READ_TIMEOUT);
+        let mut conn = connect(&addr, READ_TIMEOUT);
         // Submit until the armed point kills the server (bounded: every
         // decision appends and commits, so the second append or fsync
         // lands by the second submission).
@@ -175,7 +174,7 @@ fn every_crash_point_recovers_without_losing_acknowledged_decisions() {
             let key = format!("cp-{round}-{i}");
             let line = submit_line(&items, machines, pick, &key);
             pick += 1;
-            match try_round_trip(&mut reader, &mut writer, &line) {
+            match try_round_trip(&mut conn, &line) {
                 Some(response) if acked_ok(&response) => {
                     acked.insert(key, response);
                 }
@@ -186,7 +185,7 @@ fn every_crash_point_recovers_without_losing_acknowledged_decisions() {
             }
             if checkpoint
                 && i >= 1
-                && try_round_trip(&mut reader, &mut writer, "{\"verb\":\"checkpoint\"}").is_none()
+                && try_round_trip(&mut conn, "{\"verb\":\"checkpoint\"}").is_none()
             {
                 crashed = true;
                 break;
@@ -244,13 +243,13 @@ fn randomized_crash_chaos_preserves_acknowledged_decisions() {
             Some(point.as_str())
         };
         let (mut child, addr) = spawn_server(&dir, "always", crash);
-        let (mut reader, mut writer) = connect(&addr, READ_TIMEOUT);
+        let mut conn = connect(&addr, READ_TIMEOUT);
         let submissions = 2 + next() as usize % 3;
         for i in 0..submissions {
             let key = format!("chaos-{round}-{i}");
             let line = submit_line(&items, machines, pick, &key);
             pick += 1;
-            match try_round_trip(&mut reader, &mut writer, &line) {
+            match try_round_trip(&mut conn, &line) {
                 Some(response) if acked_ok(&response) => {
                     acked.insert(key, response);
                 }
@@ -258,7 +257,7 @@ fn randomized_crash_chaos_preserves_acknowledged_decisions() {
             }
             if crash.is_some() && i + 1 == submissions {
                 // Give checkpoint-stage points a chance to fire too.
-                let _ = try_round_trip(&mut reader, &mut writer, "{\"verb\":\"checkpoint\"}");
+                let _ = try_round_trip(&mut conn, "{\"verb\":\"checkpoint\"}");
             }
         }
         // Whatever survived the round dies hard — an armed point that
@@ -306,12 +305,12 @@ fn periodic_checkpoints_compact_the_wal_and_recover_after_sigkill() {
         .map(|client| {
             let (addr, items) = (addr.clone(), items.clone());
             std::thread::spawn(move || {
-                let (mut reader, mut writer) = connect(&addr, READ_TIMEOUT);
+                let mut conn = connect(&addr, READ_TIMEOUT);
                 (0..PER_CLIENT)
                     .map(|i| {
                         let key = format!("periodic-{client}-{i}");
                         let line = submit_line(&items, machines, client * PER_CLIENT + i, &key);
-                        let response = round_trip(&mut reader, &mut writer, &line);
+                        let response = round_trip(&mut conn, &line);
                         assert!(acked_ok(&response), "submit must be acknowledged: {response:?}");
                         (key, response)
                     })
@@ -333,8 +332,8 @@ fn periodic_checkpoints_compact_the_wal_and_recover_after_sigkill() {
 
     let (mut child, addr) = spawn_server_with(&dir, &options, None);
     let log_len = |addr: &str| {
-        let (mut reader, mut writer) = connect(addr, READ_TIMEOUT);
-        let snapshot = round_trip(&mut reader, &mut writer, "{\"verb\":\"snapshot\"}");
+        let mut conn = connect(addr, READ_TIMEOUT);
+        let snapshot = round_trip(&mut conn, "{\"verb\":\"snapshot\"}");
         snapshot.get("log").and_then(Value::as_array).expect("snapshot log").len()
     };
     let recovered = log_len(&addr);
@@ -359,15 +358,14 @@ fn sigterm_drains_gracefully_and_loses_nothing() {
     let (mut child, addr) = spawn_server(&dir, "interval:60000", None);
 
     let mut acked: HashMap<String, Value> = HashMap::new();
-    let (mut reader, mut writer) = connect(&addr, READ_TIMEOUT);
+    let mut conn = connect(&addr, READ_TIMEOUT);
     for i in 0..4 {
         let key = format!("term-{i}");
-        let response =
-            round_trip(&mut reader, &mut writer, &submit_line(&items, machines, i, &key));
+        let response = round_trip(&mut conn, &submit_line(&items, machines, i, &key));
         assert!(acked_ok(&response), "submit must be acknowledged: {response:?}");
         acked.insert(key, response);
     }
-    drop((reader, writer));
+    drop(conn);
 
     let term = Command::new("kill")
         .args(["-TERM", &child.id().to_string()])

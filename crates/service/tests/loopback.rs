@@ -76,11 +76,11 @@ fn p2mp_submit_round_trip_shares_hops_and_replays() {
     let (mut child, addr) = spawn(&scenario_path, 2);
 
     let item = scenario.items().next().expect("fan_out has an item").1.name().to_string();
-    let (mut reader, mut writer) = connect(&addr, None);
+    let mut conn = connect(&addr, None);
     let line = format!(
         r#"{{"verb":"submit","item":"{item}","destinations":[2,3,4],"deadline_ms":1800000,"priority":2,"idempotency_key":"wire-g1"}}"#
     );
-    let response = round_trip(&mut reader, &mut writer, &line);
+    let response = round_trip(&mut conn, &line);
     assert_eq!(response.get("ok").and_then(Value::as_bool), Some(true));
     assert_eq!(response.get("admitted").and_then(Value::as_u64), Some(3));
     assert_eq!(response.get("rejected").and_then(Value::as_u64), Some(0));
@@ -91,14 +91,14 @@ fn p2mp_submit_round_trip_shares_hops_and_replays() {
         .collect();
     assert_eq!(new_transfers, [2, 1, 1], "later members must reuse the staged hub copy");
     // A group retry replays every member decision byte-for-byte.
-    let retry = round_trip(&mut reader, &mut writer, &line);
+    let retry = round_trip(&mut conn, &line);
     assert_eq!(serde_json::to_string(&retry).unwrap(), serde_json::to_string(&response).unwrap());
 
-    let snapshot = round_trip(&mut reader, &mut writer, r#"{"verb":"snapshot"}"#);
+    let snapshot = round_trip(&mut conn, r#"{"verb":"snapshot"}"#);
     assert_eq!(snapshot.get("submissions").and_then(Value::as_u64), Some(3));
-    let bye = round_trip(&mut reader, &mut writer, r#"{"verb":"shutdown"}"#);
+    let bye = round_trip(&mut conn, r#"{"verb":"shutdown"}"#);
     assert_eq!(bye.get("draining").and_then(Value::as_bool), Some(true));
-    drop((reader, writer));
+    drop(conn);
     let status = child.wait().expect("wait for stage-serve");
     assert!(status.success(), "stage-serve must drain cleanly, got {status:?}");
     let _ = std::fs::remove_file(&scenario_path);
@@ -149,11 +149,8 @@ fn exercise_loopback(workers: usize, clients: usize) {
         let chunk = chunk.to_vec();
         let addr = addr.clone();
         clients.push(thread::spawn(move || {
-            let (mut reader, mut writer) = connect(&addr, None);
-            chunk
-                .iter()
-                .map(|line| round_trip(&mut reader, &mut writer, line))
-                .collect::<Vec<Value>>()
+            let mut conn = connect(&addr, None);
+            chunk.iter().map(|line| round_trip(&mut conn, line)).collect::<Vec<Value>>()
         }));
     }
     let mut submission_indices = Vec::new();
@@ -174,22 +171,22 @@ fn exercise_loopback(workers: usize, clients: usize) {
     assert_eq!(submission_indices, (0..submissions.len() as u64).collect::<Vec<_>>());
 
     // Authoritative state, a query spot-check, then shutdown.
-    let (mut reader, mut writer) = connect(&addr, None);
-    let snapshot = round_trip(&mut reader, &mut writer, r#"{"verb":"snapshot"}"#);
+    let mut conn = connect(&addr, None);
+    let snapshot = round_trip(&mut conn, r#"{"verb":"snapshot"}"#);
     assert_eq!(snapshot.get("submissions").and_then(Value::as_u64), Some(submissions.len() as u64));
     let admitted = snapshot.get("admitted").and_then(Value::as_u64).expect("admitted count");
     assert!(admitted > 0, "the small catalog must admit something");
-    let query = round_trip(&mut reader, &mut writer, r#"{"verb":"query","request":0}"#);
+    let query = round_trip(&mut conn, r#"{"verb":"query","request":0}"#);
     assert_eq!(query.get("ok").and_then(Value::as_bool), Some(true));
     assert_eq!(query.get("status").and_then(Value::as_str), Some("admitted"));
-    let metrics = round_trip(&mut reader, &mut writer, r#"{"verb":"metrics"}"#);
+    let metrics = round_trip(&mut conn, r#"{"verb":"metrics"}"#);
     assert_eq!(
         metrics.get("latency").and_then(|l| l.get("count")).and_then(Value::as_u64),
         Some(submissions.len() as u64)
     );
-    let bye = round_trip(&mut reader, &mut writer, r#"{"verb":"shutdown"}"#);
+    let bye = round_trip(&mut conn, r#"{"verb":"shutdown"}"#);
     assert_eq!(bye.get("draining").and_then(Value::as_bool), Some(true));
-    drop((reader, writer));
+    drop(conn);
     let status = child.wait().expect("wait for stage-serve");
     assert!(status.success(), "stage-serve must drain cleanly, got {status:?}");
     let _ = std::fs::remove_file(&scenario_path);

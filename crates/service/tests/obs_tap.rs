@@ -26,31 +26,27 @@ fn run_script(
     let scenario = scenario_path.to_str().expect("utf-8 temp path");
     let (mut child, addr) =
         spawn_server(&["--scenario", scenario, "--workers", "4"], &[("DSTAGE_OBS", obs)]);
-    let (mut reader, mut writer) = connect(&addr, None);
+    let mut conn = connect(&addr, None);
 
     for line in submissions {
-        let response = round_trip(&mut reader, &mut writer, line);
+        let response = round_trip(&mut conn, line);
         assert_eq!(response.get("ok").and_then(Value::as_bool), Some(true), "{response:?}");
     }
-    let outage = round_trip(
-        &mut reader,
-        &mut writer,
-        r#"{"verb":"inject","kind":"link_outage","link":0,"at_ms":60000}"#,
-    );
+    let outage =
+        round_trip(&mut conn, r#"{"verb":"inject","kind":"link_outage","link":0,"at_ms":60000}"#);
     assert_eq!(outage.get("ok").and_then(Value::as_bool), Some(true), "{outage:?}");
 
-    let snapshot = round_trip(&mut reader, &mut writer, r#"{"verb":"snapshot"}"#);
+    let snapshot = round_trip(&mut conn, r#"{"verb":"snapshot"}"#);
     assert_eq!(snapshot.get("submissions").and_then(Value::as_u64), Some(submissions.len() as u64));
-    let scrape =
-        round_trip(&mut reader, &mut writer, r#"{"verb":"metrics","format":"prometheus"}"#);
+    let scrape = round_trip(&mut conn, r#"{"verb":"metrics","format":"prometheus"}"#);
     assert_eq!(scrape.get("ok").and_then(Value::as_bool), Some(true), "{scrape:?}");
     let text = scrape.get("text").and_then(Value::as_str).expect("prometheus text").to_string();
-    let trace = round_trip(&mut reader, &mut writer, r#"{"verb":"trace","limit":64}"#);
+    let trace = round_trip(&mut conn, r#"{"verb":"trace","limit":64}"#);
     assert_eq!(trace.get("ok").and_then(Value::as_bool), Some(true), "{trace:?}");
 
-    let bye = round_trip(&mut reader, &mut writer, r#"{"verb":"shutdown"}"#);
+    let bye = round_trip(&mut conn, r#"{"verb":"shutdown"}"#);
     assert_eq!(bye.get("draining").and_then(Value::as_bool), Some(true));
-    drop((reader, writer));
+    drop(conn);
     let status = child.wait().expect("wait for stage-serve");
     assert!(status.success(), "stage-serve must drain cleanly, got {status:?}");
 

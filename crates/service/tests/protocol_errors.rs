@@ -39,27 +39,21 @@ fn abusive_clients_get_errors_and_the_worker_survives() {
     let daemon = thread::spawn(move || server.run());
 
     // --- inject with unknown ids is an error, never a logged injection.
-    let (mut reader, mut writer) = connect(addr, None);
-    let bad_link = round_trip(
-        &mut reader,
-        &mut writer,
-        r#"{"verb":"inject","kind":"link_outage","link":99,"at_ms":0}"#,
-    );
+    let mut conn = connect(addr, None);
+    let bad_link =
+        round_trip(&mut conn, r#"{"verb":"inject","kind":"link_outage","link":99,"at_ms":0}"#);
     assert!(error_of(&bad_link).contains("unknown link"), "{bad_link:?}");
     let bad_item = round_trip(
-        &mut reader,
-        &mut writer,
+        &mut conn,
         r#"{"verb":"inject","kind":"copy_loss","item":"ghost","machine":0,"at_ms":0}"#,
     );
     assert!(error_of(&bad_item).contains("unknown data item"), "{bad_item:?}");
     let bad_machine = round_trip(
-        &mut reader,
-        &mut writer,
+        &mut conn,
         r#"{"verb":"inject","kind":"copy_loss","item":"alpha","machine":99,"at_ms":0}"#,
     );
     assert!(error_of(&bad_machine).contains("unknown machine"), "{bad_machine:?}");
-    let bad_kind =
-        round_trip(&mut reader, &mut writer, r#"{"verb":"inject","kind":"meteor","at_ms":0}"#);
+    let bad_kind = round_trip(&mut conn, r#"{"verb":"inject","kind":"meteor","at_ms":0}"#);
     assert!(error_of(&bad_kind).contains("unknown kind `meteor`"), "{bad_kind:?}");
 
     // --- a high surrogate escape paired with a non-surrogate used to
@@ -67,38 +61,36 @@ fn abusive_clients_get_errors_and_the_worker_survives() {
     // killing the worker): it is malformed JSON, and the connection
     // goes on serving.
     let ill_paired = round_trip(
-        &mut reader,
-        &mut writer,
+        &mut conn,
         r#"{"verb":"inject","kind":"copy_loss","item":"\uD800\u0041","machine":0,"at_ms":0}"#,
     );
     assert_eq!(error_of(&ill_paired), "malformed JSON: invalid unicode escape", "{ill_paired:?}");
-    let after = round_trip(&mut reader, &mut writer, r#"{"verb":"metrics"}"#);
+    let after = round_trip(&mut conn, r#"{"verb":"metrics"}"#);
     assert_eq!(after.get("ok").and_then(Value::as_bool), Some(true), "{after:?}");
 
     // --- idempotency: replaying the same key+args returns the original
     // bytes; the same key with different args is rejected, not deduped.
     let keyed = r#"{"verb":"submit","item":"alpha","destination":2,"deadline_ms":7200000,"priority":2,"idempotency_key":"k1"}"#;
-    let first = round_trip(&mut reader, &mut writer, keyed);
+    let first = round_trip(&mut conn, keyed);
     assert_eq!(first.get("decision").and_then(Value::as_str), Some("admitted"));
-    let replayed = round_trip(&mut reader, &mut writer, keyed);
+    let replayed = round_trip(&mut conn, keyed);
     assert_eq!(
         serde_json::to_string(&replayed).unwrap(),
         serde_json::to_string(&first).unwrap(),
         "a keyed retry must replay the original decision"
     );
     let conflicting = round_trip(
-        &mut reader,
-        &mut writer,
+        &mut conn,
         r#"{"verb":"submit","item":"alpha","destination":2,"deadline_ms":9999999,"priority":2,"idempotency_key":"k1"}"#,
     );
     assert!(error_of(&conflicting).contains("different arguments"), "{conflicting:?}");
-    let metrics = round_trip(&mut reader, &mut writer, r#"{"verb":"metrics"}"#);
+    let metrics = round_trip(&mut conn, r#"{"verb":"metrics"}"#);
     assert_eq!(
         metrics.get("submissions").and_then(Value::as_u64),
         Some(1),
         "dedup and conflict must not grow the log: {metrics:?}"
     );
-    drop((reader, writer));
+    drop(conn);
 
     // --- a client disconnecting mid-line must not wedge the (single)
     // worker for the next connection.
@@ -131,19 +123,19 @@ fn abusive_clients_get_errors_and_the_worker_survives() {
     // shorter than MAX_LINE_BYTES) gets one error line on its own
     // connection; it must not overflow the worker's stack.
     {
-        let (mut reader, mut writer) = connect(addr, None);
-        let nested = round_trip(&mut reader, &mut writer, &"[".repeat(10_000));
+        let mut conn = connect(addr, None);
+        let nested = round_trip(&mut conn, &"[".repeat(10_000));
         assert!(error_of(&nested).contains("recursion limit exceeded"), "{nested:?}");
     }
 
     // --- the worker is still alive and serving correct answers.
-    let (mut reader, mut writer) = connect(addr, None);
-    let query = round_trip(&mut reader, &mut writer, r#"{"verb":"query","request":0}"#);
+    let mut conn = connect(addr, None);
+    let query = round_trip(&mut conn, r#"{"verb":"query","request":0}"#);
     assert_eq!(query.get("ok").and_then(Value::as_bool), Some(true));
     assert_eq!(query.get("status").and_then(Value::as_str), Some("admitted"));
-    let bye = round_trip(&mut reader, &mut writer, r#"{"verb":"shutdown"}"#);
+    let bye = round_trip(&mut conn, r#"{"verb":"shutdown"}"#);
     assert_eq!(bye.get("draining").and_then(Value::as_bool), Some(true));
-    drop((reader, writer));
+    drop(conn);
     let snapshot = daemon.join().expect("daemon thread").expect("clean drain");
     assert_eq!(snapshot.get("submissions").and_then(Value::as_u64), Some(1));
     assert_eq!(snapshot.get("injections").and_then(Value::as_u64), Some(0));

@@ -32,14 +32,13 @@ fn queued_connection_is_answered_during_shutdown_drain() {
 
     // Connection B occupies the only worker (proven by a round trip);
     // connection A is accepted but waits in the worker queue.
-    let (mut b_reader, mut b_writer) = connect(&addr, Some(Duration::from_secs(10)));
+    let mut b_conn = connect(&addr, Some(Duration::from_secs(10)));
     let warmup = round_trip(
-        &mut b_reader,
-        &mut b_writer,
+        &mut b_conn,
         r#"{"verb":"submit","item":"alpha","destination":2,"deadline_ms":7200000,"priority":2}"#,
     );
     assert_eq!(warmup.get("decision").and_then(Value::as_str), Some("admitted"));
-    let (mut a_reader, mut a_writer) = connect(&addr, Some(Duration::from_secs(10)));
+    let mut a_conn = connect(&addr, Some(Duration::from_secs(10)));
 
     // A goes silent past the old failure point (the worker's first
     // post-shutdown 200 ms timeout tick), then submits — the drain grace
@@ -47,15 +46,14 @@ fn queued_connection_is_answered_during_shutdown_drain() {
     let late_submit = thread::spawn(move || {
         thread::sleep(Duration::from_millis(500));
         round_trip(
-            &mut a_reader,
-            &mut a_writer,
+            &mut a_conn,
             r#"{"verb":"submit","item":"alpha","destination":1,"deadline_ms":7200000,"priority":1}"#,
         )
     });
 
-    let bye = round_trip(&mut b_reader, &mut b_writer, r#"{"verb":"shutdown"}"#);
+    let bye = round_trip(&mut b_conn, r#"{"verb":"shutdown"}"#);
     assert_eq!(bye.get("draining").and_then(Value::as_bool), Some(true));
-    drop((b_reader, b_writer)); // frees the worker for the queued A
+    drop(b_conn); // frees the worker for the queued A
 
     let late = late_submit.join().expect("late client thread");
     assert_eq!(late.get("ok").and_then(Value::as_bool), Some(true));

@@ -1,18 +1,21 @@
 //! The daemon harness the service suites share: `stage-serve`'s default
 //! heuristic configuration, spawning the built binary and reading its
-//! banner, and NDJSON round trips on a connection. Each suite passes what
-//! sets it apart — worker count, family or scenario file, data directory,
-//! crash point, `DSTAGE_OBS`, read timeout — as arguments.
+//! banner, and NDJSON round trips on the daemon client's `Connection`.
+//! Each suite passes what sets it apart — worker count, family or scenario
+//! file, data directory, crash point, `DSTAGE_OBS`, read timeout — as
+//! arguments.
 
 // Each suite includes the whole module and uses part of it.
 #![allow(dead_code)]
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::fmt::Display;
+use std::io::{BufRead, BufReader};
+use std::net::ToSocketAddrs;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use dstage_core::heuristic::HeuristicConfig;
+use dstage_service::client::Connection;
 use serde::Value;
 
 /// The heuristic configuration matching `stage-serve`'s defaults: `Cost₄`
@@ -46,47 +49,25 @@ pub fn spawn_server(args: &[&str], envs: &[(&str, &str)]) -> (Child, String) {
     (child, addr)
 }
 
-/// A connection to `addr`, its reads bounded by `read_timeout` when one is
-/// given: the buffered reader and the writer.
-pub fn connect(
-    addr: impl ToSocketAddrs,
-    read_timeout: Option<Duration>,
-) -> (BufReader<TcpStream>, TcpStream) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    if read_timeout.is_some() {
-        stream.set_read_timeout(read_timeout).expect("read timeout");
-    }
-    (BufReader::new(stream.try_clone().expect("clone stream")), stream)
+/// A connection to `addr` through the daemon client, its connect, reads
+/// and writes bounded by `timeout` when one is given and by a minute
+/// otherwise.
+pub fn connect(addr: impl ToSocketAddrs + Display, timeout: Option<Duration>) -> Connection {
+    Connection::open(addr, timeout.unwrap_or(Duration::from_secs(60)))
+        .unwrap_or_else(|e| panic!("connect: {e}"))
 }
 
 /// One NDJSON round trip on an existing connection.
-pub fn round_trip(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    request: &str,
-) -> Value {
-    writeln!(writer, "{request}").expect("send");
-    writer.flush().expect("flush");
-    let mut response = String::new();
-    let n = reader.read_line(&mut response).expect("recv");
-    assert!(n > 0, "daemon closed the connection after {request:?}");
-    serde_json::from_str(response.trim())
-        .unwrap_or_else(|e| panic!("bad response {response:?}: {e}"))
+pub fn round_trip(connection: &mut Connection, request: &str) -> Value {
+    let response = connection
+        .round_trip(request)
+        .unwrap_or_else(|e| panic!("no response to {request:?}: {e}"));
+    serde_json::from_str(&response).unwrap_or_else(|e| panic!("bad response {response:?}: {e}"))
 }
 
 /// One round trip that tolerates the server dying mid-request: `None`
 /// means no response arrived.
-pub fn try_round_trip(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    request: &str,
-) -> Option<Value> {
-    if writeln!(writer, "{request}").is_err() || writer.flush().is_err() {
-        return None;
-    }
-    let mut response = String::new();
-    match reader.read_line(&mut response) {
-        Ok(n) if n > 0 => serde_json::from_str(response.trim()).ok(),
-        _ => None,
-    }
+pub fn try_round_trip(connection: &mut Connection, request: &str) -> Option<Value> {
+    let response = connection.round_trip(request).ok()?;
+    serde_json::from_str(&response).ok()
 }

@@ -4,13 +4,13 @@
 //! recorded from the hand-written codecs the derived ones replaced; each
 //! encoded record must also decode back to the record it came from.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use dstage_core::cost::EuWeights;
 use dstage_core::heuristic::{Heuristic, HeuristicConfig};
 use dstage_model::prelude::*;
+use dstage_service::client::Connection;
 use dstage_service::durability::{Durability, DEFAULT_CHECKPOINT_EVERY};
 use dstage_service::engine::AdmissionEngine;
 use dstage_service::protocol::{InjectArgs, InjectKind, SubmitArgs};
@@ -200,15 +200,8 @@ fn server_replies_keep_their_fields_in_order() {
     let server = Server::bind(fresh(), "127.0.0.1:0", ServerConfig { workers: 1 }).unwrap();
     let addr = server.local_addr().unwrap();
     let daemon = std::thread::spawn(move || server.run());
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-    let mut ask = |line: &str| {
-        writeln!(writer, "{line}").unwrap();
-        let mut reply = String::new();
-        reader.read_line(&mut reply).unwrap();
-        reply.trim_end().to_string()
-    };
+    let mut conn = Connection::open(addr, Duration::from_secs(60)).unwrap();
+    let mut ask = |line: &str| conn.round_trip(line).unwrap();
     let submitted =
         ask(r#"{"verb":"submit","item":"alpha","destination":1,"deadline_ms":20000,"priority":0}"#);
     assert_eq!(
@@ -254,6 +247,6 @@ fn server_replies_keep_their_fields_in_order() {
     assert!(events.iter().all(|e| keys(e) == ["seq", "layer", "name", "value", "wall_us"]));
 
     assert_eq!(ask(r#"{"verb":"shutdown"}"#), r#"{"ok":true,"draining":true}"#);
-    drop((reader, writer));
+    drop(conn);
     daemon.join().unwrap().unwrap();
 }

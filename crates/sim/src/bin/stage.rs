@@ -6,7 +6,8 @@
 //! stage <scenario.json> [OPTIONS]
 //!
 //! OPTIONS:
-//!   --heuristic H   partial | full-one (default) | full-all | alap
+//!   --heuristic H   partial | full-one (default) | full-all | alap; an
+//!                   unknown name lists the valid ones and exits with code 2
 //!   --criterion C   C1 | C2 | C3 | C4 (default) | C3f; full-all refuses C1
 //!   --ratio X       log10 of the E-U ratio (default: the operating point,
 //!                   `OPERATING_LOG10_RATIO`; -inf weighs urgency only);
@@ -18,89 +19,55 @@
 
 use std::process::ExitCode;
 
-use dstage_core::cost::{CostCriterion, EuWeights};
-use dstage_core::heuristic::{run, Heuristic, HeuristicConfig, OPERATING_LOG10_RATIO};
-use dstage_model::request::PriorityWeights;
+use dstage_core::heuristic::{run, Pairing, UsageError};
 use dstage_model::scenario::Scenario;
 use dstage_sim::report::render_schedule_timeline;
 
 struct Options {
     path: String,
-    heuristic: Heuristic,
-    criterion: CostCriterion,
-    ratio: f64,
-    weights: PriorityWeights,
+    pairing: Pairing,
     timeline: bool,
     json: bool,
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut options = Options {
-        path: String::new(),
-        heuristic: Heuristic::FullPathOneDestination,
-        criterion: CostCriterion::C4,
-        ratio: f64::from(OPERATING_LOG10_RATIO),
-        weights: PriorityWeights::paper_1_10_100(),
-        timeline: false,
-        json: false,
-    };
+fn parse_args() -> Result<Options, UsageError> {
+    let mut options =
+        Options { path: String::new(), pairing: Pairing::default(), timeline: false, json: false };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if options.pairing.parse_flag("--heuristic", &arg, &mut args)? {
+            continue;
+        }
         match arg.as_str() {
-            "--heuristic" => {
-                let name = args.next().ok_or("--heuristic needs a name")?;
-                options.heuristic = Heuristic::from_label(&name).ok_or_else(|| {
-                    let valid = Heuristic::EXTENDED.map(Heuristic::label).join(", ");
-                    format!("unknown heuristic {name:?} (valid: {valid})")
-                })?;
-            }
-            "--criterion" => {
-                let name = args.next().ok_or("--criterion needs a name")?;
-                options.criterion = CostCriterion::from_label(&name)
-                    .ok_or_else(|| format!("unknown criterion {name:?}"))?;
-            }
-            "--ratio" => {
-                options.ratio =
-                    EuWeights::parse_log10_ratio(&args.next().ok_or("--ratio needs a number")?)?;
-            }
-            "--weights" => {
-                let name = args.next().ok_or("--weights needs a weighting")?;
-                options.weights = PriorityWeights::paper_from_label(&name)
-                    .ok_or_else(|| format!("unknown weighting {name:?}"))?;
-            }
             "--timeline" => options.timeline = true,
             "--json" => options.json = true,
-            "--help" | "-h" => return Err(String::new()),
-            other if other.starts_with('-') => return Err(format!("unknown option {other:?}")),
+            "--help" | "-h" => return Err(UsageError::from("")),
+            other if other.starts_with('-') => {
+                return Err(UsageError::from(format!("unknown option {other:?}")))
+            }
             other => {
                 if !options.path.is_empty() {
-                    return Err("exactly one scenario file expected".into());
+                    return Err(UsageError::from("exactly one scenario file expected"));
                 }
                 options.path = other.to_string();
             }
         }
     }
     if options.path.is_empty() {
-        return Err("a scenario file is required".into());
+        return Err(UsageError::from("a scenario file is required"));
     }
-    options.heuristic.check_criterion(options.criterion)?;
+    options.pairing.check()?;
     Ok(options)
 }
 
 fn main() -> ExitCode {
     let options = match parse_args() {
         Ok(o) => o,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}");
-            }
-            eprintln!(
-                "usage: stage <scenario.json> [--heuristic {}] \
-                 [--criterion C1|C2|C3|C4|C3f] [--ratio X] [--weights 1,5,10|1,10,100] \
-                 [--timeline] [--json]",
-                Heuristic::EXTENDED.map(|h| h.label().replace('_', "-")).join("|")
-            );
-            return if msg.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+        Err(err) => {
+            return err.report(&format!(
+                "stage <scenario.json> {} [--timeline] [--json]",
+                Pairing::usage("--heuristic")
+            ))
         }
     };
     let scenario = match Scenario::load_json(&options.path) {
@@ -110,13 +77,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let config = HeuristicConfig {
-        criterion: options.criterion,
-        eu: EuWeights::from_log10_ratio(options.ratio),
-        priority_weights: options.weights.clone(),
-        caching: true,
-    };
-    let outcome = run(&scenario, options.heuristic, &config);
+    let Pairing { heuristic, log10_ratio, config } = &options.pairing;
+    let outcome = run(&scenario, *heuristic, config);
     if let Err(e) = outcome.schedule.validate(&scenario) {
         eprintln!("internal error: produced schedule failed validation: {e}");
         return ExitCode::FAILURE;
@@ -133,12 +95,12 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let eval = outcome.schedule.evaluate(&scenario, &options.weights);
+    let eval = outcome.schedule.evaluate(&scenario, &config.priority_weights);
     println!(
         "{} + {} @ ratio 10^{}: weighted sum {} ({} of {} requests satisfied)",
-        options.heuristic,
-        options.criterion,
-        options.ratio,
+        heuristic,
+        config.criterion,
+        log10_ratio,
         eval.weighted_sum,
         eval.satisfied_count,
         eval.request_count

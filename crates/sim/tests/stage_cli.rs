@@ -73,18 +73,19 @@ fn the_extension_scheduler_and_criterion_are_accepted() {
     }
 }
 
-/// An unknown heuristic, or one this build no longer has, is a usage error
-/// that lists the valid names, and the usage line lists the same ones.
+/// An unknown heuristic, or one this build no longer has, exits with code 2
+/// (as it does from `stage-serve`), listing the valid names; the usage line
+/// lists the same ones.
 #[test]
 fn an_unknown_heuristic_is_a_usage_error_naming_the_valid_ones() {
     let path = scenario_file("stage-unknown-heuristic.json");
     for name in ["fastest", "rcd"] {
         let out = stage(&path, &["--heuristic", name]);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
         assert!(
             stderr.contains(&format!(
-                "unknown heuristic \"{name}\" (valid: partial, full_one, full_all, alap)"
+                "unknown scheduler `{name}` (valid: partial, full_one, full_all, alap)"
             )),
             "{stderr}"
         );

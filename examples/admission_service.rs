@@ -9,17 +9,22 @@
 //! cargo run --release --example admission_service
 //! ```
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::error::Error;
 use std::thread;
+use std::time::Duration;
 
 use data_staging::core::heuristic::{Heuristic, HeuristicConfig};
+use data_staging::service::client::Connection;
 use data_staging::service::engine::AdmissionEngine;
+use data_staging::service::protocol::{ClientRequest, InjectArgs, InjectKind, SubmitArgs};
 use data_staging::service::server::{Server, ServerConfig};
 use data_staging::workload::{generate, GeneratorConfig};
 use serde::Value;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// Bound on each connect, read and write.
+const TIMEOUT: Duration = Duration::from_secs(30);
+
+fn main() -> Result<(), Box<dyn Error>> {
     let catalog = generate(&GeneratorConfig::small(), 7);
     let heuristic = Heuristic::FullPathOneDestination;
     let config = HeuristicConfig::paper_best();
@@ -33,35 +38,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Four concurrent clients, each submitting a share of the catalog's
     // request stream over its own connection.
-    let requests: Vec<(String, u64, u64, u8)> = catalog
+    let requests: Vec<ClientRequest> = catalog
         .requests()
         .map(|(_, r)| {
-            (
-                catalog.item(r.item()).name().to_string(),
-                r.destination().index() as u64,
-                r.deadline().as_millis(),
-                r.priority().level(),
-            )
+            ClientRequest::Submit(SubmitArgs {
+                item: catalog.item(r.item()).name().to_string(),
+                destination: r.destination().index() as u32,
+                deadline_ms: r.deadline().as_millis(),
+                priority: r.priority().level(),
+                idempotency_key: None,
+            })
         })
         .collect();
     let mut clients = Vec::new();
     for chunk in requests.chunks(requests.len().div_ceil(4)) {
         let chunk = chunk.to_vec();
-        clients.push(thread::spawn(move || -> Result<u64, std::io::Error> {
-            let stream = TcpStream::connect(addr)?;
-            let mut reader = BufReader::new(stream.try_clone()?);
-            let mut writer = stream;
+        clients.push(thread::spawn(move || -> Result<u64, Box<dyn Error + Send + Sync>> {
+            let mut connection = Connection::open(addr, TIMEOUT)?;
             let mut admitted = 0;
-            let mut response = String::new();
-            for (item, destination, deadline_ms, priority) in chunk {
-                writeln!(
-                    writer,
-                    r#"{{"verb":"submit","item":"{item}","destination":{destination},"deadline_ms":{deadline_ms},"priority":{priority}}}"#
+            for request in chunk {
+                let response: Value = serde_json::from_str(
+                    &connection.round_trip(&serde_json::to_string(&request)?)?,
                 )?;
-                writer.flush()?;
-                response.clear();
-                reader.read_line(&mut response)?;
-                if response.contains(r#""decision":"admitted""#) {
+                if response.get("decision").and_then(Value::as_str) == Some("admitted") {
                     admitted += 1;
                 }
             }
@@ -70,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let mut admitted = 0;
     for client in clients {
-        admitted += client.join().expect("client thread panicked")?;
+        admitted += client.join().expect("client thread panicked").map_err(|e| e.to_string())?;
     }
     println!("{admitted} of {} submissions admitted over the wire", requests.len());
 
@@ -78,14 +77,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // after the schedule is built. The engine cancels every committed
     // transfer the outage invalidates and re-admits displaced requests
     // in weighted-priority order, evicting only what no longer fits.
-    let stream = TcpStream::connect(addr)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut line = String::new();
-    writeln!(writer, r#"{{"verb":"inject","kind":"link_outage","link":193,"at_ms":1}}"#)?;
-    writer.flush()?;
-    reader.read_line(&mut line)?;
-    let injection: Value = serde_json::from_str(line.trim())?;
+    let mut connection = Connection::open(addr, TIMEOUT)?;
+    let mut ask = |request: &ClientRequest| -> Result<String, Box<dyn Error>> {
+        Ok(connection.round_trip(&serde_json::to_string(request)?)?)
+    };
+    let outage = InjectArgs { kind: InjectKind::LinkOutage { link: 193 }, at_ms: 1 };
+    let injection: Value = serde_json::from_str(&ask(&ClientRequest::Inject(outage))?)?;
     println!(
         "link 193 outage: {} transfers cancelled, {} requests displaced, {} repaired, {} evicted",
         injection.get("cancelled_transfers").and_then(Value::as_u64).unwrap_or(0),
@@ -95,13 +92,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Pull the authoritative state, then shut the daemon down.
-    line.clear();
-    writeln!(writer, r#"{{"verb":"snapshot"}}"#)?;
-    writer.flush()?;
-    reader.read_line(&mut line)?;
-    let snapshot: Value = serde_json::from_str(line.trim())?;
-    writeln!(writer, r#"{{"verb":"shutdown"}}"#)?;
-    writer.flush()?;
+    let line = ask(&ClientRequest::Snapshot)?;
+    let snapshot: Value = serde_json::from_str(&line)?;
+    ask(&ClientRequest::Shutdown)?;
     let final_snapshot = daemon.join().expect("daemon thread panicked")?;
     println!(
         "daemon drained with weighted sum {}",
@@ -116,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         replay.replay_record(entry).map_err(std::io::Error::other)?;
     }
     let replayed = serde_json::to_string(&replay.snapshot())?;
-    assert_eq!(replayed, line.trim(), "sequential replay must match the live snapshot");
+    assert_eq!(replayed, line, "sequential replay must match the live snapshot");
     println!("sequential replay reproduced the snapshot byte for byte");
     Ok(())
 }
