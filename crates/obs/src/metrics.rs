@@ -170,11 +170,11 @@ metrics! {
     /// Served without a search because `paths_hold` returned true.
     PATH_TREES_VALIDATED: Counter = "dstage_path_trees_validated_total",
         "Cached trees served after validating the paths read";
-    /// One `earliest_transfer` call each, outside any search.
+    /// One ledger probe each, outside any search.
     PATH_HOPS_REPROBED: Counter = "dstage_path_hops_reprobed_total",
         "Cached-tree hops probed again by read-side validation";
-    /// One `earliest_transfer` call each; with [`PATH_HOPS_REPROBED`]
-    /// they add up to [`RESOURCES_PROBES`] for pure-path workloads.
+    /// One ledger probe each; with [`PATH_HOPS_REPROBED`] they add up to
+    /// [`RESOURCES_PROBES`] for pure-path workloads.
     PATH_RELAXATIONS: Counter = "dstage_path_relaxations_total",
         "Edge relaxations issued as ledger probes";
     /// Includes every edge the label or lower-bound prunes discarded.

@@ -37,7 +37,7 @@ use dstage_model::link::VirtualLink;
 use dstage_model::network::{LinkRun, Network};
 use dstage_model::time::SimTime;
 use dstage_model::units::Bytes;
-use dstage_resources::ledger::NetworkLedger;
+use dstage_resources::ledger::{Crossing, NetworkLedger, ProbeTally};
 
 use crate::tree::{ArrivalTree, Hop};
 
@@ -69,10 +69,9 @@ pub struct ItemQuery<'a> {
 struct SearchStats {
     /// Outgoing edges considered, including every pruned one.
     edge_scans: u64,
-    /// Ledger probes issued (`earliest_transfer` calls) — kept exactly
-    /// equal to the resources layer's probe count by construction. Every
+    /// The ledger probes issued: each one is a relaxation, and every
     /// other scanned edge was discarded by the static lower bound.
-    relaxations: u64,
+    probes: ProbeTally,
     /// Queue pushes (sources + label improvements).
     heap_pushes: u64,
     /// Pops whose label had already improved.
@@ -86,10 +85,11 @@ impl SearchStats {
         use dstage_obs::metrics as m;
         m::PATH_TREES.inc();
         m::PATH_EDGE_SCANS.add(self.edge_scans);
-        m::PATH_RELAXATIONS.add(self.relaxations);
+        m::PATH_RELAXATIONS.add(self.probes.probes);
         m::PATH_HEAP_PUSHES.add(self.heap_pushes);
         m::PATH_STALE_POPS.add(self.stale_pops);
-        m::PATH_LB_PRUNES.add(self.edge_scans - self.relaxations);
+        m::PATH_LB_PRUNES.add(self.edge_scans - self.probes.probes);
+        self.probes.publish();
     }
 }
 
@@ -140,9 +140,11 @@ pub fn earliest_arrival_tree(query: &ItemQuery<'_>) -> ArrivalTree {
 type Frontier = BinaryHeap<Reverse<(SimTime, u32)>>;
 
 /// The label-setting core: drains the seeded queue, relaxing every
-/// outgoing edge of each settled machine. Kept out of line: folded into
-/// its caller, the sweep measured 12–15 % slower (EXPERIMENTS.md "Tree
-/// repair retired").
+/// outgoing edge of each settled machine. Each run's transfer time is
+/// computed once and handed to every probe of the run, and the probes
+/// count into `stats` rather than the tap. Kept out of line: folded into
+/// its caller, the sweep measured 12–15 % slower (DESIGN.md §3, "Dirty-item
+/// caching").
 #[inline(never)]
 fn settle(
     query: &ItemQuery<'_>,
@@ -178,9 +180,12 @@ fn settle(
                     None
                 } else {
                     let transfer = *transfer.get_or_insert_with(|| head.transfer_time(query.size));
-                    earliest.checked_add(transfer).filter(|&lb| lb <= hold && lb < arrivals[v])
+                    earliest
+                        .checked_add(transfer)
+                        .filter(|&lb| lb <= hold && lb < arrivals[v])
+                        .map(|lb| (lb, transfer))
                 };
-                let Some(lb) = bound else {
+                let Some((lb, duration)) = bound else {
                     debug_assert_pruned(query, &run, k..run.links.len(), ready, arrivals);
                     break;
                 };
@@ -190,9 +195,9 @@ fn settle(
                 }
                 let link_id = run.link(k);
                 debug_assert!(may_improve(query, link, ready, arrivals));
-                stats.relaxations += 1;
+                let crossing = Crossing { id: link_id, link, size: query.size, duration };
                 let Some(slot) =
-                    query.ledger.earliest_transfer(network, link_id, ready, query.size, hold)
+                    query.ledger.earliest_crossing(crossing, ready, hold, &mut stats.probes)
                 else {
                     continue;
                 };
@@ -271,20 +276,18 @@ pub fn paths_hold(
     dirty_links: &[VirtualLinkId],
     dirty_machines: &[MachineId],
 ) -> bool {
-    let mut reprobed = 0;
+    let mut probes = ProbeTally::default();
     let untouched = dirty_links.is_empty() && dirty_machines.is_empty();
     let holds = untouched
         || destinations.iter().all(|&destination| {
             let mut cursor = destination;
             while let Some(hop) = tree.hop_into(cursor) {
                 if dirty_links.contains(&hop.link) || dirty_machines.contains(&hop.to) {
-                    reprobed += 1;
-                    let slot = query.ledger.earliest_transfer(
-                        query.network,
-                        hop.link,
+                    let slot = query.ledger.earliest_crossing(
+                        Crossing::new(query.network, hop.link, query.size),
                         tree.arrival(hop.from),
-                        query.size,
                         query.hold_until[hop.to.index()],
+                        &mut probes,
                     );
                     if slot.map(|s| (s.start, s.arrival)) != Some((hop.start, hop.arrival)) {
                         return false;
@@ -294,7 +297,8 @@ pub fn paths_hold(
             }
             true
         });
-    dstage_obs::metrics::PATH_HOPS_REPROBED.add(reprobed);
+    dstage_obs::metrics::PATH_HOPS_REPROBED.add(probes.probes);
+    probes.publish();
     if holds {
         dstage_obs::metrics::PATH_TREES_VALIDATED.inc();
     }

@@ -24,23 +24,20 @@ pub struct Hop {
 ///
 /// Machines that already hold a copy (the search's sources) have an
 /// arrival equal to their copy's availability and no inbound hop.
-/// Unreachable machines report [`SimTime::MAX`].
+/// Unreachable machines report [`SimTime::MAX`]. The tree keeps only these
+/// two arrays, as the search leaves them: everything else (paths, first
+/// hops) is walked along `hops` when read, since a reader asks about a
+/// request's few destinations, not about every machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrivalTree {
     arrivals: Vec<SimTime>,
     hops: Vec<Option<Hop>>,
-    /// Per machine, the first hop on its path (the transfer out of a
-    /// source) — precomputed once so candidate-step enumeration does not
-    /// re-walk the whole hop chain per destination. Derived from `hops`,
-    /// so it never disagrees between equal trees.
-    first_hops: Vec<Option<Hop>>,
 }
 
 impl ArrivalTree {
     pub(crate) fn new(arrivals: Vec<SimTime>, hops: Vec<Option<Hop>>) -> Self {
         debug_assert_eq!(arrivals.len(), hops.len());
-        let first_hops = first_hops_of(&hops);
-        ArrivalTree { arrivals, hops, first_hops }
+        ArrivalTree { arrivals, hops }
     }
 
     /// Number of machines covered by the tree.
@@ -111,49 +108,24 @@ impl ArrivalTree {
     ///
     /// This is the paper's "next machine in the shortest path" (§4.8): the
     /// receiving end of this hop is the `M[r]` that defines `Drq[i, r]`.
+    /// Walks the chain back to the source, O(path length).
     ///
     /// # Panics
     ///
     /// Panics if the id is out of range.
     #[must_use]
     pub fn first_hop_toward(&self, machine: MachineId) -> Option<Hop> {
-        self.first_hops[machine.index()]
+        let mut first = self.hops[machine.index()]?;
+        while let Some(hop) = self.hops[first.from.index()] {
+            first = hop;
+        }
+        Some(first)
     }
 
     /// Iterates over every hop in the tree (each machine's inbound hop).
     pub fn hops(&self) -> impl Iterator<Item = Hop> + '_ {
         self.hops.iter().filter_map(|h| *h)
     }
-}
-
-/// Resolves each machine's first hop in O(n) total with iterative path
-/// compression: walk up until a machine with a known answer (a source,
-/// an unreachable machine, or one resolved earlier), then unwind.
-fn first_hops_of(hops: &[Option<Hop>]) -> Vec<Option<Hop>> {
-    let n = hops.len();
-    let mut first_hops: Vec<Option<Hop>> = vec![None; n];
-    let mut done: Vec<bool> = hops.iter().map(Option::is_none).collect();
-    let mut chain: Vec<usize> = Vec::new();
-    for start in 0..n {
-        let mut cursor = start;
-        while !done[cursor] {
-            chain.push(cursor);
-            cursor = hops[cursor].expect("undone machines have an inbound hop").from.index();
-        }
-        // `cursor` is resolved: its first hop (None exactly when it is a
-        // source or unreachable, i.e. a chain root).
-        let mut inherited = first_hops[cursor];
-        while let Some(machine) = chain.pop() {
-            let inbound = hops[machine].expect("chained machines have an inbound hop");
-            // A root parent means `machine`'s own inbound hop leaves a
-            // source: it IS the first hop.
-            let first = inherited.unwrap_or(inbound);
-            first_hops[machine] = Some(first);
-            done[machine] = true;
-            inherited = Some(first);
-        }
-    }
-    first_hops
 }
 
 #[cfg(test)]
@@ -218,36 +190,26 @@ mod tests {
     }
 
     #[test]
-    fn precomputed_first_hops_match_a_chain_walk() {
-        // A branching tree: 0 -> {1, 2}, 1 -> 3, 3 -> 4, plus source 5
-        // -> 6, so compression crosses shared prefixes and distinct roots.
-        let hop = |from: u32, to: u32, link: u32, s: u64| Hop {
-            from: m(from),
-            to: m(to),
-            link: VirtualLinkId::new(link),
-            start: t(s),
-            arrival: t(s + 2),
-        };
-        let hops = vec![
-            None,
-            Some(hop(0, 1, 0, 0)),
-            Some(hop(0, 2, 1, 1)),
-            Some(hop(1, 3, 2, 2)),
-            Some(hop(3, 4, 3, 4)),
-            None,
-            Some(hop(5, 6, 4, 0)),
-        ];
-        let arrivals = vec![t(0), t(2), t(3), t(4), t(6), t(0), t(2)];
-        let tr = ArrivalTree::new(arrivals, hops.clone());
-        for i in 0..hops.len() {
-            // The original implementation: walk the chain to the root.
-            let expected = hops[i].map(|mut current| {
-                while let Some(prev) = hops[current.from.index()] {
-                    current = prev;
-                }
-                current
-            });
-            assert_eq!(tr.first_hop_toward(m(i as u32)), expected, "machine {i}");
-        }
+    fn first_hop_of_a_long_line_is_the_source_out_hop() {
+        // Source 0 -> 1 -> ... -> 39, machine 40 unreachable.
+        let n = 40;
+        let hops = (0..n)
+            .map(|i| {
+                (i > 0).then(|| Hop {
+                    from: m(i - 1),
+                    to: m(i),
+                    link: VirtualLinkId::new(i - 1),
+                    start: t(u64::from(i - 1)),
+                    arrival: t(u64::from(i)),
+                })
+            })
+            .chain([None])
+            .collect();
+        let arrivals = (0..n).map(|i| t(u64::from(i))).chain([SimTime::MAX]).collect();
+        let tr = ArrivalTree::new(arrivals, hops);
+        let out = tr.hop_into(m(1)).unwrap();
+        assert_eq!(tr.first_hop_toward(m(n - 1)), Some(out));
+        assert_eq!(tr.first_hop_toward(m(0)), None, "a source");
+        assert_eq!(tr.first_hop_toward(m(n)), None, "unreachable");
     }
 }

@@ -9,8 +9,7 @@
 //!    committed to the ledger at exactly the promised times.
 //! 3. **Validation soundness** — after arbitrary consumption, the paths
 //!    `paths_hold` accepts are a from-scratch search's.
-//! 4. **First-hop memo** — the precomputed first hop equals a walk up the
-//!    hop chain.
+//! 4. **First hop** — `first_hop_toward` equals a walk up the hop chain.
 //!
 //! Exactness is also checked with finite per-machine hold deadlines, on a
 //! partly consumed ledger, with some windows opening after every hold.

@@ -171,6 +171,21 @@ impl BusyIntervals {
         duration: SimDuration,
         limit: SimTime,
     ) -> Option<SimTime> {
+        let mut iterations = 0;
+        let found = self.earliest_gap_counted(ready, duration, limit, &mut iterations);
+        dstage_obs::metrics::RESOURCES_GAP_ITERATIONS.add(iterations);
+        found
+    }
+
+    /// [`BusyIntervals::earliest_gap`] without the tap: its loop
+    /// iterations are added to `iterations` for the caller to publish.
+    pub(crate) fn earliest_gap_counted(
+        &self,
+        ready: SimTime,
+        duration: SimDuration,
+        limit: SimTime,
+        iterations: &mut u64,
+    ) -> Option<SimTime> {
         let mut candidate = ready;
         // Checked, not saturating: a saturated end would equal
         // `SimTime::MAX` and falsely pass `end <= limit` for an
@@ -186,23 +201,18 @@ impl BusyIntervals {
         }
         fits(candidate)?;
         let mut idx = self.spans.partition_point(|&(_, e)| e <= candidate);
-        // Count iterations locally and publish once: this loop sits inside
-        // every routing probe, so per-iteration atomics would be felt.
-        let mut iterations: u64 = 0;
-        let found = loop {
-            iterations += 1;
-            let Some(end) = fits(candidate) else { break None };
+        loop {
+            *iterations += 1;
+            let end = fits(candidate)?;
             match self.spans.get(idx) {
                 Some(&(s, e)) if s < end => {
                     // Overlaps this busy span; try right after it.
                     candidate = e;
                     idx += 1;
                 }
-                _ => break Some(candidate),
+                _ => return Some(candidate),
             }
-        };
-        dstage_obs::metrics::RESOURCES_GAP_ITERATIONS.add(iterations);
-        found
+        }
     }
 
     /// The latest `start >= ready` such that `[start, start + duration)`
@@ -235,7 +245,8 @@ impl BusyIntervals {
         // `spans[..idx]` start before the candidate span's end; the span
         // at `idx - 1` is the only one that can overlap from the right.
         let mut idx = self.spans.partition_point(|&(s, _)| s < limit);
-        // Count iterations locally and publish once, as in `earliest_gap`.
+        // Count iterations locally and publish once: this loop sits inside
+        // every latest-slot probe, so per-iteration atomics would be felt.
         let mut iterations: u64 = 0;
         let found = loop {
             iterations += 1;

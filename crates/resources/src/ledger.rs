@@ -30,6 +30,53 @@ pub struct TransferSlot {
     pub arrival: SimTime,
 }
 
+/// One item's crossing of one virtual link, as a probe reads it: the
+/// link, its id, the item's size and the transfer time that size takes
+/// over the link.
+#[derive(Debug, Clone, Copy)]
+pub struct Crossing<'a> {
+    /// The link's id in its network.
+    pub id: VirtualLinkId,
+    /// The link itself.
+    pub link: &'a VirtualLink,
+    /// Size of the item crossing it.
+    pub size: Bytes,
+    /// `link.transfer_time(size)`.
+    pub duration: SimDuration,
+}
+
+impl<'a> Crossing<'a> {
+    /// Link `id` of `network`, crossed by `size` bytes.
+    #[must_use]
+    pub fn new(network: &'a Network, id: VirtualLinkId, size: Bytes) -> Self {
+        let link = network.link(id);
+        Crossing { id, link, size, duration: link.transfer_time(size) }
+    }
+}
+
+/// Work counted by [`NetworkLedger::earliest_crossing`] for its caller to
+/// publish once: the probes are the system's innermost loop, so the tap
+/// must not cost an atomic per probe.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ProbeTally {
+    /// Probes issued.
+    pub probes: u64,
+    /// Gap-search loop iterations across those probes.
+    pub gap_iterations: u64,
+    /// Restarts forced by storage contention across those probes.
+    pub restarts: u64,
+}
+
+impl ProbeTally {
+    /// Adds the tally to the resources layer's probe counters.
+    pub fn publish(&self) {
+        use dstage_obs::metrics as m;
+        m::RESOURCES_PROBES.add(self.probes);
+        m::RESOURCES_GAP_ITERATIONS.add(self.gap_iterations);
+        m::RESOURCES_PROBE_RESTARTS.add(self.restarts);
+    }
+}
+
 /// Error returned by [`NetworkLedger::commit_transfer`] when the requested
 /// slot is no longer (or never was) feasible.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -155,7 +202,8 @@ impl NetworkLedger {
     /// 4. the transfer completes by `hold_until` (otherwise the copy would
     ///    be garbage-collected before it even arrives).
     ///
-    /// Returns `None` when no such slot exists.
+    /// Returns `None` when no such slot exists. The one-call form of
+    /// [`NetworkLedger::earliest_crossing`]: it publishes its own tally.
     #[must_use]
     pub fn earliest_transfer(
         &self,
@@ -165,16 +213,40 @@ impl NetworkLedger {
         size: Bytes,
         hold_until: SimTime,
     ) -> Option<TransferSlot> {
-        dstage_obs::metrics::RESOURCES_PROBES.inc();
-        let vl: &VirtualLink = network.link(link);
-        let duration = vl.transfer_time(size);
-        let busy = &self.links[link.index()];
+        let mut tally = ProbeTally::default();
+        let slot = self.earliest_crossing(
+            Crossing::new(network, link, size),
+            ready,
+            hold_until,
+            &mut tally,
+        );
+        tally.publish();
+        slot
+    }
+
+    /// [`NetworkLedger::earliest_transfer`] for a caller that already
+    /// holds the link and its transfer time, and that counts its probes
+    /// itself: this probe, its gap-search iterations and its restarts are
+    /// added to `tally` rather than published, so a search publishes once
+    /// per tree instead of once per probe.
+    #[must_use]
+    pub fn earliest_crossing(
+        &self,
+        crossing: Crossing<'_>,
+        ready: SimTime,
+        hold_until: SimTime,
+        tally: &mut ProbeTally,
+    ) -> Option<TransferSlot> {
+        tally.probes += 1;
+        let Crossing { id, link: vl, size, duration } = crossing;
+        let busy = &self.links[id.index()];
         let store = &self.stores[vl.destination().index()];
         // Latest permissible completion: window end and hold deadline.
         let limit = vl.end().min(hold_until);
         let mut candidate = ready.max(vl.start());
         loop {
-            let start = busy.earliest_gap(candidate, duration, limit)?;
+            let start =
+                busy.earliest_gap_counted(candidate, duration, limit, &mut tally.gap_iterations)?;
             // Safe unchecked add (audited): `earliest_gap` only returns
             // starts whose checked `start + duration` fits below `limit`.
             let arrival = start + duration;
@@ -186,7 +258,7 @@ impl NetworkLedger {
                 return Some(TransferSlot { start, arrival });
             }
             debug_assert!(storage_start > start);
-            dstage_obs::metrics::RESOURCES_PROBE_RESTARTS.inc();
+            tally.restarts += 1;
             candidate = storage_start;
         }
     }

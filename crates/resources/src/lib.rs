@@ -38,5 +38,5 @@ pub mod timeline;
 
 pub use interval::BusyIntervals;
 pub use journal::{ChangeJournal, JournalMark};
-pub use ledger::{CommitError, NetworkLedger, TransferSlot};
+pub use ledger::{CommitError, Crossing, NetworkLedger, ProbeTally, TransferSlot};
 pub use timeline::CapacityTimeline;

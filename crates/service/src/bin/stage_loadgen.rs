@@ -5,7 +5,9 @@
 //! stage-loadgen --addr HOST:PORT [OPTIONS]
 //!
 //! OPTIONS:
-//!   --clients N      concurrent client connections (default 8)
+//!   --clients N      concurrent client connections, 1 to 1024 (default
+//!                    8); each is one thread, and under --chaos one
+//!                    more for its proxied connection
 //!   --requests M     total submissions across all clients (default 500)
 //!   --seed S         workload seed — use the daemon's --generate seed so
 //!                    item names match (default 0)
@@ -57,6 +59,9 @@ use dstage_workload::Family;
 use rand::{Rng, SeedableRng, StdRng};
 use serde::Value;
 
+/// The most client threads one run starts: `stage-serve --workers`' cap.
+const MAX_CLIENTS: usize = 1024;
+
 struct Options {
     addr: String,
     clients: usize,
@@ -87,7 +92,14 @@ fn parse_args() -> Result<Options, UsageError> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => options.addr = args.next().ok_or("--addr needs host:port")?,
-            "--clients" => options.clients = number(&mut args, "--clients")?,
+            "--clients" => {
+                options.clients = number(&mut args, "--clients")?;
+                if !(1..=MAX_CLIENTS).contains(&options.clients) {
+                    return Err(UsageError::from(format!(
+                        "invalid --clients (1 to {MAX_CLIENTS} connections)"
+                    )));
+                }
+            }
             "--requests" => options.requests = number(&mut args, "--requests")?,
             "--seed" => options.seed = number(&mut args, "--seed")?,
             "--family" => {
@@ -116,8 +128,8 @@ fn parse_args() -> Result<Options, UsageError> {
     if options.addr.is_empty() {
         return Err(UsageError::from("--addr is required"));
     }
-    if options.clients == 0 || options.requests == 0 {
-        return Err(UsageError::from("--clients and --requests must be positive"));
+    if options.requests == 0 {
+        return Err(UsageError::from("--requests must be positive"));
     }
     Ok(options)
 }
