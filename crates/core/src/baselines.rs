@@ -10,8 +10,9 @@
 //!   the next step is chosen uniformly at random instead of by cost.
 //!   Shows the value of the cost criterion itself.
 //! * [`priority_first`] — the simplified scheme the paper compares
-//!   against in §5.4: all high-priority requests are scheduled (earliest
-//!   deadline first) before any medium, and all medium before any low.
+//!   against in §5.4: all high-priority requests are scheduled before any
+//!   medium, and all medium before any low; within a class the lowest
+//!   satisfiable request id goes first, blind to urgency.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -11,7 +11,7 @@ use dstage_model::ids::RequestId;
 use dstage_model::request::PriorityWeights;
 use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
-use dstage_path::{earliest_arrival_tree, ItemQuery};
+use dstage_path::{earliest_arrival_paths, ItemQuery};
 use dstage_resources::ledger::NetworkLedger;
 
 /// The loose upper bound: Σ `W[Priority[j,k]]` over **all** requests.
@@ -55,14 +55,17 @@ pub fn possible_satisfy(scenario: &Scenario, weights: &PriorityWeights) -> Possi
         let gc: SimTime = (req.deadline() + scenario.gc_delay()).min(scenario.horizon());
         let mut hold = vec![gc; m];
         hold[req.destination().index()] = scenario.horizon();
-        let tree = earliest_arrival_tree(&ItemQuery {
-            network,
-            ledger: &ledger,
-            size: item.size(),
-            sources: &sources,
-            hold_until: &hold,
-            horizon: scenario.horizon(),
-        });
+        let tree = earliest_arrival_paths(
+            &ItemQuery {
+                network,
+                ledger: &ledger,
+                size: item.size(),
+                sources: &sources,
+                hold_until: &hold,
+                horizon: scenario.horizon(),
+            },
+            &[req.destination()],
+        );
         if tree.arrival(req.destination()) <= req.deadline() {
             satisfiable.push(req_id);
             weighted_sum += weights.weight(req.priority());

@@ -24,7 +24,9 @@ use dstage_model::network::Network;
 use dstage_model::request::{Priority, Request};
 use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
-use dstage_path::{earliest_arrival_tree, paths_hold, ArrivalTree, Hop, ItemQuery};
+use dstage_path::{
+    earliest_arrival_paths, earliest_arrival_tree, paths_hold, ArrivalTree, Hop, ItemQuery,
+};
 use dstage_resources::journal::{ChangeJournal, JournalMark};
 use dstage_resources::ledger::{CommitError, NetworkLedger};
 
@@ -318,9 +320,10 @@ fn hold_row(scenario: &Scenario, item: DataItemId) -> Vec<SimTime> {
     holds
 }
 
-/// The oracle a served tree is held to in debug builds and tests: every
-/// label a read of `destinations` takes from `tree` — the arrival at and
-/// the path to each — is the one a from-scratch search of `query` returns.
+/// The oracle every tree read off the cache is held to in debug builds and
+/// tests, whether served or freshly searched: every label a read of
+/// `destinations` takes from `tree` — the arrival at and the path to each
+/// — is the one a full from-scratch search of `query` returns.
 fn reads_match_scratch(
     query: &ItemQuery<'_>,
     tree: &ArrivalTree,
@@ -883,7 +886,8 @@ impl<'a> SchedulerState<'a> {
 
     /// The earliest-arrival tree of `item` against the current ledger, its
     /// labels current on the paths to `destinations` (nothing is promised
-    /// about the rest of it).
+    /// about the rest of it: a search stops once `destinations` are
+    /// settled, and a cached tree is validated only along those paths).
     pub fn tree(&mut self, item: DataItemId, destinations: &[MachineId]) -> &ArrivalTree {
         self.refresh_tree(item, destinations);
         self.refreshed(item)
@@ -912,7 +916,8 @@ impl<'a> SchedulerState<'a> {
     /// destinations it was last validated for and, walking only those
     /// paths, every hop whose link or receiving store was consumed since
     /// they were checked keeps its slot ([`paths_hold`]). Anything else
-    /// searches from scratch.
+    /// searches from scratch, up to the last of `read`
+    /// ([`earliest_arrival_paths`]).
     ///
     /// The entry's steps survive exactly one outcome: the tree served as
     /// it stood, for the destinations it was last validated for.
@@ -932,7 +937,6 @@ impl<'a> SchedulerState<'a> {
         let clean = served.is_some();
         let refreshed = match served {
             Some(mut cached) => {
-                debug_assert!(reads_match_scratch(&query, &cached.tree, read));
                 cached.checked = mark;
                 if read != cached.validated {
                     cached.enumeration = None;
@@ -941,12 +945,14 @@ impl<'a> SchedulerState<'a> {
                 cached
             }
             None => CachedItem {
-                tree: earliest_arrival_tree(&query),
+                tree: earliest_arrival_paths(&query, read),
                 checked: mark,
                 validated: read.to_vec(),
                 enumeration: None,
             },
         };
+        // Served or freshly searched, the read is a full search's.
+        debug_assert!(reads_match_scratch(&query, &refreshed.tree, read));
         self.cache[item.index()] = Some(refreshed);
         if clean {
             self.metrics.cache_hits += 1;

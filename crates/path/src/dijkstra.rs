@@ -28,6 +28,11 @@
 //! - *validation on read* ([`paths_hold`]): after consumption, a cached
 //!   tree's paths to the destinations about to be read still hold when
 //!   every hop over a consumed resource re-probes to its old slot.
+//!
+//! Label-setting also lets a search stop early. A machine's label is final
+//! when it is popped, so [`earliest_arrival_paths`] stops at the pop of
+//! the last destination it is read for: those labels and the hops on
+//! their paths are the full search's.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -93,7 +98,8 @@ impl SearchStats {
     }
 }
 
-/// Computes the earliest-arrival tree for one item.
+/// Computes the earliest-arrival tree for one item: every machine
+/// labelled.
 ///
 /// For every machine the result reports the earliest time the item could
 /// be available there, starting from any current copy, and the chain of
@@ -105,12 +111,45 @@ impl SearchStats {
 /// and outgoing links are scanned in id order, so equal-cost trees are
 /// always the same tree.
 ///
+/// The schedulers read a tree only for a few destinations and search with
+/// [`earliest_arrival_paths`], which stops once those are settled; this
+/// full search is the reference it is held to.
+///
 /// # Panics
 ///
 /// Panics if `hold_until` is shorter than the machine count, or a source
 /// machine id is out of range.
 #[must_use]
 pub fn earliest_arrival_tree(query: &ItemQuery<'_>) -> ArrivalTree {
+    search(query, None)
+}
+
+/// Computes the arrivals at `destinations` and the paths to them: the
+/// search of [`earliest_arrival_tree`], stopped once the last of
+/// `destinations` is settled.
+///
+/// For each machine of `destinations`, [`ArrivalTree::arrival`],
+/// [`ArrivalTree::path_to`] and [`ArrivalTree::first_hop_toward`] answer
+/// exactly as on the full tree, tie-breaks included: a settled label is
+/// final; every hop on a settled machine's path was set when its sender
+/// was settled, earlier; and a hop is replaced only by a strictly earlier
+/// arrival, which no pop at or after that label can offer. Any other
+/// machine's label may be provisional — no earlier than the full tree's,
+/// possibly unreachable — and is not to be read. Duplicates in
+/// `destinations` count once; an unreachable one searches to the end; an
+/// empty read settles nothing and returns the sources' labels alone.
+///
+/// # Panics
+///
+/// As [`earliest_arrival_tree`].
+#[must_use]
+pub fn earliest_arrival_paths(query: &ItemQuery<'_>, destinations: &[MachineId]) -> ArrivalTree {
+    search(query, Some(destinations))
+}
+
+/// Seeds the frontier with the sources and settles it, up to the last of
+/// `reads` when given.
+fn search(query: &ItemQuery<'_>, reads: Option<&[MachineId]>) -> ArrivalTree {
     let n = query.network.machine_count();
     assert!(query.hold_until.len() >= n, "hold_until must cover every machine");
 
@@ -129,7 +168,7 @@ pub fn earliest_arrival_tree(query: &ItemQuery<'_>) -> ArrivalTree {
         }
     }
 
-    settle(query, &mut arrivals, &mut hops, &mut queue, &mut stats);
+    settle(query, reads, &mut arrivals, &mut hops, &mut queue, &mut stats);
     stats.publish();
 
     ArrivalTree::new(arrivals, hops)
@@ -140,7 +179,9 @@ pub fn earliest_arrival_tree(query: &ItemQuery<'_>) -> ArrivalTree {
 type Frontier = BinaryHeap<Reverse<(SimTime, u32)>>;
 
 /// The label-setting core: drains the seeded queue, relaxing every
-/// outgoing edge of each settled machine. Each run's transfer time is
+/// outgoing edge of each settled machine, and returns once every machine
+/// of `reads` is settled (each machine is settled by exactly one pop, so
+/// a pop counts its occurrences in `reads`). Each run's transfer time is
 /// computed once and handed to every probe of the run, and the probes
 /// count into `stats` rather than the tap. Kept out of line: folded into
 /// its caller, the sweep measured 12–15 % slower (DESIGN.md §3, "Dirty-item
@@ -148,18 +189,27 @@ type Frontier = BinaryHeap<Reverse<(SimTime, u32)>>;
 #[inline(never)]
 fn settle(
     query: &ItemQuery<'_>,
+    reads: Option<&[MachineId]>,
     arrivals: &mut [SimTime],
     hops: &mut [Option<Hop>],
     queue: &mut Frontier,
     stats: &mut SearchStats,
 ) {
     let network = query.network;
-    while let Some(Reverse((ready, u_idx))) = queue.pop() {
+    let mut unsettled = reads.map_or(usize::MAX, <[MachineId]>::len);
+    while unsettled > 0 {
+        let Some(Reverse((ready, u_idx))) = queue.pop() else { return };
         if ready > arrivals[u_idx as usize] {
             stats.stale_pops += 1;
             continue; // stale queue entry
         }
         let u = MachineId::new(u_idx);
+        if let Some(reads) = reads {
+            unsettled -= reads.iter().filter(|&&d| d == u).count();
+            if unsettled == 0 {
+                return;
+            }
+        }
         for run in network.outgoing_runs(u) {
             stats.edge_scans += run.links.len() as u64;
             let head = &run.links[0];
@@ -639,6 +689,29 @@ mod tests {
         assert_ne!(earliest_arrival_tree(&query(&clashing)).arrival(m(2)), tree.arrival(m(2)));
         // The path to m1 never crosses the link.
         assert!(paths_hold(&query(&clashing), &tree, &[m(1)], &[link], &into));
+    }
+
+    #[test]
+    fn a_bounded_search_stops_at_the_pop_of_its_last_destination() {
+        let net = line_net();
+        let ledger = NetworkLedger::new(&net);
+        let hold = max_hold(3);
+        let query = ItemQuery {
+            network: &net,
+            ledger: &ledger,
+            size: Bytes::new(10_000),
+            sources: &[(m(0), t(0))],
+            hold_until: &hold,
+            horizon: SimTime::MAX,
+        };
+        let full = earliest_arrival_tree(&query);
+        let to_m1 = earliest_arrival_paths(&query, &[m(1), m(1)]);
+        assert_eq!(to_m1.path_to(m(1)), full.path_to(m(1)));
+        // m1 was never expanded: m2 keeps the direct link's 40 s, not 20 s.
+        assert_eq!((to_m1.arrival(m(2)), full.arrival(m(2))), (t(40), t(20)));
+        assert_eq!(earliest_arrival_paths(&query, &[m(2)]), full);
+        let none = earliest_arrival_paths(&query, &[]);
+        assert_eq!((none.arrival(m(0)), none.is_reachable(m(1))), (t(0), false));
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //! read ([`paths_hold`]); a tree that fails it is searched again from
 //! scratch. The frontier is a plain binary heap.
 //!
+//! A scheduler reads a tree only for the destinations it asks about, so
+//! it searches with [`earliest_arrival_paths`]: the same search, stopped
+//! when the last of those destinations is popped. A popped label is
+//! final, and so is every hop on its path, so what the read sees is the
+//! full tree's, tie-breaks included; the labels of the machines left
+//! unsettled are not to be read.
+//!
 //! # Examples
 //!
 //! ```
@@ -48,5 +55,5 @@
 pub mod dijkstra;
 pub mod tree;
 
-pub use dijkstra::{earliest_arrival_tree, paths_hold, ItemQuery};
+pub use dijkstra::{earliest_arrival_paths, earliest_arrival_tree, paths_hold, ItemQuery};
 pub use tree::{ArrivalTree, Hop};

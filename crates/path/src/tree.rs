@@ -28,6 +28,11 @@ pub struct Hop {
 /// two arrays, as the search leaves them: everything else (paths, first
 /// hops) is walked along `hops` when read, since a reader asks about a
 /// request's few destinations, not about every machine.
+///
+/// A tree from [`earliest_arrival_paths`](crate::earliest_arrival_paths)
+/// stopped once its destinations were settled: their arrivals and paths
+/// are the full tree's, and any other machine's entry may be provisional
+/// (no earlier than the full tree's, possibly unreachable).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrivalTree {
     arrivals: Vec<SimTime>,

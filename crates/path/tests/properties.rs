@@ -10,12 +10,15 @@
 //! 3. **Validation soundness** — after arbitrary consumption, the paths
 //!    `paths_hold` accepts are a from-scratch search's.
 //! 4. **First hop** — `first_hop_toward` equals a walk up the hop chain.
+//! 5. **Bounded reads** — the search stopped at its destinations
+//!    (`earliest_arrival_paths`) gives each of them the arrival and path
+//!    the full search does; an empty read settles nothing.
 //!
 //! Exactness is also checked with finite per-machine hold deadlines, on a
 //! partly consumed ledger, with some windows opening after every hold.
-//! That check and validation soundness also run on networks of window
-//! trains, where the search scans long runs of one physical link's
-//! windows.
+//! That check, validation soundness (on the bounded trees the schedulers
+//! cache) and bounded reads also run on networks of window trains, where
+//! the search scans long runs of one physical link's windows.
 
 use dstage_model::ids::{MachineId, VirtualLinkId};
 use dstage_model::link::VirtualLink;
@@ -23,7 +26,7 @@ use dstage_model::machine::Machine;
 use dstage_model::network::{Network, NetworkBuilder};
 use dstage_model::time::SimTime;
 use dstage_model::units::{BitsPerSec, Bytes};
-use dstage_path::{earliest_arrival_tree, paths_hold, ItemQuery};
+use dstage_path::{earliest_arrival_paths, earliest_arrival_tree, paths_hold, ItemQuery};
 use dstage_resources::ledger::NetworkLedger;
 use proptest::prelude::*;
 
@@ -200,7 +203,9 @@ fn consume_randomly(
 }
 
 /// After random consumption, every destination whose path `paths_hold`
-/// accepts has the arrival and path a from-scratch search gives it.
+/// accepts has the arrival and path a from-scratch search gives it. The
+/// tree validated is searched up to its destinations, as the schedulers
+/// cache it.
 fn check_paths_that_hold(
     net: RandomNet,
     size: u64,
@@ -220,7 +225,7 @@ fn check_paths_that_hold(
         picks.iter().map(|&p| MachineId::new((p % net.machines) as u32)).collect();
     let mut ledger = NetworkLedger::new(&network);
     let query = query_of(&network, &ledger, size, &sources, &hold);
-    let tree = earliest_arrival_tree(&query);
+    let tree = earliest_arrival_paths(&query, &destinations);
     // Nothing consumed: every hop, probed again with every resource
     // named, finds the slot the search gave it.
     let (all_links, all_machines): (Vec<VirtualLinkId>, Vec<MachineId>) =
@@ -268,6 +273,66 @@ fn check_fixpoint_under_finite_holds(
             "machine {} disagrees",
             i
         );
+    }
+    Ok(())
+}
+
+/// On a partly consumed ledger with finite holds and two sources, the
+/// search stopped at `picks` gives each picked machine the arrival and
+/// path of the full search. A pick past the net's machines names a source
+/// (`machines`) or a machine without links (`machines + 1`), so the
+/// draws cover sources, unreachable machines, duplicates and, with no
+/// picks, the empty read — which settles nothing: only the sources keep
+/// a label.
+fn check_bounded_reads(
+    mut net: RandomNet,
+    size: u64,
+    src: (usize, u64),
+    other: (usize, u64),
+    holds: &[u64],
+    commits: &[(usize, u64, u64)],
+    picks: &[usize],
+) -> Result<(), TestCaseError> {
+    let linked = net.machines;
+    let isolated = MachineId::new(linked as u32);
+    net.machines += 1;
+    net.caps.push(1_000_000);
+    let network = build(&net);
+    let mut ledger = NetworkLedger::new(&network);
+    if network.link_count() > 0 {
+        consume_randomly(&network, &mut ledger, commits);
+    }
+    // A hold past 300 s stands for none.
+    let hold: Vec<SimTime> = holds[..net.machines]
+        .iter()
+        .map(|&h| if h >= 300 { SimTime::MAX } else { SimTime::from_secs(h) })
+        .collect();
+    let source = |(machine, at): (usize, u64)| {
+        (MachineId::new((machine % linked) as u32), SimTime::from_secs(at))
+    };
+    let sources = [source(src), source(other)];
+    let reads: Vec<MachineId> = picks
+        .iter()
+        .map(|&p| match p.checked_sub(linked) {
+            Some(0) => sources[0].0,
+            Some(1) => isolated,
+            _ => MachineId::new((p % net.machines) as u32),
+        })
+        .collect();
+    let query = query_of(&network, &ledger, size, &sources, &hold);
+    let full = earliest_arrival_tree(&query);
+    let bounded = earliest_arrival_paths(&query, &reads);
+    for &d in &reads {
+        prop_assert_eq!(bounded.arrival(d), full.arrival(d), "arrival at {}", d);
+        prop_assert_eq!(bounded.path_to(d), full.path_to(d), "path to {}", d);
+    }
+    if reads.is_empty() {
+        for i in 0..net.machines {
+            let machine = MachineId::new(i as u32);
+            let seeded = sources.iter().filter(|s| s.0 == machine).map(|s| s.1).min();
+            prop_assert_eq!(bounded.arrival(machine), seeded.unwrap_or(SimTime::MAX));
+            prop_assert_eq!(bounded.hop_into(machine), None);
+        }
     }
     Ok(())
 }
@@ -421,6 +486,19 @@ proptest! {
     }
 
     #[test]
+    fn bounded_reads_equal_the_full_search(
+        net in random_net_strategy(),
+        size in 1u64..40_000,
+        src in (0usize..7, 0u64..60),
+        other in (0usize..7, 0u64..60),
+        holds in prop::collection::vec(60u64..400, 8),
+        commits in prop::collection::vec((0usize..32, 0u64..200, 1u64..30_000), 0..8),
+        picks in prop::collection::vec(0usize..9, 0..5),
+    ) {
+        check_bounded_reads(net, size, src, other, &holds, &commits, &picks)?;
+    }
+
+    #[test]
     fn first_hop_memo_matches_chain_walk(
         net in random_net_strategy(),
         size in 1u64..40_000,
@@ -478,5 +556,18 @@ proptest! {
         commits in prop::collection::vec((0usize..32, 0u64..200, 1u64..30_000), 0..8),
     ) {
         check_fixpoint_under_finite_holds(net, size, src, src_avail, &holds, &commits)?;
+    }
+
+    #[test]
+    fn bounded_reads_on_window_trains_equal_the_full_search(
+        net in train_net_strategy(),
+        size in 1u64..40_000,
+        src in (0usize..7, 0u64..60),
+        other in (0usize..7, 0u64..60),
+        holds in prop::collection::vec(60u64..400, 8),
+        commits in prop::collection::vec((0usize..32, 0u64..200, 1u64..30_000), 0..8),
+        picks in prop::collection::vec(0usize..9, 0..5),
+    ) {
+        check_bounded_reads(net, size, src, other, &holds, &commits, &picks)?;
     }
 }
