@@ -11,7 +11,7 @@ use dstage_model::ids::RequestId;
 use dstage_model::request::PriorityWeights;
 use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
-use dstage_path::{earliest_arrival_paths, ItemQuery};
+use dstage_path::{earliest_arrival_paths, ItemQuery, Landmarks};
 use dstage_resources::ledger::NetworkLedger;
 
 /// The loose upper bound: Σ `W[Priority[j,k]]` over **all** requests.
@@ -45,6 +45,7 @@ pub fn possible_satisfy(scenario: &Scenario, weights: &PriorityWeights) -> Possi
         }
     }
 
+    let landmarks = Landmarks::new(network);
     let mut satisfiable = Vec::new();
     let mut weighted_sum = 0u64;
     for (req_id, req) in scenario.requests() {
@@ -64,6 +65,7 @@ pub fn possible_satisfy(scenario: &Scenario, weights: &PriorityWeights) -> Possi
                 hold_until: &hold,
                 horizon: scenario.horizon(),
             },
+            &landmarks,
             &[req.destination()],
         );
         if tree.arrival(req.destination()) <= req.deadline() {

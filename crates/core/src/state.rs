@@ -26,6 +26,7 @@ use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
 use dstage_path::{
     earliest_arrival_paths, earliest_arrival_tree, paths_hold, ArrivalTree, Hop, ItemQuery,
+    Landmarks,
 };
 use dstage_resources::journal::{ChangeJournal, JournalMark};
 use dstage_resources::ledger::{CommitError, NetworkLedger};
@@ -258,6 +259,9 @@ enum Visit {
 #[derive(Debug, Clone)]
 pub struct SchedulerState<'a> {
     scenario: Cow<'a, Scenario>,
+    /// The landmark distances that steer every search to the destinations
+    /// it is read for — a function of the network alone.
+    landmarks: Landmarks,
     ledger: NetworkLedger,
     /// Current copies per item: `(machine, available_at)`.
     copies: Vec<Vec<(MachineId, SimTime)>>,
@@ -423,6 +427,7 @@ impl<'a> SchedulerState<'a> {
             hold_until.push(hold_row(&scenario, item_id));
         }
         SchedulerState {
+            landmarks: Landmarks::new(scenario.network()),
             ledger,
             copies,
             hold_until,
@@ -945,7 +950,7 @@ impl<'a> SchedulerState<'a> {
                 cached
             }
             None => CachedItem {
-                tree: earliest_arrival_paths(&query, read),
+                tree: earliest_arrival_paths(&query, &self.landmarks, read),
                 checked: mark,
                 validated: read.to_vec(),
                 enumeration: None,

@@ -187,6 +187,9 @@ metrics! {
         "Queue pushes (sources plus label improvements)";
     PATH_STALE_POPS: Counter = "dstage_path_stale_pops_total",
         "Stale queue entries popped and skipped";
+    /// Per tree, the machines a search settled before its destinations.
+    PATH_SETTLED: Counter = "dstage_path_settled_total",
+        "Machines settled by searches (queue pops that were not stale)";
 
     // --- core layer (heuristic selection rounds) ----------------------
 

@@ -24,18 +24,30 @@
 //!   past the receiver's hold or at or after its label, every later window
 //!   of the run fails it too, so the rest of the run is passed over
 //!   unread. Only the windows in between are tested one by one, with the
-//!   run's one transfer time, and probed in id order;
+//!   run's one transfer time, and probed in id order (an equal arrival
+//!   counts as beating the label when it would take the hop by the tie
+//!   rule below);
 //! - *validation on read* ([`paths_hold`]): after consumption, a cached
 //!   tree's paths to the destinations about to be read still hold when
 //!   every hop over a consumed resource re-probes to its old slot.
 //!
-//! Label-setting also lets a search stop early. A machine's label is final
-//! when it is popped, so [`earliest_arrival_paths`] stops at the pop of
-//! the last destination it is read for: those labels and the hops on
-//! their paths are the full search's.
+//! Label-setting also lets a search stop early, and be steered. A read of
+//! destinations `R` ([`earliest_arrival_paths`]) is an A* search: the
+//! frontier pops ascending `(arrival + h, arrival, machine id)`, where `h`
+//! is the landmark lower bound on the time left to the nearest destination
+//! ([`Landmarks`]). Every crossing of a link `u → v`
+//! takes at least `ceil(size·8000/bps)` ms whatever the windows and
+//! bookings, and `h(u) ≤ that + h(v)`, so the key never falls along a path
+//! and a popped label is final; the search stops at the pop of the last
+//! machine of `R`. The tie rule keeps the hops the full search's: on an
+//! equal arrival a hop is replaced by a sender that the full search pops
+//! earlier, by `(label, id)`, when this search popped it later. With no
+//! goal (`h ≡ 0`, [`earliest_arrival_tree`]) the order is the plain
+//! `(arrival, id)` and the rule never fires.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use dstage_model::ids::{MachineId, VirtualLinkId};
 use dstage_model::link::VirtualLink;
@@ -44,6 +56,7 @@ use dstage_model::time::SimTime;
 use dstage_model::units::Bytes;
 use dstage_resources::ledger::{Crossing, NetworkLedger, ProbeTally};
 
+use crate::landmarks::{Goal, Landmarks};
 use crate::tree::{ArrivalTree, Hop};
 
 /// One search instance: everything needed to compute the earliest-arrival
@@ -72,6 +85,8 @@ pub struct ItemQuery<'a> {
 /// Per-search work tallies, published to the obs tap once per tree.
 #[derive(Debug, Default, Clone, Copy)]
 struct SearchStats {
+    /// Pops that settled a machine (every pop but the stale ones).
+    settled: u64,
     /// Outgoing edges considered, including every pruned one.
     edge_scans: u64,
     /// The ledger probes issued: each one is a relaxation, and every
@@ -93,6 +108,7 @@ impl SearchStats {
         m::PATH_RELAXATIONS.add(self.probes.probes);
         m::PATH_HEAP_PUSHES.add(self.heap_pushes);
         m::PATH_STALE_POPS.add(self.stale_pops);
+        m::PATH_SETTLED.add(self.settled);
         m::PATH_LB_PRUNES.add(self.edge_scans - self.probes.probes);
         self.probes.publish();
     }
@@ -112,8 +128,8 @@ impl SearchStats {
 /// always the same tree.
 ///
 /// The schedulers read a tree only for a few destinations and search with
-/// [`earliest_arrival_paths`], which stops once those are settled; this
-/// full search is the reference it is held to.
+/// [`earliest_arrival_paths`], which is steered to those and stops once
+/// they are settled; this full search is the reference it is held to.
 ///
 /// # Panics
 ///
@@ -121,41 +137,51 @@ impl SearchStats {
 /// machine id is out of range.
 #[must_use]
 pub fn earliest_arrival_tree(query: &ItemQuery<'_>) -> ArrivalTree {
-    search(query, None)
+    search(query, None, Unsteered)
 }
 
 /// Computes the arrivals at `destinations` and the paths to them: the
-/// search of [`earliest_arrival_tree`], stopped once the last of
-/// `destinations` is settled.
+/// search of [`earliest_arrival_tree`], steered to `destinations` by the
+/// lower bound `landmarks` gives ([`Landmarks::goal`]) and stopped once the
+/// last of them is settled.
 ///
-/// For each machine of `destinations`, [`ArrivalTree::arrival`],
-/// [`ArrivalTree::path_to`] and [`ArrivalTree::first_hop_toward`] answer
-/// exactly as on the full tree, tie-breaks included: a settled label is
-/// final; every hop on a settled machine's path was set when its sender
-/// was settled, earlier; and a hop is replaced only by a strictly earlier
-/// arrival, which no pop at or after that label can offer. Any other
-/// machine's label may be provisional — no earlier than the full tree's,
-/// possibly unreachable — and is not to be read. Duplicates in
-/// `destinations` count once; an unreachable one searches to the end; an
-/// empty read settles nothing and returns the sources' labels alone.
+/// The frontier pops ascending `(arrival + bound, arrival, machine id)`.
+/// The bound is consistent — it falls by at most a crossing's transfer
+/// time across a link — so a popped label is final, and every machine
+/// that offers a settled machine its label was settled before it. On an
+/// equal arrival a hop is replaced by a sender that the full search
+/// settles first, by `(label, id)`, so the hop a machine keeps is the
+/// one the full search gives it. For each machine of `destinations`,
+/// [`ArrivalTree::arrival`], [`ArrivalTree::path_to`] and
+/// [`ArrivalTree::first_hop_toward`] therefore answer exactly as on the
+/// full tree, tie-breaks included. Any other machine's label may be
+/// provisional — no earlier than the full tree's, possibly unreachable —
+/// and is not to be read. Duplicates in `destinations` count once; an
+/// unreachable one searches to the end; an empty read settles nothing and
+/// returns the sources' labels alone.
 ///
 /// # Panics
 ///
-/// As [`earliest_arrival_tree`].
+/// As [`earliest_arrival_tree`], and if `landmarks` was built for a
+/// network with fewer machines.
 #[must_use]
-pub fn earliest_arrival_paths(query: &ItemQuery<'_>, destinations: &[MachineId]) -> ArrivalTree {
-    search(query, Some(destinations))
+pub fn earliest_arrival_paths(
+    query: &ItemQuery<'_>,
+    landmarks: &Landmarks,
+    destinations: &[MachineId],
+) -> ArrivalTree {
+    search(query, Some(destinations), &landmarks.goal(query.size, destinations))
 }
 
 /// Seeds the frontier with the sources and settles it, up to the last of
-/// `reads` when given.
-fn search(query: &ItemQuery<'_>, reads: Option<&[MachineId]>) -> ArrivalTree {
+/// the reads when given, steered by their goal.
+fn search(query: &ItemQuery<'_>, reads: Option<&[MachineId]>, goal: impl Bound) -> ArrivalTree {
     let n = query.network.machine_count();
     assert!(query.hold_until.len() >= n, "hold_until must cover every machine");
 
     let mut arrivals = vec![SimTime::MAX; n];
     let mut hops: Vec<Option<Hop>> = vec![None; n];
-    let mut queue = Frontier::new();
+    let mut queue = Frontier::with_capacity(n);
     let mut stats = SearchStats::default();
 
     for &(machine, available_at) in query.sources {
@@ -163,20 +189,78 @@ fn search(query: &ItemQuery<'_>, reads: Option<&[MachineId]>) -> ArrivalTree {
         if available_at < *slot {
             *slot = available_at;
             hops[machine.index()] = None;
-            queue.push(Reverse((available_at, machine.index() as u32)));
+            queue.push(Reverse(Entry::new(available_at, machine.index(), goal)));
             stats.heap_pushes += 1;
         }
     }
 
-    settle(query, reads, &mut arrivals, &mut hops, &mut queue, &mut stats);
+    settle(query, goal, reads, &mut arrivals, &mut hops, &mut queue, &mut stats);
     stats.publish();
 
     ArrivalTree::new(arrivals, hops)
 }
 
-/// The search frontier: a min-heap popping ascending `(arrival, machine
-/// id)`, with lazy deletion of superseded entries.
-type Frontier = BinaryHeap<Reverse<(SimTime, u32)>>;
+/// What steers a search: the lower bound, in ms, on the time from a
+/// machine to the nearest destination. Generic rather than optional, so
+/// that the full search carries no code of the goal's and a steered one no
+/// test for it.
+trait Bound: Copy {
+    fn at(self, machine: usize) -> u64;
+}
+
+/// The full search's bound: none.
+#[derive(Clone, Copy)]
+struct Unsteered;
+
+impl Bound for Unsteered {
+    #[inline]
+    fn at(self, _: usize) -> u64 {
+        0
+    }
+}
+
+impl Bound for &Goal<'_> {
+    #[inline]
+    fn at(self, machine: usize) -> u64 {
+        self.bound(MachineId::new(machine as u32)).as_millis()
+    }
+}
+
+/// A frontier entry, ordered as `(key, arrival, machine id)` with `key =
+/// arrival + bound`, packed in one `u128` so that the heap compares once:
+/// the key in the high 64 bits, then `u32::MAX − lead` where `lead = key −
+/// arrival`, then the machine id. The bound is capped at `u32::MAX` ms
+/// (49.7 days; a minimum with a constant keeps it consistent) and the key
+/// saturates, so the lead always fits and the arrival is recovered exactly.
+/// With no goal the bound is zero and the order is `(arrival, id)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry(u128);
+
+impl Entry {
+    #[inline]
+    fn new(arrival: SimTime, machine: usize, goal: impl Bound) -> Self {
+        let bound = goal.at(machine);
+        let key = arrival.as_millis().saturating_add(bound.min(u64::from(u32::MAX)));
+        let lead = (key - arrival.as_millis()) as u32;
+        Entry(u128::from(key) << 64 | u128::from(u32::MAX - lead) << 32 | machine as u128)
+    }
+
+    fn key(self) -> u64 {
+        (self.0 >> 64) as u64
+    }
+
+    fn arrival(self) -> SimTime {
+        SimTime::from_millis(self.key() - u64::from(u32::MAX - (self.0 >> 32) as u32))
+    }
+
+    fn machine(self) -> u32 {
+        self.0 as u32
+    }
+}
+
+/// The search frontier: a min-heap of [`Entry`], with lazy deletion of
+/// superseded entries.
+type Frontier = BinaryHeap<Reverse<Entry>>;
 
 /// The label-setting core: drains the seeded queue, relaxing every
 /// outgoing edge of each settled machine, and returns once every machine
@@ -184,11 +268,12 @@ type Frontier = BinaryHeap<Reverse<(SimTime, u32)>>;
 /// a pop counts its occurrences in `reads`). Each run's transfer time is
 /// computed once and handed to every probe of the run, and the probes
 /// count into `stats` rather than the tap. Kept out of line: folded into
-/// its caller, the sweep measured 12–15 % slower (DESIGN.md §3, "Dirty-item
-/// caching").
+/// its caller, the sweep measured 12–15 % slower (DESIGN.md §3,
+/// "Dirty-item caching").
 #[inline(never)]
 fn settle(
     query: &ItemQuery<'_>,
+    goal: impl Bound,
     reads: Option<&[MachineId]>,
     arrivals: &mut [SimTime],
     hops: &mut [Option<Hop>],
@@ -198,12 +283,14 @@ fn settle(
     let network = query.network;
     let mut unsettled = reads.map_or(usize::MAX, <[MachineId]>::len);
     while unsettled > 0 {
-        let Some(Reverse((ready, u_idx))) = queue.pop() else { return };
-        if ready > arrivals[u_idx as usize] {
+        let Some(Reverse(sender)) = queue.pop() else { return };
+        let ready = sender.arrival();
+        if ready > arrivals[sender.machine() as usize] {
             stats.stale_pops += 1;
             continue; // stale queue entry
         }
-        let u = MachineId::new(u_idx);
+        stats.settled += 1;
+        let u = MachineId::new(sender.machine());
         if let Some(reads) = reads {
             unsettled -= reads.iter().filter(|&&d| d == u).count();
             if unsettled == 0 {
@@ -215,44 +302,60 @@ fn settle(
             let head = &run.links[0];
             let v = head.destination().index();
             let hold = query.hold_until[v];
+            let takes = |at, arrivals: &[SimTime], hops: &[Option<Hop>]| {
+                takes(goal, &sender, at, v, arrivals, hops)
+            };
             // Ends never decrease along a run: the windows that closed
             // before `ready` are a prefix. Past it, `start < end` puts the
             // earliest start inside the window.
             let open = run.links.partition_point(|link| link.end() < ready);
-            debug_assert_pruned(query, &run, 0..open, ready, arrivals);
+            debug_assert_pruned(query, goal, &sender, &run, 0..open, arrivals, hops);
             let mut transfer = None;
             for (k, link) in run.links.iter().enumerate().skip(open) {
                 // Starts never decrease either, so neither do the earliest
                 // start and its bound: the first window whose bound falls
-                // past the hold or at or after the label ends the run.
+                // past the hold or no longer takes the receiver ends the
+                // run.
                 let earliest = link.start().max(ready);
-                let bound = if earliest > hold || earliest >= arrivals[v] {
+                let bound = if earliest > hold || !takes(earliest, arrivals, hops) {
                     None
                 } else {
                     let transfer = *transfer.get_or_insert_with(|| head.transfer_time(query.size));
                     earliest
                         .checked_add(transfer)
-                        .filter(|&lb| lb <= hold && lb < arrivals[v])
+                        .filter(|&lb| lb <= hold && takes(lb, arrivals, hops))
                         .map(|lb| (lb, transfer))
                 };
                 let Some((lb, duration)) = bound else {
-                    debug_assert_pruned(query, &run, k..run.links.len(), ready, arrivals);
+                    debug_assert_pruned(
+                        query,
+                        goal,
+                        &sender,
+                        &run,
+                        k..run.links.len(),
+                        arrivals,
+                        hops,
+                    );
                     break;
                 };
                 if lb > link.end() {
-                    debug_assert_pruned(query, &run, k..k + 1, ready, arrivals);
+                    debug_assert_pruned(query, goal, &sender, &run, k..k + 1, arrivals, hops);
                     continue;
                 }
                 let link_id = run.link(k);
-                debug_assert!(may_improve(query, link, ready, arrivals));
+                debug_assert!(may_improve(query, goal, &sender, link, arrivals, hops));
                 let crossing = Crossing { id: link_id, link, size: query.size, duration };
                 let Some(slot) =
                     query.ledger.earliest_crossing(crossing, ready, hold, &mut stats.probes)
                 else {
                     continue;
                 };
-                if slot.arrival < arrivals[v] {
-                    arrivals[v] = slot.arrival;
+                if takes(slot.arrival, arrivals, hops) {
+                    if slot.arrival < arrivals[v] {
+                        arrivals[v] = slot.arrival;
+                        queue.push(Reverse(Entry::new(slot.arrival, v, goal)));
+                        stats.heap_pushes += 1;
+                    }
                     hops[v] = Some(Hop {
                         from: u,
                         to: head.destination(),
@@ -260,46 +363,91 @@ fn settle(
                         start: slot.start,
                         arrival: slot.arrival,
                     });
-                    queue.push(Reverse((slot.arrival, v as u32)));
-                    stats.heap_pushes += 1;
                 }
             }
         }
     }
 }
 
-/// The unloaded-network bound, link by link: no slot can complete earlier
-/// than the earliest start plus the transfer time, and none may complete
-/// after window end or the receiver's hold deadline — nor, to matter, at or
-/// after its current label; overflow means unrepresentably late. `settle`
-/// applies it a run at a time; this is the oracle its debug build checks
-/// every passed-over link against.
-fn may_improve(
-    query: &ItemQuery<'_>,
-    link: &VirtualLink,
-    ready: SimTime,
+/// Whether an arrival of `at` at `v`, sent by the machine `sender`
+/// settles, takes `v`'s hop: an earlier arrival does; an equal one does
+/// when `sender` comes before the hop's sender in the full search's order,
+/// `(label, id)`, but was settled after it here. That happens only when
+/// the goal's bound put the hop's sender first — never with no goal, when
+/// the search settles in the full search's order.
+#[inline]
+fn takes(
+    goal: impl Bound,
+    sender: &Entry,
+    at: SimTime,
+    v: usize,
+    arrivals: &[SimTime],
+    hops: &[Option<Hop>],
+) -> bool {
+    at < arrivals[v] || (at == arrivals[v] && settled_out_of_order(goal, sender, hops[v], arrivals))
+}
+
+/// Whether `sender` comes before the sender of `hop` in the full search's
+/// order but was settled after it here.
+#[cold]
+#[inline(never)]
+fn settled_out_of_order(
+    goal: impl Bound,
+    sender: &Entry,
+    hop: Option<Hop>,
     arrivals: &[SimTime],
 ) -> bool {
+    hop.is_some_and(|hop| {
+        let w = hop.from.index();
+        let current = Entry::new(arrivals[w], w, goal);
+        (sender.arrival(), sender.machine()) < (current.arrival(), current.machine())
+            && sender.key() > current.key()
+    })
+}
+
+/// The unloaded-network bound, link by link: no slot can complete earlier
+/// than the earliest start plus the transfer time, and none may complete
+/// after window end or the receiver's hold deadline — nor, to matter, fail
+/// to take the receiver ([`takes`]); overflow means unrepresentably late.
+/// `settle` applies it a run at a time; this is the oracle its debug build
+/// checks every passed-over link against.
+fn may_improve(
+    query: &ItemQuery<'_>,
+    goal: impl Bound,
+    sender: &Entry,
+    link: &VirtualLink,
+    arrivals: &[SimTime],
+    hops: &[Option<Hop>],
+) -> bool {
     let v = link.destination().index();
-    let (earliest, limit) = (link.start().max(ready), link.end().min(query.hold_until[v]));
+    let takes = |at| takes(goal, sender, at, v, arrivals, hops);
+    let (earliest, limit) =
+        (link.start().max(sender.arrival()), link.end().min(query.hold_until[v]));
     earliest <= limit
-        && earliest < arrivals[v]
+        && takes(earliest)
         && earliest
             .checked_add(link.transfer_time(query.size))
-            .is_some_and(|lb| lb <= limit && lb < arrivals[v])
+            .is_some_and(|lb| lb <= limit && takes(lb))
 }
 
 /// Debug builds only: every window `skipped` of `run` fails [`may_improve`].
 fn debug_assert_pruned(
     query: &ItemQuery<'_>,
+    goal: impl Bound,
+    sender: &Entry,
     run: &LinkRun<'_>,
-    skipped: std::ops::Range<usize>,
-    ready: SimTime,
+    skipped: Range<usize>,
     arrivals: &[SimTime],
+    hops: &[Option<Hop>],
 ) {
     if cfg!(debug_assertions) {
         for k in skipped {
-            assert!(!may_improve(query, &run.links[k], ready, arrivals), "{} pruned", run.link(k));
+            let link = &run.links[k];
+            assert!(
+                !may_improve(query, goal, sender, link, arrivals, hops),
+                "{} pruned",
+                run.link(k)
+            );
         }
     }
 }
@@ -704,13 +852,14 @@ mod tests {
             hold_until: &hold,
             horizon: SimTime::MAX,
         };
+        let landmarks = Landmarks::new(&net);
         let full = earliest_arrival_tree(&query);
-        let to_m1 = earliest_arrival_paths(&query, &[m(1), m(1)]);
+        let to_m1 = earliest_arrival_paths(&query, &landmarks, &[m(1), m(1)]);
         assert_eq!(to_m1.path_to(m(1)), full.path_to(m(1)));
         // m1 was never expanded: m2 keeps the direct link's 40 s, not 20 s.
         assert_eq!((to_m1.arrival(m(2)), full.arrival(m(2))), (t(40), t(20)));
-        assert_eq!(earliest_arrival_paths(&query, &[m(2)]), full);
-        let none = earliest_arrival_paths(&query, &[]);
+        assert_eq!(earliest_arrival_paths(&query, &landmarks, &[m(2)]), full);
+        let none = earliest_arrival_paths(&query, &landmarks, &[]);
         assert_eq!((none.arrival(m(0)), none.is_reachable(m(1))), (t(0), false));
     }
 

@@ -16,11 +16,16 @@
 //! scratch. The frontier is a plain binary heap.
 //!
 //! A scheduler reads a tree only for the destinations it asks about, so
-//! it searches with [`earliest_arrival_paths`]: the same search, stopped
-//! when the last of those destinations is popped. A popped label is
-//! final, and so is every hop on its path, so what the read sees is the
-//! full tree's, tie-breaks included; the labels of the machines left
-//! unsettled are not to be read.
+//! it searches with [`earliest_arrival_paths`]: the same search, steered
+//! to those destinations as an A* search and stopped when the last of them
+//! is popped. The steering is a landmark lower bound ([`Landmarks`], built
+//! once per network): the static distance to the nearest destination,
+//! scaled by the item's size, which falls by at most a crossing's transfer
+//! time across any link. With that bound consistent, a popped label is
+//! final, and so is every hop on its path; an equal arrival replaces a hop
+//! when its sender comes first in the full search's `(label, id)` order.
+//! So what the read sees is the full tree's, tie-breaks included; the
+//! labels of the machines left unsettled are not to be read.
 //!
 //! # Examples
 //!
@@ -53,7 +58,9 @@
 #![warn(missing_docs)]
 
 pub mod dijkstra;
+pub mod landmarks;
 pub mod tree;
 
 pub use dijkstra::{earliest_arrival_paths, earliest_arrival_tree, paths_hold, ItemQuery};
+pub use landmarks::{Goal, Landmarks};
 pub use tree::{ArrivalTree, Hop};

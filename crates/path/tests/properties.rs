@@ -10,9 +10,14 @@
 //! 3. **Validation soundness** — after arbitrary consumption, the paths
 //!    `paths_hold` accepts are a from-scratch search's.
 //! 4. **First hop** — `first_hop_toward` equals a walk up the hop chain.
-//! 5. **Bounded reads** — the search stopped at its destinations
-//!    (`earliest_arrival_paths`) gives each of them the arrival and path
-//!    the full search does; an empty read settles nothing.
+//! 5. **Bounded reads** — the search steered to its destinations and
+//!    stopped there (`earliest_arrival_paths`) gives each of them the
+//!    arrival and path the full search does; an empty read settles
+//!    nothing. Uniform grids and lines, where many routes arrive at once,
+//!    hold it to the full search's tie-breaks.
+//! 6. **Landmark bound** — the goal's bound is consistent across every
+//!    link, zero at the destinations, and no more than the item's size
+//!    times the static distance to the nearest destination, rounded down.
 //!
 //! Exactness is also checked with finite per-machine hold deadlines, on a
 //! partly consumed ledger, with some windows opening after every hold.
@@ -26,7 +31,9 @@ use dstage_model::machine::Machine;
 use dstage_model::network::{Network, NetworkBuilder};
 use dstage_model::time::SimTime;
 use dstage_model::units::{BitsPerSec, Bytes};
-use dstage_path::{earliest_arrival_paths, earliest_arrival_tree, paths_hold, ItemQuery};
+use dstage_path::{
+    earliest_arrival_paths, earliest_arrival_tree, paths_hold, ItemQuery, Landmarks,
+};
 use dstage_resources::ledger::NetworkLedger;
 use proptest::prelude::*;
 
@@ -225,7 +232,7 @@ fn check_paths_that_hold(
         picks.iter().map(|&p| MachineId::new((p % net.machines) as u32)).collect();
     let mut ledger = NetworkLedger::new(&network);
     let query = query_of(&network, &ledger, size, &sources, &hold);
-    let tree = earliest_arrival_paths(&query, &destinations);
+    let tree = earliest_arrival_paths(&query, &Landmarks::new(&network), &destinations);
     // Nothing consumed: every hop, probed again with every resource
     // named, finds the slot the search gave it.
     let (all_links, all_machines): (Vec<VirtualLinkId>, Vec<MachineId>) =
@@ -321,7 +328,7 @@ fn check_bounded_reads(
         .collect();
     let query = query_of(&network, &ledger, size, &sources, &hold);
     let full = earliest_arrival_tree(&query);
-    let bounded = earliest_arrival_paths(&query, &reads);
+    let bounded = earliest_arrival_paths(&query, &Landmarks::new(&network), &reads);
     for &d in &reads {
         prop_assert_eq!(bounded.arrival(d), full.arrival(d), "arrival at {}", d);
         prop_assert_eq!(bounded.path_to(d), full.path_to(d), "path to {}", d);
@@ -332,6 +339,132 @@ fn check_bounded_reads(
             let seeded = sources.iter().filter(|s| s.0 == machine).map(|s| s.1).min();
             prop_assert_eq!(bounded.arrival(machine), seeded.unwrap_or(SimTime::MAX));
             prop_assert_eq!(bounded.hop_into(machine), None);
+        }
+    }
+    Ok(())
+}
+
+/// A network of one bandwidth, `speed` bytes per ms, on every link, and
+/// one window: a `k`×`k` grid linked both ways between neighbours, or (with
+/// `line`) `k`² machines in a line, linked both ways — and one machine
+/// linked to nothing, the last. Many routes arrive at once.
+fn uniform_net(line: bool, k: usize, speed: u64) -> RandomNet {
+    let machines = k * k;
+    let mut links = Vec::new();
+    let mut both_ways = |a: usize, b: usize| {
+        links.push((a, b, 0, 100_000, speed));
+        links.push((b, a, 0, 100_000, speed));
+    };
+    for cell in 0..machines {
+        if line {
+            if cell + 1 < machines {
+                both_ways(cell, cell + 1);
+            }
+        } else {
+            if cell % k + 1 < k {
+                both_ways(cell, cell + 1);
+            }
+            if cell + k < machines {
+                both_ways(cell, cell + k);
+            }
+        }
+    }
+    RandomNet { machines: machines + 1, links, caps: vec![u64::MAX / 2; machines + 1] }
+}
+
+/// A draw of `0..40_000` with a zero one time in four: an empty item
+/// crosses every link in 0 ms.
+fn tie_size(pick: u8, size: u64) -> u64 {
+    if pick == 0 {
+        0
+    } else {
+        size
+    }
+}
+
+/// On a uniform grid or line of `speed` bytes per ms, with one or two
+/// sources and some bookings, the search steered to `picks` gives each
+/// picked machine the arrival and path of the full search. A source's copy
+/// is available after a whole number of hops, so routes from different
+/// sources arrive at once too. A pick past the linked machines names the
+/// isolated one; duplicates are drawn as they fall.
+fn check_ties(
+    net: &RandomNet,
+    speed: u64,
+    size: u64,
+    sources: &[(usize, u64)],
+    commits: &[(usize, u64, u64)],
+    picks: &[usize],
+) -> Result<(), TestCaseError> {
+    let network = build(net);
+    let linked = net.machines - 1;
+    let mut ledger = NetworkLedger::new(&network);
+    consume_randomly(&network, &mut ledger, commits);
+    let hold = vec![SimTime::MAX; net.machines];
+    let hop = size.div_ceil(speed);
+    let sources: Vec<_> = sources
+        .iter()
+        .map(|&(m, hops)| (MachineId::new((m % linked) as u32), SimTime::from_millis(hops * hop)))
+        .collect();
+    let reads: Vec<MachineId> =
+        picks.iter().map(|&p| MachineId::new(p.min(linked) as u32)).collect();
+    let query = query_of(&network, &ledger, size, &sources, &hold);
+    let full = earliest_arrival_tree(&query);
+    let steered = earliest_arrival_paths(&query, &Landmarks::new(&network), &reads);
+    for &d in &reads {
+        prop_assert_eq!(steered.arrival(d), full.arrival(d), "arrival at {}", d);
+        prop_assert_eq!(steered.path_to(d), full.path_to(d), "path to {}", d);
+    }
+    Ok(())
+}
+
+/// The fixed-point static distance of every machine to the nearest of
+/// `destinations` (`None`: none reachable), by relaxing every link to a
+/// fixpoint over the cost `floor(8000·2³²/bps)`.
+fn static_distances(network: &Network, destinations: &[MachineId]) -> Vec<Option<u128>> {
+    let mut dist = vec![None; network.machine_count()];
+    for d in destinations {
+        dist[d.index()] = Some(0);
+    }
+    loop {
+        let mut changed = false;
+        for (_, link) in network.links() {
+            let cost = (8_000u128 << 32) / u128::from(link.bandwidth().as_u64());
+            let Some(onward) = dist[link.destination().index()] else { continue };
+            let slot = &mut dist[link.source().index()];
+            if slot.is_none_or(|d| onward + cost < d) {
+                *slot = Some(onward + cost);
+                changed = true;
+            }
+        }
+        if !changed {
+            return dist;
+        }
+    }
+}
+
+/// The goal of a read of `picks` is consistent across every link, zero at
+/// each destination, and at most the size-scaled static distance to the
+/// nearest destination, rounded down.
+fn check_bound(net: &RandomNet, size: u64, picks: &[usize]) -> Result<(), TestCaseError> {
+    let network = build(net);
+    let reads: Vec<MachineId> =
+        picks.iter().map(|&p| MachineId::new((p % net.machines) as u32)).collect();
+    let landmarks = Landmarks::new(&network);
+    let goal = landmarks.goal(Bytes::new(size), &reads);
+    for (id, link) in network.links() {
+        let (u, v) = (link.source(), link.destination());
+        let onward = goal.bound(v).saturating_add(link.transfer_time(Bytes::new(size)));
+        prop_assert!(goal.bound(u) <= onward, "{} from {} to {}", id, u, v);
+    }
+    for &d in &reads {
+        prop_assert_eq!(goal.bound(d).as_millis(), 0, "at destination {}", d);
+    }
+    for (i, distance) in static_distances(&network, &reads).into_iter().enumerate() {
+        if let Some(distance) = distance {
+            let ceiling = (u128::from(size) * distance) >> 32;
+            let bound = goal.bound(MachineId::new(i as u32)).as_millis();
+            prop_assert!(u128::from(bound) <= ceiling, "machine {}: {} > {}", i, bound, ceiling);
         }
     }
     Ok(())
@@ -569,5 +702,37 @@ proptest! {
         picks in prop::collection::vec(0usize..9, 0..5),
     ) {
         check_bounded_reads(net, size, src, other, &holds, &commits, &picks)?;
+    }
+}
+
+proptest! {
+    // Cheap cases; a tie the goal could settle out of order needs a
+    // destination whose last hop the bound sees from one side only.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn steered_reads_on_uniform_grids_and_lines_keep_the_full_search_tie_breaks(
+        shape in (0u8..4, 2usize..6, 1u64..20),
+        size in (0u8..4, 1u64..40_000),
+        sources in prop::collection::vec((0usize..36, 0u64..4), 1..3),
+        commits in prop::collection::vec((0usize..120, 0u64..200, 1u64..30_000), 0..4),
+        picks in prop::collection::vec(0usize..40, 0..5),
+    ) {
+        let (line, k, speed) = shape;
+        let net = uniform_net(line == 0, k, speed);
+        check_ties(&net, speed, tie_size(size.0, size.1), &sources, &commits, &picks)?;
+    }
+
+    #[test]
+    fn the_landmark_bound_is_consistent_zero_at_destinations_and_below_the_static_distance(
+        net in random_net_strategy(),
+        grid in (0u8..3, 2usize..6, 1u64..20),
+        size in (0u8..4, 1u64..40_000),
+        picks in prop::collection::vec(0usize..40, 0..4),
+    ) {
+        let size = tie_size(size.0, size.1);
+        check_bound(&net, size, &picks)?;
+        let (line, k, speed) = grid;
+        check_bound(&uniform_net(line == 0, k, speed), size, &picks)?;
     }
 }
