@@ -163,15 +163,55 @@ impl Heuristic {
     }
 }
 
+/// Where a request decided on its own is placed, once its earliest-arrival
+/// path meets its deadline. With one request to route there is no step to
+/// pick among, so a heuristic's cost criterion and E-U weights decide
+/// nothing; only where its commit puts the path does
+/// ([`Heuristic::commit_rule`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CommitRule {
+    /// The earliest-arrival path as found
+    /// ([`SchedulerState::commit_path`]).
+    Earliest,
+    /// The same path, each hop moved to its latest slot before the deadline
+    /// ([`SchedulerState::commit_path_latest`]).
+    Latest,
+}
+
+impl CommitRule {
+    /// The rule's name: "earliest" or "latest".
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            CommitRule::Earliest => "earliest",
+            CommitRule::Latest => "latest",
+        }
+    }
+}
+
+impl Heuristic {
+    /// What the heuristic commits for a request routed alone: the paper's
+    /// three commit its earliest-arrival path — one hop at a time, one
+    /// path, or the union of one path — and `alap` its latest-slot path.
+    #[must_use]
+    pub fn commit_rule(self) -> CommitRule {
+        match self {
+            Heuristic::Alap => CommitRule::Latest,
+            _ => CommitRule::Earliest,
+        }
+    }
+}
+
 impl core::fmt::Display for Heuristic {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str(self.label())
     }
 }
 
-/// A scheduler and the configuration it runs under, as the `stage` and
-/// `stage-serve` command lines choose them with `--heuristic` (`stage-serve`:
-/// `--scheduler`), `--criterion`, `--ratio` and `--weights`. The default is
+/// A scheduler and the configuration it runs under, as the `stage` command
+/// line chooses them with `--heuristic`, `--criterion`, `--ratio` and
+/// `--weights`, and `stage-serve` with `--scheduler` (`--heuristic` its
+/// alias) and `--weights` ([`Pairing::parse_online_flag`]). The default is
 /// full path/one destination under [`HeuristicConfig::paper_best`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pairing {
@@ -193,11 +233,20 @@ impl Default for Pairing {
     }
 }
 
+/// The value after `flag`, or a usage error naming `what` it needs.
+fn flag_value(
+    flag: &str,
+    what: &str,
+    args: &mut impl Iterator<Item = String>,
+) -> Result<String, String> {
+    args.next().ok_or_else(|| format!("{flag} needs {what}"))
+}
+
 impl Pairing {
     /// Reads the value of `flag` from `args` when `flag` is one of the four
     /// pairing flags, and says whether it was. The scheduler flag is
-    /// `--heuristic` or `scheduler_flag`: `stage-serve` spells it
-    /// `--scheduler`, `stage` passes `--heuristic` and so takes only that.
+    /// `--heuristic` or `scheduler_flag`: `stage` passes `--heuristic` and
+    /// so takes only that.
     ///
     /// # Errors
     ///
@@ -209,26 +258,46 @@ impl Pairing {
         flag: &str,
         args: &mut impl Iterator<Item = String>,
     ) -> Result<bool, UsageError> {
-        let mut value = |what: &str| args.next().ok_or_else(|| format!("{flag} needs {what}"));
+        match flag {
+            "--criterion" => {
+                let name = flag_value(flag, "a name", args)?;
+                self.config.criterion = CostCriterion::from_label(&name)
+                    .ok_or_else(|| format!("unknown criterion {name:?}"))?;
+            }
+            "--ratio" => {
+                self.log10_ratio =
+                    EuWeights::parse_log10_ratio(&flag_value(flag, "a number", args)?)?;
+                self.config.eu = EuWeights::from_log10_ratio(self.log10_ratio);
+            }
+            _ => return self.parse_online_flag(scheduler_flag, flag, args),
+        }
+        Ok(true)
+    }
+
+    /// [`Pairing::parse_flag`] for the two flags that mean something to a
+    /// daemon, which routes each request alone: the scheduler, of which
+    /// only the commit rule counts there ([`Heuristic::commit_rule`]), and
+    /// `--weights`. `stage-serve` spells the scheduler flag `--scheduler`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Pairing::parse_flag`].
+    pub fn parse_online_flag(
+        &mut self,
+        scheduler_flag: &str,
+        flag: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, UsageError> {
         match flag {
             _ if flag == "--heuristic" || flag == scheduler_flag => {
-                let name = value("a name")?;
+                let name = flag_value(flag, "a name", args)?;
                 self.heuristic = Heuristic::from_label(&name).ok_or_else(|| {
                     let valid = Heuristic::EXTENDED.map(Heuristic::label).join(", ");
                     UsageError::unknown_name(format!("unknown scheduler `{name}` (valid: {valid})"))
                 })?;
             }
-            "--criterion" => {
-                let name = value("a name")?;
-                self.config.criterion = CostCriterion::from_label(&name)
-                    .ok_or_else(|| format!("unknown criterion {name:?}"))?;
-            }
-            "--ratio" => {
-                self.log10_ratio = EuWeights::parse_log10_ratio(&value("a number")?)?;
-                self.config.eu = EuWeights::from_log10_ratio(self.log10_ratio);
-            }
             "--weights" => {
-                let name = value("a weighting")?;
+                let name = flag_value(flag, "a weighting", args)?;
                 self.config.priority_weights = PriorityWeights::paper_from_label(&name)
                     .ok_or_else(|| format!("unknown weighting {name:?}"))?;
             }
@@ -251,16 +320,20 @@ impl Pairing {
     /// spelled `flag`.
     #[must_use]
     pub fn usage(flag: &str) -> String {
-        let schedulers = Heuristic::EXTENDED.map(|h| h.label().replace('_', "-")).join("|");
         let criteria: Vec<_> = CostCriterion::ALL
             .iter()
             .chain(&CostCriterion::EXTENSIONS)
             .map(|c| c.label())
             .collect();
-        format!(
-            "[{flag} {schedulers}] [--criterion {}] [--ratio X] [--weights 1,5,10|1,10,100]",
-            criteria.join("|")
-        )
+        format!("{} [--criterion {}] [--ratio X]", Self::online_usage(flag), criteria.join("|"))
+    }
+
+    /// The usage line's part for the scheduler flag, spelled `flag`, and
+    /// `--weights` ([`Pairing::parse_online_flag`]).
+    #[must_use]
+    pub fn online_usage(flag: &str) -> String {
+        let schedulers = Heuristic::EXTENDED.map(|h| h.label().replace('_', "-")).join("|");
+        format!("[{flag} {schedulers}] [--weights 1,5,10|1,10,100]")
     }
 }
 
@@ -514,8 +587,8 @@ mod tests {
         Ok(pairing)
     }
 
-    /// `stage-serve`'s fingerprint is built from this config, so its E-U
-    /// weights must stay the operating point's floats bit for bit.
+    /// `stage` runs this config by default, so its E-U weights must stay
+    /// the operating point's floats bit for bit.
     #[test]
     fn the_default_pairing_is_full_one_under_the_paper_best_config() {
         let default = pairing(&[]).unwrap();
@@ -582,8 +655,12 @@ mod tests {
     fn the_pairing_usage_lists_every_scheduler_and_criterion() {
         assert_eq!(
             Pairing::usage("--scheduler"),
-            "[--scheduler partial|full-one|full-all|alap] [--criterion C1|C2|C3|C4|C3f] \
-             [--ratio X] [--weights 1,5,10|1,10,100]"
+            "[--scheduler partial|full-one|full-all|alap] [--weights 1,5,10|1,10,100] \
+             [--criterion C1|C2|C3|C4|C3f] [--ratio X]"
+        );
+        assert_eq!(
+            Pairing::online_usage("--scheduler"),
+            "[--scheduler partial|full-one|full-all|alap] [--weights 1,5,10|1,10,100]"
         );
     }
 

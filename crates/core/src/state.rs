@@ -1083,8 +1083,7 @@ impl<'a> SchedulerState<'a> {
     ///
     /// Only items with an active request are visited: any other one has
     /// nothing pending, and no enumeration either, since withholding its
-    /// last request dropped it (DESIGN.md §3). A daemon, whose decisions
-    /// activate one request each, visits one item per round.
+    /// last request dropped it (DESIGN.md §3).
     pub fn all_candidate_steps(&mut self) -> impl Iterator<Item = &CandidateStep> + Clone + '_ {
         debug_assert!(self.passes_over_idle_items_only());
         Self::publish(self.scenario.item_ids().filter_map(|item| {

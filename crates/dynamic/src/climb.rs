@@ -1,18 +1,18 @@
 //! The evict-and-readmit hill climb — one climb for the daemon's
 //! `optimize` verb and for `figures optimizer`. A trial unbooks a lighter
-//! victim's route and lets the heuristic route one refused candidate on
-//! what that frees, re-planning nobody else (the residual-capacity
+//! victim's route and settles one refused candidate on what that frees,
+//! re-planning nobody else (the residual-capacity
 //! admission of the online transfer schedulers in PAPERS.md, DDCCast among
 //! them). It is kept iff nobody else loses a
 //! delivery, so `E[S]` strictly improves; otherwise everything goes back.
 
 use std::cmp::Reverse;
 
-use dstage_core::heuristic::drive_state;
+use dstage_core::heuristic::CommitRule;
 use dstage_core::schedule::{Delivery, Schedule, Transfer};
 use dstage_core::state::{Savepoint, SchedulerState};
 use dstage_model::ids::{DataItemId, RequestId};
-use dstage_model::request::Request;
+use dstage_model::request::{PriorityWeights, Request};
 use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
 
@@ -75,19 +75,27 @@ pub struct Climbed {
 }
 
 impl<'a> LiveSchedule<'a> {
-    /// Lets `policy` route request `id`, active for this drive alone.
+    /// Routes request `id` alone, as every heuristic's drive of it would
+    /// (`settle_is_a_drive_of_the_one_request`): unless a copy serves it
+    /// already, its earliest-arrival path is committed where `rule` places
+    /// it, if it meets the deadline (unreachable is `SimTime::MAX`).
     /// Delivered, the delivery and what was booked are returned for the
     /// caller to commit; otherwise the state goes back to `savepoint`.
     pub fn settle(
         &mut self,
         id: RequestId,
         savepoint: Savepoint,
-        policy: &OnlinePolicy,
+        rule: CommitRule,
     ) -> Option<(Delivery, Vec<Transfer>)> {
         let state = self.state_mut();
-        state.set_request_active(id, true);
-        drive_state(state, policy.heuristic, &policy.config);
-        state.set_request_active(id, false);
+        let request = *state.scenario().request(id);
+        let (item, to, deadline) = (request.item(), request.destination(), request.deadline());
+        if !state.is_delivered(id) && state.tree(item, &[to]).arrival(to) <= deadline {
+            match rule {
+                CommitRule::Earliest => state.commit_path(item, to),
+                CommitRule::Latest => state.commit_path_latest(item, to, deadline),
+            };
+        }
         let Some(delivery) = state.delivery_of(id) else {
             state.rollback(savepoint);
             return None;
@@ -108,13 +116,13 @@ impl<'a> LiveSchedule<'a> {
     /// optimum.
     pub fn climb<S: Standing>(
         &mut self,
-        policy: &OnlinePolicy,
+        rule: CommitRule,
+        weights: &PriorityWeights,
         standings: &mut Vec<S>,
         mut candidates: Vec<(u64, Request)>,
         budget: u64,
         mut admit: impl FnMut(&mut SchedulerState<'a>, u64, Request) -> Option<RequestId>,
     ) -> Climbed {
-        let weights = &policy.config.priority_weights;
         candidates
             .sort_by_key(|&(key, request)| (Reverse(weights.weight(request.priority())), key));
         let mut climbed = Climbed::default();
@@ -135,14 +143,8 @@ impl<'a> LiveSchedule<'a> {
                         break 'climb;
                     }
                     climbed.attempted += 1;
-                    let trial = self.try_swap(
-                        policy,
-                        standings,
-                        candidate,
-                        victim,
-                        &mut climbed,
-                        &mut admit,
-                    );
+                    let trial =
+                        self.try_swap(rule, standings, candidate, victim, &mut climbed, &mut admit);
                     let Some(admitted) = trial else { continue };
                     debug_assert_eq!(self.divergence(), None);
                     climbed.swaps.push(Swap { key: candidate.0, evicted: victim, admitted });
@@ -195,7 +197,7 @@ impl<'a> LiveSchedule<'a> {
     /// request) or puts everything back.
     fn try_swap<S: Standing>(
         &mut self,
-        policy: &OnlinePolicy,
+        rule: CommitRule,
         standings: &mut Vec<S>,
         (key, request): (u64, Request),
         victim: RequestId,
@@ -223,7 +225,7 @@ impl<'a> LiveSchedule<'a> {
         }
         let savepoint = state.savepoint(admitting);
         let settled = match admit(state, key, request) {
-            Some(id) => self.settle(id, savepoint, policy),
+            Some(id) => self.settle(id, savepoint, rule),
             None => {
                 state.rollback(savepoint);
                 None
@@ -272,7 +274,7 @@ impl<'a> LiveSchedule<'a> {
 }
 
 /// Runs the climb on `plan`, a static schedule of `scenario`, replayed
-/// into a live schedule with every request inactive: the requests it
+/// into a live schedule: the requests it
 /// leaves unsatisfied are the candidates, and each transfer is held by
 /// the lowest-id satisfied request whose delivery chain uses it.
 ///
@@ -296,7 +298,8 @@ pub fn climb_plan<'s>(
         .map(|((id, request), _)| (id.index() as u64, *request))
         .collect();
     let refused = |_: &mut SchedulerState<'s>, key, _| Some(RequestId::new(key as u32));
-    let climbed = live.climb(policy, &mut routes, candidates, budget, refused);
+    let (rule, weights) = (policy.heuristic.commit_rule(), &policy.config.priority_weights);
+    let climbed = live.climb(rule, weights, &mut routes, candidates, budget, refused);
     (live, climbed)
 }
 
@@ -340,7 +343,7 @@ fn plan_routes(scenario: &Scenario, plan: &Schedule) -> Vec<Option<Vec<Transfer>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dstage_core::heuristic::{run, Heuristic, HeuristicConfig};
+    use dstage_core::heuristic::{drive_state, run, Heuristic, HeuristicConfig};
     use dstage_model::ids::MachineId;
     use dstage_workload::small::{contended_link, fan_out, two_hop_chain};
 

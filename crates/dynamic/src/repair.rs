@@ -138,8 +138,8 @@ impl<'a> LiveSchedule<'a> {
         }
     }
 
-    /// `state`, fresh, with every request inactive and `committed` and the
-    /// disturbances replayed into it as of `now` ([`replay_state`]). The
+    /// `state`, fresh, with `committed` and the disturbances replayed into
+    /// it as of `now` ([`replay_state`]). The
     /// first normalisation looks at every item with a committed transfer or
     /// a request.
     ///
@@ -153,9 +153,6 @@ impl<'a> LiveSchedule<'a> {
         losses: Vec<Loss>,
         now: SimTime,
     ) -> Result<Self, Transfer> {
-        for id in state.scenario().request_ids() {
-            state.set_request_active(id, false);
-        }
         replay_state(&mut state, committed, &outages, &losses, now)?;
         state.take_transfers();
         state.forget_trees();

@@ -38,7 +38,8 @@ use dstage_model::time::SimTime;
 use crate::event::{EventKind, EventLog};
 use crate::repair::LiveSchedule;
 
-/// Which heuristic the online scheduler re-plans with.
+/// Which heuristic [`simulate`] re-plans every released request with
+/// ([`crate::climb_plan`] reads its commit rule and weighting only).
 #[derive(Debug, Clone)]
 pub struct OnlinePolicy {
     /// The heuristic driven at each re-plan.

@@ -3,17 +3,24 @@
 //! one live schedule `simulate` edits must decide exactly what a fresh
 //! replay at every boundary decides — with the cancellations and the
 //! deliveries of that replay worked out here, over plain vectors, by a
-//! fold that shares no code with the scheduling state.
+//! fold that shares no code with the scheduling state. A request routed
+//! alone, as the admission daemon routes every one, is placed by its
+//! commit rule exactly where each heuristic's drive under each cost
+//! criterion and E-U ratio would place it.
 
-use dstage_core::heuristic::{drive_state, run, Heuristic, HeuristicConfig};
+use std::cmp::Reverse;
+
+use dstage_core::cost::{CostCriterion, EuWeights};
+use dstage_core::heuristic::{drive_state, run, CommitRule, Heuristic, HeuristicConfig};
 use dstage_core::schedule::{Delivery, Schedule, Transfer};
-use dstage_core::state::SchedulerState;
+use dstage_core::state::{Savepoint, SchedulerState};
 use dstage_dynamic::{
-    replay_state, simulate, Event, EventKind, EventLog, OnlineOutcome, OnlinePolicy,
+    replay_state, simulate, Event, EventKind, EventLog, LiveSchedule, OnlineOutcome, OnlinePolicy,
 };
 use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
+use dstage_model::request::{PriorityWeights, Request};
 use dstage_model::scenario::Scenario;
-use dstage_model::time::SimTime;
+use dstage_model::time::{SimDuration, SimTime};
 use dstage_workload::small::{contended_link, fan_out, two_hop_chain};
 use dstage_workload::Family;
 use proptest::prelude::*;
@@ -340,5 +347,279 @@ proptest! {
             prop_assert!(d.at <= req.deadline());
             prop_assert!(seen.insert(d.request), "request delivered twice");
         }
+    }
+}
+
+/// What a decision under `rule` is held to: every heuristic whose commit
+/// rule it is, under every cost criterion it can use (C1–C4 and C3f) at E-U
+/// ratios 10⁻³, 10⁰, 10² and 10⁵.
+fn drives_of(rule: CommitRule) -> Vec<(Heuristic, HeuristicConfig)> {
+    let mut drives = Vec::new();
+    for heuristic in Heuristic::EXTENDED.into_iter().filter(|h| h.commit_rule() == rule) {
+        for criterion in CostCriterion::ALL.into_iter().chain(CostCriterion::EXTENSIONS) {
+            if heuristic.check_criterion(criterion).is_err() {
+                continue;
+            }
+            for x in [-3.0, 0.0, 2.0, 5.0] {
+                let eu = EuWeights::from_log10_ratio(x);
+                let config = HeuristicConfig { criterion, eu, ..HeuristicConfig::paper_best() };
+                drives.push((heuristic, config));
+            }
+        }
+    }
+    drives
+}
+
+/// The daemon's decision loop in miniature, over one live schedule: asks
+/// are appended and settled one at a time, disturbances repaired and the
+/// requests they displace settled again, heaviest first. Every settle is
+/// held, on a copy of the state taken before it, to each drive of
+/// [`drives_of`] with the request the one active.
+struct Admission {
+    live: LiveSchedule<'static>,
+    rule: CommitRule,
+    drives: Vec<(Heuristic, HeuristicConfig)>,
+    /// Per request: still promised a delivery.
+    promised: Vec<bool>,
+    met: Met,
+}
+
+/// How many settles met each edge case.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Met {
+    /// Served by a copy already at the destination.
+    zero_hop: usize,
+    /// Refused with the destination out of reach.
+    unreachable: usize,
+    /// Refused with the earliest arrival past the deadline.
+    late: usize,
+    /// Delivered at the deadline itself.
+    just_in_time: usize,
+}
+
+impl Met {
+    fn add(&mut self, other: Met) {
+        self.zero_hop += other.zero_hop;
+        self.unreachable += other.unreachable;
+        self.late += other.late;
+        self.just_in_time += other.just_in_time;
+    }
+}
+
+impl Admission {
+    fn new(mut catalog: Scenario, rule: CommitRule) -> Self {
+        while catalog.pop_request().is_some() {}
+        Admission {
+            live: LiveSchedule::new(SchedulerState::owning(catalog, true)),
+            rule,
+            drives: drives_of(rule),
+            promised: Vec::new(),
+            met: Met::default(),
+        }
+    }
+
+    fn scenario(&self) -> &Scenario {
+        self.live.state().scenario()
+    }
+
+    /// Settles `id` and checks it against every drive.
+    fn settle(
+        &mut self,
+        id: RequestId,
+        savepoint: Savepoint,
+    ) -> Result<Option<Vec<Transfer>>, TestCaseError> {
+        let before = self.live.state().clone();
+        let request = *before.scenario().request(id);
+        let (item, to) = (request.item(), request.destination());
+        let arrival = before.clone().tree(item, &[to]).arrival(to);
+        if before.is_delivered(id) {
+            self.met.zero_hop += 1;
+        } else if arrival == SimTime::MAX {
+            self.met.unreachable += 1;
+        } else if arrival > request.deadline() {
+            self.met.late += 1;
+        }
+        let settled = self.live.settle(id, savepoint, self.rule);
+        if settled.as_ref().is_some_and(|(delivery, _)| delivery.at == request.deadline()) {
+            self.met.just_in_time += 1;
+        }
+        for (heuristic, config) in &self.drives {
+            let mut state = before.clone();
+            for other in state.scenario().request_ids() {
+                state.set_request_active(other, other == id);
+            }
+            drive_state(&mut state, *heuristic, config);
+            let drove = state.delivery_of(id).map(|d| (d, state.take_transfers()));
+            prop_assert_eq!(
+                &drove,
+                &settled,
+                "{} under {} at {:?}, request {}",
+                heuristic,
+                config.criterion,
+                config.eu,
+                id
+            );
+        }
+        Ok(settled.map(|(_, route)| route))
+    }
+
+    /// Appends `ask` as the engine does — moving the horizon out to its
+    /// item's collection — and settles it; an ask the state refuses to
+    /// append is dropped.
+    fn submit(&mut self, ask: Request) -> Result<(), TestCaseError> {
+        let savepoint = self.live.state().savepoint(ask.item());
+        let state = self.live.state_mut();
+        let Ok(id) = state.add_request(ask) else { return Ok(()) };
+        let collected = ask.deadline() + state.scenario().gc_delay();
+        if collected > state.scenario().horizon() && state.set_horizon(collected).is_err() {
+            state.rollback(savepoint);
+            return Ok(());
+        }
+        if let Some(route) = self.settle(id, savepoint)? {
+            self.live.commit(&route);
+            self.promised.push(true);
+        }
+        Ok(())
+    }
+
+    /// The earliest arrival `ask` would get, appended; `None` when it
+    /// cannot be appended or cannot be reached.
+    fn earliest_arrival(&self, ask: Request) -> Option<SimTime> {
+        let mut state = self.live.state().clone();
+        state.add_request(ask).ok()?;
+        let collected = ask.deadline() + state.scenario().gc_delay();
+        state.set_horizon(collected.max(state.scenario().horizon())).ok()?;
+        let tree = state.tree(ask.item(), &[ask.destination()]);
+        tree.is_reachable(ask.destination()).then(|| tree.arrival(ask.destination()))
+    }
+
+    /// Applies `kind` at `at` (never before the clock), repairs, and
+    /// settles the displaced requests heaviest first, then by id.
+    fn inject(&mut self, at: SimTime, kinds: Vec<EventKind>) -> Result<(), TestCaseError> {
+        let at = at.max(self.live.now());
+        for kind in kinds {
+            self.live.apply(Event::new(at, kind));
+        }
+        self.live.advance(at);
+        let (_, normalised) = self.live.repair(&self.promised);
+        let weights = PriorityWeights::paper_1_10_100();
+        let mut displaced: Vec<RequestId> = (normalised.deliveries.iter())
+            .filter(|(_, delivery)| delivery.is_none())
+            .map(|&(id, _)| id)
+            .collect();
+        let scenario = self.scenario();
+        displaced.sort_by_key(|&id| (Reverse(weights.weight(scenario.request(id).priority())), id));
+        for id in displaced {
+            let savepoint = self.live.state().savepoint(self.scenario().request(id).item());
+            match self.settle(id, savepoint)? {
+                Some(route) => self.live.commit(&route),
+                None => self.promised[id.index()] = false,
+            }
+        }
+        prop_assert_eq!(self.live.divergence(), None);
+        Ok(())
+    }
+}
+
+/// Drives one admission stream: `raw` picks, per operation, an ask of the
+/// catalog as it is, one served by a copy another route staged, one whose
+/// deadline is its earliest arrival or a millisecond before it, an outage
+/// of a committed transfer's link in flight, the loss of a staged copy, or
+/// an outage of every link into a destination before its ask.
+fn admission_stream(
+    catalog: Scenario,
+    rule: CommitRule,
+    raw: &[(u8, usize, u64)],
+) -> Result<Admission, TestCaseError> {
+    let asks: Vec<Request> = catalog.requests().map(|(_, request)| *request).collect();
+    let mut admission = Admission::new(catalog, rule);
+    for &(op, pick, permille) in raw {
+        let ask = asks[pick % asks.len()];
+        let committed = admission.live.committed();
+        let staged = committed.get(pick % committed.len().max(1)).copied();
+        let between = |from: SimTime, to: SimTime| {
+            let span = to.as_millis().saturating_sub(from.as_millis());
+            SimTime::from_millis(from.as_millis() + span * permille / 1_000)
+        };
+        match (op % 6, staged) {
+            (1, Some(t)) => {
+                let deadline = t.arrival + SimDuration::from_millis(permille * 60_000);
+                admission.submit(Request::new(t.item, t.to, deadline, ask.priority()))?;
+            }
+            (2, _) => {
+                let Some(arrival) = admission.earliest_arrival(ask) else { continue };
+                let early = SimDuration::from_millis(permille % 2);
+                let deadline =
+                    SimTime::from_millis(arrival.as_millis().saturating_sub(early.as_millis()));
+                admission.submit(Request::new(
+                    ask.item(),
+                    ask.destination(),
+                    deadline,
+                    ask.priority(),
+                ))?;
+            }
+            (3, Some(t)) => {
+                admission
+                    .inject(between(t.start, t.arrival), vec![EventKind::LinkOutage(t.link)])?;
+            }
+            (4, Some(t)) => {
+                let lost = EventKind::CopyLoss { item: t.item, machine: t.to };
+                admission.inject(between(t.arrival, ask.deadline().max(t.arrival)), vec![lost])?;
+            }
+            (5, _) => {
+                let network = admission.scenario().network();
+                let cut =
+                    network.incoming(ask.destination()).iter().map(|&l| EventKind::LinkOutage(l));
+                admission.inject(admission.live.now(), cut.collect())?;
+                admission.submit(ask)?;
+            }
+            _ => admission.submit(ask)?,
+        }
+    }
+    Ok(admission)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn settle_is_a_drive_of_the_one_request(
+        family in prop_oneof![Just(Family::Paper), Just(Family::Grid), Just(Family::Line)],
+        rule in prop_oneof![Just(CommitRule::Earliest), Just(CommitRule::Latest)],
+        seed in 0u64..1_000,
+        raw in prop::collection::vec((0u8..6, 0usize..1_024, 0u64..1_000), 1..16),
+    ) {
+        let catalog = family.generate_small(seed);
+        prop_assume!(catalog.request_count() > 0);
+        admission_stream(catalog, rule, &raw)?;
+    }
+}
+
+/// Every edge case of a settle comes up in the streams the property draws,
+/// under each rule: a request a staged copy already serves, a destination
+/// out of reach, an earliest arrival past the deadline and one on it.
+#[test]
+fn the_admission_streams_meet_every_edge_case() {
+    let mut draw = 0x9e37_79b9_7f4a_7c15_u64;
+    let mut next = move |below: u64| {
+        draw = draw.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (draw >> 33) % below
+    };
+    for rule in [CommitRule::Earliest, CommitRule::Latest] {
+        let mut met = Met::default();
+        for family in [Family::Paper, Family::Grid, Family::Line] {
+            for seed in 0..8 {
+                let raw: Vec<(u8, usize, u64)> =
+                    (0..16).map(|_| (next(6) as u8, next(1_024) as usize, next(1_000))).collect();
+                let admission = admission_stream(family.generate_small(seed), rule, &raw)
+                    .unwrap_or_else(|e| panic!("{family:?} {rule:?} seed {seed}: {e:?}"));
+                met.add(admission.met);
+            }
+        }
+        let Met { zero_hop, unreachable, late, just_in_time } = met;
+        assert!(
+            zero_hop > 0 && unreachable > 0 && late > 0 && just_in_time > 0,
+            "{rule:?}: {met:?}"
+        );
     }
 }

@@ -139,6 +139,15 @@ impl PriorityWeights {
     }
 }
 
+/// The weights in level order, comma-separated (`1,10,100`): the label
+/// [`PriorityWeights::paper_from_label`] reads.
+impl core::fmt::Display for PriorityWeights {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        let weights: Vec<String> = self.weights.iter().map(u64::to_string).collect();
+        f.write_str(&weights.join(","))
+    }
+}
+
 /// One data request: the `k`-th request for item `Rq[j]`, destined for
 /// machine `Request[j,k]` with deadline `Rft[j,k]` and priority
 /// `Priority[j,k]`.

@@ -16,12 +16,9 @@
 //!   --workers N      worker threads, 1 to 1024 (default: max(8, cores))
 //!   --scheduler S    partial | full-one (default) | full-all | alap
 //!                    (--heuristic is an accepted alias); an unknown name
-//!                    lists the valid ones and exits with code 2
-//!   --criterion C    C1 | C2 | C3 | C4 (default) | C3f; full-all refuses
-//!                    C1 (paper §6) with a usage error
-//!   --ratio X        log10 of the E-U ratio (default: the operating point,
-//!                    `OPERATING_LOG10_RATIO`; -inf weighs urgency only);
-//!                    NaN, or an X whose 10^X overflows, is refused
+//!                    lists the valid ones and exits with code 2. A request
+//!                    is routed alone, so only the commit rule counts:
+//!                    alap latest slots, the other three earliest
 //!   --weights W      1,5,10 | 1,10,100 (default)
 //!   --data-dir D     durable data directory: recover on start, write-
 //!                    ahead log every decision, enable `checkpoint`
@@ -77,7 +74,7 @@ fn parse_args() -> Result<Options, UsageError> {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if options.pairing.parse_flag("--scheduler", &arg, &mut args)? {
+        if options.pairing.parse_online_flag("--scheduler", &arg, &mut args)? {
             continue;
         }
         match arg.as_str() {
@@ -131,7 +128,6 @@ fn parse_args() -> Result<Options, UsageError> {
             other => return Err(UsageError::from(format!("unknown option {other:?}"))),
         }
     }
-    options.pairing.check()?;
     Ok(options)
 }
 
@@ -144,7 +140,7 @@ fn main() -> ExitCode {
                  [--addr HOST:PORT] [--workers 1-1024] {} \
                  [--data-dir D] [--durability always|interval:<ms>] [--checkpoint-every N]",
                 Family::names().replace(", ", "|"),
-                Pairing::usage("--scheduler")
+                Pairing::online_usage("--scheduler")
             ))
         }
     };

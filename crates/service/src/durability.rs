@@ -152,12 +152,13 @@ impl Durability {
     /// checkpoint, replays the WAL tail through the engine's replay
     /// path, truncates at the first torn or corrupt record, and leaves
     /// the active segment positioned exactly after the last surviving
-    /// record.
+    /// record. `heuristic` and `config` are read as [`AdmissionEngine::new`]
+    /// reads them.
     ///
     /// # Errors
     ///
     /// Returns a message for I/O failures, for a checkpoint taken
-    /// against a different catalog or scheduler configuration, and for an
+    /// against a different catalog, commit rule or weighting, and for an
     /// intact WAL record that replays to a different decision (the message
     /// names its log index); every file is left as it was.
     /// Corruption of checkpoints or WAL tails is *not* an error — bad
@@ -678,7 +679,7 @@ mod tests {
         durability.checkpoint(&engine).expect("checkpoint");
         drop((durability, engine));
 
-        let refused_under = |catalog: &Scenario| {
+        let recover_under = |catalog: &Scenario| {
             Durability::recover(
                 &dir,
                 FsyncPolicy::Always,
@@ -687,16 +688,33 @@ mod tests {
                 Heuristic::FullPathOneDestination,
                 HeuristicConfig::paper_best(),
             )
-            .is_err_and(|e| e.contains("fingerprint mismatch"))
+        };
+        let refused_under = |catalog: &Scenario| {
+            recover_under(catalog).is_err_and(|e| e.contains("fingerprint mismatch"))
         };
         assert!(refused_under(&generate(&GeneratorConfig::small(), 99)));
 
-        // The same catalog, but a checkpoint written by a build whose
-        // scheduler this one no longer has.
+        // The same catalog, but a checkpoint whose commit rule this build
+        // does not have; then one written under the v1 fingerprint, which
+        // named the scheduler: accepted for a scheduler with this engine's
+        // rule, refused for one this build no longer has.
         let (_, path) = list_numbered(&dir, "checkpoint-", ".ckpt").unwrap().pop().unwrap();
         let text = fs::read_to_string(&path).unwrap();
-        assert!(text.contains("|heuristic=full_one|"), "{text}");
-        fs::write(&path, text.replacen("|heuristic=full_one|", "|heuristic=rcd|", 1)).unwrap();
+        let v2 = "\"v2|machines=6|links=312|gc_ms=360000|horizon_ms=7200000|rule=earliest\
+                  |weights=1,10,100|";
+        assert!(text.contains(v2), "{text}");
+        fs::write(&path, text.replacen("|rule=earliest|", "|rule=rcd|", 1)).unwrap();
+        assert!(refused_under(&catalog));
+        let v1 = |label: &str| {
+            format!(
+                "\"v1|machines=6|links=312|gc_ms=360000|horizon_ms=7200000|heuristic={label}\
+                 |config=HeuristicConfig {{ criterion: C1, eu: EuWeights {{ w_e: 1.0, w_u: 1.0 }}, \
+                 priority_weights: PriorityWeights {{ weights: [1, 10, 100] }}, caching: false }}|"
+            )
+        };
+        fs::write(&path, text.replacen(v2, &v1("full_all"), 1)).unwrap();
+        recover_under(&catalog).expect("a v1 scheduler with the engine's rule and weights");
+        fs::write(&path, text.replacen(v2, &v1("rcd"), 1)).unwrap();
         assert!(refused_under(&catalog));
         fs::remove_dir_all(&dir).ok();
     }

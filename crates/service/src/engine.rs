@@ -4,17 +4,14 @@
 //! the offline simulator drives too — over a scenario that holds the
 //! catalog (network + data items) and every admitted request, beside the
 //! per-request bookkeeping and the decision log. Each `submit` appends the
-//! candidate to that scenario and lets the configured heuristic try to
-//! route it on the live state: admitted, its path is committed; refused,
+//! candidate to that scenario and settles it alone on the live state
+//! ([`LiveSchedule::settle`]), where the configured scheduler is only its
+//! commit rule: admitted, its path is committed; refused,
 //! what it touched is rolled back and it leaves no residue. A decision
-//! costs what its own route costs, however many were admitted before.
-//! Its selection rounds visit its own item only, since the state visits
-//! just the items with an active request and a decision activates one:
-//! on the first 600 submits of seed 2000's `serve-grid` stream that is
-//! 1.9 item visits per decision where the whole catalog used to be walked
-//! (765), and the traced `service.engine.submit_us_p50` fell 49.0 →
-//! 40.8 µs (10.2 → 7.2 µs on `serve-paper`; medians of ten alternating
-//! pairs on a 2-vCPU host, DESIGN.md §3).
+//! costs what its own route costs, however many were admitted before: one
+//! tree of its own item, searched up to its destination, and no selection
+//! round — with one request to route there is no step to pick among
+//! (DESIGN.md §3, "The online decision").
 //!
 //! `inject` applies a live disturbance (link outage / copy loss) to the
 //! live schedule, whose repair unbooks the reservations it invalidates;
@@ -32,12 +29,12 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use dstage_core::heuristic::{Heuristic, HeuristicConfig};
+use dstage_core::heuristic::{CommitRule, Heuristic, HeuristicConfig};
 use dstage_core::schedule::{Delivery, Schedule, Transfer};
 use dstage_core::state::{AddRequestError, HoldRefused, SchedulerState};
-use dstage_dynamic::{Event, EventKind, LiveSchedule, OnlinePolicy, Standing};
+use dstage_dynamic::{Event, EventKind, LiveSchedule, Standing};
 use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
-use dstage_model::request::{Priority, Request};
+use dstage_model::request::{Priority, PriorityWeights, Request};
 use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
 use serde::{Deserialize, Value, ValueDeserializer, ValueError};
@@ -181,12 +178,13 @@ impl LogTallies {
 #[derive(Debug, Clone)]
 pub struct AdmissionEngine {
     /// The live schedule. Its scenario is the catalog plus every admitted
-    /// request (evicted ones included), in admission order; all of them
-    /// are inactive between decisions.
+    /// request (evicted ones included), in admission order.
     live: LiveSchedule<'static>,
     item_ids: HashMap<String, u32>,
     fingerprint: String,
-    policy: OnlinePolicy,
+    /// All a scheduler decides online, where a request is routed alone.
+    rule: CommitRule,
+    weights: PriorityWeights,
     info: Vec<RequestInfo>,
     idempotency: IdempotencyCache,
     log: Vec<LogRecord>,
@@ -203,13 +201,11 @@ impl AdmissionEngine {
     /// Requests present in the catalog scenario are ignored: admission
     /// state starts empty and grows one `submit` at a time.
     ///
-    /// # Panics
-    ///
-    /// Panics if `config.criterion` cannot score `heuristic`'s steps
-    /// ([`Heuristic::check_criterion`]), before any decision is made.
+    /// Of `heuristic` only its commit rule is read, of `config` only the
+    /// priority weighting: a request routed alone has no step to score.
     #[must_use]
     pub fn new(catalog: &Scenario, heuristic: Heuristic, config: HeuristicConfig) -> Self {
-        heuristic.check_criterion(config.criterion).unwrap_or_else(|message| panic!("{message}"));
+        let (rule, weights) = (heuristic.commit_rule(), config.priority_weights);
         let mut builder = Scenario::builder(catalog.network().clone())
             .gc_delay(catalog.gc_delay())
             .horizon(catalog.horizon());
@@ -219,21 +215,22 @@ impl AdmissionEngine {
         let served = builder.build().expect("the catalog validated its network and items");
         let names: Vec<&str> = catalog.items().map(|(_, item)| item.name()).collect();
         let fingerprint = format!(
-            "v1|machines={}|links={}|gc_ms={}|horizon_ms={}|heuristic={}|config={:?}|items={}",
+            "v2|machines={}|links={}|gc_ms={}|horizon_ms={}|rule={}|weights={}|items={}",
             catalog.network().machine_count(),
             catalog.network().link_count(),
             catalog.gc_delay().as_millis(),
             catalog.horizon().as_millis(),
-            heuristic.label(),
-            config,
+            rule.label(),
+            weights,
             names.join(",")
         );
         AdmissionEngine {
             item_ids: names.iter().enumerate().map(|(i, n)| (n.to_string(), i as u32)).collect(),
             fingerprint,
-            tallies: LogTallies::new(config.priority_weights.levels()),
-            live: LiveSchedule::new(SchedulerState::owning(served, config.caching)),
-            policy: OnlinePolicy { heuristic, config },
+            tallies: LogTallies::new(weights.levels()),
+            live: LiveSchedule::new(SchedulerState::owning(served, true)),
+            rule,
+            weights,
             info: Vec::new(),
             idempotency: IdempotencyCache::new(IDEMPOTENCY_CAPACITY),
             log: Vec::new(),
@@ -435,7 +432,7 @@ impl AdmissionEngine {
     }
 
     /// Decides one submission on the live state: appends the candidate,
-    /// lets the heuristic route it, and either keeps what was booked
+    /// settles it under the commit rule, and either keeps what was booked
     /// (returning the delivery and the new reservations, which the caller
     /// records) or rolls everything back. `Err` carries the refusal reason.
     fn decide(&mut self, args: &SubmitArgs) -> Result<(Delivery, Vec<Transfer>), String> {
@@ -457,7 +454,7 @@ impl AdmissionEngine {
                 return Err(self.hold_reason(refused));
             }
         };
-        self.live.settle(id, savepoint, &self.policy).ok_or_else(|| {
+        self.live.settle(id, savepoint, self.rule).ok_or_else(|| {
             format!(
                 "deadline {} ms unreachable for `{}` to M{} under the current ledger",
                 args.deadline_ms, args.item, args.destination
@@ -471,7 +468,7 @@ impl AdmissionEngine {
         let Some(&item) = self.item_ids.get(args.item.as_str()) else {
             return Err(format!("unknown data item `{}`", args.item));
         };
-        let levels = self.policy.config.priority_weights.levels();
+        let levels = self.weights.levels();
         if args.priority >= levels {
             return Err(format!(
                 "priority {} out of range (weighting has {levels} levels)",
@@ -603,7 +600,7 @@ impl AdmissionEngine {
             self.info[id.index()].delivery = delivery;
             displaced.extend(delivery.is_none().then_some(id.index() as u32));
         }
-        let weights = &self.policy.config.priority_weights;
+        let weights = &self.weights;
         let scenario = self.scenario();
         displaced.sort_by_key(|&id| {
             (Reverse(weights.weight(scenario.request(RequestId::new(id)).priority())), id)
@@ -617,7 +614,7 @@ impl AdmissionEngine {
         for id in displaced {
             let request = RequestId::new(id);
             let savepoint = self.live.state().savepoint(self.scenario().request(request).item());
-            let settled = self.live.settle(request, savepoint, &self.policy);
+            let settled = self.live.settle(request, savepoint, self.rule);
             let info = &mut self.info[id as usize];
             info.delivery = settled.as_ref().map(|&(delivery, _)| delivery);
             if let Some((_, route)) = settled {
@@ -643,9 +640,10 @@ impl AdmissionEngine {
     /// The pass is appended to the decision log, so replaying the log
     /// through a fresh engine re-executes it deterministically.
     pub fn optimize(&mut self, budget: u64) -> OptimizeResponse {
-        let (candidates, policy) = (self.open_rejections.clone(), &self.policy);
+        let candidates = self.open_rejections.clone();
         let admit = |state: &mut SchedulerState<'static>, _, request| append(state, request).ok();
-        let climbed = self.live.climb(policy, &mut self.info, candidates, budget, admit);
+        let climbed =
+            self.live.climb(self.rule, &self.weights, &mut self.info, candidates, budget, admit);
         dstage_obs::metrics::SERVICE_OPT_SWAP_ATTEMPTS.add(climbed.attempted);
         dstage_obs::metrics::SERVICE_OPT_SWAPS_ACCEPTED.add(climbed.swaps.len() as u64);
         dstage_obs::metrics::SERVICE_OPT_TRIALS_ROLLED_BACK.add(climbed.rolled_back);
@@ -675,7 +673,7 @@ impl AdmissionEngine {
 
     /// Σ weight(priority) over the requests still promised a delivery.
     fn weighted_sum(&self) -> u64 {
-        let weights = &self.policy.config.priority_weights;
+        let weights = &self.weights;
         (self.scenario().requests().zip(&self.info))
             .filter(|(_, info)| info.status != RequestStatus::Evicted)
             .map(|((_, req), _)| weights.weight(req.priority()))
@@ -767,7 +765,7 @@ impl AdmissionEngine {
     /// longer counts).
     #[must_use]
     pub fn counters(&self) -> AdmissionCounters {
-        let levels = self.policy.config.priority_weights.levels();
+        let levels = self.weights.levels();
         debug_assert_eq!(
             self.tallies,
             (0..self.log.len()).fold(LogTallies::new(levels), |mut scan, i| {
@@ -852,11 +850,11 @@ impl AdmissionEngine {
         }
     }
 
-    /// A stable identity of everything [`AdmissionEngine::new`] was
-    /// given: a checkpoint taken by one engine may only be restored
-    /// into an engine built from the same catalog, heuristic, and
-    /// configuration — replaying the WAL tail re-decides operations,
-    /// which is only deterministic against identical static state.
+    /// A stable identity of everything [`AdmissionEngine::new`] reads
+    /// (`v2|machines=…|links=…|gc_ms=…|horizon_ms=…|rule=…|weights=…|items=…`):
+    /// a checkpoint may only be restored into an engine with the same one —
+    /// replaying the WAL tail re-decides operations, which is only
+    /// deterministic against identical static state.
     #[must_use]
     pub fn catalog_fingerprint(&self) -> String {
         self.fingerprint.clone()
@@ -898,8 +896,11 @@ impl AdmissionEngine {
     }
 
     /// Rebuilds an engine from a [`AdmissionEngine::checkpoint_value`]
-    /// taken by an engine over the same catalog, heuristic, and
-    /// configuration. The idempotency window is rebuilt from the
+    /// taken by an engine with the same fingerprint
+    /// ([`AdmissionEngine::catalog_fingerprint`]), `heuristic` and `config`
+    /// read as `new` reads them; a `v1` fingerprint is accepted when its
+    /// catalog, its scheduler's commit rule and its weighting match. The
+    /// idempotency window is rebuilt from the
     /// restored log (first use of each key wins, FIFO eviction at the
     /// recorded capacity), so a client retrying a keyed submit across a
     /// restart still gets the recorded response.
@@ -907,7 +908,7 @@ impl AdmissionEngine {
     /// # Errors
     ///
     /// Returns a message for an unknown format, a fingerprint mismatch
-    /// (different catalog or configuration), missing/ill-typed fields,
+    /// (different catalog, commit rule or weighting), missing/ill-typed fields,
     /// or a log whose optimization swaps or admission count contradict
     /// the rest of the checkpoint.
     pub fn restore(
@@ -935,9 +936,9 @@ impl AdmissionEngine {
             ));
         }
         let mut engine = AdmissionEngine::new(catalog, heuristic, config);
-        if fingerprint != engine.fingerprint {
+        if v2_of_v1(&fingerprint).unwrap_or(fingerprint) != engine.fingerprint {
             return Err("checkpoint: fingerprint mismatch (taken against a different catalog, \
-                 scheduler, or configuration)"
+                 commit rule, or priority weighting)"
                 .to_string());
         }
         for args in &checkpoint.admitted {
@@ -1002,8 +1003,7 @@ impl AdmissionEngine {
         }
         engine.idempotency = idempotency;
         // The one place a state is still built from a history.
-        let caching = engine.policy.config.caching;
-        let state = SchedulerState::owning(engine.scenario().clone(), caching);
+        let state = SchedulerState::owning(engine.scenario().clone(), true);
         let (committed, outages, losses) =
             (checkpoint.committed, checkpoint.outages, checkpoint.losses);
         engine.live =
@@ -1025,6 +1025,20 @@ fn append(state: &mut SchedulerState<'_>, request: Request) -> Result<RequestId,
         state.set_horizon(collected).map_err(AddRequestError::Hold)?;
     }
     Ok(id)
+}
+
+/// The v2 form of a v1 fingerprint: its catalog, its scheduler's commit
+/// rule and its weighting, without the criterion, E-U weights and cache
+/// toggle, which decide nothing online. `None` for any other text, or an
+/// unknown scheduler.
+fn v2_of_v1(v1: &str) -> Option<String> {
+    let (catalog, rest) = v1.strip_prefix("v1|")?.split_once("|heuristic=")?;
+    let (label, rest) = rest.split_once("|config=")?;
+    let (config, items) = rest.split_once("|items=")?;
+    let rule = Heuristic::from_label(label)?.commit_rule().label();
+    // `PriorityWeights { weights: [1, 10, 100] }`, the one `weights: [`.
+    let weights = config.split_once("weights: [")?.1.split_once(']')?.0.replace(", ", ",");
+    Some(format!("v2|{catalog}|rule={rule}|weights={weights}|items={items}"))
 }
 
 /// Version tag of [`AdmissionEngine::checkpoint_value`]'s layout.
@@ -1083,7 +1097,6 @@ impl ReplayError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dstage_core::cost::CostCriterion;
     use dstage_model::prelude::*;
     use dstage_workload::small::{fan_out, two_hop_chain};
 
@@ -1093,13 +1106,6 @@ mod tests {
 
     fn engine() -> AdmissionEngine {
         AdmissionEngine::new(&two_hop_chain(), Heuristic::FullPathOneDestination, config())
-    }
-
-    #[test]
-    #[should_panic(expected = "full_all heuristic cannot use criterion C1")]
-    fn the_pairing_the_paper_excludes_fails_at_construction() {
-        let config = HeuristicConfig { criterion: CostCriterion::C1, ..config() };
-        let _ = AdmissionEngine::new(&two_hop_chain(), Heuristic::FullPathAllDestinations, config);
     }
 
     fn args(item: &str, dest: u32, deadline_ms: u64) -> SubmitArgs {

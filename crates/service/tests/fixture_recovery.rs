@@ -8,8 +8,9 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use dstage_core::cost::EuWeights;
+use dstage_core::cost::{CostCriterion, EuWeights};
 use dstage_core::heuristic::{Heuristic, HeuristicConfig};
+use dstage_model::request::PriorityWeights;
 use dstage_model::scenario::Scenario;
 use dstage_service::durability::{Durability, RecoveryReport};
 use dstage_service::engine::AdmissionEngine;
@@ -17,8 +18,9 @@ use dstage_service::protocol::{InjectArgs, InjectKind, SubmitArgs};
 use dstage_service::wal::FsyncPolicy;
 use dstage_workload::{generate, GeneratorConfig};
 
-/// The configuration the pinned bytes were written under, and their
-/// fingerprint names: `Cost₄` at E-U ratio 10⁰, the 1/10/100 weighting.
+/// The configuration the pinned bytes were written under, and their v1
+/// fingerprint names: full path/one destination, `Cost₄` at E-U ratio 10⁰,
+/// the 1/10/100 weighting.
 fn written_under() -> HeuristicConfig {
     HeuristicConfig { eu: EuWeights::from_log10_ratio(0.0), ..HeuristicConfig::paper_best() }
 }
@@ -33,20 +35,14 @@ fn catalog() -> Scenario {
 
 fn recover_under(
     dir: &Path,
+    heuristic: Heuristic,
     config: HeuristicConfig,
 ) -> Result<(Durability, AdmissionEngine, RecoveryReport), String> {
-    Durability::recover(
-        dir,
-        FsyncPolicy::Always,
-        u64::MAX,
-        &catalog(),
-        Heuristic::FullPathOneDestination,
-        config,
-    )
+    Durability::recover(dir, FsyncPolicy::Always, u64::MAX, &catalog(), heuristic, config)
 }
 
 fn recover(dir: &Path) -> (Durability, AdmissionEngine, RecoveryReport) {
-    recover_under(dir, written_under()).expect("recover")
+    recover_under(dir, Heuristic::FullPathOneDestination, written_under()).expect("recover")
 }
 
 /// A fresh copy of the fixture's data dir, named for `name`.
@@ -61,26 +57,53 @@ fn copy_of_the_fixture(name: &str) -> PathBuf {
     dir
 }
 
+/// The data dir recovers to its snapshot under every scheduler that
+/// commits a request's earliest path, whatever the criterion and the E-U
+/// ratio: its v1 fingerprint is accepted once its catalog, the commit rule
+/// of the scheduler it names and its weighting match, and each decision of
+/// its WAL tail is made again, alone, exactly as recorded.
 #[test]
 fn a_data_dir_written_by_an_earlier_build_recovers_to_its_recorded_snapshot() {
-    let dir = copy_of_the_fixture("snapshot");
-    let (_, engine, report) = recover(&dir);
-    assert!(report.checkpoint_records > 0 && report.replayed > 0, "{report:?}");
-    assert!(!report.truncated, "{report:?}");
     let recorded = fs::read_to_string(fixture().join("snapshot.json")).unwrap();
-    assert_eq!(serde_json::to_string(&engine.snapshot()).unwrap() + "\n", recorded);
-    fs::remove_dir_all(&dir).ok();
+    for heuristic in Heuristic::ALL {
+        for criterion in [CostCriterion::C1, CostCriterion::C4] {
+            for x in [0.0, 2.0] {
+                let config = HeuristicConfig {
+                    criterion,
+                    eu: EuWeights::from_log10_ratio(x),
+                    ..written_under()
+                };
+                let dir = copy_of_the_fixture("snapshot");
+                let (_, engine, report) = recover_under(&dir, heuristic, config).expect("recover");
+                let under = format!("{heuristic} under {criterion} at 10^{x}");
+                assert!(
+                    report.checkpoint_records > 0 && report.replayed > 0,
+                    "{under}: {report:?}"
+                );
+                assert!(!report.truncated, "{under}: {report:?}");
+                let snapshot = serde_json::to_string(&engine.snapshot()).unwrap() + "\n";
+                assert!(snapshot == recorded, "{under}: the snapshot differs");
+                fs::remove_dir_all(&dir).ok();
+            }
+        }
+    }
 }
 
-/// The same data dir under the operating point of this build, a ratio its
-/// fingerprint does not name, is refused instead of re-deciding its WAL
-/// tail under a configuration it was not written with.
+/// The same data dir under the other commit rule (`alap`), or under the
+/// other weighting, is refused instead of re-deciding its WAL tail under a
+/// configuration it was not written with.
 #[test]
-fn the_data_dir_under_another_operating_point_is_refused() {
-    let dir = copy_of_the_fixture("foreign");
-    let refused = recover_under(&dir, HeuristicConfig::paper_best()).map(|_| ()).unwrap_err();
-    assert!(refused.contains("fingerprint mismatch"), "{refused}");
-    fs::remove_dir_all(&dir).ok();
+fn the_data_dir_under_another_rule_or_weighting_is_refused() {
+    let other_weighting =
+        HeuristicConfig { priority_weights: PriorityWeights::paper_1_5_10(), ..written_under() };
+    for (heuristic, config) in
+        [(Heuristic::Alap, written_under()), (Heuristic::FullPathOneDestination, other_weighting)]
+    {
+        let dir = copy_of_the_fixture("foreign");
+        let refused = recover_under(&dir, heuristic, config).map(|_| ()).unwrap_err();
+        assert!(refused.contains("fingerprint mismatch"), "{heuristic}: {refused}");
+        fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// Writes the fixture: the catalog's first half of requests, a checkpoint,

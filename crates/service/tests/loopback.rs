@@ -31,8 +31,7 @@ fn spawn(scenario_path: &std::path::Path, workers: usize) -> (Child, String) {
     let scenario = scenario_path.to_str().expect("utf-8 temp path");
     let workers = workers.to_string();
     let args = ["--scenario", scenario, "--workers", &workers, "--heuristic", "full-one"];
-    let defaults = ["--criterion", "C4", "--ratio", "2", "--weights", "1,10,100"];
-    spawn_server(&[&args[..], &defaults].concat(), &[])
+    spawn_server(&[&args[..], &["--weights", "1,10,100"]].concat(), &[])
 }
 
 /// Byte-identity at 8 workers — the daemon's default-ish pool size.

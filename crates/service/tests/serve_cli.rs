@@ -33,17 +33,18 @@ fn refused(args: &[&str]) -> (Option<i32>, String, String) {
     (status.code(), stdout, stderr)
 }
 
-/// The paper excludes full path/all destinations with `Cost1` (§6). The
-/// daemon used to serve it and panic a worker on the first `submit`,
-/// leaving the candidate appended to its scenario; now it refuses the
-/// pairing before binding.
+/// The daemon routes each request alone, where a cost criterion and an
+/// E-U ratio decide nothing: `--criterion` and `--ratio` are not options of
+/// it, and are refused as unknown before serving.
 #[test]
-fn full_all_with_c1_is_refused_before_serving() {
-    let (code, stdout, stderr) = refused(&["--scheduler", "full-all", "--criterion", "C1"]);
-    assert_eq!(code, Some(1), "{stderr}");
-    assert!(!stdout.contains("listening on"), "{stdout}");
-    assert!(stderr.contains("full_all") && stderr.contains("C1"), "{stderr}");
-    assert!(stderr.contains("usage: stage-serve"), "{stderr}");
+fn the_offline_scoring_flags_are_refused_before_serving() {
+    for args in [["--criterion", "C1"], ["--ratio", "2"]] {
+        let (code, stdout, stderr) = refused(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(!stdout.contains("listening on"), "{args:?}: {stdout}");
+        assert!(stderr.contains(&format!("unknown option \"{}\"", args[0])), "{stderr}");
+        assert!(stderr.contains("usage: stage-serve"), "{args:?}: {stderr}");
+    }
 }
 
 /// An unknown scheduler, or one this build no longer has, exits with code
@@ -61,18 +62,14 @@ fn an_unknown_scheduler_is_refused_with_the_valid_names() {
             )),
             "{stderr}"
         );
-        assert!(stderr.contains("[--scheduler partial|full-one|full-all|alap]"), "{stderr}");
+        assert!(
+            stderr.contains(
+                "[--scheduler partial|full-one|full-all|alap] [--weights 1,5,10|1,10,100] \
+                 [--data-dir D]"
+            ),
+            "{stderr}"
+        );
     }
-}
-
-/// A NaN `--ratio` used to be served with `w_e: NaN` in the fingerprint.
-#[test]
-fn a_non_finite_ratio_is_refused_before_serving() {
-    let (code, stdout, stderr) = refused(&["--ratio", "nan"]);
-    assert_eq!(code, Some(1), "{stderr}");
-    assert!(!stdout.contains("listening on"), "{stdout}");
-    assert!(stderr.contains("invalid ratio"), "{stderr}");
-    assert!(stderr.contains("usage: stage-serve"), "{stderr}");
 }
 
 /// `--workers` sizes a channel and a `Vec` and starts one thread per

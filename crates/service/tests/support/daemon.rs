@@ -18,8 +18,8 @@ use dstage_core::heuristic::HeuristicConfig;
 use dstage_service::client::Connection;
 use serde::Value;
 
-/// The heuristic configuration matching `stage-serve`'s defaults: `Cost₄`
-/// at the operating point, the 1/10/100 weighting.
+/// The heuristic configuration matching `stage-serve`'s defaults; of it
+/// the engine reads the 1/10/100 weighting only.
 pub fn config() -> HeuristicConfig {
     HeuristicConfig::paper_best()
 }

@@ -33,8 +33,8 @@ const RECORDS: [&str; 7] = [
 /// The checkpoint of the engine that logged [`RECORDS`]: the records
 /// themselves follow the `log` key.
 const CHECKPOINT_HEAD: &str = concat!(
-    r#"{"format":1,"fingerprint":"v1|machines=2|links=1|gc_ms=360000|horizon_ms=7200000|heuristic=full_one"#,
-    r#"|config=HeuristicConfig { criterion: C4, eu: EuWeights { w_e: 1.0, w_u: 1.0 }, priority_weights: PriorityWeights { weights: [1, 10, 100] }, caching: true }|items=alpha,beta,gamma,delta","#,
+    r#"{"format":1,"fingerprint":"v2|machines=2|links=1|gc_ms=360000|horizon_ms=7200000|rule=earliest"#,
+    r#"|weights=1,10,100|items=alpha,beta,gamma,delta","#,
     r#""now_ms":60000,"idempotency_capacity":4096,"#,
     r#""admitted":[{"item":"alpha","destination":1,"deadline_ms":20000,"priority":0},{"item":"beta","destination":1,"deadline_ms":20000,"priority":0},{"item":"gamma","destination":1,"deadline_ms":20000,"priority":2},{"item":"delta","destination":1,"deadline_ms":20000,"priority":2}],"#,
     r#""info":[{"status":"evicted","route":[]},{"status":"evicted","route":[]},{"status":"evicted","route":[{"item":2,"from":0,"to":1,"link":0,"start":0,"arrival":10000}]},{"status":"admitted","delivery":{"request":3,"at":20000,"hops":1},"route":[{"item":3,"from":0,"to":1,"link":0,"start":10000,"arrival":20000}]}],"#,
@@ -43,8 +43,9 @@ const CHECKPOINT_HEAD: &str = concat!(
     r#""log":["#,
 );
 
-/// The configuration the pinned bytes were written under, and their
-/// fingerprint names: `Cost₄` at E-U ratio 10⁰, the 1/10/100 weighting.
+/// The configuration the pinned bytes were written under: `Cost₄` at E-U
+/// ratio 10⁰, the 1/10/100 weighting. The fingerprint names the weighting
+/// and the commit rule of full path/one destination only.
 fn written_under() -> HeuristicConfig {
     HeuristicConfig { eu: EuWeights::from_log10_ratio(0.0), ..HeuristicConfig::paper_best() }
 }
