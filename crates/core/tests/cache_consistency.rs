@@ -7,8 +7,7 @@
 //! re-admissions, late and withheld requests and commits to machines
 //! nobody asked for. Before every step their candidate enumerations must
 //! agree, and equal the uncached state's steps taken item by item over
-//! every item id (which does not use the active-request count a round
-//! filters its items by); the final schedules must be equal. This pins
+//! every item id; the final schedules must be equal. This pins
 //! the "resources are only consumed" argument across *every* mutation
 //! path the dynamic layer and the daemon exercise; the two ways a read
 //! can leave the set of destinations a cached tree was last validated for

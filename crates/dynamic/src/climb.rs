@@ -77,8 +77,8 @@ pub struct Climbed {
 impl<'a> LiveSchedule<'a> {
     /// Routes request `id` alone, as every heuristic's drive of it would
     /// (`settle_is_a_drive_of_the_one_request`): unless a copy serves it
-    /// already, its earliest-arrival path is committed where `rule` places
-    /// it, if it meets the deadline (unreachable is `SimTime::MAX`).
+    /// already, its earliest-arrival path, if it has one that meets the
+    /// deadline, is committed where `rule` places it.
     /// Delivered, the delivery and what was booked are returned for the
     /// caller to commit; otherwise the state goes back to `savepoint`.
     pub fn settle(
@@ -90,11 +90,15 @@ impl<'a> LiveSchedule<'a> {
         let state = self.state_mut();
         let request = *state.scenario().request(id);
         let (item, to, deadline) = (request.item(), request.destination(), request.deadline());
-        if !state.is_delivered(id) && state.tree(item, &[to]).arrival(to) <= deadline {
-            match rule {
-                CommitRule::Earliest => state.commit_path(item, to),
-                CommitRule::Latest => state.commit_path_latest(item, to, deadline),
-            };
+        if !state.is_delivered(id) {
+            let tree = state.tree(item, &[to]);
+            // Out of reach reads `SimTime::MAX`, a deadline γ = 0 allows.
+            if tree.is_reachable(to) && tree.arrival(to) <= deadline {
+                match rule {
+                    CommitRule::Earliest => state.commit_path(item, to),
+                    CommitRule::Latest => state.commit_path_latest(item, to, deadline),
+                };
+            }
         }
         let Some(delivery) = state.delivery_of(id) else {
             state.rollback(savepoint);

@@ -391,6 +391,9 @@ struct Met {
     zero_hop: usize,
     /// Refused with the destination out of reach.
     unreachable: usize,
+    /// Of those, refused with a deadline of `SimTime::MAX`, which the
+    /// unreachable arrival equals.
+    unreachable_at_the_end: usize,
     /// Refused with the earliest arrival past the deadline.
     late: usize,
     /// Delivered at the deadline itself.
@@ -401,6 +404,7 @@ impl Met {
     fn add(&mut self, other: Met) {
         self.zero_hop += other.zero_hop;
         self.unreachable += other.unreachable;
+        self.unreachable_at_the_end += other.unreachable_at_the_end;
         self.late += other.late;
         self.just_in_time += other.just_in_time;
     }
@@ -431,12 +435,15 @@ impl Admission {
         let before = self.live.state().clone();
         let request = *before.scenario().request(id);
         let (item, to) = (request.item(), request.destination());
-        let arrival = before.clone().tree(item, &[to]).arrival(to);
+        let mut probe = before.clone();
+        let tree = probe.tree(item, &[to]);
+        let arrival = tree.is_reachable(to).then(|| tree.arrival(to));
         if before.is_delivered(id) {
             self.met.zero_hop += 1;
-        } else if arrival == SimTime::MAX {
+        } else if arrival.is_none() {
             self.met.unreachable += 1;
-        } else if arrival > request.deadline() {
+            self.met.unreachable_at_the_end += usize::from(request.deadline() == SimTime::MAX);
+        } else if arrival > Some(request.deadline()) {
             self.met.late += 1;
         }
         let settled = self.live.settle(id, savepoint, self.rule);
@@ -464,13 +471,15 @@ impl Admission {
     }
 
     /// Appends `ask` as the engine does — moving the horizon out to its
-    /// item's collection — and settles it; an ask the state refuses to
-    /// append is dropped.
+    /// item's collection — and settles it; an ask whose collection is past
+    /// the end of time, or that the state refuses to append, is dropped.
     fn submit(&mut self, ask: Request) -> Result<(), TestCaseError> {
         let savepoint = self.live.state().savepoint(ask.item());
         let state = self.live.state_mut();
+        let Some(collected) = ask.deadline().checked_add(state.scenario().gc_delay()) else {
+            return Ok(());
+        };
         let Ok(id) = state.add_request(ask) else { return Ok(()) };
-        let collected = ask.deadline() + state.scenario().gc_delay();
         if collected > state.scenario().horizon() && state.set_horizon(collected).is_err() {
             state.rollback(savepoint);
             return Ok(());
@@ -521,27 +530,45 @@ impl Admission {
     }
 }
 
-/// Drives one admission stream: `raw` picks, per operation, an ask of the
-/// catalog as it is, one served by a copy another route staged, one whose
-/// deadline is its earliest arrival or a millisecond before it, an outage
-/// of a committed transfer's link in flight, the loss of a staged copy, or
-/// an outage of every link into a destination before its ask.
+/// `catalog`'s network and items under γ = 0, the one garbage-collection
+/// delay under which a deadline of `SimTime::MAX` is not past the end of
+/// time.
+fn without_gc(catalog: &Scenario) -> Scenario {
+    let mut builder = Scenario::builder(catalog.network().clone())
+        .gc_delay(SimDuration::ZERO)
+        .horizon(catalog.horizon());
+    for (_, item) in catalog.items() {
+        builder = builder.add_item(item.clone());
+    }
+    builder.build().expect("the catalog validated its network and items")
+}
+
+/// Drives one admission stream, over `catalog` or, `zero_gc`, over it
+/// under γ = 0: `raw` picks, per operation, an ask of the catalog as it
+/// is, one served by a copy another route staged, one whose deadline is
+/// its earliest arrival or a millisecond before it, an outage of a
+/// committed transfer's link in flight, the loss of a staged copy, an
+/// outage of every link into a destination before its ask (as it is or
+/// due at `SimTime::MAX`), or an ask due at `SimTime::MAX`.
 fn admission_stream(
     catalog: Scenario,
+    zero_gc: bool,
     rule: CommitRule,
     raw: &[(u8, usize, u64)],
 ) -> Result<Admission, TestCaseError> {
     let asks: Vec<Request> = catalog.requests().map(|(_, request)| *request).collect();
+    let catalog = if zero_gc { without_gc(&catalog) } else { catalog };
     let mut admission = Admission::new(catalog, rule);
     for &(op, pick, permille) in raw {
         let ask = asks[pick % asks.len()];
+        let at_the_end = Request::new(ask.item(), ask.destination(), SimTime::MAX, ask.priority());
         let committed = admission.live.committed();
         let staged = committed.get(pick % committed.len().max(1)).copied();
         let between = |from: SimTime, to: SimTime| {
             let span = to.as_millis().saturating_sub(from.as_millis());
             SimTime::from_millis(from.as_millis() + span * permille / 1_000)
         };
-        match (op % 6, staged) {
+        match (op % 7, staged) {
             (1, Some(t)) => {
                 let deadline = t.arrival + SimDuration::from_millis(permille * 60_000);
                 admission.submit(Request::new(t.item, t.to, deadline, ask.priority()))?;
@@ -571,8 +598,9 @@ fn admission_stream(
                 let cut =
                     network.incoming(ask.destination()).iter().map(|&l| EventKind::LinkOutage(l));
                 admission.inject(admission.live.now(), cut.collect())?;
-                admission.submit(ask)?;
+                admission.submit(if permille % 2 == 0 { ask } else { at_the_end })?;
             }
+            (6, _) => admission.submit(at_the_end)?,
             _ => admission.submit(ask)?,
         }
     }
@@ -587,17 +615,19 @@ proptest! {
         family in prop_oneof![Just(Family::Paper), Just(Family::Grid), Just(Family::Line)],
         rule in prop_oneof![Just(CommitRule::Earliest), Just(CommitRule::Latest)],
         seed in 0u64..1_000,
-        raw in prop::collection::vec((0u8..6, 0usize..1_024, 0u64..1_000), 1..16),
+        zero_gc in prop_oneof![Just(false), Just(true)],
+        raw in prop::collection::vec((0u8..7, 0usize..1_024, 0u64..1_000), 1..16),
     ) {
         let catalog = family.generate_small(seed);
         prop_assume!(catalog.request_count() > 0);
-        admission_stream(catalog, rule, &raw)?;
+        admission_stream(catalog, zero_gc, rule, &raw)?;
     }
 }
 
 /// Every edge case of a settle comes up in the streams the property draws,
 /// under each rule: a request a staged copy already serves, a destination
-/// out of reach, an earliest arrival past the deadline and one on it.
+/// out of reach (once with a deadline of `SimTime::MAX`), an earliest
+/// arrival past the deadline and one on it.
 #[test]
 fn the_admission_streams_meet_every_edge_case() {
     let mut draw = 0x9e37_79b9_7f4a_7c15_u64;
@@ -610,15 +640,20 @@ fn the_admission_streams_meet_every_edge_case() {
         for family in [Family::Paper, Family::Grid, Family::Line] {
             for seed in 0..8 {
                 let raw: Vec<(u8, usize, u64)> =
-                    (0..16).map(|_| (next(6) as u8, next(1_024) as usize, next(1_000))).collect();
-                let admission = admission_stream(family.generate_small(seed), rule, &raw)
+                    (0..16).map(|_| (next(7) as u8, next(1_024) as usize, next(1_000))).collect();
+                let zero_gc = seed % 2 == 0;
+                let admission = admission_stream(family.generate_small(seed), zero_gc, rule, &raw)
                     .unwrap_or_else(|e| panic!("{family:?} {rule:?} seed {seed}: {e:?}"));
                 met.add(admission.met);
             }
         }
-        let Met { zero_hop, unreachable, late, just_in_time } = met;
+        let Met { zero_hop, unreachable, unreachable_at_the_end, late, just_in_time } = met;
         assert!(
-            zero_hop > 0 && unreachable > 0 && late > 0 && just_in_time > 0,
+            zero_hop > 0
+                && unreachable > 0
+                && unreachable_at_the_end > 0
+                && late > 0
+                && just_in_time > 0,
             "{rule:?}: {met:?}"
         );
     }

@@ -11,7 +11,6 @@
 //!                    paper (default) | satcom | wan | grid | line; an
 //!                    unknown name lists the valid ones and exits with
 //!                    code 2
-
 //!   --addr A         bind address (default 127.0.0.1:0 = ephemeral port)
 //!   --workers N      worker threads, 1 to 1024 (default: max(8, cores))
 //!   --scheduler S    partial | full-one (default) | full-all | alap

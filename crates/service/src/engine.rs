@@ -1638,6 +1638,36 @@ mod tests {
     }
 
     #[test]
+    fn an_unreachable_destination_is_refused_at_the_end_of_time() {
+        // γ = 0, so a deadline of `u64::MAX` ms passes the end-of-time
+        // check, and the unreachable arrival (`SimTime::MAX`) equals it:
+        // the refusal must come from reachability and leave no residue.
+        let one_link = one_link_catalog();
+        let mut builder = Scenario::builder(one_link.network().clone()).gc_delay(SimDuration::ZERO);
+        for (_, item) in one_link.items() {
+            builder = builder.add_item(item.clone());
+        }
+        let catalog = builder.build().unwrap();
+        let heuristic = Heuristic::FullPathOneDestination;
+        for rule in [heuristic, Heuristic::Alap] {
+            let mut e = AdmissionEngine::new(&catalog, rule, config());
+            let cut = e.inject(&InjectArgs { kind: InjectKind::LinkOutage { link: 0 }, at_ms: 0 });
+            assert_eq!(cut.unwrap().displaced, 0);
+            let (before, horizon) = (e.snapshot(), e.scenario().horizon());
+            let refused = e.submit(&prioritized("alpha", u64::MAX, 2)).unwrap();
+            assert_eq!(refused.decision, "rejected", "{rule}");
+            let after = e.snapshot();
+            for part in ["schedule", "ledger"] {
+                assert_eq!(before.get(part), after.get(part), "{rule}: {part}");
+            }
+            assert_eq!((e.scenario().request_count(), e.scenario().horizon()), (0, horizon));
+            let restored =
+                AdmissionEngine::restore(&catalog, rule, config(), &e.checkpoint_value());
+            assert_eq!(restored.unwrap().snapshot(), after, "{rule}");
+        }
+    }
+
+    #[test]
     fn optimize_respects_the_swap_budget() {
         let mut e =
             AdmissionEngine::new(&one_link_catalog(), Heuristic::FullPathOneDestination, config());
