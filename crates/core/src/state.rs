@@ -149,6 +149,10 @@ impl MachineSet {
         new
     }
 
+    fn contains(&self, machine: MachineId) -> bool {
+        self.0[machine.index() / 64] & (1u64 << (machine.index() % 64)) != 0
+    }
+
     fn intersects(&self, other: &MachineSet) -> bool {
         self.0.iter().zip(&other.0).any(|(a, b)| a & b != 0)
     }
@@ -163,7 +167,9 @@ impl MachineSet {
 /// recorded (a hop enters `hop.to` over a link that ends there, so a hop
 /// that [`paths_hold`] would probe again always enters a machine of this
 /// set). The items visited in one selection round were all checked at the
-/// previous round's mark, so one set serves the whole round.
+/// previous round's mark, so one set serves the whole round: its clean
+/// skips, and as the membership prefilter of [`paths_hold`], the
+/// validation of the trees the round reads.
 #[derive(Debug, Clone, Default)]
 struct Dirtied {
     from: JournalMark,
@@ -914,14 +920,13 @@ impl<'a> SchedulerState<'a> {
         // mirroring the paper's unoptimized procedure — the reference the
         // validated trees are tested against.
         let cached = self.cache[item.index()].take().filter(|_| self.caching);
-        let query = self.query(item);
         let served = cached.filter(|cached| {
             // `checked` only speaks for the destinations validated with it.
-            let (links, machines) = self.journal.since(cached.checked);
             read.iter().all(|d| cached.validated.contains(d))
-                && paths_hold(&query, &cached.tree, read, links, machines)
+                && self.read_paths_hold(item, cached, read)
         });
         let clean = served.is_some();
+        let query = self.query(item);
         let refreshed = match served {
             Some(mut cached) => {
                 cached.checked = mark;
@@ -946,6 +951,32 @@ impl<'a> SchedulerState<'a> {
         } else {
             self.metrics.dijkstra_runs += 1;
         }
+    }
+
+    /// Whether `cached`'s paths to `read` hold after what the journal
+    /// recorded since their check ([`paths_hold`]). A hop into a machine
+    /// outside the [`Dirtied`] set since that mark is passed over before
+    /// the journal's lists are scanned: no record names it. Debug builds
+    /// hold the answer to the unfiltered scan of those lists.
+    fn read_paths_hold(
+        &mut self,
+        item: DataItemId,
+        cached: &CachedItem,
+        read: &[MachineId],
+    ) -> bool {
+        // Brought up to date here, read beside the query's borrow of `self`.
+        self.dirtied.since(cached.checked, &self.journal, self.scenario.network());
+        let entered = &self.dirtied.machines;
+        let (links, machines) = self.journal.since(cached.checked);
+        let query = self.query(item);
+        let holds =
+            paths_hold(&query, &cached.tree, read, |m| entered.contains(m), links, machines);
+        debug_assert_eq!(
+            holds,
+            paths_hold(&query, &cached.tree, read, |_| true, links, machines),
+            "the membership prefilter changed the validation of {item}"
+        );
+        holds
     }
 
     /// Brings `item`'s cached steps up to date, re-reading only what can

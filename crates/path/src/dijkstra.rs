@@ -57,7 +57,7 @@ use dstage_model::units::Bytes;
 use dstage_resources::ledger::{Crossing, NetworkLedger, ProbeTally};
 
 use crate::landmarks::{Goal, Landmarks};
-use crate::tree::{ArrivalTree, Hop};
+use crate::tree::{ArrivalTree, Inbound};
 
 /// One search instance: everything needed to compute the earliest-arrival
 /// tree of a single data item against the current resource state.
@@ -180,7 +180,7 @@ fn search(query: &ItemQuery<'_>, reads: Option<&[MachineId]>, goal: impl Bound) 
     assert!(query.hold_until.len() >= n, "hold_until must cover every machine");
 
     let mut arrivals = vec![SimTime::MAX; n];
-    let mut hops: Vec<Option<Hop>> = vec![None; n];
+    let mut inbound = vec![Inbound::NONE; n];
     let mut queue = Frontier::with_capacity(n);
     let mut stats = SearchStats::default();
 
@@ -188,16 +188,15 @@ fn search(query: &ItemQuery<'_>, reads: Option<&[MachineId]>, goal: impl Bound) 
         let slot = &mut arrivals[machine.index()];
         if available_at < *slot {
             *slot = available_at;
-            hops[machine.index()] = None;
             queue.push(Reverse(Entry::new(available_at, machine.index(), goal)));
             stats.heap_pushes += 1;
         }
     }
 
-    settle(query, goal, reads, &mut arrivals, &mut hops, &mut queue, &mut stats);
+    settle(query, goal, reads, &mut arrivals, &mut inbound, &mut queue, &mut stats);
     stats.publish();
 
-    ArrivalTree::new(arrivals, hops)
+    ArrivalTree::new(arrivals, inbound)
 }
 
 /// What steers a search: the lower bound, in ms, on the time from a
@@ -276,7 +275,7 @@ fn settle(
     goal: impl Bound,
     reads: Option<&[MachineId]>,
     arrivals: &mut [SimTime],
-    hops: &mut [Option<Hop>],
+    inbound: &mut [Inbound],
     queue: &mut Frontier,
     stats: &mut SearchStats,
 ) {
@@ -302,14 +301,14 @@ fn settle(
             let head = &run.links[0];
             let v = head.destination().index();
             let hold = query.hold_until[v];
-            let takes = |at, arrivals: &[SimTime], hops: &[Option<Hop>]| {
-                takes(goal, &sender, at, v, arrivals, hops)
+            let takes = |at, arrivals: &[SimTime], inbound: &[Inbound]| {
+                takes(goal, &sender, at, v, arrivals, inbound)
             };
             // Ends never decrease along a run: the windows that closed
             // before `ready` are a prefix. Past it, `start < end` puts the
             // earliest start inside the window.
             let open = run.links.partition_point(|link| link.end() < ready);
-            debug_assert_pruned(query, goal, &sender, &run, 0..open, arrivals, hops);
+            debug_assert_pruned(query, goal, &sender, &run, 0..open, arrivals, inbound);
             let mut transfer = None;
             for (k, link) in run.links.iter().enumerate().skip(open) {
                 // Starts never decrease either, so neither do the earliest
@@ -317,13 +316,13 @@ fn settle(
                 // past the hold or no longer takes the receiver ends the
                 // run.
                 let earliest = link.start().max(ready);
-                let bound = if earliest > hold || !takes(earliest, arrivals, hops) {
+                let bound = if earliest > hold || !takes(earliest, arrivals, inbound) {
                     None
                 } else {
                     let transfer = *transfer.get_or_insert_with(|| head.transfer_time(query.size));
                     earliest
                         .checked_add(transfer)
-                        .filter(|&lb| lb <= hold && takes(lb, arrivals, hops))
+                        .filter(|&lb| lb <= hold && takes(lb, arrivals, inbound))
                         .map(|lb| (lb, transfer))
                 };
                 let Some((lb, duration)) = bound else {
@@ -334,35 +333,29 @@ fn settle(
                         &run,
                         k..run.links.len(),
                         arrivals,
-                        hops,
+                        inbound,
                     );
                     break;
                 };
                 if lb > link.end() {
-                    debug_assert_pruned(query, goal, &sender, &run, k..k + 1, arrivals, hops);
+                    debug_assert_pruned(query, goal, &sender, &run, k..k + 1, arrivals, inbound);
                     continue;
                 }
                 let link_id = run.link(k);
-                debug_assert!(may_improve(query, goal, &sender, link, arrivals, hops));
+                debug_assert!(may_improve(query, goal, &sender, link, arrivals, inbound));
                 let crossing = Crossing { id: link_id, link, size: query.size, duration };
                 let Some(slot) =
                     query.ledger.earliest_crossing(crossing, ready, hold, &mut stats.probes)
                 else {
                     continue;
                 };
-                if takes(slot.arrival, arrivals, hops) {
+                if takes(slot.arrival, arrivals, inbound) {
                     if slot.arrival < arrivals[v] {
                         arrivals[v] = slot.arrival;
                         queue.push(Reverse(Entry::new(slot.arrival, v, goal)));
                         stats.heap_pushes += 1;
                     }
-                    hops[v] = Some(Hop {
-                        from: u,
-                        to: head.destination(),
-                        link: link_id,
-                        start: slot.start,
-                        arrival: slot.arrival,
-                    });
+                    inbound[v] = Inbound::new(u, link_id, slot.start);
                 }
             }
         }
@@ -382,23 +375,24 @@ fn takes(
     at: SimTime,
     v: usize,
     arrivals: &[SimTime],
-    hops: &[Option<Hop>],
+    inbound: &[Inbound],
 ) -> bool {
-    at < arrivals[v] || (at == arrivals[v] && settled_out_of_order(goal, sender, hops[v], arrivals))
+    at < arrivals[v]
+        || (at == arrivals[v] && settled_out_of_order(goal, sender, inbound[v].sender(), arrivals))
 }
 
-/// Whether `sender` comes before the sender of `hop` in the full search's
-/// order but was settled after it here.
+/// Whether `sender` comes before `held`, the sender of the hop a machine
+/// holds, in the full search's order but was settled after it here.
 #[cold]
 #[inline(never)]
 fn settled_out_of_order(
     goal: impl Bound,
     sender: &Entry,
-    hop: Option<Hop>,
+    held: Option<MachineId>,
     arrivals: &[SimTime],
 ) -> bool {
-    hop.is_some_and(|hop| {
-        let w = hop.from.index();
+    held.is_some_and(|held| {
+        let w = held.index();
         let current = Entry::new(arrivals[w], w, goal);
         (sender.arrival(), sender.machine()) < (current.arrival(), current.machine())
             && sender.key() > current.key()
@@ -417,10 +411,10 @@ fn may_improve(
     sender: &Entry,
     link: &VirtualLink,
     arrivals: &[SimTime],
-    hops: &[Option<Hop>],
+    inbound: &[Inbound],
 ) -> bool {
     let v = link.destination().index();
-    let takes = |at| takes(goal, sender, at, v, arrivals, hops);
+    let takes = |at| takes(goal, sender, at, v, arrivals, inbound);
     let (earliest, limit) =
         (link.start().max(sender.arrival()), link.end().min(query.hold_until[v]));
     earliest <= limit
@@ -438,13 +432,13 @@ fn debug_assert_pruned(
     run: &LinkRun<'_>,
     skipped: Range<usize>,
     arrivals: &[SimTime],
-    hops: &[Option<Hop>],
+    inbound: &[Inbound],
 ) {
     if cfg!(debug_assertions) {
         for k in skipped {
             let link = &run.links[k];
             assert!(
-                !may_improve(query, goal, sender, link, arrivals, hops),
+                !may_improve(query, goal, sender, link, arrivals, inbound),
                 "{} pruned",
                 run.link(k)
             );
@@ -466,11 +460,18 @@ fn debug_assert_pruned(
 /// later, so the strict-`<` update still picks the same hop in the same
 /// `(arrival, machine id)` pop order. Nothing is claimed about the rest of
 /// the tree.
+///
+/// `entered` is a membership prefilter: a hop into a machine it rejects is
+/// passed over before the two lists are scanned. It must accept every
+/// machine of `dirty_machines` and the receiving machine of every link of
+/// `dirty_links` — then it rejects only hops that neither list names, and
+/// the answer is the unfiltered one (`|_| true`), probe for probe.
 #[must_use]
 pub fn paths_hold(
     query: &ItemQuery<'_>,
     tree: &ArrivalTree,
     destinations: &[MachineId],
+    entered: impl Fn(MachineId) -> bool,
     dirty_links: &[VirtualLinkId],
     dirty_machines: &[MachineId],
 ) -> bool {
@@ -480,7 +481,9 @@ pub fn paths_hold(
         || destinations.iter().all(|&destination| {
             let mut cursor = destination;
             while let Some(hop) = tree.hop_into(cursor) {
-                if dirty_links.contains(&hop.link) || dirty_machines.contains(&hop.to) {
+                if entered(hop.to)
+                    && (dirty_links.contains(&hop.link) || dirty_machines.contains(&hop.to))
+                {
                     let slot = query.ledger.earliest_crossing(
                         Crossing::new(query.network, hop.link, query.size),
                         tree.arrival(hop.from),
@@ -832,11 +835,15 @@ mod tests {
             horizon: SimTime::MAX,
         };
         let tree = earliest_arrival_tree(&query(&pristine)); // hop 1 -> 2 over [10, 20)
-        assert!(paths_hold(&query(&later), &tree, &[m(2)], &[link], &into), "slot kept");
-        assert!(!paths_hold(&query(&clashing), &tree, &[m(2)], &[link], &into), "slot moved");
+        let entered = |machine| machine == m(2);
+        assert!(paths_hold(&query(&later), &tree, &[m(2)], entered, &[link], &into), "slot kept");
+        assert!(!paths_hold(&query(&clashing), &tree, &[m(2)], entered, &[link], &into), "moved");
+        assert!(!paths_hold(&query(&clashing), &tree, &[m(2)], |_| true, &[link], &into));
+        // A hop into a machine the prefilter rejects is passed over unprobed.
+        assert!(paths_hold(&query(&clashing), &tree, &[m(2)], |_| false, &[link], &into));
         assert_ne!(earliest_arrival_tree(&query(&clashing)).arrival(m(2)), tree.arrival(m(2)));
         // The path to m1 never crosses the link.
-        assert!(paths_hold(&query(&clashing), &tree, &[m(1)], &[link], &into));
+        assert!(paths_hold(&query(&clashing), &tree, &[m(1)], entered, &[link], &into));
     }
 
     #[test]

@@ -18,16 +18,52 @@ pub struct Hop {
     pub arrival: SimTime,
 }
 
+/// A machine's inbound hop as a tree stores it: the parts of a [`Hop`]
+/// that the machine's index and label do not already give (`to` is the
+/// machine, `arrival` its label). 16 bytes; a `from` of `u32::MAX` means
+/// no inbound hop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Inbound {
+    from: MachineId,
+    link: VirtualLinkId,
+    start: SimTime,
+}
+
+impl Inbound {
+    /// No inbound hop: a source, or a machine the search has not reached.
+    pub(crate) const NONE: Inbound = Inbound {
+        from: MachineId::new(u32::MAX),
+        link: VirtualLinkId::new(0),
+        start: SimTime::ZERO,
+    };
+
+    pub(crate) fn new(from: MachineId, link: VirtualLinkId, start: SimTime) -> Self {
+        debug_assert_ne!(from, Self::NONE.from);
+        Inbound { from, link, start }
+    }
+
+    /// The sending machine, if there is a hop.
+    #[inline]
+    pub(crate) fn sender(self) -> Option<MachineId> {
+        (self.from != Self::NONE.from).then_some(self.from)
+    }
+}
+
 /// The result of one multiple-source earliest-arrival search for one data
 /// item: per machine, the earliest time the item could be there, and the
 /// hop that achieves it.
 ///
 /// Machines that already hold a copy (the search's sources) have an
-/// arrival equal to their copy's availability and no inbound hop.
-/// Unreachable machines report [`SimTime::MAX`]. The tree keeps only these
-/// two arrays, as the search leaves them: everything else (paths, first
-/// hops) is walked along `hops` when read, since a reader asks about a
-/// request's few destinations, not about every machine.
+/// arrival equal to their copy's availability and no inbound hop, unless
+/// another copy reaches them earlier. Unreachable machines report
+/// [`SimTime::MAX`] and no hop. The tree keeps only two n-length arrays,
+/// as the search leaves them: the labels (8 bytes a machine) and the
+/// inbound hops packed to sender, link and start (16 bytes a machine) —
+/// a hop's receiver is the machine it is stored at and its arrival that
+/// machine's label, so [`hop_into`](Self::hop_into) rebuilds the [`Hop`].
+/// Everything else (paths, first hops) is walked along the hops when read,
+/// since a reader asks about a request's few destinations, not about every
+/// machine.
 ///
 /// A tree from [`earliest_arrival_paths`](crate::earliest_arrival_paths)
 /// stopped once its destinations were settled: their arrivals and paths
@@ -36,13 +72,13 @@ pub struct Hop {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrivalTree {
     arrivals: Vec<SimTime>,
-    hops: Vec<Option<Hop>>,
+    inbound: Vec<Inbound>,
 }
 
 impl ArrivalTree {
-    pub(crate) fn new(arrivals: Vec<SimTime>, hops: Vec<Option<Hop>>) -> Self {
-        debug_assert_eq!(arrivals.len(), hops.len());
-        ArrivalTree { arrivals, hops }
+    pub(crate) fn new(arrivals: Vec<SimTime>, inbound: Vec<Inbound>) -> Self {
+        debug_assert_eq!(arrivals.len(), inbound.len());
+        ArrivalTree { arrivals, inbound }
     }
 
     /// Number of machines covered by the tree.
@@ -80,8 +116,11 @@ impl ArrivalTree {
     ///
     /// Panics if the id is out of range.
     #[must_use]
+    #[inline]
     pub fn hop_into(&self, machine: MachineId) -> Option<Hop> {
-        self.hops[machine.index()]
+        let Inbound { from, link, start } = self.inbound[machine.index()];
+        let arrival = self.arrivals[machine.index()];
+        (from != Inbound::NONE.from).then_some(Hop { from, to: machine, link, start, arrival })
     }
 
     /// The full chain of hops from a current copy holder to `machine`,
@@ -99,7 +138,7 @@ impl ArrivalTree {
         }
         let mut chain = Vec::new();
         let mut cursor = machine;
-        while let Some(hop) = self.hops[cursor.index()] {
+        while let Some(hop) = self.hop_into(cursor) {
             chain.push(hop);
             cursor = hop.from;
         }
@@ -120,8 +159,8 @@ impl ArrivalTree {
     /// Panics if the id is out of range.
     #[must_use]
     pub fn first_hop_toward(&self, machine: MachineId) -> Option<Hop> {
-        let mut first = self.hops[machine.index()]?;
-        while let Some(hop) = self.hops[first.from.index()] {
+        let mut first = self.hop_into(machine)?;
+        while let Some(hop) = self.hop_into(first.from) {
             first = hop;
         }
         Some(first)
@@ -129,13 +168,20 @@ impl ArrivalTree {
 
     /// Iterates over every hop in the tree (each machine's inbound hop).
     pub fn hops(&self) -> impl Iterator<Item = Hop> + '_ {
-        self.hops.iter().filter_map(|h| *h)
+        (0..self.machine_count() as u32).filter_map(|v| self.hop_into(MachineId::new(v)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dstage_model::link::VirtualLink;
+    use dstage_model::machine::Machine;
+    use dstage_model::network::NetworkBuilder;
+    use dstage_model::units::{BitsPerSec, Bytes};
+    use dstage_resources::ledger::NetworkLedger;
+
+    use crate::{earliest_arrival_paths, earliest_arrival_tree, ItemQuery, Landmarks};
 
     fn m(i: u32) -> MachineId {
         MachineId::new(i)
@@ -147,11 +193,12 @@ mod tests {
 
     /// Source 0 -> 1 -> 2, machine 3 unreachable.
     fn sample() -> ArrivalTree {
-        let h1 =
-            Hop { from: m(0), to: m(1), link: VirtualLinkId::new(0), start: t(0), arrival: t(5) };
-        let h2 =
-            Hop { from: m(1), to: m(2), link: VirtualLinkId::new(1), start: t(5), arrival: t(9) };
-        ArrivalTree::new(vec![t(0), t(5), t(9), SimTime::MAX], vec![None, Some(h1), Some(h2), None])
+        let h1 = Inbound::new(m(0), VirtualLinkId::new(0), t(0));
+        let h2 = Inbound::new(m(1), VirtualLinkId::new(1), t(5));
+        ArrivalTree::new(
+            vec![t(0), t(5), t(9), SimTime::MAX],
+            vec![Inbound::NONE, h1, h2, Inbound::NONE],
+        )
     }
 
     #[test]
@@ -198,23 +245,56 @@ mod tests {
     fn first_hop_of_a_long_line_is_the_source_out_hop() {
         // Source 0 -> 1 -> ... -> 39, machine 40 unreachable.
         let n = 40;
-        let hops = (0..n)
+        let inbound = (0..n)
             .map(|i| {
-                (i > 0).then(|| Hop {
-                    from: m(i - 1),
-                    to: m(i),
-                    link: VirtualLinkId::new(i - 1),
-                    start: t(u64::from(i - 1)),
-                    arrival: t(u64::from(i)),
-                })
+                if i > 0 {
+                    Inbound::new(m(i - 1), VirtualLinkId::new(i - 1), t(u64::from(i - 1)))
+                } else {
+                    Inbound::NONE
+                }
             })
-            .chain([None])
+            .chain([Inbound::NONE])
             .collect();
         let arrivals = (0..n).map(|i| t(u64::from(i))).chain([SimTime::MAX]).collect();
-        let tr = ArrivalTree::new(arrivals, hops);
+        let tr = ArrivalTree::new(arrivals, inbound);
         let out = tr.hop_into(m(1)).unwrap();
         assert_eq!(tr.first_hop_toward(m(n - 1)), Some(out));
         assert_eq!(tr.first_hop_toward(m(0)), None, "a source");
         assert_eq!(tr.first_hop_toward(m(n)), None, "unreachable");
+    }
+
+    /// The layout guard: a packed inbound hop is 16 bytes, and a tree over
+    /// `n` machines — full or stopped at its destinations — holds exactly
+    /// `n` labels and `n` packed hops, 24 bytes a machine.
+    #[test]
+    fn a_tree_holds_one_label_and_one_packed_hop_a_machine() {
+        assert_eq!(std::mem::size_of::<Inbound>(), 16);
+        assert_eq!(std::mem::size_of::<SimTime>(), 8);
+        let n = 7;
+        let mut b = NetworkBuilder::new();
+        for i in 0..n {
+            b.add_machine(Machine::new(format!("m{i}"), Bytes::from_mib(1)));
+        }
+        for i in 1..n {
+            b.add_link(VirtualLink::new(m(i - 1), m(i), t(0), t(3_600), BitsPerSec::new(8_000)));
+        }
+        let net = b.build();
+        let ledger = NetworkLedger::new(&net);
+        let hold = vec![SimTime::MAX; n as usize];
+        let query = ItemQuery {
+            network: &net,
+            ledger: &ledger,
+            size: Bytes::new(1_000),
+            sources: &[(m(0), t(0))],
+            hold_until: &hold,
+            horizon: SimTime::MAX,
+        };
+        let full = earliest_arrival_tree(&query);
+        let bounded = earliest_arrival_paths(&query, &Landmarks::new(&net), &[m(2)]);
+        for tree in [&full, &bounded] {
+            assert_eq!((tree.arrivals.len(), tree.arrivals.capacity()), (n as usize, n as usize));
+            assert_eq!((tree.inbound.len(), tree.inbound.capacity()), (n as usize, n as usize));
+        }
+        assert_eq!(full.hops().count(), n as usize - 1);
     }
 }

@@ -18,6 +18,11 @@
 //! 6. **Landmark bound** — the goal's bound is consistent across every
 //!    link, zero at the destinations, and no more than the item's size
 //!    times the static distance to the nearest destination, rounded down.
+//! 7. **Hop reconstruction** — a tree stores each machine's inbound hop
+//!    without its receiver and arrival; `hop_into` rebuilds them from the
+//!    machine and its label, on full trees and on steered reads, and
+//!    answers `None` for a source not reached earlier and for an
+//!    unreachable machine.
 //!
 //! Exactness is also checked with finite per-machine hold deadlines, on a
 //! partly consumed ledger, with some windows opening after every hold.
@@ -237,11 +242,30 @@ fn check_paths_that_hold(
     // named, finds the slot the search gave it.
     let (all_links, all_machines): (Vec<VirtualLinkId>, Vec<MachineId>) =
         network.links().map(|(l, link)| (l, link.destination())).unzip();
-    prop_assert!(paths_hold(&query, &tree, &destinations, &all_links, &all_machines));
+    prop_assert!(paths_hold(&query, &tree, &destinations, |_| true, &all_links, &all_machines));
 
     let (dirty_links, dirty_machines) = consume_randomly(&network, &mut ledger, commits);
     let query = query_of(&network, &ledger, size, &sources, &hold);
-    if paths_hold(&query, &tree, &destinations, &dirty_links, &dirty_machines) {
+    // The membership prefilter, as a scheduler builds it: every machine
+    // recorded and every recorded link's receiver. It changes no answer.
+    let mut entered = vec![false; net.machines];
+    let receivers = dirty_links.iter().map(|&l| network.link(l).destination());
+    for machine in receivers.chain(dirty_machines.iter().copied()) {
+        entered[machine.index()] = true;
+    }
+    let holds = paths_hold(
+        &query,
+        &tree,
+        &destinations,
+        |machine| entered[machine.index()],
+        &dirty_links,
+        &dirty_machines,
+    );
+    prop_assert_eq!(
+        holds,
+        paths_hold(&query, &tree, &destinations, |_| true, &dirty_links, &dirty_machines)
+    );
+    if holds {
         let scratch = earliest_arrival_tree(&query);
         for &d in &destinations {
             prop_assert_eq!(tree.arrival(d), scratch.arrival(d), "arrival at {}", d);
@@ -339,6 +363,60 @@ fn check_bounded_reads(
             let seeded = sources.iter().filter(|s| s.0 == machine).map(|s| s.1).min();
             prop_assert_eq!(bounded.arrival(machine), seeded.unwrap_or(SimTime::MAX));
             prop_assert_eq!(bounded.hop_into(machine), None);
+        }
+    }
+    Ok(())
+}
+
+/// Every hop a tree hands out is rebuilt from the machine it is stored at
+/// and that machine's label: `hop_into(v)` enters `v` at `v`'s arrival. A
+/// source keeps no hop unless another copy reached it earlier than its
+/// own (its label is then below its availability), and an unreachable
+/// machine keeps none. Checked on the full tree and on the search steered
+/// to `picks`, whose unsettled labels are provisional but keep the same
+/// shape.
+fn check_hop_reconstruction(
+    net: &RandomNet,
+    size: u64,
+    sources: &[(usize, u64)],
+    commits: &[(usize, u64, u64)],
+    picks: &[usize],
+) -> Result<(), TestCaseError> {
+    let network = build(net);
+    let mut ledger = NetworkLedger::new(&network);
+    if network.link_count() > 0 {
+        consume_randomly(&network, &mut ledger, commits);
+    }
+    let hold = vec![SimTime::MAX; net.machines];
+    let machine = |p: usize| MachineId::new((p % net.machines) as u32);
+    let sources: Vec<_> =
+        sources.iter().map(|&(m, at)| (machine(m), SimTime::from_secs(at))).collect();
+    let reads: Vec<MachineId> = picks.iter().map(|&p| machine(p)).collect();
+    let query = query_of(&network, &ledger, size, &sources, &hold);
+    let full = earliest_arrival_tree(&query);
+    let steered = earliest_arrival_paths(&query, &Landmarks::new(&network), &reads);
+    for (name, tree) in [("full", &full), ("steered", &steered)] {
+        for i in 0..net.machines {
+            let v = MachineId::new(i as u32);
+            let label = tree.arrival(v);
+            let seeded = sources.iter().filter(|s| s.0 == v).map(|s| s.1).min();
+            match tree.hop_into(v) {
+                Some(hop) => {
+                    prop_assert_eq!(hop.to, v, "{} tree: receiver of the hop into {}", name, v);
+                    prop_assert_eq!(hop.arrival, label, "{} tree: arrival at {}", name, v);
+                    prop_assert!(seeded.is_none_or(|at| label < at), "{} tree: source {}", name, v);
+                }
+                None => prop_assert!(
+                    label == SimTime::MAX || seeded == Some(label),
+                    "{} tree: {} labelled {} without a hop",
+                    name,
+                    v,
+                    label
+                ),
+            }
+            if label == SimTime::MAX {
+                prop_assert_eq!(tree.hop_into(v), None, "{} tree: unreachable {}", name, v);
+            }
         }
     }
     Ok(())
@@ -632,6 +710,17 @@ proptest! {
     }
 
     #[test]
+    fn hop_into_rebuilds_each_hop_from_its_receiver_and_label(
+        net in random_net_strategy(),
+        size in 1u64..40_000,
+        sources in prop::collection::vec((0usize..7, 0u64..60), 1..3),
+        commits in prop::collection::vec((0usize..32, 0u64..200, 1u64..30_000), 0..8),
+        picks in prop::collection::vec(0usize..7, 0..4),
+    ) {
+        check_hop_reconstruction(&net, size, &sources, &commits, &picks)?;
+    }
+
+    #[test]
     fn first_hop_memo_matches_chain_walk(
         net in random_net_strategy(),
         size in 1u64..40_000,
@@ -689,6 +778,22 @@ proptest! {
         commits in prop::collection::vec((0usize..32, 0u64..200, 1u64..30_000), 0..8),
     ) {
         check_fixpoint_under_finite_holds(net, size, src, src_avail, &holds, &commits)?;
+    }
+
+    #[test]
+    fn hop_into_on_window_trains_and_uniform_grids_rebuilds_each_hop(
+        net in train_net_strategy(),
+        shape in (0u8..4, 2usize..6, 1u64..20),
+        size in (0u8..4, 1u64..40_000),
+        sources in prop::collection::vec((0usize..36, 0u64..60), 1..3),
+        commits in prop::collection::vec((0usize..120, 0u64..200, 1u64..30_000), 0..8),
+        picks in prop::collection::vec(0usize..40, 0..4),
+    ) {
+        let size = tie_size(size.0, size.1);
+        check_hop_reconstruction(&net, size, &sources, &commits, &picks)?;
+        let (line, k, speed) = shape;
+        let grid = uniform_net(line == 0, k, speed);
+        check_hop_reconstruction(&grid, size, &sources, &commits, &picks)?;
     }
 
     #[test]
