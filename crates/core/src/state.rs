@@ -912,7 +912,10 @@ impl<'a> SchedulerState<'a> {
     /// searches from scratch, up to the last of `read`
     /// ([`earliest_arrival_paths`]).
     ///
-    /// The entry's steps survive exactly one outcome: the tree served as
+    /// A tree served at the mark it was checked at is read as it stands:
+    /// nothing was consumed since, so its paths to every destination it
+    /// was validated for hold, and so do the steps read off it. Otherwise
+    /// the entry's steps survive exactly one outcome: the tree served as
     /// it stood, for the destinations it was last validated for.
     fn refresh_tree(&mut self, item: DataItemId, read: &[MachineId]) {
         let mark = self.journal.mark();
@@ -929,11 +932,11 @@ impl<'a> SchedulerState<'a> {
         let query = self.query(item);
         let refreshed = match served {
             Some(mut cached) => {
-                cached.checked = mark;
-                if read != cached.validated {
+                if cached.checked != mark && read != cached.validated {
                     cached.enumeration = None;
                     read.clone_into(&mut cached.validated);
                 }
+                cached.checked = mark;
                 cached
             }
             None => CachedItem {
@@ -1037,6 +1040,8 @@ impl<'a> SchedulerState<'a> {
             }
         }
         let steps = enumerate(&self.scenario, item, &pending, &cached.tree);
+        // A tree read as it stood may be validated for more.
+        destinations.clone_into(&mut cached.validated);
         cached.enumeration = Some(Enumeration { steps, entered });
         Visit::Rebuilt
     }
@@ -1148,7 +1153,7 @@ impl<'a> SchedulerState<'a> {
     pub fn book_transfer(&mut self, t: &Transfer) -> Result<(), CommitError> {
         let hop = Hop { from: t.from, to: t.to, link: t.link, start: t.start, arrival: t.arrival };
         self.book(t.item, hop)?;
-        self.record_consumption(t.item, &[t.link], &[t.to]);
+        self.record_consumption(t.item, &[hop], false);
         Ok(())
     }
 
@@ -1271,13 +1276,15 @@ impl<'a> SchedulerState<'a> {
     /// feasible by construction.
     pub fn commit_hop(&mut self, item: DataItemId, hop: Hop) {
         self.book(item, hop).expect("hop from current tree must be feasible");
-        self.record_consumption(item, &[hop.link], &[hop.to]);
+        let own = (self.cache[item.index()].as_ref())
+            .is_some_and(|cached| cached.tree.hop_into(hop.to) == Some(hop));
+        self.record_consumption(item, &[hop], own);
     }
 
     /// Commits every hop on the current shortest path of `item` to
-    /// `destination` (the full path/one destination move). Hops whose
-    /// receiving machine already has a copy *at least as early* are
-    /// skipped (shared prefixes with previously committed paths).
+    /// `destination` (the full path/one destination move). A path starts
+    /// at the latest copy on its way — a prefix shared with a previously
+    /// committed path is a source of the tree, not a hop of it.
     ///
     /// Returns the number of hops committed.
     ///
@@ -1314,23 +1321,17 @@ impl<'a> SchedulerState<'a> {
                 }
             }
         }
-        // Commit in travel order so copies exist before onward hops.
+        // Commit in travel order so copies exist before onward hops. A
+        // machine holding a copy by its label is a source of the tree, so
+        // no hop enters one.
         edges.sort_by_key(|h| (h.arrival, h.start, h.link));
-        let mut links = Vec::with_capacity(edges.len());
-        let mut machines = Vec::with_capacity(edges.len());
-        for hop in edges {
-            // Skip hops into machines that already hold an equally early
-            // copy (shared prefix with an earlier committed path).
-            if self.has_copy_by(item, hop.to, hop.arrival) {
-                continue;
-            }
+        for &hop in &edges {
+            debug_assert!(!self.has_copy_by(item, hop.to, hop.arrival), "{hop:?} enters a copy");
             self.book(item, hop)
                 .expect("tree hop must be feasible against the ledger it was computed on");
-            links.push(hop.link);
-            machines.push(hop.to);
         }
-        self.record_consumption(item, &links, &machines);
-        links.len() as u32
+        self.record_consumption(item, &edges, true);
+        edges.len() as u32
     }
 
     /// Commits the current shortest path of `item` to `destination` with
@@ -1393,13 +1394,12 @@ impl<'a> SchedulerState<'a> {
         // link and receiving store (path machines are distinct), so the
         // probed slots stay feasible as earlier hops commit.
         retimed.reverse();
-        let links: Vec<VirtualLinkId> = retimed.iter().map(|h| h.link).collect();
-        let machines: Vec<MachineId> = retimed.iter().map(|h| h.to).collect();
-        for hop in retimed {
+        for &hop in &retimed {
             self.book(item, hop).expect("latest slot probed against the same ledger must commit");
         }
-        self.record_consumption(item, &links, &machines);
-        links.len() as u32
+        // Its copies arrive later than the tree's labels.
+        self.record_consumption(item, &retimed, false);
+        retimed.len() as u32
     }
 
     /// Finalizes the run into a schedule plus metrics.
@@ -1409,8 +1409,8 @@ impl<'a> SchedulerState<'a> {
         (Schedule::from_parts(self.transfers, deliveries), self.metrics)
     }
 
-    /// Records resource consumption after committing transfers of `item`
-    /// that used `links` and placed copies on `machines`.
+    /// Records resource consumption after `item` was booked over `hops`
+    /// (`own`: hops of its cached tree, the search's own slots).
     ///
     /// Resources are only ever consumed while trees are cached (the two
     /// releases, [`SchedulerState::rollback`] and
@@ -1419,24 +1419,45 @@ impl<'a> SchedulerState<'a> {
     /// touched link or into a touched machine still finds its old slot
     /// (see DESIGN.md §3). The consumption is journaled; other items'
     /// trees are checked lazily at their next read. The committing item's
-    /// own tree is dropped eagerly: its copy set grew. With caching
-    /// disabled, everything is invalidated.
-    fn record_consumption(
-        &mut self,
-        item: DataItemId,
-        links: &[VirtualLinkId],
-        machines: &[MachineId],
-    ) {
-        for &link in links {
-            self.journal.record_link(link);
+    /// own tree is kept when [`keeps_tree`](Self::keeps_tree) says it
+    /// stays exact — each receiver of `hops` staged as a source
+    /// ([`ArrivalTree::stage`]), checked at the new mark, its steps
+    /// dropped — and dropped otherwise. With caching disabled, everything
+    /// is invalidated.
+    fn record_consumption(&mut self, item: DataItemId, hops: &[Hop], own: bool) {
+        let mark = self.journal.mark();
+        for hop in hops {
+            self.journal.record_link(hop.link);
+            self.journal.record_machine(hop.to);
         }
-        for &machine in machines {
-            self.journal.record_machine(machine);
+        if own && self.caching && self.keeps_tree(item, hops, mark) {
+            let cached = self.cache[item.index()].as_mut().expect("kept");
+            for &hop in hops {
+                cached.tree.stage(hop);
+            }
+            cached.checked = self.journal.mark();
+            cached.enumeration = None;
+            dstage_obs::metrics::CORE_TREES_KEPT.inc();
+        } else {
+            self.cache[item.index()] = None;
         }
-        self.cache[item.index()] = None;
         if !self.caching {
             self.drop_all_trees();
         }
+    }
+
+    /// Whether `item`'s cached tree stays exact once its own `hops` are
+    /// booked, and is worth keeping: it was checked at `mark`, just before
+    /// them; every receiver holds its copy (no loss on record takes it),
+    /// available at its label; and a destination it was validated for is
+    /// still pending, so it will be read again.
+    fn keeps_tree(&self, item: DataItemId, hops: &[Hop], mark: JournalMark) -> bool {
+        let Some(cached) = &self.cache[item.index()] else { return false };
+        cached.checked == mark
+            && hops.iter().all(|hop| self.survives(item, hop.to, hop.arrival, SimTime::MAX))
+            && self.pending_requests(item).any(|request| {
+                cached.validated.contains(&self.scenario.request(request).destination())
+            })
     }
 
     /// Current metrics snapshot.
@@ -1606,34 +1627,31 @@ mod tests {
 
     #[test]
     fn caching_serves_unrelated_items_from_cache() {
-        // Two items on disjoint halves of a network.
+        // Two items on disjoint halves of a network; item 0 is also
+        // wanted one hop further on, at m4.
         let mut b = NetworkBuilder::new();
-        for i in 0..4 {
+        for i in 0..5 {
             b.add_machine(Machine::new(format!("m{i}"), Bytes::from_mib(1)));
         }
-        b.add_link(VirtualLink::new(
-            m(0),
-            m(1),
-            t(0),
-            SimTime::from_hours(2),
-            BitsPerSec::new(8_000),
-        ));
-        b.add_link(VirtualLink::new(
-            m(2),
-            m(3),
-            t(0),
-            SimTime::from_hours(2),
-            BitsPerSec::new(8_000),
-        ));
+        for (from, to) in [(0, 1), (2, 3), (1, 4)] {
+            b.add_link(VirtualLink::new(
+                m(from),
+                m(to),
+                t(0),
+                SimTime::from_hours(2),
+                BitsPerSec::new(8_000),
+            ));
+        }
         let s = Scenario::builder(b.build())
             .add_item(DataItem::new("a", Bytes::new(1_000), vec![DataSource::new(m(0), t(0))]))
             .add_item(DataItem::new("b", Bytes::new(1_000), vec![DataSource::new(m(2), t(0))]))
             .add_request(Request::new(item(0), m(1), t(3_000), Priority::HIGH))
             .add_request(Request::new(item(1), m(3), t(3_000), Priority::HIGH))
+            .add_request(Request::new(item(0), m(4), t(3_000), Priority::LOW))
             .build()
             .unwrap();
         let mut st = SchedulerState::new(&s);
-        let _ = st.tree(item(0), &[m(1)]);
+        let _ = st.tree(item(0), &[m(1), m(4)]);
         let _ = st.tree(item(1), &[m(3)]);
         assert_eq!(st.metrics().dijkstra_runs, 2);
         // Committing item 0's hop must not invalidate item 1's tree.
@@ -1642,9 +1660,65 @@ mod tests {
         st.commit_hop(item(0), steps[0].hop);
         let _ = st.tree(item(1), &[m(3)]);
         assert_eq!(st.metrics().dijkstra_runs, 2, "disjoint item recomputed needlessly");
-        // Item 0's own tree must be recomputed.
-        let _ = st.tree(item(0), &[m(1)]);
-        assert_eq!(st.metrics().dijkstra_runs, 3);
+        // Item 0's own tree is kept, m1 staged as a source: m4 is still
+        // pending, and its read searches nothing.
+        let kept = st.tree(item(0), &[m(4)]).clone();
+        assert_eq!(st.metrics().dijkstra_runs, 2, "the committing item searched again");
+        let scratch = earliest_arrival_tree(&st.query(item(0)));
+        assert_eq!(kept.arrival(m(4)), scratch.arrival(m(4)));
+        assert_eq!(kept.path_to(m(4)), scratch.path_to(m(4)));
+        assert_eq!(kept.first_hop_toward(m(4)).map(|hop| hop.from), Some(m(1)));
+    }
+
+    /// The line's item validated for both destinations, as a selection
+    /// round reads it, then committed to `m2` on the path they share.
+    #[test]
+    fn a_committed_path_leaves_the_shared_destination_served_from_its_new_copies() {
+        let s = line_scenario();
+        let mut st = SchedulerState::new(&s);
+        let _ = st.candidate_steps(item(0));
+        assert_eq!(st.commit_path(item(0), m(2)), 2);
+        assert_eq!(st.metrics().dijkstra_runs, 1, "the commit read the round's tree");
+        let kept = st.tree(item(0), &[m(3)]).clone();
+        assert_eq!(st.metrics().dijkstra_runs, 1, "m3 searched again");
+        let scratch = earliest_arrival_tree(&st.query(item(0)));
+        assert_eq!(kept.arrival(m(3)), scratch.arrival(m(3)));
+        assert_eq!(kept.path_to(m(3)), scratch.path_to(m(3)));
+        let first = kept.first_hop_toward(m(3));
+        assert_eq!(first, scratch.first_hop_toward(m(3)));
+        assert_eq!(
+            first.map(|hop| (hop.from, hop.start)),
+            Some((m(2), t(20))),
+            "from the new copy"
+        );
+        // The next round offers that hop alone.
+        let steps = st.candidate_steps(item(0)).to_vec();
+        assert_eq!((steps.len(), steps[0].hop), (1, first.unwrap()));
+        assert_eq!(st.metrics().dijkstra_runs, 1);
+    }
+
+    /// Two commits that must drop the tree although a destination it was
+    /// validated for stays pending: a latest-slot path (its copies arrive
+    /// after the tree's labels — here at them, the deadline being the
+    /// earliest arrival, so only the rule tells), and a path whose first
+    /// copy a loss on record takes.
+    #[test]
+    fn a_latest_slot_commit_and_a_refused_copy_drop_the_tree() {
+        let s = line_scenario();
+        for latest in [true, false] {
+            let mut st = SchedulerState::new(&s);
+            let _ = st.candidate_steps(item(0));
+            if latest {
+                assert_eq!(st.commit_path_latest(item(0), m(2), t(20)), 2);
+            } else {
+                st.remove_copies(item(0), m(1), t(15));
+                assert_eq!(st.commit_path(item(0), m(2)), 2);
+                assert!(!st.has_copy_by(item(0), m(1), SimTime::MAX), "the loss took m1's copy");
+            }
+            assert!(st.cache[0].is_none(), "latest = {latest}: the tree was kept");
+            let _ = st.tree(item(0), &[m(3)]);
+            assert_eq!(st.metrics().dijkstra_runs, 2, "latest = {latest}");
+        }
     }
 
     #[test]

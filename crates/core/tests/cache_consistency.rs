@@ -3,11 +3,15 @@
 //! Two `SchedulerState`s — caching with read-side validation and steps
 //! kept with their tree, and no caching at all (the from-scratch
 //! reference) — are driven through the same randomized sequence of
-//! commits, evictions (copy losses), link outages, past-blocking, stale
-//! re-admissions, late and withheld requests and commits to machines
-//! nobody asked for. Before every step their candidate enumerations must
-//! agree, and equal the uncached state's steps taken item by item over
-//! every item id; the final schedules must be equal. This pins
+//! commits (a hop, paths, a latest-slot path), evictions (copy losses),
+//! link outages, past-blocking, stale re-admissions, late and withheld
+//! requests and commits to machines nobody asked for. A commit of a
+//! tree's own hops keeps that tree, its receivers staged as sources,
+//! while a destination it was validated for is pending; the latest-slot
+//! commit, whose copies arrive after the tree's labels, must drop it.
+//! Before every step their candidate enumerations must agree, and equal
+//! the uncached state's steps taken item by item over every item id; the
+//! final schedules must be equal. This pins
 //! the "resources are only consumed" argument across *every* mutation
 //! path the dynamic layer and the daemon exercise; the two ways a read
 //! can leave the set of destinations a cached tree was last validated for
@@ -54,7 +58,7 @@ proptest! {
     fn cached_and_uncached_modes_stay_in_lockstep(
         family in 0usize..8,
         seed in 0u64..8,
-        ops in prop::collection::vec((0u8..18, 0usize..64, 0u64..900), 1..40),
+        ops in prop::collection::vec((0u8..19, 0usize..64, 0u64..900), 1..40),
     ) {
         lockstep(family, seed, &ops, false)?;
     }
@@ -66,7 +70,7 @@ proptest! {
     fn one_active_request_at_a_time_stays_in_lockstep(
         family in 0usize..8,
         seed in 0u64..8,
-        ops in prop::collection::vec((0u8..18, 0usize..64, 0u64..900), 1..40),
+        ops in prop::collection::vec((0u8..19, 0usize..64, 0u64..900), 1..40),
     ) {
         lockstep(family, seed, &ops, true)?;
     }
@@ -261,6 +265,22 @@ fn lockstep(
                 let machine = MachineId::new((time as usize % machines) as u32);
                 let request = Request::new(item, machine, horizon, Priority::new(pick as u8 % 3));
                 prop_assert_eq!(&cached.add_request(request), &uncached.add_request(request));
+            }
+            // A latest-slot commit (the alap rule) to one of a step's
+            // satisfiable destinations, by its deadline.
+            18 => {
+                if steps.is_empty() {
+                    continue;
+                }
+                let step = &steps[pick % steps.len()];
+                let satisfiable: Vec<_> = step.satisfiable().collect();
+                let outlook = satisfiable[time as usize % satisfiable.len()];
+                let machine = cached.scenario().request(outlook.request).destination();
+                let n = cached.commit_path_latest(step.item, machine, outlook.deadline);
+                prop_assert_eq!(
+                    n,
+                    uncached.commit_path_latest(step.item, machine, outlook.deadline)
+                );
             }
             // A loss at a delivered destination, at or after the
             // delivery: the request is pending again. One time in

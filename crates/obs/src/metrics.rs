@@ -201,6 +201,10 @@ metrics! {
     /// The tree was built, or its item's pending set changed.
     CORE_STEPS_REBUILT: Counter = "dstage_core_steps_rebuilt_total",
         "Candidate-step enumerations read off a tree afresh";
+    /// Its committed receivers became the tree's sources: one search
+    /// fewer than dropping it.
+    CORE_TREES_KEPT: Counter = "dstage_core_trees_kept_total",
+        "Commits that kept their item's tree, committed receivers staged as sources";
 
     // --- sim layer (sweep executor) -----------------------------------
 

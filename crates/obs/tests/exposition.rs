@@ -20,8 +20,8 @@ fn exposition_matches_the_recorded_golden() {
 
     let text = render_prometheus();
     let golden = include_str!("fixtures/exposition.prom");
-    assert_eq!(text.lines().count(), 309);
-    assert_eq!(text.matches("# TYPE ").count(), 44);
+    assert_eq!(text.lines().count(), 312);
+    assert_eq!(text.matches("# TYPE ").count(), 45);
     if text != golden {
         let first = text.lines().zip(golden.lines()).position(|(a, b)| a != b);
         panic!("exposition differs from the golden (first differing line: {first:?})\n{text}");

@@ -69,6 +69,11 @@ impl Inbound {
 /// stopped once its destinations were settled: their arrivals and paths
 /// are the full tree's, and any other machine's entry may be provisional
 /// (no earlier than the full tree's, possibly unreachable).
+///
+/// Booking the item over some of the tree's own hops leaves the tree the
+/// search from the grown copy set would return on those paths, once
+/// [`stage`](Self::stage) has made each receiver a source: a scheduler
+/// keeps it across such a commit instead of searching again.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrivalTree {
     arrivals: Vec<SimTime>,
@@ -170,6 +175,16 @@ impl ArrivalTree {
     pub fn hops(&self) -> impl Iterator<Item = Hop> + '_ {
         (0..self.machine_count() as u32).filter_map(|v| self.hop_into(MachineId::new(v)))
     }
+
+    /// Makes the receiver of `hop`, the tree's own hop into it, a source:
+    /// the item was booked over `hop`, so the receiver now holds a copy
+    /// available at its label, and a search from the item's copies gives
+    /// it that label and no inbound hop. Its label and every other entry
+    /// stay; paths through it now start there (DESIGN.md §3).
+    pub fn stage(&mut self, hop: Hop) {
+        debug_assert_eq!(self.hop_into(hop.to), Some(hop), "not the tree's hop into {}", hop.to);
+        self.inbound[hop.to.index()] = Inbound::NONE;
+    }
 }
 
 #[cfg(test)]
@@ -233,6 +248,17 @@ mod tests {
         assert_eq!(tr.first_hop_toward(m(1)).unwrap().to, m(1));
         assert_eq!(tr.first_hop_toward(m(0)), None);
         assert_eq!(tr.first_hop_toward(m(3)), None);
+    }
+
+    #[test]
+    fn a_staged_receiver_is_a_source_with_its_label() {
+        let mut tr = sample();
+        let into_1 = tr.hop_into(m(1)).unwrap();
+        tr.stage(into_1);
+        assert_eq!((tr.arrival(m(1)), tr.hop_into(m(1))), (t(5), None));
+        assert_eq!(tr.path_to(m(2)).unwrap(), vec![tr.hop_into(m(2)).unwrap()]);
+        assert_eq!(tr.first_hop_toward(m(2)).unwrap().from, m(1));
+        assert_eq!(tr.arrival(m(2)), t(9));
     }
 
     #[test]
