@@ -1182,7 +1182,8 @@ impl<'a> SchedulerState<'a> {
     }
 
     /// Puts a transfer taken out by [`SchedulerState::unbook`] back, nothing
-    /// else having been booked or released in between: the exact inverse.
+    /// else having been booked or released in between: the exact inverse,
+    /// every cached tree forgotten as there.
     ///
     /// # Panics
     ///
@@ -1195,6 +1196,9 @@ impl<'a> SchedulerState<'a> {
         self.ledger
             .reserve_storage(t.to, size, t.start, hold.max(t.arrival))
             .expect("the store held this very copy before it was unbooked");
+        // Consumed again: like the release it inverts, it forgets every
+        // tree rather than journal what it takes.
+        self.forget_trees();
     }
 
     /// Rebuilds `item`'s tables — copies, booked arrivals with their hop

@@ -5,7 +5,11 @@
 //! reference) — are driven through the same randomized sequence of
 //! commits (a hop, paths, a latest-slot path), evictions (copy losses),
 //! link outages, past-blocking, stale re-admissions, late and withheld
-//! requests and commits to machines nobody asked for. A commit of a
+//! requests and commits to machines nobody asked for — and through the
+//! releases of the climb's trials and the repair loop: a decision rolled
+//! back to its savepoint after a drive, a committed hop unbooked and
+//! rebooked around a read, and a loss whose re-derivation cuts transfers
+//! off, which are then unbooked. A commit of a
 //! tree's own hops keeps that tree, its receivers staged as sources,
 //! while a destination it was validated for is pending; the latest-slot
 //! commit, whose copies arrive after the tree's labels, must drop it.
@@ -58,7 +62,7 @@ proptest! {
     fn cached_and_uncached_modes_stay_in_lockstep(
         family in 0usize..8,
         seed in 0u64..8,
-        ops in prop::collection::vec((0u8..19, 0usize..64, 0u64..900), 1..40),
+        ops in prop::collection::vec((0u8..22, 0usize..64, 0u64..900), 1..40),
     ) {
         lockstep(family, seed, &ops, false)?;
     }
@@ -70,7 +74,7 @@ proptest! {
     fn one_active_request_at_a_time_stays_in_lockstep(
         family in 0usize..8,
         seed in 0u64..8,
-        ops in prop::collection::vec((0u8..19, 0usize..64, 0u64..900), 1..40),
+        ops in prop::collection::vec((0u8..22, 0usize..64, 0u64..900), 1..40),
     ) {
         lockstep(family, seed, &ops, true)?;
     }
@@ -127,7 +131,13 @@ fn lockstep(
 
     let mut now = SimTime::ZERO;
     let mut withheld: Vec<RequestId> = Vec::new();
+    // Every transfer booked so far, in booking order: what the releases
+    // below unbook, rebook and re-derive from.
+    let mut booked: Vec<Transfer> = Vec::new();
     for &(op, pick, time) in ops {
+        let taken = cached.take_transfers();
+        prop_assert_eq!(&taken, &uncached.take_transfers());
+        booked.extend(taken);
         if one_active {
             let count = cached.scenario().request_count();
             let chosen = RequestId::new(((pick + time as usize) % count) as u32);
@@ -282,6 +292,92 @@ fn lockstep(
                     uncached.commit_path_latest(step.item, machine, outlook.deadline)
                 );
             }
+            // A decision taken back, as the daemon refuses one and a
+            // climb trial that fails: a savepoint on a step's item, a
+            // late request for it with the horizon moved out to its
+            // collection, up to two commits of the item's own steps, a
+            // read of every item, and the rollback.
+            19 => {
+                if steps.is_empty() {
+                    continue;
+                }
+                let item = steps[pick % steps.len()].item;
+                let savepoint = cached.savepoint(item);
+                prop_assert_eq!(
+                    format!("{savepoint:?}"),
+                    format!("{:?}", uncached.savepoint(item))
+                );
+                if pick % 2 == 0 {
+                    let machine = MachineId::new((time as usize % machines) as u32);
+                    let deadline = SimTime::from_secs(8 * time);
+                    let request = Request::new(item, machine, deadline, Priority::LOW);
+                    let added = cached.add_request(request);
+                    prop_assert_eq!(&added, &uncached.add_request(request));
+                    let collected = deadline + cached.scenario().gc_delay();
+                    if added.is_ok() && collected > cached.scenario().horizon() {
+                        let moved = cached.set_horizon(collected);
+                        prop_assert_eq!(moved, uncached.set_horizon(collected));
+                    }
+                }
+                for _ in 0..2 {
+                    let own: Vec<CandidateStep> = cached.candidate_steps(item).to_vec();
+                    prop_assert_eq!(&own[..], uncached.candidate_steps(item));
+                    let Some(step) = own.first() else { break };
+                    let dests: Vec<MachineId> = (step.satisfiable())
+                        .map(|d| cached.scenario().request(d.request).destination())
+                        .collect();
+                    let n = cached.commit_paths(item, &dests);
+                    prop_assert_eq!(n, uncached.commit_paths(item, &dests));
+                }
+                enumerations(&mut cached, &mut uncached)?;
+                cached.rollback(savepoint.clone());
+                uncached.rollback(savepoint);
+            }
+            // A climb trial's release: a booked transfer unbooked and its
+            // item re-derived without it, every item read on what that
+            // frees, then the transfer rebooked and the item re-derived
+            // with it again.
+            20 => {
+                if booked.is_empty() {
+                    continue;
+                }
+                let t = booked[pick % booked.len()];
+                let others: Vec<Transfer> =
+                    booked.iter().filter(|b| b.item == t.item && **b != t).copied().collect();
+                let all: Vec<Transfer> =
+                    booked.iter().filter(|b| b.item == t.item).copied().collect();
+                for state in [&mut cached, &mut uncached] {
+                    state.unbook(&t);
+                    state.rederive_item(t.item, &others);
+                }
+                enumerations(&mut cached, &mut uncached)?;
+                for state in [&mut cached, &mut uncached] {
+                    state.rebook(&t);
+                    state.rederive_item(t.item, &all);
+                }
+            }
+            // The repair loop after a loss: a copy of a booked transfer's
+            // item lost at its receiver on arrival, the item re-derived
+            // from its booked transfers, and the ones that skips unbooked
+            // and forgotten.
+            21 => {
+                if booked.is_empty() {
+                    continue;
+                }
+                let t = booked[pick % booked.len()];
+                let removed = cached.remove_copies(t.item, t.to, t.arrival);
+                prop_assert_eq!(removed, uncached.remove_copies(t.item, t.to, t.arrival));
+                let theirs: Vec<Transfer> =
+                    booked.iter().filter(|b| b.item == t.item).copied().collect();
+                let skipped = cached.rederive_item(t.item, &theirs);
+                prop_assert_eq!(&skipped, &uncached.rederive_item(t.item, &theirs));
+                for state in [&mut cached, &mut uncached] {
+                    for s in &skipped {
+                        state.unbook(s);
+                    }
+                }
+                booked.retain(|b| !skipped.contains(b));
+            }
             // A loss at a delivered destination, at or after the
             // delivery: the request is pending again. One time in
             // three a loss at the horizon comes first: it takes the
@@ -313,6 +409,7 @@ fn lockstep(
     }
 
     enumerations(&mut cached, &mut uncached)?;
+    prop_assert_eq!(&cached.take_transfers(), &uncached.take_transfers());
     let (cached_schedule, _) = cached.into_outcome();
     let (uncached_schedule, _) = uncached.into_outcome();
     prop_assert_eq!(&cached_schedule, &uncached_schedule);
