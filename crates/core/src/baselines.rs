@@ -42,14 +42,14 @@ use crate::schedule::Transfer;
 #[must_use]
 pub fn single_dijkstra_random(scenario: &Scenario, seed: u64) -> ScheduleOutcome {
     let mut rng = StdRng::seed_from_u64(seed);
-    timed(scenario, true, |state| {
+    timed(scenario, true, |planner, bookings| {
         // Plan every item's paths on the pristine network.
         let mut planned: Vec<(RequestId, Option<Vec<Hop>>)> = Vec::new();
         for item_id in scenario.item_ids() {
             let requests = scenario.requests_for(item_id);
             let destinations: Vec<MachineId> =
                 requests.iter().map(|&r| scenario.request(r).destination()).collect();
-            let tree = state.tree(item_id, &destinations).clone();
+            let tree = planner.tree(bookings, item_id, &destinations).clone();
             for &req_id in requests {
                 let req = scenario.request(req_id);
                 let path = tree.path_to(req.destination()).filter(|_| {
@@ -70,11 +70,11 @@ pub fn single_dijkstra_random(scenario: &Scenario, seed: u64) -> ScheduleOutcome
             let Some(path) = path else { continue };
             let item = scenario.request(req_id).item();
             for hop in path {
-                state.note_iteration();
-                if state.has_copy_by(item, hop.to, hop.arrival) {
+                planner.note_iteration();
+                if bookings.has_copy_by(item, hop.to, hop.arrival) {
                     continue;
                 }
-                if state.book_transfer(&Transfer::along(item, hop)).is_err() {
+                if bookings.book_transfer(&Transfer::along(item, hop)).is_err() {
                     break;
                 }
             }
@@ -98,8 +98,8 @@ pub fn single_dijkstra_random(scenario: &Scenario, seed: u64) -> ScheduleOutcome
 #[must_use]
 pub fn random_dijkstra(scenario: &Scenario, seed: u64) -> ScheduleOutcome {
     let mut rng = StdRng::seed_from_u64(seed);
-    timed(scenario, true, |state| loop {
-        let steps = state.all_candidate_steps();
+    timed(scenario, true, |planner, bookings| loop {
+        let steps = planner.all_candidate_steps(bookings);
         let offered = steps.clone().count();
         if offered == 0 {
             break;
@@ -108,8 +108,8 @@ pub fn random_dijkstra(scenario: &Scenario, seed: u64) -> ScheduleOutcome {
             .map(|step| (step.item, step.hop))
             .nth(rng.gen_range(0..offered))
             .expect("picked among the steps offered");
-        state.note_iteration();
-        state.commit_hop(item, hop);
+        planner.note_iteration();
+        planner.commit_hop(bookings, item, hop);
     })
 }
 
@@ -139,14 +139,14 @@ pub fn random_dijkstra(scenario: &Scenario, seed: u64) -> ScheduleOutcome {
 pub fn priority_first(scenario: &Scenario, weights: &PriorityWeights) -> ScheduleOutcome {
     let mut levels: Vec<Priority> = weights.priorities().collect();
     levels.reverse(); // highest first
-    timed(scenario, true, |state| {
+    timed(scenario, true, |planner, bookings| {
         for class in levels {
             loop {
                 // Among pending satisfiable destinations of this class,
                 // pick the lowest request id — arbitrary order, blind to
                 // urgency.
                 let mut best: Option<(RequestId, DataItemId)> = None;
-                for step in state.all_candidate_steps() {
+                for step in planner.all_candidate_steps(bookings) {
                     for d in step.satisfiable() {
                         if d.priority != class {
                             continue;
@@ -157,9 +157,9 @@ pub fn priority_first(scenario: &Scenario, weights: &PriorityWeights) -> Schedul
                     }
                 }
                 let Some((req_id, item)) = best else { break };
-                state.note_iteration();
+                planner.note_iteration();
                 let machine = scenario.request(req_id).destination();
-                state.commit_path(item, machine);
+                planner.commit_path(bookings, item, machine);
             }
         }
     })

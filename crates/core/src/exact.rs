@@ -18,8 +18,9 @@ use dstage_model::ids::{MachineId, RequestId};
 use dstage_model::request::PriorityWeights;
 use dstage_model::scenario::Scenario;
 
+use crate::bookings::Bookings;
+use crate::planner::Planner;
 use crate::schedule::Schedule;
-use crate::state::SchedulerState;
 
 /// Upper limit on the number of requests [`best_order_schedule`] accepts;
 /// the search visits up to `e · n!` commit orders.
@@ -68,20 +69,17 @@ pub fn best_order_schedule(scenario: &Scenario, weights: &PriorityWeights) -> Ex
     );
     let mut best: Option<(u64, Schedule)> = None;
     let mut nodes = 0u64;
-    let state = SchedulerState::new(scenario);
-    search(scenario, weights, state, 0, &mut best, &mut nodes);
+    let bookings = Bookings::new(scenario);
+    let planner = Planner::new(&bookings);
+    search(scenario, weights, (planner, bookings), 0, &mut best, &mut nodes);
     let (weighted_sum, schedule) = best.expect("search always records the empty schedule");
     ExactOutcome { schedule, weighted_sum, nodes_explored: nodes }
 }
 
-fn current_weight(
-    scenario: &Scenario,
-    weights: &PriorityWeights,
-    state: &SchedulerState<'_>,
-) -> u64 {
+fn current_weight(scenario: &Scenario, weights: &PriorityWeights, bookings: &Bookings<'_>) -> u64 {
     scenario
         .requests()
-        .filter(|&(id, _)| state.is_delivered(id))
+        .filter(|&(id, _)| bookings.is_delivered(id))
         .map(|(_, r)| weights.weight(r.priority()))
         .sum()
 }
@@ -89,26 +87,26 @@ fn current_weight(
 fn search(
     scenario: &Scenario,
     weights: &PriorityWeights,
-    mut state: SchedulerState<'_>,
+    (mut planner, bookings): (Planner, Bookings<'_>),
     achieved_floor: u64,
     best: &mut Option<(u64, Schedule)>,
     nodes: &mut u64,
 ) {
     *nodes += 1;
-    let achieved = current_weight(scenario, weights, &state).max(achieved_floor);
+    let achieved = current_weight(scenario, weights, &bookings).max(achieved_floor);
 
     // Candidate next commits: pending requests whose current shortest
     // path meets the deadline.
     let mut candidates: Vec<RequestId> = Vec::new();
     let mut optimistic = achieved;
     for item in scenario.item_ids() {
-        let pending: Vec<RequestId> = state.pending_requests(item).collect();
+        let pending: Vec<RequestId> = bookings.pending_requests(item).collect();
         if pending.is_empty() {
             continue;
         }
         let destinations: Vec<MachineId> =
             pending.iter().map(|&r| scenario.request(r).destination()).collect();
-        let tree = state.tree(item, &destinations);
+        let tree = planner.tree(&bookings, item, &destinations);
         for req_id in pending {
             let req = scenario.request(req_id);
             if tree.arrival(req.destination()) <= req.deadline() {
@@ -121,8 +119,7 @@ fn search(
     // Record this node as a leaf if it improves the incumbent.
     let improves = best.as_ref().is_none_or(|(incumbent, _)| achieved > *incumbent);
     if improves {
-        let (schedule, _) = state.clone().into_outcome();
-        *best = Some((achieved, schedule));
+        *best = Some((achieved, bookings.clone().into_schedule()));
     }
 
     // Bound: even satisfying every remaining candidate cannot beat the
@@ -134,18 +131,18 @@ fn search(
     }
 
     for req_id in candidates {
-        if state.is_delivered(req_id) {
+        if bookings.is_delivered(req_id) {
             continue; // an earlier sibling commit may have delivered it
         }
         let req = scenario.request(req_id);
-        let mut child = state.clone();
+        let (mut planner, mut bookings) = (planner.clone(), bookings.clone());
         // Re-check satisfiability in the child (cheap, uses the cache).
-        let arrival = child.tree(req.item(), &[req.destination()]).arrival(req.destination());
-        if arrival > req.deadline() {
+        let tree = planner.tree(&bookings, req.item(), &[req.destination()]);
+        if tree.arrival(req.destination()) > req.deadline() {
             continue;
         }
-        child.commit_path(req.item(), req.destination());
-        search(scenario, weights, child, achieved, best, nodes);
+        planner.commit_path(&mut bookings, req.item(), req.destination());
+        search(scenario, weights, (planner, bookings), achieved, best, nodes);
     }
 }
 

@@ -13,10 +13,11 @@ use dstage_model::ids::RequestId;
 use dstage_model::request::PriorityWeights;
 use dstage_model::scenario::Scenario;
 
+use crate::bookings::Bookings;
 use crate::cost::{cost_c1, step_cost_over, CostCriterion, DestinationCost, EuWeights};
 use crate::metrics::RunMetrics;
+use crate::planner::{CandidateStep, Planner};
 use crate::schedule::Schedule;
-use crate::state::{CandidateStep, SchedulerState};
 
 /// Configuration shared by the heuristics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -27,8 +28,8 @@ pub struct HeuristicConfig {
     pub eu: EuWeights,
     /// The priority weighting `W[0..=P]`.
     pub priority_weights: PriorityWeights,
-    /// Whether unchanged shortest-path trees may be reused between
-    /// iterations (an exact optimization; disable only for the ablation).
+    /// Whether the planner keeps unchanged shortest-path trees between
+    /// reads (an exact optimization; disable only for the ablation).
     pub caching: bool,
 }
 
@@ -171,10 +172,10 @@ impl Heuristic {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommitRule {
     /// The earliest-arrival path as found
-    /// ([`SchedulerState::commit_path`]).
+    /// ([`Planner::commit_path`]).
     Earliest,
     /// The same path, each hop moved to its latest slot before the deadline
-    /// ([`SchedulerState::commit_path_latest`]).
+    /// ([`Planner::commit_path_latest`]).
     Latest,
 }
 
@@ -413,38 +414,50 @@ pub struct ScheduleOutcome {
 /// ```
 #[must_use]
 pub fn run(scenario: &Scenario, heuristic: Heuristic, config: &HeuristicConfig) -> ScheduleOutcome {
-    timed(scenario, config.caching, |state| drive_state(state, heuristic, config))
+    timed(scenario, config.caching, |planner, bookings| {
+        drive_state(planner, bookings, heuristic, config);
+    })
 }
 
-/// Builds a fresh state for `scenario`, lets `drive` schedule on it and
-/// returns the schedule, the wall clock of the whole run in its metrics.
+/// Makes fresh bookings for `scenario` and a planner over them, lets
+/// `drive` schedule on them and returns the schedule, the planner's
+/// counters and the wall clock of the whole run in its metrics.
 pub(crate) fn timed(
     scenario: &Scenario,
     caching: bool,
-    drive: impl FnOnce(&mut SchedulerState<'_>),
+    drive: impl FnOnce(&mut Planner, &mut Bookings<'_>),
 ) -> ScheduleOutcome {
     let started = std::time::Instant::now();
-    let mut state = SchedulerState::with_caching(scenario, caching);
-    drive(&mut state);
-    state.set_elapsed(started.elapsed());
-    let (schedule, metrics) = state.into_outcome();
+    let mut bookings = Bookings::new(scenario);
+    let mut planner = Planner::with_caching(&bookings, caching);
+    drive(&mut planner, &mut bookings);
+    let elapsed = started.elapsed();
+    let schedule = bookings.into_schedule();
+    let transfers_committed = schedule.transfers().len() as u64;
+    let metrics = RunMetrics { transfers_committed, elapsed, ..planner.metrics() };
     ScheduleOutcome { schedule, metrics }
 }
 
-/// Drives the chosen heuristic's main loop on an already-prepared
-/// [`SchedulerState`] until no request can make further progress.
+/// Drives the chosen heuristic's main loop on already-prepared
+/// [`Bookings`], read through `planner`, until no request can make
+/// further progress.
 ///
-/// This is the advanced entry point used by the dynamic (online) layer
-/// and the admission daemon, which drive it on a live state they repair
-/// in place between drives; most callers want [`run`].
+/// This is the advanced entry point used by the dynamic (online) layer,
+/// which drives it on live bookings it repairs in place between drives;
+/// most callers want [`run`].
 ///
 /// # Panics
 ///
 /// Panics on the [`Heuristic::FullPathAllDestinations`] +
 /// [`CostCriterion::C1`] pairing, as for [`run`].
-pub fn drive_state(state: &mut SchedulerState<'_>, heuristic: Heuristic, config: &HeuristicConfig) {
+pub fn drive_state(
+    planner: &mut Planner,
+    bookings: &mut Bookings<'_>,
+    heuristic: Heuristic,
+    config: &HeuristicConfig,
+) {
     heuristic.check_criterion(config.criterion).unwrap_or_else(|message| panic!("{message}"));
-    while step_state(state, heuristic, config) {}
+    while step_state(planner, bookings, heuristic, config) {}
 }
 
 /// One iteration of the chosen heuristic's main loop, and the only code
@@ -453,30 +466,33 @@ pub fn drive_state(state: &mut SchedulerState<'_>, heuristic: Heuristic, config:
 /// union of the paths to all of them, or the latest-slot path. `false`,
 /// with nothing committed, when no request can make progress.
 pub(crate) fn step_state(
-    state: &mut SchedulerState<'_>,
+    planner: &mut Planner,
+    bookings: &mut Bookings<'_>,
     heuristic: Heuristic,
     config: &HeuristicConfig,
 ) -> bool {
-    let Some(Choice { step, destination }) = best_choice(state, config) else { return false };
-    state.note_iteration();
+    let Some(Choice { step, destination }) = best_choice(planner, bookings, config) else {
+        return false;
+    };
+    planner.note_iteration();
     match heuristic {
-        Heuristic::PartialPath => state.commit_hop(step.item, step.hop),
+        Heuristic::PartialPath => planner.commit_hop(bookings, step.item, step.hop),
         Heuristic::FullPathAllDestinations => {
-            let scenario = state.scenario();
+            let scenario = bookings.scenario();
             let machines: Vec<_> =
                 step.satisfiable().map(|d| scenario.request(d.request).destination()).collect();
-            state.commit_paths(step.item, &machines);
+            planner.commit_paths(bookings, step.item, &machines);
         }
         Heuristic::FullPathOneDestination | Heuristic::Alap => {
             let request = destination
                 .or_else(|| lowest_cost_destination(config, &step))
                 .expect("a candidate step has a satisfiable destination");
-            let request = state.scenario().request(request);
+            let request = bookings.scenario().request(request);
             let (machine, deadline) = (request.destination(), request.deadline());
             if heuristic == Heuristic::Alap {
-                state.commit_path_latest(step.item, machine, deadline);
+                planner.commit_path_latest(bookings, step.item, machine, deadline);
             } else {
-                state.commit_path(step.item, machine);
+                planner.commit_path(bookings, step.item, machine);
             }
         }
     }
@@ -501,7 +517,8 @@ pub(crate) struct Choice {
 /// by receiving machine then link, destinations by request id), so runs
 /// are deterministic.
 pub(crate) fn best_choice(
-    state: &mut SchedulerState<'_>,
+    planner: &mut Planner,
+    bookings: &Bookings<'_>,
     config: &HeuristicConfig,
 ) -> Option<Choice> {
     let mut best: Option<(f64, &CandidateStep, Option<RequestId>)> = None;
@@ -510,7 +527,7 @@ pub(crate) fn best_choice(
             best = Some((cost, step, destination));
         }
     };
-    for step in state.all_candidate_steps() {
+    for step in planner.all_candidate_steps(bookings) {
         let costs = destination_costs(&config.priority_weights, step);
         if config.criterion == CostCriterion::C1 {
             for (d, dc) in step.destinations.iter().zip(costs) {
@@ -569,8 +586,9 @@ fn destination_costs<'s>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bookings::Bookings;
     use crate::cost::EuWeights;
-    use crate::state::SchedulerState;
+    use crate::planner::Planner;
     use dstage_model::ids::RequestId;
     use dstage_workload::small::{contended_link, fan_out, two_hop_chain};
 
@@ -681,11 +699,13 @@ mod tests {
     #[test]
     fn best_choice_picks_the_high_priority_request_under_contention() {
         let s = contended_link();
-        let mut state = SchedulerState::new(&s);
+        let bookings = Bookings::new(&s);
+        let mut planner = Planner::new(&bookings);
         // At a priority-dominant ratio, the high-priority item (item 0,
         // request 0) must win the contended link under every criterion.
         for criterion in CostCriterion::ALL {
-            let choice = best_choice(&mut state, &config(criterion, 3.0)).expect("steps exist");
+            let choice =
+                best_choice(&mut planner, &bookings, &config(criterion, 3.0)).expect("steps exist");
             assert_eq!(
                 choice.step.item,
                 dstage_model::ids::DataItemId::new(0),
@@ -700,21 +720,23 @@ mod tests {
     #[test]
     fn best_choice_returns_none_when_nothing_is_satisfiable() {
         let s = dstage_workload::small::impossible_request();
-        let mut state = SchedulerState::new(&s);
+        let mut bookings = Bookings::new(&s);
+        let mut planner = Planner::new(&bookings);
         // Deliver the easy request, leaving only the impossible one.
-        state.commit_path(
+        planner.commit_path(
+            &mut bookings,
             dstage_model::ids::DataItemId::new(1),
             s.request(RequestId::new(1)).destination(),
         );
-        assert!(best_choice(&mut state, &config(CostCriterion::C4, 0.0)).is_none());
+        assert!(best_choice(&mut planner, &bookings, &config(CostCriterion::C4, 0.0)).is_none());
     }
 
     #[test]
     fn lowest_cost_destination_respects_priority_at_high_ratio() {
         let s = fan_out();
-        let mut state = SchedulerState::new(&s);
+        let bookings = Bookings::new(&s);
         let cfg = config(CostCriterion::C4, 4.0);
-        let choice = best_choice(&mut state, &cfg).unwrap();
+        let choice = best_choice(&mut Planner::new(&bookings), &bookings, &cfg).unwrap();
         // The winning step fans out to three destinations of item 0; at a
         // priority-dominant ratio the HIGH one (request 0) is chosen.
         let dest = lowest_cost_destination(&cfg, &choice.step).unwrap();
@@ -752,8 +774,9 @@ mod tests {
             .add_request(Request::new(DataItemId::new(0), db, SimTime::from_mins(5), Priority::LOW))
             .build()
             .unwrap();
-        let mut state = SchedulerState::new(&s);
-        let steps = state.candidate_steps(dstage_model::ids::DataItemId::new(0));
+        let bookings = Bookings::new(&s);
+        let mut planner = Planner::new(&bookings);
+        let steps = planner.candidate_steps(&bookings, dstage_model::ids::DataItemId::new(0));
         let step = &steps[0];
         assert_eq!(step.destinations.len(), 2);
         let priority_pick = lowest_cost_destination(&config(CostCriterion::C4, 4.0), step).unwrap();
@@ -765,13 +788,16 @@ mod tests {
     #[test]
     fn drive_state_resumes_partially_scheduled_state() {
         let s = fan_out();
-        let mut state = SchedulerState::new(&s);
-        state.commit_path(
+        let mut bookings = Bookings::new(&s);
+        Planner::new(&bookings).commit_path(
+            &mut bookings,
             dstage_model::ids::DataItemId::new(0),
             s.request(RequestId::new(0)).destination(),
         );
-        drive_state(&mut state, Heuristic::FullPathOneDestination, &config(CostCriterion::C4, 0.0));
-        let (schedule, _) = state.into_outcome();
+        let mut planner = Planner::new(&bookings);
+        let config = config(CostCriterion::C4, 0.0);
+        drive_state(&mut planner, &mut bookings, Heuristic::FullPathOneDestination, &config);
+        let schedule = bookings.into_schedule();
         // Everything satisfiable ends satisfied even from a partial start.
         assert_eq!(schedule.deliveries().len(), s.request_count());
         schedule.validate(&s).unwrap();

@@ -11,7 +11,7 @@
 //! over one step function in [`heuristic`]: each iteration picks a
 //! candidate step by cost criterion and commits one hop, one path, the
 //! union of the paths, or the latest-slot path of it to the shared
-//! [`state::SchedulerState`].
+//! [`bookings::Bookings`], read through a [`planner::Planner`].
 //!
 //! # Examples
 //!
@@ -33,23 +33,25 @@
 #![warn(missing_docs)]
 
 pub mod baselines;
+pub mod bookings;
 pub mod bounds;
 pub mod cost;
 pub mod exact;
 pub mod heuristic;
 pub mod metrics;
+pub mod planner;
 pub mod schedule;
-pub mod state;
 
 /// Convenience re-exports of the scheduling vocabulary.
 pub mod prelude {
     pub use crate::baselines::{priority_first, random_dijkstra, single_dijkstra_random};
+    pub use crate::bookings::Bookings;
     pub use crate::bounds::{possible_satisfy, upper_bound, PossibleSatisfy};
     pub use crate::cost::{CostCriterion, EuWeights};
     pub use crate::exact::{best_order_schedule, ExactOutcome};
     pub use crate::heuristic::{run, Heuristic, HeuristicConfig, ScheduleOutcome};
     pub use crate::metrics::RunMetrics;
+    pub use crate::planner::Planner;
     pub use crate::schedule::{Delivery, Evaluation, Schedule, ScheduleViolation, Transfer};
-    pub use crate::state::SchedulerState;
     pub use dstage_model::request::PriorityWeights;
 }

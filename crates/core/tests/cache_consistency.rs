@@ -1,8 +1,8 @@
 //! Lockstep equivalence of the tree-cache modes (DESIGN.md §3).
 //!
-//! Two `SchedulerState`s — caching with read-side validation and steps
-//! kept with their tree, and no caching at all (the from-scratch
-//! reference) — are driven through the same randomized sequence of
+//! Two pairs of bookings and a planner — one planner caching with
+//! read-side validation and steps kept with their tree, one keeping
+//! nothing (the from-scratch reference) — are driven through the same randomized sequence of
 //! commits (a hop, paths, a latest-slot path), evictions (copy losses),
 //! link outages, past-blocking, stale re-admissions, late and withheld
 //! requests and commits to machines nobody asked for — and through the
@@ -28,28 +28,45 @@
 //! change revives them. A second draw has the daemon's shape: one request
 //! active at a time, a different one from op to op.
 
+use dstage_core::bookings::Bookings;
+use dstage_core::planner::{CandidateStep, Planner};
 use dstage_core::schedule::Transfer;
-use dstage_core::state::{CandidateStep, SchedulerState};
 use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
 use dstage_model::request::{Priority, Request};
+use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
 use dstage_workload::grid::{generate_grid, GridConfig};
 use dstage_workload::Family;
 use proptest::prelude::*;
 
+/// One mode under test: bookings and the planner that reads them.
+struct Mode<'s> {
+    plan: Planner,
+    books: Bookings<'s>,
+}
+
+impl<'s> Mode<'s> {
+    fn new(scenario: &'s Scenario, caching: bool) -> Self {
+        let books = Bookings::new(scenario);
+        Mode { plan: Planner::with_caching(&books, caching), books }
+    }
+}
+
 /// Both modes' enumerations, which must agree — with each other and with
 /// the uncached state's steps taken item by item over every item id, a
 /// reference that does not know which items a round visits.
 fn enumerations(
-    cached: &mut SchedulerState<'_>,
-    uncached: &mut SchedulerState<'_>,
+    cached: &mut Mode<'_>,
+    uncached: &mut Mode<'_>,
 ) -> Result<Vec<CandidateStep>, TestCaseError> {
-    let steps: Vec<CandidateStep> = cached.all_candidate_steps().cloned().collect();
-    let reference: Vec<CandidateStep> = uncached.all_candidate_steps().cloned().collect();
+    let steps: Vec<CandidateStep> =
+        cached.plan.all_candidate_steps(&cached.books).cloned().collect();
+    let reference: Vec<CandidateStep> =
+        uncached.plan.all_candidate_steps(&uncached.books).cloned().collect();
     prop_assert_eq!(&steps, &reference);
     let mut per_item = Vec::new();
-    for item in uncached.scenario().item_ids() {
-        per_item.extend_from_slice(uncached.candidate_steps(item));
+    for item in uncached.books.scenario().item_ids() {
+        per_item.extend_from_slice(uncached.plan.candidate_steps(&uncached.books, item));
     }
     prop_assert_eq!(&steps, &per_item);
     Ok(steps)
@@ -115,8 +132,8 @@ fn lockstep(
     let machines = scenario.network().machine_count();
     let links = scenario.network().link_count();
 
-    let mut cached = SchedulerState::with_caching(&scenario, true);
-    let mut uncached = SchedulerState::with_caching(&scenario, false);
+    let mut cached = Mode::new(&scenario, true);
+    let mut uncached = Mode::new(&scenario, false);
 
     // A request due at the horizon pins its item's hold row at the
     // horizon on every machine: later requests for three items in four
@@ -126,7 +143,7 @@ fn lockstep(
     for (i, item) in scenario.item_ids().enumerate().filter(|(i, _)| i % 4 != 3) {
         let far = MachineId::new(((seed as usize + i) % machines) as u32);
         let pin = Request::new(item, far, horizon, Priority::LOW);
-        prop_assert_eq!(cached.add_request(pin), uncached.add_request(pin));
+        prop_assert_eq!(cached.books.add_request(pin), uncached.books.add_request(pin));
     }
 
     let mut now = SimTime::ZERO;
@@ -135,17 +152,17 @@ fn lockstep(
     // below unbook, rebook and re-derive from.
     let mut booked: Vec<Transfer> = Vec::new();
     for &(op, pick, time) in ops {
-        let taken = cached.take_transfers();
-        prop_assert_eq!(&taken, &uncached.take_transfers());
+        let taken = cached.books.take_transfers();
+        prop_assert_eq!(&taken, &uncached.books.take_transfers());
         booked.extend(taken);
         if one_active {
-            let count = cached.scenario().request_count();
+            let count = cached.books.scenario().request_count();
             let chosen = RequestId::new(((pick + time as usize) % count) as u32);
-            for request in cached.scenario().request_ids().collect::<Vec<_>>() {
+            for request in cached.books.scenario().request_ids().collect::<Vec<_>>() {
                 let active = request == chosen;
-                if cached.is_request_active(request) != active {
+                if cached.books.is_request_active(request) != active {
                     for state in [&mut cached, &mut uncached] {
-                        state.set_request_active(request, active);
+                        state.books.set_request_active(request, active);
                     }
                 }
             }
@@ -163,16 +180,19 @@ fn lockstep(
                 let step = steps[pick % steps.len()].clone();
                 if op % 2 == 0 {
                     for state in [&mut cached, &mut uncached] {
-                        state.commit_hop(step.item, step.hop);
+                        state.plan.commit_hop(&mut state.books, step.item, step.hop);
                     }
                 } else {
                     let dests: Vec<MachineId> = step
                         .destinations
                         .iter()
-                        .map(|d| cached.scenario().request(d.request).destination())
+                        .map(|d| cached.books.scenario().request(d.request).destination())
                         .collect();
-                    let n = cached.commit_paths(step.item, &dests);
-                    prop_assert_eq!(n, uncached.commit_paths(step.item, &dests));
+                    let n = cached.plan.commit_paths(&mut cached.books, step.item, &dests);
+                    prop_assert_eq!(
+                        n,
+                        uncached.plan.commit_paths(&mut uncached.books, step.item, &dests)
+                    );
                 }
             }
             // Eviction: a copy loss at a random machine, as the
@@ -180,21 +200,21 @@ fn lockstep(
             4 => {
                 let item = DataItemId::new((pick % items) as u32);
                 let machine = MachineId::new((time as usize % machines) as u32);
-                let removed = cached.remove_copies(item, machine, now);
-                prop_assert_eq!(removed, uncached.remove_copies(item, machine, now));
+                let removed = cached.books.remove_copies(item, machine, now);
+                prop_assert_eq!(removed, uncached.books.remove_copies(item, machine, now));
             }
             // Link outage from the current instant.
             5 => {
                 let link = VirtualLinkId::new((pick % links) as u32);
                 for state in [&mut cached, &mut uncached] {
-                    state.apply_link_outage(link, now);
+                    state.books.apply_link_outage(link, now);
                 }
             }
             // Advance the clock and wall off the past (replanning).
             6 => {
                 now = now.max(SimTime::from_secs(time));
                 for state in [&mut cached, &mut uncached] {
-                    state.block_past(now);
+                    state.books.block_past(now);
                 }
             }
             // A recorded reservation booked again, as a replay and the
@@ -206,11 +226,11 @@ fn lockstep(
                 }
                 let step = &steps[pick % steps.len()];
                 let t = Transfer::along(step.item, step.hop);
-                let ok = cached.book_transfer(&t).is_ok();
-                prop_assert_eq!(ok, uncached.book_transfer(&t).is_ok());
+                let ok = cached.books.book_transfer(&t).is_ok();
+                prop_assert_eq!(ok, uncached.books.book_transfer(&t).is_ok());
             }
             // A late request, as the daemon appends them: a new
-            // destination for an item whose tree may be cached. Where
+            // destination for an item whose tree may be cached.books. Where
             // it moves the item's hold row the tree is dropped; where
             // the row is pinned the tree stays and is read for a
             // machine it was not being validated for.
@@ -219,17 +239,17 @@ fn lockstep(
                 let machine = MachineId::new((time as usize % machines) as u32);
                 let deadline = if op == 8 { SimTime::from_secs(8 * time) } else { horizon };
                 let request = Request::new(item, machine, deadline, Priority::new(pick as u8 % 3));
-                let added = cached.add_request(request);
-                prop_assert_eq!(&added, &uncached.add_request(request));
+                let added = cached.books.add_request(request);
+                prop_assert_eq!(&added, &uncached.books.add_request(request));
             }
             // Release or withhold a request, as the dynamic layer and
             // the daemon do: a released one is a destination its
             // item's cached tree was not being validated for.
             11 => {
-                let count = cached.scenario().request_count();
+                let count = cached.books.scenario().request_count();
                 let request = RequestId::new((time as usize % count) as u32);
                 for state in [&mut cached, &mut uncached] {
-                    state.set_request_active(request, pick % 2 == 0);
+                    state.books.set_request_active(request, pick % 2 == 0);
                 }
             }
             // A direct commit to a machine that need be nobody's
@@ -238,11 +258,11 @@ fn lockstep(
             12..=13 => {
                 let item = DataItemId::new((pick % items) as u32);
                 let machine = MachineId::new((time as usize % machines) as u32);
-                if !uncached.tree(item, &[machine]).is_reachable(machine) {
+                if !uncached.plan.tree(&uncached.books, item, &[machine]).is_reachable(machine) {
                     continue;
                 }
-                let n = cached.commit_path(item, machine);
-                prop_assert_eq!(n, uncached.commit_path(item, machine));
+                let n = cached.plan.commit_path(&mut cached.books, item, machine);
+                prop_assert_eq!(n, uncached.plan.commit_path(&mut uncached.books, item, machine));
             }
             // Withhold a request a step was just offered for: its
             // item's tree, and the steps read off it, are certainly
@@ -255,7 +275,7 @@ fn lockstep(
                 let request = step.destinations[time as usize % step.destinations.len()].request;
                 withheld.push(request);
                 for state in [&mut cached, &mut uncached] {
-                    state.set_request_active(request, false);
+                    state.books.set_request_active(request, false);
                 }
             }
             // ... and release the one withheld last: an item that went
@@ -263,7 +283,7 @@ fn lockstep(
             15 => {
                 let Some(request) = withheld.pop() else { continue };
                 for state in [&mut cached, &mut uncached] {
-                    state.set_request_active(request, true);
+                    state.books.set_request_active(request, true);
                 }
             }
             // A late request due at the horizon for an item whose hold
@@ -274,7 +294,10 @@ fn lockstep(
                 let item = DataItemId::new((pinned - usize::from(pinned % 4 == 3)) as u32);
                 let machine = MachineId::new((time as usize % machines) as u32);
                 let request = Request::new(item, machine, horizon, Priority::new(pick as u8 % 3));
-                prop_assert_eq!(&cached.add_request(request), &uncached.add_request(request));
+                prop_assert_eq!(
+                    &cached.books.add_request(request),
+                    &uncached.books.add_request(request)
+                );
             }
             // A latest-slot commit (the alap rule) to one of a step's
             // satisfiable destinations, by its deadline.
@@ -285,11 +308,21 @@ fn lockstep(
                 let step = &steps[pick % steps.len()];
                 let satisfiable: Vec<_> = step.satisfiable().collect();
                 let outlook = satisfiable[time as usize % satisfiable.len()];
-                let machine = cached.scenario().request(outlook.request).destination();
-                let n = cached.commit_path_latest(step.item, machine, outlook.deadline);
+                let machine = cached.books.scenario().request(outlook.request).destination();
+                let n = cached.plan.commit_path_latest(
+                    &mut cached.books,
+                    step.item,
+                    machine,
+                    outlook.deadline,
+                );
                 prop_assert_eq!(
                     n,
-                    uncached.commit_path_latest(step.item, machine, outlook.deadline)
+                    uncached.plan.commit_path_latest(
+                        &mut uncached.books,
+                        step.item,
+                        machine,
+                        outlook.deadline
+                    )
                 );
             }
             // A decision taken back, as the daemon refuses one and a
@@ -302,36 +335,40 @@ fn lockstep(
                     continue;
                 }
                 let item = steps[pick % steps.len()].item;
-                let savepoint = cached.savepoint(item);
+                let savepoint = cached.books.savepoint(item);
                 prop_assert_eq!(
                     format!("{savepoint:?}"),
-                    format!("{:?}", uncached.savepoint(item))
+                    format!("{:?}", uncached.books.savepoint(item))
                 );
                 if pick % 2 == 0 {
                     let machine = MachineId::new((time as usize % machines) as u32);
                     let deadline = SimTime::from_secs(8 * time);
                     let request = Request::new(item, machine, deadline, Priority::LOW);
-                    let added = cached.add_request(request);
-                    prop_assert_eq!(&added, &uncached.add_request(request));
-                    let collected = deadline + cached.scenario().gc_delay();
-                    if added.is_ok() && collected > cached.scenario().horizon() {
-                        let moved = cached.set_horizon(collected);
-                        prop_assert_eq!(moved, uncached.set_horizon(collected));
+                    let added = cached.books.add_request(request);
+                    prop_assert_eq!(&added, &uncached.books.add_request(request));
+                    let collected = deadline + cached.books.scenario().gc_delay();
+                    if added.is_ok() && collected > cached.books.scenario().horizon() {
+                        let moved = cached.books.set_horizon(collected);
+                        prop_assert_eq!(moved, uncached.books.set_horizon(collected));
                     }
                 }
                 for _ in 0..2 {
-                    let own: Vec<CandidateStep> = cached.candidate_steps(item).to_vec();
-                    prop_assert_eq!(&own[..], uncached.candidate_steps(item));
+                    let own: Vec<CandidateStep> =
+                        cached.plan.candidate_steps(&cached.books, item).to_vec();
+                    prop_assert_eq!(&own[..], uncached.plan.candidate_steps(&uncached.books, item));
                     let Some(step) = own.first() else { break };
                     let dests: Vec<MachineId> = (step.satisfiable())
-                        .map(|d| cached.scenario().request(d.request).destination())
+                        .map(|d| cached.books.scenario().request(d.request).destination())
                         .collect();
-                    let n = cached.commit_paths(item, &dests);
-                    prop_assert_eq!(n, uncached.commit_paths(item, &dests));
+                    let n = cached.plan.commit_paths(&mut cached.books, item, &dests);
+                    prop_assert_eq!(
+                        n,
+                        uncached.plan.commit_paths(&mut uncached.books, item, &dests)
+                    );
                 }
                 enumerations(&mut cached, &mut uncached)?;
-                cached.rollback(savepoint.clone());
-                uncached.rollback(savepoint);
+                cached.books.rollback(savepoint.clone());
+                uncached.books.rollback(savepoint);
             }
             // A climb trial's release: a booked transfer unbooked and its
             // item re-derived without it, every item read on what that
@@ -347,13 +384,13 @@ fn lockstep(
                 let all: Vec<Transfer> =
                     booked.iter().filter(|b| b.item == t.item).copied().collect();
                 for state in [&mut cached, &mut uncached] {
-                    state.unbook(&t);
-                    state.rederive_item(t.item, &others);
+                    state.books.unbook(&t);
+                    state.books.rederive_item(t.item, &others);
                 }
                 enumerations(&mut cached, &mut uncached)?;
                 for state in [&mut cached, &mut uncached] {
-                    state.rebook(&t);
-                    state.rederive_item(t.item, &all);
+                    state.books.rebook(&t);
+                    state.books.rederive_item(t.item, &all);
                 }
             }
             // The repair loop after a loss: a copy of a booked transfer's
@@ -365,15 +402,15 @@ fn lockstep(
                     continue;
                 }
                 let t = booked[pick % booked.len()];
-                let removed = cached.remove_copies(t.item, t.to, t.arrival);
-                prop_assert_eq!(removed, uncached.remove_copies(t.item, t.to, t.arrival));
+                let removed = cached.books.remove_copies(t.item, t.to, t.arrival);
+                prop_assert_eq!(removed, uncached.books.remove_copies(t.item, t.to, t.arrival));
                 let theirs: Vec<Transfer> =
                     booked.iter().filter(|b| b.item == t.item).copied().collect();
-                let skipped = cached.rederive_item(t.item, &theirs);
-                prop_assert_eq!(&skipped, &uncached.rederive_item(t.item, &theirs));
+                let skipped = cached.books.rederive_item(t.item, &theirs);
+                prop_assert_eq!(&skipped, &uncached.books.rederive_item(t.item, &theirs));
                 for state in [&mut cached, &mut uncached] {
                     for s in &skipped {
-                        state.unbook(s);
+                        state.books.unbook(s);
                     }
                 }
                 booked.retain(|b| !skipped.contains(b));
@@ -385,14 +422,18 @@ fn lockstep(
             // leaves the request delivered, so that the second loss
             // removes nothing and reopens it all the same.
             _ => {
-                let delivered: Vec<RequestId> =
-                    cached.scenario().request_ids().filter(|&r| cached.is_delivered(r)).collect();
+                let delivered: Vec<RequestId> = cached
+                    .books
+                    .scenario()
+                    .request_ids()
+                    .filter(|&r| cached.books.is_delivered(r))
+                    .collect();
                 if delivered.is_empty() {
                     continue;
                 }
                 let id = delivered[pick % delivered.len()];
-                let request = *cached.scenario().request(id);
-                let at = cached.delivery_of(id).expect("delivered").at;
+                let request = *cached.books.scenario().request(id);
+                let at = cached.books.delivery_of(id).expect("delivered").at;
                 let (item, machine) = (request.item(), request.destination());
                 let instants = match time % 3 {
                     0 => vec![at],
@@ -400,8 +441,8 @@ fn lockstep(
                     _ => vec![horizon, request.deadline()],
                 };
                 for lost_at in instants {
-                    let removed = cached.remove_copies(item, machine, lost_at);
-                    prop_assert_eq!(removed, uncached.remove_copies(item, machine, lost_at));
+                    let removed = cached.books.remove_copies(item, machine, lost_at);
+                    prop_assert_eq!(removed, uncached.books.remove_copies(item, machine, lost_at));
                     enumerations(&mut cached, &mut uncached)?;
                 }
             }
@@ -409,9 +450,7 @@ fn lockstep(
     }
 
     enumerations(&mut cached, &mut uncached)?;
-    prop_assert_eq!(&cached.take_transfers(), &uncached.take_transfers());
-    let (cached_schedule, _) = cached.into_outcome();
-    let (uncached_schedule, _) = uncached.into_outcome();
-    prop_assert_eq!(&cached_schedule, &uncached_schedule);
+    prop_assert_eq!(&cached.books.take_transfers(), &uncached.books.take_transfers());
+    prop_assert_eq!(&cached.books.into_schedule(), &uncached.books.into_schedule());
     Ok(())
 }

@@ -11,8 +11,9 @@
 //! candidate-step machinery and every cost criterion against hand
 //! calculations.
 
+use dstage_core::bookings::Bookings;
 use dstage_core::cost::{cost_c1, step_cost, CostCriterion, DestinationCost, EuWeights};
-use dstage_core::state::SchedulerState;
+use dstage_core::planner::Planner;
 use dstage_model::prelude::*;
 
 fn m(i: u32) -> MachineId {
@@ -60,8 +61,9 @@ fn figure1_scenario() -> Scenario {
 #[test]
 fn arrivals_match_the_papers_numbers() {
     let scenario = figure1_scenario();
-    let mut state = SchedulerState::new(&scenario);
-    let tree = state.tree(DataItemId::new(0), &[m(3), m(7), m(8), m(9)]);
+    let bookings = Bookings::new(&scenario);
+    let mut planner = Planner::new(&bookings);
+    let tree = planner.tree(&bookings, DataItemId::new(0), &[m(3), m(7), m(8), m(9)]);
     assert_eq!(tree.arrival(m(3)), t(2));
     assert_eq!(tree.arrival(m(7)), t(12));
     assert_eq!(tree.arrival(m(8)), t(11));
@@ -71,8 +73,9 @@ fn arrivals_match_the_papers_numbers() {
 #[test]
 fn drq_groups_all_three_destinations_behind_m3() {
     let scenario = figure1_scenario();
-    let mut state = SchedulerState::new(&scenario);
-    let steps = state.candidate_steps(DataItemId::new(0));
+    let bookings = Bookings::new(&scenario);
+    let mut planner = Planner::new(&bookings);
+    let steps = planner.candidate_steps(&bookings, DataItemId::new(0));
     assert_eq!(steps.len(), 1, "all paths share the first hop M0 -> M3");
     let step = &steps[0];
     assert_eq!(step.hop.from, m(0));
@@ -88,8 +91,8 @@ fn cost_criteria_match_hand_calculations() {
     // Ingredients: only M8 is satisfiable; Efp = W[high] = 100,
     // Urgency = -(15 - 11) = -4 s.
     let scenario = figure1_scenario();
-    let mut state = SchedulerState::new(&scenario);
-    let step = state.candidate_steps(DataItemId::new(0))[0].clone();
+    let bookings = Bookings::new(&scenario);
+    let step = Planner::new(&bookings).candidate_steps(&bookings, DataItemId::new(0))[0].clone();
     let w = PriorityWeights::paper_1_10_100();
     let dcs: Vec<DestinationCost> = step
         .destinations

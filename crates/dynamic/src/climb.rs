@@ -8,9 +8,9 @@
 
 use std::cmp::Reverse;
 
+use dstage_core::bookings::Bookings;
 use dstage_core::heuristic::CommitRule;
 use dstage_core::schedule::{Delivery, Schedule, Transfer};
-use dstage_core::state::{Savepoint, SchedulerState};
 use dstage_model::ids::{DataItemId, RequestId};
 use dstage_model::request::{PriorityWeights, Request};
 use dstage_model::scenario::Scenario;
@@ -75,45 +75,12 @@ pub struct Climbed {
 }
 
 impl<'a> LiveSchedule<'a> {
-    /// Routes request `id` alone, as every heuristic's drive of it would
-    /// (`settle_is_a_drive_of_the_one_request`): unless a copy serves it
-    /// already, its earliest-arrival path, if it has one that meets the
-    /// deadline, is committed where `rule` places it.
-    /// Delivered, the delivery and what was booked are returned for the
-    /// caller to commit; otherwise the state goes back to `savepoint`.
-    pub fn settle(
-        &mut self,
-        id: RequestId,
-        savepoint: Savepoint,
-        rule: CommitRule,
-    ) -> Option<(Delivery, Vec<Transfer>)> {
-        let state = self.state_mut();
-        let request = *state.scenario().request(id);
-        let (item, to, deadline) = (request.item(), request.destination(), request.deadline());
-        if !state.is_delivered(id) {
-            let tree = state.tree(item, &[to]);
-            // Out of reach reads `SimTime::MAX`, a deadline γ = 0 allows.
-            if tree.is_reachable(to) && tree.arrival(to) <= deadline {
-                match rule {
-                    CommitRule::Earliest => state.commit_path(item, to),
-                    CommitRule::Latest => state.commit_path_latest(item, to, deadline),
-                };
-            }
-        }
-        let Some(delivery) = state.delivery_of(id) else {
-            state.rollback(savepoint);
-            return None;
-        };
-        state.forget_trees();
-        Some((delivery, state.take_transfers()))
-    }
-
     /// Anytime evict-and-readmit hill climb. `standings` has one entry per
     /// request, by id. `candidates` are refused requests under the caller's
     /// keys (the daemon's log index, an offline plan's request id), tried
     /// heaviest first (then by key), each against the promised requests
     /// strictly lighter than it, lightest first (then by id). `admit` makes
-    /// a candidate a request of the state (adding it, or naming one already
+    /// a candidate a request of the bookings (adding it, or naming one already
     /// there) or refuses it. A kept swap evicts the victim, promises the
     /// candidate (pushed when it is new), spends the candidate and restarts
     /// the sweep. The climb stops after `budget` trials or at a local
@@ -125,13 +92,13 @@ impl<'a> LiveSchedule<'a> {
         standings: &mut Vec<S>,
         mut candidates: Vec<(u64, Request)>,
         budget: u64,
-        mut admit: impl FnMut(&mut SchedulerState<'a>, u64, Request) -> Option<RequestId>,
+        mut admit: impl FnMut(&mut Bookings<'a>, u64, Request) -> Option<RequestId>,
     ) -> Climbed {
         candidates
             .sort_by_key(|&(key, request)| (Reverse(weights.weight(request.priority())), key));
         let mut climbed = Climbed::default();
         'climb: loop {
-            let scenario = self.state().scenario();
+            let scenario = self.bookings().scenario();
             let mut victims: Vec<(u64, RequestId)> = (standings.iter().enumerate())
                 .filter(|(_, standing)| standing.route().is_some())
                 .map(|(id, _)| RequestId::new(id as u32))
@@ -174,10 +141,10 @@ impl<'a> LiveSchedule<'a> {
     ) -> bool {
         let route = standings[victim.index()].route().expect("victims are promised");
         let skipped = self.rederive_sorted(item, route);
-        let state = self.state();
+        let bookings = self.bookings();
         let kept = skipped.is_empty()
-            && (state.scenario().requests_for(item).iter()).all(|&id| {
-                id == victim || standings[id.index()].route().is_none() || state.is_delivered(id)
+            && (bookings.scenario().requests_for(item).iter()).all(|&id| {
+                id == victim || standings[id.index()].route().is_none() || bookings.is_delivered(id)
             });
         if !kept {
             self.rederive(item);
@@ -193,7 +160,7 @@ impl<'a> LiveSchedule<'a> {
             .copied()
             .collect();
         theirs.sort_by_key(replay_order);
-        self.state_mut().rederive_item(item, &theirs)
+        self.bookings_mut().rederive_item(item, &theirs)
     }
 
     /// One trial: unbooks the victim's route, decides the candidate on
@@ -206,9 +173,9 @@ impl<'a> LiveSchedule<'a> {
         (key, request): (u64, Request),
         victim: RequestId,
         climbed: &mut Climbed,
-        admit: &mut impl FnMut(&mut SchedulerState<'a>, u64, Request) -> Option<RequestId>,
+        admit: &mut impl FnMut(&mut Bookings<'a>, u64, Request) -> Option<RequestId>,
     ) -> Option<RequestId> {
-        let evicting = self.state().scenario().request(victim).item();
+        let evicting = self.bookings().scenario().request(victim).item();
         let admitting = request.item();
         // The candidate decides on the two items' tables in replay order:
         // the victim's without its route (and back if that fails), then the
@@ -223,15 +190,15 @@ impl<'a> LiveSchedule<'a> {
         let was = std::mem::replace(&mut standings[victim.index()], S::evicted());
         let route = was.route().expect("victims are promised").to_vec();
         climbed.released += route.len() as u64;
-        let state = self.state_mut();
+        let bookings = self.bookings_mut();
         for t in &route {
-            state.unbook(t);
+            bookings.unbook(t);
         }
-        let savepoint = state.savepoint(admitting);
-        let settled = match admit(state, key, request) {
+        let savepoint = bookings.savepoint(admitting);
+        let settled = match admit(bookings, key, request) {
             Some(id) => self.settle(id, savepoint, rule),
             None => {
-                state.rollback(savepoint);
+                bookings.rollback(savepoint);
                 None
             }
         };
@@ -239,7 +206,7 @@ impl<'a> LiveSchedule<'a> {
             climbed.rolled_back += 1;
             climbed.rederived += 2;
             for t in &route {
-                self.state_mut().rebook(t);
+                self.bookings_mut().rebook(t);
             }
             standings[victim.index()] = was;
             self.rederive(evicting);
@@ -266,13 +233,14 @@ impl<'a> LiveSchedule<'a> {
     }
 
     /// The committed transfers, in the order committed, with the deliveries
-    /// the state reads off them once normalised.
+    /// the bookings read off them once normalised.
     pub fn schedule(&mut self) -> Schedule {
         let (transfers, requests) =
-            (self.committed().to_vec(), self.state().scenario().request_count());
+            (self.committed().to_vec(), self.bookings().scenario().request_count());
         self.normalise(&vec![false; requests], &[]);
-        let state = self.state();
-        let deliveries = state.scenario().request_ids().filter_map(|id| state.delivery_of(id));
+        let bookings = self.bookings();
+        let deliveries =
+            bookings.scenario().request_ids().filter_map(|id| bookings.delivery_of(id));
         Schedule::from_parts(transfers, deliveries.collect())
     }
 }
@@ -292,16 +260,16 @@ pub fn climb_plan<'s>(
     policy: &OnlinePolicy,
     budget: u64,
 ) -> (LiveSchedule<'s>, Climbed) {
-    let state = SchedulerState::with_caching(scenario, policy.config.caching);
+    let bookings = Bookings::new(scenario);
     let mut live =
-        LiveSchedule::replayed(state, plan.transfers(), Vec::new(), Vec::new(), SimTime::ZERO)
+        LiveSchedule::replayed(bookings, plan.transfers(), Vec::new(), Vec::new(), SimTime::ZERO)
             .expect("a plan books on a fresh ledger");
     let mut routes = plan_routes(scenario, plan);
     let candidates = (scenario.requests().zip(&routes))
         .filter(|(_, route)| route.is_none())
         .map(|((id, request), _)| (id.index() as u64, *request))
         .collect();
-    let refused = |_: &mut SchedulerState<'s>, key, _| Some(RequestId::new(key as u32));
+    let refused = |_: &mut Bookings<'s>, key, _| Some(RequestId::new(key as u32));
     let (rule, weights) = (policy.heuristic.commit_rule(), &policy.config.priority_weights);
     let climbed = live.climb(rule, weights, &mut routes, candidates, budget, refused);
     (live, climbed)
@@ -348,6 +316,7 @@ fn plan_routes(scenario: &Scenario, plan: &Schedule) -> Vec<Option<Vec<Transfer>
 mod tests {
     use super::*;
     use dstage_core::heuristic::{drive_state, run, Heuristic, HeuristicConfig};
+    use dstage_core::planner::Planner;
     use dstage_model::ids::MachineId;
     use dstage_workload::small::{contended_link, fan_out, two_hop_chain};
 
@@ -382,10 +351,11 @@ mod tests {
         let scenario = contended_link();
         let (high, low) = (RequestId::new(0), RequestId::new(1));
         let policy = policy(Heuristic::FullPathOneDestination);
-        let mut state = SchedulerState::new(&scenario);
-        state.set_request_active(high, false);
-        drive_state(&mut state, policy.heuristic, &policy.config);
-        let plan = state.into_outcome().0;
+        let mut bookings = Bookings::new(&scenario);
+        bookings.set_request_active(high, false);
+        let mut planner = Planner::new(&bookings);
+        drive_state(&mut planner, &mut bookings, policy.heuristic, &policy.config);
+        let plan = bookings.into_schedule();
         assert_eq!(weighted_sum(&scenario, &plan), 1);
         let (mut live, climbed) = climb_plan(&scenario, &plan, &policy, 8);
         assert_eq!(climbed.attempted, 1);

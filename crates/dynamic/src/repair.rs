@@ -10,17 +10,25 @@
 //!
 //! Which copies of an item exist, which committed transfers they keep
 //! valid and which request each copy delivers is decided in one place,
-//! [`SchedulerState::rederive_item`]; this module only says which items to
+//! [`Bookings::rederive_item`]; this module only says which items to
 //! re-derive, in which order, and what to unbook. [`replay_state`] builds
-//! a [`SchedulerState`] from a surviving transfer set plus the
-//! disturbances. It is the definition the live state is compared with
+//! [`Bookings`] from a surviving transfer set plus the disturbances. It is
+//! the definition the live bookings are compared with
 //! ([`LiveSchedule::divergence`]), and the way the daemon rebuilds its
 //! state from a checkpoint.
+//!
+//! A live schedule keeps bookings only. A heuristic that drives on them
+//! brings its own [`Planner`](dstage_core::planner::Planner) and reads
+//! whatever the repair moved from their stamps; [`LiveSchedule::settle`]
+//! routes one request with one search and keeps nothing of it.
 
+use dstage_core::bookings::{Bookings, Savepoint};
+use dstage_core::heuristic::CommitRule;
+use dstage_core::planner::reads_match_scratch;
 use dstage_core::schedule::{Delivery, Transfer};
-use dstage_core::state::SchedulerState;
 use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
 use dstage_model::time::SimTime;
+use dstage_path::{earliest_arrival_paths, Landmarks};
 
 use crate::event::{Event, EventKind};
 
@@ -37,13 +45,13 @@ pub fn replay_order(t: &Transfer) -> (SimTime, SimTime, VirtualLinkId) {
     (t.start, t.arrival, t.link)
 }
 
-/// Builds `state`, fresh over its scenario, as of instant `now`: records
+/// Builds `state`, fresh bookings over their scenario, as of instant `now`: records
 /// the copy losses, books every transfer of `kept`, takes outaged links
 /// out of service, and blocks the past so no new transfer can start before
 /// `now`.
 ///
 /// `kept` must already be consistent with the disturbances (nothing
-/// [`SchedulerState::rederive_item`] would skip); its order is the commit
+/// [`Bookings::rederive_item`] would skip); its order is the commit
 /// order the state's tables record — per item, what `rederive_item` is
 /// given.
 ///
@@ -56,18 +64,12 @@ pub fn replay_order(t: &Transfer) -> (SimTime, SimTime, VirtualLinkId) {
 /// window, or a store is over-full — an internal-invariant violation for a
 /// set that was booked once, not an input condition.
 pub fn replay_state(
-    state: &mut SchedulerState<'_>,
+    state: &mut Bookings<'_>,
     kept: &[Transfer],
     outages: &[Outage],
     losses: &[Loss],
     now: SimTime,
 ) -> Result<(), Transfer> {
-    // Every mutation issued here stays inside the tree cache's
-    // consumption-only contract: replayed commits and outage blocks only
-    // *consume* ledger capacity (both are journaled by the state), copy
-    // losses drop the affected item's own tree, and `block_past` drops
-    // every cached tree outright. Nothing releases a reservation, so
-    // validation on read stays exact across replan rounds.
     for &(item, machine, tl) in losses {
         state.remove_copies(item, machine, tl);
     }
@@ -81,7 +83,7 @@ pub fn replay_state(
     Ok(())
 }
 
-/// One schedule kept live under disturbances: a [`SchedulerState`], the
+/// One schedule kept live under disturbances: [`Bookings`], the
 /// transfers committed in it, the disturbances so far and the instant
 /// reached — edited in place, never rebuilt.
 ///
@@ -98,7 +100,10 @@ pub fn replay_state(
 /// them, after which [`divergence`](LiveSchedule::divergence) is `None`.
 #[derive(Debug, Clone)]
 pub struct LiveSchedule<'a> {
-    state: SchedulerState<'a>,
+    bookings: Bookings<'a>,
+    /// The landmark table that steers [`LiveSchedule::settle`]'s search —
+    /// a function of the network alone.
+    landmarks: Landmarks,
     /// Every reservation in force, in the order the state booked them
     /// since the last normalisation, which sorts them into replay order.
     committed: Vec<Transfer>,
@@ -125,10 +130,11 @@ pub struct Normalised {
 impl<'a> LiveSchedule<'a> {
     /// A live schedule over `state`, which has booked nothing yet.
     #[must_use]
-    pub fn new(state: SchedulerState<'a>) -> Self {
+    pub fn new(state: Bookings<'a>) -> Self {
         let items = state.scenario().item_count();
         LiveSchedule {
-            state,
+            landmarks: Landmarks::new(state.scenario().network()),
+            bookings: state,
             committed: Vec::new(),
             outages: Vec::new(),
             losses: Vec::new(),
@@ -147,7 +153,7 @@ impl<'a> LiveSchedule<'a> {
     ///
     /// Returns the first transfer the ledger refuses.
     pub fn replayed(
-        mut state: SchedulerState<'a>,
+        mut state: Bookings<'a>,
         committed: &[Transfer],
         outages: Vec<Outage>,
         losses: Vec<Loss>,
@@ -155,21 +161,20 @@ impl<'a> LiveSchedule<'a> {
     ) -> Result<Self, Transfer> {
         replay_state(&mut state, committed, &outages, &losses, now)?;
         state.take_transfers();
-        state.forget_trees();
         let mut live = LiveSchedule { outages, losses, now, ..LiveSchedule::new(state) };
         live.commit(committed);
         Ok(live)
     }
 
-    /// The live scheduling state.
+    /// The live bookings.
     #[must_use]
-    pub fn state(&self) -> &SchedulerState<'a> {
-        &self.state
+    pub fn bookings(&self) -> &Bookings<'a> {
+        &self.bookings
     }
 
-    /// The live scheduling state, to book on, add requests to or roll back.
-    pub fn state_mut(&mut self) -> &mut SchedulerState<'a> {
-        &mut self.state
+    /// The live bookings, to book on, add requests to or roll back.
+    pub fn bookings_mut(&mut self) -> &mut Bookings<'a> {
+        &mut self.bookings
     }
 
     /// Every reservation in force.
@@ -207,7 +212,7 @@ impl<'a> LiveSchedule<'a> {
     /// Takes back transfers booked on the state but never committed.
     pub fn withdraw(&mut self, transfers: &[Transfer]) {
         for t in transfers {
-            self.state.unbook(t);
+            self.bookings.unbook(t);
             self.touched[t.item.index()] = true;
         }
     }
@@ -223,7 +228,44 @@ impl<'a> LiveSchedule<'a> {
     /// Re-derives `item`'s tables from its committed transfers, in the
     /// order committed.
     pub fn rederive(&mut self, item: DataItemId) {
-        self.state.rederive_item(item, self.committed.iter().filter(|t| t.item == item));
+        self.bookings.rederive_item(item, self.committed.iter().filter(|t| t.item == item));
+    }
+
+    /// Routes request `id` alone, as every heuristic's drive of it would
+    /// (`settle_is_a_drive_of_the_one_request`): unless a copy serves it
+    /// already, one search reads its item's earliest-arrival path, and if
+    /// that meets the deadline it is booked where `rule` places it.
+    /// Delivered, the delivery and what was booked are returned for the
+    /// caller to commit; otherwise the bookings go back to `savepoint`.
+    pub fn settle(
+        &mut self,
+        id: RequestId,
+        savepoint: Savepoint,
+        rule: CommitRule,
+    ) -> Option<(Delivery, Vec<Transfer>)> {
+        let bookings = &mut self.bookings;
+        let request = *bookings.scenario().request(id);
+        let (item, to, deadline) = (request.item(), request.destination(), request.deadline());
+        if !bookings.is_delivered(id) {
+            let query = bookings.query(item);
+            let tree = earliest_arrival_paths(&query, &self.landmarks, &[to]);
+            debug_assert!(reads_match_scratch(&query, &tree, &[to]));
+            // Out of reach reads `SimTime::MAX`, a deadline γ = 0 allows.
+            if tree.is_reachable(to) && tree.arrival(to) <= deadline {
+                let path = tree.path_to(to).expect("reachable");
+                match rule {
+                    CommitRule::Earliest => bookings.commit_hops(item, &path),
+                    CommitRule::Latest => {
+                        bookings.commit_latest(item, &path, deadline);
+                    }
+                }
+            }
+        }
+        let Some(delivery) = bookings.delivery_of(id) else {
+            bookings.rollback(savepoint);
+            return None;
+        };
+        Some((delivery, bookings.take_transfers()))
     }
 
     /// Applies `event` to the live state. A released request takes part in
@@ -232,18 +274,18 @@ impl<'a> LiveSchedule<'a> {
     pub fn apply(&mut self, event: Event) {
         let at = event.at;
         match event.kind {
-            EventKind::Release(request) => self.state.set_request_active(request, true),
+            EventKind::Release(request) => self.bookings.set_request_active(request, true),
             EventKind::LinkOutage(link) => {
                 for t in self.committed.iter().filter(|t| t.link == link && t.arrival > at) {
                     self.touched[t.item.index()] = true;
                 }
                 self.outages.push((link, at));
-                self.state.apply_link_outage(link, at);
+                self.bookings.apply_link_outage(link, at);
             }
             EventKind::CopyLoss { item, machine } => {
                 self.touched[item.index()] = true;
                 self.losses.push((item, machine, at));
-                self.state.remove_copies(item, machine, at);
+                self.bookings.remove_copies(item, machine, at);
             }
         }
     }
@@ -251,14 +293,14 @@ impl<'a> LiveSchedule<'a> {
     /// Moves the clock to `now` (never back) and blocks the past.
     pub fn advance(&mut self, now: SimTime) {
         self.now = self.now.max(now);
-        self.state.block_past(self.now);
+        self.bookings.block_past(self.now);
     }
 
     /// By item: whether anything was booked, withdrawn, disturbed or asked
     /// for since the last normalisation.
     fn stale_items(&self) -> Vec<bool> {
         let mut stale = self.touched.clone();
-        for (_, request) in self.state.scenario().requests().skip(self.normal_requests) {
+        for (_, request) in self.bookings.scenario().requests().skip(self.normal_requests) {
             stale[request.item().index()] = true;
         }
         stale
@@ -276,10 +318,9 @@ impl<'a> LiveSchedule<'a> {
         let (mut cancelled, normalised) = self.rederive_stale(promised, &[]);
         cancelled.sort_by_key(replay_order);
         for t in &cancelled {
-            self.state.unbook(t);
+            self.bookings.unbook(t);
         }
         self.committed.retain(|t| !cancelled.contains(t));
-        self.state.forget_trees();
         (cancelled, normalised)
     }
 
@@ -312,17 +353,18 @@ impl<'a> LiveSchedule<'a> {
             || (0..stale.len()).filter(|&i| stale[i]).map(|i| DataItemId::new(i as u32));
         let mut skipped = Vec::new();
         for item in stale_ids() {
-            skipped
-                .extend(self.state.rederive_item(item, theirs.iter().filter(|t| t.item == item)));
+            skipped.extend(
+                self.bookings.rederive_item(item, theirs.iter().filter(|t| t.item == item)),
+            );
         }
-        let state = &self.state;
+        let state = &self.bookings;
         let deliveries = (state.scenario().requests().zip(promised))
             .filter(|((_, request), promised)| **promised && stale[request.item().index()])
             .map(|((id, _), _)| (id, state.delivery_of(id)))
             .collect();
         theirs.extend_from_slice(tail);
         for item in stale_ids().filter(|&item| tail.iter().any(|t| t.item == item)) {
-            self.state.rederive_item(item, theirs.iter().filter(|t| t.item == item));
+            self.bookings.rederive_item(item, theirs.iter().filter(|t| t.item == item));
         }
         self.commit(tail);
         (skipped, Normalised { deliveries, rederived: stale_ids().count() })
@@ -334,14 +376,14 @@ impl<'a> LiveSchedule<'a> {
     /// decision relies on. For tests and debug assertions: it replays it all.
     #[must_use]
     pub fn divergence(&self) -> Option<String> {
-        let scenario = self.state.scenario();
-        let mut replayed = SchedulerState::new(scenario);
+        let scenario = self.bookings.scenario();
+        let mut replayed = Bookings::new(scenario);
         for id in scenario.request_ids() {
-            replayed.set_request_active(id, self.state.is_request_active(id));
+            replayed.set_request_active(id, self.bookings.is_request_active(id));
         }
         match replay_state(&mut replayed, &self.committed, &self.outages, &self.losses, self.now) {
             Err(t) => Some(format!("committed reservation {t:?} does not book (overlaps another)")),
-            Ok(()) => self.state.first_difference(&replayed),
+            Ok(()) => self.bookings.first_difference(&replayed),
         }
     }
 }
@@ -350,6 +392,7 @@ impl<'a> LiveSchedule<'a> {
 mod tests {
     use super::*;
     use dstage_core::heuristic::{drive_state, run, HeuristicConfig};
+    use dstage_core::planner::Planner;
     use dstage_model::scenario::Scenario;
     use dstage_model::units::Bytes;
     use dstage_workload::small::fan_out;
@@ -361,11 +404,12 @@ mod tests {
         let outcome = run(&scenario, policy.heuristic, &policy.config);
         let mut valid = outcome.schedule.transfers().to_vec();
         valid.sort_by_key(replay_order);
-        let mut state = SchedulerState::with_caching(&scenario, policy.config.caching);
+        let mut state = Bookings::new(&scenario);
         replay_state(&mut state, &valid, &[], &[], SimTime::ZERO).expect("consistent set replays");
         // Nothing left to do: a re-plan commits no further transfers.
-        drive_state(&mut state, policy.heuristic, &HeuristicConfig::paper_best());
-        let (plan, _) = state.into_outcome();
+        let mut planner = Planner::new(&state);
+        drive_state(&mut planner, &mut state, policy.heuristic, &HeuristicConfig::paper_best());
+        let plan = state.into_schedule();
         assert_eq!(plan.transfers().len(), valid.len());
         assert_eq!(plan.deliveries().len(), outcome.schedule.deliveries().len());
     }
@@ -411,7 +455,7 @@ mod tests {
         }
     }
 
-    fn busy(state: &SchedulerState<'_>, t: &Transfer) -> bool {
+    fn busy(state: &Bookings<'_>, t: &Transfer) -> bool {
         !state.ledger().link_busy(t.link).is_free(t.start, t.arrival)
     }
 
@@ -426,14 +470,14 @@ mod tests {
         let mut kept = vec![late, early];
         kept.sort_by_key(replay_order);
         assert_eq!(kept, [early, late]);
-        let mut state = SchedulerState::owning(scenario.clone(), true);
+        let mut state = Bookings::owning(scenario.clone());
         replay_state(&mut state, &kept, &[], &[], SimTime::ZERO).expect("both were booked once");
         assert_eq!(state.rederive_item(early.item, &kept), [], "neither is cancelled");
         assert!(busy(&state, &early) && busy(&state, &late), "a booked window reads free");
         let both = Bytes::new(20_000);
         assert_eq!(state.ledger().store(late.to).used_at(late.arrival), both);
         // Both are staged: booked one by one, live, the tables are the same.
-        let mut live = SchedulerState::owning(scenario, true);
+        let mut live = Bookings::owning(scenario);
         for t in &kept {
             live.book_transfer(t).expect("free");
         }
@@ -445,13 +489,13 @@ mod tests {
         let scenario = parallel_links();
         let (first, again) = (hop(0, 0), hop(0, 30));
         let losses = vec![(first.item, first.to, SimTime::from_secs(20))];
-        let mut state = SchedulerState::owning(scenario, true);
+        let mut state = Bookings::owning(scenario);
         replay_state(&mut state, &[first, again], &[], &losses, SimTime::from_secs(20)).unwrap();
         assert!(busy(&state, &again));
         let delivery = state.delivery_of(RequestId::new(0)).expect("the second copy survives");
         assert_eq!(delivery.at, again.arrival);
         // The same copy, booked live after the loss, delivers as well.
-        let mut live = SchedulerState::owning(state.scenario().clone(), true);
+        let mut live = Bookings::owning(state.scenario().clone());
         replay_state(&mut live, &[first], &[], &losses, SimTime::from_secs(20)).unwrap();
         assert!(!live.is_delivered(RequestId::new(0)));
         live.book_transfer(&again).expect("free");
@@ -475,9 +519,9 @@ mod tests {
             (&[first, again], &[lost], Some(again.arrival)),
         ];
         for (kept, losses, served) in cases {
-            let mut whole = SchedulerState::owning(scenario.clone(), true);
+            let mut whole = Bookings::owning(scenario.clone());
             replay_state(&mut whole, kept, &[], losses, SimTime::ZERO).unwrap();
-            let mut grown = SchedulerState::owning(fewer.clone(), true);
+            let mut grown = Bookings::owning(fewer.clone());
             replay_state(&mut grown, kept, &[], losses, SimTime::ZERO).unwrap();
             let id = grown.add_request(last).unwrap();
             assert_eq!(grown.first_difference(&whole), None, "{} losses", losses.len());
@@ -493,7 +537,7 @@ mod tests {
         let mut kept = outcome.schedule.transfers().to_vec();
         kept.sort_by_key(replay_order);
         let replayed = |losses: &[Loss]| {
-            let mut state = SchedulerState::new(&scenario);
+            let mut state = Bookings::new(&scenario);
             replay_state(&mut state, &kept, &[], losses, SimTime::ZERO).expect("booked once");
             state
         };

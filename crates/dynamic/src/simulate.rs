@@ -29,9 +29,10 @@
 //! transfers the events invalidated are cancelled, and the heuristic
 //! re-plans on what is left.
 
+use dstage_core::bookings::Bookings;
 use dstage_core::heuristic::{drive_state, Heuristic, HeuristicConfig};
+use dstage_core::planner::Planner;
 use dstage_core::schedule::{Schedule, Transfer};
-use dstage_core::state::SchedulerState;
 use dstage_model::scenario::Scenario;
 use dstage_model::time::SimTime;
 
@@ -89,13 +90,16 @@ pub fn simulate(scenario: &Scenario, events: &EventLog, policy: &OnlinePolicy) -
     boundaries.extend(events.boundaries());
     boundaries.dedup();
 
-    let mut state = SchedulerState::with_caching(scenario, policy.config.caching);
+    let mut bookings = Bookings::new(scenario);
     for e in events.events() {
         if let EventKind::Release(r) = e.kind {
-            state.set_request_active(r, false);
+            bookings.set_request_active(r, false);
         }
     }
-    let mut live = LiveSchedule::new(state);
+    // One planner for the whole run: what a boundary's repair moved, it
+    // reads off the bookings' stamps.
+    let mut planner = Planner::with_caching(&bookings, policy.config.caching);
+    let mut live = LiveSchedule::new(bookings);
     // The run promises nothing along the way: its deliveries are read off
     // the executed transfers at the end.
     let promised = vec![false; scenario.request_count()];
@@ -116,13 +120,14 @@ pub fn simulate(scenario: &Scenario, events: &EventLog, policy: &OnlinePolicy) -
         live.advance(now);
         debug_assert_eq!(live.divergence(), None);
         // 5. Re-plan the remaining horizon.
-        drive_state(live.state_mut(), policy.heuristic, &policy.config);
+        drive_state(&mut planner, live.bookings_mut(), policy.heuristic, &policy.config);
         // 6. Execute the plan up to the next boundary; later transfers
         //    stay tentative.
         let next = boundaries.get(i + 1).copied();
-        let (executed, later): (Vec<Transfer>, Vec<Transfer>) = (live.state_mut().take_transfers())
-            .into_iter()
-            .partition(|t| next.is_none_or(|boundary| t.start < boundary));
+        let (executed, later): (Vec<Transfer>, Vec<Transfer>) =
+            (live.bookings_mut().take_transfers())
+                .into_iter()
+                .partition(|t| next.is_none_or(|boundary| t.start < boundary));
         live.commit(&executed);
         tentative = later;
     }

@@ -10,10 +10,11 @@
 
 use std::cmp::Reverse;
 
+use dstage_core::bookings::{Bookings, Savepoint};
 use dstage_core::cost::{CostCriterion, EuWeights};
 use dstage_core::heuristic::{drive_state, run, CommitRule, Heuristic, HeuristicConfig};
+use dstage_core::planner::Planner;
 use dstage_core::schedule::{Delivery, Schedule, Transfer};
-use dstage_core::state::{Savepoint, SchedulerState};
 use dstage_dynamic::{
     replay_state, simulate, Event, EventKind, EventLog, LiveSchedule, OnlineOutcome, OnlinePolicy,
 };
@@ -187,16 +188,17 @@ fn replanned_from_scratch(
         let (standing, invalidated, _) = cascade(scenario, kept, &outages, &losses);
         kept = standing;
         cancelled.extend(invalidated);
-        let mut state = SchedulerState::with_caching(scenario, policy.config.caching);
+        let mut state = Bookings::new(scenario);
         for (r, &release) in releases.iter().enumerate() {
             if release > now {
                 state.set_request_active(RequestId::new(r as u32), false);
             }
         }
         replay_state(&mut state, &kept, &outages, &losses, now).expect("executed transfers book");
-        drive_state(&mut state, policy.heuristic, &policy.config);
+        let mut planner = Planner::with_caching(&state, policy.config.caching);
+        drive_state(&mut planner, &mut state, policy.heuristic, &policy.config);
         let next = boundaries.get(i + 1).copied();
-        for t in state.into_outcome().0.transfers() {
+        for t in state.into_schedule().transfers() {
             if !kept.contains(t) && next.is_none_or(|boundary| t.start < boundary) {
                 kept.push(*t);
             }
@@ -414,7 +416,7 @@ impl Admission {
     fn new(mut catalog: Scenario, rule: CommitRule) -> Self {
         while catalog.pop_request().is_some() {}
         Admission {
-            live: LiveSchedule::new(SchedulerState::owning(catalog, true)),
+            live: LiveSchedule::new(Bookings::owning(catalog)),
             rule,
             drives: drives_of(rule),
             promised: Vec::new(),
@@ -423,7 +425,7 @@ impl Admission {
     }
 
     fn scenario(&self) -> &Scenario {
-        self.live.state().scenario()
+        self.live.bookings().scenario()
     }
 
     /// Settles `id` and checks it against every drive.
@@ -432,11 +434,10 @@ impl Admission {
         id: RequestId,
         savepoint: Savepoint,
     ) -> Result<Option<Vec<Transfer>>, TestCaseError> {
-        let before = self.live.state().clone();
+        let before = self.live.bookings().clone();
         let request = *before.scenario().request(id);
         let (item, to) = (request.item(), request.destination());
-        let mut probe = before.clone();
-        let tree = probe.tree(item, &[to]);
+        let tree = Planner::new(&before).tree(&before, item, &[to]).clone();
         let arrival = tree.is_reachable(to).then(|| tree.arrival(to));
         if before.is_delivered(id) {
             self.met.zero_hop += 1;
@@ -455,7 +456,7 @@ impl Admission {
             for other in state.scenario().request_ids() {
                 state.set_request_active(other, other == id);
             }
-            drive_state(&mut state, *heuristic, config);
+            drive_state(&mut Planner::new(&state), &mut state, *heuristic, config);
             let drove = state.delivery_of(id).map(|d| (d, state.take_transfers()));
             prop_assert_eq!(
                 &drove,
@@ -474,8 +475,8 @@ impl Admission {
     /// item's collection — and settles it; an ask whose collection is past
     /// the end of time, or that the state refuses to append, is dropped.
     fn submit(&mut self, ask: Request) -> Result<(), TestCaseError> {
-        let savepoint = self.live.state().savepoint(ask.item());
-        let state = self.live.state_mut();
+        let savepoint = self.live.bookings().savepoint(ask.item());
+        let state = self.live.bookings_mut();
         let Some(collected) = ask.deadline().checked_add(state.scenario().gc_delay()) else {
             return Ok(());
         };
@@ -494,11 +495,11 @@ impl Admission {
     /// The earliest arrival `ask` would get, appended; `None` when it
     /// cannot be appended or cannot be reached.
     fn earliest_arrival(&self, ask: Request) -> Option<SimTime> {
-        let mut state = self.live.state().clone();
+        let mut state = self.live.bookings().clone();
         state.add_request(ask).ok()?;
         let collected = ask.deadline() + state.scenario().gc_delay();
         state.set_horizon(collected.max(state.scenario().horizon())).ok()?;
-        let tree = state.tree(ask.item(), &[ask.destination()]);
+        let tree = Planner::new(&state).tree(&state, ask.item(), &[ask.destination()]).clone();
         tree.is_reachable(ask.destination()).then(|| tree.arrival(ask.destination()))
     }
 
@@ -519,7 +520,7 @@ impl Admission {
         let scenario = self.scenario();
         displaced.sort_by_key(|&id| (Reverse(weights.weight(scenario.request(id).priority())), id));
         for id in displaced {
-            let savepoint = self.live.state().savepoint(self.scenario().request(id).item());
+            let savepoint = self.live.bookings().savepoint(self.scenario().request(id).item());
             match self.settle(id, savepoint)? {
                 Some(route) => self.live.commit(&route),
                 None => self.promised[id.index()] = false,

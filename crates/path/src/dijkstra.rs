@@ -49,7 +49,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 
-use dstage_model::ids::{MachineId, VirtualLinkId};
+use dstage_model::ids::MachineId;
 use dstage_model::link::VirtualLink;
 use dstage_model::network::{LinkRun, Network};
 use dstage_model::time::SimTime;
@@ -57,7 +57,7 @@ use dstage_model::units::Bytes;
 use dstage_resources::ledger::{Crossing, NetworkLedger, ProbeTally};
 
 use crate::landmarks::{Goal, Landmarks};
-use crate::tree::{ArrivalTree, Inbound};
+use crate::tree::{ArrivalTree, Hop, Inbound};
 
 /// One search instance: everything needed to compute the earliest-arrival
 /// tree of a single data item against the current resource state.
@@ -448,56 +448,48 @@ fn debug_assert_pruned(
 
 /// Whether `tree`'s paths to `destinations` — and with them the labels
 /// and hops along those paths — are still what a from-scratch run on
-/// `query`'s ledger returns, although the given links/stores were consumed
-/// since the tree was last known to hold for those destinations.
+/// `query`'s ledger returns, although resources were consumed since the
+/// tree was last known to hold for those destinations.
 ///
-/// Each hop on such a path whose link or receiving store was consumed is
-/// probed again exactly as the search probed it; the path holds when every
-/// probe answers with the hop's old slot. That is sufficient (DESIGN.md
-/// §3): consumption moves no label earlier; a path whose hops all keep
-/// their slots keeps its labels, by induction from the unchanged sources;
-/// and every rival predecessor's label and probe answer is the same or
-/// later, so the strict-`<` update still picks the same hop in the same
-/// `(arrival, machine id)` pop order. Nothing is claimed about the rest of
-/// the tree.
+/// `moved` names the hops whose link or receiving store was consumed
+/// since; each such hop on a read path is probed again exactly as the
+/// search probed it, and the paths hold when every probe answers with the
+/// hop's old slot. That is sufficient (DESIGN.md §3): consumption moves no
+/// label earlier; a path whose hops all keep their slots keeps its labels,
+/// by induction from the unchanged sources; and every rival predecessor's
+/// label and probe answer is the same or later, so the strict-`<` update
+/// still picks the same hop in the same `(arrival, machine id)` pop order.
+/// Nothing is claimed about the rest of the tree.
 ///
-/// `entered` is a membership prefilter: a hop into a machine it rejects is
-/// passed over before the two lists are scanned. It must accept every
-/// machine of `dirty_machines` and the receiving machine of every link of
-/// `dirty_links` — then it rejects only hops that neither list names, and
-/// the answer is the unfiltered one (`|_| true`), probe for probe.
+/// A hop nothing touched answers with its old slot, so naming more hops
+/// changes no answer: `|_| true`, which probes every hop of the read
+/// paths, is the reference a narrower `moved` is held to.
 #[must_use]
 pub fn paths_hold(
     query: &ItemQuery<'_>,
     tree: &ArrivalTree,
     destinations: &[MachineId],
-    entered: impl Fn(MachineId) -> bool,
-    dirty_links: &[VirtualLinkId],
-    dirty_machines: &[MachineId],
+    moved: impl Fn(&Hop) -> bool,
 ) -> bool {
     let mut probes = ProbeTally::default();
-    let untouched = dirty_links.is_empty() && dirty_machines.is_empty();
-    let holds = untouched
-        || destinations.iter().all(|&destination| {
-            let mut cursor = destination;
-            while let Some(hop) = tree.hop_into(cursor) {
-                if entered(hop.to)
-                    && (dirty_links.contains(&hop.link) || dirty_machines.contains(&hop.to))
-                {
-                    let slot = query.ledger.earliest_crossing(
-                        Crossing::new(query.network, hop.link, query.size),
-                        tree.arrival(hop.from),
-                        query.hold_until[hop.to.index()],
-                        &mut probes,
-                    );
-                    if slot.map(|s| (s.start, s.arrival)) != Some((hop.start, hop.arrival)) {
-                        return false;
-                    }
+    let holds = destinations.iter().all(|&destination| {
+        let mut cursor = destination;
+        while let Some(hop) = tree.hop_into(cursor) {
+            if moved(&hop) {
+                let slot = query.ledger.earliest_crossing(
+                    Crossing::new(query.network, hop.link, query.size),
+                    tree.arrival(hop.from),
+                    query.hold_until[hop.to.index()],
+                    &mut probes,
+                );
+                if slot.map(|s| (s.start, s.arrival)) != Some((hop.start, hop.arrival)) {
+                    return false;
                 }
-                cursor = hop.from;
             }
-            true
-        });
+            cursor = hop.from;
+        }
+        true
+    });
     dstage_obs::metrics::PATH_HOPS_REPROBED.add(probes.probes);
     probes.publish();
     if holds {
@@ -835,15 +827,15 @@ mod tests {
             horizon: SimTime::MAX,
         };
         let tree = earliest_arrival_tree(&query(&pristine)); // hop 1 -> 2 over [10, 20)
-        let entered = |machine| machine == m(2);
-        assert!(paths_hold(&query(&later), &tree, &[m(2)], entered, &[link], &into), "slot kept");
-        assert!(!paths_hold(&query(&clashing), &tree, &[m(2)], entered, &[link], &into), "moved");
-        assert!(!paths_hold(&query(&clashing), &tree, &[m(2)], |_| true, &[link], &into));
-        // A hop into a machine the prefilter rejects is passed over unprobed.
-        assert!(paths_hold(&query(&clashing), &tree, &[m(2)], |_| false, &[link], &into));
+        let moved = |hop: &Hop| hop.link == link || into.contains(&hop.to);
+        assert!(paths_hold(&query(&later), &tree, &[m(2)], moved), "slot kept");
+        assert!(!paths_hold(&query(&clashing), &tree, &[m(2)], moved), "moved");
+        assert!(!paths_hold(&query(&clashing), &tree, &[m(2)], |_| true));
+        // A hop `moved` does not name is passed over unprobed.
+        assert!(paths_hold(&query(&clashing), &tree, &[m(2)], |_| false));
         assert_ne!(earliest_arrival_tree(&query(&clashing)).arrival(m(2)), tree.arrival(m(2)));
         // The path to m1 never crosses the link.
-        assert!(paths_hold(&query(&clashing), &tree, &[m(1)], entered, &[link], &into));
+        assert!(paths_hold(&query(&clashing), &tree, &[m(1)], |_| true));
     }
 
     #[test]

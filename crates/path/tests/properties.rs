@@ -8,7 +8,10 @@
 //! 2. **Commit consistency** — every hop the tree promises can actually be
 //!    committed to the ledger at exactly the promised times.
 //! 3. **Validation soundness** — after arbitrary consumption, the paths
-//!    `paths_hold` accepts are a from-scratch search's.
+//!    `paths_hold` accepts are a from-scratch search's, and probing only
+//!    the hops over a consumed link or into a consumed store (what a
+//!    scheduler's stamps name) decides exactly what probing every hop of
+//!    the read paths does.
 //! 4. **First hop** — `first_hop_toward` equals a walk up the hop chain.
 //! 5. **Bounded reads** — the search steered to its destinations and
 //!    stopped there (`earliest_arrival_paths`) gives each of them the
@@ -182,7 +185,7 @@ fn fixpoint_arrivals(
 }
 
 /// Applies `seeds`-driven random commits to `ledger`, returning the
-/// consumed links and receiving machines (the journal's view).
+/// consumed links and receiving machines.
 fn consume_randomly(
     network: &Network,
     ledger: &mut NetworkLedger,
@@ -238,33 +241,27 @@ fn check_paths_that_hold(
     let mut ledger = NetworkLedger::new(&network);
     let query = query_of(&network, &ledger, size, &sources, &hold);
     let tree = earliest_arrival_paths(&query, &Landmarks::new(&network), &destinations);
-    // Nothing consumed: every hop, probed again with every resource
-    // named, finds the slot the search gave it.
-    let (all_links, all_machines): (Vec<VirtualLinkId>, Vec<MachineId>) =
-        network.links().map(|(l, link)| (l, link.destination())).unzip();
-    prop_assert!(paths_hold(&query, &tree, &destinations, |_| true, &all_links, &all_machines));
+    // Nothing consumed: every hop, probed again, finds the slot the search
+    // gave it.
+    prop_assert!(paths_hold(&query, &tree, &destinations, |_| true));
 
     let (dirty_links, dirty_machines) = consume_randomly(&network, &mut ledger, commits);
     let query = query_of(&network, &ledger, size, &sources, &hold);
-    // The membership prefilter, as a scheduler builds it: every machine
-    // recorded and every recorded link's receiver. It changes no answer.
-    let mut entered = vec![false; net.machines];
-    let receivers = dirty_links.iter().map(|&l| network.link(l).destination());
-    for machine in receivers.chain(dirty_machines.iter().copied()) {
-        entered[machine.index()] = true;
+    // What a scheduler's stamps say of a hop — its link or its receiving
+    // store consumed since the tree was searched — probes exactly what
+    // probing every hop of the read paths decides.
+    let (mut link_moved, mut store_moved) =
+        (vec![false; network.link_count()], vec![false; net.machines]);
+    for &link in &dirty_links {
+        link_moved[link.index()] = true;
     }
-    let holds = paths_hold(
-        &query,
-        &tree,
-        &destinations,
-        |machine| entered[machine.index()],
-        &dirty_links,
-        &dirty_machines,
-    );
-    prop_assert_eq!(
-        holds,
-        paths_hold(&query, &tree, &destinations, |_| true, &dirty_links, &dirty_machines)
-    );
+    for &machine in &dirty_machines {
+        store_moved[machine.index()] = true;
+    }
+    let holds = paths_hold(&query, &tree, &destinations, |hop| {
+        link_moved[hop.link.index()] || store_moved[hop.to.index()]
+    });
+    prop_assert_eq!(holds, paths_hold(&query, &tree, &destinations, |_| true));
     if holds {
         let scratch = earliest_arrival_tree(&query);
         for &d in &destinations {

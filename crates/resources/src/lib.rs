@@ -32,11 +32,9 @@
 #![warn(missing_docs)]
 
 pub mod interval;
-pub mod journal;
 pub mod ledger;
 pub mod timeline;
 
 pub use interval::BusyIntervals;
-pub use journal::{ChangeJournal, JournalMark};
 pub use ledger::{CommitError, Crossing, NetworkLedger, ProbeTally, TransferSlot};
 pub use timeline::CapacityTimeline;

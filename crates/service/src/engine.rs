@@ -29,9 +29,9 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
+use dstage_core::bookings::{AddRequestError, Bookings, HoldRefused};
 use dstage_core::heuristic::{CommitRule, Heuristic, HeuristicConfig};
 use dstage_core::schedule::{Delivery, Schedule, Transfer};
-use dstage_core::state::{AddRequestError, HoldRefused, SchedulerState};
 use dstage_dynamic::{Event, EventKind, LiveSchedule, Standing};
 use dstage_model::ids::{DataItemId, MachineId, RequestId, VirtualLinkId};
 use dstage_model::request::{Priority, PriorityWeights, Request};
@@ -228,7 +228,7 @@ impl AdmissionEngine {
             item_ids: names.iter().enumerate().map(|(i, n)| (n.to_string(), i as u32)).collect(),
             fingerprint,
             tallies: LogTallies::new(weights.levels()),
-            live: LiveSchedule::new(SchedulerState::owning(served, true)),
+            live: LiveSchedule::new(Bookings::owning(served)),
             rule,
             weights,
             info: Vec::new(),
@@ -240,7 +240,7 @@ impl AdmissionEngine {
 
     /// The served scenario: the catalog plus every admitted request.
     fn scenario(&self) -> &Scenario {
-        self.live.state().scenario()
+        self.live.bookings().scenario()
     }
 
     /// Overrides the idempotency window, trimming oldest keys if needed.
@@ -437,8 +437,8 @@ impl AdmissionEngine {
     /// records) or rolls everything back. `Err` carries the refusal reason.
     fn decide(&mut self, args: &SubmitArgs) -> Result<(Delivery, Vec<Transfer>), String> {
         let candidate = self.candidate(args)?;
-        let savepoint = self.live.state().savepoint(candidate.item());
-        let id = match append(self.live.state_mut(), candidate) {
+        let savepoint = self.live.bookings().savepoint(candidate.item());
+        let id = match append(self.live.bookings_mut(), candidate) {
             Ok(id) => id,
             // Validation errors name the candidate by its positional id,
             // `R{admitted count}`; recorded logs and snapshots carry the
@@ -450,7 +450,7 @@ impl AdmissionEngine {
                 return Err(e.to_string().replace(&token, "the candidate"));
             }
             Err(AddRequestError::Hold(refused)) => {
-                self.live.state_mut().rollback(savepoint);
+                self.live.bookings_mut().rollback(savepoint);
                 return Err(self.hold_reason(refused));
             }
         };
@@ -499,20 +499,13 @@ impl AdmissionEngine {
         )
     }
 
-    /// Records in the live state's journal of consumed resources: what the
-    /// decision in progress booked, nothing between decisions.
-    #[must_use]
-    pub fn journal_len(&self) -> usize {
-        self.live.state().journal_len()
-    }
-
     /// How the live state differs from a full replay of the history
     /// ([`LiveSchedule::divergence`]), or a promised request's recorded
     /// delivery from the live state's, if either does.
     #[must_use]
     pub fn live_state_divergence(&self) -> Option<String> {
         self.live.divergence().or_else(|| {
-            let state = self.live.state();
+            let state = self.live.bookings();
             (state.scenario().request_ids().zip(&self.info))
                 .filter(|(_, info)| info.route().is_some())
                 .find_map(|(id, info)| {
@@ -613,7 +606,7 @@ impl AdmissionEngine {
         let mut evicted = Vec::new();
         for id in displaced {
             let request = RequestId::new(id);
-            let savepoint = self.live.state().savepoint(self.scenario().request(request).item());
+            let savepoint = self.live.bookings().savepoint(self.scenario().request(request).item());
             let settled = self.live.settle(request, savepoint, self.rule);
             let info = &mut self.info[id as usize];
             info.delivery = settled.as_ref().map(|&(delivery, _)| delivery);
@@ -641,7 +634,7 @@ impl AdmissionEngine {
     /// through a fresh engine re-executes it deterministically.
     pub fn optimize(&mut self, budget: u64) -> OptimizeResponse {
         let candidates = self.open_rejections.clone();
-        let admit = |state: &mut SchedulerState<'static>, _, request| append(state, request).ok();
+        let admit = |state: &mut Bookings<'static>, _, request| append(state, request).ok();
         let climbed =
             self.live.climb(self.rule, &self.weights, &mut self.info, candidates, budget, admit);
         dstage_obs::metrics::SERVICE_OPT_SWAP_ATTEMPTS.add(climbed.attempted);
@@ -945,8 +938,8 @@ impl AdmissionEngine {
             // Nothing is booked yet, so only validation can refuse here;
             // the reservations are replayed once everything is loaded.
             let request = engine.candidate(args);
-            let request =
-                request.and_then(|r| append(engine.live.state_mut(), r).map_err(|e| e.to_string()));
+            let request = request
+                .and_then(|r| append(engine.live.bookings_mut(), r).map_err(|e| e.to_string()));
             request.map_err(|e| format!("checkpoint: bad admitted request: {e}"))?;
         }
         engine.info = checkpoint.info;
@@ -1003,7 +996,7 @@ impl AdmissionEngine {
         }
         engine.idempotency = idempotency;
         // The one place a state is still built from a history.
-        let state = SchedulerState::owning(engine.scenario().clone(), true);
+        let state = Bookings::owning(engine.scenario().clone());
         let (committed, outages, losses) =
             (checkpoint.committed, checkpoint.outages, checkpoint.losses);
         engine.live =
@@ -1018,7 +1011,7 @@ impl AdmissionEngine {
 /// item's copies are collected, `γ` after the deadline — the horizon never
 /// ends before. [`AdmissionEngine::candidate`] has checked that instant
 /// exists.
-fn append(state: &mut SchedulerState<'_>, request: Request) -> Result<RequestId, AddRequestError> {
+fn append(state: &mut Bookings<'_>, request: Request) -> Result<RequestId, AddRequestError> {
     let id = state.add_request(request)?;
     let collected = request.deadline() + state.scenario().gc_delay();
     if collected > state.scenario().horizon() {

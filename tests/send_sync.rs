@@ -3,8 +3,9 @@
 //! fail at compile time if anyone reintroduces `Rc`/`RefCell` (or a raw
 //! pointer) into the shared data model.
 
+use data_staging::core::bookings::Bookings;
+use data_staging::core::planner::Planner;
 use data_staging::core::schedule::Schedule;
-use data_staging::core::state::SchedulerState;
 use data_staging::model::scenario::Scenario;
 use data_staging::resources::ledger::NetworkLedger;
 use data_staging::service::engine::AdmissionEngine;
@@ -19,9 +20,10 @@ fn shared_scheduling_state_is_send_and_sync() {
     assert_send_sync::<Scenario>();
     assert_send_sync::<Schedule>();
     assert_send_sync::<NetworkLedger>();
-    // The in-flight scheduler state (borrows the scenario, so it is
-    // checked at a concrete lifetime).
-    assert_send_sync::<SchedulerState<'static>>();
+    // The in-flight bookings (they borrow the scenario, so they are
+    // checked at a concrete lifetime) and the planner that reads them.
+    assert_send_sync::<Bookings<'static>>();
+    assert_send_sync::<Planner>();
     // The service layer itself.
     assert_send_sync::<AdmissionEngine>();
     assert_send_sync::<Server>();
