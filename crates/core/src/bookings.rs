@@ -18,7 +18,7 @@
 //! the transfers that remain.
 //!
 //! A planner caches what it read off the bookings. It learns what moved
-//! since from the version stamps every mutation leaves ([`Stamps`]);
+//! since from the version stamps every mutation leaves (`Stamps`);
 //! the bookings never touch its cache.
 
 use std::borrow::Cow;
@@ -91,20 +91,19 @@ pub struct Savepoint {
     delivered: Vec<Option<Delivery>>,
 }
 
-/// Version stamps: what moved in the bookings, and when, for a reader that
-/// keeps what it read off them (DESIGN.md §3, "Dirty-item caching").
+/// Version stamps: what moved in the bookings, and when, for the planner
+/// that keeps what it read off them (DESIGN.md §3, "Dirty-item caching").
 ///
 /// Consumption is counted: each booking, outage block or lengthened hold
 /// bumps the count and stamps the links and stores it took with it, so a
 /// reader that noted the count when it checked a tree asks in O(1) whether
 /// a resource was consumed since. Whatever consumption does not describe
-/// bumps a per-item stamp — its sources and holds (the *tree* stamp) or
-/// its pending requests (the *pending* stamp) — or, for a release of
-/// capacity or the blocked past, the one epoch that invalidates
-/// everything.
+/// bumps a per-item stamp or, for a release of capacity or the blocked
+/// past, the one epoch that invalidates everything.
 #[derive(Debug, Clone)]
-pub struct Stamps {
-    consumed: u64,
+pub(crate) struct Stamps {
+    /// Consumptions so far.
+    pub(crate) consumed: u64,
     /// Per link and per machine's store: the count at its last
     /// consumption.
     link: Vec<u64>,
@@ -112,9 +111,13 @@ pub struct Stamps {
     /// Per machine: the count at the last consumption of its store or of
     /// a link into it.
     entered: Vec<u64>,
-    tree: Vec<u64>,
-    pending: Vec<u64>,
-    epoch: u64,
+    /// Per item: bumped when its copies or hold deadlines move.
+    pub(crate) tree: Vec<u64>,
+    /// Per item: bumped when the set of its requests that are active and
+    /// not delivered may have moved.
+    pub(crate) pending: Vec<u64>,
+    /// Bumped by a release of capacity and by blocking the past.
+    pub(crate) epoch: u64,
 }
 
 impl Stamps {
@@ -131,45 +134,17 @@ impl Stamps {
         }
     }
 
-    /// Consumptions so far.
-    #[must_use]
-    pub fn consumed(&self) -> u64 {
-        self.consumed
-    }
-
     /// Whether `hop`'s link or its receiving store was consumed after the
     /// count was `at`.
-    #[must_use]
-    pub fn hop_moved_since(&self, hop: &Hop, at: u64) -> bool {
+    pub(crate) fn hop_moved_since(&self, hop: &Hop, at: u64) -> bool {
         self.link[hop.link.index()] > at || self.store[hop.to.index()] > at
     }
 
     /// Whether a link into `machine`, or its store, was consumed after the
     /// count was `at`: a hop that [`hop_moved_since`](Self::hop_moved_since)
     /// names enters such a machine.
-    #[must_use]
-    pub fn entered_since(&self, machine: MachineId, at: u64) -> bool {
+    pub(crate) fn entered_since(&self, machine: MachineId, at: u64) -> bool {
         self.entered[machine.index()] > at
-    }
-
-    /// `item`'s tree stamp: bumped when its copies or hold deadlines move.
-    #[must_use]
-    pub fn tree(&self, item: DataItemId) -> u64 {
-        self.tree[item.index()]
-    }
-
-    /// `item`'s pending stamp: bumped when the set of its requests that are
-    /// active and not delivered may have moved.
-    #[must_use]
-    pub fn pending(&self, item: DataItemId) -> u64 {
-        self.pending[item.index()]
-    }
-
-    /// Bumped by a release of capacity and by blocking the past: what no
-    /// other stamp describes.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     fn consume(&mut self, network: &Network, link: VirtualLinkId) {
@@ -308,8 +283,7 @@ impl<'a> Bookings<'a> {
     }
 
     /// What moved, and when.
-    #[must_use]
-    pub fn stamps(&self) -> &Stamps {
+    pub(crate) fn stamps(&self) -> &Stamps {
         &self.stamps
     }
 
@@ -1252,7 +1226,7 @@ pub(crate) mod tests {
         st.unbook(&hop);
         st.rederive_item(hop.item, &others);
         assert_eq!(st.first_difference(&before), None, "{case}: unbook after book");
-        assert!(st.stamps().epoch() > booked.stamps().epoch(), "{case}: a release moves the epoch");
+        assert!(st.stamps().epoch > booked.stamps().epoch, "{case}: a release moves the epoch");
         st.rebook(&hop);
         st.rederive_item(hop.item, others.iter().chain([&hop]));
         assert_eq!(st.first_difference(&booked), None, "{case}: rebook after unbook");
@@ -1389,7 +1363,7 @@ pub(crate) mod tests {
         st.rollback(savepoint);
         assert_eq!(st.first_difference(&before), None);
         assert_eq!(st.scenario().horizon(), SimTime::from_hours(2));
-        assert!(st.stamps().epoch() > before.stamps().epoch(), "a release moves the epoch");
+        assert!(st.stamps().epoch > before.stamps().epoch, "a release moves the epoch");
         assert!(st.take_transfers().is_empty());
         // The same decision, kept: equal to booking everything afresh.
         st.add_request(Request::new(item(0), m(3), t(9_000), Priority::LOW)).unwrap();

@@ -6,7 +6,7 @@
 //! per item it keeps the earliest-arrival tree, the destinations it was
 //! validated for and the candidate steps read off it, and it decides in
 //! one place whether what it kept still speaks for the bookings, from
-//! their version stamps ([`Stamps`](crate::bookings::Stamps)) alone. It
+//! their version stamps alone. It
 //! books through the bookings' own commits and writes to them no other
 //! way; the bookings never touch its cache. A heuristic pairs one planner
 //! with the bookings it drives ([`crate::heuristic::drive_state`]); the
@@ -66,6 +66,7 @@ impl CandidateStep {
 }
 
 /// A set of machines: one bit each, sized to the network.
+#[derive(Debug, Clone)]
 struct MachineSet(Vec<u64>);
 
 impl MachineSet {
@@ -80,6 +81,20 @@ impl MachineSet {
         self.0[word] |= bit;
         new
     }
+
+    /// Whether `pred` holds for a machine of the set.
+    fn any(&self, mut pred: impl FnMut(MachineId) -> bool) -> bool {
+        self.0.iter().enumerate().any(|(word, &bits)| {
+            let mut rest = bits;
+            while rest != 0 {
+                if pred(MachineId::new(word as u32 * 64 + rest.trailing_zeros())) {
+                    return true;
+                }
+                rest &= rest - 1;
+            }
+            false
+        })
+    }
 }
 
 /// The candidate steps read off a cached tree for its item's pending
@@ -90,7 +105,7 @@ struct Enumeration {
     /// *dead* — no pending destination can be reached in time.
     steps: Vec<CandidateStep>,
     /// The machines the tree's paths to the pending destinations enter.
-    entered: Vec<MachineId>,
+    entered: MachineSet,
     /// The item's pending stamp the steps were read for.
     pending: u64,
 }
@@ -221,10 +236,10 @@ impl Planner {
         Self::with_caching(bookings, true)
     }
 
-    /// Like [`Planner::new`]; without `caching` it keeps no entry from one
-    /// read to the next, every read a search from scratch — the paper's
-    /// unoptimised procedure, and the reference the kept trees are tested
-    /// against (results must be identical).
+    /// Like [`Planner::new`]; without `caching` it serves no entry a second
+    /// time, every read a search from scratch — the paper's unoptimised
+    /// procedure, and the reference the kept trees are tested against
+    /// (results must be identical).
     #[must_use]
     pub fn with_caching(bookings: &Bookings<'_>, caching: bool) -> Self {
         let scenario = bookings.scenario();
@@ -247,12 +262,15 @@ impl Planner {
         let slot = &mut self.cache[item.index()];
         if slot
             .as_ref()
-            .is_some_and(|c| c.epoch != stamps.epoch() || c.sources != stamps.tree(item))
+            .is_some_and(|c| c.epoch != stamps.epoch || c.sources != stamps.tree[item.index()])
         {
             *slot = None;
         }
         if let Some(cached) = slot {
-            if cached.enumeration.as_ref().is_some_and(|read| read.pending != stamps.pending(item))
+            if cached
+                .enumeration
+                .as_ref()
+                .is_some_and(|read| read.pending != stamps.pending[item.index()])
             {
                 cached.enumeration = None;
             }
@@ -316,18 +334,18 @@ impl Planner {
         let query = b.query(item);
         let refreshed = match served {
             Some(mut cached) => {
-                if cached.checked != stamps.consumed() && read != cached.validated {
+                if cached.checked != stamps.consumed && read != cached.validated {
                     cached.enumeration = None;
                     read.clone_into(&mut cached.validated);
                 }
-                cached.checked = stamps.consumed();
+                cached.checked = stamps.consumed;
                 cached
             }
             None => CachedItem {
                 tree: earliest_arrival_paths(&query, &self.landmarks, read),
-                epoch: stamps.epoch(),
-                sources: stamps.tree(item),
-                checked: stamps.consumed(),
+                epoch: stamps.epoch,
+                sources: stamps.tree[item.index()],
+                checked: stamps.consumed,
                 validated: read.to_vec(),
                 enumeration: None,
             },
@@ -356,9 +374,9 @@ impl Planner {
                     // (a release, a copy, a request, a hold row) moves a
                     // stamp that drops the steps.
                     Some(Visit::Dead)
-                } else if !read.entered.iter().any(|&m| stamps.entered_since(m, *checked)) {
+                } else if !read.entered.any(|m| stamps.entered_since(m, *checked)) {
                     // `paths_hold` would find no hop to probe again.
-                    *checked = stamps.consumed();
+                    *checked = stamps.consumed;
                     Some(Visit::Clean)
                 } else {
                     None
@@ -386,23 +404,22 @@ impl Planner {
         if cached.enumeration.is_some() {
             return Visit::Validated;
         }
-        let mut seen = MachineSet::sized(scenario.network().machine_count());
-        let mut entered = Vec::new();
+        let mut entered = MachineSet::sized(scenario.network().machine_count());
         for &destination in &destinations {
             let mut cursor = destination;
             while let Some(hop) = cached.tree.hop_into(cursor) {
                 // Already entered: so is the rest of the way to a source.
-                if !seen.insert(hop.to) {
+                if !entered.insert(hop.to) {
                     break;
                 }
-                entered.push(hop.to);
                 cursor = hop.from;
             }
         }
         let steps = enumerate(scenario, item, &pending, &cached.tree);
         // A tree read as it stood may be validated for more.
         destinations.clone_into(&mut cached.validated);
-        cached.enumeration = Some(Enumeration { steps, entered, pending: stamps.pending(item) });
+        cached.enumeration =
+            Some(Enumeration { steps, entered, pending: stamps.pending[item.index()] });
         Visit::Rebuilt
     }
 
@@ -469,7 +486,7 @@ impl Planner {
     /// Whether `item`'s tree was checked at `b`'s current count: what a
     /// commit of its own hops must find to keep it.
     fn fresh(&mut self, b: &Bookings<'_>, item: DataItemId) -> Option<&CachedItem> {
-        let consumed = b.stamps().consumed();
+        let consumed = b.stamps().consumed;
         self.entry(b, item).as_ref().filter(|cached| cached.checked == consumed)
     }
 
@@ -602,7 +619,7 @@ impl Planner {
                     cached.tree.stage(hop);
                 }
                 let stamps = b.stamps();
-                (cached.sources, cached.checked) = (stamps.tree(item), stamps.consumed());
+                (cached.sources, cached.checked) = (stamps.tree[item.index()], stamps.consumed);
                 cached.enumeration = None;
                 dstage_obs::metrics::CORE_TREES_KEPT.inc();
             }
@@ -614,7 +631,7 @@ impl Planner {
 /// Whether `cached`'s paths to `read` hold after what `b` consumed since
 /// their check ([`paths_hold`]): a hop is probed again when its link or
 /// its receiving store was consumed since
-/// ([`Stamps::hop_moved_since`](crate::bookings::Stamps::hop_moved_since)).
+/// (`Stamps::hop_moved_since`).
 /// Debug builds hold the answer to probing every hop of those paths.
 fn read_paths_hold(
     b: &Bookings<'_>,

@@ -12,8 +12,10 @@
 //! [`dijkstra::earliest_arrival_tree`]). The same monotonicity powers
 //! static lower-bound pruning of hopeless relaxations and, for cached trees
 //! after resource consumption, validation of just the paths about to be
-//! read ([`paths_hold`]); a tree that fails it is searched again from
-//! scratch. The frontier is a plain binary heap.
+//! read ([`paths_hold`]), probing again only the hops its caller names as
+//! moved — a scheduler's version stamps say which links and stores were
+//! consumed since the tree was checked; a tree that fails it is searched
+//! again from scratch. The frontier is a plain binary heap.
 //!
 //! A scheduler reads a tree only for the destinations it asks about, so
 //! it searches with [`earliest_arrival_paths`]: the same search, steered

@@ -3,15 +3,16 @@
 //! The [`AdmissionEngine`] drives one [`LiveSchedule`] — the repair loop
 //! the offline simulator drives too — over a scenario that holds the
 //! catalog (network + data items) and every admitted request, beside the
-//! per-request bookkeeping and the decision log. Each `submit` appends the
-//! candidate to that scenario and settles it alone on the live state
+//! per-request bookkeeping and the decision log. The live schedule keeps
+//! bookings and no planner. Each `submit` appends the candidate to that
+//! scenario and settles it alone on the live bookings
 //! ([`LiveSchedule::settle`]), where the configured scheduler is only its
-//! commit rule: admitted, its path is committed; refused,
-//! what it touched is rolled back and it leaves no residue. A decision
-//! costs what its own route costs, however many were admitted before: one
-//! tree of its own item, searched up to its destination, and no selection
-//! round — with one request to route there is no step to pick among
-//! (DESIGN.md §3, "The online decision").
+//! commit rule: admitted, its path is booked; refused, what it touched is
+//! rolled back and it leaves no residue. A decision costs what its own
+//! route costs, however many were admitted before: one search of its own
+//! item, steered to its destination and kept no longer than the decision,
+//! and no selection round — with one request to route there is no step to
+//! pick among (DESIGN.md §3, "The online decision").
 //!
 //! `inject` applies a live disturbance (link outage / copy loss) to the
 //! live schedule, whose repair unbooks the reservations it invalidates;
